@@ -7,7 +7,9 @@ s the pair (U, lambda) solves the discrete problem F(U, lambda) = 0
 together with the amplitude constraint. Near a simple bifurcation this
 parametrization cannot fold back, so no arclength machinery is needed.
 Each Newton step solves a bordered system with the (possibly nearly
-singular) Jacobian regularized along u0.
+singular) Jacobian regularized along u0, by CG preconditioned with the
+exact DST inverse of L - lambda + k*u0 u0^T: the Jacobian differs from it
+by the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .diagnostics import AnalysisResult, run_analysis
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
 from .nonlinearity import NonlinearityModel, apply, apply_derivative
-from .operators import SparseOperator, solve_bordered_system
+from .operators import SparseOperator, solve_bordered_system, spectral_inverse
 
 __all__ = [
     "BranchPoint",
@@ -157,6 +159,7 @@ def solve_at_amplitude(
                 row,
                 -F,
                 -cres,
+                spectral_inverse(mesh, lam, kernel_shift),
                 rtol=linear_rtol,
                 atol=linear_atol,
                 max_iter=max(2000, 4 * L.n),

@@ -180,12 +180,13 @@ def compute_z_s(
     model: NonlinearityModel,
     mesh: Mesh,
     mu_s: float,
+    lambda0: float,
     linear_tol: float = 1e-10,
     solvability_tol: float = 1e-8,
     kernel_shift: float = 1.0,
 ) -> BorderedSolution:
     """Corrector z_s at s = 0: solves A z_s = mu_s*u0 + 1/2 g''(0) u0^2
-    with (z_s, u0) = 0.
+    with (z_s, u0) = 0, where A = L - lambda0.
 
     The right-hand side is kernel-orthogonal by the choice of mu_s, so
     the returned multiplier must be ~0; a larger value signals an
@@ -195,7 +196,7 @@ def compute_z_s(
     rhs = mu_s * u0 + 0.5 * g2 * u0 * u0
     if not np.any(rhs):
         return BorderedSolution(z=np.zeros_like(u0), xi=0.0, residual_norm=0.0)
-    sol = bordered_solve(A, u0, rhs, mesh, tol=linear_tol, kernel_shift=kernel_shift)
+    sol = bordered_solve(A, u0, rhs, mesh, lambda0, tol=linear_tol, kernel_shift=kernel_shift)
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
     return sol
@@ -319,6 +320,7 @@ def run_analysis(
         model,
         mesh,
         mu_s,
+        pair.eigenvalue,
         linear_tol=tol.linear_tol,
         solvability_tol=tol.solvability_tol,
         kernel_shift=max(1.0, cr.gap),
@@ -422,7 +424,8 @@ def psi_k_table(
         g3 = derivative_at_zero(model, 3)
         mu_s = compute_mu_s(u0, model, mesh)
         z_s = compute_z_s(
-            A, u0, model, mesh, mu_s, linear_tol=tol.linear_tol, solvability_tol=tol.solvability_tol
+            A, u0, model, mesh, mu_s, pair.eigenvalue,
+            linear_tol=tol.linear_tol, solvability_tol=tol.solvability_tol,
         ).z
         mu_ss = compute_mu_ss(u0, z_s, model, mesh, mu_s)
         # V_L = 0 for every k >= 3, so the derivative projections close

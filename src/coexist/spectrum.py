@@ -1,21 +1,23 @@
 """Principal and second eigenpairs of the discrete Laplacian, and the
 checks that certify the bifurcation point.
 
-Only the two lowest eigenvalues are ever needed, so both are computed by
-inverse power iteration (the second with re-orthogonalization against
-the principal eigenvector every step) rather than a general eigensolver.
+On a uniform product grid the Dirichlet Laplacian's eigenvectors are
+products of sines, sin(j pi i / (n+1)) per axis, with eigenvalues
+sum_axes 4/h^2 sin^2(j pi / (2(n+1))). Both eigenpairs are these closed
+forms; each is certified by its residual against the assembled L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import numpy.typing as npt
 
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
-from .operators import SparseOperator, _cg
+from .operators import SparseOperator, axis_eigenvalues
 
 __all__ = [
     "Eigenpair",
@@ -27,8 +29,6 @@ __all__ = [
 ]
 
 Array = npt.NDArray[np.float64]
-
-_DEFLATED_START_SEED = 20270404
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,51 +71,19 @@ class CRReport:
         }
 
 
-def _rayleigh(L: SparseOperator, mesh: Mesh, v: Array) -> float:
-    return inner_product(mesh, v, L.apply(v)) / inner_product(mesh, v, v)
-
-
-def _inverse_iteration(
-    L: SparseOperator,
-    mesh: Mesh,
-    start: Array,
-    tol: float,
-    max_steps: int,
-    max_cg_iter: int,
-    deflate: Array | None = None,
-) -> tuple[float, Array, float]:
-    """Inverse power iteration on L, optionally deflated against one vector.
-
-    The inner solve tolerance tracks the outer eigen-residual so early
-    steps stay cheap; the final steps solve to ~100x below tol.
-    """
-    v = start.copy()
-    if deflate is not None:
-        v = v - inner_product(mesh, v, deflate) * deflate
+def _sine_mode(L: SparseOperator, mesh: Mesh, modes: tuple[int, ...], tol: float) -> Eigenpair:
+    """The mesh-normalized sine mode prod_a sin(j_a pi (x_a - lo_a) / len_a),
+    j_a = modes[a]. Raises ConvergenceError when its residual against the
+    assembled L exceeds tol (L is not this mesh's Laplacian, or rounding
+    in L v alone exceeds tol)."""
+    lam = float(sum(ev[j - 1] for ev, j in zip(axis_eigenvalues(mesh), modes)))
+    axes = zip(modes, mesh.axis_coords, mesh.spec.bounds)
+    v = reduce(np.multiply.outer, [np.sin(j * np.pi * (x - lo) / (hi - lo)) for j, x, (lo, hi) in axes]).ravel()
     v = v / l2_norm(mesh, v)
-    theta = _rayleigh(L, mesh, v)
-    res = l2_norm(mesh, L.apply(v) - theta * v)
-    stale = 0
-    for step in range(1, max_steps + 1):
-        if res <= tol:
-            return theta, v, res
-        if stale >= 8:
-            raise ConvergenceError(
-                "inverse iteration stagnated above tolerance (rounding floor reached)",
-                residual=res,
-                iterations=step,
-            )
-        inner_tol = min(1e-6, max(0.01 * tol, 0.05 * res))
-        x, _, _ = _cg(L.apply, v, rtol=inner_tol, atol=0.0, max_iter=max_cg_iter, x0=v / theta)
-        if deflate is not None:
-            x = x - inner_product(mesh, x, deflate) * deflate
-        x = x / l2_norm(mesh, x)
-        theta_new = _rayleigh(L, mesh, x)
-        res_new = l2_norm(mesh, L.apply(x) - theta_new * x)
-        stale = stale + 1 if res_new > 0.995 * res else 0
-        if res_new < res:
-            v, theta, res = x, theta_new, res_new
-    raise ConvergenceError("inverse iteration did not converge", residual=res, iterations=max_steps)
+    res = l2_norm(mesh, L.apply(v) - lam * v)
+    if res > tol:
+        raise ConvergenceError(f"sine mode {modes} misses eigen tolerance {tol:.1e} against L", res, 0)
+    return Eigenpair(eigenvalue=lam, vector=v, residual=res)
 
 
 def principal_eigenpair(
@@ -125,16 +93,8 @@ def principal_eigenpair(
     max_steps: int = 500,
 ) -> Eigenpair:
     """Smallest eigenvalue of L and its positive, mesh-normalized
-    eigenfunction.
-
-    The start vector is the constant one; the sign is fixed by flipping
-    so the mean value is positive.
-    """
-    start = np.ones(mesh.n_nodes)
-    theta, v, res = _inverse_iteration(L, mesh, start, tol, max_steps, max_cg_iter=max(2000, 4 * L.n))
-    if float(np.mean(v)) < 0.0:
-        v = -v
-    return Eigenpair(eigenvalue=theta, vector=v, residual=res)
+    eigenfunction: the sine mode (1, ..., 1). max_steps is unused."""
+    return _sine_mode(L, mesh, (1,) * mesh.dim, tol)
 
 
 def second_eigenpair(
@@ -144,19 +104,13 @@ def second_eigenpair(
     tol: float = 1e-10,
     max_steps: int = 1000,
 ) -> tuple[float, Array, float]:
-    """Smallest eigenvalue of L on the complement of span{u0}.
-
-    Deflated inverse iteration: the iterate is re-orthogonalized against
-    u0 after every solve. The start vector is drawn from a fixed seed so
-    runs are reproducible and the start is never accidentally orthogonal
-    to the target eigenspace.
-    """
-    rng = np.random.default_rng(_DEFLATED_START_SEED)
-    start = rng.standard_normal(mesh.n_nodes)
-    theta, v, res = _inverse_iteration(
-        L, mesh, start, tol, max_steps, max_cg_iter=max(2000, 4 * L.n), deflate=u0
-    )
-    return theta, v, res
+    """Smallest eigenvalue of L on the complement of span{u0} (u0 the
+    principal eigenvector), with its eigenvector and residual. Eigenvalues
+    grow with each mode index, so this is mode index 2 on the axis whose
+    step costs least, the first on the square's tie. max_steps is unused."""
+    axis = int(np.argmin([ev[1] - ev[0] for ev in axis_eigenvalues(mesh)]))
+    pair = _sine_mode(L, mesh, tuple(2 if a == axis else 1 for a in range(mesh.dim)), tol)
+    return pair.eigenvalue, pair.vector, pair.residual
 
 
 def second_eigenvalue(

@@ -80,5 +80,5 @@ def eig2d_128(lap2d_128, mesh2d_128):
 def second2d_128(lap2d_128, eig2d_128, mesh2d_128):
     pair, _ = eig2d_128
     t0 = time.perf_counter()
-    lam1, vec, res = second_eigenpair(lap2d_128, pair.vector, mesh2d_128, tol=1e-9)
+    lam1, vec, res = second_eigenpair(lap2d_128, pair.vector, mesh2d_128, tol=1e-10)
     return (lam1, vec, res), time.perf_counter() - t0

@@ -84,7 +84,7 @@ def test_criterion_2_interaction_table_numbers(mesh400, lap400, eig400):
     mu_s3 = compute_mu_s(u0, m3, mesh400)
     if abs(mu_s3 - MU_S_PSI3) > 1e-3:
         failures.append(f"psi3 mu_s = {mu_s3} not within 1e-3 of {MU_S_PSI3}")
-    z3 = compute_z_s(A, u0, m3, mesh400, mu_s3).z
+    z3 = compute_z_s(A, u0, m3, mesh400, mu_s3, pair.eigenvalue).z
     mu_ss3 = compute_mu_ss(u0, z3, m3, mesh400, mu_s3)
     sigma = psi3_sigma_form(u0, z3, 1.0, mesh400)
     if abs(mu_ss3 - sigma) > 1e-8:
@@ -98,7 +98,7 @@ def test_criterion_2_interaction_table_numbers(mesh400, lap400, eig400):
     mu_s4 = compute_mu_s(u0, m4, mesh400)
     if mu_s4 != 0.0:
         failures.append(f"psi4 mu_s = {mu_s4}, expected exact 0")
-    z4 = compute_z_s(A, u0, m4, mesh400, mu_s4).z
+    z4 = compute_z_s(A, u0, m4, mesh400, mu_s4, pair.eigenvalue).z
     mu_ss4 = compute_mu_ss(u0, z4, m4, mesh400, mu_s4)
     if abs(mu_ss4 - MU_SS_PSI4) > 1e-3:
         failures.append(f"psi4 mu_ss = {mu_ss4} not within 1e-3 of {MU_SS_PSI4}")
@@ -107,7 +107,7 @@ def test_criterion_2_interaction_table_numbers(mesh400, lap400, eig400):
     for k in (5, 6, 7):
         mk = NonlinearityModel.psi_k(k, 1.0)
         mu_s = compute_mu_s(u0, mk, mesh400)
-        zk = compute_z_s(A, u0, mk, mesh400, mu_s).z
+        zk = compute_z_s(A, u0, mk, mesh400, mu_s, pair.eigenvalue).z
         mu_ss = compute_mu_ss(u0, zk, mk, mesh400, mu_s)
         if abs(mu_s) > 1e-10 or abs(mu_ss) > 1e-10:
             failures.append(f"psi{k} diagnostics not within 1e-10 of 0")
@@ -188,7 +188,7 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
     ]
     for model in zoo:
         mu_s = compute_mu_s(u0, model, mesh400)
-        sol = compute_z_s(A, u0, model, mesh400, mu_s)
+        sol = compute_z_s(A, u0, model, mesh400, mu_s, pair.eigenvalue)
         if abs(inner_product(mesh400, sol.z, u0)) > 1e-10:
             failures.append(f"{model.describe()}: corrector orthogonality above 1e-10")
         if abs(sol.xi) > 1e-8:

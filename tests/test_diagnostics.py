@@ -93,20 +93,20 @@ class TestMuS:
 class TestCorrector:
     def test_quartic_zero_rhs_gives_zero(self, eigdata, mesh400):
         _, A, pair = eigdata
-        sol = compute_z_s(A, pair.vector, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0)
+        sol = compute_z_s(A, pair.vector, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0, pair.eigenvalue)
         assert np.all(sol.z == 0.0)
         assert sol.xi == 0.0
 
     def test_free_model_gives_zero(self, eigdata, mesh400):
         _, A, pair = eigdata
-        sol = compute_z_s(A, pair.vector, NonlinearityModel.free(), mesh400, 0.0)
+        sol = compute_z_s(A, pair.vector, NonlinearityModel.free(), mesh400, 0.0, pair.eigenvalue)
         assert np.all(sol.z == 0.0)
 
     def test_cubic_corrector_orthogonal(self, eigdata, mesh400):
         _, A, pair = eigdata
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        sol = compute_z_s(A, pair.vector, model, mesh400, mu_s)
+        sol = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue)
         assert abs(inner_product(mesh400, sol.z, pair.vector)) <= 1e-10
         assert l2_norm(mesh400, sol.z) > 1e-3  # genuinely nonzero
 
@@ -118,7 +118,7 @@ class TestCorrector:
         A = L.shifted(pair.eigenvalue)
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh)
-        sol = compute_z_s(A, pair.vector, model, mesh, mu_s)
+        sol = compute_z_s(A, pair.vector, model, mesh, mu_s, pair.eigenvalue)
 
         K = np.zeros((n + 1, n + 1))
         K[:n, :n] = A.matrix.toarray()
@@ -132,7 +132,7 @@ class TestCorrector:
         _, A, pair = eigdata
         model = NonlinearityModel.psi_k(3, 1.0)
         with pytest.raises(SolvabilityError):
-            compute_z_s(A, pair.vector, model, mesh400, mu_s=0.0)
+            compute_z_s(A, pair.vector, model, mesh400, mu_s=0.0, lambda0=pair.eigenvalue)
 
 
 class TestMuSS:
@@ -148,7 +148,7 @@ class TestMuSS:
         _, A, pair = eigdata
         model = NonlinearityModel.psi_k(k, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(A, pair.vector, model, mesh400, mu_s).z
+        z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
         assert abs(compute_mu_ss(pair.vector, z, model, mesh400, mu_s)) <= 1e-10
 
     def test_cubic_matches_sigma_form(self, eigdata, mesh400):
@@ -156,7 +156,7 @@ class TestMuSS:
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(A, pair.vector, model, mesh400, mu_s).z
+        z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
         mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
         sigma = psi3_sigma_form(pair.vector, z, eta, mesh400)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
@@ -183,7 +183,7 @@ def test_cubic_mu_ss_against_fourier_series_oracle(eigdata, mesh400):
     _, A, pair = eigdata
     model = NonlinearityModel.psi_k(3, 1.0)
     mu_s = compute_mu_s(pair.vector, model, mesh400)
-    z = compute_z_s(A, pair.vector, model, mesh400, mu_s).z
+    z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
     mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
     assert mu_ss == pytest.approx(oracle, abs=1e-5)
 
@@ -212,7 +212,7 @@ class TestRawFormOracle:
         A = L.shifted(pair.eigenvalue)
 
         mu_s = compute_mu_s(u0, model, mesh400)
-        z_s = compute_z_s(A, u0, model, mesh400, mu_s).z
+        z_s = compute_z_s(A, u0, model, mesh400, mu_s, pair.eigenvalue).z
         mu_ss = compute_mu_ss(u0, z_s, model, mesh400, mu_s)
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
@@ -222,7 +222,7 @@ class TestRawFormOracle:
 
         # second corrector: A z_ss = mu_ss u0 + 2 mu_s z_s + g3/3 u0^3 + 2 g2 u0 z_s
         rhs_zss = mu_ss * u0 + 2.0 * mu_s * z_s + (g3 / 3.0) * u0**3 + 2.0 * g2 * u0 * z_s
-        sol = bordered_solve(A, u0, rhs_zss, mesh400, tol=1e-10)
+        sol = bordered_solve(A, u0, rhs_zss, mesh400, pair.eigenvalue, tol=1e-10)
         assert abs(sol.xi) <= 1e-8  # solvable by the choice of mu_ss
         z_ss = sol.z
 
@@ -243,7 +243,7 @@ class TestScalingCovariance:
         def diag(eta):
             model = NonlinearityModel.psi_k(3, eta)
             mu_s = compute_mu_s(pair.vector, model, mesh400)
-            z = compute_z_s(A, pair.vector, model, mesh400, mu_s).z
+            z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
             return mu_s, compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
 
         mu_s_1, mu_ss_1 = diag(1.0)
@@ -386,7 +386,7 @@ class TestInteractionTable:
         A = lap400.shifted(pair.eigenvalue)
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(A, pair.vector, model, mesh400, mu_s).z
+        z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
         expected = -12.0 * inner_product(mesh400, pair.vector * z, pair.vector)
         assert table[0].proj3 == pytest.approx(expected, rel=1e-8)
 

@@ -119,19 +119,19 @@ def test_solve_spd_nonconvergence_error(lap400, mesh400):
 def kernel_setup(lap400, eig400, mesh400):
     pair, _ = eig400
     A = lap400.shifted(pair.eigenvalue)
-    return A, pair.vector
+    return A, pair.vector, pair.eigenvalue
 
 
 def test_bordered_zero_rhs(kernel_setup, mesh400):
-    A, u0 = kernel_setup
-    sol = bordered_solve(A, u0, mesh400.zeros(), mesh400, tol=1e-10)
+    A, u0, lam0 = kernel_setup
+    sol = bordered_solve(A, u0, mesh400.zeros(), mesh400, lam0, tol=1e-10)
     assert np.all(sol.z == 0.0)
     assert sol.xi == 0.0
 
 
 def test_bordered_pure_kernel_rhs(kernel_setup, mesh400):
-    A, u0 = kernel_setup
-    sol = bordered_solve(A, u0, u0.copy(), mesh400, tol=1e-10)
+    A, u0, lam0 = kernel_setup
+    sol = bordered_solve(A, u0, u0.copy(), mesh400, lam0, tol=1e-10)
     assert sol.xi == pytest.approx(1.0, abs=1e-9)
     assert l2_norm(mesh400, sol.z) < 1e-8
     assert sol.residual_norm <= 1e-10
@@ -140,12 +140,12 @@ def test_bordered_pure_kernel_rhs(kernel_setup, mesh400):
 def test_bordered_solvable_rhs_cubic_interaction(kernel_setup, mesh400):
     # rhs = mu_s*u0 + 1/2 g''(0) u0^2 for the cubic interaction is
     # kernel-orthogonal by construction of mu_s
-    A, u0 = kernel_setup
+    A, u0, lam0 = kernel_setup
     eta = 1.0
     mu_s = eta * inner_product(mesh400, u0 * u0, u0)
     rhs = mu_s * u0 - eta * u0 * u0
     assert abs(inner_product(mesh400, rhs, u0)) < 1e-12  # quadrature oracle
-    sol = bordered_solve(A, u0, rhs, mesh400, tol=1e-10)
+    sol = bordered_solve(A, u0, rhs, mesh400, lam0, tol=1e-10)
     assert abs(sol.xi) <= 1e-8
     assert abs(inner_product(mesh400, sol.z, u0)) <= 1e-10
     assert sol.residual_norm <= 1e-10 * max(1.0, l2_norm(mesh400, rhs))
@@ -170,7 +170,7 @@ def test_bordered_against_dense_saddle_oracle():
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
     z_oracle, xi_oracle = direct[:n], direct[n]
 
-    sol = bordered_solve(A, u0, rhs, mesh, tol=1e-11)
+    sol = bordered_solve(A, u0, rhs, mesh, pair.eigenvalue, tol=1e-11)
     assert l2_norm(mesh, sol.z - z_oracle) < 1e-8
     assert sol.xi == pytest.approx(xi_oracle, abs=1e-8)
 
@@ -179,10 +179,10 @@ def test_bordered_rejects_bad_kernel(lap400, eig400, mesh400):
     pair, _ = eig400
     A = lap400.shifted(pair.eigenvalue)
     with pytest.raises(ValueError, match="normalized"):
-        bordered_solve(A, 2.0 * pair.vector, mesh400.zeros(), mesh400)
+        bordered_solve(A, 2.0 * pair.vector, mesh400.zeros(), mesh400, pair.eigenvalue)
     with pytest.raises(ValueError, match="kernel"):
         # L itself has no kernel at all
-        bordered_solve(lap400, pair.vector, mesh400.zeros(), mesh400)
+        bordered_solve(lap400, pair.vector, mesh400.zeros(), mesh400, pair.eigenvalue)
 
 
 def test_shifted_view_preserves_sparsity(lap400):

@@ -31,7 +31,7 @@ def test_principal_eigenpair_contracts(eig400, lap400, mesh400):
     pair, _ = eig400
     assert abs(l2_norm(mesh400, pair.vector) - 1.0) <= 1e-10
     assert np.all(pair.vector >= 0.0)
-    assert pair.residual <= 1e-8
+    assert pair.residual <= 1e-11  # the tolerance the fixture requested
     # Rayleigh-quotient consistency
     rq = inner_product(mesh400, pair.vector, lap400.apply(pair.vector))
     assert abs(pair.eigenvalue - rq) <= 1e-8
@@ -42,9 +42,11 @@ def test_second_eigenvalue_interval_400(second400, eig400, mesh400):
     pair, _ = eig400
     assert lam1 == pytest.approx(4.0, abs=1e-3)
     assert lam1 - pair.eigenvalue == pytest.approx(3.0, abs=2e-3)
-    # deflation correctness
-    assert abs(inner_product(mesh400, vec, pair.vector)) <= 1e-8
-    assert res <= 1e-8
+    # the second sine mode sqrt(2/pi) sin(2x), orthogonal to u0
+    xs = mesh400.interior_nodes[:, 0]
+    assert np.max(np.abs(vec - math.sqrt(2 / PI) * np.sin(2 * xs))) < 1e-3
+    assert abs(inner_product(mesh400, vec, pair.vector)) <= 1e-12
+    assert res <= 1e-10
 
 
 def test_principal_eigenpair_square_small():
@@ -55,13 +57,17 @@ def test_principal_eigenpair_square_small():
     assert np.all(pair.vector >= 0.0)
 
 
-def test_second_eigenvalue_square_128(second2d_128, eig2d_128):
-    (lam1, _, _), _ = second2d_128
+def test_second_eigenvalue_square_128(second2d_128, eig2d_128, mesh2d_128):
+    (lam1, vec, res), _ = second2d_128
     pair, _ = eig2d_128
-    # second eigenvalue of the square is 5 (multiplicity 2); the returned
-    # value is the eigenvalue regardless of which eigenvector is found
+    # second eigenvalue of the square is 5 (multiplicity 2); the tie goes
+    # to the first axis, i.e. the mode (2/pi) sin(2x) sin(y)
     assert lam1 == pytest.approx(5.0, abs=1e-2)
     assert lam1 - pair.eigenvalue == pytest.approx(3.0, abs=1e-2)
+    x, y = mesh2d_128.interior_nodes.T
+    assert np.max(np.abs(vec - (2 / PI) * np.sin(2 * x) * np.sin(y))) < 1e-3
+    assert abs(inner_product(mesh2d_128, vec, pair.vector)) <= 1e-12
+    assert res <= 1e-10
 
 
 def test_minimal_mesh_eigensolve():
@@ -79,7 +85,7 @@ def test_anisotropic_rectangle():
     L = assemble_laplacian(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(1.25, abs=2e-3)
-    lam1 = second_eigenvalue(L, pair.vector, mesh, tol=1e-9)
+    lam1 = second_eigenvalue(L, pair.vector, mesh, tol=1e-10)
     assert lam1 == pytest.approx(2.0, abs=5e-3)
 
 
@@ -119,11 +125,15 @@ def test_cr_custom_gap_tol(eig400, second400, mesh400):
 
 
 def test_unattainable_tolerance_raises():
+    # the closed form's residual against the assembled L sits at the
+    # rounding floor, far above 1e-16 and far below the default 1e-10
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (100,)))
     L = assemble_laplacian(mesh)
     with pytest.raises(ConvergenceError) as err:
         principal_eigenpair(L, mesh, tol=1e-16)
-    assert err.value.residual > 1e-16
+    assert 1e-16 < err.value.residual < 1e-12
+    with pytest.raises(ConvergenceError):
+        second_eigenvalue(L, principal_eigenpair(L, mesh).vector, mesh, tol=1e-16)
 
 
 def test_determinism(mesh100):
