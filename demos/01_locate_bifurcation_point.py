@@ -12,14 +12,7 @@ import math
 
 import numpy as np
 
-from coexist import (
-    DomainSpec,
-    assemble_laplacian,
-    build_mesh,
-    principal_eigenpair,
-    second_eigenvalue,
-    verify_crandall_rabinowitz,
-)
+from coexist import DomainSpec, build_mesh, eigendata
 
 PI = math.pi
 
@@ -28,16 +21,12 @@ for label, spec, exact in [
     ("square (0, pi)^2, 64^2 nodes", DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (64, 64)), (2.0, 5.0)),
 ]:
     print(f"== {label} ==")
-    mesh = build_mesh(spec)
-    L = assemble_laplacian(mesh)
-
-    pair = principal_eigenpair(L, mesh, tol=1e-10)
-    lam1 = second_eigenvalue(L, pair.vector, mesh, tol=1e-10)
+    eig = eigendata(build_mesh(spec))
+    pair, cr = eig.eigenpair, eig.cr_report
     print(f"lambda0 = {pair.eigenvalue:.8f}   (continuum {exact[0]})")
-    print(f"lambda1 = {lam1:.8f}   (continuum {exact[1]})")
+    print(f"lambda1 = {cr.lambda1:.8f}   (continuum {exact[1]})")
     print(f"eigen-residual = {pair.residual:.2e}, eigenfunction min = {np.min(pair.vector):.2e} (positive)")
 
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, lam1, pair.vector, mesh)
     print(f"spectral gap          = {cr.gap:.6f}  -> kernel is one-dimensional: {cr.kernel_dim_ok}")
     print(f"transversality value  = {cr.transversality_value:+.6f}  -> transversal: {cr.transversality_ok}")
     print(f"bifurcation point certified at (lambda0, 0): {cr.bifurcation_point_certified}")

@@ -24,10 +24,12 @@ header = f"{'k':>2s} {'eta':>5s} {'proj2':>12s} {'proj3':>12s} {'mu_s':>12s} {'m
 with out_csv.open("w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["k", "eta", "mu_s", "mu_ss", "type"])
-    for eta in (1.0, -1.0):
+    etas = [1.0, -1.0]
+    rows = psi_k_table(mesh, [3, 4, 5, 6, 7, 8], etas)  # one eigen stage serves every row
+    for eta in etas:
         print(f"eta = {eta:+g}")
         print(header)
-        for row in psi_k_table(mesh, [3, 4, 5, 6, 7, 8], eta=eta):
+        for row in (r for r in rows if r.eta == eta):
             print(
                 f"{row.k:2d} {row.eta:5.1f} {row.proj2:+12.6f} {row.proj3:+12.6f} "
                 f"{row.mu_s:+12.6f} {row.mu_ss:+12.6f} {str(row.ctype):>5s}"

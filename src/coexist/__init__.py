@@ -30,10 +30,11 @@ from .diagnostics import (
     compute_mu_s,
     compute_mu_ss,
     compute_z_s,
+    diagnose,
+    eigendata,
     psi3_sigma_form,
     psi_k_table,
     run_analysis,
-    run_diagnostics,
 )
 from .errors import CoexistError, ConfigError, ConvergenceError, SolvabilityError
 from .mesh import DomainSpec, Mesh, build_mesh, inner_product, l2_norm
@@ -43,14 +44,12 @@ from .operators import (
     SparseOperator,
     assemble_laplacian,
     bordered_solve,
-    solve_spd,
 )
 from .spectrum import (
     CRReport,
     Eigenpair,
     principal_eigenpair,
     second_eigenpair,
-    second_eigenvalue,
     verify_crandall_rabinowitz,
 )
 
@@ -64,12 +63,10 @@ __all__ = [
     "SparseOperator",
     "BorderedSolution",
     "assemble_laplacian",
-    "solve_spd",
     "bordered_solve",
     "Eigenpair",
     "CRReport",
     "principal_eigenpair",
-    "second_eigenvalue",
     "second_eigenpair",
     "verify_crandall_rabinowitz",
     "NonlinearityModel",
@@ -88,8 +85,9 @@ __all__ = [
     "compute_mu_ss",
     "psi3_sigma_form",
     "classify",
+    "eigendata",
+    "diagnose",
     "run_analysis",
-    "run_diagnostics",
     "psi_k_table",
     "BranchPoint",
     "BranchFit",

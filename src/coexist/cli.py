@@ -23,12 +23,10 @@ from pathlib import Path
 
 from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, trace_branch
-from .diagnostics import AnalysisResult, Tolerances, psi_k_table, run_analysis
+from .diagnostics import AnalysisResult, Tolerances, eigendata, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, SolvabilityError
 from .mesh import DomainSpec, build_mesh, l2_norm
 from .nonlinearity import NonlinearityModel
-from .operators import assemble_laplacian
-from .spectrum import principal_eigenpair, second_eigenvalue, verify_crandall_rabinowitz
 
 __all__ = ["RunConfig", "Outputs", "cmd_analyze", "cmd_trace", "cmd_table", "cmd_verify", "main"]
 
@@ -82,7 +80,7 @@ class RunConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"domain is missing field {exc}") from None
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed domain section: {exc}") from None
         spec.validate()
         model = NonlinearityModel.from_dict(raw.get("model", {"kind": "free"}))
@@ -97,24 +95,23 @@ class RunConfig:
         bad = set(out_raw) - {f.name for f in dataclasses.fields(Outputs)}
         if bad:
             raise ConfigError(f"unknown output fields: {sorted(bad)}")
-        s_values = tuple(float(s) for s in raw.get("s_values", DEFAULT_S_VALUES))
+        s_values = _numbers(raw, "s_values", DEFAULT_S_VALUES, float)
         if any(s == 0.0 for s in s_values):
             raise ConfigError("s_values must not contain 0 (the trivial branch)")
         if len(set(s_values)) != len(s_values):
             raise ConfigError("s_values must not contain duplicates")
-        k_list = tuple(int(k) for k in raw.get("k_list", (3, 4, 5, 6, 7, 8)))
+        k_list = _numbers(raw, "k_list", (3, 4, 5, 6, 7, 8), int)
         if any(not 3 <= k <= 8 for k in k_list):
             raise ConfigError(f"k_list entries must lie in 3..8, got {list(k_list)}")
-        cfg = RunConfig(
+        return RunConfig(
             domain=spec,
             model=model,
             s_values=s_values,
             tolerances=tolerances,
             outputs=Outputs(**out_raw),
             k_list=k_list,
-            eta_list=tuple(float(e) for e in raw["eta_list"]) if "eta_list" in raw else None,
+            eta_list=_numbers(raw, "eta_list", None, float) if "eta_list" in raw else None,
         )
-        return cfg
 
     def to_dict(self) -> dict:
         d = {
@@ -141,6 +138,13 @@ class RunConfig:
         if self.model.kind == "psi_k":
             return (self.model.eta,)
         return (1.0,)
+
+
+def _numbers(raw: dict, key: str, default, cast) -> tuple:
+    try:
+        return tuple(cast(x) for x in raw.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a list of numbers: {exc}") from None
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:
@@ -286,33 +290,19 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
 def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
     """Interaction-family sweep over k_list x eta_list; writes the CSV."""
     mesh = build_mesh(cfg.domain)
-    rows = []
-    for eta in cfg.resolved_eta_list():
-        rows.extend(psi_k_table(mesh, list(cfg.k_list), eta, cfg.tolerances))
+    rows = psi_k_table(mesh, list(cfg.k_list), list(cfg.resolved_eta_list()), cfg.tolerances)
     write_table_csv(_resolve(out_dir, cfg.outputs.table_csv_path), rows)
     return rows
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str | None = None, stream=None) -> tuple[dict, int]:
+def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """Eigensolves plus the bifurcation-point checks only."""
-    stream = stream or sys.stdout
-    mesh = build_mesh(cfg.domain)
-    L = assemble_laplacian(mesh)
-    pair = principal_eigenpair(L, mesh, tol=cfg.tolerances.eigen_tol)
-    lam1 = second_eigenvalue(L, pair.vector, mesh, tol=cfg.tolerances.eigen_tol)
-    cr = verify_crandall_rabinowitz(
-        pair.eigenvalue,
-        lam1,
-        pair.vector,
-        mesh,
-        gap_tol=cfg.tolerances.resolved_gap_tol(pair.eigenvalue),
-    )
-    print(f"lambda0          = {pair.eigenvalue:.12g}", file=stream)
-    print(f"lambda1          = {lam1:.12g}", file=stream)
-    print(f"gap              = {cr.gap:.12g}  (kernel_dim_ok={cr.kernel_dim_ok})", file=stream)
+    cr = eigendata(build_mesh(cfg.domain), cfg.tolerances).cr_report
+    print(f"lambda0          = {cr.lambda0:.12g}")
+    print(f"lambda1          = {cr.lambda1:.12g}")
+    print(f"gap              = {cr.gap:.12g}  (kernel_dim_ok={cr.kernel_dim_ok})")
     print(
-        f"transversality   = {cr.transversality_value:.12g}  (transversality_ok={cr.transversality_ok})",
-        file=stream,
+        f"transversality   = {cr.transversality_value:.12g}  (transversality_ok={cr.transversality_ok})"
     )
     report = _base_report(cfg)
     report["cr_report"] = cr.to_dict()

@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .diagnostics import AnalysisResult, run_analysis
+from .diagnostics import AnalysisResult
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
 from .nonlinearity import NonlinearityModel, apply, apply_derivative
-from .operators import SparseOperator, solve_bordered_system, spectral_inverse
+from .operators import MatVec, SparseOperator, solve_bordered_system
 
 __all__ = [
     "BranchPoint",
@@ -73,31 +73,20 @@ class Branch:
     truncations: tuple[str, ...] = ()
 
 
-def residual(
-    U: Array,
-    lam: float,
-    model: NonlinearityModel,
-    L: SparseOperator,
-    mesh: Mesh,
-) -> Array:
+def residual(U: Array, lam: float, model: NonlinearityModel, L: SparseOperator) -> Array:
     """F(U, lambda) = L U - lambda U + V_L U - g(U); identically zero on
     the trivial branch U = 0."""
     return L.apply(U) + (model.V_L - lam) * U - apply(model, U)
 
 
-def jacobian_apply(
-    U: Array,
-    lam: float,
-    model: NonlinearityModel,
-    L: SparseOperator,
-    mesh: Mesh,
-    direction: Array,
-) -> Array:
-    """Action of dF/dU: (L - lambda + V_L - g'(U)) applied to direction.
+def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: SparseOperator) -> MatVec:
+    """The action of dF/dU at (U, lambda): d -> (L - lambda + V_L - g'(U)) d,
+    with the diagonal evaluated once so g'(U) is not recomputed per call.
 
     At U = 0 this reduces to L - lambda since g'(0) = V_L.
     """
-    return L.apply(direction) + (model.V_L - lam) * direction - apply_derivative(model, U) * direction
+    diag = (model.V_L - lam) - apply_derivative(model, U)
+    return lambda d: L.apply(d) + diag * d
 
 
 def solve_at_amplitude(
@@ -112,7 +101,6 @@ def solve_at_amplitude(
     newton_tol: float = 1e-10,
     max_iters: int = 25,
     linear_rtol: float = 1e-8,
-    kernel_shift: float = 1.0,
     U_init: Array | None = None,
 ) -> BranchPoint:
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s.
@@ -136,7 +124,7 @@ def solve_at_amplitude(
     iters = 0
     res = np.inf
     for iters in range(max_iters + 1):
-        F = residual(U, lam, model, L, mesh)
+        F = residual(U, lam, model, L)
         cres = inner_product(mesh, U, u0) - s
         res = l2_norm(mesh, F)
         if res <= newton_tol and abs(cres) <= newton_tol:
@@ -145,25 +133,19 @@ def solve_at_amplitude(
             raise ConvergenceError(
                 f"Newton iteration at s={s:g} did not converge", residual=res, iterations=iters
             )
-        gp = apply_derivative(model, U)
-        shift = model.V_L - lam
-
-        def j_apply(d: Array) -> Array:
-            return L.apply(d) + shift * d - gp * d
-
         try:
             dU, dlam = solve_bordered_system(
-                j_apply,
+                jacobian_apply(U, lam, model, L),
                 u0,
                 -U,
                 row,
                 -F,
                 -cres,
-                spectral_inverse(mesh, lam, kernel_shift),
+                mesh,
+                lam,
                 rtol=linear_rtol,
                 atol=linear_atol,
                 max_iter=max(2000, 4 * L.n),
-                kernel_shift=kernel_shift,
             )
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -174,7 +156,7 @@ def solve_at_amplitude(
 
     # pin the amplitude constraint exactly; the residual change is O(eps)
     U = U + (s - inner_product(mesh, U, u0)) * u0
-    res = l2_norm(mesh, residual(U, lam, model, L, mesh))
+    res = l2_norm(mesh, residual(U, lam, model, L))
     return BranchPoint(s=float(s), lam=float(lam), U=U, residual=res, newton_iters=iters)
 
 
@@ -182,7 +164,7 @@ def trace_branch(
     model: NonlinearityModel,
     mesh: Mesh,
     s_values,
-    analysis: AnalysisResult | None = None,
+    analysis: AnalysisResult,
     newton_tol: float = 1e-10,
     max_iters: int = 25,
     linear_rtol: float = 1e-8,
@@ -199,12 +181,9 @@ def trace_branch(
     if sorted(s_values) != s_values or len(set(s_values)) != len(s_values):
         raise ValueError("s_values must be strictly increasing")
 
-    if analysis is None:
-        analysis = run_analysis(mesh, model)
     u0 = analysis.eigenpair.vector
     lambda0 = analysis.eigenpair.eigenvalue
     d = analysis.diagnostics
-    kernel_shift = max(1.0, analysis.cr_report.gap)
 
     points: list[BranchPoint] = []
     truncations: list[str] = []
@@ -227,7 +206,6 @@ def trace_branch(
                     newton_tol=newton_tol,
                     max_iters=max_iters,
                     linear_rtol=linear_rtol,
-                    kernel_shift=kernel_shift,
                     U_init=warm,
                 )
             except ConvergenceError as exc:
@@ -245,21 +223,20 @@ def trace_branch(
         truncations=tuple(truncations),
     )
     try:
-        return dataclasses.replace(branch, fit=fit_local_expansion(branch, lambda0))
+        return dataclasses.replace(branch, fit=fit_local_expansion(branch))
     except ValueError:
         return branch
 
 
-def fit_local_expansion(branch: Branch, lambda0: float | None = None) -> BranchFit:
-    """Least-squares fit of lambda(s) - lambda0 against (s, s^2).
+def fit_local_expansion(branch: Branch) -> BranchFit:
+    """Least-squares fit of lambda(s) - branch.lambda0 against (s, s^2).
 
     Requires at least five points with both signs of s represented.
     """
-    lam0 = branch.lambda0 if lambda0 is None else lambda0
     s = np.array([p.s for p in branch.points])
     if s.size < 5 or not (np.any(s > 0) and np.any(s < 0)):
         raise ValueError("fit needs >= 5 branch points spanning both signs of s")
-    y = np.array([p.lam for p in branch.points]) - lam0
+    y = np.array([p.lam for p in branch.points]) - branch.lambda0
     design = np.column_stack([s, s * s])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))

@@ -15,13 +15,19 @@ contributions cancel identically for constant V_L, so they never appear
 in these closed forms; the raw forms including them are exercised in the
 test suite as an independent cross-check.
 
+Every command runs the same two steps: `eigendata` (assemble L, the
+closed-form eigenpairs, the bifurcation-point checks) once per mesh, then
+`diagnose` (mu_s, z_s, the moments, mu_ss, the type) once per model.
+
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +37,7 @@ from .errors import ConfigError, SolvabilityError
 from .mesh import Mesh, inner_product
 from .nonlinearity import NonlinearityModel, derivative_at_zero
 from .operators import BorderedSolution, SparseOperator, assemble_laplacian, bordered_solve
-from .spectrum import CRReport, Eigenpair, principal_eigenpair, second_eigenvalue, verify_crandall_rabinowitz
+from .spectrum import CRReport, Eigenpair, principal_eigenpair, second_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
     "CoexistenceType",
@@ -39,6 +45,7 @@ __all__ = [
     "Moments",
     "BifurcationDiagnostics",
     "Tolerances",
+    "EigenData",
     "AnalysisResult",
     "compute_mu_s",
     "compute_z_s",
@@ -46,8 +53,9 @@ __all__ = [
     "psi3_sigma_form",
     "classify",
     "sign_with_tolerance",
+    "eigendata",
+    "diagnose",
     "run_analysis",
-    "run_diagnostics",
     "psi_k_table",
     "TableRow",
 ]
@@ -110,6 +118,22 @@ class Moments:
     M_zu: float
     P_zu: float
 
+    @staticmethod
+    def of(mesh: Mesh, u0: Array, z_s: Array) -> "Moments":
+        return Moments(
+            I3=inner_product(mesh, u0 * u0, u0),
+            I4=inner_product(mesh, u0 * u0 * u0, u0),
+            M_zu=inner_product(mesh, u0 * z_s, u0),
+            P_zu=inner_product(mesh, z_s, u0),
+        )
+
+    def mu_ss(self, model: NonlinearityModel, mu_s: float) -> float:
+        """Second derivative of mu(s) at s = 0, in the V_L-cancelled form."""
+        g2 = derivative_at_zero(model, 2)
+        g3 = derivative_at_zero(model, 3)
+        # + 0.0 normalizes a possible -0.0 when every term vanishes
+        return -g3 * self.I4 / 3.0 - 2.0 * g2 * self.M_zu - 2.0 * mu_s * self.P_zu + 0.0
+
     def to_dict(self) -> dict:
         return {"I3": self.I3, "I4": self.I4, "M_zu": self.M_zu, "P_zu": self.P_zu}
 
@@ -151,13 +175,12 @@ class Tolerances:
     solvability_tol: float = 1e-8
 
     def validate(self) -> None:
-        for name in ("eigen_tol", "linear_tol", "newton_tol", "solvability_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerance {name} must be > 0")
-        for name in ("zero_tol", "gap_tol"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"tolerance {name} must be > 0")
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.default is None:
+                continue  # resolved from lambda0
+            if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+                raise ConfigError(f"tolerance {f.name} must be a finite number > 0, got {v!r}")
 
     def resolved_zero_tol(self, lambda0: float) -> float:
         return self.zero_tol if self.zero_tol is not None else 1e-6 * max(1.0, abs(lambda0))
@@ -175,7 +198,7 @@ def compute_mu_s(u0: Array, model: NonlinearityModel, mesh: Mesh) -> float:
 
 
 def compute_z_s(
-    A: SparseOperator,
+    L: SparseOperator,
     u0: Array,
     model: NonlinearityModel,
     mesh: Mesh,
@@ -183,7 +206,6 @@ def compute_z_s(
     lambda0: float,
     linear_tol: float = 1e-10,
     solvability_tol: float = 1e-8,
-    kernel_shift: float = 1.0,
 ) -> BorderedSolution:
     """Corrector z_s at s = 0: solves A z_s = mu_s*u0 + 1/2 g''(0) u0^2
     with (z_s, u0) = 0, where A = L - lambda0.
@@ -196,7 +218,7 @@ def compute_z_s(
     rhs = mu_s * u0 + 0.5 * g2 * u0 * u0
     if not np.any(rhs):
         return BorderedSolution(z=np.zeros_like(u0), xi=0.0, residual_norm=0.0)
-    sol = bordered_solve(A, u0, rhs, mesh, lambda0, tol=linear_tol, kernel_shift=kernel_shift)
+    sol = bordered_solve(L, u0, rhs, mesh, lambda0, tol=linear_tol)
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
     return sol
@@ -210,13 +232,7 @@ def compute_mu_ss(
     mu_s: float,
 ) -> float:
     """Second derivative of mu(s) at s = 0, in the V_L-cancelled form."""
-    g2 = derivative_at_zero(model, 2)
-    g3 = derivative_at_zero(model, 3)
-    i4 = inner_product(mesh, u0 * u0 * u0, u0)
-    m_zu = inner_product(mesh, u0 * z_s, u0)
-    p_zu = inner_product(mesh, z_s, u0)
-    # + 0.0 normalizes a possible -0.0 when every term vanishes
-    return -g3 * i4 / 3.0 - 2.0 * g2 * m_zu - 2.0 * mu_s * p_zu + 0.0
+    return Moments.of(mesh, u0, z_s).mu_ss(model, mu_s)
 
 
 def psi3_sigma_form(u0: Array, z_s: Array, eta: float, mesh: Mesh) -> float:
@@ -255,11 +271,10 @@ def _coexistence_side(s_s: int, s_ss: int) -> CoexistenceSide:
     return CoexistenceSide.DEGENERATE
 
 
-def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float) -> list[str]:
+def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: int, s_ss: int) -> list[str]:
     """Flag classifications that sit within a factor 2 of the zero band,
-    naming both candidate types."""
-    s_s = sign_with_tolerance(mu_s, zero_tol)
-    s_ss = sign_with_tolerance(mu_ss, zero_tol)
+    naming both candidate types; s_s and s_ss are the signs of mu_s and
+    mu_ss under zero_tol."""
     base = _TYPE_TABLE[(s_s, s_ss)]
     warnings = []
     for name, value, this_sign, is_second in (("mu_s", mu_s, s_s, False), ("mu_ss", mu_ss, s_ss, True)):
@@ -274,15 +289,21 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float) -> list
 
 
 @dataclass(frozen=True, eq=False)
-class AnalysisResult:
-    """Everything the pipeline computes for one (mesh, model) pair."""
+class EigenData:
+    """The eigen stage on one mesh: the assembled L, the principal pair
+    (lambda0, u0) and the bifurcation-point checks, which carry lambda1."""
 
     mesh: Mesh
-    model: NonlinearityModel
     operator: SparseOperator
     eigenpair: Eigenpair
-    lambda1: float
     cr_report: CRReport
+
+
+@dataclass(frozen=True, eq=False)
+class AnalysisResult(EigenData):
+    """Everything the pipeline computes for one (mesh, model) pair."""
+
+    model: NonlinearityModel
     diagnostics: BifurcationDiagnostics
 
     @property
@@ -291,50 +312,47 @@ class AnalysisResult:
         return self.cr_report.lambda0 - self.model.V_L
 
 
-def run_analysis(
-    mesh: Mesh,
-    model: NonlinearityModel,
-    tolerances: Tolerances | None = None,
-) -> AnalysisResult:
-    """Full pipeline: eigenpairs -> bifurcation-point checks -> mu_s ->
-    corrector -> mu_ss -> classification."""
+def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
+    """Assemble L, take its closed-form principal and second eigenpairs and
+    check the bifurcation point. The second pair is certified at
+    max(eigen_tol, 1e-10), so an eigen_tol below 1e-10 tightens only the
+    principal pair."""
     tol = tolerances or Tolerances()
     tol.validate()
     L = assemble_laplacian(mesh)
     pair = principal_eigenpair(L, mesh, tol=tol.eigen_tol)
-    lam1 = second_eigenvalue(L, pair.vector, mesh, tol=max(tol.eigen_tol, 1e-10))
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,
-        lam1,
+        second_eigenpair(L, mesh, tol=max(tol.eigen_tol, 1e-10)).eigenvalue,
         pair.vector,
         mesh,
         gap_tol=tol.resolved_gap_tol(pair.eigenvalue),
     )
+    return EigenData(mesh=mesh, operator=L, eigenpair=pair, cr_report=cr)
 
-    u0 = pair.vector
+
+def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:
+    """mu_s -> corrector z_s -> moments and mu_ss -> classification, for one
+    model on eigendata shared across models."""
+    mesh, u0, lambda0 = eig.mesh, eig.eigenpair.vector, eig.eigenpair.eigenvalue
     mu_s = compute_mu_s(u0, model, mesh)
-    A = L.shifted(pair.eigenvalue)
-    corrector = compute_z_s(
-        A,
+    z_s = compute_z_s(
+        eig.operator,
         u0,
         model,
         mesh,
         mu_s,
-        pair.eigenvalue,
-        linear_tol=tol.linear_tol,
-        solvability_tol=tol.solvability_tol,
-        kernel_shift=max(1.0, cr.gap),
-    )
-    z_s = corrector.z
-    mu_ss = compute_mu_ss(u0, z_s, model, mesh, mu_s)
+        lambda0,
+        linear_tol=tolerances.linear_tol,
+        solvability_tol=tolerances.solvability_tol,
+    ).z
+    moments = Moments.of(mesh, u0, z_s)
+    mu_ss = moments.mu_ss(model, mu_s)
 
-    zero_tol = tol.resolved_zero_tol(pair.eigenvalue)
-    ctype = classify(mu_s, mu_ss, zero_tol)
+    zero_tol = tolerances.resolved_zero_tol(lambda0)
     s_s = sign_with_tolerance(mu_s, zero_tol)
     s_ss = sign_with_tolerance(mu_ss, zero_tol)
-    side = _coexistence_side(s_s, s_ss)
-
-    warnings = _classification_warnings(mu_s, mu_ss, zero_tol)
+    warnings = _classification_warnings(mu_s, mu_ss, zero_tol, s_s, s_ss)
     if s_s != 0:
         warnings.append(
             "two solutions co-exist on one side of lambda0 near the bifurcation point; "
@@ -345,39 +363,28 @@ def run_analysis(
     if model.kind == "psi_k" and model.k == 3:
         sigma_form = psi3_sigma_form(u0, z_s, model.eta, mesh)
 
-    diag = BifurcationDiagnostics(
-        lambda0=pair.eigenvalue,
+    return BifurcationDiagnostics(
+        lambda0=lambda0,
         mu_s=mu_s,
         mu_ss=mu_ss,
         z_s=z_s,
-        moments=Moments(
-            I3=inner_product(mesh, u0 * u0, u0),
-            I4=inner_product(mesh, u0 * u0 * u0, u0),
-            M_zu=inner_product(mesh, u0 * z_s, u0),
-            P_zu=inner_product(mesh, z_s, u0),
-        ),
-        ctype=ctype,
-        m_coexistence_side=side,
+        moments=moments,
+        ctype=_TYPE_TABLE[(s_s, s_ss)],
+        m_coexistence_side=_coexistence_side(s_s, s_ss),
         sigma=sigma_form,
         warnings=tuple(warnings),
     )
-    return AnalysisResult(
-        mesh=mesh,
-        model=model,
-        operator=L,
-        eigenpair=pair,
-        lambda1=lam1,
-        cr_report=cr,
-        diagnostics=diag,
-    )
 
 
-def run_diagnostics(
+def run_analysis(
     mesh: Mesh,
     model: NonlinearityModel,
     tolerances: Tolerances | None = None,
-) -> BifurcationDiagnostics:
-    return run_analysis(mesh, model, tolerances).diagnostics
+) -> AnalysisResult:
+    """Full pipeline: eigendata, then diagnose."""
+    tol = tolerances or Tolerances()
+    eig = eigendata(mesh, tol)
+    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model, tol))
 
 
 @dataclass(frozen=True)
@@ -398,51 +405,39 @@ class TableRow:
 def psi_k_table(
     mesh: Mesh,
     k_list: list[int],
-    eta: float,
+    eta_list: list[float],
     tolerances: Tolerances | None = None,
 ) -> list[TableRow]:
-    """Diagnostics across the power-interaction family g = -eta*u^(k-1).
+    """Diagnostics across the power-interaction family g = -eta*u^(k-1),
+    one row per (eta, k), etas outermost.
 
-    Eigen-data is computed once and shared across rows; k must lie in
+    The eigen stage runs once and is shared by every row; k must lie in
     3..8 (k = 2 is the linear interaction, handled by the linear kind).
     """
     for k in k_list:
         if not 3 <= int(k) <= 8:
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
     tol = tolerances or Tolerances()
-    tol.validate()
-    L = assemble_laplacian(mesh)
-    pair = principal_eigenpair(L, mesh, tol=tol.eigen_tol)
-    u0 = pair.vector
-    A = L.shifted(pair.eigenvalue)
-    zero_tol = tol.resolved_zero_tol(pair.eigenvalue)
+    eig = eigendata(mesh, tol)
 
     rows = []
-    for k in k_list:
-        model = NonlinearityModel.psi_k(int(k), eta)
-        g2 = derivative_at_zero(model, 2)
-        g3 = derivative_at_zero(model, 3)
-        mu_s = compute_mu_s(u0, model, mesh)
-        z_s = compute_z_s(
-            A, u0, model, mesh, mu_s, pair.eigenvalue,
-            linear_tol=tol.linear_tol, solvability_tol=tol.solvability_tol,
-        ).z
-        mu_ss = compute_mu_ss(u0, z_s, model, mesh, mu_s)
-        # V_L = 0 for every k >= 3, so the derivative projections close
-        # without a second corrector.
-        proj2 = g2 * inner_product(mesh, u0 * u0, u0)
-        proj3 = g3 * inner_product(mesh, u0 * u0 * u0, u0) + 6.0 * g2 * inner_product(
-            mesh, u0 * z_s, u0
-        )
-        rows.append(
-            TableRow(
-                k=int(k),
-                eta=eta,
-                proj2=proj2,
-                proj3=proj3,
-                mu_s=mu_s,
-                mu_ss=mu_ss,
-                ctype=classify(mu_s, mu_ss, zero_tol),
+    for eta in eta_list:
+        for k in k_list:
+            model = NonlinearityModel.psi_k(int(k), eta)
+            d = diagnose(eig, model, tol)
+            g2 = derivative_at_zero(model, 2)
+            # V_L = 0 for every k >= 3, so the derivative projections close
+            # without a second corrector.
+            proj3 = derivative_at_zero(model, 3) * d.moments.I4 + 6.0 * g2 * d.moments.M_zu
+            rows.append(
+                TableRow(
+                    k=int(k),
+                    eta=eta,
+                    proj2=g2 * d.moments.I3,
+                    proj3=proj3,
+                    mu_s=d.mu_s,
+                    mu_ss=d.mu_ss,
+                    ctype=d.ctype,
+                )
             )
-        )
     return rows

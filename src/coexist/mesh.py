@@ -59,10 +59,6 @@ class DomainSpec:
     def dim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def lengths(self) -> tuple[float, ...]:
-        return tuple(hi - lo for lo, hi in self.bounds)
-
 
 @dataclass(frozen=True, eq=False)
 class Mesh:

@@ -91,6 +91,8 @@ class NonlinearityModel:
                 return NonlinearityModel.polynomial(d["coeffs"])
         except KeyError as exc:
             raise ConfigError(f"model kind {kind!r} is missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model kind {kind!r} has a malformed field: {exc}") from None
         raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
     def to_dict(self) -> dict:

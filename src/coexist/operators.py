@@ -6,9 +6,11 @@ The type-I discrete sine transform (DST-I) diagonalises L exactly
 here: preconditioned conjugate gradients for SPD systems, and a bordered
 solver for the singular operator A = L - lambda0*I whose kernel is the
 principal eigenvector, preconditioned by the DST inverse of A + k*u0 u0^T.
-The bordered solve returns the unique kernel-orthogonal solution plus a
-scalar multiplier xi equal to the kernel component of the right-hand
-side, so callers can check solvability explicitly.
+The weight k of that rank-one term is one rule, `_kernel_shift`, read by
+both the regularized operator and its preconditioner. The bordered solve
+returns the unique kernel-orthogonal solution plus a scalar multiplier xi
+equal to the kernel component of the right-hand side, so callers can
+check solvability explicitly.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "axis_eigenvalues",
     "dst",
     "spectral_inverse",
-    "solve_spd",
     "bordered_solve",
 ]
 
@@ -45,33 +46,9 @@ class SparseOperator:
 
     n: int
     matrix: sp.csr_matrix
-    symmetric: bool = True
-
-    @property
-    def row_offsets(self) -> npt.NDArray[np.int32]:
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self) -> npt.NDArray[np.int32]:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> Array:
-        return self.matrix.data
 
     def apply(self, x: Array) -> Array:
         return self.matrix @ x
-
-    def shifted(self, shift: float) -> "SparseOperator":
-        """The operator minus shift times the identity (same sparsity)."""
-        shifted = (self.matrix - shift * sp.identity(self.n, format="csr")).tocsr()
-        shifted.sort_indices()
-        return SparseOperator(n=self.n, matrix=shifted, symmetric=self.symmetric)
-
-    def symmetry_defect(self) -> float:
-        """Largest absolute entry of M - M^T."""
-        d = self.matrix - self.matrix.T
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +79,7 @@ def assemble_laplacian(mesh: Mesh) -> SparseOperator:
         i1 = sp.identity(l1.shape[0], format="csr")
         L = (sp.kron(l0, i1) + sp.kron(i0, l1)).tocsr()
     L.sort_indices()
-    return SparseOperator(n=mesh.n_nodes, matrix=L, symmetric=True)
+    return SparseOperator(n=mesh.n_nodes, matrix=L)
 
 
 def axis_eigenvalues(mesh: Mesh) -> list[Array]:
@@ -127,6 +104,12 @@ def dst(mesh: Mesh, v: Array) -> Array:
         odd[..., n + 2 :] = -x[..., ::-1]
         x = np.moveaxis(np.fft.rfft(odd).imag[..., 1 : n + 1] * (-1.0 / np.sqrt(2.0 * (n + 1))), -1, axis)
     return x.ravel()
+
+
+def _kernel_shift(mesh: Mesh) -> float:
+    """Weight k of the rank-one term k q q^T that lifts the kernel of
+    L - lambda0: the spectral gap lambda1 - lambda0, but at least 1."""
+    return max(1.0, min(ev[1] - ev[0] for ev in axis_eigenvalues(mesh)))
 
 
 def spectral_inverse(mesh: Mesh, sigma: float, kernel_shift: float) -> MatVec:
@@ -191,27 +174,6 @@ def _cg(
     return best_x, float(np.sqrt(best_rr)), max_iter
 
 
-def solve_spd(
-    op: SparseOperator,
-    b: Array,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-) -> Array:
-    """Solve op x = b for SPD op with ||op x - b|| <= tol * max(1, ||b||).
-
-    Raises ConvergenceError carrying the achieved residual when the
-    iteration budget runs out.
-    """
-    b = np.asarray(b, dtype=float)
-    if max_iter is None:
-        max_iter = max(2000, 4 * op.n)
-    x, resid, iters = _cg(op.apply, b, lambda r: r, rtol=tol, atol=tol, max_iter=max_iter)
-    rel = resid / max(1.0, float(np.sqrt(b @ b)))
-    if rel > tol:
-        raise ConvergenceError("solve_spd did not converge", residual=rel, iterations=iters)
-    return x
-
-
 def solve_bordered_system(
     apply_op: MatVec,
     near_kernel: Array,
@@ -219,26 +181,29 @@ def solve_bordered_system(
     row: Array,
     f: Array,
     g: float,
-    precondition: MatVec,
+    mesh: Mesh,
+    sigma: float,
     rtol: float,
     atol: float,
     max_iter: int,
-    kernel_shift: float = 1.0,
 ) -> tuple[Array, float]:
     """Solve the bordered system  [ A   col ] [x]   [f]
                                   [ row^T 0 ] [y] = [g]
     where A (given as a matvec) may be singular with near-kernel
-    direction `near_kernel`.
+    direction `near_kernel`, and differs from L - sigma by at most a
+    small diagonal.
 
-    A is regularized to M = A + kernel_shift * q q^T with q the
-    normalized near-kernel; M is SPD whenever A is positive semidefinite
-    with its soft direction along q. Three CG solves with M,
-    preconditioned by the SPD approximate inverse `precondition`, plus a
+    A is regularized to M = A + k q q^T with q the normalized near-kernel
+    and k = _kernel_shift(mesh); M is SPD whenever A is positive
+    semidefinite with its soft direction along q. Three CG solves with M,
+    preconditioned by the exact inverse of L - sigma + k q q^T, plus a
     2x2 Schur system recover (x, y); the row constraint is then enforced
     exactly by a rank-one correction along q. Each inner solve targets
     ||r|| <= max(rtol*||b||, atol).
     """
     q = near_kernel / np.sqrt(near_kernel @ near_kernel)
+    kernel_shift = _kernel_shift(mesh)
+    precondition = spectral_inverse(mesh, sigma, kernel_shift)
 
     def m_apply(v: Array) -> Array:
         return apply_op(v) + kernel_shift * (q @ v) * q
@@ -275,36 +240,38 @@ def solve_bordered_system(
 
 
 def bordered_solve(
-    A: SparseOperator,
+    L: SparseOperator,
     u0: Array,
     rhs: Array,
     mesh: Mesh,
     lambda0: float,
     tol: float = 1e-10,
-    kernel_shift: float = 1.0,
 ) -> BorderedSolution:
     """Invert the singular operator A = L - lambda0 on the complement of u0.
 
     Solves A z + xi*u0 = rhs with (z, u0)_mesh = 0. xi reports the
     component of rhs along the kernel; it is NOT an error for xi to be
     nonzero -- callers needing exact solvability must test |xi|. CG takes
-    one step, preconditioned by the exact inverse of A + kernel_shift*q q^T.
+    one step, preconditioned by the exact inverse of A + k*q q^T.
 
     Preconditions: u0 is the mesh-normalized principal sine mode and A u0 ~ 0.
     """
+
+    def apply_a(v: Array) -> Array:
+        return L.apply(v) - lambda0 * v
+
     rhs = np.asarray(rhs, dtype=float)
     nrm = l2_norm(mesh, u0)
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"u0 must be mesh-normalized, got ||u0|| = {nrm:.3e}")
-    kres = l2_norm(mesh, A.apply(u0))
+    kres = l2_norm(mesh, apply_a(u0))
     if kres > 1e-6:
-        raise ValueError(f"u0 is not a kernel vector of A (residual {kres:.3e})")
+        raise ValueError(f"u0 is not a kernel vector of L - lambda0 (residual {kres:.3e})")
 
     row = mesh.quad_weights * u0  # row constraint: (z, u0)_mesh = 0
-    precondition = spectral_inverse(mesh, lambda0, kernel_shift)
     # oversolve by 10x so the recombined residual stays within tol
     z, xi = solve_bordered_system(
-        A.apply, u0, u0, row, rhs, 0.0, precondition, 0.1 * tol, 0.1 * tol, max(2000, 4 * A.n), kernel_shift
+        apply_a, u0, u0, row, rhs, 0.0, mesh, lambda0, 0.1 * tol, 0.1 * tol, max(2000, 4 * L.n)
     )
-    res = l2_norm(mesh, A.apply(z) + xi * u0 - rhs)
+    res = l2_norm(mesh, apply_a(z) + xi * u0 - rhs)
     return BorderedSolution(z=z, xi=xi, residual_norm=res)

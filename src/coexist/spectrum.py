@@ -9,7 +9,7 @@ forms; each is certified by its residual against the assembled L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "Eigenpair",
     "CRReport",
     "principal_eigenpair",
-    "second_eigenvalue",
     "second_eigenpair",
     "verify_crandall_rabinowitz",
 ]
@@ -61,14 +60,7 @@ class CRReport:
         return self.kernel_dim_ok and self.transversality_ok
 
     def to_dict(self) -> dict:
-        return {
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "gap": self.gap,
-            "kernel_dim_ok": self.kernel_dim_ok,
-            "transversality_value": self.transversality_value,
-            "transversality_ok": self.transversality_ok,
-        }
+        return asdict(self)
 
 
 def _sine_mode(L: SparseOperator, mesh: Mesh, modes: tuple[int, ...], tol: float) -> Eigenpair:
@@ -86,41 +78,19 @@ def _sine_mode(L: SparseOperator, mesh: Mesh, modes: tuple[int, ...], tol: float
     return Eigenpair(eigenvalue=lam, vector=v, residual=res)
 
 
-def principal_eigenpair(
-    L: SparseOperator,
-    mesh: Mesh,
-    tol: float = 1e-10,
-    max_steps: int = 500,
-) -> Eigenpair:
+def principal_eigenpair(L: SparseOperator, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
     """Smallest eigenvalue of L and its positive, mesh-normalized
-    eigenfunction: the sine mode (1, ..., 1). max_steps is unused."""
+    eigenfunction: the sine mode (1, ..., 1)."""
     return _sine_mode(L, mesh, (1,) * mesh.dim, tol)
 
 
-def second_eigenpair(
-    L: SparseOperator,
-    u0: Array,
-    mesh: Mesh,
-    tol: float = 1e-10,
-    max_steps: int = 1000,
-) -> tuple[float, Array, float]:
-    """Smallest eigenvalue of L on the complement of span{u0} (u0 the
-    principal eigenvector), with its eigenvector and residual. Eigenvalues
-    grow with each mode index, so this is mode index 2 on the axis whose
-    step costs least, the first on the square's tie. max_steps is unused."""
+def second_eigenpair(L: SparseOperator, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
+    """Smallest eigenvalue of L on the complement of the principal
+    eigenvector, with its mesh-normalized eigenvector. Eigenvalues grow
+    with each mode index, so this is mode index 2 on the axis whose step
+    costs least, the first on the square's tie."""
     axis = int(np.argmin([ev[1] - ev[0] for ev in axis_eigenvalues(mesh)]))
-    pair = _sine_mode(L, mesh, tuple(2 if a == axis else 1 for a in range(mesh.dim)), tol)
-    return pair.eigenvalue, pair.vector, pair.residual
-
-
-def second_eigenvalue(
-    L: SparseOperator,
-    u0: Array,
-    mesh: Mesh,
-    tol: float = 1e-10,
-    max_steps: int = 1000,
-) -> float:
-    return second_eigenpair(L, u0, mesh, tol=tol, max_steps=max_steps)[0]
+    return _sine_mode(L, mesh, tuple(2 if a == axis else 1 for a in range(mesh.dim)), tol)
 
 
 def verify_crandall_rabinowitz(

@@ -16,6 +16,7 @@ from coexist.cli import (
     load_config,
     main,
 )
+from coexist import diagnostics
 from coexist.errors import ConfigError
 
 PI = math.pi
@@ -92,6 +93,27 @@ class TestConfig:
         raw["k_list"] = [2, 3]
         with pytest.raises(ConfigError, match="3..8"):
             load_config(write_config(tmp_path, raw))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "tolerances.eigen_tol=abc",
+            "tolerances.eigen_tol=NaN",
+            "tolerances.zero_tol=Infinity",
+            'domain.resolution=["x"]',
+            'domain.bounds=[[0,"pi"]]',
+            'model.k="x"',
+            'eta_list=["x"]',
+            's_values=["x"]',
+            'k_list=["x"]',
+        ],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
+        path = write_config(tmp_path, base_config())
+        code = main(["analyze", "--config", path, "--out-dir", str(tmp_path), "--override", override])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "configuration error" in err and "Traceback" not in err
 
     def test_echo_roundtrip(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -200,6 +222,24 @@ class TestTable:
         assert (tmp_path / "t1/table.csv").read_bytes() == (tmp_path / "t2/table.csv").read_bytes()
 
 
+class TestTableSharesEigenStage:
+    @pytest.mark.parametrize("n_etas", [1, 8])
+    def test_one_principal_eigensolve_per_mesh(self, tmp_path, monkeypatch, n_etas):
+        calls = []
+        principal = diagnostics.principal_eigenpair
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return principal(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "principal_eigenpair", counting)
+        raw = base_config()
+        raw["eta_list"] = [0.5 * (i + 1) * (-1) ** i for i in range(n_etas)]
+        rows = cmd_table(load_config(write_config(tmp_path, raw)), out_dir=str(tmp_path))
+        assert len(rows) == 6 * n_etas
+        assert len(calls) == 1
+
+
 class TestVerify:
     def test_certifies_interval(self, tmp_path, capsys):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -226,6 +266,20 @@ class TestVerify:
         assert code == EXIT_OK
         assert report["cr_report"]["lambda0"] == pytest.approx(2.0, abs=5e-3)
         assert report["cr_report"]["gap"] == pytest.approx(3.0, abs=2e-2)
+
+
+def test_analyze_and_verify_agree_below_default_eigen_tol(tmp_path):
+    # eigen_tol = 1e-11 is finer than the second mode's residual at 400
+    # nodes; both commands certify lambda1 by the same rule
+    raw = base_config()
+    raw["domain"]["resolution"] = [400]
+    raw["tolerances"] = {"eigen_tol": 1e-11}
+    cfg = load_config(write_config(tmp_path, raw))
+    analyzed = cmd_analyze(cfg, out_dir=str(tmp_path / "a"))["cr_report"]
+    verified, code = cmd_verify(cfg, out_dir=str(tmp_path / "v"))
+    assert code == EXIT_OK
+    for key in ("lambda0", "lambda1", "gap"):
+        assert verified["cr_report"][key] == analyzed[key]
 
 
 class TestMain:

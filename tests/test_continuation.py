@@ -36,20 +36,20 @@ class TestResidual:
     def test_trivial_branch_identically_zero(self, quartic, mesh400):
         U = mesh400.zeros()
         for lam in np.linspace(quartic.diagnostics.lambda0 - 1, quartic.diagnostics.lambda0 + 1, 7):
-            F = residual(U, lam, quartic.model, quartic.operator, mesh400)
+            F = residual(U, lam, quartic.model, quartic.operator)
             assert np.all(F == 0.0)
 
     def test_linear_model_kernel_direction(self, mesh400):
         res = run_analysis(mesh400, NonlinearityModel.linear(1.5))
         u0 = res.eigenpair.vector
-        F = residual(0.7 * u0, res.eigenpair.eigenvalue, res.model, res.operator, mesh400)
+        F = residual(0.7 * u0, res.eigenpair.eigenvalue, res.model, res.operator)
         # kernel direction of the shifted operator: residual at eigen accuracy
         assert l2_norm(mesh400, F) <= 1e-8
 
     def test_quartic_small_amplitude_direct_evaluation(self, quartic, mesh400):
         u0 = quartic.eigenpair.vector
         lam0 = quartic.eigenpair.eigenvalue
-        F = residual(0.1 * u0, lam0, quartic.model, quartic.operator, mesh400)
+        F = residual(0.1 * u0, lam0, quartic.model, quartic.operator)
         # F = (L - lam0)(0.1 u0) + eta (0.1 u0)^3: dominated by the cubic term
         expected = 1e-3 * u0**3
         assert l2_norm(mesh400, F - expected) <= 1e-8
@@ -58,9 +58,7 @@ class TestResidual:
 class TestJacobian:
     def test_kernel_at_origin(self, quartic, mesh400):
         u0 = quartic.eigenpair.vector
-        out = jacobian_apply(
-            mesh400.zeros(), quartic.eigenpair.eigenvalue, quartic.model, quartic.operator, mesh400, u0
-        )
+        out = jacobian_apply(mesh400.zeros(), quartic.eigenpair.eigenvalue, quartic.model, quartic.operator)(u0)
         assert l2_norm(mesh400, out) <= 1e-8
 
     def test_free_model_is_shifted_operator(self, mesh400):
@@ -68,7 +66,7 @@ class TestJacobian:
         rng = np.random.default_rng(5)
         d = rng.standard_normal(mesh400.n_nodes)
         lam = 1.3
-        out = jacobian_apply(rng.standard_normal(mesh400.n_nodes), lam, res.model, res.operator, mesh400, d)
+        out = jacobian_apply(rng.standard_normal(mesh400.n_nodes), lam, res.model, res.operator)(d)
         np.testing.assert_allclose(out, res.operator.apply(d) - lam * d, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -80,10 +78,10 @@ class TestJacobian:
         d /= np.linalg.norm(d)
         eps = 1e-5
         fd = (
-            residual(U + eps * d, lam, cubic100.model, cubic100.operator, mesh100)
-            - residual(U - eps * d, lam, cubic100.model, cubic100.operator, mesh100)
+            residual(U + eps * d, lam, cubic100.model, cubic100.operator)
+            - residual(U - eps * d, lam, cubic100.model, cubic100.operator)
         ) / (2 * eps)
-        jd = jacobian_apply(U, lam, cubic100.model, cubic100.operator, mesh100, d)
+        jd = jacobian_apply(U, lam, cubic100.model, cubic100.operator)(d)
         assert np.max(np.abs(jd - fd)) < 1e-6
 
 

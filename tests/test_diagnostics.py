@@ -23,7 +23,6 @@ from coexist import (
     psi3_sigma_form,
     psi_k_table,
     run_analysis,
-    run_diagnostics,
 )
 from coexist.diagnostics import Tolerances
 
@@ -35,7 +34,7 @@ I4_EXACT = 3 / (2 * PI)  # (u0^3, u0) on (0, pi)
 @pytest.fixture(scope="module")
 def eigdata(lap400, eig400, mesh400):
     pair, _ = eig400
-    return lap400, lap400.shifted(pair.eigenvalue), pair
+    return lap400, pair
 
 
 class TestClassify:
@@ -76,37 +75,37 @@ class TestClassify:
 
 class TestMuS:
     def test_cubic_interaction_closed_form(self, eigdata, mesh400):
-        _, _, pair = eigdata
+        _, pair = eigdata
         mu_s = compute_mu_s(pair.vector, NonlinearityModel.psi_k(3, 1.0), mesh400)
         assert mu_s == pytest.approx(I3_EXACT, abs=1e-4)
 
     def test_quartic_interaction_exactly_zero(self, eigdata, mesh400):
-        _, _, pair = eigdata
+        _, pair = eigdata
         assert compute_mu_s(pair.vector, NonlinearityModel.psi_k(4, 3.0), mesh400) == 0.0
 
     @pytest.mark.parametrize("v_l", [-2.0, 1.0, 3.0])
     def test_linear_model_zero(self, eigdata, mesh400, v_l):
-        _, _, pair = eigdata
+        _, pair = eigdata
         assert compute_mu_s(pair.vector, NonlinearityModel.linear(v_l), mesh400) == 0.0
 
 
 class TestCorrector:
     def test_quartic_zero_rhs_gives_zero(self, eigdata, mesh400):
-        _, A, pair = eigdata
-        sol = compute_z_s(A, pair.vector, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0, pair.eigenvalue)
+        L, pair = eigdata
+        sol = compute_z_s(L, pair.vector, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0, pair.eigenvalue)
         assert np.all(sol.z == 0.0)
         assert sol.xi == 0.0
 
     def test_free_model_gives_zero(self, eigdata, mesh400):
-        _, A, pair = eigdata
-        sol = compute_z_s(A, pair.vector, NonlinearityModel.free(), mesh400, 0.0, pair.eigenvalue)
+        L, pair = eigdata
+        sol = compute_z_s(L, pair.vector, NonlinearityModel.free(), mesh400, 0.0, pair.eigenvalue)
         assert np.all(sol.z == 0.0)
 
     def test_cubic_corrector_orthogonal(self, eigdata, mesh400):
-        _, A, pair = eigdata
+        L, pair = eigdata
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        sol = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue)
+        sol = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue)
         assert abs(inner_product(mesh400, sol.z, pair.vector)) <= 1e-10
         assert l2_norm(mesh400, sol.z) > 1e-3  # genuinely nonzero
 
@@ -115,13 +114,12 @@ class TestCorrector:
         mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
         L = assemble_laplacian(mesh)
         pair = principal_eigenpair(L, mesh, tol=1e-12)
-        A = L.shifted(pair.eigenvalue)
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh)
-        sol = compute_z_s(A, pair.vector, model, mesh, mu_s, pair.eigenvalue)
+        sol = compute_z_s(L, pair.vector, model, mesh, mu_s, pair.eigenvalue)
 
         K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = A.matrix.toarray()
+        K[:n, :n] = L.matrix.toarray() - pair.eigenvalue * np.eye(n)
         K[:n, n] = pair.vector
         K[n, :n] = mesh.quad_weights * pair.vector
         rhs = mu_s * pair.vector + 0.5 * derivative_at_zero(model, 2) * pair.vector**2
@@ -129,15 +127,15 @@ class TestCorrector:
         assert l2_norm(mesh, sol.z - direct[:n]) < 1e-8
 
     def test_inconsistent_mu_s_raises_solvability(self, eigdata, mesh400):
-        _, A, pair = eigdata
+        L, pair = eigdata
         model = NonlinearityModel.psi_k(3, 1.0)
         with pytest.raises(SolvabilityError):
-            compute_z_s(A, pair.vector, model, mesh400, mu_s=0.0, lambda0=pair.eigenvalue)
+            compute_z_s(L, pair.vector, model, mesh400, mu_s=0.0, lambda0=pair.eigenvalue)
 
 
 class TestMuSS:
     def test_quartic_closed_form(self, eigdata, mesh400):
-        _, _, pair = eigdata
+        _, pair = eigdata
         model = NonlinearityModel.psi_k(4, 1.0)
         z = np.zeros(mesh400.n_nodes)
         mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, 0.0)
@@ -145,18 +143,18 @@ class TestMuSS:
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_higher_powers_vanish(self, eigdata, mesh400, k):
-        _, A, pair = eigdata
+        L, pair = eigdata
         model = NonlinearityModel.psi_k(k, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
+        z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
         assert abs(compute_mu_ss(pair.vector, z, model, mesh400, mu_s)) <= 1e-10
 
     def test_cubic_matches_sigma_form(self, eigdata, mesh400):
-        _, A, pair = eigdata
+        L, pair = eigdata
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
+        z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
         mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
         sigma = psi3_sigma_form(pair.vector, z, eta, mesh400)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
@@ -180,10 +178,10 @@ def test_cubic_mu_ss_against_fourier_series_oracle(eigdata, mesh400):
     )
     oracle = -((2 / PI) ** 3) * 64.0 * series
 
-    _, A, pair = eigdata
+    L, pair = eigdata
     model = NonlinearityModel.psi_k(3, 1.0)
     mu_s = compute_mu_s(pair.vector, model, mesh400)
-    z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
+    z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
     mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
     assert mu_ss == pytest.approx(oracle, abs=1e-5)
 
@@ -202,17 +200,15 @@ class TestRawFormOracle:
         ],
     )
     def test_raw_forms_match_closed_forms(self, eigdata, mesh400, model):
-        L, _, pair = eigdata
+        L, pair = eigdata
         u0 = pair.vector
         v_l = model.V_L
         g2 = derivative_at_zero(model, 2)
         g3 = derivative_at_zero(model, 3)
         # shift by lambda0 of the *linearized* operator: the closed forms
         # are invariant to V_L because lambda = m + V_L absorbs it
-        A = L.shifted(pair.eigenvalue)
-
         mu_s = compute_mu_s(u0, model, mesh400)
-        z_s = compute_z_s(A, u0, model, mesh400, mu_s, pair.eigenvalue).z
+        z_s = compute_z_s(L, u0, model, mesh400, mu_s, pair.eigenvalue).z
         mu_ss = compute_mu_ss(u0, z_s, model, mesh400, mu_s)
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
@@ -222,7 +218,7 @@ class TestRawFormOracle:
 
         # second corrector: A z_ss = mu_ss u0 + 2 mu_s z_s + g3/3 u0^3 + 2 g2 u0 z_s
         rhs_zss = mu_ss * u0 + 2.0 * mu_s * z_s + (g3 / 3.0) * u0**3 + 2.0 * g2 * u0 * z_s
-        sol = bordered_solve(A, u0, rhs_zss, mesh400, pair.eigenvalue, tol=1e-10)
+        sol = bordered_solve(L, u0, rhs_zss, mesh400, pair.eigenvalue, tol=1e-10)
         assert abs(sol.xi) <= 1e-8  # solvable by the choice of mu_ss
         z_ss = sol.z
 
@@ -238,12 +234,12 @@ class TestRawFormOracle:
 
 class TestScalingCovariance:
     def test_cubic_scaling(self, eigdata, mesh400):
-        _, A, pair = eigdata
+        L, pair = eigdata
 
         def diag(eta):
             model = NonlinearityModel.psi_k(3, eta)
             mu_s = compute_mu_s(pair.vector, model, mesh400)
-            z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
+            z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
             return mu_s, compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
 
         mu_s_1, mu_ss_1 = diag(1.0)
@@ -252,7 +248,7 @@ class TestScalingCovariance:
         assert mu_ss_2 == pytest.approx(4 * mu_ss_1, rel=1e-9)
 
     def test_quartic_scaling(self, eigdata, mesh400):
-        _, _, pair = eigdata
+        _, pair = eigdata
         z = np.zeros(mesh400.n_nodes)
         m1 = compute_mu_ss(pair.vector, z, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0)
         m2 = compute_mu_ss(pair.vector, z, NonlinearityModel.psi_k(4, 2.0), mesh400, 0.0)
@@ -261,31 +257,31 @@ class TestScalingCovariance:
 
 class TestPipeline:
     def test_quartic_positive(self, mesh400):
-        d = run_diagnostics(mesh400, NonlinearityModel.psi_k(4, 1.0))
+        d = run_analysis(mesh400, NonlinearityModel.psi_k(4, 1.0)).diagnostics
         assert d.ctype is CoexistenceType.I
         assert d.m_coexistence_side is CoexistenceSide.ABOVE
         assert d.mu_s == 0.0
         assert d.moments.I4 == pytest.approx(I4_EXACT, abs=1e-4)
 
     def test_quartic_negative(self, mesh400):
-        d = run_diagnostics(mesh400, NonlinearityModel.psi_k(4, -1.0))
+        d = run_analysis(mesh400, NonlinearityModel.psi_k(4, -1.0)).diagnostics
         assert d.ctype is CoexistenceType.III
         assert d.m_coexistence_side is CoexistenceSide.BELOW
 
     def test_seventh_power(self, mesh400):
-        d = run_diagnostics(mesh400, NonlinearityModel.psi_k(7, 1.0))
+        d = run_analysis(mesh400, NonlinearityModel.psi_k(7, 1.0)).diagnostics
         assert d.ctype is CoexistenceType.II
         assert d.m_coexistence_side is CoexistenceSide.DEGENERATE
 
     def test_cubic_two_sided_with_inferred_note(self, mesh400):
-        d = run_diagnostics(mesh400, NonlinearityModel.psi_k(3, 1.0))
+        d = run_analysis(mesh400, NonlinearityModel.psi_k(3, 1.0)).diagnostics
         assert d.ctype is CoexistenceType.VI
         assert d.m_coexistence_side is CoexistenceSide.TWO_SIDED
         assert any("inferred" in w for w in d.warnings)
 
     @pytest.mark.parametrize("v_l", [-5.0, -2.0, 1.0, 3.0, 5.0])
     def test_linear_cancellation(self, mesh400, v_l):
-        d = run_diagnostics(mesh400, NonlinearityModel.linear(v_l))
+        d = run_analysis(mesh400, NonlinearityModel.linear(v_l)).diagnostics
         assert abs(d.mu_s) <= 1e-9
         assert abs(d.mu_ss) <= 1e-9
         assert d.ctype is CoexistenceType.II
@@ -297,7 +293,7 @@ class TestPipeline:
             NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
             NonlinearityModel.linear(2.0),
         ):
-            d = run_diagnostics(mesh400, model)
+            d = run_analysis(mesh400, model).diagnostics
             assert abs(d.moments.P_zu) <= 1e-10
 
     def test_m_at_bifurcation(self, mesh400):
@@ -308,14 +304,14 @@ class TestPipeline:
         # polynomial with a tiny quadratic coefficient puts mu_s right at
         # the classification band edge
         c2 = -1.5e-6 / I3_EXACT
-        d = run_diagnostics(mesh400, NonlinearityModel.polynomial([0.0, c2]))
+        d = run_analysis(mesh400, NonlinearityModel.polynomial([0.0, c2])).diagnostics
         assert any("zero_tol" in w for w in d.warnings)
 
     def test_square_domain_cubic_interaction(self):
         # the full pipeline on a 2D domain: u0 = (2/pi) sin(x) sin(y),
         # (u0^2, u0) = (2/pi)^3 (4/3)^2 in the continuum
         mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40)))
-        d = run_diagnostics(mesh, NonlinearityModel.psi_k(3, 1.0))
+        d = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0)).diagnostics
         expected_i3 = (2 / PI) ** 3 * (4 / 3) ** 2
         assert d.lambda0 == pytest.approx(2.0, abs=2e-3)
         assert d.mu_s == pytest.approx(expected_i3, rel=1e-2)
@@ -325,7 +321,7 @@ class TestPipeline:
     def test_square_domain_quartic_interaction(self):
         # (u0^3, u0) = (2/pi)^4 (3 pi/8)^2 in the continuum
         mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40)))
-        d = run_diagnostics(mesh, NonlinearityModel.psi_k(4, 1.0))
+        d = run_analysis(mesh, NonlinearityModel.psi_k(4, 1.0)).diagnostics
         expected_mu_ss = 2 * (2 / PI) ** 4 * (3 * PI / 8) ** 2
         assert d.mu_s == 0.0
         assert d.mu_ss == pytest.approx(expected_mu_ss, rel=1e-2)
@@ -334,7 +330,7 @@ class TestPipeline:
     def test_offset_interval(self):
         # translation invariance: same spectrum and diagnostics on (1, 1+pi)
         mesh = build_mesh(DomainSpec("interval", ((1.0, 1.0 + PI),), (200,)))
-        d = run_diagnostics(mesh, NonlinearityModel.psi_k(3, 1.0))
+        d = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0)).diagnostics
         assert d.lambda0 == pytest.approx(1.0, abs=1e-3)
         assert d.mu_s == pytest.approx(I3_EXACT, abs=1e-3)
 
@@ -344,7 +340,7 @@ class TestPipeline:
         errs = []
         for n in (50, 100, 200):
             mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-            d = run_diagnostics(mesh, NonlinearityModel.psi_k(3, 1.0), Tolerances(eigen_tol=1e-11))
+            d = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0), Tolerances(eigen_tol=1e-11)).diagnostics
             errs.append(abs(d.mu_s - I3_EXACT))
         for e_coarse, e_fine in zip(errs, errs[1:]):
             assert e_fine <= max(e_coarse / 2**1.9, 1e-10)
@@ -352,7 +348,7 @@ class TestPipeline:
 
 @pytest.fixture(scope="module")
 def table(mesh400):
-    return psi_k_table(mesh400, [3, 4, 5, 6], eta=1.0)
+    return psi_k_table(mesh400, [3, 4, 5, 6], [1.0])
 
 
 class TestInteractionTable:
@@ -383,21 +379,29 @@ class TestInteractionTable:
 
     def test_cubic_proj3_consistent_with_corrector(self, table, mesh400, lap400, eig400):
         pair, _ = eig400
-        A = lap400.shifted(pair.eigenvalue)
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(A, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
+        z = compute_z_s(lap400, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
         expected = -12.0 * inner_product(mesh400, pair.vector * z, pair.vector)
         assert table[0].proj3 == pytest.approx(expected, rel=1e-8)
 
+    def test_rows_match_run_analysis(self, mesh400):
+        etas = [1.0, 2.5, -0.5, -3.0]
+        ks = [3, 4, 5, 6, 7, 8]
+        rows = psi_k_table(mesh400, ks, etas)
+        assert [(r.eta, r.k) for r in rows] == [(eta, k) for eta in etas for k in ks]
+        for row in rows:
+            d = run_analysis(mesh400, NonlinearityModel.psi_k(row.k, row.eta)).diagnostics
+            assert (row.mu_s, row.mu_ss, row.ctype) == (d.mu_s, d.mu_ss, d.ctype)
+
     def test_negative_eta_flips_quartic(self, mesh400):
-        rows = psi_k_table(mesh400, [4], eta=-1.0)
+        rows = psi_k_table(mesh400, [4], [-1.0])
         assert rows[0].ctype is CoexistenceType.III
 
     def test_zero_eta_everything_degenerate(self, mesh400):
-        for row in psi_k_table(mesh400, [3, 4, 5], eta=0.0):
+        for row in psi_k_table(mesh400, [3, 4, 5], [0.0]):
             assert row.ctype is CoexistenceType.II
 
     def test_k_range_validated(self, mesh400):
         with pytest.raises(ValueError, match="3..8"):
-            psi_k_table(mesh400, [2], eta=1.0)
+            psi_k_table(mesh400, [2], [1.0])

@@ -11,7 +11,7 @@ from coexist import (
     inner_product,
     l2_norm,
     principal_eigenpair,
-    second_eigenvalue,
+    second_eigenpair,
     verify_crandall_rabinowitz,
 )
 
@@ -85,7 +85,7 @@ def test_anisotropic_rectangle():
     L = assemble_laplacian(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(1.25, abs=2e-3)
-    lam1 = second_eigenvalue(L, pair.vector, mesh, tol=1e-10)
+    lam1 = second_eigenpair(L, mesh, tol=1e-10).eigenvalue
     assert lam1 == pytest.approx(2.0, abs=5e-3)
 
 
@@ -133,7 +133,7 @@ def test_unattainable_tolerance_raises():
         principal_eigenpair(L, mesh, tol=1e-16)
     assert 1e-16 < err.value.residual < 1e-12
     with pytest.raises(ConvergenceError):
-        second_eigenvalue(L, principal_eigenpair(L, mesh).vector, mesh, tol=1e-16)
+        second_eigenpair(L, mesh, tol=1e-16)
 
 
 def test_determinism(mesh100):
@@ -142,6 +142,7 @@ def test_determinism(mesh100):
     p2 = principal_eigenpair(L, mesh100, tol=1e-10)
     assert p1.eigenvalue == p2.eigenvalue
     assert np.array_equal(p1.vector, p2.vector)
-    l1 = second_eigenvalue(L, p1.vector, mesh100, tol=1e-10)
-    l2 = second_eigenvalue(L, p2.vector, mesh100, tol=1e-10)
-    assert l1 == l2
+    s1 = second_eigenpair(L, mesh100, tol=1e-10)
+    s2 = second_eigenpair(L, mesh100, tol=1e-10)
+    assert s1.eigenvalue == s2.eigenvalue
+    assert np.array_equal(s1.vector, s2.vector)
