@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -80,18 +81,18 @@ class RunConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"domain is missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed domain section: {exc}") from None
         spec.validate()
         model = NonlinearityModel.from_dict(raw.get("model", {"kind": "free"}))
-        tol_raw = raw.get("tolerances", {})
+        tol_raw = _section(raw, "tolerances")
         known_tols = {f.name for f in dataclasses.fields(Tolerances)}
         bad = set(tol_raw) - known_tols
         if bad:
             raise ConfigError(f"unknown tolerance fields: {sorted(bad)}")
         tolerances = Tolerances(**tol_raw)
         tolerances.validate()
-        out_raw = raw.get("outputs", {})
+        out_raw = _section(raw, "outputs")
         bad = set(out_raw) - {f.name for f in dataclasses.fields(Outputs)}
         if bad:
             raise ConfigError(f"unknown output fields: {sorted(bad)}")
@@ -140,11 +141,21 @@ class RunConfig:
         return (1.0,)
 
 
+def _section(raw: dict, key: str) -> dict:
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {section!r}")
+    return section
+
+
 def _numbers(raw: dict, key: str, default, cast) -> tuple:
     try:
-        return tuple(cast(x) for x in raw.get(key, default))
-    except (TypeError, ValueError) as exc:
+        values = tuple(cast(x) for x in raw.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {exc}") from None
+    if not all(math.isfinite(x) for x in values):
+        raise ConfigError(f"{key} must hold finite numbers, got {list(values)}")
+    return values
 
 
 def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConfig:

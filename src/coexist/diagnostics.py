@@ -248,7 +248,9 @@ def psi3_sigma_form(u0: Array, z_s: Array, eta: float, mesh: Mesh) -> float:
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
-    """-1, 0 or +1, with |x| <= zero_tol collapsing to 0."""
+    """-1, 0 or +1, with |x| <= zero_tol collapsing to 0; NaN has no sign."""
+    if math.isnan(x):
+        raise ValueError("cannot take the sign of NaN")
     if abs(x) <= zero_tol:
         return 0
     return 1 if x > 0 else -1

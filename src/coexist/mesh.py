@@ -9,6 +9,7 @@ boundary).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,8 @@ class DomainSpec:
                 f"{len(self.bounds)} bounds and {len(self.resolution)} resolutions"
             )
         for ax, (lo, hi) in enumerate(self.bounds):
-            if not hi > lo:
-                raise ConfigError(f"bounds[{ax}] must have positive length, got ({lo}, {hi})")
+            if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+                raise ConfigError(f"bounds[{ax}] must be finite with positive length, got ({lo}, {hi})")
         for ax, n in enumerate(self.resolution):
             if n < 3:
                 raise ConfigError(f"resolution[{ax}] must be >= 3, got {n}")

@@ -16,6 +16,7 @@ vectors out with the same (float) dtype.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,11 @@ class NonlinearityModel:
             object.__setattr__(self, "V_L", coeffs[0])
         elif self.kind == "free":
             object.__setattr__(self, "V_L", 0.0)
+        if not all(math.isfinite(c) for c in (self.eta, self.V_L, *self.poly_coeffs)):
+            raise ConfigError(
+                f"model coefficients must be finite, got eta={self.eta}, V_L={self.V_L}, "
+                f"coeffs={list(self.poly_coeffs)}"
+            )
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -91,7 +97,7 @@ class NonlinearityModel:
                 return NonlinearityModel.polynomial(d["coeffs"])
         except KeyError as exc:
             raise ConfigError(f"model kind {kind!r} is missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"model kind {kind!r} has a malformed field: {exc}") from None
         raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 

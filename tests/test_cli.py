@@ -106,6 +106,15 @@ class TestConfig:
             'eta_list=["x"]',
             's_values=["x"]',
             'k_list=["x"]',
+            "model.eta=NaN",
+            "eta_list=[NaN]",
+            "s_values=[NaN,0.1]",
+            "tolerances=5",
+            "outputs=5",
+            "model.k=Infinity",
+            "k_list=[Infinity]",
+            "domain.resolution=[Infinity]",
+            "domain.bounds=[[0,Infinity]]",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):

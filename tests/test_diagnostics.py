@@ -72,6 +72,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mu_s, mu_ss", [(float("nan"), 1.0), (0.0, float("nan"))])
+    def test_nan_has_no_sign(self, mu_s, mu_ss):
+        with pytest.raises(ValueError, match="NaN"):
+            classify(mu_s, mu_ss, 1e-6)
+
 
 class TestMuS:
     def test_cubic_interaction_closed_form(self, eigdata, mesh400):

@@ -146,6 +146,18 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="coefficients"):
             NonlinearityModel.polynomial([1.0] * 7)
 
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"kind": "psi_k", "k": 3, "eta": float("nan")},
+            {"kind": "linear", "V_L": float("inf")},
+            {"kind": "polynomial", "coeffs": [1.0, float("-inf")]},
+        ],
+    )
+    def test_rejects_non_finite_coefficients(self, descriptor):
+        with pytest.raises(ConfigError, match="finite"):
+            NonlinearityModel.from_dict(descriptor)
+
     def test_missing_field_reported(self):
         with pytest.raises(ConfigError, match="eta"):
             NonlinearityModel.from_dict({"kind": "psi_k", "k": 3})
