@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .continuation import DEFAULT_S_VALUES, Branch, trace_branch
+from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
 from .diagnostics import AnalysisResult, Tolerances, eigendata, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, SolvabilityError
 from .mesh import DomainSpec, build_mesh, l2_norm
@@ -101,6 +101,8 @@ class RunConfig:
             raise ConfigError("s_values must not contain 0 (the trivial branch)")
         if len(set(s_values)) != len(s_values):
             raise ConfigError("s_values must not contain duplicates")
+        if not fit_supported(s_values):
+            raise ConfigError(f"s_values must hold >= 5 values spanning both signs of s, got {list(s_values)}")
         k_list = _numbers(raw, "k_list", (3, 4, 5, 6, 7, 8), int)
         if any(not 3 <= k <= 8 for k in k_list):
             raise ConfigError(f"k_list entries must lie in 3..8, got {list(k_list)}")
@@ -153,6 +155,8 @@ def _numbers(raw: dict, key: str, default, cast) -> tuple:
         values = tuple(cast(x) for x in raw.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {exc}") from None
+    if not values:
+        raise ConfigError(f"{key} must not be empty")
     if not all(math.isfinite(x) for x in values):
         raise ConfigError(f"{key} must hold finite numbers, got {list(values)}")
     return values
@@ -260,7 +264,7 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """Analyze, trace the branch over cfg.s_values, write CSV + report.
 
     Returns (report, exit_code); a truncated branch still exits 0 when
-    at least five points converged.
+    the converged points still carry the fit, EXIT_SOLVER otherwise.
     """
     mesh = build_mesh(cfg.domain)
     analysis = run_analysis(mesh, cfg.model, cfg.tolerances)
@@ -294,7 +298,7 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
         }
     report["branch"] = branch_block
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
-    code = EXIT_OK if len(branch.points) >= 5 else EXIT_SOLVER
+    code = EXIT_OK if branch.fit is not None else EXIT_SOLVER
     return report, code
 
 

@@ -7,9 +7,9 @@ s the pair (U, lambda) solves the discrete problem F(U, lambda) = 0
 together with the amplitude constraint. Near a simple bifurcation this
 parametrization cannot fold back, so no arclength machinery is needed.
 Each Newton step solves a bordered system with the (possibly nearly
-singular) Jacobian regularized along u0, by CG preconditioned with the
-exact DST inverse of L - lambda + k*u0 u0^T: the Jacobian differs from it
-by the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
+singular) Jacobian on the complement of u0, by CG preconditioned with the
+exact DST inverse of L - lambda there: the Jacobian differs from it by
+the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",
+    "fit_supported",
 ]
 
 Array = npt.NDArray[np.float64]
@@ -228,13 +229,20 @@ def trace_branch(
         return branch
 
 
+def fit_supported(s_values) -> bool:
+    """Whether amplitudes s can carry the local-expansion fit: at least
+    five of them, with both signs of s represented."""
+    s = np.asarray(s_values, dtype=float)
+    return s.size >= 5 and bool(np.any(s > 0) and np.any(s < 0))
+
+
 def fit_local_expansion(branch: Branch) -> BranchFit:
     """Least-squares fit of lambda(s) - branch.lambda0 against (s, s^2).
 
     Requires at least five points with both signs of s represented.
     """
     s = np.array([p.s for p in branch.points])
-    if s.size < 5 or not (np.any(s > 0) and np.any(s < 0)):
+    if not fit_supported(s):
         raise ValueError("fit needs >= 5 branch points spanning both signs of s")
     y = np.array([p.lam for p in branch.points]) - branch.lambda0
     design = np.column_stack([s, s * s])

@@ -5,14 +5,15 @@ The type-I discrete sine transform (DST-I) diagonalises L exactly
 (Buzbee, Golub and Nielson 1970; Swarztrauber 1977). Along an axis of at
 most 512 nodes it is one BLAS product with the cached dense sine matrix;
 longer axes use scipy.fft.dst. Two solvers live here: preconditioned
-conjugate gradients for SPD systems, and a bordered solver for the
-singular operator A = L - lambda0*I whose kernel is the principal
-eigenvector, preconditioned by the DST inverse of A + k*u0 u0^T.
-The weight k of that rank-one term is one rule, `_kernel_shift`, read by
-both the regularized operator and its preconditioner. The bordered solve
-returns the unique kernel-orthogonal solution plus a scalar multiplier xi
-equal to the kernel component of the right-hand side, so callers can
-check solvability explicitly.
+conjugate gradients for SPD systems, and a bordered solver for operators
+A = L - sigma + (small diagonal) whose near-kernel is the principal sine
+mode u0. The bordered solve reads the u0 component of its solution off
+the row constraint and runs CG with the projected operator P A,
+P = I - q q^T and q = u0/||u0||, on the orthogonal complement of u0,
+where the DST inverse of L - sigma with the principal mode zeroed is
+exact. `bordered_solve` returns the unique kernel-orthogonal solution
+plus a scalar multiplier xi equal to the kernel component of the
+right-hand side, so callers can check solvability explicitly.
 """
 
 from __future__ import annotations
@@ -118,11 +119,12 @@ def dst(mesh: Mesh, v: Array) -> Array:
     """Orthonormal DST-I of a node vector along every axis: node values to
     sine-mode coefficients and back (the transform is its own inverse).
     Axes of at most _SINE_MATRIX_MAX_N nodes multiply by the cached sine
-    matrix; longer axes call scipy.fft.dst."""
+    matrix (symmetric, so no transpose): x @ S on the last axis, S @ x on
+    the first axis of a 2-D grid; longer axes call scipy.fft.dst."""
     x = mesh.grid(v)
     for axis, n in enumerate(x.shape):
         if n <= _SINE_MATRIX_MAX_N:
-            x = np.moveaxis(np.moveaxis(x, axis, -1) @ _sine_matrix(n), -1, axis)
+            x = x @ _sine_matrix(n) if axis == x.ndim - 1 else _sine_matrix(n) @ x
         else:
             # imported here: scipy.fft adds about 0.2 s and 7 MB to start-up
             # and no axis within the sine-matrix limit needs it
@@ -132,17 +134,12 @@ def dst(mesh: Mesh, v: Array) -> Array:
     return x.ravel()
 
 
-def _kernel_shift(mesh: Mesh) -> float:
-    """Weight k of the rank-one term k q q^T that lifts the kernel of
-    L - lambda0: the spectral gap lambda1 - lambda0, but at least 1."""
-    return max(1.0, min(ev[1] - ev[0] for ev in axis_eigenvalues(mesh)))
-
-
-def spectral_inverse(mesh: Mesh, sigma: float, kernel_shift: float) -> MatVec:
-    """Exact inverse of L - sigma + kernel_shift * q q^T, q the normalized
-    principal sine mode: a DST, a diagonal scaling and a second DST."""
+def spectral_inverse(mesh: Mesh, sigma: float) -> MatVec:
+    """Exact inverse of L - sigma on the orthogonal complement of the
+    principal sine mode q, and zero along q: a DST, the diagonal
+    1/(lambda_j - sigma) with the (1, ..., 1) mode zeroed, and a second DST."""
     diag = reduce(np.add.outer, axis_eigenvalues(mesh)).ravel() - sigma
-    diag[0] += kernel_shift
+    diag[0] = np.inf
     inv = 1.0 / diag
     return lambda r: dst(mesh, inv * dst(mesh, r))
 
@@ -216,53 +213,43 @@ def solve_bordered_system(
     """Solve the bordered system  [ A   col ] [x]   [f]
                                   [ row^T 0 ] [y] = [g]
     where A (given as a matvec) may be singular with near-kernel
-    direction `near_kernel`, and differs from L - sigma by at most a
-    small diagonal.
+    direction `near_kernel`, the principal sine mode, and differs from
+    L - sigma by at most a small diagonal.
 
-    A is regularized to M = A + k q q^T with q the normalized near-kernel
-    and k = _kernel_shift(mesh); M is SPD whenever A is positive
-    semidefinite with its soft direction along q. Three CG solves with M,
-    preconditioned by the exact inverse of L - sigma + k q q^T, plus a
-    2x2 Schur system recover (x, y); the row constraint is then enforced
-    exactly by a rank-one correction along q. Each inner solve targets
-    ||r|| <= max(rtol*||b||, atol).
+    Preconditions: A is symmetric and row is parallel to q, the
+    normalized near-kernel. The row then fixes the q component of x,
+    c = g / (row.q), and x = c q + v with v orthogonal to q. With
+    P = I - q q^T, CG on P A, preconditioned by the exact inverse of
+    L - sigma on the complement of q, solves P A v1 = P (f - c A q) and,
+    unless col is the near-kernel itself, P A v2 = P col. P A is SPD on
+    that complement whenever A is positive there. The q component of the
+    first block row gives y; A is symmetric, so (q, A v) = (A q, v) and
+    x = c q + v1 - y v2. Each CG solve targets ||r|| <= max(rtol*||b||, atol).
     """
     q = near_kernel / np.sqrt(near_kernel @ near_kernel)
-    kernel_shift = _kernel_shift(mesh)
-    precondition = spectral_inverse(mesh, sigma, kernel_shift)
+    precondition = spectral_inverse(mesh, sigma)
 
-    def m_apply(v: Array) -> Array:
-        return apply_op(v) + kernel_shift * (q @ v) * q
+    def project(v: Array) -> Array:
+        return v - (q @ v) * q
 
     def solve(b: Array, label: str) -> Array:
-        x, resid, iters = _cg(m_apply, b, precondition, rtol=rtol, atol=atol, max_iter=max_iter)
+        x, resid, iters = _cg(
+            lambda v: project(apply_op(v)), b, precondition, rtol=rtol, atol=atol, max_iter=max_iter
+        )
         if resid > max(rtol * float(np.sqrt(b @ b)), atol):
             raise ConvergenceError(f"bordered solve stalled on the {label} system", resid, iters)
         return x
 
-    a = solve(f, "rhs")
-    bvec = solve(q, "kernel")
+    c = g / (row @ q)
+    aq = apply_op(q)
+    r = f - c * aq
+    v1 = solve(project(r), "rhs")
     if col is near_kernel or np.array_equal(col, near_kernel):
-        d = np.sqrt(near_kernel @ near_kernel) * bvec
+        v2 = np.zeros_like(v1)
     else:
-        d = solve(col, "border")
-
-    # x = a + kernel_shift*t*bvec - y*d with t = q.x; two scalar
-    # equations (the definition of t and the row constraint) close it
-    lhs = np.array(
-        [
-            [1.0 - kernel_shift * (q @ bvec), q @ d],
-            [kernel_shift * (row @ bvec), -(row @ d)],
-        ]
-    )
-    rhs = np.array([q @ a, g - row @ a])
-    t, y = np.linalg.solve(lhs, rhs)
-    x = a + kernel_shift * t * bvec - y * d
-
-    # enforce the row constraint exactly; the correction is O(rounding)
-    defect = (row @ x - g) / (row @ q)
-    x = x - defect * q
-    return x, float(y)
+        v2 = solve(project(col), "border")
+    y = (q @ r - aq @ v1) / (q @ col - aq @ v2)
+    return c * q + v1 - y * v2, float(y)
 
 
 def bordered_solve(
@@ -277,8 +264,9 @@ def bordered_solve(
 
     Solves A z + xi*u0 = rhs with (z, u0)_mesh = 0. xi reports the
     component of rhs along the kernel; it is NOT an error for xi to be
-    nonzero -- callers needing exact solvability must test |xi|. CG takes
-    one step, preconditioned by the exact inverse of A + k*q q^T.
+    nonzero -- callers needing exact solvability must test |xi|. One CG
+    solve on the complement of u0, where its DST preconditioner is the
+    exact inverse of A, takes one step.
 
     Preconditions: u0 is the mesh-normalized principal sine mode and A u0 ~ 0.
     """

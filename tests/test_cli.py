@@ -115,6 +115,12 @@ class TestConfig:
             "k_list=[Infinity]",
             "domain.resolution=[Infinity]",
             "domain.bounds=[[0,Infinity]]",
+            "k_list=[]",
+            "eta_list=[]",
+            "s_values=[]",
+            "s_values=[0.02,0.04]",
+            "s_values=[0.02,0.04,0.06,0.08,0.1]",
+            "s_values=[-0.06,-0.04,-0.02,0.02]",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):

@@ -12,6 +12,7 @@ from coexist import (
     NonlinearityModel,
     assemble_laplacian,
     build_mesh,
+    principal_eigenpair,
     run_analysis,
     trace_branch,
 )
@@ -87,27 +88,58 @@ def test_sine_modes_diagonalise_assembled_laplacian(name):
 @pytest.mark.parametrize("offset", [0.0, 0.3])
 def test_spectral_inverse_is_exact(name, offset):
     # sigma = lambda0 is the corrector's singular shift, lambda0 + 0.3 a
-    # Newton-step shift on the branch; k = max(1, gap) as in the pipeline.
-    # The float64 rounding of M v alone bounds the error by about
-    # eps * ||M|| / lambda_min(M) ~ 1e-11 relative at n = 400; typical
-    # errors sit an order of magnitude below that.
+    # Newton-step shift on the branch. On the complement of q the operator
+    # inverts L - sigma; the float64 rounding of (L - sigma) v alone bounds
+    # the error by about eps * ||L|| / (lambda1 - sigma) ~ 1e-11 relative
+    # at n = 400; typical errors sit an order of magnitude below that.
     mesh = build_mesh(MESHES[name])
     L = assemble_laplacian(mesh)
     q = np.ones(1)
     for n in mesh.spec.resolution:
         q = np.multiply.outer(q, np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
     q = q.ravel() / np.linalg.norm(q)
-    axes = [
-        4.0 / h**2 * np.sin(np.array([1, 2]) * PI / (2 * (n + 1))) ** 2
-        for n, h in zip(mesh.spec.resolution, mesh.h)
-    ]
-    lambda0 = sum(ev[0] for ev in axes)
-    gap = min(ev[1] - ev[0] for ev in axes)
-    sigma, k = lambda0 + offset, max(1.0, gap)
-    precondition = spectral_inverse(mesh, sigma, k)
+    lambda0 = sum(4.0 / h**2 * np.sin(PI / (2 * (n + 1))) ** 2 for n, h in zip(mesh.spec.resolution, mesh.h))
+    sigma = lambda0 + offset
+    precondition = spectral_inverse(mesh, sigma)
     v = np.random.default_rng(2).standard_normal(mesh.n_nodes)
-    Mv = L.apply(v) - sigma * v + k * (q @ v) * q
-    assert np.linalg.norm(precondition(Mv) - v) <= 1e-12 * np.linalg.norm(v)
+    v -= (q @ v) * q
+    assert np.linalg.norm(precondition(L.apply(v) - sigma * v) - v) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(precondition(q)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DomainSpec("interval", ((0.0, PI),), (50,)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (12, 16)),
+    ],
+)
+def test_newton_bordered_solve_matches_dense_oracle(spec):
+    # the Newton form: A = L - lam + diag(d), a border column that is not
+    # u0, and a nonzero amplitude defect g
+    mesh = build_mesh(spec)
+    L = assemble_laplacian(mesh)
+    eig = principal_eigenpair(L, mesh)
+    u0, lam = eig.vector, eig.eigenvalue + 0.2
+    rng = np.random.default_rng(3)
+    d = 0.1 * rng.uniform(-1.0, 1.0, mesh.n_nodes)
+    col = -(0.1 * u0 + 0.05 * rng.standard_normal(mesh.n_nodes))
+    row = mesh.quad_weights * u0
+    f, g = rng.standard_normal(mesh.n_nodes), 0.03
+    x, y = operators.solve_bordered_system(
+        lambda v: L.apply(v) + (d - lam) * v, u0, col, row, f, g, mesh, lam,
+        rtol=1e-13, atol=1e-14, max_iter=2000,
+    )
+    dense = np.block(
+        [
+            [L.matrix.toarray() + np.diag(d - lam), col[:, None]],
+            [row[None, :], np.zeros((1, 1))],
+        ]
+    )
+    want = np.linalg.solve(dense, np.append(f, g))
+    np.testing.assert_allclose(x, want[:-1], rtol=0, atol=1e-10 * np.linalg.norm(want[:-1]))
+    assert abs(y - want[-1]) <= 1e-10 * abs(want[-1])
+    assert abs(row @ x - g) <= 1e-13 * abs(g)
 
 
 @pytest.fixture
@@ -129,9 +161,18 @@ def cg_log(monkeypatch):
     "spec",
     [MESHES["interval-400"], DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (64, 64)), MESHES["rect-40x80"]],
 )
-def test_corrector_solves_take_at_most_two_iterations(spec, cg_log):
+def test_corrector_solves_take_at_most_two_iterations(spec, cg_log, monkeypatch):
+    solves = []
+    solve = operators.solve_bordered_system
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "solve_bordered_system", counting_solve)
     run_analysis(build_mesh(spec), NonlinearityModel.psi_k(3, 1.0))
-    assert cg_log and max(cg_log) <= 2
+    assert solves and len(cg_log) == len(solves)  # one CG solve per corrector
+    assert max(cg_log) <= 2
 
 
 def test_newton_iterations_per_step_do_not_grow_with_mesh(cg_log):
@@ -143,6 +184,8 @@ def test_newton_iterations_per_step_do_not_grow_with_mesh(cg_log):
         cg_log.clear()
         branch = trace_branch(model, mesh, DEFAULT_S_VALUES, analysis=analysis)
         assert len(branch.points) == len(DEFAULT_S_VALUES)
-        per_step[n] = sum(cg_log) / sum(p.newton_iters for p in branch.points)
+        steps = sum(p.newton_iters for p in branch.points)
+        assert len(cg_log) <= 2 * steps
+        per_step[n] = sum(cg_log) / steps
     assert per_step[128] <= per_step[32] + 1.0
     assert per_step[128] <= 20.0
