@@ -39,12 +39,7 @@ from .diagnostics import (
 from .errors import CoexistError, ConfigError, ConvergenceError, SolvabilityError
 from .mesh import DomainSpec, Mesh, build_mesh, inner_product, l2_norm
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
-from .operators import (
-    BorderedSolution,
-    SparseOperator,
-    assemble_laplacian,
-    bordered_solve,
-)
+from .operators import BorderedSolution, Laplacian, bordered_solve
 from .spectrum import (
     CRReport,
     Eigenpair,
@@ -60,9 +55,8 @@ __all__ = [
     "build_mesh",
     "inner_product",
     "l2_norm",
-    "SparseOperator",
+    "Laplacian",
     "BorderedSolution",
-    "assemble_laplacian",
     "bordered_solve",
     "Eigenpair",
     "CRReport",

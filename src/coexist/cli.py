@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
 from .diagnostics import AnalysisResult, Tolerances, eigendata, psi_k_table, run_analysis
-from .errors import ConfigError, ConvergenceError, SolvabilityError
+from .errors import ConfigError, ConvergenceError, SolvabilityError, as_number
 from .mesh import DomainSpec, build_mesh, l2_norm
 from .nonlinearity import NonlinearityModel
 
@@ -96,14 +96,14 @@ class RunConfig:
         bad = set(out_raw) - {f.name for f in dataclasses.fields(Outputs)}
         if bad:
             raise ConfigError(f"unknown output fields: {sorted(bad)}")
-        s_values = _numbers(raw, "s_values", DEFAULT_S_VALUES, float)
+        s_values = _numbers(raw, "s_values", DEFAULT_S_VALUES)
         if any(s == 0.0 for s in s_values):
             raise ConfigError("s_values must not contain 0 (the trivial branch)")
         if len(set(s_values)) != len(s_values):
             raise ConfigError("s_values must not contain duplicates")
         if not fit_supported(s_values):
             raise ConfigError(f"s_values must hold >= 5 values spanning both signs of s, got {list(s_values)}")
-        k_list = _numbers(raw, "k_list", (3, 4, 5, 6, 7, 8), int)
+        k_list = _numbers(raw, "k_list", (3, 4, 5, 6, 7, 8), integer=True)
         if any(not 3 <= k <= 8 for k in k_list):
             raise ConfigError(f"k_list entries must lie in 3..8, got {list(k_list)}")
         return RunConfig(
@@ -113,7 +113,7 @@ class RunConfig:
             tolerances=tolerances,
             outputs=Outputs(**out_raw),
             k_list=k_list,
-            eta_list=_numbers(raw, "eta_list", None, float) if "eta_list" in raw else None,
+            eta_list=_numbers(raw, "eta_list", None) if "eta_list" in raw else None,
         )
 
     def to_dict(self) -> dict:
@@ -150,9 +150,9 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
-def _numbers(raw: dict, key: str, default, cast) -> tuple:
+def _numbers(raw: dict, key: str, default, integer: bool = False) -> tuple:
     try:
-        values = tuple(cast(x) for x in raw.get(key, default))
+        values = tuple(as_number(x, f"{key} entry", integer) for x in raw.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a list of numbers: {exc}") from None
     if not values:

@@ -24,7 +24,7 @@ from .diagnostics import AnalysisResult
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
 from .nonlinearity import NonlinearityModel, apply, apply_derivative
-from .operators import MatVec, SparseOperator, solve_bordered_system
+from .operators import Laplacian, MatVec, solve_bordered_system
 
 __all__ = [
     "BranchPoint",
@@ -74,13 +74,13 @@ class Branch:
     truncations: tuple[str, ...] = ()
 
 
-def residual(U: Array, lam: float, model: NonlinearityModel, L: SparseOperator) -> Array:
+def residual(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> Array:
     """F(U, lambda) = L U - lambda U + V_L U - g(U); identically zero on
     the trivial branch U = 0."""
     return L.apply(U) + (model.V_L - lam) * U - apply(model, U)
 
 
-def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: SparseOperator) -> MatVec:
+def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> MatVec:
     """The action of dF/dU at (U, lambda): d -> (L - lambda + V_L - g'(U)) d,
     with the diagonal evaluated once so g'(U) is not recomputed per call.
 
@@ -93,7 +93,7 @@ def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: SparseOper
 def solve_at_amplitude(
     s: float,
     model: NonlinearityModel,
-    L: SparseOperator,
+    L: Laplacian,
     mesh: Mesh,
     u0: Array,
     lambda0: float,
@@ -136,17 +136,8 @@ def solve_at_amplitude(
             )
         try:
             dU, dlam = solve_bordered_system(
-                jacobian_apply(U, lam, model, L),
-                u0,
-                -U,
-                row,
-                -F,
-                -cres,
-                mesh,
-                lam,
-                rtol=linear_rtol,
-                atol=linear_atol,
-                max_iter=max(2000, 4 * L.n),
+                jacobian_apply(U, lam, model, L), u0, -U, row, -F, -cres, mesh, lam,
+                rtol=linear_rtol, atol=linear_atol, max_iter=max(2000, 4 * L.n),
             )
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -216,13 +207,7 @@ def trace_branch(
             prev = pt
 
     points.sort(key=lambda p: p.s)
-    branch = Branch(
-        points=tuple(points),
-        model=model,
-        lambda0=lambda0,
-        fit=None,
-        truncations=tuple(truncations),
-    )
+    branch = Branch(points=tuple(points), model=model, lambda0=lambda0, truncations=tuple(truncations))
     try:
         return dataclasses.replace(branch, fit=fit_local_expansion(branch))
     except ValueError:

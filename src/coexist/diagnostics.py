@@ -15,7 +15,7 @@ contributions cancel identically for constant V_L, so they never appear
 in these closed forms; the raw forms including them are exercised in the
 test suite as an independent cross-check.
 
-Every command runs the same two steps: `eigendata` (assemble L, the
+Every command runs the same two steps: `eigendata` (the stencil L, the
 closed-form eigenpairs, the bifurcation-point checks) once per mesh, then
 `diagnose` (mu_s, z_s, the moments, mu_ss, the type) once per model.
 
@@ -36,7 +36,7 @@ import numpy.typing as npt
 from .errors import ConfigError, SolvabilityError
 from .mesh import Mesh, inner_product
 from .nonlinearity import NonlinearityModel, derivative_at_zero
-from .operators import BorderedSolution, SparseOperator, assemble_laplacian, bordered_solve
+from .operators import BorderedSolution, Laplacian, bordered_solve
 from .spectrum import CRReport, Eigenpair, principal_eigenpair, second_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
@@ -179,7 +179,7 @@ class Tolerances:
             v = getattr(self, f.name)
             if v is None and f.default is None:
                 continue  # resolved from lambda0
-            if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
                 raise ConfigError(f"tolerance {f.name} must be a finite number > 0, got {v!r}")
 
     def resolved_zero_tol(self, lambda0: float) -> float:
@@ -198,7 +198,7 @@ def compute_mu_s(u0: Array, model: NonlinearityModel, mesh: Mesh) -> float:
 
 
 def compute_z_s(
-    L: SparseOperator,
+    L: Laplacian,
     u0: Array,
     model: NonlinearityModel,
     mesh: Mesh,
@@ -292,11 +292,11 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: in
 
 @dataclass(frozen=True, eq=False)
 class EigenData:
-    """The eigen stage on one mesh: the assembled L, the principal pair
-    (lambda0, u0) and the bifurcation-point checks, which carry lambda1."""
+    """The eigen stage on one mesh: the matrix-free stencil L, the principal
+    pair (lambda0, u0) and the bifurcation-point checks, which carry lambda1."""
 
     mesh: Mesh
-    operator: SparseOperator
+    operator: Laplacian
     eigenpair: Eigenpair
     cr_report: CRReport
 
@@ -315,13 +315,13 @@ class AnalysisResult(EigenData):
 
 
 def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
-    """Assemble L, take its closed-form principal and second eigenpairs and
-    check the bifurcation point. The second pair is certified at
-    max(eigen_tol, 1e-10), so an eigen_tol below 1e-10 tightens only the
-    principal pair."""
+    """Build the stencil L, take the closed-form principal and second
+    eigenpairs certified against it, and check the bifurcation point. The
+    second pair is certified at max(eigen_tol, 1e-10), so an eigen_tol
+    below 1e-10 tightens only the principal pair."""
     tol = tolerances or Tolerances()
     tol.validate()
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=tol.eigen_tol)
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict number
+conversion that configuration parsing raises ConfigError from."""
+
+import numbers
 
 __all__ = ["CoexistError", "ConfigError", "ConvergenceError", "SolvabilityError"]
 
@@ -30,3 +33,11 @@ class SolvabilityError(CoexistError):
     def __init__(self, message: str, xi: float):
         super().__init__(f"{message} (kernel multiplier xi={xi:.3e})")
         self.xi = xi
+
+
+def as_number(x, field: str, integer: bool = False) -> float | int:
+    """x as a float, or as an int for an integer field. A bool, a string, or
+    a float in an integer field (even 3.0) is a ConfigError, not a cast."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integer else numbers.Real):
+        raise ConfigError(f"{field} must be {'an integer' if integer else 'a number'}, got {x!r}")
+    return int(x) if integer else float(x)

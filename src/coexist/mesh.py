@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigError
+from .errors import ConfigError, as_number
 
 __all__ = ["DomainSpec", "Mesh", "build_mesh", "inner_product", "l2_norm"]
 
@@ -37,8 +37,10 @@ class DomainSpec:
     resolution: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(tuple(float(b) for b in ax) for ax in self.bounds))
-        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
+        bounds = tuple(tuple(as_number(b, "domain.bounds") for b in ax) for ax in self.bounds)
+        object.__setattr__(self, "bounds", bounds)
+        resolution = tuple(as_number(n, "domain.resolution", integer=True) for n in self.resolution)
+        object.__setattr__(self, "resolution", resolution)
 
     def validate(self) -> None:
         if self.kind not in _AXES_FOR_KIND:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigError
+from .errors import ConfigError, as_number
 
 __all__ = ["NonlinearityModel", "derivative_at_zero", "apply", "apply_derivative"]
 
@@ -49,7 +49,7 @@ class NonlinearityModel:
             # k = 2 is the linear interaction in disguise: g = -eta*u
             object.__setattr__(self, "V_L", -self.eta if self.k == 2 else 0.0)
         elif self.kind == "polynomial":
-            coeffs = tuple(float(c) for c in self.poly_coeffs)
+            coeffs = tuple(as_number(c, "model.coeffs") for c in self.poly_coeffs)
             if not 1 <= len(coeffs) <= _MAX_POLY_DEGREE:
                 raise ConfigError(
                     f"polynomial expects 1..{_MAX_POLY_DEGREE} coefficients, got {len(coeffs)}"
@@ -71,11 +71,12 @@ class NonlinearityModel:
 
     @staticmethod
     def linear(V_L: float) -> "NonlinearityModel":
-        return NonlinearityModel(kind="linear", V_L=float(V_L))
+        return NonlinearityModel(kind="linear", V_L=as_number(V_L, "model.V_L"))
 
     @staticmethod
     def psi_k(k: int, eta: float) -> "NonlinearityModel":
-        return NonlinearityModel(kind="psi_k", k=int(k), eta=float(eta))
+        k, eta = as_number(k, "model.k", integer=True), as_number(eta, "model.eta")
+        return NonlinearityModel(kind="psi_k", k=k, eta=eta)
 
     @staticmethod
     def polynomial(coeffs) -> "NonlinearityModel":

@@ -1,38 +1,39 @@
 """Discrete Dirichlet Laplacian, its exact spectral core, and the linear
 solvers built on them.
 
-The type-I discrete sine transform (DST-I) diagonalises L exactly
-(Buzbee, Golub and Nielson 1970; Swarztrauber 1977). Along an axis of at
-most 512 nodes it is one BLAS product with the cached dense sine matrix;
-longer axes use scipy.fft.dst. Two solvers live here: preconditioned
-conjugate gradients for SPD systems, and a bordered solver for operators
-A = L - sigma + (small diagonal) whose near-kernel is the principal sine
-mode u0. The bordered solve reads the u0 component of its solution off
-the row constraint and runs CG with the projected operator P A,
-P = I - q q^T and q = u0/||u0||, on the orthogonal complement of u0,
-where the DST inverse of L - sigma with the principal mode zeroed is
-exact. `bordered_solve` returns the unique kernel-orthogonal solution
-plus a scalar multiplier xi equal to the kernel component of the
-right-hand side, so callers can check solvability explicitly.
+L is the matrix-free 3- or 5-point stencil; nothing is assembled. The
+type-I discrete sine transform (DST-I) diagonalises it exactly (Buzbee,
+Golub and Nielson 1970; Swarztrauber 1977). Along an axis of at most 512
+nodes it is one BLAS product with the cached dense sine matrix; longer
+axes use scipy.fft.dst, the package's only use of scipy. Two solvers
+live here: preconditioned conjugate gradients for SPD systems, and a
+bordered solver for operators A = L - sigma + (small diagonal) whose
+near-kernel is the principal sine mode u0. The bordered solve reads the
+u0 component of its solution off the row constraint and runs CG with the
+projected operator P A, P = I - q q^T and q = u0/||u0||, on the
+orthogonal complement of u0, where the DST inverse of L - sigma with the
+principal mode zeroed is exact. `bordered_solve` returns the unique
+kernel-orthogonal solution plus a scalar multiplier xi equal to the
+kernel component of the right-hand side, so callers can check
+solvability explicitly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 import numpy.typing as npt
-import scipy.sparse as sp
 
 from .errors import ConvergenceError
 from .mesh import Mesh, l2_norm
 
 __all__ = [
-    "SparseOperator",
+    "Laplacian",
     "BorderedSolution",
-    "assemble_laplacian",
     "axis_eigenvalues",
     "dst",
     "spectral_inverse",
@@ -44,14 +45,41 @@ MatVec = Callable[[Array], Array]
 
 
 @dataclass(frozen=True, eq=False)
-class SparseOperator:
-    """Sparse symmetric operator in compressed-row storage."""
+class Laplacian:
+    """Matrix-free Dirichlet Laplacian: the 3-point (interval) or 5-point
+    (rectangle) stencil on the grid shape, with 1/h^2 per axis."""
 
-    n: int
-    matrix: sp.csr_matrix
+    shape: tuple[int, ...]
+    inv_h2: tuple[float, ...]
 
-    def apply(self, x: Array) -> Array:
-        return self.matrix @ x
+    @staticmethod
+    def of(mesh: Mesh) -> "Laplacian":
+        return Laplacian(shape=mesh.spec.resolution, inv_h2=tuple(1.0 / h**2 for h in mesh.h))
+
+    @property
+    def n(self) -> int:
+        return math.prod(self.shape)
+
+    def apply(self, v: Array) -> Array:
+        """L v as a fresh array (callers hold earlier results), with one
+        temporary per axis: the neighbours' values scaled by 1/h^2."""
+        x = np.asarray(v).reshape(self.shape)
+        out = x * (2.0 * sum(self.inv_h2))
+        for c in self.inv_h2[:-1]:  # first axis of a rectangle
+            scaled = c * x
+            out[1:] -= scaled[:-1]
+            out[:-1] -= scaled[1:]
+        # the last axis on the flat, contiguous view; zeroing each row's end
+        # entry in turn stops the shift coupling one row to the next
+        c = self.inv_h2[-1]
+        scaled = c * x
+        scaled[..., -1] = 0.0
+        flat, flat_scaled = out.reshape(-1), scaled.reshape(-1)
+        flat[1:] -= flat_scaled[:-1]
+        scaled[..., -1] = c * x[..., -1]
+        scaled[..., 0] = 0.0
+        flat[:-1] -= flat_scaled[1:]
+        return flat
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,28 +89,6 @@ class BorderedSolution:
     z: Array
     xi: float
     residual_norm: float
-
-
-def _laplacian_1d(n: int, h: float) -> sp.csr_matrix:
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags_array([off, main, off], offsets=[-1, 0, 1]).tocsr()
-
-
-def assemble_laplacian(mesh: Mesh) -> SparseOperator:
-    """Second-order central-difference Laplacian with Dirichlet rows
-    eliminated: 3-point stencil on intervals, 5-point on rectangles.
-    """
-    blocks = [_laplacian_1d(n, h) for n, h in zip(mesh.spec.resolution, mesh.h)]
-    if mesh.dim == 1:
-        L = blocks[0]
-    else:
-        l0, l1 = blocks
-        i0 = sp.identity(l0.shape[0], format="csr")
-        i1 = sp.identity(l1.shape[0], format="csr")
-        L = (sp.kron(l0, i1) + sp.kron(i0, l1)).tocsr()
-    L.sort_indices()
-    return SparseOperator(n=mesh.n_nodes, matrix=L)
 
 
 def axis_eigenvalues(mesh: Mesh) -> list[Array]:
@@ -253,7 +259,7 @@ def solve_bordered_system(
 
 
 def bordered_solve(
-    L: SparseOperator,
+    L: Laplacian,
     u0: Array,
     rhs: Array,
     mesh: Mesh,

@@ -4,7 +4,7 @@ checks that certify the bifurcation point.
 On a uniform product grid the Dirichlet Laplacian's eigenvectors are
 products of sines, sin(j pi i / (n+1)) per axis, with eigenvalues
 sum_axes 4/h^2 sin^2(j pi / (2(n+1))). Both eigenpairs are these closed
-forms; each is certified by its residual against the assembled L.
+forms; each is certified by its residual against the stencil L.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy.typing as npt
 
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
-from .operators import SparseOperator, axis_eigenvalues
+from .operators import Laplacian, axis_eigenvalues
 
 __all__ = [
     "Eigenpair",
@@ -63,11 +63,11 @@ class CRReport:
         return asdict(self)
 
 
-def _sine_mode(L: SparseOperator, mesh: Mesh, modes: tuple[int, ...], tol: float) -> Eigenpair:
+def _sine_mode(L: Laplacian, mesh: Mesh, modes: tuple[int, ...], tol: float) -> Eigenpair:
     """The mesh-normalized sine mode prod_a sin(j_a pi (x_a - lo_a) / len_a),
     j_a = modes[a]. Raises ConvergenceError when its residual against the
-    assembled L exceeds tol (L is not this mesh's Laplacian, or rounding
-    in L v alone exceeds tol)."""
+    stencil L exceeds tol (L is not this mesh's Laplacian, or rounding in
+    L v alone exceeds tol)."""
     lam = float(sum(ev[j - 1] for ev, j in zip(axis_eigenvalues(mesh), modes)))
     axes = zip(modes, mesh.axis_coords, mesh.spec.bounds)
     v = reduce(np.multiply.outer, [np.sin(j * np.pi * (x - lo) / (hi - lo)) for j, x, (lo, hi) in axes]).ravel()
@@ -78,13 +78,13 @@ def _sine_mode(L: SparseOperator, mesh: Mesh, modes: tuple[int, ...], tol: float
     return Eigenpair(eigenvalue=lam, vector=v, residual=res)
 
 
-def principal_eigenpair(L: SparseOperator, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
+def principal_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
     """Smallest eigenvalue of L and its positive, mesh-normalized
     eigenfunction: the sine mode (1, ..., 1)."""
     return _sine_mode(L, mesh, (1,) * mesh.dim, tol)
 
 
-def second_eigenpair(L: SparseOperator, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
+def second_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
     """Smallest eigenvalue of L on the complement of the principal
     eigenvector, with its mesh-normalized eigenvector. Eigenvalues grow
     with each mode index, so this is mode index 2 on the axis whose step

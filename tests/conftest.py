@@ -1,11 +1,12 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from coexist import (
     DomainSpec,
-    assemble_laplacian,
+    Laplacian,
     build_mesh,
     principal_eigenpair,
     second_eigenpair,
@@ -25,6 +26,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
 
 
+def dense(L) -> np.ndarray:
+    """The stencil as a dense matrix, column j = L.apply(e_j)."""
+    return np.column_stack([L.apply(e) for e in np.eye(L.n)])
+
+
 def interval_mesh(n: int):
     return build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
 
@@ -41,7 +47,7 @@ def mesh400():
 
 @pytest.fixture(scope="session")
 def lap400(mesh400):
-    return assemble_laplacian(mesh400)
+    return Laplacian.of(mesh400)
 
 
 @pytest.fixture(scope="session")
@@ -66,7 +72,7 @@ def mesh2d_128():
 
 @pytest.fixture(scope="session")
 def lap2d_128(mesh2d_128):
-    return assemble_laplacian(mesh2d_128)
+    return Laplacian.of(mesh2d_128)
 
 
 @pytest.fixture(scope="session")

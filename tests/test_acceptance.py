@@ -13,8 +13,8 @@ import pytest
 
 from coexist import (
     DomainSpec,
+    Laplacian,
     NonlinearityModel,
-    assemble_laplacian,
     build_mesh,
     compute_mu_s,
     compute_mu_ss,
@@ -203,7 +203,7 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
             failures.append(f"parity: U(+{s}) != -U(-{s}) above 1e-8")
 
     # Jacobian vs central differences over 100 random states
-    Lap100 = assemble_laplacian(mesh100)
+    Lap100 = Laplacian.of(mesh100)
     model_cycle = zoo + [NonlinearityModel.psi_k(6, 2.0)]
     rng = np.random.default_rng(2024)
     eps = 1e-5
@@ -245,7 +245,7 @@ def test_criterion_7_convergence_orders():
     errors = {"lambda0": [], "mu_s_psi3": [], "mu_ss_psi4": []}
     for n in (100, 200, 400):
         mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        L = assemble_laplacian(mesh)
+        L = Laplacian.of(mesh)
         pair = principal_eigenpair(L, mesh, tol=1e-11)
         u0 = pair.vector
         errors["lambda0"].append(abs(pair.eigenvalue - 1.0))

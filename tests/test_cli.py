@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from coexist.cli import (
     load_config,
     main,
 )
+import coexist
 from coexist import diagnostics
 from coexist.errors import ConfigError
 
@@ -121,6 +125,17 @@ class TestConfig:
             "s_values=[0.02,0.04]",
             "s_values=[0.02,0.04,0.06,0.08,0.1]",
             "s_values=[-0.06,-0.04,-0.02,0.02]",
+            # integer fields take integers only; bools are not numbers
+            "model.k=3.9",
+            "domain.resolution=[50.7]",
+            "k_list=[3.5,4]",
+            'model.k="3"',
+            "model.eta=true",
+            "domain.resolution=[true]",
+            "domain.bounds=[[false,1]]",
+            "eta_list=[true]",
+            "s_values=[true,-0.1,-0.2,0.2,0.3]",
+            "tolerances.eigen_tol=true",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
@@ -344,3 +359,24 @@ class TestMain:
         assert (tmp_path / "branch.csv").exists()
         assert main(["table", "--config", path, "--out-dir", str(tmp_path), "--override", "k_list=[3,4]"]) == EXIT_OK
         assert (tmp_path / "table.csv").exists()
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy backs only the DST of axes over 512 nodes; importing the CLI and
+    # analysing and tracing a 64^2 square must not load any of it
+    script = f"""
+import sys
+import coexist.cli as cli
+cfg = cli.RunConfig.from_dict({{
+    "domain": {{"kind": "rectangle", "bounds": [[0, 3.14159], [0, 3.14159]], "resolution": [64, 64]}},
+    "model": {{"kind": "psi_k", "k": 3, "eta": 1.0}},
+}})
+cli.cmd_analyze(cfg, {str(tmp_path)!r})
+assert cli.cmd_trace(cfg, {str(tmp_path)!r})[1] == cli.EXIT_OK
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(coexist.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

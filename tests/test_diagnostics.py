@@ -7,9 +7,9 @@ from coexist import (
     CoexistenceSide,
     CoexistenceType,
     DomainSpec,
+    Laplacian,
     NonlinearityModel,
     SolvabilityError,
-    assemble_laplacian,
     bordered_solve,
     build_mesh,
     classify,
@@ -25,6 +25,8 @@ from coexist import (
     run_analysis,
 )
 from coexist.diagnostics import Tolerances
+
+from conftest import dense
 
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
@@ -117,14 +119,14 @@ class TestCorrector:
     def test_cubic_corrector_against_dense_oracle(self):
         n = 100
         mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        L = assemble_laplacian(mesh)
+        L = Laplacian.of(mesh)
         pair = principal_eigenpair(L, mesh, tol=1e-12)
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh)
         sol = compute_z_s(L, pair.vector, model, mesh, mu_s, pair.eigenvalue)
 
         K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = L.matrix.toarray() - pair.eigenvalue * np.eye(n)
+        K[:n, :n] = dense(L) - pair.eigenvalue * np.eye(n)
         K[:n, n] = pair.vector
         K[n, :n] = mesh.quad_weights * pair.vector
         rhs = mu_s * pair.vector + 0.5 * derivative_at_zero(model, 2) * pair.vector**2

@@ -2,12 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from coexist import (
     DomainSpec,
-    SparseOperator,
-    assemble_laplacian,
+    Laplacian,
     bordered_solve,
     build_mesh,
     inner_product,
@@ -16,26 +14,28 @@ from coexist import (
 )
 from coexist.operators import _cg
 
+from conftest import dense
+
 PI = math.pi
 
 
 def test_stencil_interval_resolution_3():
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (3,)))
-    L = assemble_laplacian(mesh)
-    dense = L.matrix.toarray()
-    np.testing.assert_allclose(np.diag(dense), 32 / PI**2, rtol=1e-14)
-    np.testing.assert_allclose(np.diag(dense, 1), -16 / PI**2, rtol=1e-14)
-    np.testing.assert_allclose(np.diag(dense, -1), -16 / PI**2, rtol=1e-14)
+    D = dense(Laplacian.of(mesh))
+    np.testing.assert_allclose(np.diag(D), 32 / PI**2, rtol=1e-14)
+    np.testing.assert_allclose(np.diag(D, 1), -16 / PI**2, rtol=1e-14)
+    np.testing.assert_allclose(np.diag(D, -1), -16 / PI**2, rtol=1e-14)
+    assert np.count_nonzero(D) == 3 * 3 - 2
 
 
 def test_smallest_eigenvalue_matches_sine_mode_formula():
     # discrete identity: lambda_min = (2/h^2)(1 - cos(pi h / L)) on (0, L)
     n = 50
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     h = mesh.h[0]
     formula = 2.0 / h**2 * (1.0 - math.cos(PI * h / PI))
-    dense_min = np.linalg.eigvalsh(L.matrix.toarray())[0]
+    dense_min = np.linalg.eigvalsh(dense(L))[0]
     assert dense_min == pytest.approx(formula, rel=1e-12)
     pair = principal_eigenpair(L, mesh, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(formula, rel=1e-10)
@@ -45,7 +45,7 @@ def test_2d_smallest_eigenvalue_tends_to_2():
     errs = []
     for n in (8, 16, 32):
         mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (n, n)))
-        L = assemble_laplacian(mesh)
+        L = Laplacian.of(mesh)
         pair = principal_eigenpair(L, mesh, tol=1e-10)
         errs.append(abs(pair.eigenvalue - 2.0))
     assert errs[0] > errs[1] > errs[2]
@@ -54,10 +54,10 @@ def test_2d_smallest_eigenvalue_tends_to_2():
 
 def test_symmetry_and_row_sums():
     mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (7, 5)))
-    L = assemble_laplacian(mesh)
-    assert (L.matrix != L.matrix.T).nnz == 0  # exactly symmetric
-    sums = np.asarray(L.matrix.sum(axis=1)).ravel()
-    scale = np.max(np.abs(L.matrix.data))
+    D = dense(Laplacian.of(mesh))
+    assert np.array_equal(D, D.T)  # exactly symmetric
+    sums = D.sum(axis=1)
+    scale = np.max(np.abs(D))
     assert np.all(sums >= -1e-14 * scale)
     # rows not adjacent to the boundary sum to zero, the rest are positive
     n0, n1 = mesh.spec.resolution
@@ -68,18 +68,41 @@ def test_symmetry_and_row_sums():
     assert np.all(sums[~interior] > 0)
 
 
-def test_csr_layout_exposed():
-    mesh = build_mesh(DomainSpec("interval", ((0.0, 1.0),), (5,)))
-    L = assemble_laplacian(mesh)
-    M = L.matrix
-    assert M.format == "csr"
-    assert M.indptr.shape == (6,)
-    assert M.indices.shape == M.data.shape
-    assert L.n == 5
-    # every diagonal entry is stored
-    for i in range(L.n):
-        cols = M.indices[M.indptr[i] : M.indptr[i + 1]]
-        assert i in cols
+def test_stencil_matches_kronecker_sum():
+    # independent oracle: the Kronecker sum kron(T0, I) + kron(I, T1) of the
+    # per-axis tridiagonal matrices, in lexicographic node order
+    def tridiagonal(n, h):
+        return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+
+    for spec in (
+        DomainSpec("interval", ((0.0, 1.0),), (5,)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (7, 5)),
+        DomainSpec("rectangle", ((0.0, 1.0), (0.0, 3.0)), (3, 4)),
+    ):
+        mesh = build_mesh(spec)
+        L = Laplacian.of(mesh)
+        blocks = [tridiagonal(n, h) for n, h in zip(spec.resolution, mesh.h)]
+        if mesh.dim == 1:
+            want = blocks[0]
+        else:
+            t0, t1 = blocks
+            want = np.kron(t0, np.eye(len(t1))) + np.kron(np.eye(len(t0)), t1)
+        assert L.n == mesh.n_nodes
+        assert np.array_equal(dense(L), want)
+        # a general vector differs from the matrix product by rounding only
+        v = np.random.default_rng(5).standard_normal(L.n)
+        bound = 8 * np.finfo(float).eps * np.abs(want).sum(axis=1).max() * np.abs(v).max()
+        np.testing.assert_allclose(L.apply(v), want @ v, rtol=0, atol=bound)
+
+
+def test_apply_returns_a_fresh_array():
+    # solve_bordered_system keeps one result while CG asks for the next
+    L = Laplacian.of(build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (6, 9))))
+    v = np.random.default_rng(4).standard_normal(L.n)
+    kept = v.copy()
+    first, second = L.apply(v), L.apply(v)
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, v)
+    assert np.array_equal(first, second) and np.array_equal(v, kept)
 
 
 # The SPD solves below run the CG kernel with the identity preconditioner
@@ -99,9 +122,8 @@ def test_solve_spd_zero_rhs(lap400, mesh400):
 def test_solve_spd_diagonal_operator():
     c = 2.5
     n = 40
-    op = SparseOperator(n=n, matrix=sp.identity(n, format="csr") * c)
     b = np.linspace(-1, 1, n)
-    x, _, _ = _cg(op.apply, b, identity, rtol=1e-14, atol=1e-14, max_iter=2000)
+    x, _, _ = _cg(lambda v: c * v, b, identity, rtol=1e-14, atol=1e-14, max_iter=2000)
     np.testing.assert_allclose(x, b / c, rtol=1e-13)
 
 
@@ -165,7 +187,7 @@ def test_bordered_against_dense_saddle_oracle():
     # independent oracle: LAPACK solve of the dense augmented system
     n = 100
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-12)
     u0 = pair.vector
     eta = 1.0
@@ -173,7 +195,7 @@ def test_bordered_against_dense_saddle_oracle():
     rhs = mu_s * u0 - eta * u0 * u0
 
     K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = L.matrix.toarray() - pair.eigenvalue * np.eye(n)
+    K[:n, :n] = dense(L) - pair.eigenvalue * np.eye(n)
     K[:n, n] = u0
     K[n, :n] = mesh.quad_weights * u0
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))

@@ -9,8 +9,8 @@ import pytest
 
 from coexist import (
     DomainSpec,
+    Laplacian,
     NonlinearityModel,
-    assemble_laplacian,
     build_mesh,
     principal_eigenpair,
     run_analysis,
@@ -19,6 +19,8 @@ from coexist import (
 from coexist import operators
 from coexist.continuation import DEFAULT_S_VALUES
 from coexist.operators import axis_eigenvalues, dst, spectral_inverse
+
+from conftest import dense
 
 PI = math.pi
 
@@ -78,7 +80,7 @@ def test_dst_matches_dense_sine_matrix_2d():
 @pytest.mark.parametrize("name", ["interval-3", "square-48", "rect-40x80"])
 def test_sine_modes_diagonalise_assembled_laplacian(name):
     mesh = build_mesh(MESHES[name])
-    L = assemble_laplacian(mesh).matrix.toarray()
+    L = dense(Laplacian.of(mesh))
     S = np.column_stack([dst(mesh, e) for e in np.eye(mesh.n_nodes)])
     modes = reduce(np.add.outer, axis_eigenvalues(mesh)).ravel()  # node order of dst's output
     np.testing.assert_allclose(S @ L @ S, np.diag(modes), atol=1e-12 * np.abs(L).max())
@@ -93,7 +95,7 @@ def test_spectral_inverse_is_exact(name, offset):
     # the error by about eps * ||L|| / (lambda1 - sigma) ~ 1e-11 relative
     # at n = 400; typical errors sit an order of magnitude below that.
     mesh = build_mesh(MESHES[name])
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     q = np.ones(1)
     for n in mesh.spec.resolution:
         q = np.multiply.outer(q, np.sin(np.pi * np.arange(1, n + 1) / (n + 1)))
@@ -118,7 +120,7 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     # the Newton form: A = L - lam + diag(d), a border column that is not
     # u0, and a nonzero amplitude defect g
     mesh = build_mesh(spec)
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     eig = principal_eigenpair(L, mesh)
     u0, lam = eig.vector, eig.eigenvalue + 0.2
     rng = np.random.default_rng(3)
@@ -130,13 +132,13 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
         lambda v: L.apply(v) + (d - lam) * v, u0, col, row, f, g, mesh, lam,
         rtol=1e-13, atol=1e-14, max_iter=2000,
     )
-    dense = np.block(
+    K = np.block(
         [
-            [L.matrix.toarray() + np.diag(d - lam), col[:, None]],
+            [dense(L) + np.diag(d - lam), col[:, None]],
             [row[None, :], np.zeros((1, 1))],
         ]
     )
-    want = np.linalg.solve(dense, np.append(f, g))
+    want = np.linalg.solve(K, np.append(f, g))
     np.testing.assert_allclose(x, want[:-1], rtol=0, atol=1e-10 * np.linalg.norm(want[:-1]))
     assert abs(y - want[-1]) <= 1e-10 * abs(want[-1])
     assert abs(row @ x - g) <= 1e-13 * abs(g)

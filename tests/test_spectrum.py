@@ -6,7 +6,7 @@ import pytest
 from coexist import (
     ConvergenceError,
     DomainSpec,
-    assemble_laplacian,
+    Laplacian,
     build_mesh,
     inner_product,
     l2_norm,
@@ -51,7 +51,7 @@ def test_second_eigenvalue_interval_400(second400, eig400, mesh400):
 
 def test_principal_eigenpair_square_small():
     mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (48, 48)))
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(2.0, abs=2e-3)
     assert np.all(pair.vector >= 0.0)
@@ -73,7 +73,7 @@ def test_second_eigenvalue_square_128(second2d_128, eig2d_128, mesh2d_128):
 def test_minimal_mesh_eigensolve():
     # smallest admissible grid: 3 interior nodes, closed-form eigenvalue
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (3,)))
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-12)
     h = PI / 4
     assert pair.eigenvalue == pytest.approx(2 / h**2 * (1 - math.cos(h)), rel=1e-12)
@@ -82,7 +82,7 @@ def test_minimal_mesh_eigensolve():
 def test_anisotropic_rectangle():
     # (0, pi) x (0, 2 pi): lambda0 = 1 + 1/4, lambda1 = 1 + 1 (mode (1,2))
     mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (40, 80)))
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(1.25, abs=2e-3)
     lam1 = second_eigenpair(L, mesh, tol=1e-10).eigenvalue
@@ -93,7 +93,7 @@ def test_lambda0_refinement_order():
     errs = []
     for n in (50, 100, 200):
         mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        pair = principal_eigenpair(assemble_laplacian(mesh), mesh, tol=1e-11)
+        pair = principal_eigenpair(Laplacian.of(mesh), mesh, tol=1e-11)
         errs.append(abs(pair.eigenvalue - 1.0))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
@@ -128,7 +128,7 @@ def test_unattainable_tolerance_raises():
     # the closed form's residual against the assembled L sits at the
     # rounding floor, far above 1e-16 and far below the default 1e-10
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (100,)))
-    L = assemble_laplacian(mesh)
+    L = Laplacian.of(mesh)
     with pytest.raises(ConvergenceError) as err:
         principal_eigenpair(L, mesh, tol=1e-16)
     assert 1e-16 < err.value.residual < 1e-12
@@ -137,7 +137,7 @@ def test_unattainable_tolerance_raises():
 
 
 def test_determinism(mesh100):
-    L = assemble_laplacian(mesh100)
+    L = Laplacian.of(mesh100)
     p1 = principal_eigenpair(L, mesh100, tol=1e-10)
     p2 = principal_eigenpair(L, mesh100, tol=1e-10)
     assert p1.eigenvalue == p2.eigenvalue
