@@ -25,7 +25,7 @@ for k, eta in [(4, 1.0), (4, -1.0), (3, 1.0)]:
     model = NonlinearityModel.psi_k(k, eta)
     analysis = run_analysis(mesh, model)
     d = analysis.diagnostics
-    branch = trace_branch(model, mesh, DEFAULT_S_VALUES, analysis=analysis)
+    branch = trace_branch(analysis, DEFAULT_S_VALUES)
     fit = branch.fit
 
     print(f"== {model.describe()} ==")

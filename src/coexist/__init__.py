@@ -28,7 +28,6 @@ from .diagnostics import (
     Tolerances,
     classify,
     compute_mu_s,
-    compute_mu_ss,
     compute_z_s,
     diagnose,
     eigendata,
@@ -76,7 +75,6 @@ __all__ = [
     "TableRow",
     "compute_mu_s",
     "compute_z_s",
-    "compute_mu_ss",
     "psi3_sigma_form",
     "classify",
     "eigendata",

@@ -268,13 +268,7 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """
     mesh = build_mesh(cfg.domain)
     analysis = run_analysis(mesh, cfg.model, cfg.tolerances)
-    branch = trace_branch(
-        cfg.model,
-        mesh,
-        sorted(cfg.s_values),
-        analysis=analysis,
-        newton_tol=cfg.tolerances.newton_tol,
-    )
+    branch = trace_branch(analysis, sorted(cfg.s_values), newton_tol=cfg.tolerances.newton_tol)
     csv_path = _resolve(out_dir, cfg.outputs.branch_csv_path)
     write_branch_csv(csv_path, branch, mesh)
 
@@ -311,7 +305,7 @@ def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
-    """Eigensolves plus the bifurcation-point checks only."""
+    """The per-mesh stage only; reports the bifurcation-point checks."""
     cr = eigendata(build_mesh(cfg.domain), cfg.tolerances).cr_report
     print(f"lambda0          = {cr.lambda0:.12g}")
     print(f"lambda1          = {cr.lambda1:.12g}")

@@ -153,16 +153,15 @@ def solve_at_amplitude(
 
 
 def trace_branch(
-    model: NonlinearityModel,
-    mesh: Mesh,
-    s_values,
     analysis: AnalysisResult,
+    s_values,
     newton_tol: float = 1e-10,
     max_iters: int = 25,
     linear_rtol: float = 1e-8,
 ) -> Branch:
-    """Solve along the given amplitudes, warm-starting each point from
-    its inward neighbour on the same side of s = 0.
+    """Solve along the given amplitudes for the analysis's model and mesh,
+    warm-starting each point from its inward neighbour on the same side
+    of s = 0.
 
     A diverged point truncates its side of the branch; the event is
     recorded on the Branch rather than raised.
@@ -173,7 +172,7 @@ def trace_branch(
     if sorted(s_values) != s_values or len(set(s_values)) != len(s_values):
         raise ValueError("s_values must be strictly increasing")
 
-    u0 = analysis.eigenpair.vector
+    model, mesh, u0 = analysis.model, analysis.mesh, analysis.eigenpair.vector
     lambda0 = analysis.eigenpair.eigenvalue
     d = analysis.diagnostics
 

@@ -5,19 +5,22 @@ With the branch written as u = s*u0 + s*z, (z, u0) = 0, and
 mu(s) = lambda(s) - lambda0, the two numbers that decide the local
 geometry are
 
-    mu_s(0)  = -1/2 * g''(0) * (u0^2, u0)
-    mu_ss(0) = -1/3 * g'''(0) * (u0^3, u0) - 2*g''(0) * (u0*z_s, u0)
-               - 2*mu_s(0) * (z_s, u0)
+    mu_s(0)  = -1/2 * g''(0) * I3
+    mu_ss(0) = -1/3 * g'''(0) * I4 - 2*g''(0)^2 * M_hat
 
-where z_s solves the corrector equation A z_s = mu_s(0)*u0
-+ 1/2*g''(0)*u0^2 on the complement of u0 (A = L - lambda0). The V_L
-contributions cancel identically for constant V_L, so they never appear
-in these closed forms; the raw forms including them are exercised in the
-test suite as an independent cross-check.
+with I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0). The
+unit corrector z_hat solves A z_hat = 1/2*(u0^2 - I3*u0) on the
+complement of u0 (A = L - lambda0). The corrector equation
+A z_s = mu_s(0)*u0 + 1/2*g''(0)*u0^2 is linear in g''(0), so every
+model's corrector is z_s = g''(0)*z_hat. The V_L contributions cancel
+identically for constant V_L, so they never appear in these closed
+forms; the raw forms including them are exercised in the test suite as
+an independent cross-check.
 
 Every command runs the same two steps: `eigendata` (the stencil L, the
-closed-form eigenpairs, the bifurcation-point checks) once per mesh, then
-`diagnose` (mu_s, z_s, the moments, mu_ss, the type) once per model.
+closed-form eigenpairs, the bifurcation-point checks, z_hat and its
+moments) once per mesh, then `diagnose` (mu_s, z_s, the moments, mu_ss,
+the type) once per model, as arithmetic on g''(0) and g'''(0).
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
@@ -49,7 +52,6 @@ __all__ = [
     "AnalysisResult",
     "compute_mu_s",
     "compute_z_s",
-    "compute_mu_ss",
     "psi3_sigma_form",
     "classify",
     "sign_with_tolerance",
@@ -108,9 +110,10 @@ class CoexistenceSide(enum.Enum):
 class Moments:
     """Inner products entering the diagnostics.
 
-    I3 = (u0^2, u0), I4 = (u0^3, u0), M_zu = (u0*z_s, u0),
-    P_zu = (z_s, u0) -- the last vanishes by the orthogonality
-    constraint and is kept as a consistency indicator.
+    I3 = (u0^2, u0), I4 = (u0^3, u0), M_zu = (u0*z, u0) and
+    P_zu = (z, u0) for a corrector z: z_hat on EigenData, z_s on
+    BifurcationDiagnostics. P_zu vanishes by the orthogonality constraint
+    and is kept as a consistency indicator.
     """
 
     I3: float
@@ -119,12 +122,12 @@ class Moments:
     P_zu: float
 
     @staticmethod
-    def of(mesh: Mesh, u0: Array, z_s: Array) -> "Moments":
+    def of(mesh: Mesh, u0: Array, z: Array) -> "Moments":
         return Moments(
             I3=inner_product(mesh, u0 * u0, u0),
             I4=inner_product(mesh, u0 * u0 * u0, u0),
-            M_zu=inner_product(mesh, u0 * z_s, u0),
-            P_zu=inner_product(mesh, z_s, u0),
+            M_zu=inner_product(mesh, u0 * z, u0),
+            P_zu=inner_product(mesh, z, u0),
         )
 
     def mu_ss(self, model: NonlinearityModel, mu_s: float) -> float:
@@ -200,39 +203,24 @@ def compute_mu_s(u0: Array, model: NonlinearityModel, mesh: Mesh) -> float:
 def compute_z_s(
     L: Laplacian,
     u0: Array,
-    model: NonlinearityModel,
     mesh: Mesh,
-    mu_s: float,
     lambda0: float,
     linear_tol: float = 1e-10,
     solvability_tol: float = 1e-8,
 ) -> BorderedSolution:
-    """Corrector z_s at s = 0: solves A z_s = mu_s*u0 + 1/2 g''(0) u0^2
-    with (z_s, u0) = 0, where A = L - lambda0.
+    """Unit corrector z_hat at s = 0: solves A z_hat = 1/2 (u0^2 - I3 u0)
+    with (z_hat, u0) = 0, where A = L - lambda0 and I3 = (u0^2, u0).
+    Every model's corrector is z_s = g''(0) z_hat.
 
-    The right-hand side is kernel-orthogonal by the choice of mu_s, so
-    the returned multiplier must be ~0; a larger value signals an
-    inconsistent mu_s or an unconverged eigenpair and raises.
+    The right-hand side is kernel-orthogonal when u0 is the normalized
+    kernel vector, so the returned multiplier must be ~0; a larger value
+    signals an unconverged or unnormalized eigenpair and raises.
     """
-    g2 = derivative_at_zero(model, 2)
-    rhs = mu_s * u0 + 0.5 * g2 * u0 * u0
-    if not np.any(rhs):
-        return BorderedSolution(z=np.zeros_like(u0), xi=0.0, residual_norm=0.0)
+    rhs = 0.5 * (u0 * u0 - inner_product(mesh, u0 * u0, u0) * u0)
     sol = bordered_solve(L, u0, rhs, mesh, lambda0, tol=linear_tol)
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
     return sol
-
-
-def compute_mu_ss(
-    u0: Array,
-    z_s: Array,
-    model: NonlinearityModel,
-    mesh: Mesh,
-    mu_s: float,
-) -> float:
-    """Second derivative of mu(s) at s = 0, in the V_L-cancelled form."""
-    return Moments.of(mesh, u0, z_s).mu_ss(model, mu_s)
 
 
 def psi3_sigma_form(u0: Array, z_s: Array, eta: float, mesh: Mesh) -> float:
@@ -292,13 +280,17 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: in
 
 @dataclass(frozen=True, eq=False)
 class EigenData:
-    """The eigen stage on one mesh: the matrix-free stencil L, the principal
-    pair (lambda0, u0) and the bifurcation-point checks, which carry lambda1."""
+    """The per-mesh stage: the matrix-free stencil L, the principal pair
+    (lambda0, u0), the bifurcation-point checks, which carry lambda1, and
+    the unit corrector z_hat with Moments.of(mesh, u0, z_hat), whose M_zu
+    and P_zu are M_hat and P_hat."""
 
     mesh: Mesh
     operator: Laplacian
     eigenpair: Eigenpair
     cr_report: CRReport
+    z_hat: Array
+    moments_hat: Moments
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,8 +308,9 @@ class AnalysisResult(EigenData):
 
 def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
     """Build the stencil L, take the closed-form principal and second
-    eigenpairs certified against it, and check the bifurcation point. The
-    second pair is certified at max(eigen_tol, 1e-10), so an eigen_tol
+    eigenpairs certified against it, check the bifurcation point, and
+    solve for the unit corrector z_hat, the one corrector solve per mesh.
+    The second pair is certified at max(eigen_tol, 1e-10), so an eigen_tol
     below 1e-10 tightens only the principal pair."""
     tol = tolerances or Tolerances()
     tol.validate()
@@ -330,25 +323,27 @@ def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
         mesh,
         gap_tol=tol.resolved_gap_tol(pair.eigenvalue),
     )
-    return EigenData(mesh=mesh, operator=L, eigenpair=pair, cr_report=cr)
+    z_hat = compute_z_s(L, pair.vector, mesh, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z
+    return EigenData(
+        mesh=mesh,
+        operator=L,
+        eigenpair=pair,
+        cr_report=cr,
+        z_hat=z_hat,
+        moments_hat=Moments.of(mesh, pair.vector, z_hat),
+    )
 
 
 def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:
-    """mu_s -> corrector z_s -> moments and mu_ss -> classification, for one
-    model on eigendata shared across models."""
+    """mu_s, z_s = g''(0) z_hat, the moments and mu_ss, then the type, for
+    one model on eigendata shared across models; no linear solve."""
     mesh, u0, lambda0 = eig.mesh, eig.eigenpair.vector, eig.eigenpair.eigenvalue
+    g2 = derivative_at_zero(model, 2)
     mu_s = compute_mu_s(u0, model, mesh)
-    z_s = compute_z_s(
-        eig.operator,
-        u0,
-        model,
-        mesh,
-        mu_s,
-        lambda0,
-        linear_tol=tolerances.linear_tol,
-        solvability_tol=tolerances.solvability_tol,
-    ).z
-    moments = Moments.of(mesh, u0, z_s)
+    z_s = g2 * eig.z_hat
+    unit = eig.moments_hat
+    # + 0.0 keeps a vanishing g''(0) at +0.0 where M_hat or P_hat is negative
+    moments = dataclasses.replace(unit, M_zu=g2 * unit.M_zu + 0.0, P_zu=g2 * unit.P_zu + 0.0)
     mu_ss = moments.mu_ss(model, mu_s)
 
     zero_tol = tolerances.resolved_zero_tol(lambda0)
@@ -413,33 +408,34 @@ def psi_k_table(
     """Diagnostics across the power-interaction family g = -eta*u^(k-1),
     one row per (eta, k), etas outermost.
 
-    The eigen stage runs once and is shared by every row; k must lie in
-    3..8 (k = 2 is the linear interaction, handled by the linear kind).
+    The eigen stage and the unit corrector run once and are shared by
+    every row; k must be an integer in 3..8 (k = 2 is the linear
+    interaction, handled by the linear kind).
     """
     for k in k_list:
-        if not 3 <= int(k) <= 8:
+        if not 3 <= k <= 8:
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
+    # built before the eigen stage, so a non-integer k fails first
+    models = [NonlinearityModel.psi_k(k, eta) for eta in eta_list for k in k_list]
     tol = tolerances or Tolerances()
     eig = eigendata(mesh, tol)
 
     rows = []
-    for eta in eta_list:
-        for k in k_list:
-            model = NonlinearityModel.psi_k(int(k), eta)
-            d = diagnose(eig, model, tol)
-            g2 = derivative_at_zero(model, 2)
-            # V_L = 0 for every k >= 3, so the derivative projections close
-            # without a second corrector.
-            proj3 = derivative_at_zero(model, 3) * d.moments.I4 + 6.0 * g2 * d.moments.M_zu
-            rows.append(
-                TableRow(
-                    k=int(k),
-                    eta=eta,
-                    proj2=g2 * d.moments.I3,
-                    proj3=proj3,
-                    mu_s=d.mu_s,
-                    mu_ss=d.mu_ss,
-                    ctype=d.ctype,
-                )
+    for model in models:
+        d = diagnose(eig, model, tol)
+        g2 = derivative_at_zero(model, 2)
+        # V_L = 0 for every k >= 3, so the derivative projections close
+        # without a second corrector.
+        proj3 = derivative_at_zero(model, 3) * d.moments.I4 + 6.0 * g2 * d.moments.M_zu
+        rows.append(
+            TableRow(
+                k=model.k,
+                eta=model.eta,
+                proj2=g2 * d.moments.I3,
+                proj3=proj3,
+                mu_s=d.mu_s,
+                mu_ss=d.mu_ss,
+                ctype=d.ctype,
             )
+        )
     return rows

@@ -43,6 +43,8 @@ class NonlinearityModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown nonlinearity kind {self.kind!r}; expected one of {_KINDS}")
+        for name in ("k", "eta", "V_L"):
+            object.__setattr__(self, name, as_number(getattr(self, name), f"model.{name}", integer=name == "k"))
         if self.kind == "psi_k":
             if self.k < 2:
                 raise ConfigError(f"psi_k needs integer k >= 2, got {self.k}")
@@ -71,11 +73,10 @@ class NonlinearityModel:
 
     @staticmethod
     def linear(V_L: float) -> "NonlinearityModel":
-        return NonlinearityModel(kind="linear", V_L=as_number(V_L, "model.V_L"))
+        return NonlinearityModel(kind="linear", V_L=V_L)
 
     @staticmethod
     def psi_k(k: int, eta: float) -> "NonlinearityModel":
-        k, eta = as_number(k, "model.k", integer=True), as_number(eta, "model.eta")
         return NonlinearityModel(kind="psi_k", k=k, eta=eta)
 
     @staticmethod

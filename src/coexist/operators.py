@@ -107,7 +107,10 @@ def axis_eigenvalues(mesh: Mesh) -> list[Array]:
 _SINE_MATRIX_MAX_N = 512
 
 
-@lru_cache(maxsize=4)
+# Every mesh's corrector solve applies the DST, so a process that revisits
+# several meshes rebuilds a matrix per visit once their distinct axis
+# lengths outnumber the entries. 8 entries hold at most 16 MB (n = 512).
+@lru_cache(maxsize=8)
 def _sine_matrix(n: int) -> Array:
     """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi i j / (n+1)), i, j = 1..n:
     symmetric and its own inverse. Entries are read from one period of the

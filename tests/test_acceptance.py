@@ -14,11 +14,14 @@ import pytest
 from coexist import (
     DomainSpec,
     Laplacian,
+    Moments,
     NonlinearityModel,
+    Tolerances,
     build_mesh,
     compute_mu_s,
-    compute_mu_ss,
     compute_z_s,
+    diagnose,
+    eigendata,
     inner_product,
     jacobian_apply,
     principal_eigenpair,
@@ -51,7 +54,7 @@ def branches(mesh400):
         model = NonlinearityModel.psi_k(k, eta)
         analysis = run_analysis(mesh400, model)
         t0 = time.perf_counter()
-        branch = trace_branch(model, mesh400, DEFAULT_S_VALUES, analysis=analysis)
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
         out[(k, eta)] = (analysis, branch, time.perf_counter() - t0)
     return out
 
@@ -73,18 +76,19 @@ def test_criterion_1_eigenpair_oracle(eig400, second400, eig2d_128):
     record(1, "eigenpair oracle", failures)
 
 
-def test_criterion_2_interaction_table_numbers(mesh400, lap400, eig400):
+def test_criterion_2_interaction_table_numbers(mesh400):
     failures = []
-    pair, _ = eig400
-    u0 = pair.vector
+    tol = Tolerances(eigen_tol=1e-11)
+    eig = eigendata(mesh400, tol)
+    u0 = eig.eigenpair.vector
 
     # cubic interaction
     m3 = NonlinearityModel.psi_k(3, 1.0)
     mu_s3 = compute_mu_s(u0, m3, mesh400)
     if abs(mu_s3 - MU_S_PSI3) > 1e-3:
         failures.append(f"psi3 mu_s = {mu_s3} not within 1e-3 of {MU_S_PSI3}")
-    z3 = compute_z_s(lap400, u0, m3, mesh400, mu_s3, pair.eigenvalue).z
-    mu_ss3 = compute_mu_ss(u0, z3, m3, mesh400, mu_s3)
+    d3 = diagnose(eig, m3, tol)
+    z3, mu_ss3 = d3.z_s, d3.mu_ss
     sigma = psi3_sigma_form(u0, z3, 1.0, mesh400)
     if abs(mu_ss3 - sigma) > 1e-8:
         failures.append(f"psi3 mu_ss = {mu_ss3} differs from sigma form {sigma}")
@@ -97,18 +101,15 @@ def test_criterion_2_interaction_table_numbers(mesh400, lap400, eig400):
     mu_s4 = compute_mu_s(u0, m4, mesh400)
     if mu_s4 != 0.0:
         failures.append(f"psi4 mu_s = {mu_s4}, expected exact 0")
-    z4 = compute_z_s(lap400, u0, m4, mesh400, mu_s4, pair.eigenvalue).z
-    mu_ss4 = compute_mu_ss(u0, z4, m4, mesh400, mu_s4)
+    mu_ss4 = diagnose(eig, m4, tol).mu_ss
     if abs(mu_ss4 - MU_SS_PSI4) > 1e-3:
         failures.append(f"psi4 mu_ss = {mu_ss4} not within 1e-3 of {MU_SS_PSI4}")
 
     # powers 5..7 fully degenerate
     for k in (5, 6, 7):
         mk = NonlinearityModel.psi_k(k, 1.0)
-        mu_s = compute_mu_s(u0, mk, mesh400)
-        zk = compute_z_s(lap400, u0, mk, mesh400, mu_s, pair.eigenvalue).z
-        mu_ss = compute_mu_ss(u0, zk, mk, mesh400, mu_s)
-        if abs(mu_s) > 1e-10 or abs(mu_ss) > 1e-10:
+        dk = diagnose(eig, mk, tol)
+        if abs(dk.mu_s) > 1e-10 or abs(dk.mu_ss) > 1e-10:
             failures.append(f"psi{k} diagnostics not within 1e-10 of 0")
         d = run_analysis(mesh400, mk).diagnostics
         if str(d.ctype) != "II":
@@ -176,7 +177,11 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
     pair, _ = eig400
     u0 = pair.vector
 
-    # orthogonality of the corrector across a model zoo
+    # solvability of the unit corrector, orthogonality of z_s across a model zoo
+    eig = eigendata(mesh400, Tolerances(eigen_tol=1e-11))
+    sol = compute_z_s(lap400, u0, mesh400, pair.eigenvalue)
+    if abs(sol.xi) > 1e-8:
+        failures.append(f"unit corrector: solvability multiplier {sol.xi} above 1e-8")
     zoo = [
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -0.5),
@@ -185,12 +190,8 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
         NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
     ]
     for model in zoo:
-        mu_s = compute_mu_s(u0, model, mesh400)
-        sol = compute_z_s(lap400, u0, model, mesh400, mu_s, pair.eigenvalue)
-        if abs(inner_product(mesh400, sol.z, u0)) > 1e-10:
+        if abs(inner_product(mesh400, diagnose(eig, model, Tolerances()).z_s, u0)) > 1e-10:
             failures.append(f"{model.describe()}: corrector orthogonality above 1e-10")
-        if abs(sol.xi) > 1e-8:
-            failures.append(f"{model.describe()}: solvability multiplier {sol.xi} above 1e-8")
 
     # parity of the quartic branch under s -> -s
     _, branch, _ = branches[(4, 1.0)]
@@ -251,7 +252,7 @@ def test_criterion_7_convergence_orders():
         errors["lambda0"].append(abs(pair.eigenvalue - 1.0))
         mu_s = compute_mu_s(u0, NonlinearityModel.psi_k(3, 1.0), mesh)
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
-        mu_ss = compute_mu_ss(u0, mesh.zeros(), NonlinearityModel.psi_k(4, 1.0), mesh, 0.0)
+        mu_ss = Moments.of(mesh, u0, mesh.zeros()).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         errors["mu_ss_psi4"].append(abs(mu_ss - MU_SS_PSI4))
 
     for name, errs in errors.items():

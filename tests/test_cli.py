@@ -255,19 +255,21 @@ class TestTable:
 class TestTableSharesEigenStage:
     @pytest.mark.parametrize("n_etas", [1, 8])
     def test_one_principal_eigensolve_per_mesh(self, tmp_path, monkeypatch, n_etas):
-        calls = []
-        principal = diagnostics.principal_eigenpair
+        # one principal eigensolve and one corrector solve per mesh
+        calls = {"principal_eigenpair": 0, "bordered_solve": 0}
+        for name in calls:
+            original = getattr(diagnostics, name)
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return principal(*args, **kwargs)
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(diagnostics, "principal_eigenpair", counting)
+            monkeypatch.setattr(diagnostics, name, counting)
         raw = base_config()
         raw["eta_list"] = [0.5 * (i + 1) * (-1) ** i for i in range(n_etas)]
         rows = cmd_table(load_config(write_config(tmp_path, raw)), out_dir=str(tmp_path))
         assert len(rows) == 6 * n_etas
-        assert len(calls) == 1
+        assert calls == {"principal_eigenpair": 1, "bordered_solve": 1}
 
 
 class TestVerify:

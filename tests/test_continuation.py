@@ -153,8 +153,8 @@ class TestSolveAtAmplitude:
 
 
 class TestTraceBranch:
-    def test_quartic_supercritical(self, quartic, mesh400):
-        branch = trace_branch(quartic.model, mesh400, DEFAULT_S_VALUES, analysis=quartic)
+    def test_quartic_supercritical(self, quartic):
+        branch = trace_branch(quartic, DEFAULT_S_VALUES)
         assert len(branch.points) == 10
         assert not branch.truncations
         assert all(p.lam > branch.lambda0 for p in branch.points)
@@ -163,16 +163,16 @@ class TestTraceBranch:
 
     def test_quartic_subcritical_mirror(self, mesh400):
         analysis = run_analysis(mesh400, NonlinearityModel.psi_k(4, -1.0))
-        branch = trace_branch(analysis.model, mesh400, DEFAULT_S_VALUES, analysis=analysis)
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert all(p.lam < branch.lambda0 for p in branch.points)
 
-    def test_cubic_lambda_sign_follows_s(self, cubic100, mesh100):
-        branch = trace_branch(cubic100.model, mesh100, DEFAULT_S_VALUES, analysis=cubic100)
+    def test_cubic_lambda_sign_follows_s(self, cubic100):
+        branch = trace_branch(cubic100, DEFAULT_S_VALUES)
         for p in branch.points:
             assert math.copysign(1, p.lam - branch.lambda0) == math.copysign(1, p.s)
 
     def test_amplitude_constraint_everywhere(self, quartic, mesh400):
-        branch = trace_branch(quartic.model, mesh400, DEFAULT_S_VALUES, analysis=quartic)
+        branch = trace_branch(quartic, DEFAULT_S_VALUES)
         u0 = quartic.eigenpair.vector
         for p in branch.points:
             assert abs(inner_product(mesh400, p.U, u0) - p.s) <= 1e-10
@@ -182,30 +182,21 @@ class TestTraceBranch:
         # the Newton/bordered machinery on a 2D mesh
         mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (24, 24)))
         analysis = run_analysis(mesh, NonlinearityModel.psi_k(4, 1.0))
-        branch = trace_branch(
-            analysis.model, mesh, [-0.08, -0.04, 0.04, 0.08], analysis=analysis
-        )
+        branch = trace_branch(analysis, [-0.08, -0.04, 0.04, 0.08])
         assert not branch.truncations
         assert all(p.lam > branch.lambda0 for p in branch.points)
         assert all(p.residual <= 1e-10 for p in branch.points)
 
-    def test_input_validation(self, quartic, mesh400):
+    def test_input_validation(self, quartic):
         with pytest.raises(ValueError, match="0"):
-            trace_branch(quartic.model, mesh400, [-0.1, 0.0, 0.1], analysis=quartic)
+            trace_branch(quartic, [-0.1, 0.0, 0.1])
         with pytest.raises(ValueError, match="increasing"):
-            trace_branch(quartic.model, mesh400, [0.1, 0.05], analysis=quartic)
+            trace_branch(quartic, [0.1, 0.05])
 
-    def test_truncation_recorded_not_raised(self, quartic, mesh400):
+    def test_truncation_recorded_not_raised(self, quartic):
         # starve Newton so every point diverges: both legs truncate and
         # the events are recorded on the branch
-        branch = trace_branch(
-            quartic.model,
-            mesh400,
-            [-0.04, -0.02, 0.02, 0.04],
-            analysis=quartic,
-            newton_tol=1e-15,
-            max_iters=0,
-        )
+        branch = trace_branch(quartic, [-0.04, -0.02, 0.02, 0.04], newton_tol=1e-15, max_iters=0)
         assert len(branch.points) == 0
         assert len(branch.truncations) == 2
         assert all("truncated" in t for t in branch.truncations)
@@ -213,8 +204,8 @@ class TestTraceBranch:
 
 
 class TestFit:
-    def test_quartic_fit(self, quartic, mesh400):
-        branch = trace_branch(quartic.model, mesh400, DEFAULT_S_VALUES, analysis=quartic)
+    def test_quartic_fit(self, quartic):
+        branch = trace_branch(quartic, DEFAULT_S_VALUES)
         fit = branch.fit
         assert abs(fit.a) <= 1e-3
         assert fit.b == pytest.approx(0.5 * 3 / PI, rel=0.02)
@@ -222,7 +213,7 @@ class TestFit:
 
     def test_cubic_fit(self, mesh400):
         analysis = run_analysis(mesh400, NonlinearityModel.psi_k(3, 1.0))
-        branch = trace_branch(analysis.model, mesh400, DEFAULT_S_VALUES, analysis=analysis)
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert branch.fit.a == pytest.approx(analysis.diagnostics.mu_s, rel=0.01)
 
     def test_polynomial_with_offset_linear_part(self, mesh400):
@@ -230,7 +221,7 @@ class TestFit:
         # reproduce the diagnostics
         model = NonlinearityModel.polynomial([1.5, -0.8, 0.6])
         analysis = run_analysis(mesh400, model)
-        branch = trace_branch(model, mesh400, DEFAULT_S_VALUES, analysis=analysis)
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
         d = analysis.diagnostics
         assert not branch.truncations
         assert branch.fit.a == pytest.approx(d.mu_s, rel=0.01)
@@ -238,7 +229,7 @@ class TestFit:
 
     def test_linear_fit_degenerate(self, mesh400):
         analysis = run_analysis(mesh400, NonlinearityModel.linear(1.0))
-        branch = trace_branch(analysis.model, mesh400, DEFAULT_S_VALUES, analysis=analysis)
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert abs(branch.fit.a) <= 1e-6
         assert abs(branch.fit.b) <= 1e-6
 

@@ -7,19 +7,20 @@ from coexist import (
     CoexistenceSide,
     CoexistenceType,
     DomainSpec,
-    Laplacian,
     NonlinearityModel,
     SolvabilityError,
+    ConfigError,
+    Moments,
     bordered_solve,
     build_mesh,
     classify,
     compute_mu_s,
-    compute_mu_ss,
     compute_z_s,
     derivative_at_zero,
+    diagnose,
+    eigendata,
     inner_product,
     l2_norm,
-    principal_eigenpair,
     psi3_sigma_form,
     psi_k_table,
     run_analysis,
@@ -37,6 +38,15 @@ I4_EXACT = 3 / (2 * PI)  # (u0^3, u0) on (0, pi)
 def eigdata(lap400, eig400, mesh400):
     pair, _ = eig400
     return lap400, pair
+
+
+@pytest.fixture(scope="module")
+def eig(mesh400):
+    return eigendata(mesh400, Tolerances(eigen_tol=1e-11))
+
+
+def _is_plus_zero(x: float) -> bool:
+    return x == 0.0 and math.copysign(1.0, x) == 1.0
 
 
 class TestClassify:
@@ -97,47 +107,54 @@ class TestMuS:
 
 
 class TestCorrector:
-    def test_quartic_zero_rhs_gives_zero(self, eigdata, mesh400):
-        L, pair = eigdata
-        sol = compute_z_s(L, pair.vector, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0, pair.eigenvalue)
-        assert np.all(sol.z == 0.0)
-        assert sol.xi == 0.0
+    def test_quartic_zero_rhs_gives_zero(self, eig):
+        # g''(0) = 0 (-0.0 for the cubic at eta = 0): the corrector
+        # vanishes and its moments are exactly +0.0
+        for model in (NonlinearityModel.psi_k(4, 1.0), NonlinearityModel.psi_k(3, 0.0)):
+            d = diagnose(eig, model, Tolerances())
+            assert np.all(d.z_s == 0.0)
+            assert all(_is_plus_zero(x) for x in (d.mu_s, d.moments.M_zu, d.moments.P_zu)), model
 
-    def test_free_model_gives_zero(self, eigdata, mesh400):
-        L, pair = eigdata
-        sol = compute_z_s(L, pair.vector, NonlinearityModel.free(), mesh400, 0.0, pair.eigenvalue)
-        assert np.all(sol.z == 0.0)
+    def test_free_model_gives_zero(self, eig):
+        d = diagnose(eig, NonlinearityModel.free(), Tolerances())
+        assert np.all(d.z_s == 0.0)
+        assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss, d.moments.M_zu, d.moments.P_zu))
 
     def test_cubic_corrector_orthogonal(self, eigdata, mesh400):
         L, pair = eigdata
-        model = NonlinearityModel.psi_k(3, 1.0)
-        mu_s = compute_mu_s(pair.vector, model, mesh400)
-        sol = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue)
+        sol = compute_z_s(L, pair.vector, mesh400, pair.eigenvalue)
         assert abs(inner_product(mesh400, sol.z, pair.vector)) <= 1e-10
         assert l2_norm(mesh400, sol.z) > 1e-3  # genuinely nonzero
+        assert abs(sol.xi) <= 1e-8
 
     def test_cubic_corrector_against_dense_oracle(self):
-        n = 100
-        mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        L = Laplacian.of(mesh)
-        pair = principal_eigenpair(L, mesh, tol=1e-12)
+        # z_s = g''(0) z_hat against a dense solve of the model's own
+        # corrector equation A z_s = mu_s u0 + 1/2 g''(0) u0^2, (z_s, u0) = 0
         model = NonlinearityModel.psi_k(3, 1.0)
-        mu_s = compute_mu_s(pair.vector, model, mesh)
-        sol = compute_z_s(L, pair.vector, model, mesh, mu_s, pair.eigenvalue)
+        for spec in (
+            DomainSpec("interval", ((0.0, PI),), (100,)),
+            DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (12, 16)),
+        ):
+            mesh = build_mesh(spec)
+            tol = Tolerances(eigen_tol=1e-12)
+            eig = eigendata(mesh, tol)
+            d = diagnose(eig, model, tol)
+            u0, n = eig.eigenpair.vector, mesh.n_nodes
 
-        K = np.zeros((n + 1, n + 1))
-        K[:n, :n] = dense(L) - pair.eigenvalue * np.eye(n)
-        K[:n, n] = pair.vector
-        K[n, :n] = mesh.quad_weights * pair.vector
-        rhs = mu_s * pair.vector + 0.5 * derivative_at_zero(model, 2) * pair.vector**2
-        direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-        assert l2_norm(mesh, sol.z - direct[:n]) < 1e-8
+            K = np.zeros((n + 1, n + 1))
+            K[:n, :n] = dense(eig.operator) - eig.eigenpair.eigenvalue * np.eye(n)
+            K[:n, n] = u0
+            K[n, :n] = mesh.quad_weights * u0
+            rhs = d.mu_s * u0 + 0.5 * derivative_at_zero(model, 2) * u0**2
+            direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
+            assert l2_norm(mesh, d.z_s - direct[:n]) < 1e-8, spec
 
-    def test_inconsistent_mu_s_raises_solvability(self, eigdata, mesh400):
+    def test_unnormalized_eigenpair_raises_solvability(self, eigdata, mesh400):
+        # within the normalization check's 1e-6, yet (u0^2 - I3 u0, u0)
+        # no longer vanishes: the multiplier exceeds solvability_tol
         L, pair = eigdata
-        model = NonlinearityModel.psi_k(3, 1.0)
         with pytest.raises(SolvabilityError):
-            compute_z_s(L, pair.vector, model, mesh400, mu_s=0.0, lambda0=pair.eigenvalue)
+            compute_z_s(L, pair.vector * (1 + 5e-7), mesh400, pair.eigenvalue)
 
 
 class TestMuSS:
@@ -145,24 +162,19 @@ class TestMuSS:
         _, pair = eigdata
         model = NonlinearityModel.psi_k(4, 1.0)
         z = np.zeros(mesh400.n_nodes)
-        mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, 0.0)
+        mu_ss = Moments.of(mesh400, pair.vector, z).mu_ss(model, 0.0)
         assert mu_ss == pytest.approx(3 / PI, abs=1e-3)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
-    def test_higher_powers_vanish(self, eigdata, mesh400, k):
-        L, pair = eigdata
-        model = NonlinearityModel.psi_k(k, 1.0)
-        mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
-        assert abs(compute_mu_ss(pair.vector, z, model, mesh400, mu_s)) <= 1e-10
+    def test_higher_powers_vanish(self, eig, k):
+        d = diagnose(eig, NonlinearityModel.psi_k(k, 1.0), Tolerances())
+        assert abs(d.mu_ss) <= 1e-10
 
-    def test_cubic_matches_sigma_form(self, eigdata, mesh400):
-        L, pair = eigdata
+    def test_cubic_matches_sigma_form(self, eigdata, eig, mesh400):
+        _, pair = eigdata
         eta = 1.0
-        model = NonlinearityModel.psi_k(3, eta)
-        mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
-        mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
+        d = diagnose(eig, NonlinearityModel.psi_k(3, eta), Tolerances())
+        z, mu_ss = d.z_s, d.mu_ss
         sigma = psi3_sigma_form(pair.vector, z, eta, mesh400)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
         # the constrained term of sigma is itself numerically zero
@@ -172,7 +184,7 @@ class TestMuSS:
         assert abs(second_term) <= 1e-10
 
 
-def test_cubic_mu_ss_against_fourier_series_oracle(eigdata, mesh400):
+def test_cubic_mu_ss_against_fourier_series_oracle(eig):
     # Fully independent oracle: expand the corrector in the Dirichlet
     # sine basis on (0, pi). With u0 = c sin x (c^2 = 2/pi) and
     # I_n = integral of sin^2(x) sin(nx) = -4/(n(n^2-4)), the corrector
@@ -185,11 +197,7 @@ def test_cubic_mu_ss_against_fourier_series_oracle(eigdata, mesh400):
     )
     oracle = -((2 / PI) ** 3) * 64.0 * series
 
-    L, pair = eigdata
-    model = NonlinearityModel.psi_k(3, 1.0)
-    mu_s = compute_mu_s(pair.vector, model, mesh400)
-    z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
-    mu_ss = compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
+    mu_ss = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_ss
     assert mu_ss == pytest.approx(oracle, abs=1e-5)
 
 
@@ -206,7 +214,7 @@ class TestRawFormOracle:
             NonlinearityModel.linear(2.5),
         ],
     )
-    def test_raw_forms_match_closed_forms(self, eigdata, mesh400, model):
+    def test_raw_forms_match_closed_forms(self, eigdata, eig, mesh400, model):
         L, pair = eigdata
         u0 = pair.vector
         v_l = model.V_L
@@ -214,9 +222,8 @@ class TestRawFormOracle:
         g3 = derivative_at_zero(model, 3)
         # shift by lambda0 of the *linearized* operator: the closed forms
         # are invariant to V_L because lambda = m + V_L absorbs it
-        mu_s = compute_mu_s(u0, model, mesh400)
-        z_s = compute_z_s(L, u0, model, mesh400, mu_s, pair.eigenvalue).z
-        mu_ss = compute_mu_ss(u0, z_s, model, mesh400, mu_s)
+        d = diagnose(eig, model, Tolerances())
+        mu_s, z_s, mu_ss = d.mu_s, d.z_s, d.mu_ss
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
         d2g = g2 * u0 * u0 + 2.0 * v_l * z_s
@@ -240,14 +247,10 @@ class TestRawFormOracle:
 
 
 class TestScalingCovariance:
-    def test_cubic_scaling(self, eigdata, mesh400):
-        L, pair = eigdata
-
+    def test_cubic_scaling(self, eig):
         def diag(eta):
-            model = NonlinearityModel.psi_k(3, eta)
-            mu_s = compute_mu_s(pair.vector, model, mesh400)
-            z = compute_z_s(L, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
-            return mu_s, compute_mu_ss(pair.vector, z, model, mesh400, mu_s)
+            d = diagnose(eig, NonlinearityModel.psi_k(3, eta), Tolerances())
+            return d.mu_s, d.mu_ss
 
         mu_s_1, mu_ss_1 = diag(1.0)
         mu_s_2, mu_ss_2 = diag(2.0)
@@ -257,8 +260,9 @@ class TestScalingCovariance:
     def test_quartic_scaling(self, eigdata, mesh400):
         _, pair = eigdata
         z = np.zeros(mesh400.n_nodes)
-        m1 = compute_mu_ss(pair.vector, z, NonlinearityModel.psi_k(4, 1.0), mesh400, 0.0)
-        m2 = compute_mu_ss(pair.vector, z, NonlinearityModel.psi_k(4, 2.0), mesh400, 0.0)
+        moments = Moments.of(mesh400, pair.vector, z)
+        m1 = moments.mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
+        m2 = moments.mu_ss(NonlinearityModel.psi_k(4, 2.0), 0.0)
         assert m2 == pytest.approx(2 * m1, rel=1e-13)
 
 
@@ -386,9 +390,11 @@ class TestInteractionTable:
 
     def test_cubic_proj3_consistent_with_corrector(self, table, mesh400, lap400, eig400):
         pair, _ = eig400
+        # the cubic model's own corrector equation, solved directly
         model = NonlinearityModel.psi_k(3, 1.0)
         mu_s = compute_mu_s(pair.vector, model, mesh400)
-        z = compute_z_s(lap400, pair.vector, model, mesh400, mu_s, pair.eigenvalue).z
+        rhs = mu_s * pair.vector + 0.5 * derivative_at_zero(model, 2) * pair.vector**2
+        z = bordered_solve(lap400, pair.vector, rhs, mesh400, pair.eigenvalue).z
         expected = -12.0 * inner_product(mesh400, pair.vector * z, pair.vector)
         assert table[0].proj3 == pytest.approx(expected, rel=1e-8)
 
@@ -410,5 +416,8 @@ class TestInteractionTable:
             assert row.ctype is CoexistenceType.II
 
     def test_k_range_validated(self, mesh400):
-        with pytest.raises(ValueError, match="3..8"):
-            psi_k_table(mesh400, [2], [1.0])
+        for k_list in ([2], [True]):
+            with pytest.raises(ValueError, match="3..8"):
+                psi_k_table(mesh400, k_list, [1.0])
+        with pytest.raises(ConfigError, match="integer"):
+            psi_k_table(mesh400, [3.9], [1.0])

@@ -158,6 +158,18 @@ class TestConstruction:
         with pytest.raises(ConfigError, match="finite"):
             NonlinearityModel.from_dict(descriptor)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "psi_k", "k": 3.9, "eta": 1.0},
+            {"kind": "psi_k", "k": 3, "eta": True},
+            {"kind": "linear", "V_L": "2"},
+        ],
+    )
+    def test_direct_construction_checks_numbers(self, fields):
+        with pytest.raises(ConfigError, match="must be"):
+            NonlinearityModel(**fields)
+
     def test_missing_field_reported(self):
         with pytest.raises(ConfigError, match="eta"):
             NonlinearityModel.from_dict({"kind": "psi_k", "k": 3})

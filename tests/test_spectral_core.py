@@ -184,7 +184,7 @@ def test_newton_iterations_per_step_do_not_grow_with_mesh(cg_log):
         model = NonlinearityModel.psi_k(3, 1.0)
         analysis = run_analysis(mesh, model)
         cg_log.clear()
-        branch = trace_branch(model, mesh, DEFAULT_S_VALUES, analysis=analysis)
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert len(branch.points) == len(DEFAULT_S_VALUES)
         steps = sum(p.newton_iters for p in branch.points)
         assert len(cg_log) <= 2 * steps
