@@ -27,11 +27,9 @@ from .diagnostics import (
     TableRow,
     Tolerances,
     classify,
-    compute_mu_s,
     compute_z_s,
     diagnose,
     eigendata,
-    psi3_sigma_form,
     psi_k_table,
     run_analysis,
 )
@@ -73,9 +71,7 @@ __all__ = [
     "Tolerances",
     "AnalysisResult",
     "TableRow",
-    "compute_mu_s",
     "compute_z_s",
-    "psi3_sigma_form",
     "classify",
     "eigendata",
     "diagnose",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
-from .diagnostics import AnalysisResult, Tolerances, eigendata, psi_k_table, run_analysis
+from .diagnostics import AnalysisResult, Tolerances, bifurcation_point, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, SolvabilityError, as_number
 from .mesh import DomainSpec, build_mesh, l2_norm
 from .nonlinearity import NonlinearityModel
@@ -305,8 +305,8 @@ def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
-    """The per-mesh stage only; reports the bifurcation-point checks."""
-    cr = eigendata(build_mesh(cfg.domain), cfg.tolerances).cr_report
+    """The bifurcation-point checks only; no corrector solve."""
+    _, _, cr = bifurcation_point(build_mesh(cfg.domain), cfg.tolerances)
     print(f"lambda0          = {cr.lambda0:.12g}")
     print(f"lambda1          = {cr.lambda1:.12g}")
     print(f"gap              = {cr.gap:.12g}  (kernel_dim_ok={cr.kernel_dim_ok})")

@@ -41,7 +41,6 @@ __all__ = [
 Array = npt.NDArray[np.float64]
 
 DEFAULT_S_VALUES = (-0.10, -0.08, -0.06, -0.04, -0.02, 0.02, 0.04, 0.06, 0.08, 0.10)
-FIT_TOL = 1e-3
 
 
 @dataclass(frozen=True, eq=False)

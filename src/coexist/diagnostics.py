@@ -12,15 +12,17 @@ with I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0). The
 unit corrector z_hat solves A z_hat = 1/2*(u0^2 - I3*u0) on the
 complement of u0 (A = L - lambda0). The corrector equation
 A z_s = mu_s(0)*u0 + 1/2*g''(0)*u0^2 is linear in g''(0), so every
-model's corrector is z_s = g''(0)*z_hat. The V_L contributions cancel
-identically for constant V_L, so they never appear in these closed
-forms; the raw forms including them are exercised in the test suite as
-an independent cross-check.
+model's corrector is z_s = g''(0)*z_hat, with M_zu = g''(0)*M_hat; z_s
+itself is never formed. The V_L contributions cancel identically for
+constant V_L, so they never appear in these closed forms; the raw forms
+including them are exercised in the test suite as an independent
+cross-check.
 
 Every command runs the same two steps: `eigendata` (the stencil L, the
-closed-form eigenpairs, the bifurcation-point checks, z_hat and its
-moments) once per mesh, then `diagnose` (mu_s, z_s, the moments, mu_ss,
-the type) once per model, as arithmetic on g''(0) and g'''(0).
+closed-form eigenpairs and the bifurcation-point checks of
+`bifurcation_point`, then z_hat and its moments) once per mesh, then
+`diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
+scalar arithmetic on g''(0), g'''(0) and the per-mesh moments.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
@@ -50,11 +52,10 @@ __all__ = [
     "Tolerances",
     "EigenData",
     "AnalysisResult",
-    "compute_mu_s",
     "compute_z_s",
-    "psi3_sigma_form",
     "classify",
     "sign_with_tolerance",
+    "bifurcation_point",
     "eigendata",
     "diagnose",
     "run_analysis",
@@ -111,9 +112,9 @@ class Moments:
     """Inner products entering the diagnostics.
 
     I3 = (u0^2, u0), I4 = (u0^3, u0), M_zu = (u0*z, u0) and
-    P_zu = (z, u0) for a corrector z: z_hat on EigenData, z_s on
-    BifurcationDiagnostics. P_zu vanishes by the orthogonality constraint
-    and is kept as a consistency indicator.
+    P_zu = (z, u0) for a corrector z: z_hat on EigenData, z_s = g''(0)
+    z_hat on BifurcationDiagnostics. P_zu vanishes by the orthogonality
+    constraint and is kept as a consistency indicator.
     """
 
     I3: float
@@ -141,16 +142,14 @@ class Moments:
         return {"I3": self.I3, "I4": self.I4, "M_zu": self.M_zu, "P_zu": self.P_zu}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BifurcationDiagnostics:
     lambda0: float
     mu_s: float
     mu_ss: float
-    z_s: Array
     moments: Moments
     ctype: CoexistenceType
     m_coexistence_side: CoexistenceSide
-    sigma: float | None = None  # psi^3 cross-check form, when applicable
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -161,7 +160,6 @@ class BifurcationDiagnostics:
             "moments": self.moments.to_dict(),
             "type": str(self.ctype),
             "m_coexistence_side": str(self.m_coexistence_side),
-            "sigma": self.sigma,
             "warnings": list(self.warnings),
         }
 
@@ -192,14 +190,6 @@ class Tolerances:
         return self.gap_tol if self.gap_tol is not None else 1e-6 * abs(lambda0)
 
 
-def compute_mu_s(u0: Array, model: NonlinearityModel, mesh: Mesh) -> float:
-    """First derivative of mu(s) at s = 0; no linear solve needed."""
-    g2 = derivative_at_zero(model, 2)
-    if g2 == 0.0:
-        return 0.0
-    return -0.5 * g2 * inner_product(mesh, u0 * u0, u0)
-
-
 def compute_z_s(
     L: Laplacian,
     u0: Array,
@@ -221,18 +211,6 @@ def compute_z_s(
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
     return sol
-
-
-def psi3_sigma_form(u0: Array, z_s: Array, eta: float, mesh: Mesh) -> float:
-    """mu_ss in the cubic-interaction cross-check form
-    4*eta*(u0*z_s, u0) - 2*eta*(u0^2, u0)*(z_s, u0).
-
-    The second term vanishes under the orthogonality constraint; it is
-    evaluated anyway so tests can assert that it does.
-    """
-    return 4.0 * eta * inner_product(mesh, u0 * z_s, u0) - 2.0 * eta * inner_product(
-        mesh, u0 * u0, u0
-    ) * inner_product(mesh, z_s, u0)
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
@@ -306,23 +284,29 @@ class AnalysisResult(EigenData):
         return self.cr_report.lambda0 - self.model.V_L
 
 
-def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
+def bifurcation_point(mesh: Mesh, tolerances: Tolerances) -> tuple[Laplacian, Eigenpair, CRReport]:
     """Build the stencil L, take the closed-form principal and second
-    eigenpairs certified against it, check the bifurcation point, and
-    solve for the unit corrector z_hat, the one corrector solve per mesh.
+    eigenpairs certified against it, and check the bifurcation point.
     The second pair is certified at max(eigen_tol, 1e-10), so an eigen_tol
     below 1e-10 tightens only the principal pair."""
-    tol = tolerances or Tolerances()
-    tol.validate()
+    tolerances.validate()
     L = Laplacian.of(mesh)
-    pair = principal_eigenpair(L, mesh, tol=tol.eigen_tol)
+    pair = principal_eigenpair(L, mesh, tol=tolerances.eigen_tol)
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,
-        second_eigenpair(L, mesh, tol=max(tol.eigen_tol, 1e-10)).eigenvalue,
+        second_eigenpair(L, mesh, tol=max(tolerances.eigen_tol, 1e-10)).eigenvalue,
         pair.vector,
         mesh,
-        gap_tol=tol.resolved_gap_tol(pair.eigenvalue),
+        gap_tol=tolerances.resolved_gap_tol(pair.eigenvalue),
     )
+    return L, pair, cr
+
+
+def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
+    """`bifurcation_point`, then the unit corrector z_hat (the one
+    corrector solve per mesh) and its moments."""
+    tol = tolerances or Tolerances()
+    L, pair, cr = bifurcation_point(mesh, tol)
     z_hat = compute_z_s(L, pair.vector, mesh, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z
     return EigenData(
         mesh=mesh,
@@ -335,14 +319,14 @@ def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
 
 
 def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:
-    """mu_s, z_s = g''(0) z_hat, the moments and mu_ss, then the type, for
-    one model on eigendata shared across models; no linear solve."""
-    mesh, u0, lambda0 = eig.mesh, eig.eigenpair.vector, eig.eigenpair.eigenvalue
+    """mu_s, the moments of z_s = g''(0) z_hat and mu_ss, then the type,
+    for one model on eigendata shared across models: scalar arithmetic on
+    g''(0), g'''(0) and eig.moments_hat, with no solve and no vector."""
+    lambda0 = eig.eigenpair.eigenvalue
     g2 = derivative_at_zero(model, 2)
-    mu_s = compute_mu_s(u0, model, mesh)
-    z_s = g2 * eig.z_hat
     unit = eig.moments_hat
-    # + 0.0 keeps a vanishing g''(0) at +0.0 where M_hat or P_hat is negative
+    # + 0.0 keeps a vanishing g''(0) at +0.0, whatever the moment's sign
+    mu_s = -0.5 * g2 * unit.I3 + 0.0
     moments = dataclasses.replace(unit, M_zu=g2 * unit.M_zu + 0.0, P_zu=g2 * unit.P_zu + 0.0)
     mu_ss = moments.mu_ss(model, mu_s)
 
@@ -356,19 +340,13 @@ def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -
             "the branch geometry for this type is inferred from the sign pair"
         )
 
-    sigma_form = None
-    if model.kind == "psi_k" and model.k == 3:
-        sigma_form = psi3_sigma_form(u0, z_s, model.eta, mesh)
-
     return BifurcationDiagnostics(
         lambda0=lambda0,
         mu_s=mu_s,
         mu_ss=mu_ss,
-        z_s=z_s,
         moments=moments,
         ctype=_TYPE_TABLE[(s_s, s_ss)],
         m_coexistence_side=_coexistence_side(s_s, s_ss),
-        sigma=sigma_form,
         warnings=tuple(warnings),
     )
 

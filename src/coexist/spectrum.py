@@ -98,18 +98,16 @@ def verify_crandall_rabinowitz(
     lambda1: float,
     u0: Array,
     mesh: Mesh,
-    gap_tol: float | None = None,
+    gap_tol: float,
     trans_tol: float = 1e-6,
 ) -> CRReport:
     """Check the three bifurcation-point conditions at (lambda0, 0).
 
     Kernel dimension one is certified by the gap lambda1 - lambda0
-    exceeding gap_tol (default 1e-6*lambda0). The transversality value
-    is the kernel projection of the mixed derivative applied to u0,
+    exceeding gap_tol (`Tolerances.resolved_gap_tol`). The transversality
+    value is the kernel projection of the mixed derivative applied to u0,
     i.e. -(u0, u0), which must be bounded away from zero.
     """
-    if gap_tol is None:
-        gap_tol = 1e-6 * abs(lambda0)
     gap = lambda1 - lambda0
     trans = -inner_product(mesh, u0, u0)
     return CRReport(

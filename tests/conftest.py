@@ -8,6 +8,7 @@ from coexist import (
     DomainSpec,
     Laplacian,
     build_mesh,
+    inner_product,
     principal_eigenpair,
     second_eigenpair,
 )
@@ -29,6 +30,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def dense(L) -> np.ndarray:
     """The stencil as a dense matrix, column j = L.apply(e_j)."""
     return np.column_stack([L.apply(e) for e in np.eye(L.n)])
+
+
+def psi3_sigma_form(mesh, u0, z_s, eta: float) -> float:
+    """mu_ss of psi_3 in the cross-check form computed from the vectors,
+    4 eta (u0 z_s, u0) - 2 eta (u0^2, u0) (z_s, u0); the second term
+    vanishes under the orthogonality constraint."""
+    return 4.0 * eta * inner_product(mesh, u0 * z_s, u0) - 2.0 * eta * inner_product(
+        mesh, u0 * u0, u0
+    ) * inner_product(mesh, z_s, u0)
 
 
 def interval_mesh(n: int):

@@ -18,14 +18,12 @@ from coexist import (
     NonlinearityModel,
     Tolerances,
     build_mesh,
-    compute_mu_s,
     compute_z_s,
+    derivative_at_zero,
     diagnose,
     eigendata,
     inner_product,
     jacobian_apply,
-    principal_eigenpair,
-    psi3_sigma_form,
     residual,
     run_analysis,
     trace_branch,
@@ -33,7 +31,7 @@ from coexist import (
 from coexist.cli import cmd_trace, load_config
 from coexist.continuation import DEFAULT_S_VALUES
 
-from conftest import ACCEPTANCE_RESULTS
+from conftest import ACCEPTANCE_RESULTS, psi3_sigma_form
 
 PI = math.pi
 MU_S_PSI3 = (2 / PI) ** 1.5 * (4 / 3)  # 0.677265...
@@ -84,12 +82,13 @@ def test_criterion_2_interaction_table_numbers(mesh400):
 
     # cubic interaction
     m3 = NonlinearityModel.psi_k(3, 1.0)
-    mu_s3 = compute_mu_s(u0, m3, mesh400)
+    d3 = diagnose(eig, m3, tol)
+    mu_s3, mu_ss3 = d3.mu_s, d3.mu_ss
     if abs(mu_s3 - MU_S_PSI3) > 1e-3:
         failures.append(f"psi3 mu_s = {mu_s3} not within 1e-3 of {MU_S_PSI3}")
-    d3 = diagnose(eig, m3, tol)
-    z3, mu_ss3 = d3.z_s, d3.mu_ss
-    sigma = psi3_sigma_form(u0, z3, 1.0, mesh400)
+    # independent oracle: the sigma form on the corrector vector g''(0) z_hat
+    z3 = derivative_at_zero(m3, 2) * eig.z_hat
+    sigma = psi3_sigma_form(mesh400, u0, z3, 1.0)
     if abs(mu_ss3 - sigma) > 1e-8:
         failures.append(f"psi3 mu_ss = {mu_ss3} differs from sigma form {sigma}")
     constrained_term = 2.0 * inner_product(mesh400, u0 * u0, u0) * inner_product(mesh400, z3, u0)
@@ -98,10 +97,10 @@ def test_criterion_2_interaction_table_numbers(mesh400):
 
     # quartic interaction
     m4 = NonlinearityModel.psi_k(4, 1.0)
-    mu_s4 = compute_mu_s(u0, m4, mesh400)
-    if mu_s4 != 0.0:
-        failures.append(f"psi4 mu_s = {mu_s4}, expected exact 0")
-    mu_ss4 = diagnose(eig, m4, tol).mu_ss
+    d4 = diagnose(eig, m4, tol)
+    mu_s4, mu_ss4 = d4.mu_s, d4.mu_ss
+    if mu_s4 != 0.0 or math.copysign(1.0, mu_s4) != 1.0:
+        failures.append(f"psi4 mu_s = {mu_s4}, expected exact +0.0")
     if abs(mu_ss4 - MU_SS_PSI4) > 1e-3:
         failures.append(f"psi4 mu_ss = {mu_ss4} not within 1e-3 of {MU_SS_PSI4}")
 
@@ -190,7 +189,8 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
         NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
     ]
     for model in zoo:
-        if abs(inner_product(mesh400, diagnose(eig, model, Tolerances()).z_s, u0)) > 1e-10:
+        z_s = derivative_at_zero(model, 2) * eig.z_hat
+        if abs(inner_product(mesh400, z_s, u0)) > 1e-10:
             failures.append(f"{model.describe()}: corrector orthogonality above 1e-10")
 
     # parity of the quartic branch under s -> -s
@@ -246,11 +246,10 @@ def test_criterion_7_convergence_orders():
     errors = {"lambda0": [], "mu_s_psi3": [], "mu_ss_psi4": []}
     for n in (100, 200, 400):
         mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        L = Laplacian.of(mesh)
-        pair = principal_eigenpair(L, mesh, tol=1e-11)
-        u0 = pair.vector
-        errors["lambda0"].append(abs(pair.eigenvalue - 1.0))
-        mu_s = compute_mu_s(u0, NonlinearityModel.psi_k(3, 1.0), mesh)
+        eig = eigendata(mesh, Tolerances(eigen_tol=1e-11))
+        u0 = eig.eigenpair.vector
+        errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
+        mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
         mu_ss = Moments.of(mesh, u0, mesh.zeros()).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         errors["mu_ss_psi4"].append(abs(mu_ss - MU_SS_PSI4))

@@ -299,6 +299,20 @@ class TestVerify:
         assert report["cr_report"]["lambda0"] == pytest.approx(2.0, abs=5e-3)
         assert report["cr_report"]["gap"] == pytest.approx(3.0, abs=2e-2)
 
+    def test_solves_no_corrector(self, tmp_path, monkeypatch):
+        calls = []
+        original = diagnostics.compute_z_s
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "compute_z_s", counting)
+        config = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
+        report, code = cmd_verify(load_config(config), out_dir=str(tmp_path))
+        assert code == EXIT_OK and report["cr_report"]["kernel_dim_ok"]
+        assert calls == []
+
 
 def test_analyze_and_verify_agree_below_default_eigen_tol(tmp_path):
     # eigen_tol = 1e-11 is finer than the second mode's residual at 400

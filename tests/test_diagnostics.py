@@ -14,20 +14,18 @@ from coexist import (
     bordered_solve,
     build_mesh,
     classify,
-    compute_mu_s,
     compute_z_s,
     derivative_at_zero,
     diagnose,
     eigendata,
     inner_product,
     l2_norm,
-    psi3_sigma_form,
     psi_k_table,
     run_analysis,
 )
 from coexist.diagnostics import Tolerances
 
-from conftest import dense
+from conftest import dense, psi3_sigma_form
 
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
@@ -91,19 +89,35 @@ class TestClassify:
 
 
 class TestMuS:
-    def test_cubic_interaction_closed_form(self, eigdata, mesh400):
-        _, pair = eigdata
-        mu_s = compute_mu_s(pair.vector, NonlinearityModel.psi_k(3, 1.0), mesh400)
+    def test_cubic_interaction_closed_form(self, eig):
+        mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
         assert mu_s == pytest.approx(I3_EXACT, abs=1e-4)
 
-    def test_quartic_interaction_exactly_zero(self, eigdata, mesh400):
-        _, pair = eigdata
-        assert compute_mu_s(pair.vector, NonlinearityModel.psi_k(4, 3.0), mesh400) == 0.0
+    def test_quartic_interaction_exactly_zero(self, eig):
+        assert _is_plus_zero(diagnose(eig, NonlinearityModel.psi_k(4, 3.0), Tolerances()).mu_s)
 
     @pytest.mark.parametrize("v_l", [-2.0, 1.0, 3.0])
-    def test_linear_model_zero(self, eigdata, mesh400, v_l):
-        _, pair = eigdata
-        assert compute_mu_s(pair.vector, NonlinearityModel.linear(v_l), mesh400) == 0.0
+    def test_linear_model_zero(self, eig, v_l):
+        assert _is_plus_zero(diagnose(eig, NonlinearityModel.linear(v_l), Tolerances()).mu_s)
+
+
+def test_diagnose_does_no_vector_work(eig, monkeypatch):
+    # every model's diagnostics are arithmetic on the per-mesh moments:
+    # no inner product runs and the result holds no mesh vector
+    def no_inner_product(*args, **kwargs):
+        raise AssertionError("diagnose took an inner product")
+
+    monkeypatch.setattr("coexist.diagnostics.inner_product", no_inner_product)
+    for model in (
+        NonlinearityModel.psi_k(3, 1.0),
+        NonlinearityModel.psi_k(3, -1.0),
+        NonlinearityModel.psi_k(4, 1.0),
+        NonlinearityModel.linear(2.0),
+        NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
+        NonlinearityModel.free(),
+    ):
+        d = diagnose(eig, model, Tolerances())
+        assert not any(isinstance(v, np.ndarray) for v in vars(d).values()), model
 
 
 class TestCorrector:
@@ -112,12 +126,12 @@ class TestCorrector:
         # vanishes and its moments are exactly +0.0
         for model in (NonlinearityModel.psi_k(4, 1.0), NonlinearityModel.psi_k(3, 0.0)):
             d = diagnose(eig, model, Tolerances())
-            assert np.all(d.z_s == 0.0)
+            assert np.all(derivative_at_zero(model, 2) * eig.z_hat == 0.0)
             assert all(_is_plus_zero(x) for x in (d.mu_s, d.moments.M_zu, d.moments.P_zu)), model
 
     def test_free_model_gives_zero(self, eig):
         d = diagnose(eig, NonlinearityModel.free(), Tolerances())
-        assert np.all(d.z_s == 0.0)
+        assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * eig.z_hat == 0.0)
         assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss, d.moments.M_zu, d.moments.P_zu))
 
     def test_cubic_corrector_orthogonal(self, eigdata, mesh400):
@@ -145,9 +159,10 @@ class TestCorrector:
             K[:n, :n] = dense(eig.operator) - eig.eigenpair.eigenvalue * np.eye(n)
             K[:n, n] = u0
             K[n, :n] = mesh.quad_weights * u0
-            rhs = d.mu_s * u0 + 0.5 * derivative_at_zero(model, 2) * u0**2
+            g2 = derivative_at_zero(model, 2)
+            rhs = d.mu_s * u0 + 0.5 * g2 * u0**2
             direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-            assert l2_norm(mesh, d.z_s - direct[:n]) < 1e-8, spec
+            assert l2_norm(mesh, g2 * eig.z_hat - direct[:n]) < 1e-8, spec
 
     def test_unnormalized_eigenpair_raises_solvability(self, eigdata, mesh400):
         # within the normalization check's 1e-6, yet (u0^2 - I3 u0, u0)
@@ -173,9 +188,10 @@ class TestMuSS:
     def test_cubic_matches_sigma_form(self, eigdata, eig, mesh400):
         _, pair = eigdata
         eta = 1.0
-        d = diagnose(eig, NonlinearityModel.psi_k(3, eta), Tolerances())
-        z, mu_ss = d.z_s, d.mu_ss
-        sigma = psi3_sigma_form(pair.vector, z, eta, mesh400)
+        model = NonlinearityModel.psi_k(3, eta)
+        mu_ss = diagnose(eig, model, Tolerances()).mu_ss
+        z = derivative_at_zero(model, 2) * eig.z_hat
+        sigma = psi3_sigma_form(mesh400, pair.vector, z, eta)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
         # the constrained term of sigma is itself numerically zero
         second_term = 2 * eta * inner_product(mesh400, pair.vector**2, pair.vector) * inner_product(
@@ -223,7 +239,7 @@ class TestRawFormOracle:
         # shift by lambda0 of the *linearized* operator: the closed forms
         # are invariant to V_L because lambda = m + V_L absorbs it
         d = diagnose(eig, model, Tolerances())
-        mu_s, z_s, mu_ss = d.mu_s, d.z_s, d.mu_ss
+        mu_s, z_s, mu_ss = d.mu_s, g2 * eig.z_hat, d.mu_ss
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
         d2g = g2 * u0 * u0 + 2.0 * v_l * z_s
@@ -392,8 +408,9 @@ class TestInteractionTable:
         pair, _ = eig400
         # the cubic model's own corrector equation, solved directly
         model = NonlinearityModel.psi_k(3, 1.0)
-        mu_s = compute_mu_s(pair.vector, model, mesh400)
-        rhs = mu_s * pair.vector + 0.5 * derivative_at_zero(model, 2) * pair.vector**2
+        g2 = derivative_at_zero(model, 2)
+        mu_s = -0.5 * g2 * inner_product(mesh400, pair.vector**2, pair.vector)
+        rhs = mu_s * pair.vector + 0.5 * g2 * pair.vector**2
         z = bordered_solve(lap400, pair.vector, rhs, mesh400, pair.eigenvalue).z
         expected = -12.0 * inner_product(mesh400, pair.vector * z, pair.vector)
         assert table[0].proj3 == pytest.approx(expected, rel=1e-8)

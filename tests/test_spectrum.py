@@ -7,6 +7,7 @@ from coexist import (
     ConvergenceError,
     DomainSpec,
     Laplacian,
+    Tolerances,
     build_mesh,
     inner_product,
     l2_norm,
@@ -102,7 +103,8 @@ def test_lambda0_refinement_order():
 def test_cr_report_interval(eig400, second400, mesh400):
     pair, _ = eig400
     (lam1, _, _), _ = second400
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, lam1, pair.vector, mesh400)
+    gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, lam1, pair.vector, mesh400, gap_tol)
     assert cr.gap == pytest.approx(3.0, abs=2e-3)
     assert cr.kernel_dim_ok and cr.transversality_ok
     assert cr.bifurcation_point_certified
@@ -111,7 +113,8 @@ def test_cr_report_interval(eig400, second400, mesh400):
 
 def test_cr_report_degenerate_gap(eig400, mesh400):
     pair, _ = eig400
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, pair.eigenvalue, pair.vector, mesh400)
+    gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, pair.eigenvalue, pair.vector, mesh400, gap_tol)
     assert cr.gap == 0.0
     assert not cr.kernel_dim_ok
     assert not cr.bifurcation_point_certified
