@@ -4,9 +4,9 @@
 # The trivial solution u = 0 exists at every parameter value; a nontrivial
 # branch can only emanate where the linearized operator develops a kernel,
 # i.e. at the principal Dirichlet eigenvalue lambda0. This script computes
-# the two lowest eigenpairs on an interval and on a square and runs the
-# three simple-eigenvalue checks: one-dimensional kernel (spectral gap),
-# co-dimension-one range, and transversality.
+# the principal eigenpair and the second eigenvalue on an interval and on a
+# square and runs the three simple-eigenvalue checks: one-dimensional
+# kernel (spectral gap), co-dimension-one range, and transversality.
 
 import math
 

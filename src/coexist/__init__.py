@@ -37,13 +37,7 @@ from .errors import CoexistError, ConfigError, ConvergenceError, SolvabilityErro
 from .mesh import DomainSpec, Mesh, build_mesh, inner_product, l2_norm
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import BorderedSolution, Laplacian, bordered_solve
-from .spectrum import (
-    CRReport,
-    Eigenpair,
-    principal_eigenpair,
-    second_eigenpair,
-    verify_crandall_rabinowitz,
-)
+from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
     "__version__",
@@ -58,7 +52,6 @@ __all__ = [
     "Eigenpair",
     "CRReport",
     "principal_eigenpair",
-    "second_eigenpair",
     "verify_crandall_rabinowitz",
     "NonlinearityModel",
     "derivative_at_zero",

@@ -96,6 +96,9 @@ class RunConfig:
         bad = set(out_raw) - {f.name for f in dataclasses.fields(Outputs)}
         if bad:
             raise ConfigError(f"unknown output fields: {sorted(bad)}")
+        for key, path in out_raw.items():
+            if not isinstance(path, str):
+                raise ConfigError(f"outputs.{key} must be a path string, got {path!r}")
         s_values = _numbers(raw, "s_values", DEFAULT_S_VALUES)
         if any(s == 0.0 for s in s_values):
             raise ConfigError("s_values must not contain 0 (the trivial branch)")
@@ -169,6 +172,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):  # before the overrides index into it
+        raise ConfigError("config root must be a JSON object")
     for item in overrides or []:
         _apply_override(raw, item)
     return RunConfig.from_dict(raw)

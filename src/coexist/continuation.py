@@ -135,7 +135,7 @@ def solve_at_amplitude(
             )
         try:
             dU, dlam = solve_bordered_system(
-                jacobian_apply(U, lam, model, L), u0, -U, row, -F, -cres, mesh, lam,
+                jacobian_apply(U, lam, model, L), u0, -U, row, -F, -cres, L, lam,
                 rtol=linear_rtol, atol=linear_atol, max_iter=max(2000, 4 * L.n),
             )
         except ConvergenceError as exc:

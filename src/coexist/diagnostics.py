@@ -19,7 +19,7 @@ including them are exercised in the test suite as an independent
 cross-check.
 
 Every command runs the same two steps: `eigendata` (the stencil L, the
-closed-form eigenpairs and the bifurcation-point checks of
+closed-form principal pair, lambda1 and the bifurcation-point checks of
 `bifurcation_point`, then z_hat and its moments) once per mesh, then
 `diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
 scalar arithmetic on g''(0), g'''(0) and the per-mesh moments.
@@ -42,7 +42,7 @@ from .errors import ConfigError, SolvabilityError
 from .mesh import Mesh, inner_product
 from .nonlinearity import NonlinearityModel, derivative_at_zero
 from .operators import BorderedSolution, Laplacian, bordered_solve
-from .spectrum import CRReport, Eigenpair, principal_eigenpair, second_eigenpair, verify_crandall_rabinowitz
+from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
     "CoexistenceType",
@@ -285,16 +285,15 @@ class AnalysisResult(EigenData):
 
 
 def bifurcation_point(mesh: Mesh, tolerances: Tolerances) -> tuple[Laplacian, Eigenpair, CRReport]:
-    """Build the stencil L, take the closed-form principal and second
-    eigenpairs certified against it, and check the bifurcation point.
-    The second pair is certified at max(eigen_tol, 1e-10), so an eigen_tol
-    below 1e-10 tightens only the principal pair."""
+    """Build the stencil L, take the closed-form principal eigenpair
+    certified against it, read lambda1 as the second-smallest entry of
+    L.eigenvalues, and check the bifurcation point."""
     tolerances.validate()
     L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=tolerances.eigen_tol)
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,
-        second_eigenpair(L, mesh, tol=max(tolerances.eigen_tol, 1e-10)).eigenvalue,
+        float(np.partition(L.eigenvalues, 1)[1]),
         pair.vector,
         mesh,
         gap_tol=tolerances.resolved_gap_tol(pair.eigenvalue),

@@ -88,10 +88,6 @@ class Mesh:
     def zeros(self) -> Array:
         return np.zeros(self.n_nodes)
 
-    def grid(self, values: Array) -> Array:
-        """Reshape a node vector to the (n0, n1, ...) grid layout."""
-        return np.asarray(values).reshape(self.spec.resolution)
-
 
 def build_mesh(spec: DomainSpec) -> Mesh:
     """Build the uniform interior grid for spec.

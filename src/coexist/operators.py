@@ -3,26 +3,27 @@ solvers built on them.
 
 L is the matrix-free 3- or 5-point stencil; nothing is assembled. The
 type-I discrete sine transform (DST-I) diagonalises it exactly (Buzbee,
-Golub and Nielson 1970; Swarztrauber 1977). Along an axis of at most 512
-nodes it is one BLAS product with the cached dense sine matrix; longer
-axes use scipy.fft.dst, the package's only use of scipy. Two solvers
-live here: preconditioned conjugate gradients for SPD systems, and a
-bordered solver for operators A = L - sigma + (small diagonal) whose
-near-kernel is the principal sine mode u0. The bordered solve reads the
-u0 component of its solution off the row constraint and runs CG with the
-projected operator P A, P = I - q q^T and q = u0/||u0||, on the
-orthogonal complement of u0, where the DST inverse of L - sigma with the
-principal mode zeroed is exact. `bordered_solve` returns the unique
-kernel-orthogonal solution plus a scalar multiplier xi equal to the
-kernel component of the right-hand side, so callers can check
-solvability explicitly.
+Golub and Nielson 1970; Swarztrauber 1977), and L carries its
+closed-form eigenvalues in the DST's coefficient order. Along an axis of
+at most 512 nodes the DST is one BLAS product with the cached dense sine
+matrix; longer axes use scipy.fft.dst, the package's only use of scipy.
+Two solvers live here: preconditioned conjugate gradients for SPD
+systems, and a bordered solver for operators A = L - sigma + (small
+diagonal) whose near-kernel is the principal sine mode u0. The bordered
+solve reads the u0 component of its solution off the row constraint and
+runs CG with the projected operator P A, P = I - q q^T and
+q = u0/||u0||, on the orthogonal complement of u0, where the DST inverse
+of L - sigma with the principal mode zeroed is exact. `bordered_solve`
+returns the unique kernel-orthogonal solution plus a scalar multiplier
+xi equal to the kernel component of the right-hand side, so callers can
+check solvability explicitly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,6 @@ from .mesh import Mesh, l2_norm
 __all__ = [
     "Laplacian",
     "BorderedSolution",
-    "axis_eigenvalues",
     "dst",
     "spectral_inverse",
     "bordered_solve",
@@ -59,6 +59,19 @@ class Laplacian:
     @property
     def n(self) -> int:
         return math.prod(self.shape)
+
+    @cached_property
+    def eigenvalues(self) -> Array:
+        """The eigenvalues of L in dst's coefficient order, principal first:
+        sums over the axes of 4/h^2 sin^2(j pi / (2(n+1))), j = 1..n, the
+        eigenvalues of each axis's 3-point stencil. Read-only."""
+        axes = [
+            4.0 * c * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+            for n, c in zip(self.shape, self.inv_h2)
+        ]
+        ev = reduce(np.add.outer, axes).ravel()
+        ev.flags.writeable = False
+        return ev
 
     def apply(self, v: Array) -> Array:
         """L v as a fresh array (callers hold earlier results), with one
@@ -91,15 +104,6 @@ class BorderedSolution:
     residual_norm: float
 
 
-def axis_eigenvalues(mesh: Mesh) -> list[Array]:
-    """Eigenvalues 4/h^2 sin^2(j pi / (2(n+1))), j = 1..n, of each axis's
-    3-point stencil; those of L are their sums, one per sine mode."""
-    return [
-        4.0 / h**2 * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
-        for n, h in zip(mesh.spec.resolution, mesh.h)
-    ]
-
-
 # Axes up to this many nodes apply the DST-I as a dense sine-matrix product
 # (one BLAS GEMM or GEMV); longer axes use scipy's FFT. With one BLAS thread
 # the two cost the same near n = 500 in 1-D and 2-D, while the FFT length
@@ -124,13 +128,13 @@ def _sine_matrix(n: int) -> Array:
     return S
 
 
-def dst(mesh: Mesh, v: Array) -> Array:
+def dst(L: Laplacian, v: Array) -> Array:
     """Orthonormal DST-I of a node vector along every axis: node values to
     sine-mode coefficients and back (the transform is its own inverse).
     Axes of at most _SINE_MATRIX_MAX_N nodes multiply by the cached sine
     matrix (symmetric, so no transpose): x @ S on the last axis, S @ x on
     the first axis of a 2-D grid; longer axes call scipy.fft.dst."""
-    x = mesh.grid(v)
+    x = np.asarray(v).reshape(L.shape)
     for axis, n in enumerate(x.shape):
         if n <= _SINE_MATRIX_MAX_N:
             x = x @ _sine_matrix(n) if axis == x.ndim - 1 else _sine_matrix(n) @ x
@@ -143,14 +147,14 @@ def dst(mesh: Mesh, v: Array) -> Array:
     return x.ravel()
 
 
-def spectral_inverse(mesh: Mesh, sigma: float) -> MatVec:
+def spectral_inverse(L: Laplacian, sigma: float) -> MatVec:
     """Exact inverse of L - sigma on the orthogonal complement of the
     principal sine mode q, and zero along q: a DST, the diagonal
     1/(lambda_j - sigma) with the (1, ..., 1) mode zeroed, and a second DST."""
-    diag = reduce(np.add.outer, axis_eigenvalues(mesh)).ravel() - sigma
-    diag[0] = np.inf
-    inv = 1.0 / diag
-    return lambda r: dst(mesh, inv * dst(mesh, r))
+    inv = L.eigenvalues - sigma
+    inv[0] = np.inf  # 1/inf = 0 zeroes q without a divide-by-zero warning
+    np.divide(1.0, inv, out=inv)
+    return lambda r: dst(L, inv * dst(L, r))
 
 
 def _cg(
@@ -213,7 +217,7 @@ def solve_bordered_system(
     row: Array,
     f: Array,
     g: float,
-    mesh: Mesh,
+    L: Laplacian,
     sigma: float,
     rtol: float,
     atol: float,
@@ -236,7 +240,7 @@ def solve_bordered_system(
     x = c q + v1 - y v2. Each CG solve targets ||r|| <= max(rtol*||b||, atol).
     """
     q = near_kernel / np.sqrt(near_kernel @ near_kernel)
-    precondition = spectral_inverse(mesh, sigma)
+    precondition = spectral_inverse(L, sigma)
 
     def project(v: Array) -> Array:
         return v - (q @ v) * q
@@ -294,7 +298,7 @@ def bordered_solve(
     row = mesh.quad_weights * u0  # row constraint: (z, u0)_mesh = 0
     # oversolve by 10x so the recombined residual stays within tol
     z, xi = solve_bordered_system(
-        apply_a, u0, u0, row, rhs, 0.0, mesh, lambda0, 0.1 * tol, 0.1 * tol, max(2000, 4 * L.n)
+        apply_a, u0, u0, row, rhs, 0.0, L, lambda0, 0.1 * tol, 0.1 * tol, max(2000, 4 * L.n)
     )
     res = l2_norm(mesh, apply_a(z) + xi * u0 - rhs)
     return BorderedSolution(z=z, xi=xi, residual_norm=res)

@@ -1,10 +1,12 @@
-"""Principal and second eigenpairs of the discrete Laplacian, and the
-checks that certify the bifurcation point.
+"""The principal eigenpair of the discrete Laplacian, and the checks
+that certify the bifurcation point.
 
 On a uniform product grid the Dirichlet Laplacian's eigenvectors are
 products of sines, sin(j pi i / (n+1)) per axis, with eigenvalues
-sum_axes 4/h^2 sin^2(j pi / (2(n+1))). Both eigenpairs are these closed
-forms; each is certified by its residual against the stencil L.
+sum_axes 4/h^2 sin^2(j pi / (2(n+1))), the grid `Laplacian.eigenvalues`.
+The principal pair is the closed-form (1, ..., 1) mode, certified by its
+residual against the stencil L; lambda1, the gap's other end, is read
+off the eigenvalue grid with no eigenvector.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ import numpy.typing as npt
 
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
-from .operators import Laplacian, axis_eigenvalues
+from .operators import Laplacian
 
 __all__ = [
     "Eigenpair",
     "CRReport",
     "principal_eigenpair",
-    "second_eigenpair",
     "verify_crandall_rabinowitz",
 ]
 
@@ -63,34 +64,20 @@ class CRReport:
         return asdict(self)
 
 
-def _sine_mode(L: Laplacian, mesh: Mesh, modes: tuple[int, ...], tol: float) -> Eigenpair:
-    """The mesh-normalized sine mode prod_a sin(j_a pi (x_a - lo_a) / len_a),
-    j_a = modes[a]. Raises ConvergenceError when its residual against the
-    stencil L exceeds tol (L is not this mesh's Laplacian, or rounding in
-    L v alone exceeds tol)."""
-    lam = float(sum(ev[j - 1] for ev, j in zip(axis_eigenvalues(mesh), modes)))
-    axes = zip(modes, mesh.axis_coords, mesh.spec.bounds)
-    v = reduce(np.multiply.outer, [np.sin(j * np.pi * (x - lo) / (hi - lo)) for j, x, (lo, hi) in axes]).ravel()
+def principal_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
+    """Smallest eigenvalue of L, L.eigenvalues[0], and its positive,
+    mesh-normalized eigenfunction: the sine mode
+    prod_a sin(pi (x_a - lo_a) / len_a). Raises ConvergenceError when its
+    residual against the stencil L exceeds tol (L is not this mesh's
+    Laplacian, or rounding in L v alone exceeds tol)."""
+    lam = float(L.eigenvalues[0])
+    axes = zip(mesh.axis_coords, mesh.spec.bounds)
+    v = reduce(np.multiply.outer, [np.sin(np.pi * (x - lo) / (hi - lo)) for x, (lo, hi) in axes]).ravel()
     v = v / l2_norm(mesh, v)
     res = l2_norm(mesh, L.apply(v) - lam * v)
     if res > tol:
-        raise ConvergenceError(f"sine mode {modes} misses eigen tolerance {tol:.1e} against L", res, 0)
+        raise ConvergenceError(f"principal sine mode misses eigen tolerance {tol:.1e} against L", res, 0)
     return Eigenpair(eigenvalue=lam, vector=v, residual=res)
-
-
-def principal_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
-    """Smallest eigenvalue of L and its positive, mesh-normalized
-    eigenfunction: the sine mode (1, ..., 1)."""
-    return _sine_mode(L, mesh, (1,) * mesh.dim, tol)
-
-
-def second_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
-    """Smallest eigenvalue of L on the complement of the principal
-    eigenvector, with its mesh-normalized eigenvector. Eigenvalues grow
-    with each mode index, so this is mode index 2 on the axis whose step
-    costs least, the first on the square's tie."""
-    axis = int(np.argmin([ev[1] - ev[0] for ev in axis_eigenvalues(mesh)]))
-    return _sine_mode(L, mesh, tuple(2 if a == axis else 1 for a in range(mesh.dim)), tol)
 
 
 def verify_crandall_rabinowitz(

@@ -4,14 +4,8 @@ import time
 import numpy as np
 import pytest
 
-from coexist import (
-    DomainSpec,
-    Laplacian,
-    build_mesh,
-    inner_product,
-    principal_eigenpair,
-    second_eigenpair,
-)
+from coexist import DomainSpec, Laplacian, Tolerances, build_mesh, inner_product, principal_eigenpair
+from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
 
@@ -68,11 +62,12 @@ def eig400(lap400, mesh400):
 
 
 @pytest.fixture(scope="session")
-def second400(lap400, eig400, mesh400):
-    pair, _ = eig400
+def cr400(mesh400):
+    """The bifurcation-point checks at default tolerances, which carry
+    lambda1 and the gap, and the time they took."""
     t0 = time.perf_counter()
-    second = second_eigenpair(lap400, mesh400, tol=1e-10)
-    return (second.eigenvalue, second.vector, second.residual), time.perf_counter() - t0
+    _, _, cr = bifurcation_point(mesh400, Tolerances())
+    return cr, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -91,10 +86,3 @@ def eig2d_128(lap2d_128, mesh2d_128):
     pair = principal_eigenpair(lap2d_128, mesh2d_128, tol=1e-10)
     return pair, time.perf_counter() - t0
 
-
-@pytest.fixture(scope="session")
-def second2d_128(lap2d_128, eig2d_128, mesh2d_128):
-    pair, _ = eig2d_128
-    t0 = time.perf_counter()
-    second = second_eigenpair(lap2d_128, mesh2d_128, tol=1e-10)
-    return (second.eigenvalue, second.vector, second.residual), time.perf_counter() - t0

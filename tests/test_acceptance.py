@@ -57,20 +57,20 @@ def branches(mesh400):
     return out
 
 
-def test_criterion_1_eigenpair_oracle(eig400, second400, eig2d_128):
+def test_criterion_1_eigenpair_oracle(eig400, cr400, eig2d_128):
     failures = []
     pair, t_pair = eig400
     if abs(pair.eigenvalue - 1.0) > 1e-4:
         failures.append(f"lambda0 1D = {pair.eigenvalue} not within 1e-4 of 1")
-    (lam1, _, _), t_lam1 = second400
-    if abs(lam1 - 4.0) > 1e-3:
-        failures.append(f"lambda1 1D = {lam1} not within 1e-3 of 4")
+    cr, t_cr = cr400
+    if abs(cr.lambda1 - 4.0) > 1e-3:
+        failures.append(f"lambda1 1D = {cr.lambda1} not within 1e-3 of 4")
     pair2d, t_2d = eig2d_128
     if abs(pair2d.eigenvalue - 2.0) > 1e-3:
         failures.append(f"lambda0 2D = {pair2d.eigenvalue} not within 1e-3 of 2")
-    for name, t in [("1D principal", t_pair), ("1D second", t_lam1), ("2D principal", t_2d)]:
+    for name, t in [("1D principal", t_pair), ("1D bifurcation point", t_cr), ("2D principal", t_2d)]:
         if t >= 5.0:
-            failures.append(f"{name} eigensolve took {t:.1f}s (target < 5s)")
+            failures.append(f"{name} took {t:.1f}s (target < 5s)")
     record(1, "eigenpair oracle", failures)
 
 

@@ -145,6 +145,26 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert "configuration error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("analyze", "outputs.report_path=5"),
+            ("analyze", "outputs.report_path=null"),
+            ("trace", "outputs.branch_csv_path=[1]"),
+        ],
+    )
+    def test_non_string_output_path_is_config_error(self, tmp_path, capsys, command, override):
+        path = write_config(tmp_path, base_config())
+        code = main([command, "--config", path, "--out-dir", str(tmp_path), "--override", override])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: outputs.")
+
+    def test_override_on_non_object_root_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, [1, 2])
+        code = main(["analyze", "--config", path, "--override", "model.eta=1"])
+        assert code == EXIT_CONFIG
+        assert "config root must be a JSON object" in capsys.readouterr().err
+
     def test_echo_roundtrip(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -315,8 +335,8 @@ class TestVerify:
 
 
 def test_analyze_and_verify_agree_below_default_eigen_tol(tmp_path):
-    # eigen_tol = 1e-11 is finer than the second mode's residual at 400
-    # nodes; both commands certify lambda1 by the same rule
+    # eigen_tol = 1e-11 tightens only the principal pair's certificate;
+    # both commands read lambda1 off the same eigenvalue grid
     raw = base_config()
     raw["domain"]["resolution"] = [400]
     raw["tolerances"] = {"eigen_tol": 1e-11}

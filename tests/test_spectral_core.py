@@ -2,7 +2,6 @@
 preconditioned solves built on it."""
 
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from coexist import (
 )
 from coexist import operators
 from coexist.continuation import DEFAULT_S_VALUES
-from coexist.operators import axis_eigenvalues, dst, spectral_inverse
+from coexist.operators import dst, spectral_inverse
 
 from conftest import dense
 
@@ -52,12 +51,12 @@ def sine_matrix(n: int) -> np.ndarray:
     ],
 )
 def test_dst_matches_dense_sine_matrix_1d(spec):
-    mesh = build_mesh(spec)
-    S = sine_matrix(mesh.n_nodes)
-    np.testing.assert_allclose(S @ S, np.eye(mesh.n_nodes), atol=1e-14)
-    v = np.random.default_rng(0).standard_normal(mesh.n_nodes)
-    np.testing.assert_allclose(dst(mesh, v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
-    np.testing.assert_allclose(dst(mesh, dst(mesh, v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    L = Laplacian.of(build_mesh(spec))
+    S = sine_matrix(L.n)
+    np.testing.assert_allclose(S @ S, np.eye(L.n), atol=1e-14)
+    v = np.random.default_rng(0).standard_normal(L.n)
+    np.testing.assert_allclose(dst(L, v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(dst(L, dst(L, v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
 
 
 def test_cached_sine_matrix_is_orthonormal():
@@ -69,21 +68,28 @@ def test_cached_sine_matrix_is_orthonormal():
 
 
 def test_dst_matches_dense_sine_matrix_2d():
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (5, 7)))
+    L = Laplacian.of(build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (5, 7))))
     S = np.kron(sine_matrix(5), sine_matrix(7))  # lexicographic, first axis slowest
-    np.testing.assert_allclose(S @ S, np.eye(mesh.n_nodes), atol=1e-14)
-    v = np.random.default_rng(1).standard_normal(mesh.n_nodes)
-    np.testing.assert_allclose(dst(mesh, v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
-    np.testing.assert_allclose(dst(mesh, dst(mesh, v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(S @ S, np.eye(L.n), atol=1e-14)
+    v = np.random.default_rng(1).standard_normal(L.n)
+    np.testing.assert_allclose(dst(L, v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(dst(L, dst(L, v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
 
 
 @pytest.mark.parametrize("name", ["interval-3", "square-48", "rect-40x80"])
 def test_sine_modes_diagonalise_assembled_laplacian(name):
-    mesh = build_mesh(MESHES[name])
-    L = dense(Laplacian.of(mesh))
-    S = np.column_stack([dst(mesh, e) for e in np.eye(mesh.n_nodes)])
-    modes = reduce(np.add.outer, axis_eigenvalues(mesh)).ravel()  # node order of dst's output
-    np.testing.assert_allclose(S @ L @ S, np.diag(modes), atol=1e-12 * np.abs(L).max())
+    L = Laplacian.of(build_mesh(MESHES[name]))
+    A = dense(L)
+    S = np.column_stack([dst(L, e) for e in np.eye(L.n)])
+    np.testing.assert_allclose(S @ A @ S, np.diag(L.eigenvalues), atol=1e-12 * np.abs(A).max())
+
+
+def test_eigenvalue_grid_is_cached_and_read_only():
+    L = Laplacian.of(build_mesh(MESHES["rect-40x80"]))
+    ev = L.eigenvalues
+    spectral_inverse(L, float(ev[0]))
+    assert L.eigenvalues is ev and not ev.flags.writeable
+    assert ev[0] == ev.min()
 
 
 @pytest.mark.parametrize("name", list(MESHES))
@@ -102,7 +108,7 @@ def test_spectral_inverse_is_exact(name, offset):
     q = q.ravel() / np.linalg.norm(q)
     lambda0 = sum(4.0 / h**2 * np.sin(PI / (2 * (n + 1))) ** 2 for n, h in zip(mesh.spec.resolution, mesh.h))
     sigma = lambda0 + offset
-    precondition = spectral_inverse(mesh, sigma)
+    precondition = spectral_inverse(L, sigma)
     v = np.random.default_rng(2).standard_normal(mesh.n_nodes)
     v -= (q @ v) * q
     assert np.linalg.norm(precondition(L.apply(v) - sigma * v) - v) <= 1e-12 * np.linalg.norm(v)
@@ -129,7 +135,7 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     row = mesh.quad_weights * u0
     f, g = rng.standard_normal(mesh.n_nodes), 0.03
     x, y = operators.solve_bordered_system(
-        lambda v: L.apply(v) + (d - lam) * v, u0, col, row, f, g, mesh, lam,
+        lambda v: L.apply(v) + (d - lam) * v, u0, col, row, f, g, L, lam,
         rtol=1e-13, atol=1e-14, max_iter=2000,
     )
     K = np.block(

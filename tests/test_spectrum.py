@@ -12,9 +12,11 @@ from coexist import (
     inner_product,
     l2_norm,
     principal_eigenpair,
-    second_eigenpair,
     verify_crandall_rabinowitz,
 )
+from coexist.diagnostics import bifurcation_point
+
+from conftest import dense
 
 PI = math.pi
 
@@ -38,16 +40,10 @@ def test_principal_eigenpair_contracts(eig400, lap400, mesh400):
     assert abs(pair.eigenvalue - rq) <= 1e-8
 
 
-def test_second_eigenvalue_interval_400(second400, eig400, mesh400):
-    (lam1, vec, res), _ = second400
-    pair, _ = eig400
-    assert lam1 == pytest.approx(4.0, abs=1e-3)
-    assert lam1 - pair.eigenvalue == pytest.approx(3.0, abs=2e-3)
-    # the second sine mode sqrt(2/pi) sin(2x), orthogonal to u0
-    xs = mesh400.interior_nodes[:, 0]
-    assert np.max(np.abs(vec - math.sqrt(2 / PI) * np.sin(2 * xs))) < 1e-3
-    assert abs(inner_product(mesh400, vec, pair.vector)) <= 1e-12
-    assert res <= 1e-10
+def test_second_eigenvalue_interval_400(cr400):
+    cr, _ = cr400
+    assert cr.lambda1 == pytest.approx(4.0, abs=1e-3)
+    assert cr.gap == pytest.approx(3.0, abs=2e-3)
 
 
 def test_principal_eigenpair_square_small():
@@ -58,17 +54,30 @@ def test_principal_eigenpair_square_small():
     assert np.all(pair.vector >= 0.0)
 
 
-def test_second_eigenvalue_square_128(second2d_128, eig2d_128, mesh2d_128):
-    (lam1, vec, res), _ = second2d_128
-    pair, _ = eig2d_128
-    # second eigenvalue of the square is 5 (multiplicity 2); the tie goes
-    # to the first axis, i.e. the mode (2/pi) sin(2x) sin(y)
-    assert lam1 == pytest.approx(5.0, abs=1e-2)
-    assert lam1 - pair.eigenvalue == pytest.approx(3.0, abs=1e-2)
-    x, y = mesh2d_128.interior_nodes.T
-    assert np.max(np.abs(vec - (2 / PI) * np.sin(2 * x) * np.sin(y))) < 1e-3
-    assert abs(inner_product(mesh2d_128, vec, pair.vector)) <= 1e-12
-    assert res <= 1e-10
+def test_second_eigenvalue_square_128(mesh2d_128):
+    # second eigenvalue of the square is 5, with multiplicity 2
+    _, _, cr = bifurcation_point(mesh2d_128, Tolerances())
+    assert cr.lambda1 == pytest.approx(5.0, abs=1e-2)
+    assert cr.gap == pytest.approx(3.0, abs=1e-2)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DomainSpec("interval", ((0.0, PI),), (9,)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (7, 7)),
+        # lambda1 from the longer axis: the second, then the first
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (6, 13)),
+        DomainSpec("rectangle", ((0.0, 2 * PI), (0.0, PI)), (13, 6)),
+    ],
+    ids=["interval-9", "square-7x7", "rect-6x13", "rect-13x6"],
+)
+def test_lambda1_matches_dense_eigvalsh(spec):
+    mesh = build_mesh(spec)
+    _, _, cr = bifurcation_point(mesh, Tolerances())
+    want = np.linalg.eigvalsh(dense(Laplacian.of(mesh)))
+    assert cr.lambda1 == pytest.approx(want[1], rel=1e-12)
+    assert cr.gap == pytest.approx(want[1] - want[0], rel=1e-12)
 
 
 def test_minimal_mesh_eigensolve():
@@ -86,8 +95,8 @@ def test_anisotropic_rectangle():
     L = Laplacian.of(mesh)
     pair = principal_eigenpair(L, mesh, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(1.25, abs=2e-3)
-    lam1 = second_eigenpair(L, mesh, tol=1e-10).eigenvalue
-    assert lam1 == pytest.approx(2.0, abs=5e-3)
+    _, _, cr = bifurcation_point(mesh, Tolerances())
+    assert cr.lambda1 == pytest.approx(2.0, abs=5e-3)
 
 
 def test_lambda0_refinement_order():
@@ -100,11 +109,10 @@ def test_lambda0_refinement_order():
     assert min(orders) >= 1.9
 
 
-def test_cr_report_interval(eig400, second400, mesh400):
+def test_cr_report_interval(eig400, cr400, mesh400):
     pair, _ = eig400
-    (lam1, _, _), _ = second400
     gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, lam1, pair.vector, mesh400, gap_tol)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, mesh400, gap_tol)
     assert cr.gap == pytest.approx(3.0, abs=2e-3)
     assert cr.kernel_dim_ok and cr.transversality_ok
     assert cr.bifurcation_point_certified
@@ -120,10 +128,9 @@ def test_cr_report_degenerate_gap(eig400, mesh400):
     assert not cr.bifurcation_point_certified
 
 
-def test_cr_custom_gap_tol(eig400, second400, mesh400):
+def test_cr_custom_gap_tol(eig400, cr400, mesh400):
     pair, _ = eig400
-    (lam1, _, _), _ = second400
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, lam1, pair.vector, mesh400, gap_tol=10.0)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, mesh400, gap_tol=10.0)
     assert not cr.kernel_dim_ok
 
 
@@ -135,8 +142,6 @@ def test_unattainable_tolerance_raises():
     with pytest.raises(ConvergenceError) as err:
         principal_eigenpair(L, mesh, tol=1e-16)
     assert 1e-16 < err.value.residual < 1e-12
-    with pytest.raises(ConvergenceError):
-        second_eigenpair(L, mesh, tol=1e-16)
 
 
 def test_determinism(mesh100):
@@ -145,7 +150,3 @@ def test_determinism(mesh100):
     p2 = principal_eigenpair(L, mesh100, tol=1e-10)
     assert p1.eigenvalue == p2.eigenvalue
     assert np.array_equal(p1.vector, p2.vector)
-    s1 = second_eigenpair(L, mesh100, tol=1e-10)
-    s2 = second_eigenpair(L, mesh100, tol=1e-10)
-    assert s1.eigenvalue == s2.eigenvalue
-    assert np.array_equal(s1.vector, s2.vector)
