@@ -83,6 +83,9 @@ class RunConfig:
             raise ConfigError(f"domain is missing field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed domain section: {exc}") from None
+        unknown = set(dom) - {"kind", "bounds", "resolution"}
+        if unknown:
+            raise ConfigError(f"unknown domain fields: {sorted(unknown)}")
         spec.validate()
         model = NonlinearityModel.from_dict(raw.get("model", {"kind": "free"}))
         tol_raw = _section(raw, "tolerances")

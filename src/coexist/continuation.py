@@ -10,6 +10,13 @@ Each Newton step solves a bordered system with the (possibly nearly
 singular) Jacobian on the complement of u0, by CG preconditioned with the
 exact DST inverse of L - lambda there: the Jacobian differs from it by
 the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
+
+Each point starts from a second-order predictor U = s*u0 + s^2*w,
+lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
+g''(0)*z_hat, the corrector the analysis already solved, and c =
+1/2*mu_ss; every later point takes w and c from its converged inward
+neighbour. The guess is then accurate to the branch's own order, and one
+Newton step reaches newton_tol.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy.typing as npt
 from .diagnostics import AnalysisResult
 from .errors import ConvergenceError
 from .mesh import Mesh, inner_product, l2_norm
-from .nonlinearity import NonlinearityModel, apply, apply_derivative
+from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import Laplacian, MatVec, solve_bordered_system
 
 __all__ = [
@@ -101,12 +108,13 @@ def solve_at_amplitude(
     newton_tol: float = 1e-10,
     max_iters: int = 25,
     linear_rtol: float = 1e-8,
-    U_init: Array | None = None,
+    initial: tuple[Array, float] | None = None,
 ) -> BranchPoint:
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s.
 
-    The initial guess is U = s*u0 with lambda from the second-order
-    expansion unless a warm start is supplied. Inner bordered solves run
+    initial is a warm start (U, lambda), such as trace_branch's predictor;
+    without one the guess is U = s*u0 with lambda from the second-order
+    expansion lambda0 + mu_s*s + 1/2*mu_ss*s^2. Inner bordered solves run
     at relative tolerance linear_rtol with an absolute target well below
     newton_tol, so the linear error never limits the Newton residual.
     Raises ConvergenceError carrying the final residual and the number
@@ -114,8 +122,10 @@ def solve_at_amplitude(
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
-    U = (s * u0) if U_init is None else U_init.copy()
-    lam = lambda0 + mu_s * s + 0.5 * mu_ss * s * s
+    if initial is None:
+        U, lam = s * u0, lambda0 + mu_s * s + 0.5 * mu_ss * s * s
+    else:
+        U, lam = initial[0].copy(), float(initial[1])
     row = mesh.quad_weights * u0
     # Euclidean absolute target: newton_tol is a mesh-norm tolerance and
     # ||v||_mesh = sqrt(w) * ||v||_2 on uniform grids
@@ -159,8 +169,11 @@ def trace_branch(
     linear_rtol: float = 1e-8,
 ) -> Branch:
     """Solve along the given amplitudes for the analysis's model and mesh,
-    warm-starting each point from its inward neighbour on the same side
-    of s = 0.
+    outward from s = 0 on each side, each point from the second-order
+    predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c. Each
+    leg starts at w = g''(0)*analysis.z_hat and c = 1/2*mu_ss, the s^2
+    coefficients of the local expansion; after each converged point
+    w = (U - s*u0)/s^2 and c = (lambda - lambda0 - mu_s*s)/s^2.
 
     A diverged point truncates its side of the branch; the event is
     recorded on the Branch rather than raised.
@@ -179,10 +192,11 @@ def trace_branch(
     truncations: list[str] = []
     negatives = sorted((s for s in s_values if s < 0), reverse=True)
     positives = sorted(s for s in s_values if s > 0)
+    z_s = derivative_at_zero(model, 2) * analysis.z_hat
     for leg in (negatives, positives):
-        prev: BranchPoint | None = None
+        w, c = z_s, 0.5 * d.mu_ss
         for s in leg:
-            warm = None if prev is None else prev.U * (s / prev.s)
+            predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
             try:
                 pt = solve_at_amplitude(
                     s,
@@ -196,13 +210,14 @@ def trace_branch(
                     newton_tol=newton_tol,
                     max_iters=max_iters,
                     linear_rtol=linear_rtol,
-                    U_init=warm,
+                    initial=predicted,
                 )
             except ConvergenceError as exc:
                 truncations.append(f"branch truncated at s={s:g}: {exc}")
                 break
             points.append(pt)
-            prev = pt
+            w = (pt.U - s * u0) / (s * s)
+            c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
 
     points.sort(key=lambda p: p.s)
     branch = Branch(points=tuple(points), model=model, lambda0=lambda0, truncations=tuple(truncations))

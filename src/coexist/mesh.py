@@ -57,6 +57,15 @@ class DomainSpec:
         for ax, n in enumerate(self.resolution):
             if n < 3:
                 raise ConfigError(f"resolution[{ax}] must be >= 3, got {n}")
+        # the stencil scales by 1/h^2, and the residual norms of the solves
+        # square values up to its largest eigenvalue, sum 4/h^2
+        hs = [(hi - lo) / (n + 1) for (lo, hi), n in zip(self.bounds, self.resolution)]
+        lam_max = sum(4.0 / (h * h) if h * h > 0.0 else math.inf for h in hs)
+        if not math.isfinite(lam_max * lam_max):
+            raise ConfigError(
+                f"grid spacing h = {hs} is too small: the stencil's largest eigenvalue "
+                f"sum 4/h^2 = {lam_max:.3g} overflows when squared"
+            )
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,9 @@ at the origin. Four kinds are supported:
 
 g(0) = 0 holds for every kind, so u = 0 solves the master problem at
 every parameter value. All coefficients are real; vectors in stay
-vectors out with the same (float) dtype.
+vectors out with the same (float) dtype. Integer powers of u are exact
+repeated products, never numpy's pow: they are bitwise odd or even
+under u -> -u, and negative bases take no slow path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ __all__ = ["NonlinearityModel", "derivative_at_zero", "apply", "apply_derivative
 
 Array = npt.NDArray[np.float64]
 
-_KINDS = ("free", "linear", "psi_k", "polynomial")
+# each kind's descriptor fields besides "kind"
+_FIELDS = {"free": (), "linear": ("V_L",), "psi_k": ("k", "eta"), "polynomial": ("coeffs",)}
+_KINDS = tuple(_FIELDS)
 _MAX_POLY_DEGREE = 6
 
 
@@ -88,6 +92,11 @@ class NonlinearityModel:
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError("model descriptor must be an object with a 'kind' field")
         kind = d["kind"]
+        if not isinstance(kind, str) or kind not in _FIELDS:
+            raise ConfigError(f"unknown nonlinearity kind {kind!r}; expected one of {_KINDS}")
+        unknown = set(d) - {"kind", *_FIELDS[kind]}
+        if unknown:
+            raise ConfigError(f"unknown model fields for kind {kind!r}: {sorted(unknown)}")
         try:
             if kind == "free":
                 return NonlinearityModel.free()
@@ -95,13 +104,11 @@ class NonlinearityModel:
                 return NonlinearityModel.linear(d["V_L"])
             if kind == "psi_k":
                 return NonlinearityModel.psi_k(d["k"], d["eta"])
-            if kind == "polynomial":
-                return NonlinearityModel.polynomial(d["coeffs"])
+            return NonlinearityModel.polynomial(d["coeffs"])
         except KeyError as exc:
             raise ConfigError(f"model kind {kind!r} is missing field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"model kind {kind!r} has a malformed field: {exc}") from None
-        raise ConfigError(f"unknown nonlinearity kind {kind!r}")
 
     def to_dict(self) -> dict:
         if self.kind == "free":
@@ -142,6 +149,17 @@ def derivative_at_zero(model: NonlinearityModel, order: int) -> float:
     return factorial * c[order - 1] if len(c) >= order else 0.0
 
 
+def _power(U: Array, p: int) -> Array:
+    """U**p for an integer p >= 0 as a fresh array of repeated in-place
+    products."""
+    if p == 0:
+        return np.ones_like(U)
+    out = U.copy()
+    for _ in range(p - 1):
+        out *= U
+    return out
+
+
 def apply(model: NonlinearityModel, U: Array) -> Array:
     """Pointwise g(U)."""
     U = np.asarray(U, dtype=float)
@@ -150,7 +168,9 @@ def apply(model: NonlinearityModel, U: Array) -> Array:
     if model.kind == "linear":
         return model.V_L * U
     if model.kind == "psi_k":
-        return -model.eta * U ** (model.k - 1)
+        out = _power(U, model.k - 1)
+        out *= -model.eta
+        return out
     out = np.zeros_like(U)
     for j in range(len(model.poly_coeffs), 0, -1):
         out = (out + model.poly_coeffs[j - 1]) * U
@@ -165,7 +185,9 @@ def apply_derivative(model: NonlinearityModel, U: Array) -> Array:
     if model.kind == "linear":
         return np.full_like(U, model.V_L)
     if model.kind == "psi_k":
-        return -model.eta * (model.k - 1) * U ** (model.k - 2)
+        out = _power(U, model.k - 2)
+        out *= -model.eta * (model.k - 1)
+        return out
     out = np.zeros_like(U)
     for j in range(len(model.poly_coeffs), 1, -1):
         out = (out + j * model.poly_coeffs[j - 1]) * U

@@ -119,6 +119,9 @@ class TestConfig:
             "k_list=[Infinity]",
             "domain.resolution=[Infinity]",
             "domain.bounds=[[0,Infinity]]",
+            # h^2 underflows to 0; then sum 4/h^2 is finite but its square is not
+            "domain.bounds=[[0,1e-300]]",
+            "domain.bounds=[[0,1e-150]]",
             "k_list=[]",
             "eta_list=[]",
             "s_values=[]",
@@ -164,6 +167,18 @@ class TestConfig:
         code = main(["analyze", "--config", path, "--override", "model.eta=1"])
         assert code == EXIT_CONFIG
         assert "config root must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [("model.V_L=2", "V_L"), ("model.foo=1", "foo"), ("domain.foo=1", "foo")],
+    )
+    def test_unknown_model_or_domain_field_is_config_error(self, tmp_path, capsys, override, field):
+        path = write_config(tmp_path, base_config())
+        code = main(["analyze", "--config", path, "--out-dir", str(tmp_path), "--override", override])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"configuration error: unknown {override.split('.')[0]} fields")
+        assert repr(field) in err
 
     def test_echo_roundtrip(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))

@@ -119,6 +119,14 @@ class TestSolveAtAmplitude:
         )
         assert pt.lam == pytest.approx(d.lambda0, abs=1e-8)
 
+    def test_warm_start_at_solution_takes_no_step(self, quartic, mesh400):
+        d = quartic.diagnostics
+        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector, d.lambda0, d.mu_s, d.mu_ss)
+        pt = solve_at_amplitude(0.1, *args)
+        again = solve_at_amplitude(0.1, *args, initial=(pt.U, pt.lam))
+        assert again.newton_iters == 0
+        assert again.lam == pt.lam
+
     def test_zero_amplitude_rejected(self, quartic, mesh400):
         d = quartic.diagnostics
         with pytest.raises(ValueError, match="trivial"):
@@ -185,6 +193,21 @@ class TestTraceBranch:
         branch = trace_branch(analysis, [-0.08, -0.04, 0.04, 0.08])
         assert not branch.truncations
         assert all(p.lam > branch.lambda0 for p in branch.points)
+        assert all(p.residual <= 1e-10 for p in branch.points)
+
+    @pytest.mark.parametrize(
+        "bounds, resolution, k, eta",
+        [
+            (((0.0, PI), (0.0, PI)), (128, 128), 3, 1.0),
+            (((0.0, PI), (0.0, 2 * PI)), (96, 192), 4, -1.0),
+        ],
+    )
+    def test_predictor_converges_in_one_newton_step(self, bounds, resolution, k, eta):
+        mesh = build_mesh(DomainSpec("rectangle", bounds, resolution))
+        analysis = run_analysis(mesh, NonlinearityModel.psi_k(k, eta))
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
+        assert len(branch.points) == len(DEFAULT_S_VALUES)
+        assert all(p.newton_iters == 1 for p in branch.points)
         assert all(p.residual <= 1e-10 for p in branch.points)
 
     def test_input_validation(self, quartic):

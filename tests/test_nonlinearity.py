@@ -85,12 +85,18 @@ class TestApply:
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
     def test_even_k_gives_odd_g(self, k):
-        # pointwise odd symmetry; numpy's pow may differ by 1 ulp under
-        # sign flips, so compare at rounding accuracy rather than bitwise
         m = NonlinearityModel.psi_k(k, 1.7)
         rng = np.random.default_rng(3)
         u = rng.uniform(-1, 1, size=50)
-        np.testing.assert_allclose(apply(m, -u), -apply(m, u), rtol=1e-15, atol=0.0)
+        np.testing.assert_array_equal(apply(m, -u), -apply(m, u))
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_psi_k_powers_match_pow(self, k):
+        # eta = -1 makes g(u) = u**(k-1) and g'(u) = (k-1)*u**(k-2)
+        m = NonlinearityModel.psi_k(k, -1.0)
+        u = np.random.default_rng(k).uniform(-2, 2, size=1000)
+        np.testing.assert_allclose(apply(m, u), u ** (k - 1), rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(apply_derivative(m, u), (k - 1) * u ** (k - 2), rtol=1e-15, atol=0.0)
 
 
 class TestApplyDerivative:
@@ -169,6 +175,20 @@ class TestConstruction:
     def test_direct_construction_checks_numbers(self, fields):
         with pytest.raises(ConfigError, match="must be"):
             NonlinearityModel(**fields)
+
+    @pytest.mark.parametrize(
+        "descriptor, field",
+        [
+            ({"kind": "psi_k", "k": 3, "eta": 1.0, "V_L": 2.0}, "V_L"),
+            ({"kind": "free", "eta": 1.0}, "eta"),
+            ({"kind": "linear", "V_L": 1.0, "coeffs": [1.0]}, "coeffs"),
+            ({"kind": "polynomial", "coeffs": [1.0], "foo": 1}, "foo"),
+        ],
+    )
+    def test_rejects_unknown_field(self, descriptor, field):
+        kind = descriptor["kind"]
+        with pytest.raises(ConfigError, match=rf"unknown model fields for kind '{kind}': \['{field}'\]"):
+            NonlinearityModel.from_dict(descriptor)
 
     def test_missing_field_reported(self):
         with pytest.raises(ConfigError, match="eta"):
