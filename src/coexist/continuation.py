@@ -48,6 +48,9 @@ __all__ = [
 Array = npt.NDArray[np.float64]
 
 DEFAULT_S_VALUES = (-0.10, -0.08, -0.06, -0.04, -0.02, 0.02, 0.04, 0.06, 0.08, 0.10)
+# relative target of each Newton step's bordered solve; its absolute target
+# follows from newton_tol
+_LINEAR_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +110,6 @@ def solve_at_amplitude(
     mu_ss: float,
     newton_tol: float = 1e-10,
     max_iters: int = 25,
-    linear_rtol: float = 1e-8,
     initial: tuple[Array, float] | None = None,
 ) -> BranchPoint:
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s.
@@ -115,7 +117,7 @@ def solve_at_amplitude(
     initial is a warm start (U, lambda), such as trace_branch's predictor;
     without one the guess is U = s*u0 with lambda from the second-order
     expansion lambda0 + mu_s*s + 1/2*mu_ss*s^2. Inner bordered solves run
-    at relative tolerance linear_rtol with an absolute target well below
+    at relative tolerance _LINEAR_RTOL with an absolute target well below
     newton_tol, so the linear error never limits the Newton residual.
     Raises ConvergenceError carrying the final residual and the number
     of iterations taken.
@@ -126,10 +128,10 @@ def solve_at_amplitude(
         U, lam = s * u0, lambda0 + mu_s * s + 0.5 * mu_ss * s * s
     else:
         U, lam = initial[0].copy(), float(initial[1])
-    row = mesh.quad_weights * u0
+    row = mesh.weight * u0
     # Euclidean absolute target: newton_tol is a mesh-norm tolerance and
     # ||v||_mesh = sqrt(w) * ||v||_2 on uniform grids
-    linear_atol = 0.02 * newton_tol / np.sqrt(float(mesh.quad_weights[0]))
+    linear_atol = 0.02 * newton_tol / np.sqrt(mesh.weight)
 
     iters = 0
     res = np.inf
@@ -146,7 +148,7 @@ def solve_at_amplitude(
         try:
             dU, dlam = solve_bordered_system(
                 jacobian_apply(U, lam, model, L), u0, -U, row, -F, -cres, L, lam,
-                rtol=linear_rtol, atol=linear_atol, max_iter=max(2000, 4 * L.n),
+                rtol=_LINEAR_RTOL, atol=linear_atol, max_iter=max(2000, 4 * L.n),
             )
         except ConvergenceError as exc:
             raise ConvergenceError(
@@ -166,7 +168,6 @@ def trace_branch(
     s_values,
     newton_tol: float = 1e-10,
     max_iters: int = 25,
-    linear_rtol: float = 1e-8,
 ) -> Branch:
     """Solve along the given amplitudes for the analysis's model and mesh,
     outward from s = 0 on each side, each point from the second-order
@@ -209,7 +210,6 @@ def trace_branch(
                     d.mu_ss,
                     newton_tol=newton_tol,
                     max_iters=max_iters,
-                    linear_rtol=linear_rtol,
                     initial=predicted,
                 )
             except ConvergenceError as exc:

@@ -2,9 +2,9 @@
 L2 inner product used by every pairing in the package.
 
 Boundary values are homogeneous Dirichlet, so only interior nodes carry
-unknowns and the quadrature is the composite rectangle rule with weight
-h^d per node (exactly the trapezoid rule for functions vanishing on the
-boundary).
+unknowns and the quadrature is the composite rectangle rule with the one
+weight prod(h) on every node (exactly the trapezoid rule for functions
+vanishing on the boundary), so a mesh stores that scalar, not a vector.
 """
 
 from __future__ import annotations
@@ -57,14 +57,16 @@ class DomainSpec:
         for ax, n in enumerate(self.resolution):
             if n < 3:
                 raise ConfigError(f"resolution[{ax}] must be >= 3, got {n}")
-        # the stencil scales by 1/h^2, and the residual norms of the solves
-        # square values up to its largest eigenvalue, sum 4/h^2
+        # the residual norms square L v, which is at most the stencil's largest
+        # eigenvalue sum 4/h^2 times the normalized sine mode's peak, whose
+        # square is prod 2/len
         hs = [(hi - lo) / (n + 1) for (lo, hi), n in zip(self.bounds, self.resolution)]
         lam_max = sum(4.0 / (h * h) if h * h > 0.0 else math.inf for h in hs)
-        if not math.isfinite(lam_max * lam_max):
+        squared = lam_max * lam_max * math.prod(2.0 / (hi - lo) for lo, hi in self.bounds)
+        if not math.isfinite(squared):
             raise ConfigError(
-                f"grid spacing h = {hs} is too small: the stencil's largest eigenvalue "
-                f"sum 4/h^2 = {lam_max:.3g} overflows when squared"
+                f"grid spacing h = {hs} is too small: the residual norms square "
+                f"(sum 4/h^2)^2 * prod 2/len = {squared:.3g}, which overflows"
             )
 
     @property
@@ -74,28 +76,25 @@ class DomainSpec:
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
-    """Uniform grid of interior nodes with per-node quadrature weights.
+    """Uniform grid of interior nodes, each with the quadrature weight
+    prod(h). The grid is its per-axis coordinates; no node table is formed.
 
     Node ordering is lexicographic in the axis index tuple (first axis
-    slowest), which fixes the summation order of all inner products.
+    slowest), the flat order of every node vector.
     """
 
     spec: DomainSpec
-    interior_nodes: Array  # shape (n_nodes, dim)
     h: tuple[float, ...]
-    quad_weights: Array  # shape (n_nodes,)
-    axis_coords: tuple[Array, ...] = field(repr=False, default=())
+    weight: float
+    axis_coords: tuple[Array, ...] = field(repr=False)
 
     @property
     def n_nodes(self) -> int:
-        return self.interior_nodes.shape[0]
+        return math.prod(self.spec.resolution)
 
     @property
     def dim(self) -> int:
         return self.spec.dim
-
-    def zeros(self) -> Array:
-        return np.zeros(self.n_nodes)
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:
@@ -106,22 +105,9 @@ def build_mesh(spec: DomainSpec) -> Mesh:
     the spec is invalid.
     """
     spec.validate()
-    axis_coords = []
-    hs = []
-    for (lo, hi), n in zip(spec.bounds, spec.resolution):
-        h = (hi - lo) / (n + 1)
-        hs.append(h)
-        axis_coords.append(lo + h * np.arange(1, n + 1))
-    grids = np.meshgrid(*axis_coords, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    w = float(np.prod(hs)) * np.ones(nodes.shape[0])
-    return Mesh(
-        spec=spec,
-        interior_nodes=nodes,
-        h=tuple(hs),
-        quad_weights=w,
-        axis_coords=tuple(axis_coords),
-    )
+    hs = tuple((hi - lo) / (n + 1) for (lo, hi), n in zip(spec.bounds, spec.resolution))
+    axis_coords = tuple(b[0] + h * np.arange(1, n + 1) for b, h, n in zip(spec.bounds, hs, spec.resolution))
+    return Mesh(spec=spec, h=hs, weight=math.prod(hs), axis_coords=axis_coords)
 
 
 def _check_length(mesh: Mesh, f: Array, name: str) -> Array:
@@ -132,18 +118,19 @@ def _check_length(mesh: Mesh, f: Array, name: str) -> Array:
 
 
 def inner_product(mesh: Mesh, f: Array, g: Array) -> float:
-    """Discrete L2 pairing sum_i w_i f_i g_i.
+    """Discrete L2 pairing sum_i w f_i g_i = w * (f . g), with the one
+    weight w = prod(h) applied to the dot product.
 
-    The pointwise product is formed before weighting so that the result
-    is bit-for-bit symmetric in (f, g); the summation order is numpy's
-    fixed pairwise order over ascending node index.
+    The dot product forms each f_i g_i = g_i f_i and sums them in the same
+    order whichever argument comes first, so the result is bit-for-bit
+    symmetric in (f, g); no weighted temporary is formed.
     """
     f = _check_length(mesh, f, "f")
     g = _check_length(mesh, g, "g")
-    return float(np.dot(mesh.quad_weights, f * g))
+    return mesh.weight * float(f @ g)
 
 
 def l2_norm(mesh: Mesh, f: Array) -> float:
     """sqrt(inner_product(mesh, f, f)); zero iff f == 0."""
     f = _check_length(mesh, f, "f")
-    return float(np.sqrt(np.dot(mesh.quad_weights, f * f)))
+    return math.sqrt(mesh.weight * float(f @ f))

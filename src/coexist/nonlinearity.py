@@ -6,14 +6,18 @@ at the origin. Four kinds are supported:
 
   free        g(u) = 0
   linear      g(u) = V_L * u
-  psi_k       g(u) = -eta * u**(k-1),   k >= 2
+  psi_k       g(u) = -eta * u**(k-1),   2 <= k <= 1000
   polynomial  g(u) = sum_{j=1..6} c_j * u**j
 
-g(0) = 0 holds for every kind, so u = 0 solves the master problem at
-every parameter value. All coefficients are real; vectors in stay
-vectors out with the same (float) dtype. Integer powers of u are exact
-repeated products, never numpy's pow: they are bitwise odd or even
-under u -> -u, and negative bases take no slow path.
+Every kind is a polynomial with no constant term, and a model carries
+it as the coefficient tuple (c_1, ..., c_d): () for free, (V_L,) for
+linear, (0, ..., 0, -eta) of length k-1 for psi_k. The kind matters
+only to construction, to_dict and describe; the evaluators read only
+the coefficients. g^(r)(0) = r! c_r, and g and g' are in-place Horner
+loops, so integer powers of u are exact repeated products, never
+numpy's pow: they are bitwise odd or even under u -> -u, and negative
+bases take no slow path. g(0) = 0, so u = 0 solves the master problem
+at every parameter value. Vectors in stay vectors out (float dtype).
 """
 
 from __future__ import annotations
@@ -34,15 +38,21 @@ Array = npt.NDArray[np.float64]
 _FIELDS = {"free": (), "linear": ("V_L",), "psi_k": ("k", "eta"), "polynomial": ("coeffs",)}
 _KINDS = tuple(_FIELDS)
 _MAX_POLY_DEGREE = 6
+# psi_k holds k - 1 coefficients and takes k - 2 products per evaluation
+_MAX_K = 1000
 
 
 @dataclass(frozen=True)
 class NonlinearityModel:
+    """An interaction g given by its kind and that kind's fields.
+    Construction derives coeffs = (c_1, ..., c_d), g(u) = sum_j c_j u^j,
+    the only form the evaluators read, and V_L = g'(0) = c_1."""
+
     kind: str
     k: int = 0
     eta: float = 0.0
     V_L: float = 0.0
-    poly_coeffs: tuple[float, ...] = field(default=())
+    coeffs: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -50,25 +60,22 @@ class NonlinearityModel:
         for name in ("k", "eta", "V_L"):
             object.__setattr__(self, name, as_number(getattr(self, name), f"model.{name}", integer=name == "k"))
         if self.kind == "psi_k":
-            if self.k < 2:
-                raise ConfigError(f"psi_k needs integer k >= 2, got {self.k}")
+            if not 2 <= self.k <= _MAX_K:
+                raise ConfigError(f"psi_k needs integer k >= 2 and <= {_MAX_K}, got {self.k}")
             # k = 2 is the linear interaction in disguise: g = -eta*u
-            object.__setattr__(self, "V_L", -self.eta if self.k == 2 else 0.0)
+            coeffs = (0.0,) * (self.k - 2) + (-self.eta,)
         elif self.kind == "polynomial":
-            coeffs = tuple(as_number(c, "model.coeffs") for c in self.poly_coeffs)
+            coeffs = tuple(as_number(c, "model.coeffs") for c in self.coeffs)
             if not 1 <= len(coeffs) <= _MAX_POLY_DEGREE:
                 raise ConfigError(
                     f"polynomial expects 1..{_MAX_POLY_DEGREE} coefficients, got {len(coeffs)}"
                 )
-            object.__setattr__(self, "poly_coeffs", coeffs)
-            object.__setattr__(self, "V_L", coeffs[0])
-        elif self.kind == "free":
-            object.__setattr__(self, "V_L", 0.0)
-        if not all(math.isfinite(c) for c in (self.eta, self.V_L, *self.poly_coeffs)):
-            raise ConfigError(
-                f"model coefficients must be finite, got eta={self.eta}, V_L={self.V_L}, "
-                f"coeffs={list(self.poly_coeffs)}"
-            )
+        else:
+            coeffs = (self.V_L,) if self.kind == "linear" else ()
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "V_L", coeffs[0] if coeffs else 0.0)
+        if not all(math.isfinite(c) for c in (self.eta, *coeffs)):
+            raise ConfigError(f"model coefficients must be finite, got eta={self.eta}, coeffs={list(coeffs)}")
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -85,7 +92,7 @@ class NonlinearityModel:
 
     @staticmethod
     def polynomial(coeffs) -> "NonlinearityModel":
-        return NonlinearityModel(kind="polynomial", poly_coeffs=tuple(coeffs))
+        return NonlinearityModel(kind="polynomial", coeffs=tuple(coeffs))
 
     @staticmethod
     def from_dict(d: dict) -> "NonlinearityModel":
@@ -117,7 +124,7 @@ class NonlinearityModel:
             return {"kind": "linear", "V_L": self.V_L}
         if self.kind == "psi_k":
             return {"kind": "psi_k", "k": self.k, "eta": self.eta}
-        return {"kind": "polynomial", "coeffs": list(self.poly_coeffs)}
+        return {"kind": "polynomial", "coeffs": list(self.coeffs)}
 
     def describe(self) -> str:
         if self.kind == "free":
@@ -126,11 +133,11 @@ class NonlinearityModel:
             return f"linear (g = {self.V_L:g}*u)"
         if self.kind == "psi_k":
             return f"psi^{self.k} (g = -({self.eta:g})*u^{self.k - 1})"
-        return f"polynomial (coeffs {list(self.poly_coeffs)})"
+        return f"polynomial (coeffs {list(self.coeffs)})"
 
 
 def derivative_at_zero(model: NonlinearityModel, order: int) -> float:
-    """g'(0), g''(0) or g'''(0) in closed form.
+    """g'(0), g''(0) or g'''(0): order! * c_order, zero beyond the degree.
 
     For psi_k the ladder is g'(0) = -eta only at k=2, g''(0) = -2*eta
     only at k=3, g'''(0) = -6*eta only at k=4, and zero in every other
@@ -138,57 +145,27 @@ def derivative_at_zero(model: NonlinearityModel, order: int) -> float:
     """
     if order not in (1, 2, 3):
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
-    if model.kind == "free":
-        return 0.0
-    if model.kind == "linear":
-        return model.V_L if order == 1 else 0.0
-    factorial = (1.0, 2.0, 6.0)[order - 1]
-    if model.kind == "psi_k":
-        return -factorial * model.eta if model.k - 1 == order else 0.0
-    c = model.poly_coeffs
-    return factorial * c[order - 1] if len(c) >= order else 0.0
+    c = model.coeffs
+    return math.factorial(order) * c[order - 1] if order <= len(c) else 0.0
 
 
-def _power(U: Array, p: int) -> Array:
-    """U**p for an integer p >= 0 as a fresh array of repeated in-place
-    products."""
-    if p == 0:
-        return np.ones_like(U)
-    out = U.copy()
-    for _ in range(p - 1):
+def _horner(a: tuple[float, ...], U: Array) -> Array:
+    """sum_i a[i] * U**i by in-place Horner steps, so every power of U is
+    an exact repeated product; zero coefficients cost no addition."""
+    U = np.asarray(U, dtype=float)
+    out = np.full_like(U, a[-1] if a else 0.0)
+    for c in reversed(a[:-1]):
         out *= U
+        if c:
+            out += c
     return out
 
 
 def apply(model: NonlinearityModel, U: Array) -> Array:
     """Pointwise g(U)."""
-    U = np.asarray(U, dtype=float)
-    if model.kind == "free":
-        return np.zeros_like(U)
-    if model.kind == "linear":
-        return model.V_L * U
-    if model.kind == "psi_k":
-        out = _power(U, model.k - 1)
-        out *= -model.eta
-        return out
-    out = np.zeros_like(U)
-    for j in range(len(model.poly_coeffs), 0, -1):
-        out = (out + model.poly_coeffs[j - 1]) * U
-    return out
+    return _horner((0.0, *model.coeffs), U)
 
 
 def apply_derivative(model: NonlinearityModel, U: Array) -> Array:
     """Pointwise g'(U), consistent with derivative_at_zero at U = 0."""
-    U = np.asarray(U, dtype=float)
-    if model.kind == "free":
-        return np.zeros_like(U)
-    if model.kind == "linear":
-        return np.full_like(U, model.V_L)
-    if model.kind == "psi_k":
-        out = _power(U, model.k - 2)
-        out *= -model.eta * (model.k - 1)
-        return out
-    out = np.zeros_like(U)
-    for j in range(len(model.poly_coeffs), 1, -1):
-        out = (out + j * model.poly_coeffs[j - 1]) * U
-    return out + model.poly_coeffs[0]
+    return _horner(tuple(j * c for j, c in enumerate(model.coeffs, 1)), U)

@@ -295,7 +295,7 @@ def bordered_solve(
     if kres > 1e-6:
         raise ValueError(f"u0 is not a kernel vector of L - lambda0 (residual {kres:.3e})")
 
-    row = mesh.quad_weights * u0  # row constraint: (z, u0)_mesh = 0
+    row = mesh.weight * u0  # row constraint: (z, u0)_mesh = 0
     # oversolve by 10x so the recombined residual stays within tol
     z, xi = solve_bordered_system(
         apply_a, u0, u0, row, rhs, 0.0, L, lambda0, 0.1 * tol, 0.1 * tol, max(2000, 4 * L.n)

@@ -251,7 +251,7 @@ def test_criterion_7_convergence_orders():
         errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
         mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
-        mu_ss = Moments.of(mesh, u0, mesh.zeros()).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
+        mu_ss = Moments.of(mesh, u0, np.zeros(mesh.n_nodes)).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         errors["mu_ss_psi4"].append(abs(mu_ss - MU_SS_PSI4))
 
     for name, errs in errors.items():

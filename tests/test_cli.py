@@ -116,12 +116,15 @@ class TestConfig:
             "tolerances=5",
             "outputs=5",
             "model.k=Infinity",
+            "model.k=1001",
             "k_list=[Infinity]",
             "domain.resolution=[Infinity]",
             "domain.bounds=[[0,Infinity]]",
-            # h^2 underflows to 0; then sum 4/h^2 is finite but its square is not
+            # h^2 underflows to 0; then sum 4/h^2 is finite but its square is
+            # not; then the square is finite but times prod 2/len it is not
             "domain.bounds=[[0,1e-300]]",
             "domain.bounds=[[0,1e-150]]",
+            "domain.bounds=[[0,1e-70]]",
             "k_list=[]",
             "eta_list=[]",
             "s_values=[]",

@@ -34,7 +34,7 @@ def cubic100(mesh100):
 
 class TestResidual:
     def test_trivial_branch_identically_zero(self, quartic, mesh400):
-        U = mesh400.zeros()
+        U = np.zeros(mesh400.n_nodes)
         for lam in np.linspace(quartic.diagnostics.lambda0 - 1, quartic.diagnostics.lambda0 + 1, 7):
             F = residual(U, lam, quartic.model, quartic.operator)
             assert np.all(F == 0.0)
@@ -58,7 +58,7 @@ class TestResidual:
 class TestJacobian:
     def test_kernel_at_origin(self, quartic, mesh400):
         u0 = quartic.eigenpair.vector
-        out = jacobian_apply(mesh400.zeros(), quartic.eigenpair.eigenvalue, quartic.model, quartic.operator)(u0)
+        out = jacobian_apply(np.zeros(mesh400.n_nodes), quartic.eigenpair.eigenvalue, quartic.model, quartic.operator)(u0)
         assert l2_norm(mesh400, out) <= 1e-8
 
     def test_free_model_is_shifted_operator(self, mesh400):

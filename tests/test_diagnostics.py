@@ -158,7 +158,7 @@ class TestCorrector:
             K = np.zeros((n + 1, n + 1))
             K[:n, :n] = dense(eig.operator) - eig.eigenpair.eigenvalue * np.eye(n)
             K[:n, n] = u0
-            K[n, :n] = mesh.quad_weights * u0
+            K[n, :n] = mesh.weight * u0
             g2 = derivative_at_zero(model, 2)
             rhs = d.mu_s * u0 + 0.5 * g2 * u0**2
             direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))

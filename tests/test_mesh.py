@@ -11,21 +11,21 @@ PI = math.pi
 def test_interval_resolution_3_nodes_and_weights():
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (3,)))
     assert mesh.n_nodes == 3
-    np.testing.assert_allclose(mesh.interior_nodes[:, 0], [PI / 4, PI / 2, 3 * PI / 4], rtol=1e-15)
+    np.testing.assert_allclose(mesh.axis_coords[0], [PI / 4, PI / 2, 3 * PI / 4], rtol=1e-15)
     assert mesh.h == (PI / 4,)
-    np.testing.assert_allclose(mesh.quad_weights, PI / 4, rtol=1e-15)
+    np.testing.assert_allclose(mesh.weight, PI / 4, rtol=1e-15)
 
 
 def test_rectangle_3x3_nodes_and_weights():
     mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (3, 3)))
     assert mesh.n_nodes == 9
-    np.testing.assert_allclose(mesh.quad_weights, (PI / 4) ** 2, rtol=1e-15)
+    np.testing.assert_allclose(mesh.weight, (PI / 4) ** 2, rtol=1e-15)
 
 
 def test_weight_sum_interval_399():
     # closed form: h*n = pi*399/400
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (399,)))
-    assert np.sum(mesh.quad_weights) == pytest.approx(PI * 399 / 400, rel=1e-13)
+    assert mesh.weight * mesh.n_nodes == pytest.approx(PI * 399 / 400, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -51,7 +51,8 @@ def test_bad_kind_rejected():
 
 def test_node_ordering_lexicographic():
     mesh = build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (3, 4)))
-    nodes = mesh.interior_nodes
+    grids = np.meshgrid(*mesh.axis_coords, indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=1)
     # first axis varies slowest
     assert nodes.shape == (12, 2)
     x_major = nodes[:, 0].reshape(3, 4)
@@ -60,14 +61,26 @@ def test_node_ordering_lexicographic():
     np.testing.assert_allclose(y_minor, np.tile(y_minor[0], (3, 1)), rtol=1e-15)
 
 
+def test_mesh_holds_no_node_sized_array():
+    # the grid is its per-axis coordinates and one scalar weight: no node
+    # table and no weight vector
+    mesh = build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (30, 40)))
+    assert mesh.n_nodes == 1200
+    assert mesh.weight == mesh.h[0] * mesh.h[1]
+    for value in vars(mesh).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                assert item.size < mesh.n_nodes
+
+
 def test_inner_product_zero_vectors(mesh400):
-    z = mesh400.zeros()
+    z = np.zeros(mesh400.n_nodes)
     assert inner_product(mesh400, z, z) == 0.0
 
 
 def test_inner_product_sin_squared(mesh400):
     # integral of sin^2 over (0, pi) is pi/2
-    f = np.sin(mesh400.interior_nodes[:, 0])
+    f = np.sin(mesh400.axis_coords[0])
     assert inner_product(mesh400, f, f) == pytest.approx(PI / 2, abs=1e-3)
 
 
@@ -92,7 +105,7 @@ def test_inner_product_bilinear(mesh400):
 
 def test_inner_product_length_mismatch(mesh400):
     with pytest.raises(ValueError, match="shape"):
-        inner_product(mesh400, np.zeros(3), mesh400.zeros())
+        inner_product(mesh400, np.zeros(3), np.zeros(mesh400.n_nodes))
     with pytest.raises(ValueError, match="shape"):
         l2_norm(mesh400, np.zeros(3))
 
@@ -101,7 +114,7 @@ def test_l2_norm_constant_one():
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (399,)))
     ones = np.ones(mesh.n_nodes)
     assert l2_norm(mesh, ones) == pytest.approx(math.sqrt(PI * 399 / 400), rel=1e-13)
-    assert l2_norm(mesh, mesh.zeros()) == 0.0
+    assert l2_norm(mesh, np.zeros(mesh.n_nodes)) == 0.0
 
 
 @pytest.mark.parametrize("n", [100, 200, 400])
@@ -109,10 +122,10 @@ def test_weight_sum_close_to_measure(n):
     # sum = L*n/(n+1) per axis: within 1% of the measure once n >= 99
     # in 1D and n >= 199 in 2D
     mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    assert np.sum(mesh.quad_weights) == pytest.approx(PI, rel=0.01)
+    assert mesh.weight * mesh.n_nodes == pytest.approx(PI, rel=0.01)
     if n >= 200:
         mesh2 = build_mesh(DomainSpec("rectangle", ((0.0, 2.0), (0.0, 3.0)), (n, n)))
-        assert np.sum(mesh2.quad_weights) == pytest.approx(6.0, rel=0.01)
+        assert mesh2.weight * mesh2.n_nodes == pytest.approx(6.0, rel=0.01)
 
 
 def test_refinement_consistency_order():
@@ -121,7 +134,7 @@ def test_refinement_consistency_order():
     errs = []
     for n in (50, 100, 200):
         mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        x = mesh.interior_nodes[:, 0]
+        x = mesh.axis_coords[0]
         val = inner_product(mesh, x * (PI - x), np.exp(x))
         errs.append(abs(val - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

@@ -99,6 +99,43 @@ class TestApply:
         np.testing.assert_allclose(apply_derivative(m, u), (k - 1) * u ** (k - 2), rtol=1e-15, atol=0.0)
 
 
+# the nonlinearity the benchmark's polynomial cases run
+BENCHMARK_POLY = (0.0, -1.0, 0.5, 0.2, -0.1, 0.05)
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize(
+        "model, coeffs",
+        [
+            (NonlinearityModel.free(), ()),
+            (NonlinearityModel.linear(-2.5), (-2.5,)),
+            *[
+                (NonlinearityModel.psi_k(k, eta), (0.0,) * (k - 2) + (-eta,))
+                for k in range(2, 9)
+                for eta in (1.5, -1.5)
+            ],
+            (NonlinearityModel.polynomial(BENCHMARK_POLY), BENCHMARK_POLY),
+        ],
+    )
+    def test_model_is_its_taylor_coefficients(self, model, coeffs):
+        # g(u) = sum_j c_j u^j and g^(r)(0) = r! c_r, with c_r = 0 past the degree
+        assert model.coeffs == coeffs
+        u = np.random.default_rng(5).uniform(-2.0, 2.0, size=1000)
+        terms = [c * u**j for j, c in enumerate(coeffs, 1)]
+        expected = sum(terms, np.zeros_like(u))
+        scale = sum((np.abs(t) for t in terms), np.zeros_like(u))
+        assert np.all(np.abs(apply(model, u) - expected) <= 1e-14 * scale)
+        for r, factorial in ((1, 1.0), (2, 2.0), (3, 6.0)):
+            c_r = coeffs[r - 1] if r <= len(coeffs) else 0.0
+            assert derivative_at_zero(model, r) == factorial * c_r
+
+    def test_rejects_k_beyond_cap(self):
+        # psi_k stores k - 1 coefficients, so k is bounded
+        assert len(NonlinearityModel.psi_k(1000, 1.0).coeffs) == 999
+        with pytest.raises(ConfigError, match="k >= 2 and <= 1000"):
+            NonlinearityModel.psi_k(1001, 1.0)
+
+
 class TestApplyDerivative:
     def test_quartic_at_zero(self):
         m = NonlinearityModel.psi_k(4, 1.0)

@@ -114,7 +114,7 @@ def identity(r):
 
 
 def test_solve_spd_zero_rhs(lap400, mesh400):
-    x, resid, iters = _cg(lap400.apply, mesh400.zeros(), identity, rtol=1e-12, atol=1e-12, max_iter=2000)
+    x, resid, iters = _cg(lap400.apply, np.zeros(mesh400.n_nodes), identity, rtol=1e-12, atol=1e-12, max_iter=2000)
     assert np.all(x == 0.0)
     assert resid == 0.0 and iters == 0
 
@@ -129,7 +129,7 @@ def test_solve_spd_diagonal_operator():
 
 def test_solve_spd_sine_eigenvector(lap400, mesh400):
     # -u'' = sin on (0, pi) has solution u = sin
-    xs = mesh400.interior_nodes[:, 0]
+    xs = mesh400.axis_coords[0]
     b = np.sin(xs)
     x, _, _ = _cg(lap400.apply, b, identity, rtol=1e-12, atol=1e-12, max_iter=2000)
     assert np.max(np.abs(x - b)) < 5e-5  # discretization error O(h^2)
@@ -156,7 +156,7 @@ def kernel_setup(lap400, eig400, mesh400):
 
 def test_bordered_zero_rhs(kernel_setup, mesh400):
     L, u0, lam0 = kernel_setup
-    sol = bordered_solve(L, u0, mesh400.zeros(), mesh400, lam0, tol=1e-10)
+    sol = bordered_solve(L, u0, np.zeros(mesh400.n_nodes), mesh400, lam0, tol=1e-10)
     assert np.all(sol.z == 0.0)
     assert sol.xi == 0.0
 
@@ -197,7 +197,7 @@ def test_bordered_against_dense_saddle_oracle():
     K = np.zeros((n + 1, n + 1))
     K[:n, :n] = dense(L) - pair.eigenvalue * np.eye(n)
     K[:n, n] = u0
-    K[n, :n] = mesh.quad_weights * u0
+    K[n, :n] = mesh.weight * u0
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
     z_oracle, xi_oracle = direct[:n], direct[n]
 
@@ -209,7 +209,7 @@ def test_bordered_against_dense_saddle_oracle():
 def test_bordered_rejects_bad_kernel(lap400, eig400, mesh400):
     pair, _ = eig400
     with pytest.raises(ValueError, match="normalized"):
-        bordered_solve(lap400, 2.0 * pair.vector, mesh400.zeros(), mesh400, pair.eigenvalue)
+        bordered_solve(lap400, 2.0 * pair.vector, np.zeros(mesh400.n_nodes), mesh400, pair.eigenvalue)
     with pytest.raises(ValueError, match="kernel"):
         # L itself (shift 0) has no kernel at all
-        bordered_solve(lap400, pair.vector, mesh400.zeros(), mesh400, 0.0)
+        bordered_solve(lap400, pair.vector, np.zeros(mesh400.n_nodes), mesh400, 0.0)

@@ -132,7 +132,7 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     rng = np.random.default_rng(3)
     d = 0.1 * rng.uniform(-1.0, 1.0, mesh.n_nodes)
     col = -(0.1 * u0 + 0.05 * rng.standard_normal(mesh.n_nodes))
-    row = mesh.quad_weights * u0
+    row = mesh.weight * u0
     f, g = rng.standard_normal(mesh.n_nodes), 0.03
     x, y = operators.solve_bordered_system(
         lambda v: L.apply(v) + (d - lam) * v, u0, col, row, f, g, L, lam,

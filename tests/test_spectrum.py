@@ -25,7 +25,7 @@ def test_principal_eigenpair_interval_400(eig400, mesh400):
     pair, _ = eig400
     assert pair.eigenvalue == pytest.approx(1.0, abs=1e-4)
     # eigenfunction matches sqrt(2/pi) sin(x) pointwise
-    xs = mesh400.interior_nodes[:, 0]
+    xs = mesh400.axis_coords[0]
     exact = math.sqrt(2 / PI) * np.sin(xs)
     assert np.max(np.abs(pair.vector - exact)) < 1e-3
 
