@@ -2,14 +2,16 @@
 and check it against the local expansion lambda(s) ~ lambda0 + mu_s*s
 + 1/2*mu_ss*s^2.
 
-Points are parametrized by the amplitude s = (U, u0): for each requested
-s the pair (U, lambda) solves the discrete problem F(U, lambda) = 0
-together with the amplitude constraint. Near a simple bifurcation this
+Points are parametrized by the amplitude s = (U, u0), where u0 is the
+mesh-normalized principal sine mode; as in the paper, U = s*u0 + s*z with
+(z, u0) = 0. Each point pins its guess to the amplitude s once, and every
+Newton correction solves the bordered system [J, -U; u0^T, 0] for a
+correction orthogonal to u0, so the amplitude holds by construction and
+Newton converges on ||F|| alone. Near a simple bifurcation this
 parametrization cannot fold back, so no arclength machinery is needed.
-Each Newton step solves a bordered system with the (possibly nearly
-singular) Jacobian on the complement of u0, by CG preconditioned with the
-exact DST inverse of L - lambda there: the Jacobian differs from it by
-the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
+The bordered solve runs CG on the complement of u0, preconditioned with
+the exact DST inverse of L - lambda there: the Jacobian J differs from it
+by the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
 
 Each point starts from a second-order predictor U = s*u0 + s^2*w,
 lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
@@ -105,41 +107,33 @@ def solve_at_amplitude(
     L: Laplacian,
     mesh: Mesh,
     u0: Array,
-    lambda0: float,
-    mu_s: float,
-    mu_ss: float,
+    guess: tuple[Array, float],
     newton_tol: float = 1e-10,
     max_iters: int = 25,
-    initial: tuple[Array, float] | None = None,
 ) -> BranchPoint:
-    """Newton-solve F(U, lambda) = 0 with (U, u0) = s.
+    """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess = (U, lambda),
+    such as trace_branch's predictor.
 
-    initial is a warm start (U, lambda), such as trace_branch's predictor;
-    without one the guess is U = s*u0 with lambda from the second-order
-    expansion lambda0 + mu_s*s + 1/2*mu_ss*s^2. Inner bordered solves run
-    at relative tolerance _LINEAR_RTOL with an absolute target well below
-    newton_tol, so the linear error never limits the Newton residual.
-    Raises ConvergenceError carrying the final residual and the number
-    of iterations taken.
+    Precondition: u0 is mesh-normalized, (u0, u0) = 1. The guess is pinned
+    once to the amplitude, U + (s - (U, u0))*u0; every Newton correction
+    then solves the bordered system with its correction orthogonal to u0,
+    so the amplitude holds by construction and convergence is judged on
+    ||F|| alone. Inner bordered solves run at relative tolerance
+    _LINEAR_RTOL with an absolute target well below newton_tol, so the
+    linear error never limits the Newton residual. Raises ConvergenceError
+    carrying the final residual and the number of iterations taken.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
-    if initial is None:
-        U, lam = s * u0, lambda0 + mu_s * s + 0.5 * mu_ss * s * s
-    else:
-        U, lam = initial[0].copy(), float(initial[1])
-    row = mesh.weight * u0
+    U, lam = guess[0] + (s - inner_product(mesh, guess[0], u0)) * u0, float(guess[1])
     # Euclidean absolute target: newton_tol is a mesh-norm tolerance and
     # ||v||_mesh = sqrt(w) * ||v||_2 on uniform grids
     linear_atol = 0.02 * newton_tol / np.sqrt(mesh.weight)
 
-    iters = 0
-    res = np.inf
     for iters in range(max_iters + 1):
         F = residual(U, lam, model, L)
-        cres = inner_product(mesh, U, u0) - s
         res = l2_norm(mesh, F)
-        if res <= newton_tol and abs(cres) <= newton_tol:
+        if res <= newton_tol:
             break
         if iters == max_iters:
             raise ConvergenceError(
@@ -147,20 +141,15 @@ def solve_at_amplitude(
             )
         try:
             dU, dlam = solve_bordered_system(
-                jacobian_apply(U, lam, model, L), u0, -U, row, -F, -cres, L, lam,
-                rtol=_LINEAR_RTOL, atol=linear_atol, max_iter=max(2000, 4 * L.n),
+                jacobian_apply(U, lam, model, L), u0, -U, -F, L, lam, rtol=_LINEAR_RTOL, atol=linear_atol
             )
         except ConvergenceError as exc:
             raise ConvergenceError(
                 f"Newton step at s={s:g} failed in the linear solve", residual=res, iterations=iters
             ) from exc
         U = U + dU
-        lam = lam + float(dlam)
-
-    # pin the amplitude constraint exactly; the residual change is O(eps)
-    U = U + (s - inner_product(mesh, U, u0)) * u0
-    res = l2_norm(mesh, residual(U, lam, model, L))
-    return BranchPoint(s=float(s), lam=float(lam), U=U, residual=res, newton_iters=iters)
+        lam = lam + dlam
+    return BranchPoint(s=float(s), lam=lam, U=U, residual=res, newton_iters=iters)
 
 
 def trace_branch(
@@ -200,17 +189,8 @@ def trace_branch(
             predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
             try:
                 pt = solve_at_amplitude(
-                    s,
-                    model,
-                    analysis.operator,
-                    mesh,
-                    u0,
-                    lambda0,
-                    d.mu_s,
-                    d.mu_ss,
-                    newton_tol=newton_tol,
-                    max_iters=max_iters,
-                    initial=predicted,
+                    s, model, analysis.operator, mesh, u0, predicted,
+                    newton_tol=newton_tol, max_iters=max_iters,
                 )
             except ConvergenceError as exc:
                 truncations.append(f"branch truncated at s={s:g}: {exc}")

@@ -69,10 +69,6 @@ class DomainSpec:
                 f"(sum 4/h^2)^2 * prod 2/len = {squared:.3g}, which overflows"
             )
 
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -91,10 +87,6 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return math.prod(self.spec.resolution)
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
 
 
 def build_mesh(spec: DomainSpec) -> Mesh:

@@ -8,15 +8,17 @@ closed-form eigenvalues in the DST's coefficient order. Along an axis of
 at most 512 nodes the DST is one BLAS product with the cached dense sine
 matrix; longer axes use scipy.fft.dst, the package's only use of scipy.
 Two solvers live here: preconditioned conjugate gradients for SPD
-systems, and a bordered solver for operators A = L - sigma + (small
-diagonal) whose near-kernel is the principal sine mode u0. The bordered
-solve reads the u0 component of its solution off the row constraint and
-runs CG with the projected operator P A, P = I - q q^T and
-q = u0/||u0||, on the orthogonal complement of u0, where the DST inverse
-of L - sigma with the principal mode zeroed is exact. `bordered_solve`
-returns the unique kernel-orthogonal solution plus a scalar multiplier
-xi equal to the kernel component of the right-hand side, so callers can
-check solvability explicitly.
+systems, and one bordered form [A col; q^T 0][x; y] = [f; 0] for
+operators A = L - sigma + (small diagonal) whose near-kernel is the
+principal sine mode u0, q = u0/||u0||. Its solution x lies on the
+orthogonal complement of u0, where the DST inverse of L - sigma with the
+principal mode zeroed is exact, so the bordered solve runs CG with the
+projected operator P A, P = I - q q^T, and reads y off the q component
+of the first block row. Both callers share the form: `bordered_solve`
+takes col = u0 and returns the unique kernel-orthogonal solution plus a
+scalar multiplier xi equal to the kernel component of the right-hand
+side, so callers can check solvability explicitly; each Newton step of
+the branch trace takes col = -U. Both callers expect u0 mesh-normalized.
 """
 
 from __future__ import annotations
@@ -214,33 +216,30 @@ def solve_bordered_system(
     apply_op: MatVec,
     near_kernel: Array,
     col: Array,
-    row: Array,
     f: Array,
-    g: float,
     L: Laplacian,
     sigma: float,
     rtol: float,
     atol: float,
-    max_iter: int,
 ) -> tuple[Array, float]:
-    """Solve the bordered system  [ A   col ] [x]   [f]
-                                  [ row^T 0 ] [y] = [g]
-    where A (given as a matvec) may be singular with near-kernel
-    direction `near_kernel`, the principal sine mode, and differs from
-    L - sigma by at most a small diagonal.
+    """Solve the bordered system  [ A    col ] [x]   [f]
+                                  [ q^T   0  ] [y] = [0]
+    for x orthogonal to q = near_kernel/||near_kernel||, where A (given as
+    a matvec) is symmetric, may be singular along the near-kernel
+    direction, the principal sine mode, and differs from L - sigma by at
+    most a small diagonal.
 
-    Preconditions: A is symmetric and row is parallel to q, the
-    normalized near-kernel. The row then fixes the q component of x,
-    c = g / (row.q), and x = c q + v with v orthogonal to q. With
-    P = I - q q^T, CG on P A, preconditioned by the exact inverse of
-    L - sigma on the complement of q, solves P A v1 = P (f - c A q) and,
-    unless col is the near-kernel itself, P A v2 = P col. P A is SPD on
-    that complement whenever A is positive there. The q component of the
-    first block row gives y; A is symmetric, so (q, A v) = (A q, v) and
-    x = c q + v1 - y v2. Each CG solve targets ||r|| <= max(rtol*||b||, atol).
+    With P = I - q q^T, CG on P A, preconditioned by the exact inverse of
+    L - sigma on the complement of q, solves P A v1 = P f and, unless col
+    is the near-kernel object itself, P A v2 = P col; P A is SPD on that
+    complement whenever A is positive there. The q component of the first
+    block row gives y, using (q, A v) = (A q, v), and x = v1 - y v2. Each
+    CG solve targets ||r|| <= max(rtol*||b||, atol) within max(2000, 4n)
+    iterations.
     """
     q = near_kernel / np.sqrt(near_kernel @ near_kernel)
     precondition = spectral_inverse(L, sigma)
+    max_iter = max(2000, 4 * L.n)
 
     def project(v: Array) -> Array:
         return v - (q @ v) * q
@@ -253,16 +252,11 @@ def solve_bordered_system(
             raise ConvergenceError(f"bordered solve stalled on the {label} system", resid, iters)
         return x
 
-    c = g / (row @ q)
     aq = apply_op(q)
-    r = f - c * aq
-    v1 = solve(project(r), "rhs")
-    if col is near_kernel or np.array_equal(col, near_kernel):
-        v2 = np.zeros_like(v1)
-    else:
-        v2 = solve(project(col), "border")
-    y = (q @ r - aq @ v1) / (q @ col - aq @ v2)
-    return c * q + v1 - y * v2, float(y)
+    v1 = solve(project(f), "rhs")
+    v2 = np.zeros_like(v1) if col is near_kernel else solve(project(col), "border")
+    y = (q @ f - aq @ v1) / (q @ col - aq @ v2)
+    return v1 - y * v2, float(y)
 
 
 def bordered_solve(
@@ -295,10 +289,7 @@ def bordered_solve(
     if kres > 1e-6:
         raise ValueError(f"u0 is not a kernel vector of L - lambda0 (residual {kres:.3e})")
 
-    row = mesh.weight * u0  # row constraint: (z, u0)_mesh = 0
     # oversolve by 10x so the recombined residual stays within tol
-    z, xi = solve_bordered_system(
-        apply_a, u0, u0, row, rhs, 0.0, L, lambda0, 0.1 * tol, 0.1 * tol, max(2000, 4 * L.n)
-    )
+    z, xi = solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, 0.1 * tol, 0.1 * tol)
     res = l2_norm(mesh, apply_a(z) + xi * u0 - rhs)
     return BorderedSolution(z=z, xi=xi, residual_norm=res)

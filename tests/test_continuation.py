@@ -17,6 +17,7 @@ from coexist import (
     solve_at_amplitude,
     trace_branch,
 )
+from coexist import continuation
 from coexist.continuation import DEFAULT_S_VALUES, Branch, BranchPoint
 
 PI = math.pi
@@ -85,50 +86,72 @@ class TestJacobian:
         assert np.max(np.abs(jd - fd)) < 1e-6
 
 
+def expansion_guess(analysis, s):
+    """U = s*u0 with lambda from the second-order local expansion."""
+    d = analysis.diagnostics
+    return s * analysis.eigenpair.vector, d.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
+
+
 class TestSolveAtAmplitude:
     def test_quartic_lambda_matches_expansion(self, quartic, mesh400):
-        d = quartic.diagnostics
         pt = solve_at_amplitude(
             0.1,
             quartic.model,
             quartic.operator,
             mesh400,
             quartic.eigenpair.vector,
-            d.lambda0,
-            d.mu_s,
-            d.mu_ss,
+            expansion_guess(quartic, 0.1),
         )
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
         assert abs(inner_product(mesh400, pt.U, quartic.eigenpair.vector) - 0.1) <= 1e-10
 
     def test_quartic_parity(self, quartic, mesh400):
-        d = quartic.diagnostics
-        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector, d.lambda0, d.mu_s, d.mu_ss)
-        plus = solve_at_amplitude(0.1, *args)
-        minus = solve_at_amplitude(-0.1, *args)
+        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector)
+        plus = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
+        minus = solve_at_amplitude(-0.1, *args, expansion_guess(quartic, -0.1))
         assert abs(plus.lam - minus.lam) <= 1e-8
         assert np.max(np.abs(plus.U + minus.U)) <= 1e-8
 
     @pytest.mark.parametrize("s", [-0.5, -0.1, 0.25, 0.5])
     def test_linear_model_stays_on_eigenline(self, mesh400, s):
         res = run_analysis(mesh400, NonlinearityModel.linear(-0.5))
-        d = res.diagnostics
         pt = solve_at_amplitude(
-            s, res.model, res.operator, mesh400, res.eigenpair.vector, d.lambda0, d.mu_s, d.mu_ss
+            s, res.model, res.operator, mesh400, res.eigenpair.vector, expansion_guess(res, s)
         )
-        assert pt.lam == pytest.approx(d.lambda0, abs=1e-8)
+        assert pt.lam == pytest.approx(res.diagnostics.lambda0, abs=1e-8)
 
     def test_warm_start_at_solution_takes_no_step(self, quartic, mesh400):
-        d = quartic.diagnostics
-        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector, d.lambda0, d.mu_s, d.mu_ss)
-        pt = solve_at_amplitude(0.1, *args)
-        again = solve_at_amplitude(0.1, *args, initial=(pt.U, pt.lam))
+        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector)
+        pt = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
+        again = solve_at_amplitude(0.1, *args, (pt.U, pt.lam))
         assert again.newton_iters == 0
         assert again.lam == pt.lam
 
+    def test_one_step_point_evaluates_the_residual_twice(self, quartic, monkeypatch):
+        # at the guess and at the corrected point; the amplitude needs no
+        # re-pinning, so no evaluation follows the loop
+        calls = []
+
+        def counting_residual(*args):
+            calls.append(1)
+            return residual(*args)
+
+        monkeypatch.setattr(continuation, "residual", counting_residual)
+        branch = trace_branch(quartic, [0.02])
+        assert [p.newton_iters for p in branch.points] == [1]
+        assert len(calls) == 2
+
+    def test_guess_off_the_amplitude_is_pinned(self, quartic, mesh400):
+        u0 = quartic.eigenpair.vector
+        s = 0.1
+        pt = solve_at_amplitude(
+            s, quartic.model, quartic.operator, mesh400, u0, (2 * s * u0, expansion_guess(quartic, s)[1])
+        )
+        assert pt.residual <= 1e-10
+        assert abs(inner_product(mesh400, pt.U, u0) - s) <= 1e-14
+
     def test_zero_amplitude_rejected(self, quartic, mesh400):
-        d = quartic.diagnostics
         with pytest.raises(ValueError, match="trivial"):
             solve_at_amplitude(
                 0.0,
@@ -136,13 +159,10 @@ class TestSolveAtAmplitude:
                 quartic.operator,
                 mesh400,
                 quartic.eigenpair.vector,
-                d.lambda0,
-                d.mu_s,
-                d.mu_ss,
+                expansion_guess(quartic, 0.0),
             )
 
     def test_divergence_carries_history(self, quartic, mesh400):
-        d = quartic.diagnostics
         with pytest.raises(ConvergenceError) as err:
             solve_at_amplitude(
                 0.1,
@@ -150,9 +170,7 @@ class TestSolveAtAmplitude:
                 quartic.operator,
                 mesh400,
                 quartic.eigenpair.vector,
-                d.lambda0,
-                d.mu_s,
-                d.mu_ss,
+                expansion_guess(quartic, 0.1),
                 newton_tol=1e-15,
                 max_iters=1,
             )

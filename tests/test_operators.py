@@ -82,7 +82,7 @@ def test_stencil_matches_kronecker_sum():
         mesh = build_mesh(spec)
         L = Laplacian.of(mesh)
         blocks = [tridiagonal(n, h) for n, h in zip(spec.resolution, mesh.h)]
-        if mesh.dim == 1:
+        if len(mesh.h) == 1:
             want = blocks[0]
         else:
             t0, t1 = blocks
