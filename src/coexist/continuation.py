@@ -19,11 +19,22 @@ g''(0)*z_hat, the corrector the analysis already solved, and c =
 1/2*mu_ss; every later point takes w and c from its converged inward
 neighbour. The guess is then accurate to the branch's own order, and one
 Newton step reaches newton_tol.
+
+The problem commutes with the reflection of each axis and u0 is
+invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
+(Golubitsky, Stewart and Schaeffer 1988) the branch is mirror-symmetric.
+trace_branch therefore runs every Newton step on the folded grid,
+ceil(n/2) nodes per axis (`Laplacian.on_folded_grid`): it folds u0 and
+z_s once, and unfolds each converged U once. The folded coordinates keep
+the full grid's dot products, so residual, jacobian_apply and
+solve_at_amplitude take a full or a folded Laplacian alike; only the
+nonlinearity reads nodal values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +42,7 @@ import numpy.typing as npt
 
 from .diagnostics import AnalysisResult
 from .errors import ConvergenceError
-from .mesh import Mesh, inner_product, l2_norm
+from .mesh import Mesh
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import Laplacian, MatVec, solve_bordered_system
 
@@ -53,6 +64,8 @@ DEFAULT_S_VALUES = (-0.10, -0.08, -0.06, -0.04, -0.02, 0.02, 0.04, 0.06, 0.08, 0
 # relative target of each Newton step's bordered solve; its absolute target
 # follows from newton_tol
 _LINEAR_RTOL = 1e-8
+# highest power of s in the local-expansion fit, when the points allow it
+_FIT_DEGREE = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +79,9 @@ class BranchPoint:
 
 @dataclass(frozen=True)
 class BranchFit:
-    """Least-squares coefficients of lambda(s) - lambda0 ~ a*s + b*s^2."""
+    """Least-squares coefficients a and b of s and s^2 in the polynomial
+    fit of lambda(s) - lambda0 (see fit_local_expansion), and the rms of
+    its residuals."""
 
     a: float
     b: float
@@ -87,17 +102,20 @@ class Branch:
 
 def residual(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> Array:
     """F(U, lambda) = L U - lambda U + V_L U - g(U); identically zero on
-    the trivial branch U = 0."""
-    return L.apply(U) + (model.V_L - lam) * U - apply(model, U)
+    the trivial branch U = 0. On a folded L, U and F are in its coordinates
+    sqrt(m) u, and g acts on the nodal values U/sqrt(m)."""
+    r = L.sqrt_multiplicity
+    return L.apply(U) + (model.V_L - lam) * U - r * apply(model, U / r)
 
 
 def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> MatVec:
     """The action of dF/dU at (U, lambda): d -> (L - lambda + V_L - g'(U)) d,
     with the diagonal evaluated once so g'(U) is not recomputed per call.
 
-    At U = 0 this reduces to L - lambda since g'(0) = V_L.
+    At U = 0 this reduces to L - lambda since g'(0) = V_L. On a folded L
+    the diagonal g'(U/sqrt(m)) is the same in its coordinates.
     """
-    diag = (model.V_L - lam) - apply_derivative(model, U)
+    diag = (model.V_L - lam) - apply_derivative(model, U / L.sqrt_multiplicity)
     return lambda d: L.apply(d) + diag * d
 
 
@@ -114,6 +132,9 @@ def solve_at_amplitude(
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess = (U, lambda),
     such as trace_branch's predictor.
 
+    U and u0 are node vectors of L: full-grid ones, or folded coordinates
+    on a folded L, whose Euclidean dot products are the full grid's, so
+    the mesh pairing is mesh.weight times the dot product on either.
     Precondition: u0 is mesh-normalized, (u0, u0) = 1. The guess is pinned
     once to the amplitude, U + (s - (U, u0))*u0; every Newton correction
     then solves the bordered system with its correction orthogonal to u0,
@@ -125,14 +146,19 @@ def solve_at_amplitude(
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
-    U, lam = guess[0] + (s - inner_product(mesh, guess[0], u0)) * u0, float(guess[1])
+    U, u0 = np.asarray(guess[0], dtype=float), np.asarray(u0, dtype=float)
+    for name, v in (("guess", U), ("u0", u0)):
+        if v.shape != (L.n,):
+            raise ValueError(f"{name} has shape {v.shape}, expected ({L.n},), one entry per node of L")
+    w = mesh.weight
+    U, lam = U + (s - w * float(U @ u0)) * u0, float(guess[1])
     # Euclidean absolute target: newton_tol is a mesh-norm tolerance and
     # ||v||_mesh = sqrt(w) * ||v||_2 on uniform grids
-    linear_atol = 0.02 * newton_tol / np.sqrt(mesh.weight)
+    linear_atol = 0.02 * newton_tol / np.sqrt(w)
 
     for iters in range(max_iters + 1):
         F = residual(U, lam, model, L)
-        res = l2_norm(mesh, F)
+        res = math.sqrt(w * float(F @ F))
         if res <= newton_tol:
             break
         if iters == max_iters:
@@ -165,6 +191,11 @@ def trace_branch(
     coefficients of the local expansion; after each converged point
     w = (U - s*u0)/s^2 and c = (lambda - lambda0 - mu_s*s)/s^2.
 
+    Newton runs on the mirror-symmetric subspace, where the branch lies:
+    u0 and w are folded once onto `analysis.operator.on_folded_grid()`,
+    and each converged U is unfolded once, so every BranchPoint.U is a
+    full-grid vector.
+
     A diverged point truncates its side of the branch; the event is
     recorded on the Branch rather than raised.
     """
@@ -174,28 +205,29 @@ def trace_branch(
     if sorted(s_values) != s_values or len(set(s_values)) != len(s_values):
         raise ValueError("s_values must be strictly increasing")
 
-    model, mesh, u0 = analysis.model, analysis.mesh, analysis.eigenpair.vector
+    model, mesh = analysis.model, analysis.mesh
     lambda0 = analysis.eigenpair.eigenvalue
     d = analysis.diagnostics
+    L = analysis.operator.on_folded_grid()
+    u0 = L.fold(analysis.eigenpair.vector)
 
     points: list[BranchPoint] = []
     truncations: list[str] = []
     negatives = sorted((s for s in s_values if s < 0), reverse=True)
     positives = sorted(s for s in s_values if s > 0)
-    z_s = derivative_at_zero(model, 2) * analysis.z_hat
+    z_s = L.fold(derivative_at_zero(model, 2) * analysis.z_hat)
     for leg in (negatives, positives):
         w, c = z_s, 0.5 * d.mu_ss
         for s in leg:
             predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
             try:
                 pt = solve_at_amplitude(
-                    s, model, analysis.operator, mesh, u0, predicted,
-                    newton_tol=newton_tol, max_iters=max_iters,
+                    s, model, L, mesh, u0, predicted, newton_tol=newton_tol, max_iters=max_iters
                 )
             except ConvergenceError as exc:
                 truncations.append(f"branch truncated at s={s:g}: {exc}")
                 break
-            points.append(pt)
+            points.append(dataclasses.replace(pt, U=L.unfold(pt.U)))
             w = (pt.U - s * u0) / (s * s)
             c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
 
@@ -215,7 +247,12 @@ def fit_supported(s_values) -> bool:
 
 
 def fit_local_expansion(branch: Branch) -> BranchFit:
-    """Least-squares fit of lambda(s) - branch.lambda0 against (s, s^2).
+    """Least-squares fit of lambda(s) - branch.lambda0 against s, s^2, ...,
+    s^p with p = min(6, number of points - 1); a and b are the s and s^2
+    coefficients. The higher powers take up the s^3 to s^6 terms of the
+    branch, which bias a and b of a fit on (s, s^2) alone by up to 1e-2 on
+    |s| <= 0.1. The powers of s/max|s| condition the design; the
+    coefficients are rescaled after.
 
     Requires at least five points with both signs of s represented.
     """
@@ -223,7 +260,8 @@ def fit_local_expansion(branch: Branch) -> BranchFit:
     if not fit_supported(s):
         raise ValueError("fit needs >= 5 branch points spanning both signs of s")
     y = np.array([p.lam for p in branch.points]) - branch.lambda0
-    design = np.column_stack([s, s * s])
+    scale = float(np.max(np.abs(s)))
+    design = np.vander(s / scale, min(_FIT_DEGREE, s.size - 1) + 1, increasing=True)[:, 1:]
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-    return BranchFit(a=float(coef[0]), b=float(coef[1]), rms=rms)
+    return BranchFit(a=float(coef[0]) / scale, b=float(coef[1]) / scale**2, rms=rms)

@@ -4,21 +4,35 @@ solvers built on them.
 L is the matrix-free 3- or 5-point stencil; nothing is assembled. The
 type-I discrete sine transform (DST-I) diagonalises it exactly (Buzbee,
 Golub and Nielson 1970; Swarztrauber 1977), and L carries its
-closed-form eigenvalues in the DST's coefficient order. Along an axis of
-at most 512 nodes the DST is one BLAS product with the cached dense sine
-matrix; longer axes use scipy.fft.dst, the package's only use of scipy.
+closed-form eigenvalues in the transform's coefficient order. Along an
+axis of at most 512 nodes the transform is one BLAS product with a cached
+dense matrix; longer axes use scipy.fft.dst, the package's only use of
+scipy.
+
+The stencil commutes with the reflection of each axis, so it maps
+mirror-symmetric vectors to mirror-symmetric ones. `L.on_folded_grid()`
+is L on that subspace: ceil(n/2) nodes per axis in the orthonormal
+coordinates y = sqrt(m) u, m a node's mirror multiplicity, so Euclidean
+dot products, and with them CG and every projection below, are those of
+the full grid. Its stencil is symmetric: an even axis's last node is its
+own mirror neighbour, and an odd axis's centre node couples to its
+neighbour by sqrt(2)/h^2 both ways. Its transform per axis is the
+orthogonal odd-mode half T of the sine matrix, with its eigenvalues the
+odd-mode entries; `fold` and `unfold` convert full-grid vectors.
+
 Two solvers live here: preconditioned conjugate gradients for SPD
 systems, and one bordered form [A col; q^T 0][x; y] = [f; 0] for
 operators A = L - sigma + (small diagonal) whose near-kernel is the
 principal sine mode u0, q = u0/||u0||. Its solution x lies on the
-orthogonal complement of u0, where the DST inverse of L - sigma with the
-principal mode zeroed is exact, so the bordered solve runs CG with the
-projected operator P A, P = I - q q^T, and reads y off the q component
-of the first block row. Both callers share the form: `bordered_solve`
-takes col = u0 and returns the unique kernel-orthogonal solution plus a
-scalar multiplier xi equal to the kernel component of the right-hand
-side, so callers can check solvability explicitly; each Newton step of
-the branch trace takes col = -U. Both callers expect u0 mesh-normalized.
+orthogonal complement of u0, where the spectral inverse of L - sigma with
+the principal mode zeroed is exact, so the bordered solve runs CG with
+the projected operator P A, P = I - q q^T, and reads y off the q
+component of the first block row. Both callers share the form:
+`bordered_solve` takes col = u0 on the full grid and returns the unique
+kernel-orthogonal solution plus a scalar multiplier xi equal to the
+kernel component of the right-hand side, so callers can check
+solvability explicitly; each Newton step of the branch trace takes
+col = -U on the folded grid. Both callers expect u0 mesh-normalized.
 """
 
 from __future__ import annotations
@@ -37,7 +51,6 @@ from .mesh import Mesh, l2_norm
 __all__ = [
     "Laplacian",
     "BorderedSolution",
-    "dst",
     "spectral_inverse",
     "bordered_solve",
 ]
@@ -49,36 +62,85 @@ MatVec = Callable[[Array], Array]
 @dataclass(frozen=True, eq=False)
 class Laplacian:
     """Matrix-free Dirichlet Laplacian: the 3-point (interval) or 5-point
-    (rectangle) stencil on the grid shape, with 1/h^2 per axis."""
+    (rectangle) stencil on the grid shape, with 1/h^2 per axis. When
+    folded, the same stencil on mirror-symmetric vectors, in the
+    coordinates y = sqrt(m) u of the first ceil(n/2) nodes per axis."""
 
     shape: tuple[int, ...]
     inv_h2: tuple[float, ...]
+    folded: bool = False
 
     @staticmethod
     def of(mesh: Mesh) -> "Laplacian":
         return Laplacian(shape=mesh.spec.resolution, inv_h2=tuple(1.0 / h**2 for h in mesh.h))
 
+    def on_folded_grid(self) -> "Laplacian":
+        """This stencil on its mirror-symmetric vectors, ceil(n/2) nodes per axis."""
+        return Laplacian(shape=self.shape, inv_h2=self.inv_h2, folded=True)
+
+    @cached_property
+    def grid(self) -> tuple[int, ...]:
+        """The shape of this operator's node vectors: shape, or ceil(n/2)
+        per axis when folded."""
+        return tuple((n + 1) // 2 for n in self.shape) if self.folded else self.shape
+
     @property
     def n(self) -> int:
-        return math.prod(self.shape)
+        return math.prod(self.grid)
 
     @cached_property
     def eigenvalues(self) -> Array:
-        """The eigenvalues of L in dst's coefficient order, principal first:
-        sums over the axes of 4/h^2 sin^2(j pi / (2(n+1))), j = 1..n, the
-        eigenvalues of each axis's 3-point stencil. Read-only."""
+        """The eigenvalues of L in `transform`'s coefficient order, principal
+        first: sums over the axes of 4/h^2 sin^2(j pi / (2(n+1))), the
+        eigenvalues of each axis's 3-point stencil, for j = 1..n, or for the
+        odd modes j = 1, 3, ... alone when folded. Read-only."""
+        step = 2 if self.folded else 1
         axes = [
-            4.0 * c * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+            4.0 * c * np.sin(np.arange(1, n + 1, step) * np.pi / (2 * (n + 1))) ** 2
             for n, c in zip(self.shape, self.inv_h2)
         ]
         ev = reduce(np.add.outer, axes).ravel()
         ev.flags.writeable = False
         return ev
 
+    @cached_property
+    def sqrt_multiplicity(self) -> Array | float:
+        """sqrt(m) per node of a folded grid, the factor from nodal values
+        to its coordinates; 1.0 on the full grid."""
+        if not self.folded:
+            return 1.0
+        return reduce(np.multiply.outer, [_sqrt_multiplicity(n) for n in self.shape]).ravel()
+
+    def fold(self, u: Array) -> Array:
+        """A mirror-symmetric full-grid vector in folded coordinates: its
+        first ceil(n/2) nodes per axis, times sqrt(m)."""
+        x = np.asarray(u).reshape(self.shape)
+        for axis, n in enumerate(self.shape):
+            x = _fold_axis(x, axis, n)
+        return x.ravel()
+
+    def unfold(self, y: Array) -> Array:
+        """The full-grid vector of folded coordinates y: the nodal values
+        y/sqrt(m), mirrored, so it equals its mirror image bit for bit."""
+        x = np.asarray(y).reshape(tuple((n + 1) // 2 for n in self.shape))
+        for axis, n in enumerate(self.shape):
+            x = _unfold_axis(x, axis, n)
+        return x.ravel()
+
+    def transform(self, v: Array) -> Array:
+        """Node vector to sine-mode coefficients: the orthonormal DST-I along
+        every axis, or on a folded grid its odd-mode half T per axis."""
+        return _sine_transform(self, v, inverse=False)
+
+    def inverse_transform(self, c: Array) -> Array:
+        """Sine-mode coefficients back to the node vector: the DST-I again
+        (it is its own inverse), or T^T per folded axis."""
+        return _sine_transform(self, c, inverse=True)
+
     def apply(self, v: Array) -> Array:
         """L v as a fresh array (callers hold earlier results), with one
         temporary per axis: the neighbours' values scaled by 1/h^2."""
-        x = np.asarray(v).reshape(self.shape)
+        x = np.asarray(v).reshape(self.grid)
         out = x * (2.0 * sum(self.inv_h2))
         for c in self.inv_h2[:-1]:  # first axis of a rectangle
             scaled = c * x
@@ -94,6 +156,18 @@ class Laplacian:
         scaled[..., -1] = c * x[..., -1]
         scaled[..., 0] = 0.0
         flat[:-1] -= flat_scaled[1:]
+        if self.folded:
+            # the last folded node's missing neighbour is its mirror image:
+            # itself on an even axis; on an odd axis the centre node's
+            # neighbour, which couples to it by sqrt(2)/h^2 both ways
+            for axis, (n, c) in enumerate(zip(self.shape, self.inv_h2)):
+                last, prev = (slice(None),) * axis + (-1,), (slice(None),) * axis + (-2,)
+                if n % 2 == 0:
+                    out[last] -= c * x[last]
+                else:
+                    extra = (math.sqrt(2.0) - 1.0) * c
+                    out[last] -= extra * x[prev]
+                    out[prev] -= extra * x[last]
         return flat
 
 
@@ -113,50 +187,113 @@ class BorderedSolution:
 _SINE_MATRIX_MAX_N = 512
 
 
+def _sine_entries(n: int, rows: Array, cols: Array) -> Array:
+    """Entries sqrt(2/(n+1)) sin(pi i j / (n+1)) of the orthonormal DST-I
+    matrix for i in rows, j in cols, read from one period of the sine table
+    at the integer index (i*j) mod 2(n+1), so the argument is reduced exactly
+    and only 2(n+1) sines are taken."""
+    period = 2 * (n + 1)
+    table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
+    return table[np.outer(rows, cols) % period]
+
+
 # Every mesh's corrector solve applies the DST, so a process that revisits
 # several meshes rebuilds a matrix per visit once their distinct axis
 # lengths outnumber the entries. 8 entries hold at most 16 MB (n = 512).
 @lru_cache(maxsize=8)
 def _sine_matrix(n: int) -> Array:
-    """Orthonormal DST-I matrix sqrt(2/(n+1)) sin(pi i j / (n+1)), i, j = 1..n:
-    symmetric and its own inverse. Entries are read from one period of the
-    sine table at the integer index (i*j) mod 2(n+1), so the argument is
-    reduced exactly and only 2(n+1) sines are taken."""
-    period = 2 * (n + 1)
-    table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
+    """Orthonormal DST-I matrix S, i, j = 1..n: symmetric and its own inverse."""
     j = np.arange(1, n + 1)
-    S = table[np.outer(j, j) % period]
+    S = _sine_entries(n, j, j)
     S.flags.writeable = False
     return S
 
 
-def dst(L: Laplacian, v: Array) -> Array:
-    """Orthonormal DST-I of a node vector along every axis: node values to
-    sine-mode coefficients and back (the transform is its own inverse).
-    Axes of at most _SINE_MATRIX_MAX_N nodes multiply by the cached sine
-    matrix (symmetric, so no transpose): x @ S on the last axis, S @ x on
-    the first axis of a 2-D grid; longer axes call scipy.fft.dst."""
-    x = np.asarray(v).reshape(L.shape)
-    for axis, n in enumerate(x.shape):
-        if n <= _SINE_MATRIX_MAX_N:
-            x = x @ _sine_matrix(n) if axis == x.ndim - 1 else _sine_matrix(n) @ x
-        else:
-            # imported here: scipy.fft adds about 0.2 s and 7 MB to start-up
-            # and no axis within the sine-matrix limit needs it
-            import scipy.fft
+# A quarter of a sine matrix each: 8 entries hold at most 4 MB.
+@lru_cache(maxsize=8)
+def _folded_sine_matrix(n: int) -> Array:
+    """The folded DST T, ceil(n/2) square and orthogonal: the odd-mode rows
+    i = 1, 3, ... of the sine matrix over the first ceil(n/2) nodes, each
+    column scaled by sqrt(m). A mirror-symmetric u has no even modes, and
+    its odd ones are T y for y = sqrt(m) u."""
+    k = (n + 1) // 2
+    T = _sine_entries(n, np.arange(1, n + 1, 2), np.arange(1, k + 1)) * _sqrt_multiplicity(n)
+    T.flags.writeable = False
+    return T
 
-            x = scipy.fft.dst(x, type=1, norm="ortho", axis=axis)
+
+def _sqrt_multiplicity(n: int) -> Array:
+    """sqrt(m) over the first ceil(n/2) nodes of an n-node axis: sqrt(2),
+    and 1 at the centre node of an odd axis, which is its own mirror."""
+    r = np.full((n + 1) // 2, math.sqrt(2.0))
+    if n % 2:
+        r[-1] = 1.0
+    return r
+
+
+def _fold_axis(x: Array, axis: int, n: int) -> Array:
+    xa = np.moveaxis(x, axis, -1)
+    return np.moveaxis(xa[..., : (n + 1) // 2] * _sqrt_multiplicity(n), -1, axis)
+
+
+def _unfold_axis(y: Array, axis: int, n: int) -> Array:
+    half = np.moveaxis(y, axis, -1) / _sqrt_multiplicity(n)
+    mirror = half[..., : n // 2][..., ::-1]
+    return np.moveaxis(np.concatenate([half, mirror], axis=-1), -1, axis)
+
+
+def _sine_transform(L: Laplacian, v: Array, inverse: bool) -> Array:
+    """L.transform, or L.inverse_transform when inverse. Each axis of at
+    most _SINE_MATRIX_MAX_N nodes takes one product with a cached matrix M,
+    coefficients = M x along the axis: the sine matrix S both ways
+    (symmetric and its own inverse), or on a folded grid T forward and T^T
+    back. That is x @ M^T on the last axis and M @ x on the first axis of a
+    2-D grid. Longer axes call scipy.fft.dst."""
+    x = np.asarray(v).reshape(L.grid)
+    for axis, n in enumerate(L.shape):
+        if n > _SINE_MATRIX_MAX_N:
+            x = _fft_sine_transform(x, axis, n, L.folded, inverse)
+            continue
+        if L.folded:
+            T = _folded_sine_matrix(n)
+            left, right = (T.T, T) if inverse else (T, T.T)
+        else:
+            left = right = _sine_matrix(n)
+        x = x @ right if axis == x.ndim - 1 else left @ x
     return x.ravel()
+
+
+def _fft_sine_transform(x: Array, axis: int, n: int, folded: bool, inverse: bool) -> Array:
+    # imported here: scipy.fft adds about 0.2 s and 7 MB to start-up
+    # and no axis within the sine-matrix limit needs it
+    import scipy.fft
+
+    def dst(a: Array) -> Array:
+        return scipy.fft.dst(a, type=1, norm="ortho", axis=axis)
+
+    if not folded:
+        return dst(x)
+    # a folded axis: unfold it and keep the odd modes, or put the odd modes
+    # into the full coefficient vector and fold the result
+    if not inverse:
+        modes = np.moveaxis(dst(_unfold_axis(x, axis, n)), axis, -1)
+        return np.moveaxis(modes[..., ::2], -1, axis)
+    shape = list(x.shape)
+    shape[axis] = n
+    modes = np.zeros(shape)
+    np.moveaxis(modes, axis, -1)[..., ::2] = np.moveaxis(x, axis, -1)
+    return _fold_axis(dst(modes), axis, n)
 
 
 def spectral_inverse(L: Laplacian, sigma: float) -> MatVec:
     """Exact inverse of L - sigma on the orthogonal complement of the
-    principal sine mode q, and zero along q: a DST, the diagonal
-    1/(lambda_j - sigma) with the (1, ..., 1) mode zeroed, and a second DST."""
+    principal sine mode q, and zero along q: transform, scale by the
+    diagonal 1/(lambda_j - sigma) with the (1, ..., 1) mode zeroed, and
+    transform back."""
     inv = L.eigenvalues - sigma
     inv[0] = np.inf  # 1/inf = 0 zeroes q without a divide-by-zero warning
     np.divide(1.0, inv, out=inv)
-    return lambda r: dst(L, inv * dst(L, r))
+    return lambda r: L.inverse_transform(inv * L.transform(r))
 
 
 def _cg(

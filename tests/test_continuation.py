@@ -17,8 +17,9 @@ from coexist import (
     solve_at_amplitude,
     trace_branch,
 )
-from coexist import continuation
+from coexist import continuation, operators
 from coexist.continuation import DEFAULT_S_VALUES, Branch, BranchPoint
+from coexist.nonlinearity import derivative_at_zero
 
 PI = math.pi
 
@@ -242,6 +243,75 @@ class TestTraceBranch:
         assert len(branch.truncations) == 2
         assert all("truncated" in t for t in branch.truncations)
         assert branch.fit is None
+
+
+def full_grid_trace(analysis, s_values):
+    """The oracle: trace_branch's legs and predictor, each point solved by
+    solve_at_amplitude on the full-grid Laplacian."""
+    u0, lambda0, d = analysis.eigenpair.vector, analysis.eigenpair.eigenvalue, analysis.diagnostics
+    points = {}
+    for leg in (sorted((s for s in s_values if s < 0), reverse=True), [s for s in s_values if s > 0]):
+        w, c = derivative_at_zero(analysis.model, 2) * analysis.z_hat, 0.5 * d.mu_ss
+        for s in leg:
+            guess = (s * u0 + s * s * w, lambda0 + d.mu_s * s + c * s * s)
+            pt = solve_at_amplitude(s, analysis.model, analysis.operator, analysis.mesh, u0, guess)
+            points[s] = pt
+            w, c = (pt.U - s * u0) / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
+    return points
+
+
+SQUARE = ((0.0, PI), (0.0, PI))
+RECT = ((0.0, PI), (0.0, 2 * PI))
+
+
+class TestFoldedTrace:
+    @pytest.mark.parametrize(
+        "bounds, resolution, k, eta",
+        [
+            pytest.param(((0.0, PI),), (400,), 3, 1.0, id="interval-400"),
+            pytest.param(((0.0, PI),), (401,), 4, -1.0, id="interval-401"),
+            pytest.param(SQUARE, (128, 128), 3, 1.0, id="square-128"),
+            pytest.param(SQUARE, (127, 127), 4, 1.0, id="square-127"),
+            pytest.param(RECT, (96, 192), 4, -1.0, id="rect-96x192"),
+            pytest.param(RECT[::-1], (192, 96), 3, -1.0, id="rect-192x96"),
+            pytest.param(RECT, (95, 64), 3, 1.0, id="rect-95x64"),
+            # the long axis runs the scipy.fft branch of the transforms
+            pytest.param(RECT, (6, 700), 3, 1.0, id="rect-6x700"),
+        ],
+    )
+    def test_matches_full_grid_oracle(self, bounds, resolution, k, eta):
+        kind = "interval" if len(bounds) == 1 else "rectangle"
+        mesh = build_mesh(DomainSpec(kind, bounds, resolution))
+        analysis = run_analysis(mesh, NonlinearityModel.psi_k(k, eta))
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
+        oracle = full_grid_trace(analysis, DEFAULT_S_VALUES)
+        assert [p.s for p in branch.points] == list(DEFAULT_S_VALUES)
+        for p in branch.points:
+            want = oracle[p.s]
+            assert p.newton_iters == want.newton_iters == 1
+            assert abs(p.lam - want.lam) <= 1e-12
+            assert np.linalg.norm(p.U - want.U) <= 1e-12 * np.linalg.norm(want.U)
+            # a full-grid vector equal to its mirror image bit for bit
+            grid = p.U.reshape(resolution)
+            assert all(np.array_equal(grid, np.flip(grid, axis)) for axis in range(len(resolution)))
+
+    def test_node_lengths_are_checked_against_the_operator(self, quartic, mesh400):
+        folded = quartic.operator.on_folded_grid()
+        u0 = quartic.eigenpair.vector
+        with pytest.raises(ValueError, match="u0 has shape"):
+            solve_at_amplitude(0.1, quartic.model, folded, mesh400, u0, (0.1 * folded.fold(u0), 1.0))
+        with pytest.raises(ValueError, match="guess has shape"):
+            solve_at_amplitude(0.1, quartic.model, folded, mesh400, folded.fold(u0), (0.1 * u0, 1.0))
+
+    def test_stalled_linear_solve_truncates_the_branch(self, quartic, monkeypatch):
+        # CG on the folded grid given no iterations: the bordered solve's
+        # stall check raises, and Newton reports the failed step
+        cg = operators._cg
+        monkeypatch.setattr(operators, "_cg", lambda *args, **kwargs: cg(*args, **{**kwargs, "max_iter": 0}))
+        branch = trace_branch(quartic, [-0.02, 0.02])
+        assert not branch.points
+        assert len(branch.truncations) == 2
+        assert all("failed in the linear solve" in t for t in branch.truncations)
 
 
 class TestFit:

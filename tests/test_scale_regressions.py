@@ -81,29 +81,36 @@ def test_short_interval_verify_reads_lambda1_from_closed_form(tmp_path, capsys):
     assert cr["kernel_dim_ok"] and cr["transversality_ok"]
 
 
-# Both traces exit 0 with all ten points converged, yet report a branch
-# that disagrees with the diagnostics:
-# - (0, 100): |mu_s|*0.1 is four times the spectral gap, so the default
-#   amplitudes are not local: a - mu_s = 1.8e-2 against a_tol = 1.2e-3,
-#   and twob_ok is false too (ROADMAP.md item 4, default amplitudes).
-# - psi_5 is type II (mu_s = mu_ss = 0); the unfitted s^3 term biases the
-#   degree-2 fit to a - mu_s = 2.46e-3 against 1e-3 (ROADMAP.md item 12).
-# raises=AssertionError: any other exception fails the test.
-@pytest.mark.xfail(
+# (0, 100) exits 0 with all ten points converged, yet reports a branch
+# that disagrees with the diagnostics: |mu_s|*0.1 is four times the
+# spectral gap, so the default amplitudes are not local, and even the
+# degree-6 fit leaves 2b - mu_ss = 7.0e-3 against twob_tol = 5.9e-3
+# (ROADMAP.md item 4, default amplitudes). raises=AssertionError: any
+# other exception fails the test.
+NONLOCAL_AMPLITUDES = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="branch fit disagrees with the diagnostics (ROADMAP.md items 4 and 12)",
+    reason="default amplitudes are not local on (0, 100) (ROADMAP.md item 4)",
 )
+
+
+# psi_5 and psi_6 are type II (mu_s = mu_ss = 0); their s^3 and s^4 terms
+# biased a fit on (s, s^2) alone to a - mu_s = 2.5e-3 (psi_5) and
+# 2b - mu_ss = -1.06e-2 (psi_6, eta = -2.5), outside the 1e-3 and 5e-3
+# tolerances. The fit through s^6 leaves about 2e-12 and 2e-8.
 @pytest.mark.parametrize(
-    "length, k",
-    [(100.0, 3), (PI, 5)],
-    ids=["long-interval-psi3", "type-II-psi5"],
+    "length, k, eta",
+    [
+        pytest.param(100.0, 3, 1.0, marks=NONLOCAL_AMPLITUDES, id="long-interval-psi3"),
+        pytest.param(PI, 5, 1.0, id="type-II-psi5"),
+        pytest.param(PI, 6, -2.5, id="type-II-psi6"),
+    ],
 )
-def test_trace_consistent_with_diagnostics(tmp_path, length, k):
+def test_trace_consistent_with_diagnostics(tmp_path, length, k, eta):
     cfg = RunConfig.from_dict(
         {
             "domain": {"kind": "interval", "bounds": [[0.0, length]], "resolution": [400]},
-            "model": {"kind": "psi_k", "k": k, "eta": 1.0},
+            "model": {"kind": "psi_k", "k": k, "eta": eta},
         }
     )
     report, code = cmd_trace(cfg, out_dir=str(tmp_path))

@@ -17,7 +17,7 @@ from coexist import (
 )
 from coexist import operators
 from coexist.continuation import DEFAULT_S_VALUES
-from coexist.operators import dst, spectral_inverse
+from coexist.operators import spectral_inverse
 
 from conftest import dense
 
@@ -55,8 +55,8 @@ def test_dst_matches_dense_sine_matrix_1d(spec):
     S = sine_matrix(L.n)
     np.testing.assert_allclose(S @ S, np.eye(L.n), atol=1e-14)
     v = np.random.default_rng(0).standard_normal(L.n)
-    np.testing.assert_allclose(dst(L, v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
-    np.testing.assert_allclose(dst(L, dst(L, v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(L.transform(v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(L.inverse_transform(L.transform(v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
 
 
 def test_cached_sine_matrix_is_orthonormal():
@@ -72,15 +72,15 @@ def test_dst_matches_dense_sine_matrix_2d():
     S = np.kron(sine_matrix(5), sine_matrix(7))  # lexicographic, first axis slowest
     np.testing.assert_allclose(S @ S, np.eye(L.n), atol=1e-14)
     v = np.random.default_rng(1).standard_normal(L.n)
-    np.testing.assert_allclose(dst(L, v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
-    np.testing.assert_allclose(dst(L, dst(L, v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(L.transform(v), S @ v, rtol=0, atol=1e-14 * np.abs(v).sum())
+    np.testing.assert_allclose(L.inverse_transform(L.transform(v)), v, rtol=0, atol=1e-14 * np.abs(v).sum())
 
 
 @pytest.mark.parametrize("name", ["interval-3", "square-48", "rect-40x80"])
 def test_sine_modes_diagonalise_assembled_laplacian(name):
     L = Laplacian.of(build_mesh(MESHES[name]))
     A = dense(L)
-    S = np.column_stack([dst(L, e) for e in np.eye(L.n)])
+    S = np.column_stack([L.transform(e) for e in np.eye(L.n)])
     np.testing.assert_allclose(S @ A @ S, np.diag(L.eigenvalues), atol=1e-12 * np.abs(A).max())
 
 
@@ -196,3 +196,109 @@ def test_newton_iterations_per_step_do_not_grow_with_mesh(cg_log):
         per_step[n] = sum(cg_log) / steps
     assert per_step[128] <= per_step[32] + 1.0
     assert per_step[128] <= 20.0
+
+
+# The folded grid: the mirror-symmetric subspace, ceil(n/2) nodes per axis
+# in the coordinates y = sqrt(m) u.
+
+FOLD_SPECS = {
+    "interval-7": DomainSpec("interval", ((0.0, PI),), (7,)),
+    "interval-8": DomainSpec("interval", ((0.0, 1.0),), (8,)),
+    "interval-3": MESHES["interval-3"],
+    "rect-5x8": DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (5, 8)),
+    "rect-8x5": DomainSpec("rectangle", ((0.0, 2.0), (0.0, 1.0)), (8, 5)),
+    "square-9": DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (9, 9)),
+    "rect-6x700": MESHES["rect-6x700"],
+}
+
+
+def mirror(u: np.ndarray, shape, axis: int) -> np.ndarray:
+    """u reflected along one axis."""
+    return np.flip(u.reshape(shape), axis).ravel()
+
+
+def symmetric_vector(shape, seed: int) -> np.ndarray:
+    """A random vector symmetrised over the reflection of each axis."""
+    u = np.random.default_rng(seed).standard_normal(math.prod(shape))
+    for axis in range(len(shape)):
+        u = u + mirror(u, shape, axis)
+    return u
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 400, 401, 511, 512])
+def test_folded_sine_matrix_is_orthogonal(n):
+    T = operators._folded_sine_matrix(n)
+    assert T.shape == ((n + 1) // 2,) * 2
+    np.testing.assert_allclose(T @ T.T, np.eye(T.shape[0]), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(T.T @ T, np.eye(T.shape[0]), rtol=0, atol=1e-14)
+    # the odd-mode rows of the long-double sine matrix over the first half
+    # of the nodes, columns scaled by sqrt(m)
+    k = (n + 1) // 2
+    root_m = np.full(k, math.sqrt(2.0))
+    if n % 2:
+        root_m[-1] = 1.0  # the centre node is its own mirror
+    np.testing.assert_allclose(T, sine_matrix(n)[::2, :k] * root_m, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", list(FOLD_SPECS))
+def test_folded_transform_diagonalises_folded_stencil(name):
+    L = Laplacian.of(build_mesh(FOLD_SPECS[name])).on_folded_grid()
+    assert L.grid == tuple((n + 1) // 2 for n in L.shape)
+    A = dense(L)
+    np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-14 * np.abs(A).max())
+    T = np.column_stack([L.transform(e) for e in np.eye(L.n)])
+    np.testing.assert_allclose(T @ T.T, np.eye(L.n), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(
+        np.column_stack([L.inverse_transform(e) for e in np.eye(L.n)]), T.T, rtol=0, atol=1e-15
+    )
+    np.testing.assert_allclose(T @ A @ T.T, np.diag(L.eigenvalues), rtol=0, atol=1e-12 * np.abs(A).max())
+    # the eigenvalues are the odd-mode entries of the full grid's
+    full = Laplacian.of(build_mesh(FOLD_SPECS[name]))
+    odd = full.eigenvalues.reshape(full.shape)[tuple(slice(None, None, 2) for _ in full.shape)]
+    np.testing.assert_allclose(L.eigenvalues, odd.ravel(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", list(FOLD_SPECS))
+def test_fold_commutes_with_stencil_and_transform(name):
+    full = Laplacian.of(build_mesh(FOLD_SPECS[name]))
+    L = full.on_folded_grid()
+    u = symmetric_vector(full.shape, 6)
+    y = L.fold(u)
+    assert y.shape == (L.n,)
+    scale = np.abs(full.apply(u)).max()
+    np.testing.assert_allclose(L.apply(y), L.fold(full.apply(u)), rtol=0, atol=1e-14 * scale)
+    # a symmetric vector has no even sine modes; its odd ones are T y
+    c = full.transform(u).reshape(full.shape)
+    odd = tuple(slice(None, None, 2) for _ in full.shape)
+    np.testing.assert_allclose(L.transform(y), c[odd].ravel(), rtol=0, atol=1e-13 * np.abs(u).max())
+    c[odd] = 0.0
+    assert np.abs(c).max() <= 1e-13 * np.abs(u).max()
+
+
+@pytest.mark.parametrize("name", list(FOLD_SPECS))
+def test_fold_unfold_and_dot_products(name):
+    L = Laplacian.of(build_mesh(FOLD_SPECS[name])).on_folded_grid()
+    u, v = symmetric_vector(L.shape, 7), symmetric_vector(L.shape, 8)
+    back = L.unfold(L.fold(u))
+    assert back.shape == u.shape
+    np.testing.assert_allclose(back, u, rtol=1e-15, atol=0)
+    assert all(np.array_equal(back, mirror(back, L.shape, axis)) for axis in range(len(L.shape)))
+    y = L.fold(u)
+    np.testing.assert_allclose(L.fold(L.unfold(y)), y, rtol=1e-15, atol=0)
+    assert L.fold(u) @ L.fold(v) == pytest.approx(u @ v, rel=1e-14)
+    assert L.fold(u) @ L.fold(u) == pytest.approx(u @ u, rel=1e-14)
+
+
+@pytest.mark.parametrize("name", ["interval-7", "interval-8", "rect-5x8", "square-9", "rect-6x700"])
+def test_folded_spectral_inverse_is_exact(name):
+    mesh = build_mesh(FOLD_SPECS[name])
+    full = Laplacian.of(mesh)
+    L = full.on_folded_grid()
+    q = L.fold(principal_eigenpair(full, mesh).vector)
+    q /= np.linalg.norm(q)
+    sigma = float(L.eigenvalues[0]) + 0.3
+    precondition = spectral_inverse(L, sigma)
+    v = np.random.default_rng(9).standard_normal(L.n)
+    v -= (q @ v) * q
+    assert np.linalg.norm(precondition(L.apply(v) - sigma * v) - v) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(precondition(q)) <= 1e-12
