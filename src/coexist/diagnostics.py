@@ -22,7 +22,8 @@ Every command runs the same two steps: `eigendata` (the stencil L, the
 closed-form principal pair, lambda1 and the bifurcation-point checks of
 `bifurcation_point`, then z_hat and its moments) once per mesh, then
 `diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
-scalar arithmetic on g''(0), g'''(0) and the per-mesh moments.
+scalar arithmetic on g''(0), g'''(0) and the per-mesh moments. z_hat
+is solved on the folded grid, as u0 and A are mirror-symmetric.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
@@ -200,17 +201,20 @@ def compute_z_s(
 ) -> BorderedSolution:
     """Unit corrector z_hat at s = 0: solves A z_hat = 1/2 (u0^2 - I3 u0)
     with (z_hat, u0) = 0, where A = L - lambda0 and I3 = (u0^2, u0).
-    Every model's corrector is z_s = g''(0) z_hat.
+    Every model's corrector is z_s = g''(0) z_hat. u0 must be
+    mirror-symmetric, as the principal mode is: z_hat is solved folded.
 
     The right-hand side is kernel-orthogonal when u0 is the normalized
     kernel vector, so the returned multiplier must be ~0; a larger value
     signals an unconverged or unnormalized eigenpair and raises.
     """
-    rhs = 0.5 * (u0 * u0 - inner_product(mesh, u0 * u0, u0) * u0)
-    sol = bordered_solve(L, u0, rhs, mesh, lambda0, tol=linear_tol)
+    F = L.on_folded_grid()
+    y0 = F.fold(u0)
+    sq = y0 * y0 / F.sqrt_multiplicity  # u0^2 in folded coordinates
+    sol = bordered_solve(F, y0, 0.5 * (sq - mesh.weight * float(sq @ y0) * y0), mesh, lambda0, tol=linear_tol)
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
-    return sol
+    return dataclasses.replace(sol, z=F.unfold(sol.z))
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
@@ -303,7 +307,7 @@ def bifurcation_point(mesh: Mesh, tolerances: Tolerances) -> tuple[Laplacian, Ei
 
 def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
     """`bifurcation_point`, then the unit corrector z_hat (the one
-    corrector solve per mesh) and its moments."""
+    corrector solve per mesh, folded: u0 is mirror-symmetric) and its moments."""
     tol = tolerances or Tolerances()
     L, pair, cr = bifurcation_point(mesh, tol)
     z_hat = compute_z_s(L, pair.vector, mesh, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z

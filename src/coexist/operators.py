@@ -27,12 +27,11 @@ principal sine mode u0, q = u0/||u0||. Its solution x lies on the
 orthogonal complement of u0, where the spectral inverse of L - sigma with
 the principal mode zeroed is exact, so the bordered solve runs CG with
 the projected operator P A, P = I - q q^T, and reads y off the q
-component of the first block row. Both callers share the form:
-`bordered_solve` takes col = u0 on the full grid and returns the unique
-kernel-orthogonal solution plus a scalar multiplier xi equal to the
-kernel component of the right-hand side, so callers can check
-solvability explicitly; each Newton step of the branch trace takes
-col = -U on the folded grid. Both callers expect u0 mesh-normalized.
+component of the first block row. Both callers share the form on the
+folded grid: the corrector's `bordered_solve` takes col = u0 and returns
+the unique kernel-orthogonal solution and a multiplier xi, the kernel
+component of the right-hand side, for callers to check solvability; each
+Newton step takes col = -U. Both expect u0 mesh-normalized.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConvergenceError
-from .mesh import Mesh, l2_norm
+from .mesh import Mesh
 
 __all__ = [
     "Laplacian",
@@ -137,11 +136,19 @@ class Laplacian:
         (it is its own inverse), or T^T per folded axis."""
         return _sine_transform(self, c, inverse=True)
 
+    @cached_property
+    def diagonal(self) -> Array | float:
+        """2 sum 1/h^2, less 1/h^2 on a folded even axis's last node, its own mirror neighbour."""
+        if not (self.folded and any(n % 2 == 0 for n in self.shape)):
+            return 2.0 * sum(self.inv_h2)
+        ends = [(np.arange(k) == k - 1) * (n % 2 == 0) for n, k in zip(self.shape, self.grid)]
+        return reduce(np.add.outer, [c * (2.0 - end) for c, end in zip(self.inv_h2, ends)])
+
     def apply(self, v: Array) -> Array:
         """L v as a fresh array (callers hold earlier results), with one
         temporary per axis: the neighbours' values scaled by 1/h^2."""
         x = np.asarray(v).reshape(self.grid)
-        out = x * (2.0 * sum(self.inv_h2))
+        out = x * self.diagonal
         for c in self.inv_h2[:-1]:  # first axis of a rectangle
             scaled = c * x
             out[1:] -= scaled[:-1]
@@ -156,18 +163,14 @@ class Laplacian:
         scaled[..., -1] = c * x[..., -1]
         scaled[..., 0] = 0.0
         flat[:-1] -= flat_scaled[1:]
-        if self.folded:
-            # the last folded node's missing neighbour is its mirror image:
-            # itself on an even axis; on an odd axis the centre node's
-            # neighbour, which couples to it by sqrt(2)/h^2 both ways
-            for axis, (n, c) in enumerate(zip(self.shape, self.inv_h2)):
+        # a folded axis's last node neighbours its mirror image: itself on an even
+        # axis (`diagonal`); on an odd axis the centre's neighbour, by sqrt(2)/h^2 both ways
+        for axis, (n, c) in enumerate(zip(self.shape, self.inv_h2)):
+            if self.folded and n % 2:
                 last, prev = (slice(None),) * axis + (-1,), (slice(None),) * axis + (-2,)
-                if n % 2 == 0:
-                    out[last] -= c * x[last]
-                else:
-                    extra = (math.sqrt(2.0) - 1.0) * c
-                    out[last] -= extra * x[prev]
-                    out[prev] -= extra * x[last]
+                extra = (math.sqrt(2.0) - 1.0) * c
+                out[last] -= extra * x[prev]
+                out[prev] -= extra * x[last]
         return flat
 
 
@@ -197,9 +200,7 @@ def _sine_entries(n: int, rows: Array, cols: Array) -> Array:
     return table[np.outer(rows, cols) % period]
 
 
-# Every mesh's corrector solve applies the DST, so a process that revisits
-# several meshes rebuilds a matrix per visit once their distinct axis
-# lengths outnumber the entries. 8 entries hold at most 16 MB (n = 512).
+# Only full-grid transforms build these. 8 entries hold at most 16 MB (n = 512).
 @lru_cache(maxsize=8)
 def _sine_matrix(n: int) -> Array:
     """Orthonormal DST-I matrix S, i, j = 1..n: symmetric and its own inverse."""
@@ -209,7 +210,8 @@ def _sine_matrix(n: int) -> Array:
     return S
 
 
-# A quarter of a sine matrix each: 8 entries hold at most 4 MB.
+# Every corrector solve and Newton step applies these; a quarter of a sine
+# matrix each: 8 entries hold at most 4 MB.
 @lru_cache(maxsize=8)
 def _folded_sine_matrix(n: int) -> Array:
     """The folded DST T, ceil(n/2) square and orthogonal: the odd-mode rows
@@ -412,21 +414,25 @@ def bordered_solve(
     solve on the complement of u0, where its DST preconditioner is the
     exact inverse of A, takes one step.
 
-    Preconditions: u0 is the mesh-normalized principal sine mode and A u0 ~ 0.
+    Preconditions: u0, a node vector of L (full-grid or folded, as are rhs
+    and z), is the mesh-normalized principal sine mode and A u0 ~ 0.
     """
 
     def apply_a(v: Array) -> Array:
         return L.apply(v) - lambda0 * v
 
-    rhs = np.asarray(rhs, dtype=float)
-    nrm = l2_norm(mesh, u0)
+    u0, rhs = np.asarray(u0, dtype=float), np.asarray(rhs, dtype=float)
+    if u0.shape != (L.n,) or rhs.shape != (L.n,):
+        raise ValueError(f"u0 and rhs need L.n = {L.n} entries each, got {u0.shape} and {rhs.shape}")
+    nrm = math.sqrt(mesh.weight * float(u0 @ u0))
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"u0 must be mesh-normalized, got ||u0|| = {nrm:.3e}")
-    kres = l2_norm(mesh, apply_a(u0))
+    a0 = apply_a(u0)
+    kres = math.sqrt(mesh.weight * float(a0 @ a0))
     if kres > 1e-6:
         raise ValueError(f"u0 is not a kernel vector of L - lambda0 (residual {kres:.3e})")
 
     # oversolve by 10x so the recombined residual stays within tol
     z, xi = solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, 0.1 * tol, 0.1 * tol)
-    res = l2_norm(mesh, apply_a(z) + xi * u0 - rhs)
-    return BorderedSolution(z=z, xi=xi, residual_norm=res)
+    res = apply_a(z) + xi * u0 - rhs
+    return BorderedSolution(z=z, xi=xi, residual_norm=math.sqrt(mesh.weight * float(res @ res)))

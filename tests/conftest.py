@@ -8,6 +8,8 @@ from coexist import DomainSpec, Laplacian, Tolerances, build_mesh, inner_product
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
+# the nonlinearity the benchmark's polynomial cases run
+BENCHMARK_POLY = (0.0, -1.0, 0.5, 0.2, -0.1, 0.05)
 
 # (criterion number, label, passed) tuples registered by test_acceptance
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []

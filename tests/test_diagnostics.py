@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,9 +24,10 @@ from coexist import (
     psi_k_table,
     run_analysis,
 )
-from coexist.diagnostics import Tolerances
+from coexist import operators
+from coexist.diagnostics import Tolerances, bifurcation_point
 
-from conftest import dense, psi3_sigma_form
+from conftest import BENCHMARK_POLY, dense, psi3_sigma_form
 
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
@@ -170,6 +172,71 @@ class TestCorrector:
         L, pair = eigdata
         with pytest.raises(SolvabilityError):
             compute_z_s(L, pair.vector * (1 + 5e-7), mesh400, pair.eigenvalue)
+
+
+# The corrector runs on the mirror-symmetric half grid; the full-grid
+# bordered solve is its oracle. One axis of 6x700 is over the sine-matrix
+# limit, so its folded transform calls scipy.fft.
+FOLDED_CORRECTOR_SPECS = {
+    "interval-400": DomainSpec("interval", ((0.0, PI),), (400,)),
+    "interval-401": DomainSpec("interval", ((0.0, PI),), (401,)),
+    "square-128": DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (128, 128)),
+    "square-127": DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (127, 127)),
+    "rect-96x192": DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (96, 192)),
+    "rect-95x64": DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (95, 64)),
+    "rect-6x700": DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (6, 700)),
+}
+
+
+def full_grid_eigendata(eig):
+    """eig with z_hat and its moments from the bordered solve on the full
+    grid, the corrector before it was folded."""
+    u0, mesh = eig.eigenpair.vector, eig.mesh
+    rhs = 0.5 * (u0 * u0 - inner_product(mesh, u0 * u0, u0) * u0)
+    z = bordered_solve(eig.operator, u0, rhs, mesh, eig.eigenpair.eigenvalue).z
+    return dataclasses.replace(eig, z_hat=z, moments_hat=Moments.of(mesh, u0, z))
+
+
+@pytest.mark.parametrize("name", list(FOLDED_CORRECTOR_SPECS))
+def test_folded_corrector_matches_full_grid_oracle(name):
+    mesh = build_mesh(FOLDED_CORRECTOR_SPECS[name])
+    eig = eigendata(mesh)
+    oracle = full_grid_eigendata(eig)
+    z = eig.z_hat
+    assert z.shape == (mesh.n_nodes,)
+    assert np.linalg.norm(z - oracle.z_hat) <= 1e-13 * np.linalg.norm(oracle.z_hat)
+    shape = mesh.spec.resolution
+    for axis in range(len(shape)):
+        assert np.array_equal(z, np.flip(z.reshape(shape), axis).ravel()), axis
+
+    # the eigen stage and I3, I4 are the full grid's, bit for bit
+    _, pair, cr = bifurcation_point(mesh, Tolerances())
+    u0 = pair.vector
+    assert (eig.eigenpair.eigenvalue, eig.eigenpair.residual) == (pair.eigenvalue, pair.residual)
+    assert (eig.cr_report.lambda1, eig.cr_report.gap) == (cr.lambda1, cr.gap)
+    assert eig.moments_hat.I3 == inner_product(mesh, u0 * u0, u0)
+    assert eig.moments_hat.I4 == inner_product(mesh, u0 * u0 * u0, u0)
+    # z_hat is one CG step, so M_hat = (u0 z_hat, u0) carries the rounding
+    # of its step length, exactly 1 without rounding. That rounding grows
+    # with lambda_max / (lambda - lambda0): on 6 x 600..760 (lambda_max ~ 5e4)
+    # it reaches 1.7e-13 on the full grid and 1.1e-13 on the folded one
+    m_rtol = 1e-13 if name == "rect-6x700" else 1e-14
+    assert eig.moments_hat.M_zu == pytest.approx(oracle.moments_hat.M_zu, rel=m_rtol)
+    assert abs(eig.moments_hat.P_zu) <= 1e-17
+
+    models = [NonlinearityModel.psi_k(k, eta) for k in (3, 4, 5, 6) for eta in (1.0, -1.0)]
+    for model in models + [NonlinearityModel.polynomial(list(BENCHMARK_POLY))]:
+        got, want = diagnose(eig, model, Tolerances()), diagnose(oracle, model, Tolerances())
+        assert got.ctype is want.ctype, model.describe()
+
+
+def test_eigendata_builds_no_full_grid_sine_matrix():
+    # the corrector's transforms are the folded ones; the full-grid sine
+    # matrix, four times the size, is never built
+    operators._sine_matrix.cache_clear()
+    for name in ("square-128", "rect-96x192"):
+        eigendata(build_mesh(FOLDED_CORRECTOR_SPECS[name]))
+    assert operators._sine_matrix.cache_info().currsize == 0
 
 
 class TestMuSS:

@@ -3,6 +3,8 @@ import pytest
 
 from coexist import ConfigError, NonlinearityModel, apply, apply_derivative, derivative_at_zero
 
+from conftest import BENCHMARK_POLY
+
 
 class TestDerivativeLadder:
     def test_cubic_interaction(self):
@@ -97,10 +99,6 @@ class TestApply:
         u = np.random.default_rng(k).uniform(-2, 2, size=1000)
         np.testing.assert_allclose(apply(m, u), u ** (k - 1), rtol=1e-15, atol=0.0)
         np.testing.assert_allclose(apply_derivative(m, u), (k - 1) * u ** (k - 2), rtol=1e-15, atol=0.0)
-
-
-# the nonlinearity the benchmark's polynomial cases run
-BENCHMARK_POLY = (0.0, -1.0, 0.5, 0.2, -0.1, 0.05)
 
 
 class TestCoefficients:

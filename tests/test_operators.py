@@ -213,3 +213,46 @@ def test_bordered_rejects_bad_kernel(lap400, eig400, mesh400):
     with pytest.raises(ValueError, match="kernel"):
         # L itself (shift 0) has no kernel at all
         bordered_solve(lap400, pair.vector, np.zeros(mesh400.n_nodes), mesh400, 0.0)
+
+
+def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400, mesh400):
+    # a folded L has L.n = ceil(n/2) nodes, not mesh.n_nodes
+    pair, _ = eig400
+    folded = lap400.on_folded_grid()
+    y0 = folded.fold(pair.vector)
+    cases = [
+        (folded, pair.vector, np.zeros(folded.n)),
+        (folded, y0, np.zeros(mesh400.n_nodes)),
+        (lap400, pair.vector, np.zeros(folded.n)),
+        (lap400, y0, np.zeros(mesh400.n_nodes)),
+    ]
+    for L, u0, rhs in cases:
+        with pytest.raises(ValueError, match=rf"u0 and rhs need L\.n = {L.n} entries"):
+            bordered_solve(L, u0, rhs, mesh400, pair.eigenvalue)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DomainSpec("interval", ((0.0, PI),), (400,)),
+        DomainSpec("interval", ((0.0, PI),), (401,)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (95, 64)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (6, 700)),
+    ],
+)
+def test_folded_bordered_solve_matches_full_grid(spec):
+    # rhs = u0^2 is mirror-symmetric with kernel component xi = (u0^2, u0)
+    mesh = build_mesh(spec)
+    L = Laplacian.of(mesh)
+    pair = principal_eigenpair(L, mesh)
+    u0 = pair.vector
+    full = bordered_solve(L, u0, u0 * u0, mesh, pair.eigenvalue)
+    F = L.on_folded_grid()
+    y0 = F.fold(u0)
+    sol = bordered_solve(F, y0, y0 * y0 / F.sqrt_multiplicity, mesh, pair.eigenvalue)
+    assert sol.z.shape == (F.n,)
+    z = F.unfold(sol.z)
+    assert np.linalg.norm(z - full.z) <= 1e-13 * np.linalg.norm(full.z)
+    assert sol.xi == pytest.approx(full.xi, rel=1e-13)
+    assert sol.xi == pytest.approx(inner_product(mesh, u0 * u0, u0), rel=1e-13)
+    assert sol.residual_norm <= 1e-10
