@@ -24,11 +24,11 @@ The problem commutes with the reflection of each axis and u0 is
 invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
 (Golubitsky, Stewart and Schaeffer 1988) the branch is mirror-symmetric.
 trace_branch therefore runs every Newton step on the folded grid,
-ceil(n/2) nodes per axis (`Laplacian.on_folded_grid`): it folds u0 and
-z_s once, and unfolds each converged U once. The folded coordinates keep
-the full grid's dot products, so residual, jacobian_apply and
-solve_at_amplitude take a full or a folded Laplacian alike; only the
-nonlinearity reads nodal values.
+ceil(n/2) nodes per axis (`Laplacian.on_folded_grid`), where the
+analysis already holds u0 and z_hat, and unfolds each converged U once.
+The folded coordinates keep the full grid's dot products, so residual,
+jacobian_apply and solve_at_amplitude take a full or a folded Laplacian
+alike; only the nonlinearity reads nodal values.
 """
 
 from __future__ import annotations
@@ -192,8 +192,8 @@ def trace_branch(
     w = (U - s*u0)/s^2 and c = (lambda - lambda0 - mu_s*s)/s^2.
 
     Newton runs on the mirror-symmetric subspace, where the branch lies:
-    u0 and w are folded once onto `analysis.operator.on_folded_grid()`,
-    and each converged U is unfolded once, so every BranchPoint.U is a
+    on `analysis.operator`, the folded grid that u0 and z_hat are already
+    on. Each converged U is unfolded once, so every BranchPoint.U is a
     full-grid vector.
 
     A diverged point truncates its side of the branch; the event is
@@ -208,14 +208,13 @@ def trace_branch(
     model, mesh = analysis.model, analysis.mesh
     lambda0 = analysis.eigenpair.eigenvalue
     d = analysis.diagnostics
-    L = analysis.operator.on_folded_grid()
-    u0 = L.fold(analysis.eigenpair.vector)
+    L, u0 = analysis.operator, analysis.eigenpair.vector
 
     points: list[BranchPoint] = []
     truncations: list[str] = []
     negatives = sorted((s for s in s_values if s < 0), reverse=True)
     positives = sorted(s for s in s_values if s > 0)
-    z_s = L.fold(derivative_at_zero(model, 2) * analysis.z_hat)
+    z_s = derivative_at_zero(model, 2) * analysis.z_hat
     for leg in (negatives, positives):
         w, c = z_s, 0.5 * d.mu_ss
         for s in leg:

@@ -22,8 +22,11 @@ Every command runs the same two steps: `eigendata` (the stencil L, the
 closed-form principal pair, lambda1 and the bifurcation-point checks of
 `bifurcation_point`, then z_hat and its moments) once per mesh, then
 `diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
-scalar arithmetic on g''(0), g'''(0) and the per-mesh moments. z_hat
-is solved on the folded grid, as u0 and A are mirror-symmetric.
+scalar arithmetic on g''(0), g'''(0) and the per-mesh moments. The
+per-mesh stage runs on the folded grid, as u0 and A are
+mirror-symmetric: L is `on_folded_grid()`, u0 is built per axis in its
+coordinates and certified per axis, lambda0 and lambda1 are per-axis
+sums, and z_hat and the moments never leave the folded grid.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
@@ -40,7 +43,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigError, SolvabilityError
-from .mesh import Mesh, inner_product
+from .mesh import Mesh
 from .nonlinearity import NonlinearityModel, derivative_at_zero
 from .operators import BorderedSolution, Laplacian, bordered_solve
 from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
@@ -124,12 +127,15 @@ class Moments:
     P_zu: float
 
     @staticmethod
-    def of(mesh: Mesh, u0: Array, z: Array) -> "Moments":
+    def of(L: Laplacian, mesh: Mesh, u0: Array, z: Array) -> "Moments":
+        """The moments of node vectors u0 and z of L, full-grid or folded.
+        A folded coordinate y stands for m nodes of value y/sqrt(m), so
+        with sq = u0^2 in L's coordinates (y0^2/sqrt(m)) the moments are
+        w sq.u0, w sq.sq, w sq.z and w z.u0 on either grid."""
+        sq = u0 * u0 / L.sqrt_multiplicity
+        w = mesh.weight
         return Moments(
-            I3=inner_product(mesh, u0 * u0, u0),
-            I4=inner_product(mesh, u0 * u0 * u0, u0),
-            M_zu=inner_product(mesh, u0 * z, u0),
-            P_zu=inner_product(mesh, z, u0),
+            I3=w * float(sq @ u0), I4=w * float(sq @ sq), M_zu=w * float(sq @ z), P_zu=w * float(z @ u0)
         )
 
     def mu_ss(self, model: NonlinearityModel, mu_s: float) -> float:
@@ -201,20 +207,19 @@ def compute_z_s(
 ) -> BorderedSolution:
     """Unit corrector z_hat at s = 0: solves A z_hat = 1/2 (u0^2 - I3 u0)
     with (z_hat, u0) = 0, where A = L - lambda0 and I3 = (u0^2, u0).
-    Every model's corrector is z_s = g''(0) z_hat. u0 must be
-    mirror-symmetric, as the principal mode is: z_hat is solved folded.
+    Every model's corrector is z_s = g''(0) z_hat. u0 and z_hat are node
+    vectors of L, full-grid or folded; on a folded L, u0^2 is
+    y0^2/sqrt(m) in its coordinates.
 
     The right-hand side is kernel-orthogonal when u0 is the normalized
     kernel vector, so the returned multiplier must be ~0; a larger value
     signals an unconverged or unnormalized eigenpair and raises.
     """
-    F = L.on_folded_grid()
-    y0 = F.fold(u0)
-    sq = y0 * y0 / F.sqrt_multiplicity  # u0^2 in folded coordinates
-    sol = bordered_solve(F, y0, 0.5 * (sq - mesh.weight * float(sq @ y0) * y0), mesh, lambda0, tol=linear_tol)
+    sq = u0 * u0 / L.sqrt_multiplicity
+    sol = bordered_solve(L, u0, 0.5 * (sq - mesh.weight * float(sq @ u0) * u0), mesh, lambda0, tol=linear_tol)
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
-    return dataclasses.replace(sol, z=F.unfold(sol.z))
+    return sol
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
@@ -262,10 +267,12 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: in
 
 @dataclass(frozen=True, eq=False)
 class EigenData:
-    """The per-mesh stage: the matrix-free stencil L, the principal pair
-    (lambda0, u0), the bifurcation-point checks, which carry lambda1, and
-    the unit corrector z_hat with Moments.of(mesh, u0, z_hat), whose M_zu
-    and P_zu are M_hat and P_hat."""
+    """The per-mesh stage: the matrix-free stencil L on the folded grid,
+    the principal pair (lambda0, u0), the bifurcation-point checks, which
+    carry lambda1, and the unit corrector z_hat with
+    Moments.of(L, mesh, u0, z_hat), whose M_zu and P_zu are M_hat and
+    P_hat. u0 and z_hat are in L's folded coordinates; `operator.unfold`
+    gives their full-grid vectors."""
 
     mesh: Mesh
     operator: Laplacian
@@ -289,15 +296,17 @@ class AnalysisResult(EigenData):
 
 
 def bifurcation_point(mesh: Mesh, tolerances: Tolerances) -> tuple[Laplacian, Eigenpair, CRReport]:
-    """Build the stencil L, take the closed-form principal eigenpair
-    certified against it, read lambda1 as the second-smallest entry of
-    L.eigenvalues, and check the bifurcation point."""
+    """Build the stencil L on the folded grid (u0 and A are
+    mirror-symmetric), take the closed-form principal eigenpair certified
+    per axis, in L's coordinates, read lambda1 as the smallest full-grid
+    eigenvalue with mode 2 on one axis, and check the bifurcation point."""
     tolerances.validate()
-    L = Laplacian.of(mesh)
+    L = Laplacian.of(mesh).on_folded_grid()
     pair = principal_eigenpair(L, mesh, tol=tolerances.eigen_tol)
+    d = len(L.shape)
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,
-        float(np.partition(L.eigenvalues, 1)[1]),
+        min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d)),
         pair.vector,
         mesh,
         gap_tol=tolerances.resolved_gap_tol(pair.eigenvalue),
@@ -307,7 +316,7 @@ def bifurcation_point(mesh: Mesh, tolerances: Tolerances) -> tuple[Laplacian, Ei
 
 def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
     """`bifurcation_point`, then the unit corrector z_hat (the one
-    corrector solve per mesh, folded: u0 is mirror-symmetric) and its moments."""
+    corrector solve per mesh) and its moments, all on its folded grid."""
     tol = tolerances or Tolerances()
     L, pair, cr = bifurcation_point(mesh, tol)
     z_hat = compute_z_s(L, pair.vector, mesh, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z
@@ -317,14 +326,16 @@ def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
         eigenpair=pair,
         cr_report=cr,
         z_hat=z_hat,
-        moments_hat=Moments.of(mesh, pair.vector, z_hat),
+        moments_hat=Moments.of(L, mesh, pair.vector, z_hat),
     )
 
 
 def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:
     """mu_s, the moments of z_s = g''(0) z_hat and mu_ss, then the type,
     for one model on eigendata shared across models: scalar arithmetic on
-    g''(0), g'''(0) and eig.moments_hat, with no solve and no vector."""
+    g''(0), g'''(0) and eig.moments_hat, with no solve and no vector.
+    Raises ConfigError when mu_s or mu_ss is not finite: the model's
+    coefficients are too large for the arithmetic."""
     lambda0 = eig.eigenpair.eigenvalue
     g2 = derivative_at_zero(model, 2)
     unit = eig.moments_hat
@@ -332,6 +343,11 @@ def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -
     mu_s = -0.5 * g2 * unit.I3 + 0.0
     moments = dataclasses.replace(unit, M_zu=g2 * unit.M_zu + 0.0, P_zu=g2 * unit.P_zu + 0.0)
     mu_ss = moments.mu_ss(model, mu_s)
+    for name, value in (("mu_s", mu_s), ("mu_ss", mu_ss)):
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"{name} = {value} is not finite: the coefficients of {model.describe()} overflow it"
+            )
 
     zero_tol = tolerances.resolved_zero_tol(lambda0)
     s_s = sign_with_tolerance(mu_s, zero_tol)

@@ -19,6 +19,9 @@ own mirror neighbour, and an odd axis's centre node couples to its
 neighbour by sqrt(2)/h^2 both ways. Its transform per axis is the
 orthogonal odd-mode half T of the sine matrix, with its eigenvalues the
 odd-mode entries; `fold` and `unfold` convert full-grid vectors.
+`L.axes` holds each axis's full-grid 3-point stencil, L being their
+Kronecker sum, from which the principal pair and lambda1 are built and
+certified per axis with no grid vector.
 
 Two solvers live here: preconditioned conjugate gradients for SPD
 systems, and one bordered form [A col; q^T 0][x; y] = [f; 0] for
@@ -37,6 +40,7 @@ Newton step takes col = -U. Both expect u0 mesh-normalized.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Callable
@@ -103,6 +107,18 @@ class Laplacian:
         return ev
 
     @cached_property
+    def axes(self) -> tuple["Laplacian", ...]:
+        """The full-grid 3-point stencil of each axis. L is their Kronecker
+        sum; folded, its restriction to mirror-symmetric vectors."""
+        return tuple(Laplacian(shape=(n,), inv_h2=(c,)) for n, c in zip(self.shape, self.inv_h2))
+
+    def mode_eigenvalue(self, modes: tuple[int, ...]) -> float:
+        """The eigenvalue of the full-grid sine mode (j_1, ..., j_d), j from
+        1, also on a folded grid: the axes' eigenvalues summed in the order
+        of the full grid's `eigenvalues`, so it equals that entry bit for bit."""
+        return float(reduce(operator.add, [ax.eigenvalues[j - 1] for ax, j in zip(self.axes, modes)]))
+
+    @cached_property
     def sqrt_multiplicity(self) -> Array | float:
         """sqrt(m) per node of a folded grid, the factor from nodal values
         to its coordinates; 1.0 on the full grid."""
@@ -125,6 +141,14 @@ class Laplacian:
         for axis, n in enumerate(self.shape):
             x = _unfold_axis(x, axis, n)
         return x.ravel()
+
+    def outer(self, factors: list[Array]) -> Array:
+        """The node vector of L whose nodal values are the products
+        prod_a factors[a][i_a] of one full-axis vector per axis (each
+        mirror-symmetric when L is folded), with no full-grid vector formed."""
+        if self.folded:
+            factors = [_fold_axis(f, 0, n) for f, n in zip(factors, self.shape)]
+        return reduce(np.multiply.outer, factors).ravel()
 
     def transform(self, v: Array) -> Array:
         """Node vector to sine-mode coefficients: the orthonormal DST-I along
@@ -234,14 +258,21 @@ def _sqrt_multiplicity(n: int) -> Array:
 
 
 def _fold_axis(x: Array, axis: int, n: int) -> Array:
-    xa = np.moveaxis(x, axis, -1)
-    return np.moveaxis(xa[..., : (n + 1) // 2] * _sqrt_multiplicity(n), -1, axis)
+    """x with its n-node axis folded: the first ceil(n/2) nodes, times sqrt(m)."""
+    k = (n + 1) // 2
+    r = _sqrt_multiplicity(n).reshape((k,) + (1,) * (x.ndim - axis - 1))
+    return x[(slice(None),) * axis + (slice(k),)] * r
 
 
 def _unfold_axis(y: Array, axis: int, n: int) -> Array:
-    half = np.moveaxis(y, axis, -1) / _sqrt_multiplicity(n)
-    mirror = half[..., : n // 2][..., ::-1]
-    return np.moveaxis(np.concatenate([half, mirror], axis=-1), -1, axis)
+    """y with its folded axis restored to n nodes: y/sqrt(m), then its mirror image."""
+    k = (n + 1) // 2
+    head = (slice(None),) * axis
+    r = _sqrt_multiplicity(n).reshape((k,) + (1,) * (y.ndim - axis - 1))
+    out = np.empty(y.shape[:axis] + (n,) + y.shape[axis + 1 :])
+    np.divide(y, r, out=out[head + (slice(k),)])
+    out[head + (slice(k, None),)] = out[head + (slice(n // 2 - 1, None, -1),)]
+    return out
 
 
 def _sine_transform(L: Laplacian, v: Array, inverse: bool) -> Array:
@@ -277,13 +308,11 @@ def _fft_sine_transform(x: Array, axis: int, n: int, folded: bool, inverse: bool
         return dst(x)
     # a folded axis: unfold it and keep the odd modes, or put the odd modes
     # into the full coefficient vector and fold the result
+    odd = (slice(None),) * axis + (slice(None, None, 2),)
     if not inverse:
-        modes = np.moveaxis(dst(_unfold_axis(x, axis, n)), axis, -1)
-        return np.moveaxis(modes[..., ::2], -1, axis)
-    shape = list(x.shape)
-    shape[axis] = n
-    modes = np.zeros(shape)
-    np.moveaxis(modes, axis, -1)[..., ::2] = np.moveaxis(x, axis, -1)
+        return dst(_unfold_axis(x, axis, n))[odd]
+    modes = np.zeros(x.shape[:axis] + (n,) + x.shape[axis + 1 :])
+    modes[odd] = x
     return _fold_axis(dst(modes), axis, n)
 
 

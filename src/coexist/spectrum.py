@@ -4,21 +4,24 @@ that certify the bifurcation point.
 On a uniform product grid the Dirichlet Laplacian's eigenvectors are
 products of sines, sin(j pi i / (n+1)) per axis, with eigenvalues
 sum_axes 4/h^2 sin^2(j pi / (2(n+1))), the grid `Laplacian.eigenvalues`.
-The principal pair is the closed-form (1, ..., 1) mode, certified by its
-residual against the stencil L; lambda1, the gap's other end, is read
-off the eigenvalue grid with no eigenvector.
+The principal pair is the closed-form (1, ..., 1) mode, built and
+certified per axis against each axis's 3-point stencil, so no full-grid
+vector is formed and the pair comes in L's own coordinates, folded or
+not. lambda0 and lambda1, the gap's other end, are sums of per-axis
+eigenvalues (`Laplacian.mode_eigenvalue`), with no eigenvalue grid and
+no eigenvector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from functools import reduce
 
 import numpy as np
 import numpy.typing as npt
 
 from .errors import ConvergenceError
-from .mesh import Mesh, inner_product, l2_norm
+from .mesh import Mesh
 from .operators import Laplacian
 
 __all__ = [
@@ -65,19 +68,32 @@ class CRReport:
 
 
 def principal_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
-    """Smallest eigenvalue of L, L.eigenvalues[0], and its positive,
-    mesh-normalized eigenfunction: the sine mode
-    prod_a sin(pi (x_a - lo_a) / len_a). Raises ConvergenceError when its
-    residual against the stencil L exceeds tol (L is not this mesh's
-    Laplacian, or rounding in L v alone exceeds tol)."""
-    lam = float(L.eigenvalues[0])
-    axes = zip(mesh.axis_coords, mesh.spec.bounds)
-    v = reduce(np.multiply.outer, [np.sin(np.pi * (x - lo) / (hi - lo)) for x, (lo, hi) in axes]).ravel()
-    v = v / l2_norm(mesh, v)
-    res = l2_norm(mesh, L.apply(v) - lam * v)
+    """Smallest eigenvalue of L and its positive, mesh-normalized
+    eigenfunction: the sine mode prod_a sin(pi (x_a - lo_a) / len_a), a
+    node vector of L (folded coordinates on a folded L). Raises
+    ConvergenceError when its residual against the stencil exceeds tol (L
+    is not this mesh's Laplacian, or rounding in L v alone exceeds tol).
+
+    Everything is per axis: the eigenvalue sums the axes' principal
+    eigenvalues lambda_a, and the mode is the product of sine vectors v_a,
+    each normalized with its own h_a. The residual of the product is
+    sum_a r_a x v_(b != a) with r_a = L_a v_a - lambda_a v_a against the
+    axis's full-grid 3-point stencil L_a, so its squared norm is
+    sum_a ||r_a||^2 + sum_(a != b) (r_a, v_a)(r_b, v_b): in 1-D exactly
+    the residual against L, and never taken on the folded grid, whose
+    rounding is smaller."""
+    vs, rr, rv = [], [], []
+    for ax, x, (lo, hi), h in zip(L.axes, mesh.axis_coords, mesh.spec.bounds, mesh.h):
+        v = np.sin(np.pi * (x - lo) / (hi - lo))
+        v = v / math.sqrt(h * float(v @ v))
+        r = ax.apply(v) - ax.eigenvalues[0] * v
+        vs.append(v)
+        rr.append(h * float(r @ r))
+        rv.append(h * float(r @ v))
+    res = math.sqrt(sum(rr) + (sum(rv) * sum(rv) - sum(d * d for d in rv)))
     if res > tol:
         raise ConvergenceError(f"principal sine mode misses eigen tolerance {tol:.1e} against L", res, 0)
-    return Eigenpair(eigenvalue=lam, vector=v, residual=res)
+    return Eigenpair(eigenvalue=L.mode_eigenvalue((1,) * len(vs)), vector=L.outer(vs), residual=res)
 
 
 def verify_crandall_rabinowitz(
@@ -93,10 +109,12 @@ def verify_crandall_rabinowitz(
     Kernel dimension one is certified by the gap lambda1 - lambda0
     exceeding gap_tol (`Tolerances.resolved_gap_tol`). The transversality
     value is the kernel projection of the mixed derivative applied to u0,
-    i.e. -(u0, u0), which must be bounded away from zero.
+    i.e. -(u0, u0), which must be bounded away from zero. u0 is a full-grid
+    or a folded vector: their dot products are the same.
     """
     gap = lambda1 - lambda0
-    trans = -inner_product(mesh, u0, u0)
+    u0 = np.asarray(u0, dtype=float)
+    trans = -mesh.weight * float(u0 @ u0)
     return CRReport(
         lambda0=lambda0,
         lambda1=lambda1,

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, Tolerances, build_mesh, inner_product, principal_eigenpair
+from coexist import DomainSpec, Laplacian, Moments, Tolerances, build_mesh, inner_product, principal_eigenpair
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
@@ -35,6 +35,17 @@ def psi3_sigma_form(mesh, u0, z_s, eta: float) -> float:
     return 4.0 * eta * inner_product(mesh, u0 * z_s, u0) - 2.0 * eta * inner_product(
         mesh, u0 * u0, u0
     ) * inner_product(mesh, z_s, u0)
+
+
+def vector_moments(mesh, u0, z) -> Moments:
+    """The moments as mesh inner products of full-grid vectors, the oracle
+    for `Moments.of`'s sums in a Laplacian's own coordinates."""
+    return Moments(
+        I3=inner_product(mesh, u0 * u0, u0),
+        I4=inner_product(mesh, u0 * u0 * u0, u0),
+        M_zu=inner_product(mesh, u0 * z, u0),
+        P_zu=inner_product(mesh, z, u0),
+    )
 
 
 def interval_mesh(n: int):

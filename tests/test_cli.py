@@ -142,11 +142,16 @@ class TestConfig:
             "eta_list=[true]",
             "s_values=[true,-0.1,-0.2,0.2,0.3]",
             "tolerances.eigen_tol=true",
+            # finite, but mu_ss = -2 g''(0)^2 M_hat overflows for psi_3
+            "model.eta=1e200",
+            "eta_list=[1e200]",
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, override):
-        path = write_config(tmp_path, base_config())
-        code = main(["analyze", "--config", path, "--out-dir", str(tmp_path), "--override", override])
+        path = write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0))
+        # eta_list is the table's input; every other field reaches analyze
+        command = "table" if override.startswith("eta_list=") else "analyze"
+        code = main([command, "--config", path, "--out-dir", str(tmp_path), "--override", override])
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert "configuration error" in err and "Traceback" not in err

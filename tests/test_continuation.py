@@ -6,6 +6,7 @@ import pytest
 from coexist import (
     ConvergenceError,
     DomainSpec,
+    Laplacian,
     NonlinearityModel,
     build_mesh,
     fit_local_expansion,
@@ -34,24 +35,29 @@ def cubic100(mesh100):
     return run_analysis(mesh100, NonlinearityModel.psi_k(3, 1.0))
 
 
+def full_grid(analysis):
+    """The full-grid stencil and u0 of an analysis, which holds them folded."""
+    return Laplacian.of(analysis.mesh), analysis.operator.unfold(analysis.eigenpair.vector)
+
+
 class TestResidual:
     def test_trivial_branch_identically_zero(self, quartic, mesh400):
         U = np.zeros(mesh400.n_nodes)
         for lam in np.linspace(quartic.diagnostics.lambda0 - 1, quartic.diagnostics.lambda0 + 1, 7):
-            F = residual(U, lam, quartic.model, quartic.operator)
+            F = residual(U, lam, quartic.model, full_grid(quartic)[0])
             assert np.all(F == 0.0)
 
     def test_linear_model_kernel_direction(self, mesh400):
         res = run_analysis(mesh400, NonlinearityModel.linear(1.5))
-        u0 = res.eigenpair.vector
-        F = residual(0.7 * u0, res.eigenpair.eigenvalue, res.model, res.operator)
+        L, u0 = full_grid(res)
+        F = residual(0.7 * u0, res.eigenpair.eigenvalue, res.model, L)
         # kernel direction of the shifted operator: residual at eigen accuracy
         assert l2_norm(mesh400, F) <= 1e-8
 
     def test_quartic_small_amplitude_direct_evaluation(self, quartic, mesh400):
-        u0 = quartic.eigenpair.vector
+        L, u0 = full_grid(quartic)
         lam0 = quartic.eigenpair.eigenvalue
-        F = residual(0.1 * u0, lam0, quartic.model, quartic.operator)
+        F = residual(0.1 * u0, lam0, quartic.model, L)
         # F = (L - lam0)(0.1 u0) + eta (0.1 u0)^3: dominated by the cubic term
         expected = 1e-3 * u0**3
         assert l2_norm(mesh400, F - expected) <= 1e-8
@@ -59,17 +65,18 @@ class TestResidual:
 
 class TestJacobian:
     def test_kernel_at_origin(self, quartic, mesh400):
-        u0 = quartic.eigenpair.vector
-        out = jacobian_apply(np.zeros(mesh400.n_nodes), quartic.eigenpair.eigenvalue, quartic.model, quartic.operator)(u0)
+        L, u0 = full_grid(quartic)
+        out = jacobian_apply(np.zeros(mesh400.n_nodes), quartic.eigenpair.eigenvalue, quartic.model, L)(u0)
         assert l2_norm(mesh400, out) <= 1e-8
 
     def test_free_model_is_shifted_operator(self, mesh400):
         res = run_analysis(mesh400, NonlinearityModel.free())
+        L = full_grid(res)[0]
         rng = np.random.default_rng(5)
         d = rng.standard_normal(mesh400.n_nodes)
         lam = 1.3
-        out = jacobian_apply(rng.standard_normal(mesh400.n_nodes), lam, res.model, res.operator)(d)
-        np.testing.assert_allclose(out, res.operator.apply(d) - lam * d, rtol=1e-13, atol=1e-13)
+        out = jacobian_apply(rng.standard_normal(mesh400.n_nodes), lam, res.model, L)(d)
+        np.testing.assert_allclose(out, L.apply(d) - lam * d, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, cubic100, mesh100, seed):
@@ -79,11 +86,11 @@ class TestJacobian:
         d = rng.standard_normal(mesh100.n_nodes)
         d /= np.linalg.norm(d)
         eps = 1e-5
+        L = full_grid(cubic100)[0]
         fd = (
-            residual(U + eps * d, lam, cubic100.model, cubic100.operator)
-            - residual(U - eps * d, lam, cubic100.model, cubic100.operator)
+            residual(U + eps * d, lam, cubic100.model, L) - residual(U - eps * d, lam, cubic100.model, L)
         ) / (2 * eps)
-        jd = jacobian_apply(U, lam, cubic100.model, cubic100.operator)(d)
+        jd = jacobian_apply(U, lam, cubic100.model, L)(d)
         assert np.max(np.abs(jd - fd)) < 1e-6
 
 
@@ -105,7 +112,8 @@ class TestSolveAtAmplitude:
         )
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
-        assert abs(inner_product(mesh400, pt.U, quartic.eigenpair.vector) - 0.1) <= 1e-10
+        unfold = quartic.operator.unfold
+        assert abs(inner_product(mesh400, unfold(pt.U), unfold(quartic.eigenpair.vector)) - 0.1) <= 1e-10
 
     def test_quartic_parity(self, quartic, mesh400):
         args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector)
@@ -150,7 +158,8 @@ class TestSolveAtAmplitude:
             s, quartic.model, quartic.operator, mesh400, u0, (2 * s * u0, expansion_guess(quartic, s)[1])
         )
         assert pt.residual <= 1e-10
-        assert abs(inner_product(mesh400, pt.U, u0) - s) <= 1e-14
+        unfold = quartic.operator.unfold
+        assert abs(inner_product(mesh400, unfold(pt.U), unfold(u0)) - s) <= 1e-14
 
     def test_zero_amplitude_rejected(self, quartic, mesh400):
         with pytest.raises(ValueError, match="trivial"):
@@ -200,7 +209,7 @@ class TestTraceBranch:
 
     def test_amplitude_constraint_everywhere(self, quartic, mesh400):
         branch = trace_branch(quartic, DEFAULT_S_VALUES)
-        u0 = quartic.eigenpair.vector
+        u0 = full_grid(quartic)[1]
         for p in branch.points:
             assert abs(inner_product(mesh400, p.U, u0) - p.s) <= 1e-10
             assert p.residual <= 1e-10
@@ -248,13 +257,14 @@ class TestTraceBranch:
 def full_grid_trace(analysis, s_values):
     """The oracle: trace_branch's legs and predictor, each point solved by
     solve_at_amplitude on the full-grid Laplacian."""
-    u0, lambda0, d = analysis.eigenpair.vector, analysis.eigenpair.eigenvalue, analysis.diagnostics
+    (L, u0), lambda0, d = full_grid(analysis), analysis.eigenpair.eigenvalue, analysis.diagnostics
+    z_hat = analysis.operator.unfold(analysis.z_hat)
     points = {}
     for leg in (sorted((s for s in s_values if s < 0), reverse=True), [s for s in s_values if s > 0]):
-        w, c = derivative_at_zero(analysis.model, 2) * analysis.z_hat, 0.5 * d.mu_ss
+        w, c = derivative_at_zero(analysis.model, 2) * z_hat, 0.5 * d.mu_ss
         for s in leg:
             guess = (s * u0 + s * s * w, lambda0 + d.mu_s * s + c * s * s)
-            pt = solve_at_amplitude(s, analysis.model, analysis.operator, analysis.mesh, u0, guess)
+            pt = solve_at_amplitude(s, analysis.model, L, analysis.mesh, u0, guess)
             points[s] = pt
             w, c = (pt.U - s * u0) / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
     return points
@@ -296,8 +306,8 @@ class TestFoldedTrace:
             assert all(np.array_equal(grid, np.flip(grid, axis)) for axis in range(len(resolution)))
 
     def test_node_lengths_are_checked_against_the_operator(self, quartic, mesh400):
-        folded = quartic.operator.on_folded_grid()
-        u0 = quartic.eigenpair.vector
+        folded = quartic.operator
+        u0 = folded.unfold(quartic.eigenpair.vector)
         with pytest.raises(ValueError, match="u0 has shape"):
             solve_at_amplitude(0.1, quartic.model, folded, mesh400, u0, (0.1 * folded.fold(u0), 1.0))
         with pytest.raises(ValueError, match="guess has shape"):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from coexist import (
     CoexistenceSide,
     CoexistenceType,
     DomainSpec,
+    Laplacian,
     NonlinearityModel,
     SolvabilityError,
     ConfigError,
@@ -21,13 +24,16 @@ from coexist import (
     eigendata,
     inner_product,
     l2_norm,
+    principal_eigenpair,
     psi_k_table,
     run_analysis,
 )
+import coexist
 from coexist import operators
+from coexist.cli import RunConfig, cmd_verify
 from coexist.diagnostics import Tolerances, bifurcation_point
 
-from conftest import BENCHMARK_POLY, dense, psi3_sigma_form
+from conftest import BENCHMARK_POLY, dense, psi3_sigma_form, vector_moments
 
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
@@ -105,11 +111,11 @@ class TestMuS:
 
 def test_diagnose_does_no_vector_work(eig, monkeypatch):
     # every model's diagnostics are arithmetic on the per-mesh moments:
-    # no inner product runs and the result holds no mesh vector
+    # no moment is taken from vectors and the result holds no mesh vector
     def no_inner_product(*args, **kwargs):
         raise AssertionError("diagnose took an inner product")
 
-    monkeypatch.setattr("coexist.diagnostics.inner_product", no_inner_product)
+    monkeypatch.setattr(Moments, "of", staticmethod(no_inner_product))
     for model in (
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -1.0),
@@ -155,16 +161,16 @@ class TestCorrector:
             tol = Tolerances(eigen_tol=1e-12)
             eig = eigendata(mesh, tol)
             d = diagnose(eig, model, tol)
-            u0, n = eig.eigenpair.vector, mesh.n_nodes
+            u0, n = eig.operator.unfold(eig.eigenpair.vector), mesh.n_nodes
 
             K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = dense(eig.operator) - eig.eigenpair.eigenvalue * np.eye(n)
+            K[:n, :n] = dense(Laplacian.of(mesh)) - eig.eigenpair.eigenvalue * np.eye(n)
             K[:n, n] = u0
             K[n, :n] = mesh.weight * u0
             g2 = derivative_at_zero(model, 2)
             rhs = d.mu_s * u0 + 0.5 * g2 * u0**2
             direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-            assert l2_norm(mesh, g2 * eig.z_hat - direct[:n]) < 1e-8, spec
+            assert l2_norm(mesh, g2 * eig.operator.unfold(eig.z_hat) - direct[:n]) < 1e-8, spec
 
     def test_unnormalized_eigenpair_raises_solvability(self, eigdata, mesh400):
         # within the normalization check's 1e-6, yet (u0^2 - I3 u0, u0)
@@ -189,12 +195,15 @@ FOLDED_CORRECTOR_SPECS = {
 
 
 def full_grid_eigendata(eig):
-    """eig with z_hat and its moments from the bordered solve on the full
-    grid, the corrector before it was folded."""
-    u0, mesh = eig.eigenpair.vector, eig.mesh
+    """eig on the full grid: u0 unfolded, z_hat from the bordered solve on
+    the full-grid stencil and the moments taken over every node, the
+    per-mesh stage before it was folded."""
+    mesh, L = eig.mesh, Laplacian.of(eig.mesh)
+    u0 = eig.operator.unfold(eig.eigenpair.vector)
     rhs = 0.5 * (u0 * u0 - inner_product(mesh, u0 * u0, u0) * u0)
-    z = bordered_solve(eig.operator, u0, rhs, mesh, eig.eigenpair.eigenvalue).z
-    return dataclasses.replace(eig, z_hat=z, moments_hat=Moments.of(mesh, u0, z))
+    z = bordered_solve(L, u0, rhs, mesh, eig.eigenpair.eigenvalue).z
+    pair = dataclasses.replace(eig.eigenpair, vector=u0)
+    return dataclasses.replace(eig, operator=L, eigenpair=pair, z_hat=z, moments_hat=vector_moments(mesh, u0, z))
 
 
 @pytest.mark.parametrize("name", list(FOLDED_CORRECTOR_SPECS))
@@ -202,20 +211,20 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     mesh = build_mesh(FOLDED_CORRECTOR_SPECS[name])
     eig = eigendata(mesh)
     oracle = full_grid_eigendata(eig)
-    z = eig.z_hat
-    assert z.shape == (mesh.n_nodes,)
+    assert eig.operator.folded and eig.z_hat.shape == eig.eigenpair.vector.shape == (eig.operator.n,)
+    z = eig.operator.unfold(eig.z_hat)
     assert np.linalg.norm(z - oracle.z_hat) <= 1e-13 * np.linalg.norm(oracle.z_hat)
     shape = mesh.spec.resolution
     for axis in range(len(shape)):
         assert np.array_equal(z, np.flip(z.reshape(shape), axis).ravel()), axis
 
-    # the eigen stage and I3, I4 are the full grid's, bit for bit
-    _, pair, cr = bifurcation_point(mesh, Tolerances())
-    u0 = pair.vector
-    assert (eig.eigenpair.eigenvalue, eig.eigenpair.residual) == (pair.eigenvalue, pair.residual)
-    assert (eig.cr_report.lambda1, eig.cr_report.gap) == (cr.lambda1, cr.gap)
-    assert eig.moments_hat.I3 == inner_product(mesh, u0 * u0, u0)
-    assert eig.moments_hat.I4 == inner_product(mesh, u0 * u0 * u0, u0)
+    # the eigen stage is the full-grid stencil's, bit for bit
+    full = principal_eigenpair(Laplacian.of(mesh), mesh)
+    assert (eig.eigenpair.eigenvalue, eig.eigenpair.residual) == (full.eigenvalue, full.residual)
+    assert np.linalg.norm(oracle.eigenpair.vector - full.vector) <= 1e-15 * np.linalg.norm(full.vector)
+    # I3 and I4 are half-grid sums, the oracle's are over every node
+    assert eig.moments_hat.I3 == pytest.approx(oracle.moments_hat.I3, rel=4e-15)
+    assert eig.moments_hat.I4 == pytest.approx(oracle.moments_hat.I4, rel=4e-15)
     # z_hat is one CG step, so M_hat = (u0 z_hat, u0) carries the rounding
     # of its step length, exactly 1 without rounding. That rounding grows
     # with lambda_max / (lambda - lambda0): on 6 x 600..760 (lambda_max ~ 5e4)
@@ -239,12 +248,58 @@ def test_eigendata_builds_no_full_grid_sine_matrix():
     assert operators._sine_matrix.cache_info().currsize == 0
 
 
+def full_grid_arrays(run, n_nodes: int) -> list[tuple[int, ...]]:
+    """Run run() and return the shapes of the arrays with n_nodes entries
+    that a coexist function held in a local variable (or a list or tuple
+    there) at any line, or returned."""
+    package = os.path.dirname(coexist.__file__)
+    shapes = []
+
+    def check(values):
+        for v in values:
+            for a in v if isinstance(v, (list, tuple)) else (v,):
+                if isinstance(a, np.ndarray) and a.size == n_nodes:
+                    shapes.append(a.shape)
+
+    def local(frame, event, arg):
+        check(frame.f_locals.values())
+        if event == "return":
+            check([arg])
+        return local
+
+    def call(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return shapes
+
+
+@pytest.mark.parametrize("name", ["square-128", "square-127", "rect-96x192", "rect-95x64", "rect-6x700"])
+def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
+    # rectangles only: on an interval the axis is the grid, and the
+    # certificate's sine vector has n_nodes entries by design
+    spec = FOLDED_CORRECTOR_SPECS[name]
+    mesh = build_mesh(spec)
+    cfg = RunConfig(domain=spec, model=NonlinearityModel.psi_k(3, 1.0))
+    for run in (
+        lambda: eigendata(mesh),
+        lambda: psi_k_table(mesh, [3, 4, 5, 6, 7, 8], [1.0, -1.0]),
+        lambda: cmd_verify(cfg, out_dir=str(tmp_path)),
+    ):
+        assert full_grid_arrays(run, mesh.n_nodes) == []
+
+
 class TestMuSS:
     def test_quartic_closed_form(self, eigdata, mesh400):
-        _, pair = eigdata
+        L, pair = eigdata
         model = NonlinearityModel.psi_k(4, 1.0)
         z = np.zeros(mesh400.n_nodes)
-        mu_ss = Moments.of(mesh400, pair.vector, z).mu_ss(model, 0.0)
+        mu_ss = Moments.of(L, mesh400, pair.vector, z).mu_ss(model, 0.0)
         assert mu_ss == pytest.approx(3 / PI, abs=1e-3)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
@@ -257,7 +312,7 @@ class TestMuSS:
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
         mu_ss = diagnose(eig, model, Tolerances()).mu_ss
-        z = derivative_at_zero(model, 2) * eig.z_hat
+        z = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
         sigma = psi3_sigma_form(mesh400, pair.vector, z, eta)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
         # the constrained term of sigma is itself numerically zero
@@ -306,7 +361,7 @@ class TestRawFormOracle:
         # shift by lambda0 of the *linearized* operator: the closed forms
         # are invariant to V_L because lambda = m + V_L absorbs it
         d = diagnose(eig, model, Tolerances())
-        mu_s, z_s, mu_ss = d.mu_s, g2 * eig.z_hat, d.mu_ss
+        mu_s, z_s, mu_ss = d.mu_s, g2 * eig.operator.unfold(eig.z_hat), d.mu_ss
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
         d2g = g2 * u0 * u0 + 2.0 * v_l * z_s
@@ -341,9 +396,9 @@ class TestScalingCovariance:
         assert mu_ss_2 == pytest.approx(4 * mu_ss_1, rel=1e-9)
 
     def test_quartic_scaling(self, eigdata, mesh400):
-        _, pair = eigdata
+        L, pair = eigdata
         z = np.zeros(mesh400.n_nodes)
-        moments = Moments.of(mesh400, pair.vector, z)
+        moments = Moments.of(L, mesh400, pair.vector, z)
         m1 = moments.mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         m2 = moments.mu_ss(NonlinearityModel.psi_k(4, 2.0), 0.0)
         assert m2 == pytest.approx(2 * m1, rel=1e-13)

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from coexist import (
 )
 from coexist.diagnostics import bifurcation_point
 
-from conftest import dense
+from conftest import dense, interval_mesh
 
 PI = math.pi
 
@@ -150,3 +151,72 @@ def test_determinism(mesh100):
     p2 = principal_eigenpair(L, mesh100, tol=1e-10)
     assert p1.eigenvalue == p2.eigenvalue
     assert np.array_equal(p1.vector, p2.vector)
+
+
+def stencil_residual(mesh) -> float:
+    """The principal sine mode's residual against the full-grid stencil,
+    formed as one grid vector: the certificate before it went per axis."""
+    L = Laplacian.of(mesh)
+    axes = zip(mesh.axis_coords, mesh.spec.bounds)
+    v = reduce(np.multiply.outer, [np.sin(np.pi * (x - lo) / (hi - lo)) for x, (lo, hi) in axes]).ravel()
+    v = v / l2_norm(mesh, v)
+    return l2_norm(mesh, L.apply(v) - float(L.eigenvalues[0]) * v)
+
+
+@pytest.mark.parametrize("n", [400, 2000, 10000])
+def test_per_axis_certificate_is_the_stencil_residual_in_1d(n):
+    # 2000 and 10000 nodes exceed the default eigen_tol (ROADMAP.md item 4)
+    mesh = interval_mesh(n)
+    want = stencil_residual(mesh)
+    for L in (Laplacian.of(mesh), Laplacian.of(mesh).on_folded_grid()):
+        assert principal_eigenpair(L, mesh, tol=math.inf).residual == want
+
+
+@pytest.mark.parametrize(
+    "bounds, resolution",
+    [
+        (((0.0, PI), (0.0, PI)), (128, 128)),
+        (((0.0, PI), (0.0, PI)), (127, 127)),
+        (((0.0, PI), (0.0, 2 * PI)), (96, 192)),
+        (((0.0, PI), (0.0, 2 * PI)), (95, 63)),
+        (((0.0, PI), (0.0, 2 * PI)), (95, 64)),
+        (((0.0, PI), (0.0, 2 * PI)), (6, 700)),
+        (((0.0, 100.0), (0.0, 0.1)), (40, 30)),
+    ],
+    ids=["square-128", "square-127", "rect-96x192", "rect-95x63", "rect-95x64", "rect-6x700", "rect-long-thin"],
+)
+def test_per_axis_certificate_matches_stencil_residual_in_2d(bounds, resolution):
+    # the two round differently; both sit near 0.3-0.5 eps lambda_max, the
+    # rounding of L v, and differ by at most 0.1 of it (measured)
+    mesh = build_mesh(DomainSpec("rectangle", bounds, resolution))
+    L = Laplacian.of(mesh)
+    got = principal_eigenpair(L.on_folded_grid(), mesh, tol=math.inf).residual
+    assert principal_eigenpair(L, mesh, tol=math.inf).residual == got
+    assert abs(got - stencil_residual(mesh)) <= 0.25 * np.finfo(float).eps * float(L.eigenvalues[-1])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DomainSpec("interval", ((0.0, PI),), (3,)),
+        DomainSpec("interval", ((0.0, PI),), (400,)),
+        DomainSpec("interval", ((0.0, PI),), (2000,)),
+        DomainSpec("interval", ((0.0, PI),), (10000,)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (3, 3)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (128, 128)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (127, 127)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (6, 13)),
+        DomainSpec("rectangle", ((0.0, 2 * PI), (0.0, PI)), (13, 6)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (96, 192)),
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (6, 700)),
+        DomainSpec("rectangle", ((0.0, 100.0), (0.0, 0.1)), (40, 30)),
+    ],
+    ids=lambda spec: "x".join(map(str, spec.resolution)),
+)
+def test_lambda_pair_matches_partition_oracle(spec):
+    # per-axis sums, bit for bit the two smallest entries of the full grid
+    mesh = build_mesh(spec)
+    _, pair, cr = bifurcation_point(mesh, Tolerances(eigen_tol=1.0))
+    ev = np.partition(Laplacian.of(mesh).eigenvalues, 1)
+    lambda0, lambda1 = float(ev[0]), float(ev[1])
+    assert (pair.eigenvalue, cr.lambda0, cr.lambda1, cr.gap) == (lambda0, lambda0, lambda1, lambda1 - lambda0)
