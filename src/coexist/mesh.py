@@ -51,7 +51,10 @@ class DomainSpec:
                 f"kind {self.kind!r} needs {d} axis entries, got "
                 f"{len(self.bounds)} bounds and {len(self.resolution)} resolutions"
             )
-        for ax, (lo, hi) in enumerate(self.bounds):
+        for ax, pair in enumerate(self.bounds):
+            if len(pair) != 2:
+                raise ConfigError(f"bounds[{ax}] must be a (lo, hi) pair, got {list(pair)}")
+            lo, hi = pair
             if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
                 raise ConfigError(f"bounds[{ax}] must be finite with positive length, got ({lo}, {hi})")
         for ax, n in enumerate(self.resolution):

@@ -381,6 +381,15 @@ class TestMain:
         assert main(["analyze", "--config", str(tmp_path / "missing.json")]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["[[0,1,2]]", "[[0]]"])
+    def test_bounds_not_a_pair_exit_one(self, tmp_path, capsys, bounds):
+        config = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
+        args = ["--config", str(config), "--out-dir", str(tmp_path), "--override", f"domain.bounds={bounds}"]
+        code = main(["analyze", *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "configuration error" in err and "bounds[0]" in err
+
     def test_invalid_resolution_exit_one(self, tmp_path):
         raw = base_config()
         raw["domain"]["resolution"] = [2]

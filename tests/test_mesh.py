@@ -37,6 +37,8 @@ def test_weight_sum_interval_399():
         (DomainSpec("rectangle", ((0.0, 1.0), (0.0, 1.0)), (5, 2)), "resolution[1]"),
         (DomainSpec("interval", ((0.0, 1.0), (0.0, 1.0)), (5, 5)), "1 axis"),
         (DomainSpec("rectangle", ((0.0, 1.0), (0.0, float("inf"))), (5, 5)), "bounds[1]"),
+        (DomainSpec("interval", ((0.0, 1.0, 2.0),), (10,)), "bounds[0]"),
+        (DomainSpec("interval", ((0.0,),), (10,)), "bounds[0]"),
     ],
 )
 def test_invalid_specs_name_the_field(spec, field):
