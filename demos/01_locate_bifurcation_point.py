@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from coexist import DomainSpec, build_mesh, eigendata
+from coexist import DomainSpec, eigendata
 
 PI = math.pi
 
@@ -21,7 +21,7 @@ for label, spec, exact in [
     ("square (0, pi)^2, 64^2 nodes", DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (64, 64)), (2.0, 5.0)),
 ]:
     print(f"== {label} ==")
-    eig = eigendata(build_mesh(spec))
+    eig = eigendata(spec)
     pair, cr = eig.eigenpair, eig.cr_report
     print(f"lambda0 = {pair.eigenvalue:.8f}   (continuum {exact[0]})")
     print(f"lambda1 = {cr.lambda1:.8f}   (continuum {exact[1]})")

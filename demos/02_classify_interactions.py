@@ -10,10 +10,10 @@
 
 import math
 
-from coexist import DomainSpec, NonlinearityModel, build_mesh, run_analysis
+from coexist import DomainSpec, NonlinearityModel, run_analysis
 
 PI = math.pi
-mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (400,)))
+spec = DomainSpec("interval", ((0.0, PI),), (400,))
 
 zoo = [
     NonlinearityModel.free(),
@@ -28,7 +28,7 @@ zoo = [
 
 print(f"{'interaction':36s} {'mu_s(0)':>12s} {'mu_ss(0)':>12s} {'type':>5s}  side")
 for model in zoo:
-    d = run_analysis(mesh, model).diagnostics
+    d = run_analysis(spec, model).diagnostics
     print(
         f"{model.describe():36s} {d.mu_s:+12.6f} {d.mu_ss:+12.6f} {str(d.ctype):>5s}  {d.m_coexistence_side}"
     )

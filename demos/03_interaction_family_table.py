@@ -11,10 +11,10 @@ import csv
 import math
 import pathlib
 
-from coexist import DomainSpec, build_mesh, psi_k_table
+from coexist import DomainSpec, psi_k_table
 
 PI = math.pi
-mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (400,)))
+spec = DomainSpec("interval", ((0.0, PI),), (400,))
 
 out_dir = pathlib.Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
@@ -25,7 +25,7 @@ with out_csv.open("w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["k", "eta", "mu_s", "mu_ss", "type"])
     etas = [1.0, -1.0]
-    rows = psi_k_table(mesh, [3, 4, 5, 6, 7, 8], etas)  # one eigen stage serves every row
+    rows = psi_k_table(spec, [3, 4, 5, 6, 7, 8], etas)  # one eigen stage serves every row
     for eta in etas:
         print(f"eta = {eta:+g}")
         print(header)

@@ -12,18 +12,18 @@
 import math
 import pathlib
 
-from coexist import DomainSpec, NonlinearityModel, build_mesh, l2_norm, run_analysis, trace_branch
+from coexist import DomainSpec, NonlinearityModel, run_analysis, trace_branch
 from coexist.cli import write_branch_csv
 from coexist.continuation import DEFAULT_S_VALUES
 
 PI = math.pi
-mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (400,)))
+spec = DomainSpec("interval", ((0.0, PI),), (400,))
 out_dir = pathlib.Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 for k, eta in [(4, 1.0), (4, -1.0), (3, 1.0)]:
     model = NonlinearityModel.psi_k(k, eta)
-    analysis = run_analysis(mesh, model)
+    analysis = run_analysis(spec, model)
     d = analysis.diagnostics
     branch = trace_branch(analysis, DEFAULT_S_VALUES)
     fit = branch.fit
@@ -33,12 +33,15 @@ for k, eta in [(4, 1.0), (4, -1.0), (3, 1.0)]:
     print(f"fitted:    a    = {fit.a:+.6f}, 2b    = {2 * fit.b:+.6f}  (rms {fit.rms:.1e})")
     print(f"agreement: |a - mu_s| = {abs(fit.a - d.mu_s):.2e}, |2b - mu_ss| = {abs(2 * fit.b - d.mu_ss):.2e}")
 
+    # U is a full-grid vector; every node carries the quadrature weight
+    L = analysis.operator
     print(f"{'s':>6s} {'lambda - lambda0':>18s} {'||U||':>10s} {'newton':>6s}")
     for p in branch.points:
-        print(f"{p.s:+6.2f} {p.lam - d.lambda0:+18.10f} {l2_norm(mesh, p.U):10.6f} {p.newton_iters:6d}")
+        norm = math.sqrt(L.weight * float(p.U @ p.U))
+        print(f"{p.s:+6.2f} {p.lam - d.lambda0:+18.10f} {norm:10.6f} {p.newton_iters:6d}")
 
     csv_path = out_dir / f"branch_psi{k}_eta{eta:+g}.csv"
-    write_branch_csv(csv_path, branch, mesh)
+    write_branch_csv(csv_path, branch, L)
     print(f"csv written to {csv_path}")
     print()
 

@@ -34,7 +34,7 @@ from .diagnostics import (
     run_analysis,
 )
 from .errors import CoexistError, ConfigError, ConvergenceError, SolvabilityError
-from .mesh import DomainSpec, Mesh, build_mesh, inner_product, l2_norm
+from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import BorderedSolution, Laplacian, bordered_solve
 from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
@@ -42,10 +42,6 @@ from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_
 __all__ = [
     "__version__",
     "DomainSpec",
-    "Mesh",
-    "build_mesh",
-    "inner_product",
-    "l2_norm",
     "Laplacian",
     "BorderedSolution",
     "bordered_solve",

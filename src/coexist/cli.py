@@ -26,8 +26,9 @@ from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
 from .diagnostics import AnalysisResult, Tolerances, bifurcation_point, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, SolvabilityError, as_number
-from .mesh import DomainSpec, build_mesh, l2_norm
+from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel
+from .operators import Laplacian
 
 __all__ = ["RunConfig", "Outputs", "cmd_analyze", "cmd_trace", "cmd_table", "cmd_verify", "main"]
 
@@ -230,12 +231,14 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def write_branch_csv(path: Path, branch: Branch, mesh) -> None:
+def write_branch_csv(path: Path, branch: Branch, L: Laplacian) -> None:
+    """One row per point; l2_norm_U is the weighted norm of the full-grid U."""
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["s", "lambda", "l2_norm_U", "residual", "newton_iters"])
         for p in branch.points:
-            w.writerow([_fmt(p.s), _fmt(p.lam), _fmt(l2_norm(mesh, p.U)), _fmt(p.residual), p.newton_iters])
+            norm = math.sqrt(L.weight * float(p.U @ p.U))
+            w.writerow([_fmt(p.s), _fmt(p.lam), _fmt(norm), _fmt(p.residual), p.newton_iters])
 
 
 def write_table_csv(path: Path, rows) -> None:
@@ -261,8 +264,7 @@ def _analysis_report(cfg: RunConfig, analysis: AnalysisResult) -> dict:
 
 def cmd_analyze(cfg: RunConfig, out_dir: str | None = None) -> dict:
     """Spectrum -> bifurcation checks -> diagnostics; writes the JSON report."""
-    mesh = build_mesh(cfg.domain)
-    analysis = run_analysis(mesh, cfg.model, cfg.tolerances)
+    analysis = run_analysis(cfg.domain, cfg.model, cfg.tolerances)
     report = _analysis_report(cfg, analysis)
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
     return report
@@ -274,11 +276,10 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     Returns (report, exit_code); a truncated branch still exits 0 when
     the converged points still carry the fit, EXIT_SOLVER otherwise.
     """
-    mesh = build_mesh(cfg.domain)
-    analysis = run_analysis(mesh, cfg.model, cfg.tolerances)
+    analysis = run_analysis(cfg.domain, cfg.model, cfg.tolerances)
     branch = trace_branch(analysis, sorted(cfg.s_values), newton_tol=cfg.tolerances.newton_tol)
     csv_path = _resolve(out_dir, cfg.outputs.branch_csv_path)
-    write_branch_csv(csv_path, branch, mesh)
+    write_branch_csv(csv_path, branch, analysis.operator)
 
     report = _analysis_report(cfg, analysis)
     d = analysis.diagnostics
@@ -306,15 +307,14 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
 
 def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
     """Interaction-family sweep over k_list x eta_list; writes the CSV."""
-    mesh = build_mesh(cfg.domain)
-    rows = psi_k_table(mesh, list(cfg.k_list), list(cfg.resolved_eta_list()), cfg.tolerances)
+    rows = psi_k_table(cfg.domain, list(cfg.k_list), list(cfg.resolved_eta_list()), cfg.tolerances)
     write_table_csv(_resolve(out_dir, cfg.outputs.table_csv_path), rows)
     return rows
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """The bifurcation-point checks only; no corrector solve."""
-    _, _, cr = bifurcation_point(build_mesh(cfg.domain), cfg.tolerances)
+    _, _, cr = bifurcation_point(cfg.domain, cfg.tolerances)
     print(f"lambda0          = {cr.lambda0:.12g}")
     print(f"lambda1          = {cr.lambda1:.12g}")
     print(f"gap              = {cr.gap:.12g}  (kernel_dim_ok={cr.kernel_dim_ok})")

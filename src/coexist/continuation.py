@@ -3,7 +3,7 @@ and check it against the local expansion lambda(s) ~ lambda0 + mu_s*s
 + 1/2*mu_ss*s^2.
 
 Points are parametrized by the amplitude s = (U, u0), where u0 is the
-mesh-normalized principal sine mode; as in the paper, U = s*u0 + s*z with
+normalized principal sine mode; as in the paper, U = s*u0 + s*z with
 (z, u0) = 0. Each point pins its guess to the amplitude s once, and every
 Newton correction solves the bordered system [J, -U; u0^T, 0] for a
 correction orthogonal to u0, so the amplitude holds by construction and
@@ -23,12 +23,11 @@ Newton step reaches newton_tol.
 The problem commutes with the reflection of each axis and u0 is
 invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
 (Golubitsky, Stewart and Schaeffer 1988) the branch is mirror-symmetric.
-trace_branch therefore runs every Newton step on the folded grid,
-ceil(n/2) nodes per axis (`Laplacian.on_folded_grid`), where the
-analysis already holds u0 and z_hat, and unfolds each converged U once.
-The folded coordinates keep the full grid's dot products, so residual,
-jacobian_apply and solve_at_amplitude take a full or a folded Laplacian
-alike; only the nonlinearity reads nodal values.
+Every Newton step therefore runs on the Laplacian's half grid, ceil(n/2)
+nodes per axis, where the analysis already holds u0 and z_hat, and
+trace_branch unfolds each converged U once. The half-grid coordinates
+sqrt(m) u keep the full grid's dot products, so only the nonlinearity
+reads nodal values.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import numpy.typing as npt
 
 from .diagnostics import AnalysisResult
 from .errors import ConvergenceError
-from .mesh import Mesh
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import Laplacian, MatVec, solve_bordered_system
 
@@ -102,8 +100,8 @@ class Branch:
 
 def residual(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> Array:
     """F(U, lambda) = L U - lambda U + V_L U - g(U); identically zero on
-    the trivial branch U = 0. On a folded L, U and F are in its coordinates
-    sqrt(m) u, and g acts on the nodal values U/sqrt(m)."""
+    the trivial branch U = 0. U and F are in L's coordinates sqrt(m) u,
+    and g acts on the nodal values U/sqrt(m)."""
     r = L.sqrt_multiplicity
     return L.apply(U) + (model.V_L - lam) * U - r * apply(model, U / r)
 
@@ -112,8 +110,8 @@ def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: Laplacian)
     """The action of dF/dU at (U, lambda): d -> (L - lambda + V_L - g'(U)) d,
     with the diagonal evaluated once so g'(U) is not recomputed per call.
 
-    At U = 0 this reduces to L - lambda since g'(0) = V_L. On a folded L
-    the diagonal g'(U/sqrt(m)) is the same in its coordinates.
+    At U = 0 this reduces to L - lambda since g'(0) = V_L. The diagonal
+    g'(U/sqrt(m)) is the same in L's coordinates.
     """
     diag = (model.V_L - lam) - apply_derivative(model, U / L.sqrt_multiplicity)
     return lambda d: L.apply(d) + diag * d
@@ -123,7 +121,6 @@ def solve_at_amplitude(
     s: float,
     model: NonlinearityModel,
     L: Laplacian,
-    mesh: Mesh,
     u0: Array,
     guess: tuple[Array, float],
     newton_tol: float = 1e-10,
@@ -132,10 +129,9 @@ def solve_at_amplitude(
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess = (U, lambda),
     such as trace_branch's predictor.
 
-    U and u0 are node vectors of L: full-grid ones, or folded coordinates
-    on a folded L, whose Euclidean dot products are the full grid's, so
-    the mesh pairing is mesh.weight times the dot product on either.
-    Precondition: u0 is mesh-normalized, (u0, u0) = 1. The guess is pinned
+    U and u0 are node vectors of L, whose Euclidean dot products are the
+    full grid's, so the pairing is L.weight times the dot product.
+    Precondition: u0 is normalized, (u0, u0) = 1. The guess is pinned
     once to the amplitude, U + (s - (U, u0))*u0; every Newton correction
     then solves the bordered system with its correction orthogonal to u0,
     so the amplitude holds by construction and convergence is judged on
@@ -150,10 +146,10 @@ def solve_at_amplitude(
     for name, v in (("guess", U), ("u0", u0)):
         if v.shape != (L.n,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({L.n},), one entry per node of L")
-    w = mesh.weight
+    w = L.weight
     U, lam = U + (s - w * float(U @ u0)) * u0, float(guess[1])
-    # Euclidean absolute target: newton_tol is a mesh-norm tolerance and
-    # ||v||_mesh = sqrt(w) * ||v||_2 on uniform grids
+    # Euclidean absolute target: newton_tol is a tolerance on the weighted
+    # norm sqrt(w) * ||v||_2
     linear_atol = 0.02 * newton_tol / np.sqrt(w)
 
     for iters in range(max_iters + 1):
@@ -184,7 +180,7 @@ def trace_branch(
     newton_tol: float = 1e-10,
     max_iters: int = 25,
 ) -> Branch:
-    """Solve along the given amplitudes for the analysis's model and mesh,
+    """Solve along the given amplitudes for the analysis's model and domain,
     outward from s = 0 on each side, each point from the second-order
     predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c. Each
     leg starts at w = g''(0)*analysis.z_hat and c = 1/2*mu_ss, the s^2
@@ -192,8 +188,8 @@ def trace_branch(
     w = (U - s*u0)/s^2 and c = (lambda - lambda0 - mu_s*s)/s^2.
 
     Newton runs on the mirror-symmetric subspace, where the branch lies:
-    on `analysis.operator`, the folded grid that u0 and z_hat are already
-    on. Each converged U is unfolded once, so every BranchPoint.U is a
+    on `analysis.operator`'s half grid, which u0 and z_hat are already on.
+    Each converged U is unfolded once, so every BranchPoint.U is a
     full-grid vector.
 
     A diverged point truncates its side of the branch; the event is
@@ -205,7 +201,7 @@ def trace_branch(
     if sorted(s_values) != s_values or len(set(s_values)) != len(s_values):
         raise ValueError("s_values must be strictly increasing")
 
-    model, mesh = analysis.model, analysis.mesh
+    model = analysis.model
     lambda0 = analysis.eigenpair.eigenvalue
     d = analysis.diagnostics
     L, u0 = analysis.operator, analysis.eigenpair.vector
@@ -221,7 +217,7 @@ def trace_branch(
             predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
             try:
                 pt = solve_at_amplitude(
-                    s, model, L, mesh, u0, predicted, newton_tol=newton_tol, max_iters=max_iters
+                    s, model, L, u0, predicted, newton_tol=newton_tol, max_iters=max_iters
                 )
             except ConvergenceError as exc:
                 truncations.append(f"branch truncated at s={s:g}: {exc}")

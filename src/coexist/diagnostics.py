@@ -20,13 +20,12 @@ cross-check.
 
 Every command runs the same two steps: `eigendata` (the stencil L, the
 closed-form principal pair, lambda1 and the bifurcation-point checks of
-`bifurcation_point`, then z_hat and its moments) once per mesh, then
+`bifurcation_point`, then z_hat and its moments) once per domain, then
 `diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
 scalar arithmetic on g''(0), g'''(0) and the per-mesh moments. The
-per-mesh stage runs on the folded grid, as u0 and A are
-mirror-symmetric: L is `on_folded_grid()`, u0 is built per axis in its
-coordinates and certified per axis, lambda0 and lambda1 are per-axis
-sums, and z_hat and the moments never leave the folded grid.
+per-mesh stage runs on L's half grid, as u0 and A are mirror-symmetric:
+u0 is built and certified per axis, lambda0 and lambda1 are per-axis
+sums, and z_hat and the moments never leave the half grid.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
@@ -43,7 +42,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConfigError, SolvabilityError
-from .mesh import Mesh
+from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, derivative_at_zero
 from .operators import BorderedSolution, Laplacian, bordered_solve
 from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
@@ -127,13 +126,13 @@ class Moments:
     P_zu: float
 
     @staticmethod
-    def of(L: Laplacian, mesh: Mesh, u0: Array, z: Array) -> "Moments":
-        """The moments of node vectors u0 and z of L, full-grid or folded.
-        A folded coordinate y stands for m nodes of value y/sqrt(m), so
-        with sq = u0^2 in L's coordinates (y0^2/sqrt(m)) the moments are
-        w sq.u0, w sq.sq, w sq.z and w z.u0 on either grid."""
+    def of(L: Laplacian, u0: Array, z: Array) -> "Moments":
+        """The moments of node vectors u0 and z of L. A coordinate y stands
+        for m nodes of value y/sqrt(m), so with sq = u0^2 in L's coordinates
+        (y0^2/sqrt(m)) the moments are w sq.u0, w sq.sq, w sq.z and w z.u0,
+        w = L.weight."""
         sq = u0 * u0 / L.sqrt_multiplicity
-        w = mesh.weight
+        w = L.weight
         return Moments(
             I3=w * float(sq @ u0), I4=w * float(sq @ sq), M_zu=w * float(sq @ z), P_zu=w * float(z @ u0)
         )
@@ -200,7 +199,6 @@ class Tolerances:
 def compute_z_s(
     L: Laplacian,
     u0: Array,
-    mesh: Mesh,
     lambda0: float,
     linear_tol: float = 1e-10,
     solvability_tol: float = 1e-8,
@@ -208,15 +206,14 @@ def compute_z_s(
     """Unit corrector z_hat at s = 0: solves A z_hat = 1/2 (u0^2 - I3 u0)
     with (z_hat, u0) = 0, where A = L - lambda0 and I3 = (u0^2, u0).
     Every model's corrector is z_s = g''(0) z_hat. u0 and z_hat are node
-    vectors of L, full-grid or folded; on a folded L, u0^2 is
-    y0^2/sqrt(m) in its coordinates.
+    vectors of L, in whose coordinates u0^2 is y0^2/sqrt(m).
 
     The right-hand side is kernel-orthogonal when u0 is the normalized
     kernel vector, so the returned multiplier must be ~0; a larger value
     signals an unconverged or unnormalized eigenpair and raises.
     """
     sq = u0 * u0 / L.sqrt_multiplicity
-    sol = bordered_solve(L, u0, 0.5 * (sq - mesh.weight * float(sq @ u0) * u0), mesh, lambda0, tol=linear_tol)
+    sol = bordered_solve(L, u0, 0.5 * (sq - L.weight * float(sq @ u0) * u0), lambda0, tol=linear_tol)
     if abs(sol.xi) > solvability_tol:
         raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
     return sol
@@ -267,14 +264,13 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: in
 
 @dataclass(frozen=True, eq=False)
 class EigenData:
-    """The per-mesh stage: the matrix-free stencil L on the folded grid,
-    the principal pair (lambda0, u0), the bifurcation-point checks, which
-    carry lambda1, and the unit corrector z_hat with
-    Moments.of(L, mesh, u0, z_hat), whose M_zu and P_zu are M_hat and
-    P_hat. u0 and z_hat are in L's folded coordinates; `operator.unfold`
-    gives their full-grid vectors."""
+    """The per-mesh stage: the matrix-free stencil L, which carries the
+    grid, the principal pair (lambda0, u0), the bifurcation-point checks,
+    which carry lambda1, and the unit corrector z_hat with
+    Moments.of(L, u0, z_hat), whose M_zu and P_zu are M_hat and P_hat. u0
+    and z_hat are in L's half-grid coordinates; `operator.unfold` gives
+    their full-grid vectors."""
 
-    mesh: Mesh
     operator: Laplacian
     eigenpair: Eigenpair
     cr_report: CRReport
@@ -284,7 +280,7 @@ class EigenData:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult(EigenData):
-    """Everything the pipeline computes for one (mesh, model) pair."""
+    """Everything the pipeline computes for one (domain, model) pair."""
 
     model: NonlinearityModel
     diagnostics: BifurcationDiagnostics
@@ -295,38 +291,37 @@ class AnalysisResult(EigenData):
         return self.cr_report.lambda0 - self.model.V_L
 
 
-def bifurcation_point(mesh: Mesh, tolerances: Tolerances) -> tuple[Laplacian, Eigenpair, CRReport]:
-    """Build the stencil L on the folded grid (u0 and A are
-    mirror-symmetric), take the closed-form principal eigenpair certified
-    per axis, in L's coordinates, read lambda1 as the smallest full-grid
-    eigenvalue with mode 2 on one axis, and check the bifurcation point."""
+def bifurcation_point(spec: DomainSpec, tolerances: Tolerances) -> tuple[Laplacian, Eigenpair, CRReport]:
+    """Build the stencil L of spec's grid, take the closed-form principal
+    eigenpair certified per axis, in L's coordinates, read lambda1 as the
+    smallest full-grid eigenvalue with mode 2 on one axis, and check the
+    bifurcation point."""
+    L = Laplacian.of(spec)
     tolerances.validate()
-    L = Laplacian.of(mesh).on_folded_grid()
-    pair = principal_eigenpair(L, mesh, tol=tolerances.eigen_tol)
+    pair = principal_eigenpair(L, tol=tolerances.eigen_tol)
     d = len(L.shape)
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,
         min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d)),
         pair.vector,
-        mesh,
+        L,
         gap_tol=tolerances.resolved_gap_tol(pair.eigenvalue),
     )
     return L, pair, cr
 
 
-def eigendata(mesh: Mesh, tolerances: Tolerances | None = None) -> EigenData:
+def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenData:
     """`bifurcation_point`, then the unit corrector z_hat (the one
-    corrector solve per mesh) and its moments, all on its folded grid."""
+    corrector solve per domain) and its moments, all on L's half grid."""
     tol = tolerances or Tolerances()
-    L, pair, cr = bifurcation_point(mesh, tol)
-    z_hat = compute_z_s(L, pair.vector, mesh, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z
+    L, pair, cr = bifurcation_point(spec, tol)
+    z_hat = compute_z_s(L, pair.vector, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z
     return EigenData(
-        mesh=mesh,
         operator=L,
         eigenpair=pair,
         cr_report=cr,
         z_hat=z_hat,
-        moments_hat=Moments.of(L, mesh, pair.vector, z_hat),
+        moments_hat=Moments.of(L, pair.vector, z_hat),
     )
 
 
@@ -371,13 +366,13 @@ def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -
 
 
 def run_analysis(
-    mesh: Mesh,
+    spec: DomainSpec,
     model: NonlinearityModel,
     tolerances: Tolerances | None = None,
 ) -> AnalysisResult:
     """Full pipeline: eigendata, then diagnose."""
     tol = tolerances or Tolerances()
-    eig = eigendata(mesh, tol)
+    eig = eigendata(spec, tol)
     return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model, tol))
 
 
@@ -397,7 +392,7 @@ class TableRow:
 
 
 def psi_k_table(
-    mesh: Mesh,
+    spec: DomainSpec,
     k_list: list[int],
     eta_list: list[float],
     tolerances: Tolerances | None = None,
@@ -415,7 +410,7 @@ def psi_k_table(
     # built before the eigen stage, so a non-integer k fails first
     models = [NonlinearityModel.psi_k(k, eta) for eta in eta_list for k in k_list]
     tol = tolerances or Tolerances()
-    eig = eigendata(mesh, tol)
+    eig = eigendata(spec, tol)
 
     rows = []
     for model in models:

@@ -1,27 +1,24 @@
-"""Discrete Dirichlet Laplacian, its exact spectral core, and the linear
-solvers built on them.
+"""Discrete Dirichlet Laplacian on the mirror-symmetric half grid, its
+exact spectral core, and the linear solvers built on them.
 
-L is the matrix-free 3- or 5-point stencil; nothing is assembled. The
-type-I discrete sine transform (DST-I) diagonalises it exactly (Buzbee,
-Golub and Nielson 1970; Swarztrauber 1977), and L carries its
-closed-form eigenvalues in the transform's coefficient order. Along an
-axis of at most 512 nodes the transform is one BLAS product with a cached
+The stencil, the principal sine mode and every branch of the problem are
+invariant under the reflection of each axis, so the package works on
+mirror-symmetric vectors alone. `Laplacian`, the one grid object, is the
+matrix-free 3- or 5-point stencil on them: ceil(n/2) nodes per axis in the
+orthonormal coordinates y = sqrt(m) u, m a node's mirror multiplicity, so
+Euclidean dot products, and with them CG, every projection below and the
+pairing weight * (f . g), are those of the full grid. Its stencil is
+symmetric: an even axis's last node is its own mirror neighbour, and an
+odd axis's centre node couples to its neighbour by sqrt(2)/h^2 both ways.
+Nothing is assembled. The type-I discrete sine transform (DST-I)
+diagonalises the full-grid stencil exactly (Buzbee, Golub and Nielson
+1970; Swarztrauber 1977); on the half grid its odd-mode half T per axis
+does, and L carries the odd-mode eigenvalues in T's coefficient order.
+Along an axis of at most 512 nodes T is one BLAS product with a cached
 dense matrix; longer axes use scipy.fft.dst, the package's only use of
-scipy.
-
-The stencil commutes with the reflection of each axis, so it maps
-mirror-symmetric vectors to mirror-symmetric ones. `L.on_folded_grid()`
-is L on that subspace: ceil(n/2) nodes per axis in the orthonormal
-coordinates y = sqrt(m) u, m a node's mirror multiplicity, so Euclidean
-dot products, and with them CG and every projection below, are those of
-the full grid. Its stencil is symmetric: an even axis's last node is its
-own mirror neighbour, and an odd axis's centre node couples to its
-neighbour by sqrt(2)/h^2 both ways. Its transform per axis is the
-orthogonal odd-mode half T of the sine matrix, with its eigenvalues the
-odd-mode entries; `fold` and `unfold` convert full-grid vectors.
-`L.axes` holds each axis's full-grid 3-point stencil, L being their
-Kronecker sum, from which the principal pair and lambda1 are built and
-certified per axis with no grid vector.
+scipy. L also keeps each axis's full-grid 3-point stencil and eigenvalues,
+from which the principal pair and lambda1 are built and certified per axis
+with no grid vector; `unfold` gives the full-grid vector of a result.
 
 Two solvers live here: preconditioned conjugate gradients for SPD
 systems, and one bordered form [A col; q^T 0][x; y] = [f; 0] for
@@ -30,11 +27,11 @@ principal sine mode u0, q = u0/||u0||. Its solution x lies on the
 orthogonal complement of u0, where the spectral inverse of L - sigma with
 the principal mode zeroed is exact, so the bordered solve runs CG with
 the projected operator P A, P = I - q q^T, and reads y off the q
-component of the first block row. Both callers share the form on the
-folded grid: the corrector's `bordered_solve` takes col = u0 and returns
-the unique kernel-orthogonal solution and a multiplier xi, the kernel
-component of the right-hand side, for callers to check solvability; each
-Newton step takes col = -U. Both expect u0 mesh-normalized.
+component of the first block row. The corrector's `bordered_solve` takes
+col = u0 and returns the unique kernel-orthogonal solution and a
+multiplier xi, the kernel component of the right-hand side, for callers to
+check solvability; each Newton step takes col = -U. Both expect u0
+normalized in the weighted pairing.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConvergenceError
-from .mesh import Mesh
+from .mesh import DomainSpec
 
 __all__ = [
     "Laplacian",
@@ -64,28 +61,45 @@ MatVec = Callable[[Array], Array]
 
 @dataclass(frozen=True, eq=False)
 class Laplacian:
-    """Matrix-free Dirichlet Laplacian: the 3-point (interval) or 5-point
-    (rectangle) stencil on the grid shape, with 1/h^2 per axis. When
-    folded, the same stencil on mirror-symmetric vectors, in the
-    coordinates y = sqrt(m) u of the first ceil(n/2) nodes per axis."""
+    """Matrix-free Dirichlet Laplacian of spec's grid, the 3-point
+    (interval) or 5-point (rectangle) stencil with 1/h^2 per axis, acting
+    on mirror-symmetric vectors in the coordinates y = sqrt(m) u of the
+    first ceil(n/2) nodes per axis. It carries the grid: the spacing h,
+    1/h^2 and the one quadrature weight prod(h) of every node."""
 
-    shape: tuple[int, ...]
-    inv_h2: tuple[float, ...]
-    folded: bool = False
+    spec: DomainSpec
 
     @staticmethod
-    def of(mesh: Mesh) -> "Laplacian":
-        return Laplacian(shape=mesh.spec.resolution, inv_h2=tuple(1.0 / h**2 for h in mesh.h))
+    def of(spec: DomainSpec) -> "Laplacian":
+        """The Laplacian of spec's grid. Raises ConfigError naming the
+        offending field when spec is invalid."""
+        spec.validate()
+        return Laplacian(spec)
 
-    def on_folded_grid(self) -> "Laplacian":
-        """This stencil on its mirror-symmetric vectors, ceil(n/2) nodes per axis."""
-        return Laplacian(shape=self.shape, inv_h2=self.inv_h2, folded=True)
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The full grid's interior nodes per axis."""
+        return self.spec.resolution
+
+    @cached_property
+    def h(self) -> tuple[float, ...]:
+        return self.spec.h
+
+    @cached_property
+    def inv_h2(self) -> tuple[float, ...]:
+        return tuple(1.0 / h**2 for h in self.h)
+
+    @cached_property
+    def weight(self) -> float:
+        """prod(h), the quadrature weight of every node: the pairing of node
+        vectors f and g is weight * (f . g), the composite rectangle rule
+        (the trapezoid rule for functions vanishing on the boundary)."""
+        return math.prod(self.h)
 
     @cached_property
     def grid(self) -> tuple[int, ...]:
-        """The shape of this operator's node vectors: shape, or ceil(n/2)
-        per axis when folded."""
-        return tuple((n + 1) // 2 for n in self.shape) if self.folded else self.shape
+        """The shape of this operator's node vectors, ceil(n/2) per axis."""
+        return tuple((n + 1) // 2 for n in self.shape)
 
     @property
     def n(self) -> int:
@@ -95,75 +109,65 @@ class Laplacian:
     def eigenvalues(self) -> Array:
         """The eigenvalues of L in `transform`'s coefficient order, principal
         first: sums over the axes of 4/h^2 sin^2(j pi / (2(n+1))), the
-        eigenvalues of each axis's 3-point stencil, for j = 1..n, or for the
-        odd modes j = 1, 3, ... alone when folded. Read-only."""
-        step = 2 if self.folded else 1
-        axes = [
-            4.0 * c * np.sin(np.arange(1, n + 1, step) * np.pi / (2 * (n + 1))) ** 2
-            for n, c in zip(self.shape, self.inv_h2)
-        ]
+        eigenvalues of each axis's 3-point stencil, for the odd modes
+        j = 1, 3, .... Read-only."""
+        axes = [_stencil_eigenvalues(n, c, 2) for n, c in zip(self.shape, self.inv_h2)]
         ev = reduce(np.add.outer, axes).ravel()
         ev.flags.writeable = False
         return ev
 
     @cached_property
-    def axes(self) -> tuple["Laplacian", ...]:
-        """The full-grid 3-point stencil of each axis. L is their Kronecker
-        sum; folded, its restriction to mirror-symmetric vectors."""
-        return tuple(Laplacian(shape=(n,), inv_h2=(c,)) for n, c in zip(self.shape, self.inv_h2))
+    def axis_eigenvalues(self) -> tuple[Array, ...]:
+        """Each axis's full-grid 3-point stencil eigenvalues, j = 1..n."""
+        return tuple(_stencil_eigenvalues(n, c, 1) for n, c in zip(self.shape, self.inv_h2))
+
+    def axis_apply(self, axis: int, v: Array) -> Array:
+        """One axis's full-grid 3-point stencil applied to a vector of its n
+        nodes, (2 v_i - v_(i-1) - v_(i+1))/h^2. The full-grid stencil is the
+        Kronecker sum of these."""
+        c = self.inv_h2[axis]
+        out = v * (2.0 * c)
+        scaled = c * v
+        out[1:] -= scaled[:-1]
+        out[:-1] -= scaled[1:]
+        return out
 
     def mode_eigenvalue(self, modes: tuple[int, ...]) -> float:
         """The eigenvalue of the full-grid sine mode (j_1, ..., j_d), j from
-        1, also on a folded grid: the axes' eigenvalues summed in the order
-        of the full grid's `eigenvalues`, so it equals that entry bit for bit."""
-        return float(reduce(operator.add, [ax.eigenvalues[j - 1] for ax, j in zip(self.axes, modes)]))
+        1: the axes' eigenvalues summed in axis order."""
+        return float(reduce(operator.add, [ev[j - 1] for ev, j in zip(self.axis_eigenvalues, modes)]))
 
     @cached_property
-    def sqrt_multiplicity(self) -> Array | float:
-        """sqrt(m) per node of a folded grid, the factor from nodal values
-        to its coordinates; 1.0 on the full grid."""
-        if not self.folded:
-            return 1.0
+    def sqrt_multiplicity(self) -> Array:
+        """sqrt(m) per node, the factor from nodal values to coordinates."""
         return reduce(np.multiply.outer, [_sqrt_multiplicity(n) for n in self.shape]).ravel()
 
-    def fold(self, u: Array) -> Array:
-        """A mirror-symmetric full-grid vector in folded coordinates: its
-        first ceil(n/2) nodes per axis, times sqrt(m)."""
-        x = np.asarray(u).reshape(self.shape)
-        for axis, n in enumerate(self.shape):
-            x = _fold_axis(x, axis, n)
-        return x.ravel()
-
     def unfold(self, y: Array) -> Array:
-        """The full-grid vector of folded coordinates y: the nodal values
+        """The full-grid vector of coordinates y: the nodal values
         y/sqrt(m), mirrored, so it equals its mirror image bit for bit."""
-        x = np.asarray(y).reshape(tuple((n + 1) // 2 for n in self.shape))
+        x = np.asarray(y).reshape(self.grid)
         for axis, n in enumerate(self.shape):
             x = _unfold_axis(x, axis, n)
         return x.ravel()
 
     def outer(self, factors: list[Array]) -> Array:
-        """The node vector of L whose nodal values are the products
-        prod_a factors[a][i_a] of one full-axis vector per axis (each
-        mirror-symmetric when L is folded), with no full-grid vector formed."""
-        if self.folded:
-            factors = [_fold_axis(f, 0, n) for f, n in zip(factors, self.shape)]
-        return reduce(np.multiply.outer, factors).ravel()
+        """The node vector whose nodal values are the products
+        prod_a factors[a][i_a] of one mirror-symmetric full-axis vector per
+        axis, with no full-grid vector formed."""
+        return reduce(np.multiply.outer, [_fold_axis(f, 0, n) for f, n in zip(factors, self.shape)]).ravel()
 
     def transform(self, v: Array) -> Array:
-        """Node vector to sine-mode coefficients: the orthonormal DST-I along
-        every axis, or on a folded grid its odd-mode half T per axis."""
+        """Node vector to odd sine-mode coefficients: T along every axis."""
         return _sine_transform(self, v, inverse=False)
 
     def inverse_transform(self, c: Array) -> Array:
-        """Sine-mode coefficients back to the node vector: the DST-I again
-        (it is its own inverse), or T^T per folded axis."""
+        """Odd sine-mode coefficients back to the node vector: T^T per axis."""
         return _sine_transform(self, c, inverse=True)
 
     @cached_property
     def diagonal(self) -> Array | float:
-        """2 sum 1/h^2, less 1/h^2 on a folded even axis's last node, its own mirror neighbour."""
-        if not (self.folded and any(n % 2 == 0 for n in self.shape)):
+        """2 sum 1/h^2, less 1/h^2 on an even axis's last node, its own mirror neighbour."""
+        if not any(n % 2 == 0 for n in self.shape):
             return 2.0 * sum(self.inv_h2)
         ends = [(np.arange(k) == k - 1) * (n % 2 == 0) for n, k in zip(self.shape, self.grid)]
         return reduce(np.add.outer, [c * (2.0 - end) for c, end in zip(self.inv_h2, ends)])
@@ -187,15 +191,21 @@ class Laplacian:
         scaled[..., -1] = c * x[..., -1]
         scaled[..., 0] = 0.0
         flat[:-1] -= flat_scaled[1:]
-        # a folded axis's last node neighbours its mirror image: itself on an even
+        # an axis's last node neighbours its mirror image: itself on an even
         # axis (`diagonal`); on an odd axis the centre's neighbour, by sqrt(2)/h^2 both ways
         for axis, (n, c) in enumerate(zip(self.shape, self.inv_h2)):
-            if self.folded and n % 2:
+            if n % 2:
                 last, prev = (slice(None),) * axis + (-1,), (slice(None),) * axis + (-2,)
                 extra = (math.sqrt(2.0) - 1.0) * c
                 out[last] -= extra * x[prev]
                 out[prev] -= extra * x[last]
         return flat
+
+
+def _stencil_eigenvalues(n: int, c: float, step: int) -> Array:
+    """4c sin^2(j pi / (2(n+1))) for j = 1, 1 + step, ... up to n: the
+    eigenvalues of an n-node 3-point stencil with c = 1/h^2."""
+    return 4.0 * c * np.sin(np.arange(1, n + 1, step) * np.pi / (2 * (n + 1))) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,43 +217,28 @@ class BorderedSolution:
     residual_norm: float
 
 
-# Axes up to this many nodes apply the DST-I as a dense sine-matrix product
-# (one BLAS GEMM or GEMV); longer axes use scipy's FFT. With one BLAS thread
-# the two cost the same near n = 500 in 1-D and 2-D, while the FFT length
-# 2(n+1) often has a large prime factor and falls to Bluestein passes.
+# Axes up to this many nodes apply T as a dense matrix product (one BLAS
+# GEMM or GEMV); longer axes use scipy's FFT. With one BLAS thread the two
+# cost the same near n = 500 in 1-D and 2-D, while the FFT length 2(n+1)
+# often has a large prime factor and falls to Bluestein passes.
 _SINE_MATRIX_MAX_N = 512
 
 
-def _sine_entries(n: int, rows: Array, cols: Array) -> Array:
-    """Entries sqrt(2/(n+1)) sin(pi i j / (n+1)) of the orthonormal DST-I
-    matrix for i in rows, j in cols, read from one period of the sine table
-    at the integer index (i*j) mod 2(n+1), so the argument is reduced exactly
-    and only 2(n+1) sines are taken."""
+# Every corrector solve and Newton step applies these; 8 entries hold at
+# most 4 MB (n = 512).
+@lru_cache(maxsize=8)
+def _half_dst_matrix(n: int) -> Array:
+    """The half-grid DST T, ceil(n/2) square and orthogonal: the odd-mode
+    rows i = 1, 3, ... of the orthonormal DST-I matrix
+    sqrt(2/(n+1)) sin(pi i j / (n+1)) over the first ceil(n/2) nodes j, each
+    column scaled by sqrt(m). A mirror-symmetric u has no even modes, and
+    its odd ones are T y for y = sqrt(m) u. Entries are read from one period
+    of the sine table at the integer index (i*j) mod 2(n+1), so the argument
+    is reduced exactly and only 2(n+1) sines are taken."""
+    k = (n + 1) // 2
     period = 2 * (n + 1)
     table = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.arange(period) / (n + 1))
-    return table[np.outer(rows, cols) % period]
-
-
-# Only full-grid transforms build these. 8 entries hold at most 16 MB (n = 512).
-@lru_cache(maxsize=8)
-def _sine_matrix(n: int) -> Array:
-    """Orthonormal DST-I matrix S, i, j = 1..n: symmetric and its own inverse."""
-    j = np.arange(1, n + 1)
-    S = _sine_entries(n, j, j)
-    S.flags.writeable = False
-    return S
-
-
-# Every corrector solve and Newton step applies these; a quarter of a sine
-# matrix each: 8 entries hold at most 4 MB.
-@lru_cache(maxsize=8)
-def _folded_sine_matrix(n: int) -> Array:
-    """The folded DST T, ceil(n/2) square and orthogonal: the odd-mode rows
-    i = 1, 3, ... of the sine matrix over the first ceil(n/2) nodes, each
-    column scaled by sqrt(m). A mirror-symmetric u has no even modes, and
-    its odd ones are T y for y = sqrt(m) u."""
-    k = (n + 1) // 2
-    T = _sine_entries(n, np.arange(1, n + 1, 2), np.arange(1, k + 1)) * _sqrt_multiplicity(n)
+    T = table[np.outer(np.arange(1, n + 1, 2), np.arange(1, k + 1)) % period] * _sqrt_multiplicity(n)
     T.flags.writeable = False
     return T
 
@@ -277,26 +272,25 @@ def _unfold_axis(y: Array, axis: int, n: int) -> Array:
 
 def _sine_transform(L: Laplacian, v: Array, inverse: bool) -> Array:
     """L.transform, or L.inverse_transform when inverse. Each axis of at
-    most _SINE_MATRIX_MAX_N nodes takes one product with a cached matrix M,
-    coefficients = M x along the axis: the sine matrix S both ways
-    (symmetric and its own inverse), or on a folded grid T forward and T^T
-    back. That is x @ M^T on the last axis and M @ x on the first axis of a
-    2-D grid. Longer axes call scipy.fft.dst."""
+    most _SINE_MATRIX_MAX_N nodes takes one product with its cached T,
+    forward, or T^T back: x @ T^T (x @ T) on the last axis and T @ x
+    (T^T @ x) on the first axis of a 2-D grid. Longer axes call
+    scipy.fft.dst."""
     x = np.asarray(v).reshape(L.grid)
     for axis, n in enumerate(L.shape):
         if n > _SINE_MATRIX_MAX_N:
-            x = _fft_sine_transform(x, axis, n, L.folded, inverse)
+            x = _fft_sine_transform(x, axis, n, inverse)
             continue
-        if L.folded:
-            T = _folded_sine_matrix(n)
-            left, right = (T.T, T) if inverse else (T, T.T)
-        else:
-            left = right = _sine_matrix(n)
+        T = _half_dst_matrix(n)
+        left, right = (T.T, T) if inverse else (T, T.T)
         x = x @ right if axis == x.ndim - 1 else left @ x
     return x.ravel()
 
 
-def _fft_sine_transform(x: Array, axis: int, n: int, folded: bool, inverse: bool) -> Array:
+def _fft_sine_transform(x: Array, axis: int, n: int, inverse: bool) -> Array:
+    """T or T^T along one long axis: unfold it and keep the odd modes of its
+    DST-I, or put the odd modes into the full coefficient vector and fold
+    the DST-I of that."""
     # imported here: scipy.fft adds about 0.2 s and 7 MB to start-up
     # and no axis within the sine-matrix limit needs it
     import scipy.fft
@@ -304,10 +298,6 @@ def _fft_sine_transform(x: Array, axis: int, n: int, folded: bool, inverse: bool
     def dst(a: Array) -> Array:
         return scipy.fft.dst(a, type=1, norm="ortho", axis=axis)
 
-    if not folded:
-        return dst(x)
-    # a folded axis: unfold it and keep the odd modes, or put the odd modes
-    # into the full coefficient vector and fold the result
     odd = (slice(None),) * axis + (slice(None, None, 2),)
     if not inverse:
         return dst(_unfold_axis(x, axis, n))[odd]
@@ -431,20 +421,19 @@ def bordered_solve(
     L: Laplacian,
     u0: Array,
     rhs: Array,
-    mesh: Mesh,
     lambda0: float,
     tol: float = 1e-10,
 ) -> BorderedSolution:
     """Invert the singular operator A = L - lambda0 on the complement of u0.
 
-    Solves A z + xi*u0 = rhs with (z, u0)_mesh = 0. xi reports the
-    component of rhs along the kernel; it is NOT an error for xi to be
-    nonzero -- callers needing exact solvability must test |xi|. One CG
-    solve on the complement of u0, where its DST preconditioner is the
-    exact inverse of A, takes one step.
+    Solves A z + xi*u0 = rhs with (z, u0) = 0. xi reports the component of
+    rhs along the kernel; it is NOT an error for xi to be nonzero --
+    callers needing exact solvability must test |xi|. One CG solve on the
+    complement of u0, where its DST preconditioner is the exact inverse of
+    A, takes one step.
 
-    Preconditions: u0, a node vector of L (full-grid or folded, as are rhs
-    and z), is the mesh-normalized principal sine mode and A u0 ~ 0.
+    Preconditions: u0, a node vector of L (as are rhs and z), is the
+    normalized principal sine mode and A u0 ~ 0.
     """
 
     def apply_a(v: Array) -> Array:
@@ -453,15 +442,15 @@ def bordered_solve(
     u0, rhs = np.asarray(u0, dtype=float), np.asarray(rhs, dtype=float)
     if u0.shape != (L.n,) or rhs.shape != (L.n,):
         raise ValueError(f"u0 and rhs need L.n = {L.n} entries each, got {u0.shape} and {rhs.shape}")
-    nrm = math.sqrt(mesh.weight * float(u0 @ u0))
+    nrm = math.sqrt(L.weight * float(u0 @ u0))
     if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"u0 must be mesh-normalized, got ||u0|| = {nrm:.3e}")
+        raise ValueError(f"u0 must be normalized, got ||u0|| = {nrm:.3e}")
     a0 = apply_a(u0)
-    kres = math.sqrt(mesh.weight * float(a0 @ a0))
+    kres = math.sqrt(L.weight * float(a0 @ a0))
     if kres > 1e-6:
         raise ValueError(f"u0 is not a kernel vector of L - lambda0 (residual {kres:.3e})")
 
     # oversolve by 10x so the recombined residual stays within tol
     z, xi = solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, 0.1 * tol, 0.1 * tol)
     res = apply_a(z) + xi * u0 - rhs
-    return BorderedSolution(z=z, xi=xi, residual_norm=math.sqrt(mesh.weight * float(res @ res)))
+    return BorderedSolution(z=z, xi=xi, residual_norm=math.sqrt(L.weight * float(res @ res)))

@@ -3,13 +3,13 @@ that certify the bifurcation point.
 
 On a uniform product grid the Dirichlet Laplacian's eigenvectors are
 products of sines, sin(j pi i / (n+1)) per axis, with eigenvalues
-sum_axes 4/h^2 sin^2(j pi / (2(n+1))), the grid `Laplacian.eigenvalues`.
-The principal pair is the closed-form (1, ..., 1) mode, built and
-certified per axis against each axis's 3-point stencil, so no full-grid
-vector is formed and the pair comes in L's own coordinates, folded or
-not. lambda0 and lambda1, the gap's other end, are sums of per-axis
-eigenvalues (`Laplacian.mode_eigenvalue`), with no eigenvalue grid and
-no eigenvector.
+sum_axes 4/h^2 sin^2(j pi / (2(n+1))). The principal pair is the
+closed-form (1, ..., 1) mode, built and certified per axis against each
+axis's full-grid 3-point stencil (`Laplacian.axis_apply`), so no
+full-grid vector is formed and the pair comes in L's half-grid
+coordinates. lambda0 and lambda1, the gap's other end, are sums of
+per-axis eigenvalues (`Laplacian.mode_eigenvalue`), with no eigenvalue
+grid and no eigenvector.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 import numpy.typing as npt
 
 from .errors import ConvergenceError
-from .mesh import Mesh
 from .operators import Laplacian
 
 __all__ = [
@@ -36,7 +35,7 @@ Array = npt.NDArray[np.float64]
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """Eigenvalue, mesh-normalized eigenvector, and eigen-residual norm."""
+    """Eigenvalue, normalized eigenvector, and eigen-residual norm."""
 
     eigenvalue: float
     vector: Array
@@ -67,26 +66,27 @@ class CRReport:
         return asdict(self)
 
 
-def principal_eigenpair(L: Laplacian, mesh: Mesh, tol: float = 1e-10) -> Eigenpair:
-    """Smallest eigenvalue of L and its positive, mesh-normalized
-    eigenfunction: the sine mode prod_a sin(pi (x_a - lo_a) / len_a), a
-    node vector of L (folded coordinates on a folded L). Raises
-    ConvergenceError when its residual against the stencil exceeds tol (L
-    is not this mesh's Laplacian, or rounding in L v alone exceeds tol).
+def principal_eigenpair(L: Laplacian, tol: float = 1e-10) -> Eigenpair:
+    """Smallest eigenvalue of L and its positive, normalized eigenfunction:
+    the sine mode prod_a sin(pi (x_a - lo_a) / len_a), a node vector of L.
+    Raises ConvergenceError when its residual against the stencil exceeds
+    tol (rounding in L v alone exceeds tol).
 
     Everything is per axis: the eigenvalue sums the axes' principal
-    eigenvalues lambda_a, and the mode is the product of sine vectors v_a,
-    each normalized with its own h_a. The residual of the product is
-    sum_a r_a x v_(b != a) with r_a = L_a v_a - lambda_a v_a against the
-    axis's full-grid 3-point stencil L_a, so its squared norm is
+    eigenvalues lambda_a, and the mode is the product of sine vectors v_a
+    over the axis's n nodes x_a, each normalized with its own h_a. The
+    residual of the product is sum_a r_a x v_(b != a) with
+    r_a = L_a v_a - lambda_a v_a against the axis's full-grid 3-point
+    stencil L_a, so its squared norm is
     sum_a ||r_a||^2 + sum_(a != b) (r_a, v_a)(r_b, v_b): in 1-D exactly
-    the residual against L, and never taken on the folded grid, whose
-    rounding is smaller."""
+    the residual against the full-grid stencil, and never taken on the
+    half grid, whose rounding is smaller."""
     vs, rr, rv = [], [], []
-    for ax, x, (lo, hi), h in zip(L.axes, mesh.axis_coords, mesh.spec.bounds, mesh.h):
+    for axis, (n, (lo, hi), h) in enumerate(zip(L.shape, L.spec.bounds, L.h)):
+        x = lo + h * np.arange(1, n + 1)
         v = np.sin(np.pi * (x - lo) / (hi - lo))
         v = v / math.sqrt(h * float(v @ v))
-        r = ax.apply(v) - ax.eigenvalues[0] * v
+        r = L.axis_apply(axis, v) - L.axis_eigenvalues[axis][0] * v
         vs.append(v)
         rr.append(h * float(r @ r))
         rv.append(h * float(r @ v))
@@ -100,7 +100,7 @@ def verify_crandall_rabinowitz(
     lambda0: float,
     lambda1: float,
     u0: Array,
-    mesh: Mesh,
+    L: Laplacian,
     gap_tol: float,
     trans_tol: float = 1e-6,
 ) -> CRReport:
@@ -109,12 +109,12 @@ def verify_crandall_rabinowitz(
     Kernel dimension one is certified by the gap lambda1 - lambda0
     exceeding gap_tol (`Tolerances.resolved_gap_tol`). The transversality
     value is the kernel projection of the mixed derivative applied to u0,
-    i.e. -(u0, u0), which must be bounded away from zero. u0 is a full-grid
-    or a folded vector: their dot products are the same.
+    i.e. -(u0, u0), which must be bounded away from zero; u0 is a node
+    vector of L.
     """
     gap = lambda1 - lambda0
     u0 = np.asarray(u0, dtype=float)
-    trans = -mesh.weight * float(u0 @ u0)
+    trans = -L.weight * float(u0 @ u0)
     return CRReport(
         lambda0=lambda0,
         lambda1=lambda1,

@@ -17,12 +17,10 @@ from coexist import (
     Moments,
     NonlinearityModel,
     Tolerances,
-    build_mesh,
     compute_z_s,
     derivative_at_zero,
     diagnose,
     eigendata,
-    inner_product,
     jacobian_apply,
     residual,
     run_analysis,
@@ -45,12 +43,12 @@ def record(num: int, label: str, failures: list) -> None:
 
 
 @pytest.fixture(scope="module")
-def branches(mesh400):
+def branches(spec400):
     """Analysis + traced branch for the four diagnostics-vs-branch models."""
     out = {}
     for k, eta in [(3, 1.0), (3, -0.5), (4, 1.0), (4, -1.0)]:
         model = NonlinearityModel.psi_k(k, eta)
-        analysis = run_analysis(mesh400, model)
+        analysis = run_analysis(spec400, model)
         t0 = time.perf_counter()
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         out[(k, eta)] = (analysis, branch, time.perf_counter() - t0)
@@ -74,10 +72,10 @@ def test_criterion_1_eigenpair_oracle(eig400, cr400, eig2d_128):
     record(1, "eigenpair oracle", failures)
 
 
-def test_criterion_2_interaction_table_numbers(mesh400):
+def test_criterion_2_interaction_table_numbers(spec400, grid400):
     failures = []
     tol = Tolerances(eigen_tol=1e-11)
-    eig = eigendata(mesh400, tol)
+    eig = eigendata(spec400, tol)
     u0 = eig.operator.unfold(eig.eigenpair.vector)
 
     # cubic interaction
@@ -88,10 +86,10 @@ def test_criterion_2_interaction_table_numbers(mesh400):
         failures.append(f"psi3 mu_s = {mu_s3} not within 1e-3 of {MU_S_PSI3}")
     # independent oracle: the sigma form on the corrector vector g''(0) z_hat
     z3 = derivative_at_zero(m3, 2) * eig.operator.unfold(eig.z_hat)
-    sigma = psi3_sigma_form(mesh400, u0, z3, 1.0)
+    sigma = psi3_sigma_form(grid400, u0, z3, 1.0)
     if abs(mu_ss3 - sigma) > 1e-8:
         failures.append(f"psi3 mu_ss = {mu_ss3} differs from sigma form {sigma}")
-    constrained_term = 2.0 * inner_product(mesh400, u0 * u0, u0) * inner_product(mesh400, z3, u0)
+    constrained_term = 2.0 * grid400.dot(u0 * u0, u0) * grid400.dot(z3, u0)
     if abs(constrained_term) > 1e-10:
         failures.append(f"sigma's (z_s, u0) term = {constrained_term} above 1e-10")
 
@@ -110,24 +108,24 @@ def test_criterion_2_interaction_table_numbers(mesh400):
         dk = diagnose(eig, mk, tol)
         if abs(dk.mu_s) > 1e-10 or abs(dk.mu_ss) > 1e-10:
             failures.append(f"psi{k} diagnostics not within 1e-10 of 0")
-        d = run_analysis(mesh400, mk).diagnostics
+        d = run_analysis(spec400, mk).diagnostics
         if str(d.ctype) != "II":
             failures.append(f"psi{k} type {d.ctype}, expected II")
 
     # quartic type assignment by coupling sign
     for eta, expected in [(1.0, "I"), (-1.0, "III"), (0.0, "II")]:
-        d = run_analysis(mesh400, NonlinearityModel.psi_k(4, eta)).diagnostics
+        d = run_analysis(spec400, NonlinearityModel.psi_k(4, eta)).diagnostics
         if str(d.ctype) != expected:
             failures.append(f"psi4 eta={eta}: type {d.ctype}, expected {expected}")
     record(2, "interaction-family table", failures)
 
 
-def test_criterion_3_degenerate_models(mesh400):
+def test_criterion_3_degenerate_models(spec400):
     failures = []
     lambda0_seen = set()
     cases = [NonlinearityModel.free()] + [NonlinearityModel.linear(v) for v in (-2.0, -0.5, 1.0, 3.0)]
     for model in cases:
-        res = run_analysis(mesh400, model)
+        res = run_analysis(spec400, model)
         d = res.diagnostics
         if abs(d.mu_s) > 1e-9 or abs(d.mu_ss) > 1e-9:
             failures.append(f"{model.describe()}: mu_s={d.mu_s}, mu_ss={d.mu_ss} not within 1e-9")
@@ -171,14 +169,14 @@ def test_criterion_5_coexistence_side(branches):
     record(5, "co-existence side", failures)
 
 
-def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400, tmp_path):
+def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, lap400, eig400, tmp_path):
     failures = []
     pair, _ = eig400
-    u0 = pair.vector
+    u0 = lap400.unfold(pair.vector)
 
     # solvability of the unit corrector, orthogonality of z_s across a model zoo
-    eig = eigendata(mesh400, Tolerances(eigen_tol=1e-11))
-    sol = compute_z_s(lap400, u0, mesh400, pair.eigenvalue)
+    eig = eigendata(spec400, Tolerances(eigen_tol=1e-11))
+    sol = compute_z_s(lap400, pair.vector, pair.eigenvalue)
     if abs(sol.xi) > 1e-8:
         failures.append(f"unit corrector: solvability multiplier {sol.xi} above 1e-8")
     zoo = [
@@ -190,7 +188,7 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
     ]
     for model in zoo:
         z_s = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
-        if abs(inner_product(mesh400, z_s, u0)) > 1e-10:
+        if abs(grid400.dot(z_s, u0)) > 1e-10:
             failures.append(f"{model.describe()}: corrector orthogonality above 1e-10")
 
     # parity of the quartic branch under s -> -s
@@ -204,16 +202,16 @@ def test_criterion_6_invariant_suite(branches, mesh400, mesh100, lap400, eig400,
             failures.append(f"parity: U(+{s}) != -U(-{s}) above 1e-8")
 
     # Jacobian vs central differences over 100 random states
-    Lap100 = Laplacian.of(mesh100)
+    Lap100 = Laplacian.of(spec100)
     model_cycle = zoo + [NonlinearityModel.psi_k(6, 2.0)]
     rng = np.random.default_rng(2024)
     eps = 1e-5
     worst = 0.0
     for i in range(100):
         model = model_cycle[i % len(model_cycle)]
-        U = rng.uniform(-1, 1, mesh100.n_nodes)
+        U = rng.uniform(-1, 1, Lap100.n)
         lam = 1.0 + rng.uniform(-1, 1)
-        dirn = rng.standard_normal(mesh100.n_nodes)
+        dirn = rng.standard_normal(Lap100.n)
         dirn /= np.linalg.norm(dirn)
         fd = (
             residual(U + eps * dirn, lam, model, Lap100)
@@ -245,13 +243,12 @@ def test_criterion_7_convergence_orders():
     failures = []
     errors = {"lambda0": [], "mu_s_psi3": [], "mu_ss_psi4": []}
     for n in (100, 200, 400):
-        mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        eig = eigendata(mesh, Tolerances(eigen_tol=1e-11))
+        eig = eigendata(DomainSpec("interval", ((0.0, PI),), (n,)), Tolerances(eigen_tol=1e-11))
         errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
         mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
         L, u0 = eig.operator, eig.eigenpair.vector
-        mu_ss = Moments.of(L, mesh, u0, np.zeros(L.n)).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
+        mu_ss = Moments.of(L, u0, np.zeros(L.n)).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         errors["mu_ss_psi4"].append(abs(mu_ss - MU_SS_PSI4))
 
     for name, errs in errors.items():

@@ -6,13 +6,9 @@ import pytest
 from coexist import (
     ConvergenceError,
     DomainSpec,
-    Laplacian,
     NonlinearityModel,
-    build_mesh,
     fit_local_expansion,
-    inner_product,
     jacobian_apply,
-    l2_norm,
     residual,
     run_analysis,
     solve_at_amplitude,
@@ -22,71 +18,69 @@ from coexist import continuation, operators
 from coexist.continuation import DEFAULT_S_VALUES, Branch, BranchPoint
 from coexist.nonlinearity import derivative_at_zero
 
+from conftest import FullGrid, weighted_norm as norm
+
 PI = math.pi
 
 
 @pytest.fixture(scope="module")
-def quartic(mesh400):
-    return run_analysis(mesh400, NonlinearityModel.psi_k(4, 1.0))
+def quartic(spec400):
+    return run_analysis(spec400, NonlinearityModel.psi_k(4, 1.0))
 
 
 @pytest.fixture(scope="module")
-def cubic100(mesh100):
-    return run_analysis(mesh100, NonlinearityModel.psi_k(3, 1.0))
-
-
-def full_grid(analysis):
-    """The full-grid stencil and u0 of an analysis, which holds them folded."""
-    return Laplacian.of(analysis.mesh), analysis.operator.unfold(analysis.eigenpair.vector)
+def cubic100(spec100):
+    return run_analysis(spec100, NonlinearityModel.psi_k(3, 1.0))
 
 
 class TestResidual:
-    def test_trivial_branch_identically_zero(self, quartic, mesh400):
-        U = np.zeros(mesh400.n_nodes)
+    def test_trivial_branch_identically_zero(self, quartic):
+        L = quartic.operator
+        U = np.zeros(L.n)
         for lam in np.linspace(quartic.diagnostics.lambda0 - 1, quartic.diagnostics.lambda0 + 1, 7):
-            F = residual(U, lam, quartic.model, full_grid(quartic)[0])
+            F = residual(U, lam, quartic.model, L)
             assert np.all(F == 0.0)
 
-    def test_linear_model_kernel_direction(self, mesh400):
-        res = run_analysis(mesh400, NonlinearityModel.linear(1.5))
-        L, u0 = full_grid(res)
+    def test_linear_model_kernel_direction(self, spec400):
+        res = run_analysis(spec400, NonlinearityModel.linear(1.5))
+        L, u0 = res.operator, res.eigenpair.vector
         F = residual(0.7 * u0, res.eigenpair.eigenvalue, res.model, L)
         # kernel direction of the shifted operator: residual at eigen accuracy
-        assert l2_norm(mesh400, F) <= 1e-8
+        assert norm(L, F) <= 1e-8
 
-    def test_quartic_small_amplitude_direct_evaluation(self, quartic, mesh400):
-        L, u0 = full_grid(quartic)
+    def test_quartic_small_amplitude_direct_evaluation(self, quartic, grid400):
+        L, u0 = quartic.operator, quartic.eigenpair.vector
         lam0 = quartic.eigenpair.eigenvalue
-        F = residual(0.1 * u0, lam0, quartic.model, L)
+        F = L.unfold(residual(0.1 * u0, lam0, quartic.model, L))
         # F = (L - lam0)(0.1 u0) + eta (0.1 u0)^3: dominated by the cubic term
-        expected = 1e-3 * u0**3
-        assert l2_norm(mesh400, F - expected) <= 1e-8
+        expected = 1e-3 * L.unfold(u0) ** 3
+        assert grid400.norm(F - expected) <= 1e-8
 
 
 class TestJacobian:
-    def test_kernel_at_origin(self, quartic, mesh400):
-        L, u0 = full_grid(quartic)
-        out = jacobian_apply(np.zeros(mesh400.n_nodes), quartic.eigenpair.eigenvalue, quartic.model, L)(u0)
-        assert l2_norm(mesh400, out) <= 1e-8
+    def test_kernel_at_origin(self, quartic):
+        L, u0 = quartic.operator, quartic.eigenpair.vector
+        out = jacobian_apply(np.zeros(L.n), quartic.eigenpair.eigenvalue, quartic.model, L)(u0)
+        assert norm(L, out) <= 1e-8
 
-    def test_free_model_is_shifted_operator(self, mesh400):
-        res = run_analysis(mesh400, NonlinearityModel.free())
-        L = full_grid(res)[0]
+    def test_free_model_is_shifted_operator(self, spec400):
+        res = run_analysis(spec400, NonlinearityModel.free())
+        L = res.operator
         rng = np.random.default_rng(5)
-        d = rng.standard_normal(mesh400.n_nodes)
+        d = rng.standard_normal(L.n)
         lam = 1.3
-        out = jacobian_apply(rng.standard_normal(mesh400.n_nodes), lam, res.model, L)(d)
+        out = jacobian_apply(rng.standard_normal(L.n), lam, res.model, L)(d)
         np.testing.assert_allclose(out, L.apply(d) - lam * d, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_central_differences(self, cubic100, mesh100, seed):
+    def test_matches_central_differences(self, cubic100, seed):
+        L = cubic100.operator
         rng = np.random.default_rng(seed)
-        U = rng.uniform(-1, 1, mesh100.n_nodes)
+        U = rng.uniform(-1, 1, L.n)
         lam = cubic100.eigenpair.eigenvalue + rng.uniform(-1, 1)
-        d = rng.standard_normal(mesh100.n_nodes)
+        d = rng.standard_normal(L.n)
         d /= np.linalg.norm(d)
         eps = 1e-5
-        L = full_grid(cubic100)[0]
         fd = (
             residual(U + eps * d, lam, cubic100.model, L) - residual(U - eps * d, lam, cubic100.model, L)
         ) / (2 * eps)
@@ -101,37 +95,34 @@ def expansion_guess(analysis, s):
 
 
 class TestSolveAtAmplitude:
-    def test_quartic_lambda_matches_expansion(self, quartic, mesh400):
+    def test_quartic_lambda_matches_expansion(self, quartic, grid400):
         pt = solve_at_amplitude(
             0.1,
             quartic.model,
             quartic.operator,
-            mesh400,
             quartic.eigenpair.vector,
             expansion_guess(quartic, 0.1),
         )
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
         unfold = quartic.operator.unfold
-        assert abs(inner_product(mesh400, unfold(pt.U), unfold(quartic.eigenpair.vector)) - 0.1) <= 1e-10
+        assert abs(grid400.dot(unfold(pt.U), unfold(quartic.eigenpair.vector)) - 0.1) <= 1e-10
 
-    def test_quartic_parity(self, quartic, mesh400):
-        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector)
+    def test_quartic_parity(self, quartic):
+        args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
         plus = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
         minus = solve_at_amplitude(-0.1, *args, expansion_guess(quartic, -0.1))
         assert abs(plus.lam - minus.lam) <= 1e-8
         assert np.max(np.abs(plus.U + minus.U)) <= 1e-8
 
     @pytest.mark.parametrize("s", [-0.5, -0.1, 0.25, 0.5])
-    def test_linear_model_stays_on_eigenline(self, mesh400, s):
-        res = run_analysis(mesh400, NonlinearityModel.linear(-0.5))
-        pt = solve_at_amplitude(
-            s, res.model, res.operator, mesh400, res.eigenpair.vector, expansion_guess(res, s)
-        )
+    def test_linear_model_stays_on_eigenline(self, spec400, s):
+        res = run_analysis(spec400, NonlinearityModel.linear(-0.5))
+        pt = solve_at_amplitude(s, res.model, res.operator, res.eigenpair.vector, expansion_guess(res, s))
         assert pt.lam == pytest.approx(res.diagnostics.lambda0, abs=1e-8)
 
-    def test_warm_start_at_solution_takes_no_step(self, quartic, mesh400):
-        args = (quartic.model, quartic.operator, mesh400, quartic.eigenpair.vector)
+    def test_warm_start_at_solution_takes_no_step(self, quartic):
+        args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
         pt = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
         again = solve_at_amplitude(0.1, *args, (pt.U, pt.lam))
         assert again.newton_iters == 0
@@ -151,34 +142,31 @@ class TestSolveAtAmplitude:
         assert [p.newton_iters for p in branch.points] == [1]
         assert len(calls) == 2
 
-    def test_guess_off_the_amplitude_is_pinned(self, quartic, mesh400):
+    def test_guess_off_the_amplitude_is_pinned(self, quartic, grid400):
         u0 = quartic.eigenpair.vector
         s = 0.1
-        pt = solve_at_amplitude(
-            s, quartic.model, quartic.operator, mesh400, u0, (2 * s * u0, expansion_guess(quartic, s)[1])
-        )
+        guess = (2 * s * u0, expansion_guess(quartic, s)[1])
+        pt = solve_at_amplitude(s, quartic.model, quartic.operator, u0, guess)
         assert pt.residual <= 1e-10
         unfold = quartic.operator.unfold
-        assert abs(inner_product(mesh400, unfold(pt.U), unfold(u0)) - s) <= 1e-14
+        assert abs(grid400.dot(unfold(pt.U), unfold(u0)) - s) <= 1e-14
 
-    def test_zero_amplitude_rejected(self, quartic, mesh400):
+    def test_zero_amplitude_rejected(self, quartic):
         with pytest.raises(ValueError, match="trivial"):
             solve_at_amplitude(
                 0.0,
                 quartic.model,
                 quartic.operator,
-                mesh400,
                 quartic.eigenpair.vector,
                 expansion_guess(quartic, 0.0),
             )
 
-    def test_divergence_carries_history(self, quartic, mesh400):
+    def test_divergence_carries_history(self, quartic):
         with pytest.raises(ConvergenceError) as err:
             solve_at_amplitude(
                 0.1,
                 quartic.model,
                 quartic.operator,
-                mesh400,
                 quartic.eigenpair.vector,
                 expansion_guess(quartic, 0.1),
                 newton_tol=1e-15,
@@ -197,8 +185,8 @@ class TestTraceBranch:
         s_list = [p.s for p in branch.points]
         assert s_list == sorted(s_list)
 
-    def test_quartic_subcritical_mirror(self, mesh400):
-        analysis = run_analysis(mesh400, NonlinearityModel.psi_k(4, -1.0))
+    def test_quartic_subcritical_mirror(self, spec400):
+        analysis = run_analysis(spec400, NonlinearityModel.psi_k(4, -1.0))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert all(p.lam < branch.lambda0 for p in branch.points)
 
@@ -207,17 +195,17 @@ class TestTraceBranch:
         for p in branch.points:
             assert math.copysign(1, p.lam - branch.lambda0) == math.copysign(1, p.s)
 
-    def test_amplitude_constraint_everywhere(self, quartic, mesh400):
+    def test_amplitude_constraint_everywhere(self, quartic, grid400):
         branch = trace_branch(quartic, DEFAULT_S_VALUES)
-        u0 = full_grid(quartic)[1]
+        u0 = quartic.operator.unfold(quartic.eigenpair.vector)
         for p in branch.points:
-            assert abs(inner_product(mesh400, p.U, u0) - p.s) <= 1e-10
+            assert abs(grid400.dot(p.U, u0) - p.s) <= 1e-10
             assert p.residual <= 1e-10
 
     def test_square_domain_branch(self):
         # the Newton/bordered machinery on a 2D mesh
-        mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (24, 24)))
-        analysis = run_analysis(mesh, NonlinearityModel.psi_k(4, 1.0))
+        spec = DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (24, 24))
+        analysis = run_analysis(spec, NonlinearityModel.psi_k(4, 1.0))
         branch = trace_branch(analysis, [-0.08, -0.04, 0.04, 0.08])
         assert not branch.truncations
         assert all(p.lam > branch.lambda0 for p in branch.points)
@@ -231,8 +219,7 @@ class TestTraceBranch:
         ],
     )
     def test_predictor_converges_in_one_newton_step(self, bounds, resolution, k, eta):
-        mesh = build_mesh(DomainSpec("rectangle", bounds, resolution))
-        analysis = run_analysis(mesh, NonlinearityModel.psi_k(k, eta))
+        analysis = run_analysis(DomainSpec("rectangle", bounds, resolution), NonlinearityModel.psi_k(k, eta))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert len(branch.points) == len(DEFAULT_S_VALUES)
         assert all(p.newton_iters == 1 for p in branch.points)
@@ -254,17 +241,17 @@ class TestTraceBranch:
         assert branch.fit is None
 
 
-def full_grid_trace(analysis, s_values):
-    """The oracle: trace_branch's legs and predictor, each point solved by
-    solve_at_amplitude on the full-grid Laplacian."""
-    (L, u0), lambda0, d = full_grid(analysis), analysis.eigenpair.eigenvalue, analysis.diagnostics
-    z_hat = analysis.operator.unfold(analysis.z_hat)
+def full_grid_trace(analysis, grid: FullGrid, s_values):
+    """The oracle: trace_branch's legs and predictor, with u0 and z_hat of
+    the full grid, each point solved by solve_at_amplitude on the full grid."""
+    u0, lambda0, d = grid.sine_mode(), analysis.eigenpair.eigenvalue, analysis.diagnostics
+    z_hat = grid.spectral_solve(0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0), lambda0)
     points = {}
     for leg in (sorted((s for s in s_values if s < 0), reverse=True), [s for s in s_values if s > 0]):
         w, c = derivative_at_zero(analysis.model, 2) * z_hat, 0.5 * d.mu_ss
         for s in leg:
             guess = (s * u0 + s * s * w, lambda0 + d.mu_s * s + c * s * s)
-            pt = solve_at_amplitude(s, analysis.model, L, analysis.mesh, u0, guess)
+            pt = solve_at_amplitude(s, analysis.model, grid, u0, guess)
             points[s] = pt
             w, c = (pt.U - s * u0) / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
     return points
@@ -291,10 +278,11 @@ class TestFoldedTrace:
     )
     def test_matches_full_grid_oracle(self, bounds, resolution, k, eta):
         kind = "interval" if len(bounds) == 1 else "rectangle"
-        mesh = build_mesh(DomainSpec(kind, bounds, resolution))
-        analysis = run_analysis(mesh, NonlinearityModel.psi_k(k, eta))
+        spec = DomainSpec(kind, bounds, resolution)
+        grid = FullGrid(spec)
+        analysis = run_analysis(spec, NonlinearityModel.psi_k(k, eta))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
-        oracle = full_grid_trace(analysis, DEFAULT_S_VALUES)
+        oracle = full_grid_trace(analysis, grid, DEFAULT_S_VALUES)
         assert [p.s for p in branch.points] == list(DEFAULT_S_VALUES)
         for p in branch.points:
             want = oracle[p.s]
@@ -302,16 +290,15 @@ class TestFoldedTrace:
             assert abs(p.lam - want.lam) <= 1e-12
             assert np.linalg.norm(p.U - want.U) <= 1e-12 * np.linalg.norm(want.U)
             # a full-grid vector equal to its mirror image bit for bit
-            grid = p.U.reshape(resolution)
-            assert all(np.array_equal(grid, np.flip(grid, axis)) for axis in range(len(resolution)))
+            assert grid.is_symmetric(p.U)
 
-    def test_node_lengths_are_checked_against_the_operator(self, quartic, mesh400):
-        folded = quartic.operator
-        u0 = folded.unfold(quartic.eigenpair.vector)
+    def test_node_lengths_are_checked_against_the_operator(self, quartic):
+        L, y0 = quartic.operator, quartic.eigenpair.vector
+        u0 = L.unfold(y0)
         with pytest.raises(ValueError, match="u0 has shape"):
-            solve_at_amplitude(0.1, quartic.model, folded, mesh400, u0, (0.1 * folded.fold(u0), 1.0))
+            solve_at_amplitude(0.1, quartic.model, L, u0, (0.1 * y0, 1.0))
         with pytest.raises(ValueError, match="guess has shape"):
-            solve_at_amplitude(0.1, quartic.model, folded, mesh400, folded.fold(u0), (0.1 * u0, 1.0))
+            solve_at_amplitude(0.1, quartic.model, L, y0, (0.1 * u0, 1.0))
 
     def test_stalled_linear_solve_truncates_the_branch(self, quartic, monkeypatch):
         # CG on the folded grid given no iterations: the bordered solve's
@@ -332,24 +319,24 @@ class TestFit:
         assert fit.b == pytest.approx(0.5 * 3 / PI, rel=0.02)
         assert fit.rms <= 1e-3
 
-    def test_cubic_fit(self, mesh400):
-        analysis = run_analysis(mesh400, NonlinearityModel.psi_k(3, 1.0))
+    def test_cubic_fit(self, spec400):
+        analysis = run_analysis(spec400, NonlinearityModel.psi_k(3, 1.0))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert branch.fit.a == pytest.approx(analysis.diagnostics.mu_s, rel=0.01)
 
-    def test_polynomial_with_offset_linear_part(self, mesh400):
+    def test_polynomial_with_offset_linear_part(self, spec400):
         # nonzero V_L shifts m but not lambda; the branch fit must still
         # reproduce the diagnostics
         model = NonlinearityModel.polynomial([1.5, -0.8, 0.6])
-        analysis = run_analysis(mesh400, model)
+        analysis = run_analysis(spec400, model)
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         d = analysis.diagnostics
         assert not branch.truncations
         assert branch.fit.a == pytest.approx(d.mu_s, rel=0.01)
         assert 2 * branch.fit.b == pytest.approx(d.mu_ss, abs=max(5e-3, 0.02 * abs(d.mu_ss)))
 
-    def test_linear_fit_degenerate(self, mesh400):
-        analysis = run_analysis(mesh400, NonlinearityModel.linear(1.0))
+    def test_linear_fit_degenerate(self, spec400):
+        analysis = run_analysis(spec400, NonlinearityModel.linear(1.0))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert abs(branch.fit.a) <= 1e-6
         assert abs(branch.fit.b) <= 1e-6

@@ -10,30 +10,24 @@ from coexist import (
     CoexistenceSide,
     CoexistenceType,
     DomainSpec,
-    Laplacian,
     NonlinearityModel,
     SolvabilityError,
     ConfigError,
     Moments,
     bordered_solve,
-    build_mesh,
     classify,
     compute_z_s,
     derivative_at_zero,
     diagnose,
     eigendata,
-    inner_product,
-    l2_norm,
-    principal_eigenpair,
     psi_k_table,
     run_analysis,
 )
 import coexist
-from coexist import operators
 from coexist.cli import RunConfig, cmd_verify
-from coexist.diagnostics import Tolerances, bifurcation_point
+from coexist.diagnostics import Tolerances
 
-from conftest import BENCHMARK_POLY, dense, psi3_sigma_form, vector_moments
+from conftest import BENCHMARK_POLY, FullGrid, psi3_sigma_form, vector_moments
 
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
@@ -41,14 +35,14 @@ I4_EXACT = 3 / (2 * PI)  # (u0^3, u0) on (0, pi)
 
 
 @pytest.fixture(scope="module")
-def eigdata(lap400, eig400, mesh400):
+def eigdata(lap400, eig400):
     pair, _ = eig400
     return lap400, pair
 
 
 @pytest.fixture(scope="module")
-def eig(mesh400):
-    return eigendata(mesh400, Tolerances(eigen_tol=1e-11))
+def eig(spec400):
+    return eigendata(spec400, Tolerances(eigen_tol=1e-11))
 
 
 def _is_plus_zero(x: float) -> bool:
@@ -142,11 +136,12 @@ class TestCorrector:
         assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * eig.z_hat == 0.0)
         assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss, d.moments.M_zu, d.moments.P_zu))
 
-    def test_cubic_corrector_orthogonal(self, eigdata, mesh400):
+    def test_cubic_corrector_orthogonal(self, eigdata, grid400):
         L, pair = eigdata
-        sol = compute_z_s(L, pair.vector, mesh400, pair.eigenvalue)
-        assert abs(inner_product(mesh400, sol.z, pair.vector)) <= 1e-10
-        assert l2_norm(mesh400, sol.z) > 1e-3  # genuinely nonzero
+        sol = compute_z_s(L, pair.vector, pair.eigenvalue)
+        z, u0 = L.unfold(sol.z), L.unfold(pair.vector)
+        assert abs(grid400.dot(z, u0)) <= 1e-10
+        assert grid400.norm(z) > 1e-3  # genuinely nonzero
         assert abs(sol.xi) <= 1e-8
 
     def test_cubic_corrector_against_dense_oracle(self):
@@ -157,32 +152,32 @@ class TestCorrector:
             DomainSpec("interval", ((0.0, PI),), (100,)),
             DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (12, 16)),
         ):
-            mesh = build_mesh(spec)
+            grid = FullGrid(spec)
             tol = Tolerances(eigen_tol=1e-12)
-            eig = eigendata(mesh, tol)
+            eig = eigendata(spec, tol)
             d = diagnose(eig, model, tol)
-            u0, n = eig.operator.unfold(eig.eigenpair.vector), mesh.n_nodes
+            u0, n = grid.sine_mode(), grid.n
 
             K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = dense(Laplacian.of(mesh)) - eig.eigenpair.eigenvalue * np.eye(n)
+            K[:n, :n] = grid.matrix().toarray() - eig.eigenpair.eigenvalue * np.eye(n)
             K[:n, n] = u0
-            K[n, :n] = mesh.weight * u0
+            K[n, :n] = grid.weight * u0
             g2 = derivative_at_zero(model, 2)
             rhs = d.mu_s * u0 + 0.5 * g2 * u0**2
             direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-            assert l2_norm(mesh, g2 * eig.operator.unfold(eig.z_hat) - direct[:n]) < 1e-8, spec
+            assert grid.norm(g2 * eig.operator.unfold(eig.z_hat) - direct[:n]) < 1e-8, spec
 
-    def test_unnormalized_eigenpair_raises_solvability(self, eigdata, mesh400):
+    def test_unnormalized_eigenpair_raises_solvability(self, eigdata):
         # within the normalization check's 1e-6, yet (u0^2 - I3 u0, u0)
         # no longer vanishes: the multiplier exceeds solvability_tol
         L, pair = eigdata
         with pytest.raises(SolvabilityError):
-            compute_z_s(L, pair.vector * (1 + 5e-7), mesh400, pair.eigenvalue)
+            compute_z_s(L, pair.vector * (1 + 5e-7), pair.eigenvalue)
 
 
-# The corrector runs on the mirror-symmetric half grid; the full-grid
-# bordered solve is its oracle. One axis of 6x700 is over the sine-matrix
-# limit, so its folded transform calls scipy.fft.
+# The corrector runs on the mirror-symmetric half grid; the exact DST solve
+# on the full grid is its oracle. One axis of 6x700 is over the sine-matrix
+# limit, so its half-grid transform calls scipy.fft.
 FOLDED_CORRECTOR_SPECS = {
     "interval-400": DomainSpec("interval", ((0.0, PI),), (400,)),
     "interval-401": DomainSpec("interval", ((0.0, PI),), (401,)),
@@ -194,41 +189,39 @@ FOLDED_CORRECTOR_SPECS = {
 }
 
 
-def full_grid_eigendata(eig):
-    """eig on the full grid: u0 unfolded, z_hat from the bordered solve on
-    the full-grid stencil and the moments taken over every node, the
-    per-mesh stage before it was folded."""
-    mesh, L = eig.mesh, Laplacian.of(eig.mesh)
+def full_grid_eigendata(eig, grid: FullGrid):
+    """eig on the full grid: u0 unfolded, z_hat from the exact DST solve on
+    the full-grid stencil and the moments taken over every node."""
     u0 = eig.operator.unfold(eig.eigenpair.vector)
-    rhs = 0.5 * (u0 * u0 - inner_product(mesh, u0 * u0, u0) * u0)
-    z = bordered_solve(L, u0, rhs, mesh, eig.eigenpair.eigenvalue).z
+    rhs = 0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0)
+    z = grid.spectral_solve(rhs, eig.eigenpair.eigenvalue)
     pair = dataclasses.replace(eig.eigenpair, vector=u0)
-    return dataclasses.replace(eig, operator=L, eigenpair=pair, z_hat=z, moments_hat=vector_moments(mesh, u0, z))
+    return dataclasses.replace(eig, eigenpair=pair, z_hat=z, moments_hat=vector_moments(grid, u0, z))
 
 
 @pytest.mark.parametrize("name", list(FOLDED_CORRECTOR_SPECS))
 def test_folded_corrector_matches_full_grid_oracle(name):
-    mesh = build_mesh(FOLDED_CORRECTOR_SPECS[name])
-    eig = eigendata(mesh)
-    oracle = full_grid_eigendata(eig)
-    assert eig.operator.folded and eig.z_hat.shape == eig.eigenpair.vector.shape == (eig.operator.n,)
+    spec = FOLDED_CORRECTOR_SPECS[name]
+    grid = FullGrid(spec)
+    eig = eigendata(spec)
+    oracle = full_grid_eigendata(eig, grid)
+    assert eig.z_hat.shape == eig.eigenpair.vector.shape == (eig.operator.n,)
+    assert eig.operator.n == math.prod((n + 1) // 2 for n in spec.resolution)
     z = eig.operator.unfold(eig.z_hat)
     assert np.linalg.norm(z - oracle.z_hat) <= 1e-13 * np.linalg.norm(oracle.z_hat)
-    shape = mesh.spec.resolution
-    for axis in range(len(shape)):
-        assert np.array_equal(z, np.flip(z.reshape(shape), axis).ravel()), axis
+    assert grid.is_symmetric(z)
 
-    # the eigen stage is the full-grid stencil's, bit for bit
-    full = principal_eigenpair(Laplacian.of(mesh), mesh)
-    assert (eig.eigenpair.eigenvalue, eig.eigenpair.residual) == (full.eigenvalue, full.residual)
-    assert np.linalg.norm(oracle.eigenpair.vector - full.vector) <= 1e-15 * np.linalg.norm(full.vector)
+    # the eigen stage against the full grid's closed-form sine mode and eigenvalue
+    assert eig.eigenpair.eigenvalue == grid.eigenvalues[0]
+    sine = grid.sine_mode()
+    assert np.linalg.norm(oracle.eigenpair.vector - sine) <= 1e-15 * np.linalg.norm(sine)
     # I3 and I4 are half-grid sums, the oracle's are over every node
     assert eig.moments_hat.I3 == pytest.approx(oracle.moments_hat.I3, rel=4e-15)
     assert eig.moments_hat.I4 == pytest.approx(oracle.moments_hat.I4, rel=4e-15)
     # z_hat is one CG step, so M_hat = (u0 z_hat, u0) carries the rounding
     # of its step length, exactly 1 without rounding. That rounding grows
     # with lambda_max / (lambda - lambda0): on 6 x 600..760 (lambda_max ~ 5e4)
-    # it reaches 1.7e-13 on the full grid and 1.1e-13 on the folded one
+    # it reaches 1.1e-13 on the half grid
     m_rtol = 1e-13 if name == "rect-6x700" else 1e-14
     assert eig.moments_hat.M_zu == pytest.approx(oracle.moments_hat.M_zu, rel=m_rtol)
     assert abs(eig.moments_hat.P_zu) <= 1e-17
@@ -237,15 +230,6 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     for model in models + [NonlinearityModel.polynomial(list(BENCHMARK_POLY))]:
         got, want = diagnose(eig, model, Tolerances()), diagnose(oracle, model, Tolerances())
         assert got.ctype is want.ctype, model.describe()
-
-
-def test_eigendata_builds_no_full_grid_sine_matrix():
-    # the corrector's transforms are the folded ones; the full-grid sine
-    # matrix, four times the size, is never built
-    operators._sine_matrix.cache_clear()
-    for name in ("square-128", "rect-96x192"):
-        eigendata(build_mesh(FOLDED_CORRECTOR_SPECS[name]))
-    assert operators._sine_matrix.cache_info().currsize == 0
 
 
 def full_grid_arrays(run, n_nodes: int) -> list[tuple[int, ...]]:
@@ -284,22 +268,21 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
     # rectangles only: on an interval the axis is the grid, and the
     # certificate's sine vector has n_nodes entries by design
     spec = FOLDED_CORRECTOR_SPECS[name]
-    mesh = build_mesh(spec)
     cfg = RunConfig(domain=spec, model=NonlinearityModel.psi_k(3, 1.0))
     for run in (
-        lambda: eigendata(mesh),
-        lambda: psi_k_table(mesh, [3, 4, 5, 6, 7, 8], [1.0, -1.0]),
+        lambda: eigendata(spec),
+        lambda: psi_k_table(spec, [3, 4, 5, 6, 7, 8], [1.0, -1.0]),
         lambda: cmd_verify(cfg, out_dir=str(tmp_path)),
     ):
-        assert full_grid_arrays(run, mesh.n_nodes) == []
+        assert full_grid_arrays(run, math.prod(spec.resolution)) == []
 
 
 class TestMuSS:
-    def test_quartic_closed_form(self, eigdata, mesh400):
+    def test_quartic_closed_form(self, eigdata):
         L, pair = eigdata
         model = NonlinearityModel.psi_k(4, 1.0)
-        z = np.zeros(mesh400.n_nodes)
-        mu_ss = Moments.of(L, mesh400, pair.vector, z).mu_ss(model, 0.0)
+        z = np.zeros(L.n)
+        mu_ss = Moments.of(L, pair.vector, z).mu_ss(model, 0.0)
         assert mu_ss == pytest.approx(3 / PI, abs=1e-3)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
@@ -307,18 +290,16 @@ class TestMuSS:
         d = diagnose(eig, NonlinearityModel.psi_k(k, 1.0), Tolerances())
         assert abs(d.mu_ss) <= 1e-10
 
-    def test_cubic_matches_sigma_form(self, eigdata, eig, mesh400):
-        _, pair = eigdata
+    def test_cubic_matches_sigma_form(self, eig, grid400):
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
         mu_ss = diagnose(eig, model, Tolerances()).mu_ss
+        u0 = eig.operator.unfold(eig.eigenpair.vector)
         z = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
-        sigma = psi3_sigma_form(mesh400, pair.vector, z, eta)
+        sigma = psi3_sigma_form(grid400, u0, z, eta)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
         # the constrained term of sigma is itself numerically zero
-        second_term = 2 * eta * inner_product(mesh400, pair.vector**2, pair.vector) * inner_product(
-            mesh400, z, pair.vector
-        )
+        second_term = 2 * eta * grid400.dot(u0**2, u0) * grid400.dot(z, u0)
         assert abs(second_term) <= 1e-10
 
 
@@ -352,9 +333,8 @@ class TestRawFormOracle:
             NonlinearityModel.linear(2.5),
         ],
     )
-    def test_raw_forms_match_closed_forms(self, eigdata, eig, mesh400, model):
-        L, pair = eigdata
-        u0 = pair.vector
+    def test_raw_forms_match_closed_forms(self, eig, grid400, model):
+        u0 = grid400.sine_mode()
         v_l = model.V_L
         g2 = derivative_at_zero(model, 2)
         g3 = derivative_at_zero(model, 3)
@@ -365,21 +345,20 @@ class TestRawFormOracle:
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
         d2g = g2 * u0 * u0 + 2.0 * v_l * z_s
-        raw_mu_s = 0.5 * (-inner_product(mesh400, d2g, u0) + 2.0 * v_l * inner_product(mesh400, z_s, u0))
+        raw_mu_s = 0.5 * (-grid400.dot(d2g, u0) + 2.0 * v_l * grid400.dot(z_s, u0))
         assert raw_mu_s == pytest.approx(mu_s, abs=1e-9)
 
         # second corrector: A z_ss = mu_ss u0 + 2 mu_s z_s + g3/3 u0^3 + 2 g2 u0 z_s
+        # solved by the exact DST solve on the full grid; the solvability
+        # multiplier is the rhs's kernel component
         rhs_zss = mu_ss * u0 + 2.0 * mu_s * z_s + (g3 / 3.0) * u0**3 + 2.0 * g2 * u0 * z_s
-        sol = bordered_solve(L, u0, rhs_zss, mesh400, pair.eigenvalue, tol=1e-10)
-        assert abs(sol.xi) <= 1e-8  # solvable by the choice of mu_ss
-        z_ss = sol.z
+        assert abs(grid400.dot(rhs_zss, u0)) <= 1e-8  # solvable by the choice of mu_ss
+        z_ss = grid400.spectral_solve(rhs_zss, eig.eigenpair.eigenvalue)
 
         # raw second-order relation keeps the V_L z_ss terms
         d3g = g3 * u0**3 + 6.0 * g2 * u0 * z_s + 3.0 * v_l * z_ss
         raw_mu_ss = (
-            -inner_product(mesh400, d3g, u0)
-            - 6.0 * mu_s * inner_product(mesh400, z_s, u0)
-            + 3.0 * v_l * inner_product(mesh400, z_ss, u0)
+            -grid400.dot(d3g, u0) - 6.0 * mu_s * grid400.dot(z_s, u0) + 3.0 * v_l * grid400.dot(z_ss, u0)
         ) / 3.0
         assert raw_mu_ss == pytest.approx(mu_ss, abs=1e-8)
 
@@ -395,72 +374,72 @@ class TestScalingCovariance:
         assert mu_s_2 == pytest.approx(2 * mu_s_1, rel=1e-13)
         assert mu_ss_2 == pytest.approx(4 * mu_ss_1, rel=1e-9)
 
-    def test_quartic_scaling(self, eigdata, mesh400):
+    def test_quartic_scaling(self, eigdata):
         L, pair = eigdata
-        z = np.zeros(mesh400.n_nodes)
-        moments = Moments.of(L, mesh400, pair.vector, z)
+        z = np.zeros(L.n)
+        moments = Moments.of(L, pair.vector, z)
         m1 = moments.mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         m2 = moments.mu_ss(NonlinearityModel.psi_k(4, 2.0), 0.0)
         assert m2 == pytest.approx(2 * m1, rel=1e-13)
 
 
 class TestPipeline:
-    def test_quartic_positive(self, mesh400):
-        d = run_analysis(mesh400, NonlinearityModel.psi_k(4, 1.0)).diagnostics
+    def test_quartic_positive(self, spec400):
+        d = run_analysis(spec400, NonlinearityModel.psi_k(4, 1.0)).diagnostics
         assert d.ctype is CoexistenceType.I
         assert d.m_coexistence_side is CoexistenceSide.ABOVE
         assert d.mu_s == 0.0
         assert d.moments.I4 == pytest.approx(I4_EXACT, abs=1e-4)
 
-    def test_quartic_negative(self, mesh400):
-        d = run_analysis(mesh400, NonlinearityModel.psi_k(4, -1.0)).diagnostics
+    def test_quartic_negative(self, spec400):
+        d = run_analysis(spec400, NonlinearityModel.psi_k(4, -1.0)).diagnostics
         assert d.ctype is CoexistenceType.III
         assert d.m_coexistence_side is CoexistenceSide.BELOW
 
-    def test_seventh_power(self, mesh400):
-        d = run_analysis(mesh400, NonlinearityModel.psi_k(7, 1.0)).diagnostics
+    def test_seventh_power(self, spec400):
+        d = run_analysis(spec400, NonlinearityModel.psi_k(7, 1.0)).diagnostics
         assert d.ctype is CoexistenceType.II
         assert d.m_coexistence_side is CoexistenceSide.DEGENERATE
 
-    def test_cubic_two_sided_with_inferred_note(self, mesh400):
-        d = run_analysis(mesh400, NonlinearityModel.psi_k(3, 1.0)).diagnostics
+    def test_cubic_two_sided_with_inferred_note(self, spec400):
+        d = run_analysis(spec400, NonlinearityModel.psi_k(3, 1.0)).diagnostics
         assert d.ctype is CoexistenceType.VI
         assert d.m_coexistence_side is CoexistenceSide.TWO_SIDED
         assert any("inferred" in w for w in d.warnings)
 
     @pytest.mark.parametrize("v_l", [-5.0, -2.0, 1.0, 3.0, 5.0])
-    def test_linear_cancellation(self, mesh400, v_l):
-        d = run_analysis(mesh400, NonlinearityModel.linear(v_l)).diagnostics
+    def test_linear_cancellation(self, spec400, v_l):
+        d = run_analysis(spec400, NonlinearityModel.linear(v_l)).diagnostics
         assert abs(d.mu_s) <= 1e-9
         assert abs(d.mu_ss) <= 1e-9
         assert d.ctype is CoexistenceType.II
 
-    def test_orthogonality_across_models(self, mesh400):
+    def test_orthogonality_across_models(self, spec400):
         for model in (
             NonlinearityModel.psi_k(3, 1.0),
             NonlinearityModel.psi_k(3, -0.5),
             NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
             NonlinearityModel.linear(2.0),
         ):
-            d = run_analysis(mesh400, model).diagnostics
+            d = run_analysis(spec400, model).diagnostics
             assert abs(d.moments.P_zu) <= 1e-10
 
-    def test_m_at_bifurcation(self, mesh400):
-        res = run_analysis(mesh400, NonlinearityModel.linear(2.0))
+    def test_m_at_bifurcation(self, spec400):
+        res = run_analysis(spec400, NonlinearityModel.linear(2.0))
         assert res.m_at_bifurcation == res.cr_report.lambda0 - 2.0
 
-    def test_boundary_warning_near_zero_tol(self, mesh400):
+    def test_boundary_warning_near_zero_tol(self, spec400):
         # polynomial with a tiny quadratic coefficient puts mu_s right at
         # the classification band edge
         c2 = -1.5e-6 / I3_EXACT
-        d = run_analysis(mesh400, NonlinearityModel.polynomial([0.0, c2])).diagnostics
+        d = run_analysis(spec400, NonlinearityModel.polynomial([0.0, c2])).diagnostics
         assert any("zero_tol" in w for w in d.warnings)
 
     def test_square_domain_cubic_interaction(self):
         # the full pipeline on a 2D domain: u0 = (2/pi) sin(x) sin(y),
         # (u0^2, u0) = (2/pi)^3 (4/3)^2 in the continuum
-        mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40)))
-        d = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0)).diagnostics
+        spec = DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40))
+        d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0)).diagnostics
         expected_i3 = (2 / PI) ** 3 * (4 / 3) ** 2
         assert d.lambda0 == pytest.approx(2.0, abs=2e-3)
         assert d.mu_s == pytest.approx(expected_i3, rel=1e-2)
@@ -469,8 +448,8 @@ class TestPipeline:
 
     def test_square_domain_quartic_interaction(self):
         # (u0^3, u0) = (2/pi)^4 (3 pi/8)^2 in the continuum
-        mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40)))
-        d = run_analysis(mesh, NonlinearityModel.psi_k(4, 1.0)).diagnostics
+        spec = DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40))
+        d = run_analysis(spec, NonlinearityModel.psi_k(4, 1.0)).diagnostics
         expected_mu_ss = 2 * (2 / PI) ** 4 * (3 * PI / 8) ** 2
         assert d.mu_s == 0.0
         assert d.mu_ss == pytest.approx(expected_mu_ss, rel=1e-2)
@@ -478,8 +457,8 @@ class TestPipeline:
 
     def test_offset_interval(self):
         # translation invariance: same spectrum and diagnostics on (1, 1+pi)
-        mesh = build_mesh(DomainSpec("interval", ((1.0, 1.0 + PI),), (200,)))
-        d = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0)).diagnostics
+        spec = DomainSpec("interval", ((1.0, 1.0 + PI),), (200,))
+        d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0)).diagnostics
         assert d.lambda0 == pytest.approx(1.0, abs=1e-3)
         assert d.mu_s == pytest.approx(I3_EXACT, abs=1e-3)
 
@@ -488,21 +467,20 @@ class TestPipeline:
         # that each refinement is at least second order or at the floor
         errs = []
         for n in (50, 100, 200):
-            mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-            d = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0), Tolerances(eigen_tol=1e-11)).diagnostics
+            spec = DomainSpec("interval", ((0.0, PI),), (n,))
+            d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0), Tolerances(eigen_tol=1e-11)).diagnostics
             errs.append(abs(d.mu_s - I3_EXACT))
         for e_coarse, e_fine in zip(errs, errs[1:]):
             assert e_fine <= max(e_coarse / 2**1.9, 1e-10)
 
 
 @pytest.fixture(scope="module")
-def table(mesh400):
-    return psi_k_table(mesh400, [3, 4, 5, 6], [1.0])
+def table(spec400):
+    return psi_k_table(spec400, [3, 4, 5, 6], [1.0])
 
 
 class TestInteractionTable:
-    def test_cubic_row(self, table, mesh400, eig400):
-        pair, _ = eig400
+    def test_cubic_row(self, table):
         row = table[0]
         assert row.k == 3
         assert row.mu_s == pytest.approx(I3_EXACT, abs=1e-4)
@@ -526,37 +504,38 @@ class TestInteractionTable:
         assert row.proj2 == 0.0 and abs(row.proj3) <= 1e-10
         assert row.ctype is CoexistenceType.II
 
-    def test_cubic_proj3_consistent_with_corrector(self, table, mesh400, lap400, eig400):
+    def test_cubic_proj3_consistent_with_corrector(self, table, grid400, lap400, eig400):
         pair, _ = eig400
         # the cubic model's own corrector equation, solved directly
         model = NonlinearityModel.psi_k(3, 1.0)
         g2 = derivative_at_zero(model, 2)
-        mu_s = -0.5 * g2 * inner_product(mesh400, pair.vector**2, pair.vector)
-        rhs = mu_s * pair.vector + 0.5 * g2 * pair.vector**2
-        z = bordered_solve(lap400, pair.vector, rhs, mesh400, pair.eigenvalue).z
-        expected = -12.0 * inner_product(mesh400, pair.vector * z, pair.vector)
+        u0 = lap400.unfold(pair.vector)
+        mu_s = -0.5 * g2 * grid400.dot(u0**2, u0)
+        rhs = mu_s * u0 + 0.5 * g2 * u0**2
+        z = lap400.unfold(bordered_solve(lap400, pair.vector, grid400.fold(rhs), pair.eigenvalue).z)
+        expected = -12.0 * grid400.dot(u0 * z, u0)
         assert table[0].proj3 == pytest.approx(expected, rel=1e-8)
 
-    def test_rows_match_run_analysis(self, mesh400):
+    def test_rows_match_run_analysis(self, spec400):
         etas = [1.0, 2.5, -0.5, -3.0]
         ks = [3, 4, 5, 6, 7, 8]
-        rows = psi_k_table(mesh400, ks, etas)
+        rows = psi_k_table(spec400, ks, etas)
         assert [(r.eta, r.k) for r in rows] == [(eta, k) for eta in etas for k in ks]
         for row in rows:
-            d = run_analysis(mesh400, NonlinearityModel.psi_k(row.k, row.eta)).diagnostics
+            d = run_analysis(spec400, NonlinearityModel.psi_k(row.k, row.eta)).diagnostics
             assert (row.mu_s, row.mu_ss, row.ctype) == (d.mu_s, d.mu_ss, d.ctype)
 
-    def test_negative_eta_flips_quartic(self, mesh400):
-        rows = psi_k_table(mesh400, [4], [-1.0])
+    def test_negative_eta_flips_quartic(self, spec400):
+        rows = psi_k_table(spec400, [4], [-1.0])
         assert rows[0].ctype is CoexistenceType.III
 
-    def test_zero_eta_everything_degenerate(self, mesh400):
-        for row in psi_k_table(mesh400, [3, 4, 5], [0.0]):
+    def test_zero_eta_everything_degenerate(self, spec400):
+        for row in psi_k_table(spec400, [3, 4, 5], [0.0]):
             assert row.ctype is CoexistenceType.II
 
-    def test_k_range_validated(self, mesh400):
+    def test_k_range_validated(self, spec400):
         for k_list in ([2], [True]):
             with pytest.raises(ValueError, match="3..8"):
-                psi_k_table(mesh400, k_list, [1.0])
+                psi_k_table(spec400, k_list, [1.0])
         with pytest.raises(ConfigError, match="integer"):
-            psi_k_table(mesh400, [3.9], [1.0])
+            psi_k_table(spec400, [3.9], [1.0])

@@ -3,29 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from coexist import ConfigError, DomainSpec, build_mesh, inner_product, l2_norm
+from coexist import ConfigError, DomainSpec, Laplacian
+
+from conftest import FullGrid, weighted_norm
 
 PI = math.pi
 
 
+def n_nodes(L) -> int:
+    """The full grid's node count."""
+    return math.prod(L.shape)
+
+
 def test_interval_resolution_3_nodes_and_weights():
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (3,)))
-    assert mesh.n_nodes == 3
-    np.testing.assert_allclose(mesh.axis_coords[0], [PI / 4, PI / 2, 3 * PI / 4], rtol=1e-15)
-    assert mesh.h == (PI / 4,)
-    np.testing.assert_allclose(mesh.weight, PI / 4, rtol=1e-15)
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (3,)))
+    # 3 nodes, the outer two mirror images of each other
+    assert L.shape == (3,) and L.grid == (2,) and L.n == 2
+    assert L.h == (PI / 4,)
+    np.testing.assert_allclose(L.weight, PI / 4, rtol=1e-15)
+    np.testing.assert_allclose(L.sqrt_multiplicity, [math.sqrt(2.0), 1.0], rtol=0)
 
 
 def test_rectangle_3x3_nodes_and_weights():
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (3, 3)))
-    assert mesh.n_nodes == 9
-    np.testing.assert_allclose(mesh.weight, (PI / 4) ** 2, rtol=1e-15)
+    L = Laplacian.of(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (3, 3)))
+    assert n_nodes(L) == 9 and L.n == 4
+    np.testing.assert_allclose(L.weight, (PI / 4) ** 2, rtol=1e-15)
 
 
 def test_weight_sum_interval_399():
     # closed form: h*n = pi*399/400
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (399,)))
-    assert mesh.weight * mesh.n_nodes == pytest.approx(PI * 399 / 400, rel=1e-13)
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (399,)))
+    assert L.weight * n_nodes(L) == pytest.approx(PI * 399 / 400, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -43,101 +51,81 @@ def test_weight_sum_interval_399():
 )
 def test_invalid_specs_name_the_field(spec, field):
     with pytest.raises(ConfigError, match=field.replace("[", r"\[").replace("]", r"\]")):
-        build_mesh(spec)
+        Laplacian.of(spec)
 
 
 def test_bad_kind_rejected():
     with pytest.raises(ConfigError, match="kind"):
-        build_mesh(DomainSpec("disk", ((0.0, 1.0),), (5,)))
+        Laplacian.of(DomainSpec("disk", ((0.0, 1.0),), (5,)))
 
 
 def test_node_ordering_lexicographic():
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (3, 4)))
-    grids = np.meshgrid(*mesh.axis_coords, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    # first axis varies slowest
-    assert nodes.shape == (12, 2)
-    x_major = nodes[:, 0].reshape(3, 4)
-    assert np.all(x_major == x_major[:, :1])
-    y_minor = nodes[:, 1].reshape(3, 4)
-    np.testing.assert_allclose(y_minor, np.tile(y_minor[0], (3, 1)), rtol=1e-15)
+    # a full-grid vector runs through the nodes with the first axis slowest:
+    # the unfolded product of per-axis factors is their lexicographic outer product
+    L = Laplacian.of(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (3, 4)))
+    f0, f1 = np.array([1.0, 2.0, 1.0]), np.array([3.0, 5.0, 5.0, 3.0])
+    u = L.unfold(L.outer([f0, f1]))
+    assert u.shape == (12,)
+    np.testing.assert_allclose(u, np.multiply.outer(f0, f1).ravel(), rtol=1e-15)
 
 
 def test_mesh_holds_no_node_sized_array():
-    # the grid is its per-axis coordinates and one scalar weight: no node
-    # table and no weight vector
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (30, 40)))
-    assert mesh.n_nodes == 1200
-    assert mesh.weight == mesh.h[0] * mesh.h[1]
-    for value in vars(mesh).values():
+    # the grid object holds the spacing, one scalar weight and half-grid
+    # arrays: no node table, no weight vector and no full-grid array
+    L = Laplacian.of(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (30, 40)))
+    assert n_nodes(L) == 1200
+    assert L.weight == L.h[0] * L.h[1]
+    _ = (L.eigenvalues, L.axis_eigenvalues, L.sqrt_multiplicity, L.diagonal, L.grid, L.inv_h2)
+    for value in vars(L).values():
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, np.ndarray):
-                assert item.size < mesh.n_nodes
+                assert item.size < n_nodes(L)
 
 
-def test_inner_product_zero_vectors(mesh400):
-    z = np.zeros(mesh400.n_nodes)
-    assert inner_product(mesh400, z, z) == 0.0
+def folded(n: int, u) -> np.ndarray:
+    """The half-grid coordinates of a mirror-symmetric vector on (0, pi) at n nodes."""
+    return FullGrid(DomainSpec("interval", ((0.0, PI),), (n,))).fold(u)
 
 
-def test_inner_product_sin_squared(mesh400):
-    # integral of sin^2 over (0, pi) is pi/2
-    f = np.sin(mesh400.axis_coords[0])
-    assert inner_product(mesh400, f, f) == pytest.approx(PI / 2, abs=1e-3)
+def test_inner_product_zero_vectors(lap400):
+    z = np.zeros(lap400.n)
+    assert lap400.weight * float(z @ z) == 0.0
 
 
-def test_inner_product_exact_symmetry(mesh400):
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        f = rng.standard_normal(mesh400.n_nodes)
-        g = rng.standard_normal(mesh400.n_nodes)
-        assert inner_product(mesh400, f, g) == inner_product(mesh400, g, f)
-
-
-def test_inner_product_bilinear(mesh400):
-    rng = np.random.default_rng(11)
-    f = rng.standard_normal(mesh400.n_nodes)
-    g = rng.standard_normal(mesh400.n_nodes)
-    h = rng.standard_normal(mesh400.n_nodes)
-    alpha = 1.7
-    lhs = inner_product(mesh400, alpha * f + g, h)
-    rhs = alpha * inner_product(mesh400, f, h) + inner_product(mesh400, g, h)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-def test_inner_product_length_mismatch(mesh400):
-    with pytest.raises(ValueError, match="shape"):
-        inner_product(mesh400, np.zeros(3), np.zeros(mesh400.n_nodes))
-    with pytest.raises(ValueError, match="shape"):
-        l2_norm(mesh400, np.zeros(3))
+def test_inner_product_sin_squared(lap400):
+    # integral of sin^2 over (0, pi) is pi/2; the half grid's pairing is
+    # the full grid's
+    y = folded(400, np.sin(PI * np.arange(1, 401) / 401))
+    assert lap400.weight * float(y @ y) == pytest.approx(PI / 2, abs=1e-3)
 
 
 def test_l2_norm_constant_one():
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (399,)))
-    ones = np.ones(mesh.n_nodes)
-    assert l2_norm(mesh, ones) == pytest.approx(math.sqrt(PI * 399 / 400), rel=1e-13)
-    assert l2_norm(mesh, np.zeros(mesh.n_nodes)) == 0.0
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (399,)))
+    ones = folded(399, np.ones(399))
+    assert weighted_norm(L, ones) == pytest.approx(math.sqrt(PI * 399 / 400), rel=1e-13)
+    assert weighted_norm(L, np.zeros(L.n)) == 0.0
 
 
 @pytest.mark.parametrize("n", [100, 200, 400])
 def test_weight_sum_close_to_measure(n):
     # sum = L*n/(n+1) per axis: within 1% of the measure once n >= 99
     # in 1D and n >= 199 in 2D
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    assert mesh.weight * mesh.n_nodes == pytest.approx(PI, rel=0.01)
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (n,)))
+    assert L.weight * n_nodes(L) == pytest.approx(PI, rel=0.01)
     if n >= 200:
-        mesh2 = build_mesh(DomainSpec("rectangle", ((0.0, 2.0), (0.0, 3.0)), (n, n)))
-        assert mesh2.weight * mesh2.n_nodes == pytest.approx(6.0, rel=0.01)
+        L2 = Laplacian.of(DomainSpec("rectangle", ((0.0, 2.0), (0.0, 3.0)), (n, n)))
+        assert L2.weight * n_nodes(L2) == pytest.approx(6.0, rel=0.01)
 
 
 def test_refinement_consistency_order():
-    # f = x(pi-x), g = exp(x): exact integral (pi-2)e^pi + pi + 2
+    # f = x(pi-x), g = exp(x): exact integral (pi-2)e^pi + pi + 2, by the
+    # rectangle rule with the one weight L.weight
     exact = (PI - 2.0) * math.exp(PI) + PI + 2.0
     errs = []
     for n in (50, 100, 200):
-        mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        x = mesh.axis_coords[0]
-        val = inner_product(mesh, x * (PI - x), np.exp(x))
+        L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (n,)))
+        x = L.h[0] * np.arange(1, n + 1)
+        val = L.weight * float((x * (PI - x)) @ np.exp(x))
         errs.append(abs(val - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 1.9

@@ -3,101 +3,95 @@ import math
 import numpy as np
 import pytest
 
-from coexist import (
-    DomainSpec,
-    Laplacian,
-    bordered_solve,
-    build_mesh,
-    inner_product,
-    l2_norm,
-    principal_eigenpair,
-)
+from coexist import DomainSpec, Laplacian, bordered_solve, principal_eigenpair
 from coexist.operators import _cg
 
-from conftest import dense
+from conftest import FullGrid, dense, weighted_norm as norm
 
 PI = math.pi
 
 
 def test_stencil_interval_resolution_3():
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (3,)))
-    D = dense(Laplacian.of(mesh))
+    # the half grid of 3 nodes: the end node (standing for both ends) and
+    # the centre, coupled by sqrt(2)/h^2 both ways
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (3,)))
+    D = dense(L)
     np.testing.assert_allclose(np.diag(D), 32 / PI**2, rtol=1e-14)
-    np.testing.assert_allclose(np.diag(D, 1), -16 / PI**2, rtol=1e-14)
-    np.testing.assert_allclose(np.diag(D, -1), -16 / PI**2, rtol=1e-14)
-    assert np.count_nonzero(D) == 3 * 3 - 2
+    np.testing.assert_allclose(np.diag(D, 1), -math.sqrt(2.0) * 16 / PI**2, rtol=1e-14)
+    np.testing.assert_allclose(np.diag(D, -1), -math.sqrt(2.0) * 16 / PI**2, rtol=1e-14)
+    assert np.count_nonzero(D) == 4
 
 
 def test_smallest_eigenvalue_matches_sine_mode_formula():
     # discrete identity: lambda_min = (2/h^2)(1 - cos(pi h / L)) on (0, L)
     n = 50
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    L = Laplacian.of(mesh)
-    h = mesh.h[0]
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (n,)))
+    h = L.h[0]
     formula = 2.0 / h**2 * (1.0 - math.cos(PI * h / PI))
-    dense_min = np.linalg.eigvalsh(dense(L))[0]
+    dense_min = np.linalg.eigvalsh(FullGrid(L.spec).matrix().toarray())[0]
     assert dense_min == pytest.approx(formula, rel=1e-12)
-    pair = principal_eigenpair(L, mesh, tol=1e-10)
+    assert np.linalg.eigvalsh(dense(L))[0] == pytest.approx(formula, rel=1e-12)
+    pair = principal_eigenpair(L, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(formula, rel=1e-10)
 
 
 def test_2d_smallest_eigenvalue_tends_to_2():
     errs = []
     for n in (8, 16, 32):
-        mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (n, n)))
-        L = Laplacian.of(mesh)
-        pair = principal_eigenpair(L, mesh, tol=1e-10)
+        L = Laplacian.of(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (n, n)))
+        pair = principal_eigenpair(L, tol=1e-10)
         errs.append(abs(pair.eigenvalue - 2.0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-3
 
 
 def test_symmetry_and_row_sums():
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (7, 5)))
-    D = dense(Laplacian.of(mesh))
+    spec = DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (7, 5))
+    L = Laplacian.of(spec)
+    D = dense(L)
     assert np.array_equal(D, D.T)  # exactly symmetric
-    sums = D.sum(axis=1)
+    # the full grid's row sums K 1, read through the half grid: 1 is
+    # mirror-symmetric, so L applied to its coordinates is K 1 folded
+    grid = FullGrid(spec)
+    sums = L.unfold(L.apply(grid.fold(np.ones(grid.n))))
     scale = np.max(np.abs(D))
     assert np.all(sums >= -1e-14 * scale)
     # rows not adjacent to the boundary sum to zero, the rest are positive
-    n0, n1 = mesh.spec.resolution
-    idx = np.arange(mesh.n_nodes)
+    n0, n1 = spec.resolution
+    idx = np.arange(grid.n)
     i0, i1 = idx // n1, idx % n1
     interior = (i0 > 0) & (i0 < n0 - 1) & (i1 > 0) & (i1 < n1 - 1)
     np.testing.assert_allclose(sums[interior], 0.0, atol=1e-11 * scale)
     assert np.all(sums[~interior] > 0)
+    np.testing.assert_allclose(sums, grid.matrix().sum(axis=1), rtol=0, atol=1e-11 * scale)
 
 
 def test_stencil_matches_kronecker_sum():
     # independent oracle: the Kronecker sum kron(T0, I) + kron(I, T1) of the
-    # per-axis tridiagonal matrices, in lexicographic node order
-    def tridiagonal(n, h):
-        return (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
-
+    # per-axis tridiagonal matrices, in lexicographic node order, restricted
+    # to mirror-symmetric vectors by the isometry E: L = E^T K E
     for spec in (
         DomainSpec("interval", ((0.0, 1.0),), (5,)),
         DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (7, 5)),
         DomainSpec("rectangle", ((0.0, 1.0), (0.0, 3.0)), (3, 4)),
     ):
-        mesh = build_mesh(spec)
-        L = Laplacian.of(mesh)
-        blocks = [tridiagonal(n, h) for n, h in zip(spec.resolution, mesh.h)]
-        if len(mesh.h) == 1:
-            want = blocks[0]
-        else:
-            t0, t1 = blocks
-            want = np.kron(t0, np.eye(len(t1))) + np.kron(np.eye(len(t0)), t1)
-        assert L.n == mesh.n_nodes
-        assert np.array_equal(dense(L), want)
+        grid = FullGrid(spec)
+        L = Laplacian.of(spec)
+        E = grid.embedding()
+        want = grid.half_grid_matrix()
+        assert L.n == E.shape[1]
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(dense(L), want, rtol=0, atol=4 * eps * np.abs(want).max())
         # a general vector differs from the matrix product by rounding only
         v = np.random.default_rng(5).standard_normal(L.n)
-        bound = 8 * np.finfo(float).eps * np.abs(want).sum(axis=1).max() * np.abs(v).max()
+        bound = 8 * eps * np.abs(want).sum(axis=1).max() * np.abs(v).max()
         np.testing.assert_allclose(L.apply(v), want @ v, rtol=0, atol=bound)
+        np.testing.assert_allclose(L.apply(v), E.T @ grid.apply(E @ v), rtol=0, atol=bound)
 
 
 def test_apply_returns_a_fresh_array():
     # solve_bordered_system keeps one result while CG asks for the next
-    L = Laplacian.of(build_mesh(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (6, 9))))
+    L = Laplacian.of(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (6, 9)))
     v = np.random.default_rng(4).standard_normal(L.n)
     kept = v.copy()
     first, second = L.apply(v), L.apply(v)
@@ -113,8 +107,8 @@ def identity(r):
     return r
 
 
-def test_solve_spd_zero_rhs(lap400, mesh400):
-    x, resid, iters = _cg(lap400.apply, np.zeros(mesh400.n_nodes), identity, rtol=1e-12, atol=1e-12, max_iter=2000)
+def test_solve_spd_zero_rhs(lap400):
+    x, resid, iters = _cg(lap400.apply, np.zeros(lap400.n), identity, rtol=1e-12, atol=1e-12, max_iter=2000)
     assert np.all(x == 0.0)
     assert resid == 0.0 and iters == 0
 
@@ -127,21 +121,20 @@ def test_solve_spd_diagonal_operator():
     np.testing.assert_allclose(x, b / c, rtol=1e-13)
 
 
-def test_solve_spd_sine_eigenvector(lap400, mesh400):
+def test_solve_spd_sine_eigenvector(lap400, grid400):
     # -u'' = sin on (0, pi) has solution u = sin
-    xs = mesh400.axis_coords[0]
-    b = np.sin(xs)
+    sines = np.sin(grid400.coords[0])
+    b = grid400.fold(sines)
     x, _, _ = _cg(lap400.apply, b, identity, rtol=1e-12, atol=1e-12, max_iter=2000)
-    assert np.max(np.abs(x - b)) < 5e-5  # discretization error O(h^2)
+    assert np.max(np.abs(lap400.unfold(x) - sines)) < 5e-5  # discretization error O(h^2)
     # involution: op @ x reproduces b
-    res = l2_norm(mesh400, lap400.apply(x) - b)
-    assert res <= 1e-12 * max(1.0, float(np.linalg.norm(b)))
+    assert norm(lap400, lap400.apply(x) - b) <= 1e-12 * max(1.0, float(np.linalg.norm(b)))
 
 
-def test_solve_spd_nonconvergence_error(lap400, mesh400):
+def test_solve_spd_nonconvergence_error(lap400):
     # an exhausted budget returns the best iterate, its residual and the
     # budget spent; callers decide whether that is an error
-    b = np.ones(mesh400.n_nodes)
+    b = np.ones(lap400.n)
     x, resid, iters = _cg(lap400.apply, b, identity, rtol=1e-14, atol=1e-14, max_iter=3)
     assert resid > 1e-14 * np.linalg.norm(b)
     assert resid == pytest.approx(np.linalg.norm(lap400.apply(x) - b), rel=1e-6)
@@ -149,86 +142,85 @@ def test_solve_spd_nonconvergence_error(lap400, mesh400):
 
 
 @pytest.fixture(scope="module")
-def kernel_setup(lap400, eig400, mesh400):
+def kernel_setup(lap400, eig400):
     pair, _ = eig400
     return lap400, pair.vector, pair.eigenvalue
 
 
-def test_bordered_zero_rhs(kernel_setup, mesh400):
+def test_bordered_zero_rhs(kernel_setup):
     L, u0, lam0 = kernel_setup
-    sol = bordered_solve(L, u0, np.zeros(mesh400.n_nodes), mesh400, lam0, tol=1e-10)
+    sol = bordered_solve(L, u0, np.zeros(L.n), lam0, tol=1e-10)
     assert np.all(sol.z == 0.0)
     assert sol.xi == 0.0
 
 
-def test_bordered_pure_kernel_rhs(kernel_setup, mesh400):
+def test_bordered_pure_kernel_rhs(kernel_setup):
     L, u0, lam0 = kernel_setup
-    sol = bordered_solve(L, u0, u0.copy(), mesh400, lam0, tol=1e-10)
+    sol = bordered_solve(L, u0, u0.copy(), lam0, tol=1e-10)
     assert sol.xi == pytest.approx(1.0, abs=1e-9)
-    assert l2_norm(mesh400, sol.z) < 1e-8
+    assert norm(L, sol.z) < 1e-8
     assert sol.residual_norm <= 1e-10
 
 
-def test_bordered_solvable_rhs_cubic_interaction(kernel_setup, mesh400):
+def test_bordered_solvable_rhs_cubic_interaction(kernel_setup, grid400):
     # rhs = mu_s*u0 + 1/2 g''(0) u0^2 for the cubic interaction is
     # kernel-orthogonal by construction of mu_s
     L, u0, lam0 = kernel_setup
     eta = 1.0
-    mu_s = eta * inner_product(mesh400, u0 * u0, u0)
-    rhs = mu_s * u0 - eta * u0 * u0
-    assert abs(inner_product(mesh400, rhs, u0)) < 1e-12  # quadrature oracle
-    sol = bordered_solve(L, u0, rhs, mesh400, lam0, tol=1e-10)
+    u = L.unfold(u0)
+    mu_s = eta * grid400.dot(u * u, u)
+    rhs = mu_s * u - eta * u * u
+    assert abs(grid400.dot(rhs, u)) < 1e-12  # quadrature oracle
+    sol = bordered_solve(L, u0, grid400.fold(rhs), lam0, tol=1e-10)
     assert abs(sol.xi) <= 1e-8
-    assert abs(inner_product(mesh400, sol.z, u0)) <= 1e-10
-    assert sol.residual_norm <= 1e-10 * max(1.0, l2_norm(mesh400, rhs))
+    assert abs(L.weight * float(sol.z @ u0)) <= 1e-10
+    assert sol.residual_norm <= 1e-10 * max(1.0, grid400.norm(rhs))
 
 
 def test_bordered_against_dense_saddle_oracle():
-    # independent oracle: LAPACK solve of the dense augmented system
+    # independent oracle: LAPACK solve of the dense augmented system on the full grid
     n = 100
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    L = Laplacian.of(mesh)
-    pair = principal_eigenpair(L, mesh, tol=1e-12)
-    u0 = pair.vector
+    spec = DomainSpec("interval", ((0.0, PI),), (n,))
+    grid, L = FullGrid(spec), Laplacian.of(spec)
+    pair = principal_eigenpair(L, tol=1e-12)
+    u0 = grid.sine_mode()
     eta = 1.0
-    mu_s = eta * inner_product(mesh, u0 * u0, u0)
+    mu_s = eta * grid.dot(u0 * u0, u0)
     rhs = mu_s * u0 - eta * u0 * u0
 
     K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = dense(L) - pair.eigenvalue * np.eye(n)
+    K[:n, :n] = grid.matrix().toarray() - pair.eigenvalue * np.eye(n)
     K[:n, n] = u0
-    K[n, :n] = mesh.weight * u0
+    K[n, :n] = grid.weight * u0
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
     z_oracle, xi_oracle = direct[:n], direct[n]
 
-    sol = bordered_solve(L, u0, rhs, mesh, pair.eigenvalue, tol=1e-11)
-    assert l2_norm(mesh, sol.z - z_oracle) < 1e-8
+    sol = bordered_solve(L, pair.vector, grid.fold(rhs), pair.eigenvalue, tol=1e-11)
+    assert grid.norm(L.unfold(sol.z) - z_oracle) < 1e-8
     assert sol.xi == pytest.approx(xi_oracle, abs=1e-8)
 
 
-def test_bordered_rejects_bad_kernel(lap400, eig400, mesh400):
+def test_bordered_rejects_bad_kernel(lap400, eig400):
     pair, _ = eig400
     with pytest.raises(ValueError, match="normalized"):
-        bordered_solve(lap400, 2.0 * pair.vector, np.zeros(mesh400.n_nodes), mesh400, pair.eigenvalue)
+        bordered_solve(lap400, 2.0 * pair.vector, np.zeros(lap400.n), pair.eigenvalue)
     with pytest.raises(ValueError, match="kernel"):
         # L itself (shift 0) has no kernel at all
-        bordered_solve(lap400, pair.vector, np.zeros(mesh400.n_nodes), mesh400, 0.0)
+        bordered_solve(lap400, pair.vector, np.zeros(lap400.n), 0.0)
 
 
-def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400, mesh400):
-    # a folded L has L.n = ceil(n/2) nodes, not mesh.n_nodes
+def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400):
+    # L.n = ceil(n/2) nodes, not the full grid's n
     pair, _ = eig400
-    folded = lap400.on_folded_grid()
-    y0 = folded.fold(pair.vector)
+    full = lap400.unfold(pair.vector)
     cases = [
-        (folded, pair.vector, np.zeros(folded.n)),
-        (folded, y0, np.zeros(mesh400.n_nodes)),
-        (lap400, pair.vector, np.zeros(folded.n)),
-        (lap400, y0, np.zeros(mesh400.n_nodes)),
+        (full, np.zeros(lap400.n)),
+        (pair.vector, np.zeros(full.size)),
+        (full, np.zeros(full.size)),
     ]
-    for L, u0, rhs in cases:
-        with pytest.raises(ValueError, match=rf"u0 and rhs need L\.n = {L.n} entries"):
-            bordered_solve(L, u0, rhs, mesh400, pair.eigenvalue)
+    for u0, rhs in cases:
+        with pytest.raises(ValueError, match=rf"u0 and rhs need L\.n = {lap400.n} entries"):
+            bordered_solve(lap400, u0, rhs, pair.eigenvalue)
 
 
 @pytest.mark.parametrize(
@@ -241,18 +233,16 @@ def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400, mesh
     ],
 )
 def test_folded_bordered_solve_matches_full_grid(spec):
-    # rhs = u0^2 is mirror-symmetric with kernel component xi = (u0^2, u0)
-    mesh = build_mesh(spec)
-    L = Laplacian.of(mesh)
-    pair = principal_eigenpair(L, mesh)
-    u0 = pair.vector
-    full = bordered_solve(L, u0, u0 * u0, mesh, pair.eigenvalue)
-    F = L.on_folded_grid()
-    y0 = F.fold(u0)
-    sol = bordered_solve(F, y0, y0 * y0 / F.sqrt_multiplicity, mesh, pair.eigenvalue)
-    assert sol.z.shape == (F.n,)
-    z = F.unfold(sol.z)
-    assert np.linalg.norm(z - full.z) <= 1e-13 * np.linalg.norm(full.z)
-    assert sol.xi == pytest.approx(full.xi, rel=1e-13)
-    assert sol.xi == pytest.approx(inner_product(mesh, u0 * u0, u0), rel=1e-13)
+    # rhs = u0^2 is mirror-symmetric with kernel component xi = (u0^2, u0);
+    # the oracle is the exact DST solve on the full grid
+    grid, L = FullGrid(spec), Laplacian.of(spec)
+    pair = principal_eigenpair(L)
+    y0 = pair.vector
+    u0 = L.unfold(y0)
+    z_oracle = grid.spectral_solve(u0 * u0, pair.eigenvalue)
+    sol = bordered_solve(L, y0, y0 * y0 / L.sqrt_multiplicity, pair.eigenvalue)
+    assert sol.z.shape == (L.n,)
+    z = L.unfold(sol.z)
+    assert np.linalg.norm(z - z_oracle) <= 1e-13 * np.linalg.norm(z_oracle)
+    assert sol.xi == pytest.approx(grid.dot(u0 * u0, u0), rel=1e-13)
     assert sol.residual_norm <= 1e-10

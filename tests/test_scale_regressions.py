@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from coexist import ConvergenceError, CoexistenceType, DomainSpec, NonlinearityModel, build_mesh, run_analysis
+from coexist import ConvergenceError, CoexistenceType, DomainSpec, NonlinearityModel, run_analysis
 from coexist.cli import EXIT_OK, RunConfig, cmd_trace, main
 
 PI = math.pi
@@ -47,14 +47,13 @@ SHORT_INTERVAL = ((0.0, 0.1),)
     ids=["unit-interval-400-psi3", "unit-square-64-psi4"],
 )
 def test_unit_domains_classify(spec, model, expected):
-    assert run_analysis(build_mesh(spec), model).diagnostics.ctype is expected
+    assert run_analysis(spec, model).diagnostics.ctype is expected
 
 
 @ROUNDING_FLOOR
 @pytest.mark.parametrize("n", [2000, 10000])
 def test_fine_interval_classifies(n):
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-    result = run_analysis(mesh, NonlinearityModel.psi_k(3, 1.0))
+    result = run_analysis(DomainSpec("interval", ((0.0, PI),), (n,)), NonlinearityModel.psi_k(3, 1.0))
     assert result.diagnostics.ctype is CoexistenceType.VI
 
 
@@ -62,8 +61,8 @@ def test_fine_interval_classifies(n):
 @pytest.mark.parametrize("n", [20, 50])
 @pytest.mark.parametrize("eta, expected", [(1.0, CoexistenceType.VI), (-1.0, CoexistenceType.IX)])
 def test_short_interval_classifies(n, eta, expected):
-    mesh = build_mesh(DomainSpec("interval", SHORT_INTERVAL, (n,)))
-    assert run_analysis(mesh, NonlinearityModel.psi_k(3, eta)).diagnostics.ctype is expected
+    spec = DomainSpec("interval", SHORT_INTERVAL, (n,))
+    assert run_analysis(spec, NonlinearityModel.psi_k(3, eta)).diagnostics.ctype is expected
 
 
 def test_short_interval_verify_reads_lambda1_from_closed_form(tmp_path, capsys):

@@ -9,35 +9,32 @@ from coexist import (
     DomainSpec,
     Laplacian,
     Tolerances,
-    build_mesh,
-    inner_product,
-    l2_norm,
     principal_eigenpair,
     verify_crandall_rabinowitz,
 )
 from coexist.diagnostics import bifurcation_point
 
-from conftest import dense, interval_mesh
+from conftest import FullGrid, interval
 
 PI = math.pi
 
 
-def test_principal_eigenpair_interval_400(eig400, mesh400):
+def test_principal_eigenpair_interval_400(eig400, lap400, grid400):
     pair, _ = eig400
     assert pair.eigenvalue == pytest.approx(1.0, abs=1e-4)
     # eigenfunction matches sqrt(2/pi) sin(x) pointwise
-    xs = mesh400.axis_coords[0]
-    exact = math.sqrt(2 / PI) * np.sin(xs)
-    assert np.max(np.abs(pair.vector - exact)) < 1e-3
+    exact = math.sqrt(2 / PI) * np.sin(grid400.coords[0])
+    assert np.max(np.abs(lap400.unfold(pair.vector) - exact)) < 1e-3
 
 
-def test_principal_eigenpair_contracts(eig400, lap400, mesh400):
+def test_principal_eigenpair_contracts(eig400, lap400, grid400):
     pair, _ = eig400
-    assert abs(l2_norm(mesh400, pair.vector) - 1.0) <= 1e-10
+    u0 = lap400.unfold(pair.vector)
+    assert abs(grid400.norm(u0) - 1.0) <= 1e-10
     assert np.all(pair.vector >= 0.0)
     assert pair.residual <= 1e-11  # the tolerance the fixture requested
-    # Rayleigh-quotient consistency
-    rq = inner_product(mesh400, pair.vector, lap400.apply(pair.vector))
+    # Rayleigh-quotient consistency, on the full grid's stencil
+    rq = grid400.dot(u0, grid400.apply(u0))
     assert abs(pair.eigenvalue - rq) <= 1e-8
 
 
@@ -48,16 +45,15 @@ def test_second_eigenvalue_interval_400(cr400):
 
 
 def test_principal_eigenpair_square_small():
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (48, 48)))
-    L = Laplacian.of(mesh)
-    pair = principal_eigenpair(L, mesh, tol=1e-10)
+    L = Laplacian.of(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (48, 48)))
+    pair = principal_eigenpair(L, tol=1e-10)
     assert pair.eigenvalue == pytest.approx(2.0, abs=2e-3)
     assert np.all(pair.vector >= 0.0)
 
 
-def test_second_eigenvalue_square_128(mesh2d_128):
+def test_second_eigenvalue_square_128(spec2d_128):
     # second eigenvalue of the square is 5, with multiplicity 2
-    _, _, cr = bifurcation_point(mesh2d_128, Tolerances())
+    _, _, cr = bifurcation_point(spec2d_128, Tolerances())
     assert cr.lambda1 == pytest.approx(5.0, abs=1e-2)
     assert cr.gap == pytest.approx(3.0, abs=1e-2)
 
@@ -74,102 +70,95 @@ def test_second_eigenvalue_square_128(mesh2d_128):
     ids=["interval-9", "square-7x7", "rect-6x13", "rect-13x6"],
 )
 def test_lambda1_matches_dense_eigvalsh(spec):
-    mesh = build_mesh(spec)
-    _, _, cr = bifurcation_point(mesh, Tolerances())
-    want = np.linalg.eigvalsh(dense(Laplacian.of(mesh)))
+    _, _, cr = bifurcation_point(spec, Tolerances())
+    want = np.linalg.eigvalsh(FullGrid(spec).matrix().toarray())
     assert cr.lambda1 == pytest.approx(want[1], rel=1e-12)
     assert cr.gap == pytest.approx(want[1] - want[0], rel=1e-12)
 
 
 def test_minimal_mesh_eigensolve():
     # smallest admissible grid: 3 interior nodes, closed-form eigenvalue
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (3,)))
-    L = Laplacian.of(mesh)
-    pair = principal_eigenpair(L, mesh, tol=1e-12)
+    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (3,)))
+    pair = principal_eigenpair(L, tol=1e-12)
     h = PI / 4
     assert pair.eigenvalue == pytest.approx(2 / h**2 * (1 - math.cos(h)), rel=1e-12)
 
 
 def test_anisotropic_rectangle():
     # (0, pi) x (0, 2 pi): lambda0 = 1 + 1/4, lambda1 = 1 + 1 (mode (1,2))
-    mesh = build_mesh(DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (40, 80)))
-    L = Laplacian.of(mesh)
-    pair = principal_eigenpair(L, mesh, tol=1e-10)
+    spec = DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (40, 80))
+    pair = principal_eigenpair(Laplacian.of(spec), tol=1e-10)
     assert pair.eigenvalue == pytest.approx(1.25, abs=2e-3)
-    _, _, cr = bifurcation_point(mesh, Tolerances())
+    _, _, cr = bifurcation_point(spec, Tolerances())
     assert cr.lambda1 == pytest.approx(2.0, abs=5e-3)
 
 
 def test_lambda0_refinement_order():
     errs = []
     for n in (50, 100, 200):
-        mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (n,)))
-        pair = principal_eigenpair(Laplacian.of(mesh), mesh, tol=1e-11)
+        pair = principal_eigenpair(Laplacian.of(interval(n)), tol=1e-11)
         errs.append(abs(pair.eigenvalue - 1.0))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.9
 
 
-def test_cr_report_interval(eig400, cr400, mesh400):
+def test_cr_report_interval(eig400, cr400, lap400):
     pair, _ = eig400
     gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, mesh400, gap_tol)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, lap400, gap_tol)
     assert cr.gap == pytest.approx(3.0, abs=2e-3)
     assert cr.kernel_dim_ok and cr.transversality_ok
     assert cr.bifurcation_point_certified
     assert cr.transversality_value == pytest.approx(-1.0, abs=1e-10)
 
 
-def test_cr_report_degenerate_gap(eig400, mesh400):
+def test_cr_report_degenerate_gap(eig400, lap400):
     pair, _ = eig400
     gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, pair.eigenvalue, pair.vector, mesh400, gap_tol)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, pair.eigenvalue, pair.vector, lap400, gap_tol)
     assert cr.gap == 0.0
     assert not cr.kernel_dim_ok
     assert not cr.bifurcation_point_certified
 
 
-def test_cr_custom_gap_tol(eig400, cr400, mesh400):
+def test_cr_custom_gap_tol(eig400, cr400, lap400):
     pair, _ = eig400
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, mesh400, gap_tol=10.0)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, lap400, gap_tol=10.0)
     assert not cr.kernel_dim_ok
 
 
 def test_unattainable_tolerance_raises():
     # the closed form's residual against the assembled L sits at the
     # rounding floor, far above 1e-16 and far below the default 1e-10
-    mesh = build_mesh(DomainSpec("interval", ((0.0, PI),), (100,)))
-    L = Laplacian.of(mesh)
+    L = Laplacian.of(interval(100))
     with pytest.raises(ConvergenceError) as err:
-        principal_eigenpair(L, mesh, tol=1e-16)
+        principal_eigenpair(L, tol=1e-16)
     assert 1e-16 < err.value.residual < 1e-12
 
 
-def test_determinism(mesh100):
-    L = Laplacian.of(mesh100)
-    p1 = principal_eigenpair(L, mesh100, tol=1e-10)
-    p2 = principal_eigenpair(L, mesh100, tol=1e-10)
+def test_determinism(spec100):
+    L = Laplacian.of(spec100)
+    p1 = principal_eigenpair(L, tol=1e-10)
+    p2 = principal_eigenpair(L, tol=1e-10)
     assert p1.eigenvalue == p2.eigenvalue
     assert np.array_equal(p1.vector, p2.vector)
 
 
-def stencil_residual(mesh) -> float:
+def stencil_residual(spec) -> float:
     """The principal sine mode's residual against the full-grid stencil,
     formed as one grid vector: the certificate before it went per axis."""
-    L = Laplacian.of(mesh)
-    axes = zip(mesh.axis_coords, mesh.spec.bounds)
+    grid = FullGrid(spec)
+    axes = zip(grid.coords, spec.bounds)
     v = reduce(np.multiply.outer, [np.sin(np.pi * (x - lo) / (hi - lo)) for x, (lo, hi) in axes]).ravel()
-    v = v / l2_norm(mesh, v)
-    return l2_norm(mesh, L.apply(v) - float(L.eigenvalues[0]) * v)
+    v = v / grid.norm(v)
+    return grid.norm(grid.apply(v) - float(grid.eigenvalues[0]) * v)
 
 
 @pytest.mark.parametrize("n", [400, 2000, 10000])
 def test_per_axis_certificate_is_the_stencil_residual_in_1d(n):
     # 2000 and 10000 nodes exceed the default eigen_tol (ROADMAP.md item 4)
-    mesh = interval_mesh(n)
-    want = stencil_residual(mesh)
-    for L in (Laplacian.of(mesh), Laplacian.of(mesh).on_folded_grid()):
-        assert principal_eigenpair(L, mesh, tol=math.inf).residual == want
+    spec = interval(n)
+    assert principal_eigenpair(Laplacian.of(spec), tol=math.inf).residual == stencil_residual(spec)
 
 
 @pytest.mark.parametrize(
@@ -188,11 +177,10 @@ def test_per_axis_certificate_is_the_stencil_residual_in_1d(n):
 def test_per_axis_certificate_matches_stencil_residual_in_2d(bounds, resolution):
     # the two round differently; both sit near 0.3-0.5 eps lambda_max, the
     # rounding of L v, and differ by at most 0.1 of it (measured)
-    mesh = build_mesh(DomainSpec("rectangle", bounds, resolution))
-    L = Laplacian.of(mesh)
-    got = principal_eigenpair(L.on_folded_grid(), mesh, tol=math.inf).residual
-    assert principal_eigenpair(L, mesh, tol=math.inf).residual == got
-    assert abs(got - stencil_residual(mesh)) <= 0.25 * np.finfo(float).eps * float(L.eigenvalues[-1])
+    spec = DomainSpec("rectangle", bounds, resolution)
+    got = principal_eigenpair(Laplacian.of(spec), tol=math.inf).residual
+    lambda_max = float(FullGrid(spec).eigenvalues[-1])
+    assert abs(got - stencil_residual(spec)) <= 0.25 * np.finfo(float).eps * lambda_max
 
 
 @pytest.mark.parametrize(
@@ -215,8 +203,7 @@ def test_per_axis_certificate_matches_stencil_residual_in_2d(bounds, resolution)
 )
 def test_lambda_pair_matches_partition_oracle(spec):
     # per-axis sums, bit for bit the two smallest entries of the full grid
-    mesh = build_mesh(spec)
-    _, pair, cr = bifurcation_point(mesh, Tolerances(eigen_tol=1.0))
-    ev = np.partition(Laplacian.of(mesh).eigenvalues, 1)
+    _, pair, cr = bifurcation_point(spec, Tolerances(eigen_tol=1.0))
+    ev = np.partition(FullGrid(spec).eigenvalues, 1)
     lambda0, lambda1 = float(ev[0]), float(ev[1])
     assert (pair.eigenvalue, cr.lambda0, cr.lambda1, cr.gap) == (lambda0, lambda0, lambda1, lambda1 - lambda0)

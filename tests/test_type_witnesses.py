@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from coexist import CoexistenceType, DomainSpec, NonlinearityModel, build_mesh, eigendata, run_analysis, trace_branch
+from coexist import CoexistenceType, DomainSpec, NonlinearityModel, eigendata, run_analysis, trace_branch
 from coexist.continuation import DEFAULT_S_VALUES
 
 PI = math.pi
@@ -30,15 +30,15 @@ WITNESSES = {
 
 
 @pytest.fixture(scope="module", params=list(DOMAINS))
-def mesh(request):
-    return build_mesh(DOMAINS[request.param])
+def spec(request):
+    return DOMAINS[request.param]
 
 
 @pytest.mark.parametrize("c2, cancel", list(WITNESSES), ids=[str(t) for t in WITNESSES.values()])
-def test_witness_classifies_and_traces(mesh, c2, cancel):
-    moments = eigendata(mesh).moments_hat
+def test_witness_classifies_and_traces(spec, c2, cancel):
+    moments = eigendata(spec).moments_hat
     c3 = -4.0 * c2 * c2 * moments.M_zu / moments.I4 if cancel else -0.1
-    analysis = run_analysis(mesh, NonlinearityModel.polynomial((0.0, c2, c3)))
+    analysis = run_analysis(spec, NonlinearityModel.polynomial((0.0, c2, c3)))
     d = analysis.diagnostics
     assert d.ctype is WITNESSES[(c2, cancel)]
 
