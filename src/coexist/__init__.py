@@ -27,23 +27,21 @@ from .diagnostics import (
     TableRow,
     Tolerances,
     classify,
-    compute_z_s,
     diagnose,
     eigendata,
     psi_k_table,
     run_analysis,
 )
-from .errors import CoexistError, ConfigError, ConvergenceError, SolvabilityError
+from .errors import CoexistError, ConfigError, ConvergenceError
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
-from .operators import BorderedSolution, Laplacian, bordered_solve
+from .operators import Laplacian, bordered_solve
 from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
     "__version__",
     "DomainSpec",
     "Laplacian",
-    "BorderedSolution",
     "bordered_solve",
     "Eigenpair",
     "CRReport",
@@ -60,7 +58,6 @@ __all__ = [
     "Tolerances",
     "AnalysisResult",
     "TableRow",
-    "compute_z_s",
     "classify",
     "eigendata",
     "diagnose",
@@ -77,5 +74,4 @@ __all__ = [
     "CoexistError",
     "ConfigError",
     "ConvergenceError",
-    "SolvabilityError",
 ]

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
 from .diagnostics import AnalysisResult, Tolerances, bifurcation_point, psi_k_table, run_analysis
-from .errors import ConfigError, ConvergenceError, SolvabilityError, as_number
+from .errors import ConfigError, ConvergenceError, as_number
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel
 from .operators import Laplacian
@@ -315,12 +315,6 @@ def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
 def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """The bifurcation-point checks only; no corrector solve."""
     _, _, cr = bifurcation_point(cfg.domain, cfg.tolerances)
-    print(f"lambda0          = {cr.lambda0:.12g}")
-    print(f"lambda1          = {cr.lambda1:.12g}")
-    print(f"gap              = {cr.gap:.12g}  (kernel_dim_ok={cr.kernel_dim_ok})")
-    print(
-        f"transversality   = {cr.transversality_value:.12g}  (transversality_ok={cr.transversality_ok})"
-    )
     report = _base_report(cfg)
     report["cr_report"] = cr.to_dict()
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
@@ -368,7 +362,14 @@ def main(argv: list[str] | None = None) -> int:
             rows = cmd_table(cfg, args.out_dir)
             print(f"wrote {len(rows)} table rows")
             return EXIT_OK
-        _, code = cmd_verify(cfg, args.out_dir)
+        report, code = cmd_verify(cfg, args.out_dir)
+        cr = report["cr_report"]
+        print(f"lambda0          = {cr['lambda0']:.12g}")
+        print(f"lambda1          = {cr['lambda1']:.12g}")
+        print(f"gap              = {cr['gap']:.12g}  (kernel_dim_ok={cr['kernel_dim_ok']})")
+        print(
+            f"transversality   = {cr['transversality_value']:.12g}  (transversality_ok={cr['transversality_ok']})"
+        )
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -376,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, SolvabilityError) as exc:
+    except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

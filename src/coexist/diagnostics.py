@@ -10,7 +10,9 @@ geometry are
 
 with I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0). The
 unit corrector z_hat solves A z_hat = 1/2*(u0^2 - I3*u0) on the
-complement of u0 (A = L - lambda0). The corrector equation
+complement of u0 (A = L - lambda0); that right-hand side is orthogonal
+to u0 by the choice of I3, so the one `bordered_solve` forms no
+multiplier to check. The corrector equation
 A z_s = mu_s(0)*u0 + 1/2*g''(0)*u0^2 is linear in g''(0), so every
 model's corrector is z_s = g''(0)*z_hat, with M_zu = g''(0)*M_hat; z_s
 itself is never formed. The V_L contributions cancel identically for
@@ -20,7 +22,8 @@ cross-check.
 
 Every command runs the same two steps: `eigendata` (the stencil L, the
 closed-form principal pair, lambda1 and the bifurcation-point checks of
-`bifurcation_point`, then z_hat and its moments) once per domain, then
+`bifurcation_point`, then z_hat and its moments, both from u0^2 formed
+once) once per domain, then
 `diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
 scalar arithmetic on g''(0), g'''(0) and the per-mesh moments. The
 per-mesh stage runs on L's half grid, as u0 and A are mirror-symmetric:
@@ -41,10 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigError, SolvabilityError
+from .errors import ConfigError
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, derivative_at_zero
-from .operators import BorderedSolution, Laplacian, bordered_solve
+from .operators import Laplacian, bordered_solve
 from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
@@ -55,7 +58,6 @@ __all__ = [
     "Tolerances",
     "EigenData",
     "AnalysisResult",
-    "compute_z_s",
     "classify",
     "sign_with_tolerance",
     "bifurcation_point",
@@ -125,18 +127,6 @@ class Moments:
     M_zu: float
     P_zu: float
 
-    @staticmethod
-    def of(L: Laplacian, u0: Array, z: Array) -> "Moments":
-        """The moments of node vectors u0 and z of L. A coordinate y stands
-        for m nodes of value y/sqrt(m), so with sq = u0^2 in L's coordinates
-        (y0^2/sqrt(m)) the moments are w sq.u0, w sq.sq, w sq.z and w z.u0,
-        w = L.weight."""
-        sq = u0 * u0 / L.sqrt_multiplicity
-        w = L.weight
-        return Moments(
-            I3=w * float(sq @ u0), I4=w * float(sq @ sq), M_zu=w * float(sq @ z), P_zu=w * float(z @ u0)
-        )
-
     def mu_ss(self, model: NonlinearityModel, mu_s: float) -> float:
         """Second derivative of mu(s) at s = 0, in the V_L-cancelled form."""
         g2 = derivative_at_zero(model, 2)
@@ -179,7 +169,6 @@ class Tolerances:
     newton_tol: float = 1e-10
     zero_tol: float | None = None  # None: 1e-6 * max(1, |lambda0|)
     gap_tol: float | None = None  # None: 1e-6 * lambda0
-    solvability_tol: float = 1e-8
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -194,29 +183,6 @@ class Tolerances:
 
     def resolved_gap_tol(self, lambda0: float) -> float:
         return self.gap_tol if self.gap_tol is not None else 1e-6 * abs(lambda0)
-
-
-def compute_z_s(
-    L: Laplacian,
-    u0: Array,
-    lambda0: float,
-    linear_tol: float = 1e-10,
-    solvability_tol: float = 1e-8,
-) -> BorderedSolution:
-    """Unit corrector z_hat at s = 0: solves A z_hat = 1/2 (u0^2 - I3 u0)
-    with (z_hat, u0) = 0, where A = L - lambda0 and I3 = (u0^2, u0).
-    Every model's corrector is z_s = g''(0) z_hat. u0 and z_hat are node
-    vectors of L, in whose coordinates u0^2 is y0^2/sqrt(m).
-
-    The right-hand side is kernel-orthogonal when u0 is the normalized
-    kernel vector, so the returned multiplier must be ~0; a larger value
-    signals an unconverged or unnormalized eigenpair and raises.
-    """
-    sq = u0 * u0 / L.sqrt_multiplicity
-    sol = bordered_solve(L, u0, 0.5 * (sq - L.weight * float(sq @ u0) * u0), lambda0, tol=linear_tol)
-    if abs(sol.xi) > solvability_tol:
-        raise SolvabilityError("solvability violated in the corrector solve", xi=sol.xi)
-    return sol
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
@@ -266,10 +232,10 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: in
 class EigenData:
     """The per-mesh stage: the matrix-free stencil L, which carries the
     grid, the principal pair (lambda0, u0), the bifurcation-point checks,
-    which carry lambda1, and the unit corrector z_hat with
-    Moments.of(L, u0, z_hat), whose M_zu and P_zu are M_hat and P_hat. u0
-    and z_hat are in L's half-grid coordinates; `operator.unfold` gives
-    their full-grid vectors."""
+    which carry lambda1, and the unit corrector z_hat with its moments,
+    whose M_zu and P_zu are M_hat and P_hat. u0 and z_hat are in L's
+    half-grid coordinates; `operator.unfold` gives their full-grid
+    vectors."""
 
     operator: Laplacian
     eigenpair: Eigenpair
@@ -311,18 +277,20 @@ def bifurcation_point(spec: DomainSpec, tolerances: Tolerances) -> tuple[Laplaci
 
 
 def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenData:
-    """`bifurcation_point`, then the unit corrector z_hat (the one
-    corrector solve per domain) and its moments, all on L's half grid."""
+    """`bifurcation_point`, then the unit corrector z_hat, which solves
+    A z_hat = 1/2 (u0^2 - I3 u0) with (z_hat, u0) = 0 (the one corrector
+    solve per domain), and its moments, all on L's half grid. A coordinate
+    y stands for m nodes of value y/sqrt(m), so u0^2 is sq = y0^2/sqrt(m)
+    there and the moments are w sq.u0, w sq.sq, w sq.z_hat and w z_hat.u0,
+    w = L.weight."""
     tol = tolerances or Tolerances()
     L, pair, cr = bifurcation_point(spec, tol)
-    z_hat = compute_z_s(L, pair.vector, pair.eigenvalue, tol.linear_tol, tol.solvability_tol).z
-    return EigenData(
-        operator=L,
-        eigenpair=pair,
-        cr_report=cr,
-        z_hat=z_hat,
-        moments_hat=Moments.of(L, pair.vector, z_hat),
-    )
+    u0, w = pair.vector, L.weight
+    sq = u0 * u0 / L.sqrt_multiplicity
+    I3 = w * float(sq @ u0)
+    z_hat = bordered_solve(L, u0, 0.5 * (sq - I3 * u0), pair.eigenvalue, tol=tol.linear_tol)
+    moments = Moments(I3=I3, I4=w * float(sq @ sq), M_zu=w * float(sq @ z_hat), P_zu=w * float(z_hat @ u0))
+    return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat=z_hat, moments_hat=moments)
 
 
 def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:

@@ -3,7 +3,7 @@ conversion that configuration parsing raises ConfigError from."""
 
 import numbers
 
-__all__ = ["CoexistError", "ConfigError", "ConvergenceError", "SolvabilityError"]
+__all__ = ["CoexistError", "ConfigError", "ConvergenceError"]
 
 
 class CoexistError(Exception):
@@ -25,14 +25,6 @@ class ConvergenceError(CoexistError):
         super().__init__(f"{message} (residual={residual:.3e} after {iterations} iterations)")
         self.residual = residual
         self.iterations = iterations
-
-
-class SolvabilityError(CoexistError):
-    """A constrained solve produced a kernel component larger than allowed."""
-
-    def __init__(self, message: str, xi: float):
-        super().__init__(f"{message} (kernel multiplier xi={xi:.3e})")
-        self.xi = xi
 
 
 def as_number(x, field: str, integer: bool = False) -> float | int:

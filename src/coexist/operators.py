@@ -28,10 +28,8 @@ orthogonal complement of u0, where the spectral inverse of L - sigma with
 the principal mode zeroed is exact, so the bordered solve runs CG with
 the projected operator P A, P = I - q q^T, and reads y off the q
 component of the first block row. The corrector's `bordered_solve` takes
-col = u0 and returns the unique kernel-orthogonal solution and a
-multiplier xi, the kernel component of the right-hand side, for callers to
-check solvability; each Newton step takes col = -U. Both expect u0
-normalized in the weighted pairing.
+col = u0 and returns the unique solution orthogonal to u0 of the projected
+equation; each Newton step takes col = -U.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .mesh import DomainSpec
 
 __all__ = [
     "Laplacian",
-    "BorderedSolution",
     "spectral_inverse",
     "bordered_solve",
 ]
@@ -206,15 +203,6 @@ def _stencil_eigenvalues(n: int, c: float, step: int) -> Array:
     """4c sin^2(j pi / (2(n+1))) for j = 1, 1 + step, ... up to n: the
     eigenvalues of an n-node 3-point stencil with c = 1/h^2."""
     return 4.0 * c * np.sin(np.arange(1, n + 1, step) * np.pi / (2 * (n + 1))) ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class BorderedSolution:
-    """Kernel-orthogonal solution z of A z + xi*u0 = rhs with (z, u0) = 0."""
-
-    z: Array
-    xi: float
-    residual_norm: float
 
 
 # Axes up to this many nodes apply T as a dense matrix product (one BLAS
@@ -423,34 +411,17 @@ def bordered_solve(
     rhs: Array,
     lambda0: float,
     tol: float = 1e-10,
-) -> BorderedSolution:
-    """Invert the singular operator A = L - lambda0 on the complement of u0.
-
-    Solves A z + xi*u0 = rhs with (z, u0) = 0. xi reports the component of
-    rhs along the kernel; it is NOT an error for xi to be nonzero --
-    callers needing exact solvability must test |xi|. One CG solve on the
+) -> Array:
+    """The node vector z with (z, u0) = 0 and (L - lambda0) z = P rhs, P the
+    projection off u0, the principal sine mode of L. u0 and rhs are node
+    vectors of L; a full-grid vector is a ValueError. One CG solve on the
     complement of u0, where its DST preconditioner is the exact inverse of
-    A, takes one step.
-
-    Preconditions: u0, a node vector of L (as are rhs and z), is the
-    normalized principal sine mode and A u0 ~ 0.
-    """
+    L - lambda0, takes one step."""
 
     def apply_a(v: Array) -> Array:
         return L.apply(v) - lambda0 * v
 
-    u0, rhs = np.asarray(u0, dtype=float), np.asarray(rhs, dtype=float)
-    if u0.shape != (L.n,) or rhs.shape != (L.n,):
-        raise ValueError(f"u0 and rhs need L.n = {L.n} entries each, got {u0.shape} and {rhs.shape}")
-    nrm = math.sqrt(L.weight * float(u0 @ u0))
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"u0 must be normalized, got ||u0|| = {nrm:.3e}")
-    a0 = apply_a(u0)
-    kres = math.sqrt(L.weight * float(a0 @ a0))
-    if kres > 1e-6:
-        raise ValueError(f"u0 is not a kernel vector of L - lambda0 (residual {kres:.3e})")
-
-    # oversolve by 10x so the recombined residual stays within tol
-    z, xi = solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, 0.1 * tol, 0.1 * tol)
-    res = apply_a(z) + xi * u0 - rhs
-    return BorderedSolution(z=z, xi=xi, residual_norm=math.sqrt(L.weight * float(res @ res)))
+    if np.shape(u0) != (L.n,) or np.shape(rhs) != (L.n,):
+        raise ValueError(f"u0 and rhs need L.n = {L.n} entries each, got {np.shape(u0)} and {np.shape(rhs)}")
+    # oversolve by 10x so the residual of z stays within tol
+    return solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, 0.1 * tol, 0.1 * tol)[0]

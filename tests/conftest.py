@@ -187,7 +187,7 @@ def psi3_sigma_form(grid: FullGrid, u0, z_s, eta: float) -> float:
 
 def vector_moments(grid: FullGrid, u0, z) -> Moments:
     """The moments as weighted pairings of full-grid vectors, the oracle
-    for `Moments.of`'s sums in the half-grid coordinates."""
+    for the half-grid sums of `eigendata`."""
     return Moments(
         I3=grid.dot(u0 * u0, u0),
         I4=grid.dot(u0 * u0 * u0, u0),

@@ -14,10 +14,8 @@ import pytest
 from coexist import (
     DomainSpec,
     Laplacian,
-    Moments,
     NonlinearityModel,
     Tolerances,
-    compute_z_s,
     derivative_at_zero,
     diagnose,
     eigendata,
@@ -35,6 +33,7 @@ PI = math.pi
 MU_S_PSI3 = (2 / PI) ** 1.5 * (4 / 3)  # 0.677265...
 MU_SS_PSI4 = 3 / PI  # 0.954930...
 ORDER_FLOOR = 1e-10  # errors below this are at the solver/rounding floor
+EPS = np.finfo(float).eps
 
 
 def record(num: int, label: str, failures: list) -> None:
@@ -169,16 +168,22 @@ def test_criterion_5_coexistence_side(branches):
     record(5, "co-existence side", failures)
 
 
-def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, lap400, eig400, tmp_path):
+def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_path):
     failures = []
-    pair, _ = eig400
-    u0 = lap400.unfold(pair.vector)
-
-    # solvability of the unit corrector, orthogonality of z_s across a model zoo
     eig = eigendata(spec400, Tolerances(eigen_tol=1e-11))
-    sol = compute_z_s(lap400, pair.vector, pair.eigenvalue)
-    if abs(sol.xi) > 1e-8:
-        failures.append(f"unit corrector: solvability multiplier {sol.xi} above 1e-8")
+    u0 = eig.operator.unfold(eig.eigenpair.vector)
+
+    # solvability of the unit corrector: its right-hand side 1/2 (u0^2 - I3 u0),
+    # with the pipeline's I3, has no u0 component beyond rounding, and z_hat
+    # is the exact DST solve on the full grid; orthogonality of z_s across a model zoo
+    rhs = 0.5 * (u0 * u0 - eig.moments_hat.I3 * u0)
+    kernel, rounding = abs(grid400.dot(rhs, u0)), 16 * EPS * grid400.dot(np.abs(rhs), np.abs(u0))
+    if kernel > rounding:
+        failures.append(f"unit corrector: solvability multiplier {kernel:.2e} above rounding {rounding:.2e}")
+    z_exact = grid400.spectral_solve(rhs, eig.eigenpair.eigenvalue)
+    z_err = np.linalg.norm(eig.operator.unfold(eig.z_hat) - z_exact) / np.linalg.norm(z_exact)
+    if z_err > 1e-13:
+        failures.append(f"unit corrector: relative error {z_err:.2e} against the exact DST solve above 1e-13")
     zoo = [
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -0.5),
@@ -247,8 +252,7 @@ def test_criterion_7_convergence_orders():
         errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
         mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
-        L, u0 = eig.operator, eig.eigenpair.vector
-        mu_ss = Moments.of(L, u0, np.zeros(L.n)).mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
+        mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0), Tolerances()).mu_ss
         errors["mu_ss_psi4"].append(abs(mu_ss - MU_SS_PSI4))
 
     for name, errs in errors.items():

@@ -68,6 +68,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="newton_tol"):
             load_config(write_config(tmp_path, raw))
 
+    def test_removed_solvability_tol_rejected(self, tmp_path):
+        # the corrector has no multiplier to check, so the knob is gone, not ignored
+        with pytest.raises(ConfigError, match=r"unknown tolerance fields: \['solvability_tol'\]"):
+            load_config(write_config(tmp_path, base_config()), ["tolerances.solvability_tol=1e-8"])
+
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, base_config())
         cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]", "tolerances.gap_tol=10"])
@@ -317,12 +322,15 @@ class TestTableSharesEigenStage:
 
 class TestVerify:
     def test_certifies_interval(self, tmp_path, capsys):
-        cfg = load_config(write_config(tmp_path, base_config()))
-        report, code = cmd_verify(cfg, out_dir=str(tmp_path))
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        assert "gap" in out and "transversality" in out
-        assert report["cr_report"]["kernel_dim_ok"]
+        # main prints the checks; cmd_verify itself only writes the report
+        path = write_config(tmp_path, base_config())
+        report, code = cmd_verify(load_config(path), out_dir=str(tmp_path))
+        assert code == EXIT_OK and report["cr_report"]["kernel_dim_ok"]
+        assert capsys.readouterr().out == ""
+        assert main(["verify", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["lambda0", "lambda1", "gap", "transversality"]
+        assert lines[2].endswith("(kernel_dim_ok=True)") and lines[3].endswith("(transversality_ok=True)")
 
     def test_synthetic_gap_tol_fails(self, tmp_path):
         report, code = cmd_verify(
@@ -344,13 +352,13 @@ class TestVerify:
 
     def test_solves_no_corrector(self, tmp_path, monkeypatch):
         calls = []
-        original = diagnostics.compute_z_s
+        original = diagnostics.bordered_solve
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(diagnostics, "compute_z_s", counting)
+        monkeypatch.setattr(diagnostics, "bordered_solve", counting)
         config = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
         report, code = cmd_verify(load_config(config), out_dir=str(tmp_path))
         assert code == EXIT_OK and report["cr_report"]["kernel_dim_ok"]

@@ -11,12 +11,9 @@ from coexist import (
     CoexistenceType,
     DomainSpec,
     NonlinearityModel,
-    SolvabilityError,
     ConfigError,
-    Moments,
     bordered_solve,
     classify,
-    compute_z_s,
     derivative_at_zero,
     diagnose,
     eigendata,
@@ -32,12 +29,6 @@ from conftest import BENCHMARK_POLY, FullGrid, psi3_sigma_form, vector_moments
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
 I4_EXACT = 3 / (2 * PI)  # (u0^3, u0) on (0, pi)
-
-
-@pytest.fixture(scope="module")
-def eigdata(lap400, eig400):
-    pair, _ = eig400
-    return lap400, pair
 
 
 @pytest.fixture(scope="module")
@@ -103,13 +94,11 @@ class TestMuS:
         assert _is_plus_zero(diagnose(eig, NonlinearityModel.linear(v_l), Tolerances()).mu_s)
 
 
-def test_diagnose_does_no_vector_work(eig, monkeypatch):
+def test_diagnose_does_no_vector_work(eig):
     # every model's diagnostics are arithmetic on the per-mesh moments:
-    # no moment is taken from vectors and the result holds no mesh vector
-    def no_inner_product(*args, **kwargs):
-        raise AssertionError("diagnose took an inner product")
-
-    monkeypatch.setattr(Moments, "of", staticmethod(no_inner_product))
+    # eigendata without its vectors serves, and the result holds no mesh vector
+    pair = dataclasses.replace(eig.eigenpair, vector=None)
+    eig = dataclasses.replace(eig, operator=None, eigenpair=pair, z_hat=None)
     for model in (
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -1.0),
@@ -136,13 +125,11 @@ class TestCorrector:
         assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * eig.z_hat == 0.0)
         assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss, d.moments.M_zu, d.moments.P_zu))
 
-    def test_cubic_corrector_orthogonal(self, eigdata, grid400):
-        L, pair = eigdata
-        sol = compute_z_s(L, pair.vector, pair.eigenvalue)
-        z, u0 = L.unfold(sol.z), L.unfold(pair.vector)
+    def test_cubic_corrector_orthogonal(self, eig, grid400):
+        L = eig.operator
+        z, u0 = L.unfold(eig.z_hat), L.unfold(eig.eigenpair.vector)
         assert abs(grid400.dot(z, u0)) <= 1e-10
         assert grid400.norm(z) > 1e-3  # genuinely nonzero
-        assert abs(sol.xi) <= 1e-8
 
     def test_cubic_corrector_against_dense_oracle(self):
         # z_s = g''(0) z_hat against a dense solve of the model's own
@@ -167,13 +154,6 @@ class TestCorrector:
             direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
             assert grid.norm(g2 * eig.operator.unfold(eig.z_hat) - direct[:n]) < 1e-8, spec
 
-    def test_unnormalized_eigenpair_raises_solvability(self, eigdata):
-        # within the normalization check's 1e-6, yet (u0^2 - I3 u0, u0)
-        # no longer vanishes: the multiplier exceeds solvability_tol
-        L, pair = eigdata
-        with pytest.raises(SolvabilityError):
-            compute_z_s(L, pair.vector * (1 + 5e-7), pair.eigenvalue)
-
 
 # The corrector runs on the mirror-symmetric half grid; the exact DST solve
 # on the full grid is its oracle. One axis of 6x700 is over the sine-matrix
@@ -186,6 +166,7 @@ FOLDED_CORRECTOR_SPECS = {
     "rect-96x192": DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (96, 192)),
     "rect-95x64": DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (95, 64)),
     "rect-6x700": DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (6, 700)),
+    "rect-700x6": DomainSpec("rectangle", ((0.0, 2 * PI), (0.0, PI)), (700, 6)),
 }
 
 
@@ -222,7 +203,7 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     # of its step length, exactly 1 without rounding. That rounding grows
     # with lambda_max / (lambda - lambda0): on 6 x 600..760 (lambda_max ~ 5e4)
     # it reaches 1.1e-13 on the half grid
-    m_rtol = 1e-13 if name == "rect-6x700" else 1e-14
+    m_rtol = 1e-13 if name in ("rect-6x700", "rect-700x6") else 1e-14
     assert eig.moments_hat.M_zu == pytest.approx(oracle.moments_hat.M_zu, rel=m_rtol)
     assert abs(eig.moments_hat.P_zu) <= 1e-17
 
@@ -278,11 +259,8 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
 
 
 class TestMuSS:
-    def test_quartic_closed_form(self, eigdata):
-        L, pair = eigdata
-        model = NonlinearityModel.psi_k(4, 1.0)
-        z = np.zeros(L.n)
-        mu_ss = Moments.of(L, pair.vector, z).mu_ss(model, 0.0)
+    def test_quartic_closed_form(self, eig):
+        mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0), Tolerances()).mu_ss
         assert mu_ss == pytest.approx(3 / PI, abs=1e-3)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
@@ -374,10 +352,9 @@ class TestScalingCovariance:
         assert mu_s_2 == pytest.approx(2 * mu_s_1, rel=1e-13)
         assert mu_ss_2 == pytest.approx(4 * mu_ss_1, rel=1e-9)
 
-    def test_quartic_scaling(self, eigdata):
-        L, pair = eigdata
-        z = np.zeros(L.n)
-        moments = Moments.of(L, pair.vector, z)
+    def test_quartic_scaling(self, eig):
+        # g''(0) = 0: the corrector's moments drop out
+        moments = eig.moments_hat
         m1 = moments.mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
         m2 = moments.mu_ss(NonlinearityModel.psi_k(4, 2.0), 0.0)
         assert m2 == pytest.approx(2 * m1, rel=1e-13)
@@ -512,7 +489,7 @@ class TestInteractionTable:
         u0 = lap400.unfold(pair.vector)
         mu_s = -0.5 * g2 * grid400.dot(u0**2, u0)
         rhs = mu_s * u0 + 0.5 * g2 * u0**2
-        z = lap400.unfold(bordered_solve(lap400, pair.vector, grid400.fold(rhs), pair.eigenvalue).z)
+        z = lap400.unfold(bordered_solve(lap400, pair.vector, grid400.fold(rhs), pair.eigenvalue))
         expected = -12.0 * grid400.dot(u0 * z, u0)
         assert table[0].proj3 == pytest.approx(expected, rel=1e-8)
 

@@ -31,6 +31,7 @@ MESHES = {
         MESHES["interval-3"],
         DomainSpec("interval", ((0.0, 1.0),), (17,)),
         DomainSpec("interval", ((0.0, PI),), (600,)),  # above the sine-matrix limit
+        DomainSpec("interval", ((0.0, PI),), (1201,)),  # odd; FFT length 2(n+1) = 4 * 601, 601 prime
     ],
 )
 def test_dst_matches_dense_sine_matrix_1d(spec):
@@ -52,6 +53,19 @@ def test_dst_matches_dense_sine_matrix_2d():
     u = grid.symmetric_vector(1)
     y = grid.fold(u)
     odd = (S @ u).reshape(5, 7)[::2, ::2].ravel()
+    np.testing.assert_allclose(L.transform(y), odd, rtol=0, atol=1e-14 * np.abs(u).sum())
+    np.testing.assert_allclose(L.inverse_transform(L.transform(y)), y, rtol=0, atol=1e-14 * np.abs(u).sum())
+
+
+@pytest.mark.parametrize("shape", [(6, 700), (700, 6), (6, 701)], ids=["6x700", "700x6", "6x701"])
+def test_dst_matches_dense_sine_matrix_long_axis_2d(shape):
+    # scipy.fft on one axis (first or last, even or odd), the cached matrix
+    # on the other; the oracle applies the dense sine matrix per axis
+    spec = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), shape)
+    grid, L = FullGrid(spec), Laplacian.of(spec)
+    u = grid.symmetric_vector(2)
+    y = grid.fold(u)
+    odd = grid.transform(u).reshape(shape)[::2, ::2].ravel()
     np.testing.assert_allclose(L.transform(y), odd, rtol=0, atol=1e-14 * np.abs(u).sum())
     np.testing.assert_allclose(L.inverse_transform(L.transform(y)), y, rtol=0, atol=1e-14 * np.abs(u).sum())
 
