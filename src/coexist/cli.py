@@ -37,15 +37,6 @@ EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_SOLVER = 3
 
-# fit-vs-diagnostics consistency thresholds for the trace report
-def _slope_tol(mu_s: float) -> float:
-    return max(1e-3, 0.01 * abs(mu_s))
-
-
-def _curvature_tol(mu_ss: float) -> float:
-    return max(5e-3, 0.02 * abs(mu_ss))
-
-
 @dataclass(frozen=True)
 class Outputs:
     report_path: str = "report.json"
@@ -277,7 +268,7 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     the converged points still carry the fit, EXIT_SOLVER otherwise.
     """
     analysis = run_analysis(cfg.domain, cfg.model, cfg.tolerances)
-    branch = trace_branch(analysis, sorted(cfg.s_values), newton_tol=cfg.tolerances.newton_tol)
+    branch = trace_branch(analysis, sorted(cfg.s_values))
     csv_path = _resolve(out_dir, cfg.outputs.branch_csv_path)
     write_branch_csv(csv_path, branch, analysis.operator)
 
@@ -290,14 +281,15 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     }
     if branch.fit is not None:
         a, b = branch.fit.a, branch.fit.b
+        a_tol, twob_tol = cfg.tolerances.resolved_a_tol(d.mu_s), cfg.tolerances.resolved_twob_tol(d.mu_ss)
         branch_block["fit"] = branch.fit.to_dict()
         branch_block["consistency"] = {
             "a_minus_mu_s": a - d.mu_s,
-            "a_tol": _slope_tol(d.mu_s),
-            "a_ok": abs(a - d.mu_s) <= _slope_tol(d.mu_s),
+            "a_tol": a_tol,
+            "a_ok": abs(a - d.mu_s) <= a_tol,
             "twob_minus_mu_ss": 2 * b - d.mu_ss,
-            "twob_tol": _curvature_tol(d.mu_ss),
-            "twob_ok": abs(2 * b - d.mu_ss) <= _curvature_tol(d.mu_ss),
+            "twob_tol": twob_tol,
+            "twob_ok": abs(2 * b - d.mu_ss) <= twob_tol,
         }
     report["branch"] = branch_block
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
@@ -313,12 +305,14 @@ def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
-    """The bifurcation-point checks only; no corrector solve."""
+    """The bifurcation-point checks only; no corrector solve. Exits on
+    kernel_dim_ok, the one certificate: the transversality value is an
+    identity."""
     _, _, cr = bifurcation_point(cfg.domain, cfg.tolerances)
     report = _base_report(cfg)
     report["cr_report"] = cr.to_dict()
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
-    return report, EXIT_OK if cr.bifurcation_point_certified else EXIT_VERIFY
+    return report, EXIT_OK if cr.kernel_dim_ok else EXIT_VERIFY
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,9 +361,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"lambda0          = {cr['lambda0']:.12g}")
         print(f"lambda1          = {cr['lambda1']:.12g}")
         print(f"gap              = {cr['gap']:.12g}  (kernel_dim_ok={cr['kernel_dim_ok']})")
-        print(
-            f"transversality   = {cr['transversality_value']:.12g}  (transversality_ok={cr['transversality_ok']})"
-        )
+        print(f"transversality   = {cr['transversality_value']:.12g}  (identity: -(u0, u0) = -1)")
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

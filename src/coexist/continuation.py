@@ -18,7 +18,7 @@ lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
 g''(0)*z_hat, the corrector the analysis already solved, and c =
 1/2*mu_ss; every later point takes w and c from its converged inward
 neighbour. The guess is then accurate to the branch's own order, and one
-Newton step reaches newton_tol.
+Newton step reaches the analysis's `Tolerances.newton_tol`.
 
 The problem commutes with the reflection of each axis and u0 is
 invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
@@ -123,7 +123,7 @@ def solve_at_amplitude(
     L: Laplacian,
     u0: Array,
     guess: tuple[Array, float],
-    newton_tol: float = 1e-10,
+    newton_tol: float,
     max_iters: int = 25,
 ) -> BranchPoint:
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess = (U, lambda),
@@ -174,12 +174,7 @@ def solve_at_amplitude(
     return BranchPoint(s=float(s), lam=lam, U=U, residual=res, newton_iters=iters)
 
 
-def trace_branch(
-    analysis: AnalysisResult,
-    s_values,
-    newton_tol: float = 1e-10,
-    max_iters: int = 25,
-) -> Branch:
+def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Branch:
     """Solve along the given amplitudes for the analysis's model and domain,
     outward from s = 0 on each side, each point from the second-order
     predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c. Each
@@ -190,7 +185,7 @@ def trace_branch(
     Newton runs on the mirror-symmetric subspace, where the branch lies:
     on `analysis.operator`'s half grid, which u0 and z_hat are already on.
     Each converged U is unfolded once, so every BranchPoint.U is a
-    full-grid vector.
+    full-grid vector. Newton stops at `analysis.tolerances.newton_tol`.
 
     A diverged point truncates its side of the branch; the event is
     recorded on the Branch rather than raised.
@@ -205,6 +200,7 @@ def trace_branch(
     lambda0 = analysis.eigenpair.eigenvalue
     d = analysis.diagnostics
     L, u0 = analysis.operator, analysis.eigenpair.vector
+    newton_tol = analysis.tolerances.newton_tol
 
     points: list[BranchPoint] = []
     truncations: list[str] = []
@@ -216,9 +212,7 @@ def trace_branch(
         for s in leg:
             predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
             try:
-                pt = solve_at_amplitude(
-                    s, model, L, u0, predicted, newton_tol=newton_tol, max_iters=max_iters
-                )
+                pt = solve_at_amplitude(s, model, L, u0, predicted, newton_tol, max_iters)
             except ConvergenceError as exc:
                 truncations.append(f"branch truncated at s={s:g}: {exc}")
                 break

@@ -32,6 +32,12 @@ sums, and z_hat and the moments never leave the half grid.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
+
+`Tolerances` is the one tolerance policy: every threshold that decides
+"zero", "certified" or "consistent" resolves there, and no other function
+gives a tolerance a default. `AnalysisResult` carries the Tolerances it ran
+under. The transversality value -(u0, u0) is -1 for the normalized u0, an
+identity that is reported and not tested; the gap is the certificate.
 """
 
 from __future__ import annotations
@@ -162,10 +168,12 @@ class BifurcationDiagnostics:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Solver and classification tolerances used by the pipeline."""
+    """Every threshold the pipeline judges by: the eigen certificate, Newton's
+    stop on ||F||, the sign pair's zero band, the kernel gap, and the trace's
+    fit bounds (methods, not fields). Solver-internal targets, such as CG's
+    stall window or the corrector's CG target, stay next to their solvers."""
 
     eigen_tol: float = 1e-10
-    linear_tol: float = 1e-10
     newton_tol: float = 1e-10
     zero_tol: float | None = None  # None: 1e-6 * max(1, |lambda0|)
     gap_tol: float | None = None  # None: 1e-6 * lambda0
@@ -183,6 +191,14 @@ class Tolerances:
 
     def resolved_gap_tol(self, lambda0: float) -> float:
         return self.gap_tol if self.gap_tol is not None else 1e-6 * abs(lambda0)
+
+    def resolved_a_tol(self, mu_s: float) -> float:
+        """Bound on |a - mu_s|, the traced fit's slope against mu_s(0)."""
+        return max(1e-3, 0.01 * abs(mu_s))
+
+    def resolved_twob_tol(self, mu_ss: float) -> float:
+        """Bound on |2b - mu_ss|, the traced fit's curvature against mu_ss(0)."""
+        return max(5e-3, 0.02 * abs(mu_ss))
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
@@ -246,10 +262,12 @@ class EigenData:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult(EigenData):
-    """Everything the pipeline computes for one (domain, model) pair."""
+    """Everything the pipeline computes for one (domain, model) pair, and
+    the tolerances it ran under, which `trace_branch` reads too."""
 
     model: NonlinearityModel
     diagnostics: BifurcationDiagnostics
+    tolerances: Tolerances
 
     @property
     def m_at_bifurcation(self) -> float:
@@ -264,7 +282,7 @@ def bifurcation_point(spec: DomainSpec, tolerances: Tolerances) -> tuple[Laplaci
     bifurcation point."""
     L = Laplacian.of(spec)
     tolerances.validate()
-    pair = principal_eigenpair(L, tol=tolerances.eigen_tol)
+    pair = principal_eigenpair(L, tolerances.eigen_tol)
     d = len(L.shape)
     cr = verify_crandall_rabinowitz(
         pair.eigenvalue,
@@ -283,12 +301,11 @@ def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenDa
     y stands for m nodes of value y/sqrt(m), so u0^2 is sq = y0^2/sqrt(m)
     there and the moments are w sq.u0, w sq.sq, w sq.z_hat and w z_hat.u0,
     w = L.weight."""
-    tol = tolerances or Tolerances()
-    L, pair, cr = bifurcation_point(spec, tol)
+    L, pair, cr = bifurcation_point(spec, tolerances or Tolerances())
     u0, w = pair.vector, L.weight
     sq = u0 * u0 / L.sqrt_multiplicity
     I3 = w * float(sq @ u0)
-    z_hat = bordered_solve(L, u0, 0.5 * (sq - I3 * u0), pair.eigenvalue, tol=tol.linear_tol)
+    z_hat = bordered_solve(L, u0, 0.5 * (sq - I3 * u0), pair.eigenvalue)
     moments = Moments(I3=I3, I4=w * float(sq @ sq), M_zu=w * float(sq @ z_hat), P_zu=w * float(z_hat @ u0))
     return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat=z_hat, moments_hat=moments)
 
@@ -341,7 +358,7 @@ def run_analysis(
     """Full pipeline: eigendata, then diagnose."""
     tol = tolerances or Tolerances()
     eig = eigendata(spec, tol)
-    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model, tol))
+    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model, tol), tolerances=tol)
 
 
 @dataclass(frozen=True)

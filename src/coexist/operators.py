@@ -28,8 +28,9 @@ orthogonal complement of u0, where the spectral inverse of L - sigma with
 the principal mode zeroed is exact, so the bordered solve runs CG with
 the projected operator P A, P = I - q q^T, and reads y off the q
 component of the first block row. The corrector's `bordered_solve` takes
-col = u0 and returns the unique solution orthogonal to u0 of the projected
-equation; each Newton step takes col = -U.
+col = u0, which needs no y, and returns the unique solution orthogonal to
+u0 of the projected equation at a fixed CG target; each Newton step takes
+col = -U.
 """
 
 from __future__ import annotations
@@ -105,18 +106,16 @@ class Laplacian:
     @cached_property
     def eigenvalues(self) -> Array:
         """The eigenvalues of L in `transform`'s coefficient order, principal
-        first: sums over the axes of 4/h^2 sin^2(j pi / (2(n+1))), the
-        eigenvalues of each axis's 3-point stencil, for the odd modes
-        j = 1, 3, .... Read-only."""
-        axes = [_stencil_eigenvalues(n, c, 2) for n, c in zip(self.shape, self.inv_h2)]
-        ev = reduce(np.add.outer, axes).ravel()
+        first: sums over the axes of the odd entries j = 1, 3, ... of
+        `axis_eigenvalues`, the odd modes. Read-only."""
+        ev = reduce(np.add.outer, [axis[::2] for axis in self.axis_eigenvalues]).ravel()
         ev.flags.writeable = False
         return ev
 
     @cached_property
     def axis_eigenvalues(self) -> tuple[Array, ...]:
         """Each axis's full-grid 3-point stencil eigenvalues, j = 1..n."""
-        return tuple(_stencil_eigenvalues(n, c, 1) for n, c in zip(self.shape, self.inv_h2))
+        return tuple(_stencil_eigenvalues(n, c) for n, c in zip(self.shape, self.inv_h2))
 
     def axis_apply(self, axis: int, v: Array) -> Array:
         """One axis's full-grid 3-point stencil applied to a vector of its n
@@ -199,10 +198,10 @@ class Laplacian:
         return flat
 
 
-def _stencil_eigenvalues(n: int, c: float, step: int) -> Array:
-    """4c sin^2(j pi / (2(n+1))) for j = 1, 1 + step, ... up to n: the
-    eigenvalues of an n-node 3-point stencil with c = 1/h^2."""
-    return 4.0 * c * np.sin(np.arange(1, n + 1, step) * np.pi / (2 * (n + 1))) ** 2
+def _stencil_eigenvalues(n: int, c: float) -> Array:
+    """4c sin^2(j pi / (2(n+1))) for j = 1..n: the eigenvalues of an n-node
+    3-point stencil with c = 1/h^2."""
+    return 4.0 * c * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
 
 
 # Axes up to this many nodes apply T as a dense matrix product (one BLAS
@@ -367,7 +366,7 @@ def solve_bordered_system(
     sigma: float,
     rtol: float,
     atol: float,
-) -> tuple[Array, float]:
+) -> tuple[Array, float | None]:
     """Solve the bordered system  [ A    col ] [x]   [f]
                                   [ q^T   0  ] [y] = [0]
     for x orthogonal to q = near_kernel/||near_kernel||, where A (given as
@@ -379,9 +378,10 @@ def solve_bordered_system(
     L - sigma on the complement of q, solves P A v1 = P f and, unless col
     is the near-kernel object itself, P A v2 = P col; P A is SPD on that
     complement whenever A is positive there. The q component of the first
-    block row gives y, using (q, A v) = (A q, v), and x = v1 - y v2. Each
-    CG solve targets ||r|| <= max(rtol*||b||, atol) within max(2000, 4n)
-    iterations.
+    block row gives y, using (q, A v) = (A q, v), and x = v1 - y v2. When
+    col is the near-kernel object, x = v1 whatever y is, so neither A q nor
+    y is formed and y comes back as None. Each CG solve targets
+    ||r|| <= max(rtol*||b||, atol) within max(2000, 4n) iterations.
     """
     q = near_kernel / np.sqrt(near_kernel @ near_kernel)
     precondition = spectral_inverse(L, sigma)
@@ -398,20 +398,21 @@ def solve_bordered_system(
             raise ConvergenceError(f"bordered solve stalled on the {label} system", resid, iters)
         return x
 
-    aq = apply_op(q)
     v1 = solve(project(f), "rhs")
-    v2 = np.zeros_like(v1) if col is near_kernel else solve(project(col), "border")
+    if col is near_kernel:
+        return v1, None
+    aq = apply_op(q)
+    v2 = solve(project(col), "border")
     y = (q @ f - aq @ v1) / (q @ col - aq @ v2)
     return v1 - y * v2, float(y)
 
 
-def bordered_solve(
-    L: Laplacian,
-    u0: Array,
-    rhs: Array,
-    lambda0: float,
-    tol: float = 1e-10,
-) -> Array:
+# rtol and atol of the corrector's CG: a tenth of 1e-10, so the residual of
+# z stays within 1e-10
+_CORRECTOR_TOL = 0.1 * 1e-10
+
+
+def bordered_solve(L: Laplacian, u0: Array, rhs: Array, lambda0: float) -> Array:
     """The node vector z with (z, u0) = 0 and (L - lambda0) z = P rhs, P the
     projection off u0, the principal sine mode of L. u0 and rhs are node
     vectors of L; a full-grid vector is a ValueError. One CG solve on the
@@ -423,5 +424,4 @@ def bordered_solve(
 
     if np.shape(u0) != (L.n,) or np.shape(rhs) != (L.n,):
         raise ValueError(f"u0 and rhs need L.n = {L.n} entries each, got {np.shape(u0)} and {np.shape(rhs)}")
-    # oversolve by 10x so the residual of z stays within tol
-    return solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, 0.1 * tol, 0.1 * tol)[0]
+    return solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, _CORRECTOR_TOL, _CORRECTOR_TOL)[0]

@@ -46,9 +46,10 @@ class Eigenpair:
 class CRReport:
     """Outcome of the simple-eigenvalue bifurcation-point checks.
 
-    kernel_dim_ok certifies a one-dimensional kernel through the
-    spectral gap; transversality_value is the kernel projection of the
-    mixed derivative, which equals -(u0, u0) = -1 under normalization.
+    kernel_dim_ok certifies a one-dimensional kernel through the spectral
+    gap, and is the certificate. transversality_value is the kernel
+    projection of the mixed derivative, -(u0, u0), reported as the
+    identity it is: -1 for the normalized u0, so it is not a check.
     """
 
     lambda0: float
@@ -56,17 +57,12 @@ class CRReport:
     gap: float
     kernel_dim_ok: bool
     transversality_value: float
-    transversality_ok: bool
-
-    @property
-    def bifurcation_point_certified(self) -> bool:
-        return self.kernel_dim_ok and self.transversality_ok
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def principal_eigenpair(L: Laplacian, tol: float = 1e-10) -> Eigenpair:
+def principal_eigenpair(L: Laplacian, tol: float) -> Eigenpair:
     """Smallest eigenvalue of L and its positive, normalized eigenfunction:
     the sine mode prod_a sin(pi (x_a - lo_a) / len_a), a node vector of L.
     Raises ConvergenceError when its residual against the stencil exceeds
@@ -102,24 +98,21 @@ def verify_crandall_rabinowitz(
     u0: Array,
     L: Laplacian,
     gap_tol: float,
-    trans_tol: float = 1e-6,
 ) -> CRReport:
-    """Check the three bifurcation-point conditions at (lambda0, 0).
+    """Check the bifurcation-point conditions at (lambda0, 0).
 
     Kernel dimension one is certified by the gap lambda1 - lambda0
     exceeding gap_tol (`Tolerances.resolved_gap_tol`). The transversality
-    value is the kernel projection of the mixed derivative applied to u0,
-    i.e. -(u0, u0), which must be bounded away from zero; u0 is a node
-    vector of L.
+    value, the kernel projection of the mixed derivative applied to u0, is
+    -(u0, u0): -1 for the normalized u0, a node vector of L, so it is
+    reported and never tested.
     """
     gap = lambda1 - lambda0
     u0 = np.asarray(u0, dtype=float)
-    trans = -L.weight * float(u0 @ u0)
     return CRReport(
         lambda0=lambda0,
         lambda1=lambda1,
         gap=gap,
         kernel_dim_ok=bool(gap > gap_tol),
-        transversality_value=trans,
-        transversality_ok=bool(abs(trans) > trans_tol),
+        transversality_value=-L.weight * float(u0 @ u0),
     )

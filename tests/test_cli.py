@@ -69,9 +69,12 @@ class TestConfig:
             load_config(write_config(tmp_path, raw))
 
     def test_removed_solvability_tol_rejected(self, tmp_path):
-        # the corrector has no multiplier to check, so the knob is gone, not ignored
-        with pytest.raises(ConfigError, match=r"unknown tolerance fields: \['solvability_tol'\]"):
-            load_config(write_config(tmp_path, base_config()), ["tolerances.solvability_tol=1e-8"])
+        # the corrector has no multiplier to check and keeps its own CG
+        # target, so both knobs are gone, not ignored
+        path = write_config(tmp_path, base_config())
+        for name, value in (("solvability_tol", "1e-8"), ("linear_tol", "1e-10")):
+            with pytest.raises(ConfigError, match=rf"unknown tolerance fields: \['{name}'\]"):
+                load_config(path, [f"tolerances.{name}={value}"])
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -330,7 +333,8 @@ class TestVerify:
         assert main(["verify", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["lambda0", "lambda1", "gap", "transversality"]
-        assert lines[2].endswith("(kernel_dim_ok=True)") and lines[3].endswith("(transversality_ok=True)")
+        assert lines[2].endswith("(kernel_dim_ok=True)") and lines[3].endswith("(identity: -(u0, u0) = -1)")
+        assert "transversality_ok" not in report["cr_report"]
 
     def test_synthetic_gap_tol_fails(self, tmp_path):
         report, code = cmd_verify(
@@ -403,6 +407,17 @@ class TestMain:
         raw["domain"]["resolution"] = [2]
         path = write_config(tmp_path, raw)
         assert main(["analyze", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("value", ["10", "1e-10", "1e-20", "abc"])
+    def test_removed_linear_tol_exit_one(self, tmp_path, capsys, value):
+        # a corrector CG target above ||rhs|| returns CG's zero start, a wrong
+        # type with exit 0, so the corrector keeps its own target: no knob
+        config = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
+        override = f"tolerances.linear_tol={value}"
+        code = main(["analyze", "--config", str(config), "--out-dir", str(tmp_path), "--override", override])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown tolerance fields: ['linear_tol']" in captured.err
 
     def test_verify_failure_exit_two(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from coexist import (
     CoexistenceSide,
     CoexistenceType,
     DomainSpec,
+    Laplacian,
     NonlinearityModel,
     ConfigError,
     bordered_solve,
@@ -257,6 +260,48 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
         lambda: cmd_verify(cfg, out_dir=str(tmp_path)),
     ):
         assert full_grid_arrays(run, math.prod(spec.resolution)) == []
+
+
+@pytest.mark.parametrize(
+    "spec, applications",
+    [
+        (FOLDED_CORRECTOR_SPECS["interval-400"], 1),
+        (DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (256, 256)), 1),
+        (FOLDED_CORRECTOR_SPECS["rect-6x700"], 1),
+        (DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (512, 512)), 2),
+    ],
+    ids=["interval-400", "square-256", "rect-6x700", "rect-512x512"],
+)
+def test_corrector_applies_the_stencil_once_per_cg_step(spec, applications, monkeypatch):
+    # the corrector's bordered solve forms neither A q nor the multiplier it
+    # would not read; its CG takes one step, two at 512^2
+    calls = []
+    apply = Laplacian.apply
+
+    def counting(self, v):
+        calls.append(1)
+        return apply(self, v)
+
+    monkeypatch.setattr(Laplacian, "apply", counting)
+    eigendata(spec)
+    assert len(calls) == applications
+
+
+def test_tolerances_is_the_one_tolerance_policy():
+    # every threshold resolves in Tolerances: no function in the package
+    # gives a tolerance parameter a default of its own
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eigen_tol", "newton_tol", "zero_tol", "gap_tol"]
+    offenders = []
+    for path in sorted(Path(coexist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            offenders += [f"{path.name}:{node.lineno} {a.arg}" for a in defaulted if a.arg.endswith("tol")]
+    assert offenders == []
 
 
 class TestMuSS:

@@ -149,14 +149,14 @@ def kernel_setup(lap400, eig400):
 
 def test_bordered_zero_rhs(kernel_setup):
     L, u0, lam0 = kernel_setup
-    z = bordered_solve(L, u0, np.zeros(L.n), lam0, tol=1e-10)
+    z = bordered_solve(L, u0, np.zeros(L.n), lam0)
     assert np.all(z == 0.0)
 
 
 def test_bordered_pure_kernel_rhs(kernel_setup):
     # the projection off u0 leaves nothing to solve for
     L, u0, lam0 = kernel_setup
-    z = bordered_solve(L, u0, u0.copy(), lam0, tol=1e-10)
+    z = bordered_solve(L, u0, u0.copy(), lam0)
     assert norm(L, z) < 1e-8
 
 
@@ -169,7 +169,7 @@ def test_bordered_solvable_rhs_cubic_interaction(kernel_setup, grid400):
     mu_s = eta * grid400.dot(u * u, u)
     rhs = mu_s * u - eta * u * u
     assert abs(grid400.dot(rhs, u)) < 1e-12  # quadrature oracle
-    z = bordered_solve(L, u0, grid400.fold(rhs), lam0, tol=1e-10)
+    z = bordered_solve(L, u0, grid400.fold(rhs), lam0)
     assert abs(L.weight * float(z @ u0)) <= 1e-10
     z = L.unfold(z)
     assert grid400.norm(grid400.apply(z) - lam0 * z - rhs) <= 1e-10 * max(1.0, grid400.norm(rhs))
@@ -191,7 +191,7 @@ def test_bordered_against_dense_saddle_oracle():
     K[:n, n] = u0
     K[n, :n] = grid.weight * u0
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-    z = bordered_solve(L, pair.vector, grid.fold(rhs), pair.eigenvalue, tol=1e-11)
+    z = bordered_solve(L, pair.vector, grid.fold(rhs), pair.eigenvalue)
     assert grid.norm(L.unfold(z) - direct[:n]) < 1e-8
 
 
@@ -222,7 +222,7 @@ def test_folded_bordered_solve_matches_full_grid(spec):
     # rhs = u0^2 is mirror-symmetric with kernel component (u0^2, u0), which
     # the projection drops; the oracle is the exact DST solve on the full grid
     grid, L = FullGrid(spec), Laplacian.of(spec)
-    pair = principal_eigenpair(L)
+    pair = principal_eigenpair(L, tol=1e-10)
     y0 = pair.vector
     u0 = L.unfold(y0)
     z_oracle = grid.spectral_solve(u0 * u0, pair.eigenvalue)
