@@ -212,7 +212,8 @@ def _resolve(out_dir: str | None, path: str) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    # compact: an indent would select json's pure-Python encoder
+    path.write_text(json.dumps(payload) + "\n")
 
 
 def _fmt(x: float) -> str:

@@ -15,10 +15,10 @@ diagonalises the full-grid stencil exactly (Buzbee, Golub and Nielson
 1970; Swarztrauber 1977); on the half grid its odd-mode half T per axis
 does, and L carries the odd-mode eigenvalues in T's coefficient order.
 Along an axis of at most 512 nodes T is one BLAS product with a cached
-dense matrix; longer axes use scipy.fft.dst, the package's only use of
-scipy. L also keeps each axis's full-grid 3-point stencil and eigenvalues,
-from which the principal pair and lambda1 are built and certified per axis
-with no grid vector; `unfold` gives the full-grid vector of a result.
+dense matrix; longer axes take the DST-I from numpy's real FFT. L also
+keeps each axis's full-grid 3-point stencil and eigenvalues, from which
+the principal pair and lambda1 are built and certified per axis with no
+grid vector; `unfold` gives the full-grid vector of a result.
 
 Two solvers live here: preconditioned conjugate gradients for SPD
 systems, and one bordered form [A col; q^T 0][x; y] = [f; 0] for
@@ -205,9 +205,9 @@ def _stencil_eigenvalues(n: int, c: float) -> Array:
 
 
 # Axes up to this many nodes apply T as a dense matrix product (one BLAS
-# GEMM or GEMV); longer axes use scipy's FFT. With one BLAS thread the two
-# cost the same near n = 500 in 1-D and 2-D, while the FFT length 2(n+1)
-# often has a large prime factor and falls to Bluestein passes.
+# GEMM or GEMV); longer axes use the FFT. With one BLAS thread the dense T
+# is faster up to about 800 nodes, but at 800 the 6 x 700 corrector would
+# move to it, and from 2e-14 to 1e-13 away from the full-grid solve.
 _SINE_MATRIX_MAX_N = 512
 
 
@@ -261,8 +261,7 @@ def _sine_transform(L: Laplacian, v: Array, inverse: bool) -> Array:
     """L.transform, or L.inverse_transform when inverse. Each axis of at
     most _SINE_MATRIX_MAX_N nodes takes one product with its cached T,
     forward, or T^T back: x @ T^T (x @ T) on the last axis and T @ x
-    (T^T @ x) on the first axis of a 2-D grid. Longer axes call
-    scipy.fft.dst."""
+    (T^T @ x) on the first axis of a 2-D grid. Longer axes take the FFT."""
     x = np.asarray(v).reshape(L.grid)
     for axis, n in enumerate(L.shape):
         if n > _SINE_MATRIX_MAX_N:
@@ -278,19 +277,23 @@ def _fft_sine_transform(x: Array, axis: int, n: int, inverse: bool) -> Array:
     """T or T^T along one long axis: unfold it and keep the odd modes of its
     DST-I, or put the odd modes into the full coefficient vector and fold
     the DST-I of that."""
-    # imported here: scipy.fft adds about 0.2 s and 7 MB to start-up
-    # and no axis within the sine-matrix limit needs it
-    import scipy.fft
-
-    def dst(a: Array) -> Array:
-        return scipy.fft.dst(a, type=1, norm="ortho", axis=axis)
-
     odd = (slice(None),) * axis + (slice(None, None, 2),)
     if not inverse:
-        return dst(_unfold_axis(x, axis, n))[odd]
+        return _dst1(_unfold_axis(x, axis, n), axis)[odd]
     modes = np.zeros(x.shape[:axis] + (n,) + x.shape[axis + 1 :])
     modes[odd] = x
-    return _fold_axis(dst(modes), axis, n)
+    return _fold_axis(_dst1(modes, axis), axis, n)
+
+
+def _dst1(a: Array, axis: int) -> Array:
+    """The orthonormal DST-I along axis, its own inverse: the imaginary
+    part of bins 1..n of the real FFT of the odd extension
+    [0, a, 0, -a reversed], times -sqrt(1/(2(n+1)))."""
+    n = a.shape[axis]
+    zero = np.zeros(a.shape[:axis] + (1,) + a.shape[axis + 1 :])
+    extension = np.concatenate([zero, a, zero, -np.flip(a, axis)], axis=axis)
+    bins = (slice(None),) * axis + (slice(1, n + 1),)
+    return np.fft.rfft(extension, axis=axis)[bins].imag * -math.sqrt(0.5 / (n + 1))
 
 
 def spectral_inverse(L: Laplacian, sigma: float) -> MatVec:
@@ -315,9 +318,10 @@ def _cg(
     """Conjugate gradients for SPD matvec, preconditioned by an SPD
     approximate inverse; stops at ||r|| <= max(rtol*||b||, atol).
 
-    Returns (x, achieved absolute residual, iterations). If the target is
-    below the rounding floor the best iterate seen is returned once the
-    residual stops improving; callers decide whether that is an error.
+    Returns (x, achieved absolute residual, iterations). Raises
+    ConvergenceError, with the best residual seen and the iterations spent,
+    after max_iter iterations or once the residual has not improved for a
+    stall window (a target below the rounding floor).
     """
     target = max(rtol * float(np.sqrt(b @ b)), atol)
     x = np.zeros_like(b)
@@ -329,8 +333,9 @@ def _cg(
     z = precondition(r)
     rz = float(r @ z)
     p = z
-    best_x, best_rr, best_k = x.copy(), rr, 0
-    for k in range(1, max_iter + 1):
+    best_rr, best_k, k = rr, 0, 0
+    while k < max_iter and k - best_k <= stall_window:
+        k += 1
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
@@ -346,15 +351,12 @@ def _cg(
         if np.sqrt(rr) <= target:
             return x, float(np.sqrt(rr)), k
         if rr < best_rr:
-            best_x, best_rr, best_k = x.copy(), rr, k
-        elif k - best_k > stall_window:
-            # rounding floor reached; return the best iterate seen
-            return best_x, float(np.sqrt(best_rr)), k
+            best_rr, best_k = rr, k
         z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return best_x, float(np.sqrt(best_rr)), max_iter
+    raise ConvergenceError("conjugate gradients stopped short of their target", float(np.sqrt(best_rr)), k)
 
 
 def solve_bordered_system(
@@ -381,7 +383,8 @@ def solve_bordered_system(
     block row gives y, using (q, A v) = (A q, v), and x = v1 - y v2. When
     col is the near-kernel object, x = v1 whatever y is, so neither A q nor
     y is formed and y comes back as None. Each CG solve targets
-    ||r|| <= max(rtol*||b||, atol) within max(2000, 4n) iterations.
+    ||r|| <= max(rtol*||b||, atol) within max(2000, 4n) iterations, and
+    one that stops short raises ConvergenceError.
     """
     q = near_kernel / np.sqrt(near_kernel @ near_kernel)
     precondition = spectral_inverse(L, sigma)
@@ -390,19 +393,14 @@ def solve_bordered_system(
     def project(v: Array) -> Array:
         return v - (q @ v) * q
 
-    def solve(b: Array, label: str) -> Array:
-        x, resid, iters = _cg(
-            lambda v: project(apply_op(v)), b, precondition, rtol=rtol, atol=atol, max_iter=max_iter
-        )
-        if resid > max(rtol * float(np.sqrt(b @ b)), atol):
-            raise ConvergenceError(f"bordered solve stalled on the {label} system", resid, iters)
-        return x
+    def solve(b: Array) -> Array:
+        return _cg(lambda v: project(apply_op(v)), b, precondition, rtol=rtol, atol=atol, max_iter=max_iter)[0]
 
-    v1 = solve(project(f), "rhs")
+    v1 = solve(project(f))
     if col is near_kernel:
         return v1, None
     aq = apply_op(q)
-    v2 = solve(project(col), "border")
+    v2 = solve(project(col))
     y = (q @ f - aq @ v1) / (q @ col - aq @ v2)
     return v1 - y * v2, float(y)
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import subprocess
@@ -453,17 +454,28 @@ class TestMain:
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # scipy backs only the DST of axes over 512 nodes; importing the CLI and
-    # analysing and tracing a 64^2 square must not load any of it
+    # numpy is the package's only runtime dependency: importing the CLI and
+    # analysing, tracing and tabulating a 64^2 square and, through the FFT
+    # branch, a long last, first and only axis must not load any scipy module
+    domains = [
+        {"kind": "rectangle", "bounds": [[0, PI], [0, PI]], "resolution": [64, 64]},
+        {"kind": "rectangle", "bounds": [[0, PI], [0, 2 * PI]], "resolution": [6, 700]},
+        {"kind": "rectangle", "bounds": [[0, 2 * PI], [0, PI]], "resolution": [700, 6]},
+        {"kind": "interval", "bounds": [[0, PI]], "resolution": [2000]},
+    ]
     script = f"""
 import sys
 import coexist.cli as cli
-cfg = cli.RunConfig.from_dict({{
-    "domain": {{"kind": "rectangle", "bounds": [[0, 3.14159], [0, 3.14159]], "resolution": [64, 64]}},
-    "model": {{"kind": "psi_k", "k": 3, "eta": 1.0}},
-}})
-cli.cmd_analyze(cfg, {str(tmp_path)!r})
-assert cli.cmd_trace(cfg, {str(tmp_path)!r})[1] == cli.EXIT_OK
+for domain in {domains!r}:
+    cfg = cli.RunConfig.from_dict({{
+        "domain": domain,
+        "model": {{"kind": "psi_k", "k": 3, "eta": 1.0}},
+        # the 2000-node interval's certificate rounds above the default (ROADMAP.md item 4)
+        "tolerances": {{"eigen_tol": 1e-7}},
+    }})
+    cli.cmd_analyze(cfg, {str(tmp_path)!r})
+    assert cli.cmd_trace(cfg, {str(tmp_path)!r})[1] == cli.EXIT_OK
+    cli.cmd_table(cfg, {str(tmp_path)!r})
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(coexist.__file__).resolve().parent.parent)
@@ -471,3 +483,18 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
         [sys.executable, "-c", script], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_imports_no_scipy():
+    # no import of scipy anywhere in the package, at module level or inside a function
+    offenders = []
+    for path in sorted(Path(coexist.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert offenders == []

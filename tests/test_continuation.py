@@ -279,7 +279,7 @@ class TestFoldedTrace:
             pytest.param(RECT, (96, 192), 4, -1.0, id="rect-96x192"),
             pytest.param(RECT[::-1], (192, 96), 3, -1.0, id="rect-192x96"),
             pytest.param(RECT, (95, 64), 3, 1.0, id="rect-95x64"),
-            # the long axis runs the scipy.fft branch of the transforms
+            # the long axis runs the FFT branch of the transforms
             pytest.param(RECT, (6, 700), 3, 1.0, id="rect-6x700"),
         ],
     )

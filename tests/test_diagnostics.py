@@ -161,7 +161,7 @@ class TestCorrector:
 # The corrector runs on the mirror-symmetric half grid; the exact DST solve
 # on the full grid is its oracle. One axis of 6x700 (the last) and of 700x6
 # (the first) is over the sine-matrix limit, so its half-grid transform
-# calls scipy.fft.
+# takes the FFT branch.
 FOLDED_CORRECTOR_SPECS = {
     "interval-400": DomainSpec("interval", ((0.0, PI),), (400,)),
     "interval-401": DomainSpec("interval", ((0.0, PI),), (401,)),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, bordered_solve, principal_eigenpair
-from coexist.operators import _cg
+from coexist import ConvergenceError, DomainSpec, Laplacian, bordered_solve, principal_eigenpair
+from coexist.operators import _cg, spectral_inverse
 
 from conftest import FullGrid, dense, weighted_norm as norm
 
@@ -132,13 +132,23 @@ def test_solve_spd_sine_eigenvector(lap400, grid400):
 
 
 def test_solve_spd_nonconvergence_error(lap400):
-    # an exhausted budget returns the best iterate, its residual and the
-    # budget spent; callers decide whether that is an error
+    # an exhausted budget raises, carrying the best residual and the budget spent
     b = np.ones(lap400.n)
-    x, resid, iters = _cg(lap400.apply, b, identity, rtol=1e-14, atol=1e-14, max_iter=3)
-    assert resid > 1e-14 * np.linalg.norm(b)
-    assert resid == pytest.approx(np.linalg.norm(lap400.apply(x) - b), rel=1e-6)
-    assert iters == 3
+    with pytest.raises(ConvergenceError, match="stopped short") as err:
+        _cg(lap400.apply, b, identity, rtol=1e-14, atol=1e-14, max_iter=3)
+    assert 1e-14 * np.linalg.norm(b) < err.value.residual <= np.linalg.norm(b)
+    assert err.value.iterations == 3
+
+
+def test_solve_spd_stall_error(lap400):
+    # a preconditioner that zeroes the principal mode never reduces the
+    # residual's component along it: once the residual has not improved for
+    # a stall window of max(200, n) iterations, CG raises long before max_iter
+    b = np.ones(lap400.n)
+    with pytest.raises(ConvergenceError, match="stopped short") as err:
+        _cg(lap400.apply, b, spectral_inverse(lap400, 0.0), rtol=0.0, atol=0.0, max_iter=10**5)
+    assert 200 < err.value.iterations < 10**5
+    assert 0.0 < err.value.residual < np.linalg.norm(b)
 
 
 @pytest.fixture(scope="module")

@@ -59,7 +59,7 @@ def test_dst_matches_dense_sine_matrix_2d():
 
 @pytest.mark.parametrize("shape", [(6, 700), (700, 6), (6, 701)], ids=["6x700", "700x6", "6x701"])
 def test_dst_matches_dense_sine_matrix_long_axis_2d(shape):
-    # scipy.fft on one axis (first or last, even or odd), the cached matrix
+    # the FFT on one axis (first or last, even or odd), the cached matrix
     # on the other; the oracle applies the dense sine matrix per axis
     spec = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), shape)
     grid, L = FullGrid(spec), Laplacian.of(spec)
