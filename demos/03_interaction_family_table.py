@@ -4,8 +4,7 @@
 # Only k = 3 and k = 4 leave a trace in the low-order branch derivatives:
 # the second derivative of g at 0 survives only for k = 3 and the third
 # only for k = 4, so every k >= 5 is indistinguishable from the free case
-# at this order. The table below reproduces that structure numerically,
-# including the projection columns that feed mu_s and mu_ss.
+# at this order. The table below reproduces that structure numerically.
 
 import csv
 import math
@@ -20,7 +19,7 @@ out_dir = pathlib.Path(__file__).parent / "output"
 out_dir.mkdir(exist_ok=True)
 out_csv = out_dir / "interaction_family.csv"
 
-header = f"{'k':>2s} {'eta':>5s} {'proj2':>12s} {'proj3':>12s} {'mu_s':>12s} {'mu_ss':>12s} {'type':>5s}"
+header = f"{'k':>2s} {'eta':>5s} {'mu_s':>12s} {'mu_ss':>12s} {'type':>5s}"
 with out_csv.open("w", newline="") as fh:
     writer = csv.writer(fh)
     writer.writerow(["k", "eta", "mu_s", "mu_ss", "type"])
@@ -30,17 +29,14 @@ with out_csv.open("w", newline="") as fh:
         print(f"eta = {eta:+g}")
         print(header)
         for row in (r for r in rows if r.eta == eta):
-            print(
-                f"{row.k:2d} {row.eta:5.1f} {row.proj2:+12.6f} {row.proj3:+12.6f} "
-                f"{row.mu_s:+12.6f} {row.mu_ss:+12.6f} {str(row.ctype):>5s}"
-            )
+            print(f"{row.k:2d} {row.eta:5.1f} {row.mu_s:+12.6f} {row.mu_ss:+12.6f} {str(row.ctype):>5s}")
             writer.writerow([row.k, row.eta, row.mu_s, row.mu_ss, str(row.ctype)])
         print()
 
 print(f"csv written to {out_csv}")
 print()
-print("reading the table: proj2/proj3 are the projections onto the principal")
-print("eigenfunction of the second/third amplitude derivatives of g(u); the")
-print("cubic row keeps a nonzero mu_s (all nine types reachable as eta varies),")
-print("the quartic row keeps only mu_ss (types I/II/III by sign of eta), and")
-print("every row from k = 5 on is degenerate (type II).")
+print("reading the table: -2*mu_s and -3*mu_ss are the projections onto the")
+print("principal eigenfunction of the second/third amplitude derivatives of g(u).")
+print("The cubic row keeps a nonzero mu_s (all nine types reachable as eta")
+print("varies), the quartic row keeps only mu_ss (types I/II/III by sign of eta),")
+print("and every row from k = 5 on is degenerate (type II).")

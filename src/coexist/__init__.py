@@ -23,7 +23,6 @@ from .diagnostics import (
     BifurcationDiagnostics,
     CoexistenceSide,
     CoexistenceType,
-    Moments,
     TableRow,
     Tolerances,
     classify,
@@ -53,7 +52,6 @@ __all__ = [
     "apply_derivative",
     "CoexistenceType",
     "CoexistenceSide",
-    "Moments",
     "BifurcationDiagnostics",
     "Tolerances",
     "AnalysisResult",

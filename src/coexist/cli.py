@@ -4,10 +4,11 @@ emission.
     coexist <analyze|trace|table|verify> --config cfg.json
             [--out-dir DIR] [--override key=value ...]
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 verification
-failure, 3 solver non-convergence. Reports are JSON with full-precision
-floats; branch and table data are RFC-4180 CSV with 17 significant
-digits so identical configs reproduce byte-identical files.
+Exit codes: 0 success, 1 configuration, I/O or out-of-memory error,
+2 verification failure, 3 solver non-convergence (a non-finite value on
+the branch included). Reports are JSON with full-precision floats;
+branch and table data are RFC-4180 CSV with 17 significant digits so
+identical configs reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class Outputs:
     report_path: str = "report.json"
     branch_csv_path: str = "branch.csv"
     table_csv_path: str = "table.csv"
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ class RunConfig:
             "tolerances": {
                 k: v for k, v in dataclasses.asdict(self.tolerances).items() if v is not None
             },
-            "outputs": self.outputs.to_dict(),
+            "outputs": dataclasses.asdict(self.outputs),
             "k_list": list(self.k_list),
         }
         if self.eta_list is not None:
@@ -245,11 +243,7 @@ def _analysis_report(cfg: RunConfig, analysis: AnalysisResult) -> dict:
     report = _base_report(cfg)
     report["cr_report"] = analysis.cr_report.to_dict()
     report["m_at_bifurcation"] = analysis.m_at_bifurcation
-    report["lambda_equals_m_plus_V_L"] = {
-        "lambda0": analysis.cr_report.lambda0,
-        "V_L": analysis.model.V_L,
-        "m": analysis.m_at_bifurcation,
-    }
+    report["moments"] = {"I3": analysis.I3, "I4": analysis.I4, "M_hat": analysis.M_hat}
     report["diagnostics"] = analysis.diagnostics.to_dict()
     return report
 
@@ -373,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"out of memory on a grid of {math.prod(cfg.domain.resolution)} nodes: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def console_entry() -> None:

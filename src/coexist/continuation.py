@@ -92,7 +92,6 @@ class BranchFit:
 @dataclass(frozen=True, eq=False)
 class Branch:
     points: tuple[BranchPoint, ...]
-    model: NonlinearityModel
     lambda0: float
     fit: BranchFit | None = None
     truncations: tuple[str, ...] = ()
@@ -137,8 +136,9 @@ def solve_at_amplitude(
     so the amplitude holds by construction and convergence is judged on
     ||F|| alone. Inner bordered solves run at relative tolerance
     _LINEAR_RTOL with an absolute target well below newton_tol, so the
-    linear error never limits the Newton residual. Raises ConvergenceError
-    carrying the final residual and the number of iterations taken.
+    linear error never limits the Newton residual. Raises ConvergenceError,
+    carrying the final residual and the number of iterations taken, also
+    when a value overflows or turns NaN.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
@@ -147,30 +147,36 @@ def solve_at_amplitude(
         if v.shape != (L.n,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({L.n},), one entry per node of L")
     w = L.weight
-    U, lam = U + (s - w * float(U @ u0)) * u0, float(guess[1])
     # Euclidean absolute target: newton_tol is a tolerance on the weighted
     # norm sqrt(w) * ||v||_2
     linear_atol = 0.02 * newton_tol / np.sqrt(w)
-
-    for iters in range(max_iters + 1):
-        F = residual(U, lam, model, L)
-        res = math.sqrt(w * float(F @ F))
-        if res <= newton_tol:
-            break
-        if iters == max_iters:
-            raise ConvergenceError(
-                f"Newton iteration at s={s:g} did not converge", residual=res, iterations=iters
-            )
-        try:
-            dU, dlam = solve_bordered_system(
-                jacobian_apply(U, lam, model, L), u0, -U, -F, L, lam, rtol=_LINEAR_RTOL, atol=linear_atol
-            )
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"Newton step at s={s:g} failed in the linear solve", residual=res, iterations=iters
-            ) from exc
-        U = U + dU
-        lam = lam + dlam
+    res, iters = math.nan, 0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            U, lam = U + (s - w * float(U @ u0)) * u0, float(guess[1])
+            for iters in range(max_iters + 1):
+                F = residual(U, lam, model, L)
+                res = math.sqrt(w * float(F @ F))
+                if res <= newton_tol:
+                    break
+                if iters == max_iters:
+                    raise ConvergenceError(
+                        f"Newton iteration at s={s:g} did not converge", residual=res, iterations=iters
+                    )
+                try:
+                    dU, dlam = solve_bordered_system(
+                        jacobian_apply(U, lam, model, L), u0, -U, -F, L, lam, rtol=_LINEAR_RTOL, atol=linear_atol
+                    )
+                except ConvergenceError as exc:
+                    raise ConvergenceError(
+                        f"Newton step at s={s:g} failed in the linear solve", residual=res, iterations=iters
+                    ) from exc
+                U = U + dU
+                lam = lam + dlam
+    except FloatingPointError as exc:
+        raise ConvergenceError(
+            f"Newton iteration at s={s:g} met a non-finite value ({exc})", residual=res, iterations=iters
+        ) from exc
     return BranchPoint(s=float(s), lam=lam, U=U, residual=res, newton_iters=iters)
 
 
@@ -187,8 +193,9 @@ def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Bra
     Each converged U is unfolded once, so every BranchPoint.U is a
     full-grid vector. Newton stops at `analysis.tolerances.newton_tol`.
 
-    A diverged point truncates its side of the branch; the event is
-    recorded on the Branch rather than raised.
+    A diverged point, or one whose predictor overflows or turns NaN,
+    truncates its side of the branch; the event is recorded on the Branch
+    rather than raised.
     """
     s_values = [float(s) for s in s_values]
     if any(s == 0.0 for s in s_values):
@@ -210,18 +217,19 @@ def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Bra
     for leg in (negatives, positives):
         w, c = z_s, 0.5 * d.mu_ss
         for s in leg:
-            predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
             try:
-                pt = solve_at_amplitude(s, model, L, u0, predicted, newton_tol, max_iters)
-            except ConvergenceError as exc:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
+                    pt = solve_at_amplitude(s, model, L, u0, predicted, newton_tol, max_iters)
+                    w = (pt.U - s * u0) / (s * s)
+                    c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
+            except (ConvergenceError, FloatingPointError) as exc:
                 truncations.append(f"branch truncated at s={s:g}: {exc}")
                 break
             points.append(dataclasses.replace(pt, U=L.unfold(pt.U)))
-            w = (pt.U - s * u0) / (s * s)
-            c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
 
     points.sort(key=lambda p: p.s)
-    branch = Branch(points=tuple(points), model=model, lambda0=lambda0, truncations=tuple(truncations))
+    branch = Branch(points=tuple(points), lambda0=lambda0, truncations=tuple(truncations))
     try:
         return dataclasses.replace(branch, fit=fit_local_expansion(branch))
     except ValueError:

@@ -14,21 +14,22 @@ complement of u0 (A = L - lambda0); that right-hand side is orthogonal
 to u0 by the choice of I3, so the one `bordered_solve` forms no
 multiplier to check. The corrector equation
 A z_s = mu_s(0)*u0 + 1/2*g''(0)*u0^2 is linear in g''(0), so every
-model's corrector is z_s = g''(0)*z_hat, with M_zu = g''(0)*M_hat; z_s
-itself is never formed. The V_L contributions cancel identically for
-constant V_L, so they never appear in these closed forms; the raw forms
-including them are exercised in the test suite as an independent
-cross-check.
+model's corrector is z_s = g''(0)*z_hat and (u0*z_s, u0) = g''(0)*M_hat;
+z_s itself is never formed. (z_hat, u0) = 0 is the constraint the solve
+imposes, so no term of mu_ss carries it. The V_L contributions cancel
+identically for constant V_L, so they never appear in these closed
+forms; the raw forms including them are exercised in the test suite as
+an independent cross-check.
 
 Every command runs the same two steps: `eigendata` (the stencil L, the
 closed-form principal pair, lambda1 and the bifurcation-point checks of
-`bifurcation_point`, then z_hat and its moments, both from u0^2 formed
-once) once per domain, then
-`diagnose` (mu_s, the moments, mu_ss, the type) once per model, as
-scalar arithmetic on g''(0), g'''(0) and the per-mesh moments. The
-per-mesh stage runs on L's half grid, as u0 and A are mirror-symmetric:
-u0 is built and certified per axis, lambda0 and lambda1 are per-axis
-sums, and z_hat and the moments never leave the half grid.
+`bifurcation_point`, then z_hat and I3, I4 and M_hat, all from u0^2
+formed once) once per domain, then `diagnose` (mu_s, mu_ss, the type)
+once per model, as scalar arithmetic on g''(0), g'''(0) and those three
+per-mesh numbers. The per-mesh stage runs on L's half grid, as u0 and A
+are mirror-symmetric: u0 is built and certified per axis, lambda0 and
+lambda1 are per-axis sums, and z_hat and the moments never leave the
+half grid.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -).
@@ -59,7 +60,6 @@ from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_
 __all__ = [
     "CoexistenceType",
     "CoexistenceSide",
-    "Moments",
     "BifurcationDiagnostics",
     "Tolerances",
     "EigenData",
@@ -119,47 +119,17 @@ class CoexistenceSide(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Moments:
-    """Inner products entering the diagnostics.
-
-    I3 = (u0^2, u0), I4 = (u0^3, u0), M_zu = (u0*z, u0) and
-    P_zu = (z, u0) for a corrector z: z_hat on EigenData, z_s = g''(0)
-    z_hat on BifurcationDiagnostics. P_zu vanishes by the orthogonality
-    constraint and is kept as a consistency indicator.
-    """
-
-    I3: float
-    I4: float
-    M_zu: float
-    P_zu: float
-
-    def mu_ss(self, model: NonlinearityModel, mu_s: float) -> float:
-        """Second derivative of mu(s) at s = 0, in the V_L-cancelled form."""
-        g2 = derivative_at_zero(model, 2)
-        g3 = derivative_at_zero(model, 3)
-        # + 0.0 normalizes a possible -0.0 when every term vanishes
-        return -g3 * self.I4 / 3.0 - 2.0 * g2 * self.M_zu - 2.0 * mu_s * self.P_zu + 0.0
-
-    def to_dict(self) -> dict:
-        return {"I3": self.I3, "I4": self.I4, "M_zu": self.M_zu, "P_zu": self.P_zu}
-
-
-@dataclass(frozen=True)
 class BifurcationDiagnostics:
-    lambda0: float
     mu_s: float
     mu_ss: float
-    moments: Moments
     ctype: CoexistenceType
     m_coexistence_side: CoexistenceSide
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         return {
-            "lambda0": self.lambda0,
             "mu_s": self.mu_s,
             "mu_ss": self.mu_ss,
-            "moments": self.moments.to_dict(),
             "type": str(self.ctype),
             "m_coexistence_side": str(self.m_coexistence_side),
             "warnings": list(self.warnings),
@@ -248,16 +218,18 @@ def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: in
 class EigenData:
     """The per-mesh stage: the matrix-free stencil L, which carries the
     grid, the principal pair (lambda0, u0), the bifurcation-point checks,
-    which carry lambda1, and the unit corrector z_hat with its moments,
-    whose M_zu and P_zu are M_hat and P_hat. u0 and z_hat are in L's
-    half-grid coordinates; `operator.unfold` gives their full-grid
-    vectors."""
+    which carry lambda1, the unit corrector z_hat, and the three moments
+    I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0) that
+    mu_s and mu_ss are computed from. u0 and z_hat are in L's half-grid
+    coordinates; `operator.unfold` gives their full-grid vectors."""
 
     operator: Laplacian
     eigenpair: Eigenpair
     cr_report: CRReport
     z_hat: Array
-    moments_hat: Moments
+    I3: float
+    I4: float
+    M_hat: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,37 +271,35 @@ def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenDa
     A z_hat = 1/2 (u0^2 - I3 u0) with (z_hat, u0) = 0 (the one corrector
     solve per domain), and its moments, all on L's half grid. A coordinate
     y stands for m nodes of value y/sqrt(m), so u0^2 is sq = y0^2/sqrt(m)
-    there and the moments are w sq.u0, w sq.sq, w sq.z_hat and w z_hat.u0,
-    w = L.weight."""
+    there and the moments are I3 = w sq.u0, I4 = w sq.sq and
+    M_hat = w sq.z_hat, w = L.weight."""
     L, pair, cr = bifurcation_point(spec, tolerances or Tolerances())
     u0, w = pair.vector, L.weight
     sq = u0 * u0 / L.sqrt_multiplicity
     I3 = w * float(sq @ u0)
     z_hat = bordered_solve(L, u0, 0.5 * (sq - I3 * u0), pair.eigenvalue)
-    moments = Moments(I3=I3, I4=w * float(sq @ sq), M_zu=w * float(sq @ z_hat), P_zu=w * float(z_hat @ u0))
-    return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat=z_hat, moments_hat=moments)
+    I4, M_hat = w * float(sq @ sq), w * float(sq @ z_hat)
+    return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat=z_hat, I3=I3, I4=I4, M_hat=M_hat)
 
 
 def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:
-    """mu_s, the moments of z_s = g''(0) z_hat and mu_ss, then the type,
-    for one model on eigendata shared across models: scalar arithmetic on
-    g''(0), g'''(0) and eig.moments_hat, with no solve and no vector.
-    Raises ConfigError when mu_s or mu_ss is not finite: the model's
-    coefficients are too large for the arithmetic."""
-    lambda0 = eig.eigenpair.eigenvalue
-    g2 = derivative_at_zero(model, 2)
-    unit = eig.moments_hat
-    # + 0.0 keeps a vanishing g''(0) at +0.0, whatever the moment's sign
-    mu_s = -0.5 * g2 * unit.I3 + 0.0
-    moments = dataclasses.replace(unit, M_zu=g2 * unit.M_zu + 0.0, P_zu=g2 * unit.P_zu + 0.0)
-    mu_ss = moments.mu_ss(model, mu_s)
+    """mu_s and mu_ss, then the type, for one model on eigendata shared
+    across models: scalar arithmetic on g''(0), g'''(0) and eig's I3, I4
+    and M_hat, with no solve and no vector. Raises ConfigError when mu_s
+    or mu_ss is not finite: the model's coefficients are too large for the
+    arithmetic."""
+    g2, g3 = derivative_at_zero(model, 2), derivative_at_zero(model, 3)
+    # + 0.0 keeps a vanishing g''(0) at +0.0, whatever the moment's sign;
+    # g2 * M_hat is (u0*z_s, u0) for the corrector z_s = g''(0) z_hat
+    mu_s = -0.5 * g2 * eig.I3 + 0.0
+    mu_ss = -g3 * eig.I4 / 3.0 - 2.0 * g2 * (g2 * eig.M_hat + 0.0) + 0.0
     for name, value in (("mu_s", mu_s), ("mu_ss", mu_ss)):
         if not math.isfinite(value):
             raise ConfigError(
                 f"{name} = {value} is not finite: the coefficients of {model.describe()} overflow it"
             )
 
-    zero_tol = tolerances.resolved_zero_tol(lambda0)
+    zero_tol = tolerances.resolved_zero_tol(eig.eigenpair.eigenvalue)
     s_s = sign_with_tolerance(mu_s, zero_tol)
     s_ss = sign_with_tolerance(mu_ss, zero_tol)
     warnings = _classification_warnings(mu_s, mu_ss, zero_tol, s_s, s_ss)
@@ -340,10 +310,8 @@ def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -
         )
 
     return BifurcationDiagnostics(
-        lambda0=lambda0,
         mu_s=mu_s,
         mu_ss=mu_ss,
-        moments=moments,
         ctype=_TYPE_TABLE[(s_s, s_ss)],
         m_coexistence_side=_coexistence_side(s_s, s_ss),
         warnings=tuple(warnings),
@@ -363,14 +331,11 @@ def run_analysis(
 
 @dataclass(frozen=True)
 class TableRow:
-    """One interaction-family row: projections of the second and third
-    s-derivatives of g(u) onto u0, the two branch derivatives, and the
+    """One interaction-family row: the two branch derivatives and the
     resulting type."""
 
     k: int
     eta: float
-    proj2: float
-    proj3: float
     mu_s: float
     mu_ss: float
     ctype: CoexistenceType
@@ -400,19 +365,5 @@ def psi_k_table(
     rows = []
     for model in models:
         d = diagnose(eig, model, tol)
-        g2 = derivative_at_zero(model, 2)
-        # V_L = 0 for every k >= 3, so the derivative projections close
-        # without a second corrector.
-        proj3 = derivative_at_zero(model, 3) * d.moments.I4 + 6.0 * g2 * d.moments.M_zu
-        rows.append(
-            TableRow(
-                k=model.k,
-                eta=model.eta,
-                proj2=g2 * d.moments.I3,
-                proj3=proj3,
-                mu_s=d.mu_s,
-                mu_ss=d.mu_ss,
-                ctype=d.ctype,
-            )
-        )
+        rows.append(TableRow(k=model.k, eta=model.eta, mu_s=d.mu_s, mu_ss=d.mu_ss, ctype=d.ctype))
     return rows

@@ -6,7 +6,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, Moments, Tolerances, principal_eigenpair
+from coexist import DomainSpec, Laplacian, Tolerances, principal_eigenpair
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
@@ -185,15 +185,14 @@ def psi3_sigma_form(grid: FullGrid, u0, z_s, eta: float) -> float:
     return 4.0 * eta * grid.dot(u0 * z_s, u0) - 2.0 * eta * grid.dot(u0 * u0, u0) * grid.dot(z_s, u0)
 
 
-def vector_moments(grid: FullGrid, u0, z) -> Moments:
-    """The moments as weighted pairings of full-grid vectors, the oracle
-    for the half-grid sums of `eigendata`."""
-    return Moments(
-        I3=grid.dot(u0 * u0, u0),
-        I4=grid.dot(u0 * u0 * u0, u0),
-        M_zu=grid.dot(u0 * z, u0),
-        P_zu=grid.dot(z, u0),
-    )
+def vector_moments(grid: FullGrid, u0, z_hat) -> dict[str, float]:
+    """I3, I4 and M_hat as weighted pairings of full-grid vectors, the
+    oracle for the half-grid sums of `eigendata`."""
+    return {
+        "I3": grid.dot(u0 * u0, u0),
+        "I4": grid.dot(u0 * u0 * u0, u0),
+        "M_hat": grid.dot(u0 * z_hat, u0),
+    }
 
 
 def interval(n: int) -> DomainSpec:

@@ -160,10 +160,10 @@ def test_criterion_4_diagnostics_branch_consistency(branches):
 def test_criterion_5_coexistence_side(branches):
     failures = []
     analysis, branch, _ = branches[(4, 1.0)]
-    if not all(p.lam > analysis.diagnostics.lambda0 for p in branch.points):
+    if not all(p.lam > analysis.cr_report.lambda0 for p in branch.points):
         failures.append("psi4 eta=+1: found branch points with lambda <= lambda0")
     analysis, branch, _ = branches[(4, -1.0)]
-    if not all(p.lam < analysis.diagnostics.lambda0 for p in branch.points):
+    if not all(p.lam < analysis.cr_report.lambda0 for p in branch.points):
         failures.append("psi4 eta=-1: found branch points with lambda >= lambda0")
     record(5, "co-existence side", failures)
 
@@ -176,7 +176,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
     # solvability of the unit corrector: its right-hand side 1/2 (u0^2 - I3 u0),
     # with the pipeline's I3, has no u0 component beyond rounding, and z_hat
     # is the exact DST solve on the full grid; orthogonality of z_s across a model zoo
-    rhs = 0.5 * (u0 * u0 - eig.moments_hat.I3 * u0)
+    rhs = 0.5 * (u0 * u0 - eig.I3 * u0)
     kernel, rounding = abs(grid400.dot(rhs, u0)), 16 * EPS * grid400.dot(np.abs(rhs), np.abs(u0))
     if kernel > rounding:
         failures.append(f"unit corrector: solvability multiplier {kernel:.2e} above rounding {rounding:.2e}")

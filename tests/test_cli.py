@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from coexist.cli import (
     main,
 )
 import coexist
-from coexist import diagnostics
+from coexist import diagnostics, eigendata
 from coexist.errors import ConfigError
 
 PI = math.pi
@@ -227,6 +228,17 @@ class TestAnalyze:
         assert report["diagnostics"]["type"] == "II"
         lam0 = report["cr_report"]["lambda0"]
         assert report["m_at_bifurcation"] == lam0 - v_l
+
+    def test_report_moments(self, tmp_path):
+        # the three per-mesh numbers that mu_s and mu_ss are computed from,
+        # once, and no copy of lambda0 or of a per-model moment
+        cfg = load_config(write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0)))
+        cmd_analyze(cfg, out_dir=str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        eig = eigendata(cfg.domain, cfg.tolerances)
+        assert report["moments"] == {"I3": eig.I3, "I4": eig.I4, "M_hat": eig.M_hat}
+        assert "lambda_equals_m_plus_V_L" not in report
+        assert "lambda0" not in report["diagnostics"] and "moments" not in report["diagnostics"]
 
     def test_rerun_from_echoed_config_reproduces(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0)))
@@ -435,6 +447,38 @@ class TestMain:
         assert code == EXIT_SOLVER
         assert "solver error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, s_values, innermost",
+        [
+            ("psi3_interval", "[-1e200,-1e199,-1e198,1e198,1e199,1e200]", "1e+198"),
+            ("psi4_interval", "[-1e200,-1e199,-1e198,1e198,1e199,1e200]", "1e+198"),
+            ("psi3_interval", "[-1e-200,-1e-199,-1e-198,1e-198,1e-199,1e-200]", "1e-200"),
+        ],
+    )
+    def test_non_finite_branch_exit_three(self, tmp_path, config, s_values, innermost):
+        # s^2 overflows (or underflows to 0, which the predictor divides by)
+        # at the innermost amplitude of each side: that side truncates there,
+        # with no RuntimeWarning and no NaN residual
+        path = Path(__file__).parents[1] / "demos" / "configs" / f"{config}.json"
+        args = ["--config", str(path), "--out-dir", str(tmp_path), "--override", f"s_values={s_values}"]
+        assert main(["trace", *args]) == EXIT_SOLVER
+        branch = json.loads((tmp_path / "report.json").read_text())["branch"]
+        assert branch["n_points"] == 0
+        assert [t.split(":")[0] for t in branch["truncations"]] == [
+            f"branch truncated at s=-{innermost}",
+            f"branch truncated at s={innermost}",
+        ]
+
+    def test_out_of_memory_grid_exit_one(self, tmp_path, capsys):
+        # 10^15 nodes on one axis ask for petabytes, beyond the address
+        # space, so the allocation fails before anything is allocated
+        config = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
+        override = "domain.resolution=[1000000000000000]"
+        code = main(["analyze", "--config", str(config), "--out-dir", str(tmp_path), "--override", override])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("out of memory on a grid of 1000000000000000 nodes: ") and err.count("\n") == 1
+
     def test_unwritable_output_exit_one(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -480,7 +524,7 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(coexist.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", script], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
 

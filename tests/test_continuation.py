@@ -40,7 +40,7 @@ class TestResidual:
     def test_trivial_branch_identically_zero(self, quartic):
         L = quartic.operator
         U = np.zeros(L.n)
-        for lam in np.linspace(quartic.diagnostics.lambda0 - 1, quartic.diagnostics.lambda0 + 1, 7):
+        for lam in np.linspace(quartic.cr_report.lambda0 - 1, quartic.cr_report.lambda0 + 1, 7):
             F = residual(U, lam, quartic.model, L)
             assert np.all(F == 0.0)
 
@@ -94,7 +94,7 @@ class TestJacobian:
 def expansion_guess(analysis, s):
     """U = s*u0 with lambda from the second-order local expansion."""
     d = analysis.diagnostics
-    return s * analysis.eigenpair.vector, d.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
+    return s * analysis.eigenpair.vector, analysis.cr_report.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
 
 
 class TestSolveAtAmplitude:
@@ -124,7 +124,7 @@ class TestSolveAtAmplitude:
         res = run_analysis(spec400, NonlinearityModel.linear(-0.5))
         args = (res.model, res.operator, res.eigenpair.vector)
         pt = solve_at_amplitude(s, *args, expansion_guess(res, s), NEWTON_TOL)
-        assert pt.lam == pytest.approx(res.diagnostics.lambda0, abs=1e-8)
+        assert pt.lam == pytest.approx(res.cr_report.lambda0, abs=1e-8)
 
     def test_warm_start_at_solution_takes_no_step(self, quartic):
         args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
@@ -352,6 +352,6 @@ class TestFit:
         points = tuple(
             BranchPoint(s=s, lam=1.0, U=np.zeros(3), residual=0.0, newton_iters=1) for s in (0.1, 0.2, 0.3)
         )
-        branch = Branch(points=points, model=quartic.model, lambda0=1.0)
+        branch = Branch(points=points, lambda0=1.0)
         with pytest.raises(ValueError, match="5"):
             fit_local_expansion(branch)

@@ -117,16 +117,17 @@ def test_diagnose_does_no_vector_work(eig):
 class TestCorrector:
     def test_quartic_zero_rhs_gives_zero(self, eig):
         # g''(0) = 0 (-0.0 for the cubic at eta = 0): the corrector
-        # vanishes and its moments are exactly +0.0
+        # vanishes, mu_s is exactly +0.0 and M_hat drops out of mu_ss
         for model in (NonlinearityModel.psi_k(4, 1.0), NonlinearityModel.psi_k(3, 0.0)):
             d = diagnose(eig, model, Tolerances())
             assert np.all(derivative_at_zero(model, 2) * eig.z_hat == 0.0)
-            assert all(_is_plus_zero(x) for x in (d.mu_s, d.moments.M_zu, d.moments.P_zu)), model
+            assert _is_plus_zero(d.mu_s), model
+            assert d.mu_ss == -derivative_at_zero(model, 3) * eig.I4 / 3.0 + 0.0, model
 
     def test_free_model_gives_zero(self, eig):
         d = diagnose(eig, NonlinearityModel.free(), Tolerances())
         assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * eig.z_hat == 0.0)
-        assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss, d.moments.M_zu, d.moments.P_zu))
+        assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss))
 
     def test_cubic_corrector_orthogonal(self, eig, grid400):
         L = eig.operator
@@ -181,7 +182,7 @@ def full_grid_eigendata(eig, grid: FullGrid):
     rhs = 0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0)
     z = grid.spectral_solve(rhs, eig.eigenpair.eigenvalue)
     pair = dataclasses.replace(eig.eigenpair, vector=u0)
-    return dataclasses.replace(eig, eigenpair=pair, z_hat=z, moments_hat=vector_moments(grid, u0, z))
+    return dataclasses.replace(eig, eigenpair=pair, z_hat=z, **vector_moments(grid, u0, z))
 
 
 @pytest.mark.parametrize("name", list(FOLDED_CORRECTOR_SPECS))
@@ -201,15 +202,16 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     sine = grid.sine_mode()
     assert np.linalg.norm(oracle.eigenpair.vector - sine) <= 1e-15 * np.linalg.norm(sine)
     # I3 and I4 are half-grid sums, the oracle's are over every node
-    assert eig.moments_hat.I3 == pytest.approx(oracle.moments_hat.I3, rel=4e-15)
-    assert eig.moments_hat.I4 == pytest.approx(oracle.moments_hat.I4, rel=4e-15)
+    assert eig.I3 == pytest.approx(oracle.I3, rel=4e-15)
+    assert eig.I4 == pytest.approx(oracle.I4, rel=4e-15)
     # z_hat is one CG step, so M_hat = (u0 z_hat, u0) carries the rounding
     # of its step length, exactly 1 without rounding. That rounding grows
     # with lambda_max / (lambda - lambda0): on 6 x 600..760 (lambda_max ~ 5e4)
     # it reaches 1.1e-13 on the half grid
     m_rtol = 1e-13 if name in ("rect-6x700", "rect-700x6") else 1e-14
-    assert eig.moments_hat.M_zu == pytest.approx(oracle.moments_hat.M_zu, rel=m_rtol)
-    assert abs(eig.moments_hat.P_zu) <= 1e-17
+    assert eig.M_hat == pytest.approx(oracle.M_hat, rel=m_rtol)
+    # (z_hat, u0) = 0 is the solve's constraint, so mu_ss carries no term of it
+    assert abs(eig.operator.weight * float(eig.z_hat @ eig.eigenpair.vector)) <= 1e-17
 
     models = [NonlinearityModel.psi_k(k, eta) for k in (3, 4, 5, 6) for eta in (1.0, -1.0)]
     for model in models + [NonlinearityModel.polynomial(list(BENCHMARK_POLY))]:
@@ -399,20 +401,20 @@ class TestScalingCovariance:
         assert mu_ss_2 == pytest.approx(4 * mu_ss_1, rel=1e-9)
 
     def test_quartic_scaling(self, eig):
-        # g''(0) = 0: the corrector's moments drop out
-        moments = eig.moments_hat
-        m1 = moments.mu_ss(NonlinearityModel.psi_k(4, 1.0), 0.0)
-        m2 = moments.mu_ss(NonlinearityModel.psi_k(4, 2.0), 0.0)
+        # g''(0) = 0: the corrector's moment drops out
+        m1 = diagnose(eig, NonlinearityModel.psi_k(4, 1.0), Tolerances()).mu_ss
+        m2 = diagnose(eig, NonlinearityModel.psi_k(4, 2.0), Tolerances()).mu_ss
         assert m2 == pytest.approx(2 * m1, rel=1e-13)
 
 
 class TestPipeline:
     def test_quartic_positive(self, spec400):
-        d = run_analysis(spec400, NonlinearityModel.psi_k(4, 1.0)).diagnostics
+        res = run_analysis(spec400, NonlinearityModel.psi_k(4, 1.0))
+        d = res.diagnostics
         assert d.ctype is CoexistenceType.I
         assert d.m_coexistence_side is CoexistenceSide.ABOVE
         assert d.mu_s == 0.0
-        assert d.moments.I4 == pytest.approx(I4_EXACT, abs=1e-4)
+        assert res.I4 == pytest.approx(I4_EXACT, abs=1e-4)
 
     def test_quartic_negative(self, spec400):
         d = run_analysis(spec400, NonlinearityModel.psi_k(4, -1.0)).diagnostics
@@ -444,8 +446,10 @@ class TestPipeline:
             NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
             NonlinearityModel.linear(2.0),
         ):
-            d = run_analysis(spec400, model).diagnostics
-            assert abs(d.moments.P_zu) <= 1e-10
+            # the model's corrector z_s = g''(0) z_hat, against u0
+            res = run_analysis(spec400, model)
+            z_s = derivative_at_zero(model, 2) * res.z_hat
+            assert abs(res.operator.weight * float(z_s @ res.eigenpair.vector)) <= 1e-10
 
     def test_m_at_bifurcation(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.linear(2.0))
@@ -462,11 +466,14 @@ class TestPipeline:
         # the full pipeline on a 2D domain: u0 = (2/pi) sin(x) sin(y),
         # (u0^2, u0) = (2/pi)^3 (4/3)^2 in the continuum
         spec = DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (40, 40))
-        d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0)).diagnostics
+        model = NonlinearityModel.psi_k(3, 1.0)
+        res = run_analysis(spec, model)
+        d = res.diagnostics
         expected_i3 = (2 / PI) ** 3 * (4 / 3) ** 2
-        assert d.lambda0 == pytest.approx(2.0, abs=2e-3)
+        assert res.cr_report.lambda0 == pytest.approx(2.0, abs=2e-3)
         assert d.mu_s == pytest.approx(expected_i3, rel=1e-2)
-        assert abs(d.moments.P_zu) <= 1e-10
+        z_s = derivative_at_zero(model, 2) * res.z_hat
+        assert abs(res.operator.weight * float(z_s @ res.eigenpair.vector)) <= 1e-10
         assert d.m_coexistence_side is CoexistenceSide.TWO_SIDED
 
     def test_square_domain_quartic_interaction(self):
@@ -481,9 +488,9 @@ class TestPipeline:
     def test_offset_interval(self):
         # translation invariance: same spectrum and diagnostics on (1, 1+pi)
         spec = DomainSpec("interval", ((1.0, 1.0 + PI),), (200,))
-        d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0)).diagnostics
-        assert d.lambda0 == pytest.approx(1.0, abs=1e-3)
-        assert d.mu_s == pytest.approx(I3_EXACT, abs=1e-3)
+        res = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0))
+        assert res.cr_report.lambda0 == pytest.approx(1.0, abs=1e-3)
+        assert res.diagnostics.mu_s == pytest.approx(I3_EXACT, abs=1e-3)
 
     def test_refinement_order_mu_quantities(self):
         # mu_s for the cubic interaction superconverges (O(h^4)); check
@@ -507,16 +514,17 @@ class TestInteractionTable:
         row = table[0]
         assert row.k == 3
         assert row.mu_s == pytest.approx(I3_EXACT, abs=1e-4)
-        # projection columns: -2 eta (u0^2,u0) and -12 eta (u0 z_s, u0)
-        assert row.proj2 == pytest.approx(-2 * I3_EXACT, abs=1e-4)
+        # -2 mu_s and -3 mu_ss project the second and third s-derivatives
+        # of g(u) onto u0: -2 eta (u0^2,u0) and -12 eta (u0 z_s, u0) here
+        assert -2 * row.mu_s == pytest.approx(-2 * I3_EXACT, abs=1e-4)
         assert row.ctype is CoexistenceType.VI
 
     def test_quartic_row(self, table):
         row = table[1]
         assert row.mu_s == 0.0
         assert row.mu_ss == pytest.approx(2 * I4_EXACT, abs=1e-3)
-        assert row.proj2 == 0.0
-        assert row.proj3 == pytest.approx(-6 * I4_EXACT, abs=1e-3)
+        assert -2 * row.mu_s == 0.0
+        assert -3 * row.mu_ss == pytest.approx(-6 * I4_EXACT, abs=1e-3)
         assert row.ctype is CoexistenceType.I
 
     @pytest.mark.parametrize("idx", [2, 3])
@@ -524,7 +532,7 @@ class TestInteractionTable:
         row = table[idx]
         assert row.mu_s == 0.0
         assert abs(row.mu_ss) <= 1e-10
-        assert row.proj2 == 0.0 and abs(row.proj3) <= 1e-10
+        assert -2 * row.mu_s == 0.0 and abs(-3 * row.mu_ss) <= 1e-10
         assert row.ctype is CoexistenceType.II
 
     def test_cubic_proj3_consistent_with_corrector(self, table, grid400, lap400, eig400):
@@ -537,7 +545,7 @@ class TestInteractionTable:
         rhs = mu_s * u0 + 0.5 * g2 * u0**2
         z = lap400.unfold(bordered_solve(lap400, pair.vector, grid400.fold(rhs), pair.eigenvalue))
         expected = -12.0 * grid400.dot(u0 * z, u0)
-        assert table[0].proj3 == pytest.approx(expected, rel=1e-8)
+        assert -3 * table[0].mu_ss == pytest.approx(expected, rel=1e-8)
 
     def test_rows_match_run_analysis(self, spec400):
         etas = [1.0, 2.5, -0.5, -3.0]

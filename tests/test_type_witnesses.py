@@ -36,8 +36,8 @@ def spec(request):
 
 @pytest.mark.parametrize("c2, cancel", list(WITNESSES), ids=[str(t) for t in WITNESSES.values()])
 def test_witness_classifies_and_traces(spec, c2, cancel):
-    moments = eigendata(spec).moments_hat
-    c3 = -4.0 * c2 * c2 * moments.M_zu / moments.I4 if cancel else -0.1
+    eig = eigendata(spec)
+    c3 = -4.0 * c2 * c2 * eig.M_hat / eig.I4 if cancel else -0.1
     analysis = run_analysis(spec, NonlinearityModel.polynomial((0.0, c2, c3)))
     d = analysis.diagnostics
     assert d.ctype is WITNESSES[(c2, cancel)]
