@@ -121,9 +121,7 @@ class RunConfig:
             },
             "model": self.model.to_dict(),
             "s_values": list(self.s_values),
-            "tolerances": {
-                k: v for k, v in dataclasses.asdict(self.tolerances).items() if v is not None
-            },
+            "tolerances": dataclasses.asdict(self.tolerances),
             "outputs": dataclasses.asdict(self.outputs),
             "k_list": list(self.k_list),
         }

@@ -32,12 +32,19 @@ lambda1 are per-axis sums, and z_hat and the moments never leave the
 half grid.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
-types: rows in the order (0, +, -), columns in the order (+, 0, -).
+types: rows in the order (0, +, -), columns in the order (+, 0, -). On a
+box I3, I4 and M_hat are positive (u0 > 0, and A is positive on the
+complement of u0), so the pair follows from the signs of g''(0) and
+g'''(0): sign mu_s = -sign g''(0), and sign mu_ss = -sign g'''(0) when
+g''(0) = 0 and -1 when g'''(0) >= 0. Only when g''(0) != 0 and
+g'''(0) < 0 do the two terms of mu_ss compete; there |mu_ss| within
+_SIGN_MARGIN eps of the terms' magnitudes is rounding and reads as zero,
+and a warning names both candidate types.
 
 `Tolerances` is the one tolerance policy: every threshold that decides
-"zero", "certified" or "consistent" resolves there, and no other function
-gives a tolerance a default. `AnalysisResult` carries the Tolerances it ran
-under. The transversality value -(u0, u0) is -1 for the normalized u0, an
+"certified" or "consistent" resolves there, and no other function gives a
+tolerance a default. `AnalysisResult` carries the Tolerances it ran under.
+The transversality value -(u0, u0) is -1 for the normalized u0, an
 identity that is reported and not tested; the gap is the certificate.
 """
 
@@ -75,6 +82,10 @@ __all__ = [
 ]
 
 Array = npt.NDArray[np.float64]
+
+# |mu_ss| at most this many eps times the magnitudes of its two competing
+# terms is their rounding, and reads as zero
+_SIGN_MARGIN = 4.0
 
 
 class CoexistenceType(enum.Enum):
@@ -139,28 +150,20 @@ class BifurcationDiagnostics:
 @dataclass(frozen=True)
 class Tolerances:
     """Every threshold the pipeline judges by: the eigen certificate, Newton's
-    stop on ||F||, the sign pair's zero band, the kernel gap, and the trace's
-    fit bounds (methods, not fields). Solver-internal targets, such as CG's
-    stall window or the corrector's CG target, stay next to their solvers."""
+    stop on ||F||, and the trace's fit bounds (methods, not fields). The sign
+    pair and the kernel gap take none: both follow from the box's structure
+    and are judged only against rounding. Solver-internal targets, such as
+    CG's stall window or the corrector's CG target, stay next to their
+    solvers."""
 
     eigen_tol: float = 1e-10
     newton_tol: float = 1e-10
-    zero_tol: float | None = None  # None: 1e-6 * max(1, |lambda0|)
-    gap_tol: float | None = None  # None: 1e-6 * lambda0
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
-            if v is None and f.default is None:
-                continue  # resolved from lambda0
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
                 raise ConfigError(f"tolerance {f.name} must be a finite number > 0, got {v!r}")
-
-    def resolved_zero_tol(self, lambda0: float) -> float:
-        return self.zero_tol if self.zero_tol is not None else 1e-6 * max(1.0, abs(lambda0))
-
-    def resolved_gap_tol(self, lambda0: float) -> float:
-        return self.gap_tol if self.gap_tol is not None else 1e-6 * abs(lambda0)
 
     def resolved_a_tol(self, mu_s: float) -> float:
         """Bound on |a - mu_s|, the traced fit's slope against mu_s(0)."""
@@ -195,23 +198,6 @@ def _coexistence_side(s_s: int, s_ss: int) -> CoexistenceSide:
     if s_ss < 0:
         return CoexistenceSide.BELOW
     return CoexistenceSide.DEGENERATE
-
-
-def _classification_warnings(mu_s: float, mu_ss: float, zero_tol: float, s_s: int, s_ss: int) -> list[str]:
-    """Flag classifications that sit within a factor 2 of the zero band,
-    naming both candidate types; s_s and s_ss are the signs of mu_s and
-    mu_ss under zero_tol."""
-    base = _TYPE_TABLE[(s_s, s_ss)]
-    warnings = []
-    for name, value, this_sign, is_second in (("mu_s", mu_s, s_s, False), ("mu_ss", mu_ss, s_ss, True)):
-        if value != 0.0 and 0.5 * zero_tol <= abs(value) <= 2.0 * zero_tol:
-            alt_sign = 0 if this_sign != 0 else (1 if value > 0 else -1)
-            alt = _TYPE_TABLE[(s_s, alt_sign)] if is_second else _TYPE_TABLE[(alt_sign, s_ss)]
-            warnings.append(
-                f"{name} = {value:.3e} lies within a factor 2 of zero_tol = {zero_tol:.3e}; "
-                f"candidate types {base} and {alt}"
-            )
-    return warnings
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +247,6 @@ def bifurcation_point(spec: DomainSpec, tolerances: Tolerances) -> tuple[Laplaci
         min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d)),
         pair.vector,
         L,
-        gap_tol=tolerances.resolved_gap_tol(pair.eigenvalue),
     )
     return L, pair, cr
 
@@ -272,8 +257,13 @@ def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenDa
     solve per domain), and its moments, all on L's half grid. A coordinate
     y stands for m nodes of value y/sqrt(m), so u0^2 is sq = y0^2/sqrt(m)
     there and the moments are I3 = w sq.u0, I4 = w sq.sq and
-    M_hat = w sq.z_hat, w = L.weight."""
+    M_hat = w sq.z_hat, w = L.weight. Raises ConfigError before the solve
+    when lambda1 and lambda0 round together, where `verify` exits 2."""
     L, pair, cr = bifurcation_point(spec, tolerances or Tolerances())
+    if not cr.kernel_dim_ok:
+        raise ConfigError(
+            f"lambda1 - lambda0 = {cr.gap:.3e} is rounding at lambda0 = {cr.lambda0:.6g}: the kernel is not certified"
+        )
     u0, w = pair.vector, L.weight
     sq = u0 * u0 / L.sqrt_multiplicity
     I3 = w * float(sq @ u0)
@@ -282,7 +272,7 @@ def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenDa
     return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat=z_hat, I3=I3, I4=I4, M_hat=M_hat)
 
 
-def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -> BifurcationDiagnostics:
+def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics:
     """mu_s and mu_ss, then the type, for one model on eigendata shared
     across models: scalar arithmetic on g''(0), g'''(0) and eig's I3, I4
     and M_hat, with no solve and no vector. Raises ConfigError when mu_s
@@ -299,10 +289,19 @@ def diagnose(eig: EigenData, model: NonlinearityModel, tolerances: Tolerances) -
                 f"{name} = {value} is not finite: the coefficients of {model.describe()} overflow it"
             )
 
-    zero_tol = tolerances.resolved_zero_tol(eig.eigenpair.eigenvalue)
-    s_s = sign_with_tolerance(mu_s, zero_tol)
-    s_ss = sign_with_tolerance(mu_ss, zero_tol)
-    warnings = _classification_warnings(mu_s, mu_ss, zero_tol, s_s, s_ss)
+    # I3, I4, M_hat > 0: the signs follow from g2 and g3, unless g2 != 0
+    # and g3 < 0, where -g3 I4/3 > 0 competes with -2 g2^2 M_hat < 0
+    s_s = -sign_with_tolerance(g2, 0.0)
+    s_ss = -sign_with_tolerance(g3, 0.0) if g2 == 0.0 else -1
+    warnings = []
+    if g2 != 0.0 and g3 < 0.0:
+        bound = _SIGN_MARGIN * np.finfo(float).eps * (-g3 * eig.I4 / 3.0 + 2.0 * g2 * g2 * eig.M_hat)
+        s_ss = sign_with_tolerance(mu_ss, bound)
+        warnings.append(
+            f"mu_ss = {mu_ss:.3e} is the difference of two competing terms, zero within their rounding "
+            f"bound {bound:.3e}: candidate types {_TYPE_TABLE[(s_s, 0)]} and "
+            f"{_TYPE_TABLE[(s_s, 1 if mu_ss > 0 else -1)]}"
+        )
     if s_s != 0:
         warnings.append(
             "two solutions co-exist on one side of lambda0 near the bifurcation point; "
@@ -326,7 +325,7 @@ def run_analysis(
     """Full pipeline: eigendata, then diagnose."""
     tol = tolerances or Tolerances()
     eig = eigendata(spec, tol)
-    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model, tol), tolerances=tol)
+    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model), tolerances=tol)
 
 
 @dataclass(frozen=True)
@@ -364,6 +363,6 @@ def psi_k_table(
 
     rows = []
     for model in models:
-        d = diagnose(eig, model, tol)
+        d = diagnose(eig, model)
         rows.append(TableRow(k=model.k, eta=model.eta, mu_s=d.mu_s, mu_ss=d.mu_ss, ctype=d.ctype))
     return rows

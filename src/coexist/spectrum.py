@@ -32,6 +32,10 @@ __all__ = [
 
 Array = npt.NDArray[np.float64]
 
+# a gap over this many eps * lambda0 tells lambda1 from lambda0 in floating
+# point; only rounding merges them, as lambda0 < lambda1 on every box
+_GAP_MARGIN = 16.0
+
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
@@ -92,20 +96,16 @@ def principal_eigenpair(L: Laplacian, tol: float) -> Eigenpair:
     return Eigenpair(eigenvalue=L.mode_eigenvalue((1,) * len(vs)), vector=L.outer(vs), residual=res)
 
 
-def verify_crandall_rabinowitz(
-    lambda0: float,
-    lambda1: float,
-    u0: Array,
-    L: Laplacian,
-    gap_tol: float,
-) -> CRReport:
+def verify_crandall_rabinowitz(lambda0: float, lambda1: float, u0: Array, L: Laplacian) -> CRReport:
     """Check the bifurcation-point conditions at (lambda0, 0).
 
-    Kernel dimension one is certified by the gap lambda1 - lambda0
-    exceeding gap_tol (`Tolerances.resolved_gap_tol`). The transversality
-    value, the kernel projection of the mixed derivative applied to u0, is
-    -(u0, u0): -1 for the normalized u0, a node vector of L, so it is
-    reported and never tested.
+    On a box lambda0 = lambda_(1,...,1) lies strictly below every other
+    per-axis sum, so the kernel is one-dimensional. kernel_dim_ok says the
+    floating-point gap lambda1 - lambda0 shows it, exceeding
+    _GAP_MARGIN * eps * lambda0; it fails only where lambda1 and lambda0
+    round to one number. The transversality value, the kernel projection
+    of the mixed derivative applied to u0, is -(u0, u0): -1 for the
+    normalized u0, a node vector of L, so it is reported and never tested.
     """
     gap = lambda1 - lambda0
     u0 = np.asarray(u0, dtype=float)
@@ -113,6 +113,6 @@ def verify_crandall_rabinowitz(
         lambda0=lambda0,
         lambda1=lambda1,
         gap=gap,
-        kernel_dim_ok=bool(gap > gap_tol),
+        kernel_dim_ok=bool(gap > _GAP_MARGIN * np.finfo(float).eps * lambda0),
         transversality_value=-L.weight * float(u0 @ u0),
     )

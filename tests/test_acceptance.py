@@ -79,7 +79,7 @@ def test_criterion_2_interaction_table_numbers(spec400, grid400):
 
     # cubic interaction
     m3 = NonlinearityModel.psi_k(3, 1.0)
-    d3 = diagnose(eig, m3, tol)
+    d3 = diagnose(eig, m3)
     mu_s3, mu_ss3 = d3.mu_s, d3.mu_ss
     if abs(mu_s3 - MU_S_PSI3) > 1e-3:
         failures.append(f"psi3 mu_s = {mu_s3} not within 1e-3 of {MU_S_PSI3}")
@@ -94,7 +94,7 @@ def test_criterion_2_interaction_table_numbers(spec400, grid400):
 
     # quartic interaction
     m4 = NonlinearityModel.psi_k(4, 1.0)
-    d4 = diagnose(eig, m4, tol)
+    d4 = diagnose(eig, m4)
     mu_s4, mu_ss4 = d4.mu_s, d4.mu_ss
     if mu_s4 != 0.0 or math.copysign(1.0, mu_s4) != 1.0:
         failures.append(f"psi4 mu_s = {mu_s4}, expected exact +0.0")
@@ -104,7 +104,7 @@ def test_criterion_2_interaction_table_numbers(spec400, grid400):
     # powers 5..7 fully degenerate
     for k in (5, 6, 7):
         mk = NonlinearityModel.psi_k(k, 1.0)
-        dk = diagnose(eig, mk, tol)
+        dk = diagnose(eig, mk)
         if abs(dk.mu_s) > 1e-10 or abs(dk.mu_ss) > 1e-10:
             failures.append(f"psi{k} diagnostics not within 1e-10 of 0")
         d = run_analysis(spec400, mk).diagnostics
@@ -250,9 +250,9 @@ def test_criterion_7_convergence_orders():
     for n in (100, 200, 400):
         eig = eigendata(DomainSpec("interval", ((0.0, PI),), (n,)), Tolerances(eigen_tol=1e-11))
         errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
-        mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
+        mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0)).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
-        mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0), Tolerances()).mu_ss
+        mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0)).mu_ss
         errors["mu_ss_psi4"].append(abs(mu_ss - MU_SS_PSI4))
 
     for name, errs in errors.items():

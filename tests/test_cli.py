@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,14 @@ def base_config(**model):
     return {
         "domain": {"kind": "interval", "bounds": [[0.0, PI]], "resolution": [100]},
         "model": model or {"kind": "psi_k", "k": 4, "eta": 1.0},
+    }
+
+
+def rounded_gap_config():
+    # lambda1 - lambda0 rounds to exactly 0 on this grid of aspect 1e9
+    return {
+        "domain": {"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 1e9]], "resolution": [3, 3]},
+        "model": {"kind": "psi_k", "k": 3, "eta": 1.0},
     }
 
 
@@ -72,18 +81,20 @@ class TestConfig:
 
     def test_removed_solvability_tol_rejected(self, tmp_path):
         # the corrector has no multiplier to check and keeps its own CG
-        # target, so both knobs are gone, not ignored
+        # target, and the sign pair and the gap follow from the box's
+        # structure, so these knobs are gone, not ignored
         path = write_config(tmp_path, base_config())
-        for name, value in (("solvability_tol", "1e-8"), ("linear_tol", "1e-10")):
+        removed = (("solvability_tol", "1e-8"), ("linear_tol", "1e-10"), ("zero_tol", "1e-6"), ("gap_tol", "1e-6"))
+        for name, value in removed:
             with pytest.raises(ConfigError, match=rf"unknown tolerance fields: \['{name}'\]"):
                 load_config(path, [f"tolerances.{name}={value}"])
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, base_config())
-        cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]", "tolerances.gap_tol=10"])
+        cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]", "tolerances.newton_tol=1e-9"])
         assert cfg.model.eta == -1.0
         assert cfg.domain.resolution == (50,)
-        assert cfg.tolerances.gap_tol == 10
+        assert cfg.tolerances.newton_tol == 1e-9
 
     def test_override_requires_equals(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -113,7 +124,7 @@ class TestConfig:
         [
             "tolerances.eigen_tol=abc",
             "tolerances.eigen_tol=NaN",
-            "tolerances.zero_tol=Infinity",
+            "tolerances.newton_tol=Infinity",
             'domain.resolution=["x"]',
             'domain.bounds=[[0,"pi"]]',
             'model.k="x"',
@@ -350,11 +361,10 @@ class TestVerify:
         assert "transversality_ok" not in report["cr_report"]
 
     def test_synthetic_gap_tol_fails(self, tmp_path):
-        report, code = cmd_verify(
-            load_config(write_config(tmp_path, base_config()), ["tolerances.gap_tol=10"]),
-            out_dir=str(tmp_path),
-        )
+        cfg = load_config(write_config(tmp_path, rounded_gap_config()))
+        report, code = cmd_verify(cfg, out_dir=str(tmp_path))
         assert code == EXIT_VERIFY
+        assert report["cr_report"]["gap"] == 0.0
         assert not report["cr_report"]["kernel_dim_ok"]
 
     def test_square_domain(self, tmp_path):
@@ -433,11 +443,21 @@ class TestMain:
         assert captured.out == "" and "unknown tolerance fields: ['linear_tol']" in captured.err
 
     def test_verify_failure_exit_two(self, tmp_path):
-        path = write_config(tmp_path, base_config())
-        code = main(
-            ["verify", "--config", path, "--out-dir", str(tmp_path), "--override", "tolerances.gap_tol=10"]
-        )
-        assert code == EXIT_VERIFY
+        path = write_config(tmp_path, rounded_gap_config())
+        assert main(["verify", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_VERIFY
+
+    def test_rounded_gap_is_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # what verify flags (exit 2) the other commands refuse (exit 1),
+        # with no corrector solve and so no warning from one
+        calls = []
+        monkeypatch.setattr(diagnostics, "bordered_solve", lambda *args: calls.append(args))
+        path = write_config(tmp_path, rounded_gap_config())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("analyze", "trace", "table"):
+                assert main([command, "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+        assert calls == []
+        assert capsys.readouterr().err.count("lambda1 - lambda0 = 0.000e+00 is rounding") == 3
 
     def test_solver_failure_exit_three(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

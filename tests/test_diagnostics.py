@@ -86,15 +86,15 @@ class TestClassify:
 
 class TestMuS:
     def test_cubic_interaction_closed_form(self, eig):
-        mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_s
+        mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0)).mu_s
         assert mu_s == pytest.approx(I3_EXACT, abs=1e-4)
 
     def test_quartic_interaction_exactly_zero(self, eig):
-        assert _is_plus_zero(diagnose(eig, NonlinearityModel.psi_k(4, 3.0), Tolerances()).mu_s)
+        assert _is_plus_zero(diagnose(eig, NonlinearityModel.psi_k(4, 3.0)).mu_s)
 
     @pytest.mark.parametrize("v_l", [-2.0, 1.0, 3.0])
     def test_linear_model_zero(self, eig, v_l):
-        assert _is_plus_zero(diagnose(eig, NonlinearityModel.linear(v_l), Tolerances()).mu_s)
+        assert _is_plus_zero(diagnose(eig, NonlinearityModel.linear(v_l)).mu_s)
 
 
 def test_diagnose_does_no_vector_work(eig):
@@ -110,7 +110,7 @@ def test_diagnose_does_no_vector_work(eig):
         NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
         NonlinearityModel.free(),
     ):
-        d = diagnose(eig, model, Tolerances())
+        d = diagnose(eig, model)
         assert not any(isinstance(v, np.ndarray) for v in vars(d).values()), model
 
 
@@ -119,13 +119,13 @@ class TestCorrector:
         # g''(0) = 0 (-0.0 for the cubic at eta = 0): the corrector
         # vanishes, mu_s is exactly +0.0 and M_hat drops out of mu_ss
         for model in (NonlinearityModel.psi_k(4, 1.0), NonlinearityModel.psi_k(3, 0.0)):
-            d = diagnose(eig, model, Tolerances())
+            d = diagnose(eig, model)
             assert np.all(derivative_at_zero(model, 2) * eig.z_hat == 0.0)
             assert _is_plus_zero(d.mu_s), model
             assert d.mu_ss == -derivative_at_zero(model, 3) * eig.I4 / 3.0 + 0.0, model
 
     def test_free_model_gives_zero(self, eig):
-        d = diagnose(eig, NonlinearityModel.free(), Tolerances())
+        d = diagnose(eig, NonlinearityModel.free())
         assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * eig.z_hat == 0.0)
         assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss))
 
@@ -146,7 +146,7 @@ class TestCorrector:
             grid = FullGrid(spec)
             tol = Tolerances(eigen_tol=1e-12)
             eig = eigendata(spec, tol)
-            d = diagnose(eig, model, tol)
+            d = diagnose(eig, model)
             u0, n = grid.sine_mode(), grid.n
 
             K = np.zeros((n + 1, n + 1))
@@ -215,7 +215,7 @@ def test_folded_corrector_matches_full_grid_oracle(name):
 
     models = [NonlinearityModel.psi_k(k, eta) for k in (3, 4, 5, 6) for eta in (1.0, -1.0)]
     for model in models + [NonlinearityModel.polynomial(list(BENCHMARK_POLY))]:
-        got, want = diagnose(eig, model, Tolerances()), diagnose(oracle, model, Tolerances())
+        got, want = diagnose(eig, model), diagnose(oracle, model)
         assert got.ctype is want.ctype, model.describe()
 
 
@@ -292,7 +292,7 @@ def test_corrector_applies_the_stencil_once_per_cg_step(spec, applications, monk
 def test_tolerances_is_the_one_tolerance_policy():
     # every threshold resolves in Tolerances: no function in the package
     # gives a tolerance parameter a default of its own
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eigen_tol", "newton_tol", "zero_tol", "gap_tol"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eigen_tol", "newton_tol"]
     offenders = []
     for path in sorted(Path(coexist.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -308,18 +308,18 @@ def test_tolerances_is_the_one_tolerance_policy():
 
 class TestMuSS:
     def test_quartic_closed_form(self, eig):
-        mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0), Tolerances()).mu_ss
+        mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0)).mu_ss
         assert mu_ss == pytest.approx(3 / PI, abs=1e-3)
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_higher_powers_vanish(self, eig, k):
-        d = diagnose(eig, NonlinearityModel.psi_k(k, 1.0), Tolerances())
+        d = diagnose(eig, NonlinearityModel.psi_k(k, 1.0))
         assert abs(d.mu_ss) <= 1e-10
 
     def test_cubic_matches_sigma_form(self, eig, grid400):
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
-        mu_ss = diagnose(eig, model, Tolerances()).mu_ss
+        mu_ss = diagnose(eig, model).mu_ss
         u0 = eig.operator.unfold(eig.eigenpair.vector)
         z = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
         sigma = psi3_sigma_form(grid400, u0, z, eta)
@@ -342,7 +342,7 @@ def test_cubic_mu_ss_against_fourier_series_oracle(eig):
     )
     oracle = -((2 / PI) ** 3) * 64.0 * series
 
-    mu_ss = diagnose(eig, NonlinearityModel.psi_k(3, 1.0), Tolerances()).mu_ss
+    mu_ss = diagnose(eig, NonlinearityModel.psi_k(3, 1.0)).mu_ss
     assert mu_ss == pytest.approx(oracle, abs=1e-5)
 
 
@@ -366,7 +366,7 @@ class TestRawFormOracle:
         g3 = derivative_at_zero(model, 3)
         # shift by lambda0 of the *linearized* operator: the closed forms
         # are invariant to V_L because lambda = m + V_L absorbs it
-        d = diagnose(eig, model, Tolerances())
+        d = diagnose(eig, model)
         mu_s, z_s, mu_ss = d.mu_s, g2 * eig.operator.unfold(eig.z_hat), d.mu_ss
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
@@ -392,7 +392,7 @@ class TestRawFormOracle:
 class TestScalingCovariance:
     def test_cubic_scaling(self, eig):
         def diag(eta):
-            d = diagnose(eig, NonlinearityModel.psi_k(3, eta), Tolerances())
+            d = diagnose(eig, NonlinearityModel.psi_k(3, eta))
             return d.mu_s, d.mu_ss
 
         mu_s_1, mu_ss_1 = diag(1.0)
@@ -402,8 +402,8 @@ class TestScalingCovariance:
 
     def test_quartic_scaling(self, eig):
         # g''(0) = 0: the corrector's moment drops out
-        m1 = diagnose(eig, NonlinearityModel.psi_k(4, 1.0), Tolerances()).mu_ss
-        m2 = diagnose(eig, NonlinearityModel.psi_k(4, 2.0), Tolerances()).mu_ss
+        m1 = diagnose(eig, NonlinearityModel.psi_k(4, 1.0)).mu_ss
+        m2 = diagnose(eig, NonlinearityModel.psi_k(4, 2.0)).mu_ss
         assert m2 == pytest.approx(2 * m1, rel=1e-13)
 
 
@@ -455,12 +455,28 @@ class TestPipeline:
         res = run_analysis(spec400, NonlinearityModel.linear(2.0))
         assert res.m_at_bifurcation == res.cr_report.lambda0 - 2.0
 
-    def test_boundary_warning_near_zero_tol(self, spec400):
-        # polynomial with a tiny quadratic coefficient puts mu_s right at
-        # the classification band edge
-        c2 = -1.5e-6 / I3_EXACT
-        d = run_analysis(spec400, NonlinearityModel.polynomial([0.0, c2])).diagnostics
-        assert any("zero_tol" in w for w in d.warnings)
+    def test_tiny_quadratic_classifies_by_its_sign(self, spec400):
+        # I3 and M_hat are positive, so g = c2 u^2 has mu_s = -c2 I3 > 0 and
+        # mu_ss = -8 c2^2 M_hat < 0 for every c2 < 0, though c2^2
+        # underflows here and mu_ss reads 0.0
+        d = run_analysis(spec400, NonlinearityModel.polynomial([0.0, -1e-200])).diagnostics
+        assert d.mu_s > 0.0 and d.mu_ss == 0.0
+        assert d.ctype is CoexistenceType.VI
+        assert not any("competing" in w for w in d.warnings)
+
+    @pytest.mark.parametrize(
+        "cancel, expected, other",
+        [(True, CoexistenceType.V, {"IV", "VI"}), (False, CoexistenceType.IV, {"IV"})],
+    )
+    def test_competing_terms_warning_names_both_types(self, eig, cancel, expected, other):
+        # g = -u^2 + c3 u^3 with c3 < 0: mu_ss = -2 c3 I4 - 8 M_hat is a
+        # difference of two terms, and c3 = -4 M_hat / I4 cancels it
+        c3 = -4.0 * eig.M_hat / eig.I4 if cancel else -0.1
+        d = diagnose(eig, NonlinearityModel.polynomial([0.0, -1.0, c3]))
+        assert d.ctype is expected
+        [warning] = [w for w in d.warnings if "competing" in w]
+        assert "rounding bound" in warning
+        assert any(f"candidate types V and {t}" in warning for t in other)
 
     def test_square_domain_cubic_interaction(self):
         # the full pipeline on a 2D domain: u0 = (2/pi) sin(x) sin(y),

@@ -13,22 +13,13 @@ from coexist.cli import EXIT_OK, RunConfig, cmd_trace, main
 PI = math.pi
 
 # The absolute default eigen_tol = 1e-10 lies below the rounding floor of
-# the residual ||L v - lambda v|| once 1/h^2 reaches ~4e5; tolerances that
-# scale with lambda0 and 1/h^2 are ROADMAP.md item 4.
+# the residual ||L v - lambda v|| once 1/h^2 reaches ~4e5; reporting the
+# residual as the identity it is, with no eigen_tol, is the eigen half of
+# ROADMAP.md item 16.
 ROUNDING_FLOOR = pytest.mark.xfail(
     strict=True,
     raises=ConvergenceError,
-    reason="absolute eigen_tol is below the eigen-residual rounding floor (ROADMAP.md item 4)",
-)
-
-# On (0, 0.1) mu_ss ~ length while zero_tol = 1e-6 lambda0 ~ length^-2, so
-# mu_ss = -3.0e-4 falls inside zero_tol = 9.9e-4 and the type reads V
-# (VIII) instead of VI (IX); zero judged against each quantity's own terms
-# is ROADMAP.md item 4. With no `raises=`, a wrong type and an exception
-# both count as the expected failure; only the right type flips the test.
-ABSOLUTE_ZERO_TOL = pytest.mark.xfail(
-    strict=True,
-    reason="zero_tol scales with lambda0, not with mu_ss (ROADMAP.md item 4)",
+    reason="absolute eigen_tol is below the eigen-residual rounding floor (ROADMAP.md item 16, eigen half)",
 )
 
 SHORT_INTERVAL = ((0.0, 0.1),)
@@ -57,7 +48,9 @@ def test_fine_interval_classifies(n):
     assert result.diagnostics.ctype is CoexistenceType.VI
 
 
-@ABSOLUTE_ZERO_TOL
+# On (0, 0.1) mu_ss = -3.0e-4 scales with the length and lambda0 with its
+# inverse square; the signs follow from g''(0) and g'''(0), not from a
+# zero band scaled by lambda0, which read V (VIII) here
 @pytest.mark.parametrize("n", [20, 50])
 @pytest.mark.parametrize("eta, expected", [(1.0, CoexistenceType.VI), (-1.0, CoexistenceType.IX)])
 def test_short_interval_classifies(n, eta, expected):
@@ -78,6 +71,21 @@ def test_short_interval_verify_reads_lambda1_from_closed_form(tmp_path, capsys):
     h = 0.1 / 51
     assert cr["lambda1"] == pytest.approx(4 / h**2 * math.sin(2 * PI / 102) ** 2, rel=1e-14)
     assert cr["kernel_dim_ok"]
+
+
+def test_long_rectangle_verifies(tmp_path, capsys):
+    # gap / lambda0 ~ 3 (1/3000)^2 = 3.3e-7 on (0,1) x (0,3000): tiny, yet
+    # 1.5e9 times eps * lambda0, so verify certifies what analyze runs on
+    config = {
+        "domain": {"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 3000.0]], "resolution": [15, 255]},
+        "model": {"kind": "psi_k", "k": 3, "eta": 1.0},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(config))
+    for command in ("verify", "analyze"):
+        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert json.loads((tmp_path / "report.json").read_text())["cr_report"]["kernel_dim_ok"]
 
 
 # (0, 100) exits 0 with all ten points converged, yet reports a branch

@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import reduce
 
 import numpy as np
@@ -104,8 +105,7 @@ def test_lambda0_refinement_order():
 
 def test_cr_report_interval(eig400, cr400, lap400):
     pair, _ = eig400
-    gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, lap400, gap_tol)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, lap400)
     assert cr.gap == pytest.approx(3.0, abs=2e-3)
     assert cr.kernel_dim_ok
     # the transversality value is the identity -(u0, u0) = -1, reported, not a check
@@ -114,16 +114,18 @@ def test_cr_report_interval(eig400, cr400, lap400):
 
 def test_cr_report_degenerate_gap(eig400, lap400):
     pair, _ = eig400
-    gap_tol = Tolerances().resolved_gap_tol(pair.eigenvalue)
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, pair.eigenvalue, pair.vector, lap400, gap_tol)
+    cr = verify_crandall_rabinowitz(pair.eigenvalue, pair.eigenvalue, pair.vector, lap400)
     assert cr.gap == 0.0
     assert not cr.kernel_dim_ok
 
 
-def test_cr_custom_gap_tol(eig400, cr400, lap400):
+def test_cr_gap_within_rounding_fails(eig400, lap400):
+    # the kernel is one-dimensional on every box; only a gap that rounding
+    # could make, a few eps * lambda0, fails the certificate
     pair, _ = eig400
-    cr = verify_crandall_rabinowitz(pair.eigenvalue, cr400[0].lambda1, pair.vector, lap400, gap_tol=10.0)
-    assert not cr.kernel_dim_ok
+    lam0, eps = pair.eigenvalue, sys.float_info.epsilon
+    assert not verify_crandall_rabinowitz(lam0, lam0 * (1 + 8 * eps), pair.vector, lap400).kernel_dim_ok
+    assert verify_crandall_rabinowitz(lam0, lam0 * (1 + 1e-12), pair.vector, lap400).kernel_dim_ok
 
 
 def test_unattainable_tolerance_raises():

@@ -3,14 +3,15 @@
 With g = c2 u^2 + c3 u^3, mu_s = -c2 I3 and mu_ss = -2 c3 I4 - 8 c2^2 M_hat.
 c2 = -1 or +1 gives mu_s > 0 or < 0. c3 = -0.1 makes mu_ss positive (types
 IV and VII); c3 = -4 c2^2 M_hat / I4, from the mesh's own moments, cancels
-mu_ss (types V and VIII).
+mu_ss (types V and VIII), and the cancellation leaves rounding that the
+type must read as zero at any scale of c2, here also 1e-3 and 37.
 """
 
 import math
 
 import pytest
 
-from coexist import CoexistenceType, DomainSpec, NonlinearityModel, eigendata, run_analysis, trace_branch
+from coexist import CoexistenceType, DomainSpec, NonlinearityModel, Tolerances, eigendata, run_analysis, trace_branch
 from coexist.continuation import DEFAULT_S_VALUES
 
 PI = math.pi
@@ -26,7 +27,10 @@ WITNESSES = {
     (1.0, False): CoexistenceType.VII,
     (-1.0, True): CoexistenceType.V,
     (1.0, True): CoexistenceType.VIII,
+    (1e-3, True): CoexistenceType.VIII,
+    (37.0, True): CoexistenceType.VIII,
 }
+IDS = [str(t) if abs(c2) == 1.0 else f"{t}-c2={c2:g}" for (c2, _), t in WITNESSES.items()]
 
 
 @pytest.fixture(scope="module", params=list(DOMAINS))
@@ -34,15 +38,21 @@ def spec(request):
     return DOMAINS[request.param]
 
 
-@pytest.mark.parametrize("c2, cancel", list(WITNESSES), ids=[str(t) for t in WITNESSES.values()])
+@pytest.mark.parametrize("c2, cancel", list(WITNESSES), ids=IDS)
 def test_witness_classifies_and_traces(spec, c2, cancel):
+    # u -> c2 u maps the model to c2 = 1: the branch at amplitude s is the
+    # c2 = 1 branch at c2 s, its residual over c2, and a and b carry c2 and
+    # c2^2. Amplitudes, Newton's stop and the bounds scaled so keep the
+    # trace of |c2| > 1 as local and as tight as at c2 = 1
+    scale = max(1.0, abs(c2))
     eig = eigendata(spec)
     c3 = -4.0 * c2 * c2 * eig.M_hat / eig.I4 if cancel else -0.1
-    analysis = run_analysis(spec, NonlinearityModel.polynomial((0.0, c2, c3)))
+    tol = Tolerances(newton_tol=Tolerances().newton_tol / scale)
+    analysis = run_analysis(spec, NonlinearityModel.polynomial((0.0, c2, c3)), tol)
     d = analysis.diagnostics
     assert d.ctype is WITNESSES[(c2, cancel)]
 
-    branch = trace_branch(analysis, DEFAULT_S_VALUES)
+    branch = trace_branch(analysis, [s / scale for s in DEFAULT_S_VALUES])
     assert len(branch.points) == len(DEFAULT_S_VALUES) and not branch.truncations
-    assert abs(branch.fit.a - d.mu_s) <= 1e-12
-    assert abs(2 * branch.fit.b - d.mu_ss) <= 1e-10
+    assert abs(branch.fit.a - d.mu_s) <= 1e-12 * scale
+    assert abs(2 * branch.fit.b - d.mu_ss) <= 1e-10 * scale**2
