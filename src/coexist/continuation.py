@@ -17,8 +17,13 @@ Each point starts from a second-order predictor U = s*u0 + s^2*w,
 lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
 g''(0)*z_hat, the corrector the analysis already solved, and c =
 1/2*mu_ss; every later point takes w and c from its converged inward
-neighbour. The guess is then accurate to the branch's own order, and one
-Newton step reaches the analysis's `Tolerances.newton_tol`.
+neighbour. The guess is then accurate to the branch's own order, and
+about one Newton step reaches the stop.
+
+Newton stops at F's rounding floor, ||F|| <= _NEWTON_MARGIN eps (sum 4/h^2)
+||U||: L U is formed to eps times ||L|| ||U||, and sum 4/h^2 bounds ||L||.
+Each step's bordered solve targets half that floor, so the linear error
+never keeps Newton from it (Dembo, Eisenstat and Steihaug 1982).
 
 The problem commutes with the reflection of each axis and u0 is
 invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
@@ -40,7 +45,8 @@ import numpy as np
 import numpy.typing as npt
 
 from .diagnostics import AnalysisResult
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
+from .mesh import stencil_bound
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import Laplacian, MatVec, solve_bordered_system
 
@@ -59,9 +65,12 @@ __all__ = [
 Array = npt.NDArray[np.float64]
 
 DEFAULT_S_VALUES = (-0.10, -0.08, -0.06, -0.04, -0.02, 0.02, 0.04, 0.06, 0.08, 0.10)
-# relative target of each Newton step's bordered solve; its absolute target
-# follows from newton_tol
-_LINEAR_RTOL = 1e-8
+# Newton stops at ||F|| <= this many eps * (sum 4/h^2) * ||U||, F's rounding floor
+_NEWTON_MARGIN = 64.0
+# Newton steps a point may take before it counts as diverged
+_MAX_NEWTON_STEPS = 25
+# the smallest |s| must move lambda by more than this many ulps of lambda0
+_AMPLITUDE_ULPS = 4.0
 # highest power of s in the local-expansion fit, when the points allow it
 _FIT_DEGREE = 6
 
@@ -117,13 +126,7 @@ def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: Laplacian)
 
 
 def solve_at_amplitude(
-    s: float,
-    model: NonlinearityModel,
-    L: Laplacian,
-    u0: Array,
-    guess: tuple[Array, float],
-    newton_tol: float,
-    max_iters: int = 25,
+    s: float, model: NonlinearityModel, L: Laplacian, u0: Array, guess: tuple[Array, float]
 ) -> BranchPoint:
     """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess = (U, lambda),
     such as trace_branch's predictor.
@@ -133,12 +136,11 @@ def solve_at_amplitude(
     Precondition: u0 is normalized, (u0, u0) = 1. The guess is pinned
     once to the amplitude, U + (s - (U, u0))*u0; every Newton correction
     then solves the bordered system with its correction orthogonal to u0,
-    so the amplitude holds by construction and convergence is judged on
-    ||F|| alone. Inner bordered solves run at relative tolerance
-    _LINEAR_RTOL with an absolute target well below newton_tol, so the
-    linear error never limits the Newton residual. Raises ConvergenceError,
-    carrying the final residual and the number of iterations taken, also
-    when a value overflows or turns NaN.
+    so the amplitude holds by construction and Newton stops on ||F||
+    alone, at its rounding floor (h from L.h). Raises ConvergenceError,
+    carrying the final residual and the number of iterations taken, after
+    _MAX_NEWTON_STEPS steps, when a step's linear solve fails (its own
+    message kept), and when a value overflows or turns NaN.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
@@ -147,30 +149,28 @@ def solve_at_amplitude(
         if v.shape != (L.n,):
             raise ValueError(f"{name} has shape {v.shape}, expected ({L.n},), one entry per node of L")
     w = L.weight
-    # Euclidean absolute target: newton_tol is a tolerance on the weighted
-    # norm sqrt(w) * ||v||_2
-    linear_atol = 0.02 * newton_tol / np.sqrt(w)
+    floor_per_norm = _NEWTON_MARGIN * np.finfo(float).eps * stencil_bound(L.h)
     res, iters = math.nan, 0
     try:
         with np.errstate(over="raise", invalid="raise"):
             U, lam = U + (s - w * float(U @ u0)) * u0, float(guess[1])
-            for iters in range(max_iters + 1):
+            for iters in range(_MAX_NEWTON_STEPS + 1):
                 F = residual(U, lam, model, L)
                 res = math.sqrt(w * float(F @ F))
-                if res <= newton_tol:
+                floor = floor_per_norm * math.sqrt(w * float(U @ U))
+                if res <= floor:
                     break
-                if iters == max_iters:
+                if iters == _MAX_NEWTON_STEPS:
                     raise ConvergenceError(
                         f"Newton iteration at s={s:g} did not converge", residual=res, iterations=iters
                     )
-                try:
+                try:  # CG's target is Euclidean, F's norm weighted
                     dU, dlam = solve_bordered_system(
-                        jacobian_apply(U, lam, model, L), u0, -U, -F, L, lam, rtol=_LINEAR_RTOL, atol=linear_atol
+                        jacobian_apply(U, lam, model, L), u0, -U, -F, L, lam, rtol=0.0, atol=0.5 * floor / math.sqrt(w)
                     )
                 except ConvergenceError as exc:
-                    raise ConvergenceError(
-                        f"Newton step at s={s:g} failed in the linear solve", residual=res, iterations=iters
-                    ) from exc
+                    msg = f"Newton step at s={s:g} failed in the linear solve: {exc}; Newton stopped"
+                    raise ConvergenceError(msg, residual=res, iterations=iters) from exc
                 U = U + dU
                 lam = lam + dlam
     except FloatingPointError as exc:
@@ -180,7 +180,7 @@ def solve_at_amplitude(
     return BranchPoint(s=float(s), lam=lam, U=U, residual=res, newton_iters=iters)
 
 
-def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Branch:
+def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
     """Solve along the given amplitudes for the analysis's model and domain,
     outward from s = 0 on each side, each point from the second-order
     predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c. Each
@@ -191,11 +191,13 @@ def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Bra
     Newton runs on the mirror-symmetric subspace, where the branch lies:
     on `analysis.operator`'s half grid, which u0 and z_hat are already on.
     Each converged U is unfolded once, so every BranchPoint.U is a
-    full-grid vector. Newton stops at `analysis.tolerances.newton_tol`.
+    full-grid vector. Newton stops at F's rounding floor.
 
-    A diverged point, or one whose predictor overflows or turns NaN,
-    truncates its side of the branch; the event is recorded on the Branch
-    rather than raised.
+    Raises ConfigError when |mu_s| |s| + |mu_ss| s^2/2 at the smallest |s|
+    is within _AMPLITUDE_ULPS ulps of lambda0 (unless mu_s = mu_ss = 0):
+    lambda(s) - lambda0 is not resolved there. A diverged point, or one
+    whose predictor overflows or turns NaN, truncates its side of the
+    branch; the event is recorded on the Branch rather than raised.
     """
     s_values = [float(s) for s in s_values]
     if any(s == 0.0 for s in s_values):
@@ -203,16 +205,19 @@ def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Bra
     if sorted(s_values) != s_values or len(set(s_values)) != len(s_values):
         raise ValueError("s_values must be strictly increasing")
 
-    model = analysis.model
-    lambda0 = analysis.eigenpair.eigenvalue
-    d = analysis.diagnostics
-    L, u0 = analysis.operator, analysis.eigenpair.vector
-    newton_tol = analysis.tolerances.newton_tol
+    model, d, L = analysis.model, analysis.diagnostics, analysis.operator
+    lambda0, u0 = analysis.eigenpair.eigenvalue, analysis.eigenpair.vector
+    s_min = min((abs(s) for s in s_values), default=math.inf)
+    shift, bound = abs(d.mu_s) * s_min + abs(d.mu_ss) * s_min * s_min / 2, _AMPLITUDE_ULPS * math.ulp(lambda0)
+    if (d.mu_s or d.mu_ss) and shift <= bound:
+        raise ConfigError(
+            f"|s| = {s_min:g} moves lambda by |mu_s||s| + |mu_ss|s^2/2 = {shift:.3e}, within "
+            f"{_AMPLITUDE_ULPS:g} ulps of lambda0 ({bound:.3e}): lambda(s) - lambda0 is not resolved"
+        )
 
     points: list[BranchPoint] = []
     truncations: list[str] = []
-    negatives = sorted((s for s in s_values if s < 0), reverse=True)
-    positives = sorted(s for s in s_values if s > 0)
+    negatives, positives = [s for s in s_values[::-1] if s < 0], [s for s in s_values if s > 0]
     z_s = derivative_at_zero(model, 2) * analysis.z_hat
     for leg in (negatives, positives):
         w, c = z_s, 0.5 * d.mu_ss
@@ -220,7 +225,7 @@ def trace_branch(analysis: AnalysisResult, s_values, max_iters: int = 25) -> Bra
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
-                    pt = solve_at_amplitude(s, model, L, u0, predicted, newton_tol, max_iters)
+                    pt = solve_at_amplitude(s, model, L, u0, predicted)
                     w = (pt.U - s * u0) / (s * s)
                     c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
             except (ConvergenceError, FloatingPointError) as exc:

@@ -43,7 +43,7 @@ and a warning names both candidate types.
 
 `Tolerances` is the one tolerance policy: every threshold that decides
 "certified" or "consistent" resolves there, and no other function gives a
-tolerance a default. `AnalysisResult` carries the Tolerances it ran under.
+tolerance a default.
 The transversality value -(u0, u0) is -1 for the normalized u0, an
 identity that is reported and not tested; the gap is the certificate.
 """
@@ -149,15 +149,14 @@ class BifurcationDiagnostics:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every threshold the pipeline judges by: the eigen certificate, Newton's
-    stop on ||F||, and the trace's fit bounds (methods, not fields). The sign
-    pair and the kernel gap take none: both follow from the box's structure
-    and are judged only against rounding. Solver-internal targets, such as
-    CG's stall window or the corrector's CG target, stay next to their
+    """Every threshold the pipeline judges by: the eigen certificate, and the
+    trace's fit bounds (methods, not fields). The sign pair, the kernel gap
+    and Newton's stop take none: they follow from the box's structure and
+    are judged only against rounding. Solver-internal targets, such as CG's
+    stall window or the corrector's CG target, stay next to their
     solvers."""
 
     eigen_tol: float = 1e-10
-    newton_tol: float = 1e-10
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
@@ -220,12 +219,10 @@ class EigenData:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult(EigenData):
-    """Everything the pipeline computes for one (domain, model) pair, and
-    the tolerances it ran under, which `trace_branch` reads too."""
+    """Everything the pipeline computes for one (domain, model) pair."""
 
     model: NonlinearityModel
     diagnostics: BifurcationDiagnostics
-    tolerances: Tolerances
 
     @property
     def m_at_bifurcation(self) -> float:
@@ -317,15 +314,10 @@ def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics
     )
 
 
-def run_analysis(
-    spec: DomainSpec,
-    model: NonlinearityModel,
-    tolerances: Tolerances | None = None,
-) -> AnalysisResult:
+def run_analysis(spec: DomainSpec, model: NonlinearityModel, tolerances: Tolerances | None = None) -> AnalysisResult:
     """Full pipeline: eigendata, then diagnose."""
-    tol = tolerances or Tolerances()
-    eig = eigendata(spec, tol)
-    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model), tolerances=tol)
+    eig = eigendata(spec, tolerances)
+    return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model))
 
 
 @dataclass(frozen=True)
@@ -358,8 +350,7 @@ def psi_k_table(
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
     # built before the eigen stage, so a non-integer k fails first
     models = [NonlinearityModel.psi_k(k, eta) for eta in eta_list for k in k_list]
-    tol = tolerances or Tolerances()
-    eig = eigendata(spec, tol)
+    eig = eigendata(spec, tolerances)
 
     rows = []
     for model in models:

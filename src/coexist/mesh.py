@@ -13,9 +13,14 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, as_number
 
-__all__ = ["DomainSpec"]
+__all__ = ["DomainSpec", "stencil_bound"]
 
 _AXES_FOR_KIND = {"interval": 1, "rectangle": 2}
+
+
+def stencil_bound(h) -> float:
+    """sum 4/h^2 over the axes' spacings h, above every stencil eigenvalue."""
+    return sum(4.0 / (x * x) if x * x > 0.0 else math.inf for x in h)
 
 
 @dataclass(frozen=True)
@@ -59,11 +64,10 @@ class DomainSpec:
         for ax, n in enumerate(self.resolution):
             if n < 3:
                 raise ConfigError(f"resolution[{ax}] must be >= 3, got {n}")
-        # the residual norms square L v, which is at most the stencil's largest
-        # eigenvalue sum 4/h^2 times the normalized sine mode's peak, whose
-        # square is prod 2/len
+        # the residual norms square L v, which is at most stencil_bound times
+        # the normalized sine mode's peak, whose square is prod 2/len
         hs = self.h
-        lam_max = sum(4.0 / (h * h) if h * h > 0.0 else math.inf for h in hs)
+        lam_max = stencil_bound(hs)
         squared = lam_max * lam_max * math.prod(2.0 / (hi - lo) for lo, hi in self.bounds)
         if not math.isfinite(squared):
             raise ConfigError(

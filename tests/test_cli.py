@@ -50,6 +50,22 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def assert_truncated_at(tmp_path, innermost, config, *overrides):
+    """trace on a demo config with overrides exits 3 with no points, each
+    side truncated at its innermost amplitude +-innermost."""
+    path = Path(__file__).parents[1] / "demos" / "configs" / f"{config}.json"
+    args = ["--config", str(path), "--out-dir", str(tmp_path)]
+    for override in overrides:
+        args += ["--override", override]
+    assert main(["trace", *args]) == EXIT_SOLVER
+    branch = json.loads((tmp_path / "report.json").read_text())["branch"]
+    assert branch["n_points"] == 0
+    assert [t.split(":")[0] for t in branch["truncations"]] == [
+        f"branch truncated at s=-{innermost}",
+        f"branch truncated at s={innermost}",
+    ]
+
+
 class TestConfig:
     def test_load_minimal(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config()))
@@ -75,26 +91,33 @@ class TestConfig:
 
     def test_bad_tolerance_rejected(self, tmp_path):
         raw = base_config()
-        raw["tolerances"] = {"newton_tol": -1.0}
-        with pytest.raises(ConfigError, match="newton_tol"):
+        raw["tolerances"] = {"eigen_tol": -1.0}
+        with pytest.raises(ConfigError, match="eigen_tol"):
             load_config(write_config(tmp_path, raw))
 
     def test_removed_solvability_tol_rejected(self, tmp_path):
         # the corrector has no multiplier to check and keeps its own CG
-        # target, and the sign pair and the gap follow from the box's
-        # structure, so these knobs are gone, not ignored
+        # target, the sign pair and the gap follow from the box's structure,
+        # and Newton stops at F's rounding floor, so these knobs are gone,
+        # not ignored
         path = write_config(tmp_path, base_config())
-        removed = (("solvability_tol", "1e-8"), ("linear_tol", "1e-10"), ("zero_tol", "1e-6"), ("gap_tol", "1e-6"))
+        removed = (
+            ("solvability_tol", "1e-8"),
+            ("linear_tol", "1e-10"),
+            ("zero_tol", "1e-6"),
+            ("gap_tol", "1e-6"),
+            ("newton_tol", "1e-10"),
+        )
         for name, value in removed:
             with pytest.raises(ConfigError, match=rf"unknown tolerance fields: \['{name}'\]"):
                 load_config(path, [f"tolerances.{name}={value}"])
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, base_config())
-        cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]", "tolerances.newton_tol=1e-9"])
+        cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]", "tolerances.eigen_tol=1e-9"])
         assert cfg.model.eta == -1.0
         assert cfg.domain.resolution == (50,)
-        assert cfg.tolerances.newton_tol == 1e-9
+        assert cfg.tolerances.eigen_tol == 1e-9
 
     def test_override_requires_equals(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -124,7 +147,7 @@ class TestConfig:
         [
             "tolerances.eigen_tol=abc",
             "tolerances.eigen_tol=NaN",
-            "tolerances.newton_tol=Infinity",
+            "tolerances.eigen_tol=Infinity",
             'domain.resolution=["x"]',
             'domain.bounds=[[0,"pi"]]',
             'model.k="x"',
@@ -472,22 +495,32 @@ class TestMain:
         [
             ("psi3_interval", "[-1e200,-1e199,-1e198,1e198,1e199,1e200]", "1e+198"),
             ("psi4_interval", "[-1e200,-1e199,-1e198,1e198,1e199,1e200]", "1e+198"),
-            ("psi3_interval", "[-1e-200,-1e-199,-1e-198,1e-198,1e-199,1e-200]", "1e-200"),
         ],
     )
     def test_non_finite_branch_exit_three(self, tmp_path, config, s_values, innermost):
-        # s^2 overflows (or underflows to 0, which the predictor divides by)
-        # at the innermost amplitude of each side: that side truncates there,
-        # with no RuntimeWarning and no NaN residual
-        path = Path(__file__).parents[1] / "demos" / "configs" / f"{config}.json"
+        # s^2 overflows at the innermost amplitude of each side: that side
+        # truncates there, with no RuntimeWarning and no NaN residual
+        assert_truncated_at(tmp_path, innermost, config, f"s_values={s_values}")
+
+    def test_underflowing_amplitudes_exit_three(self, tmp_path):
+        # s^2 underflows to 0, which the predictor divides by. psi_5 has
+        # mu_s = mu_ss = 0, so no amplitude is too small for the expansion
+        s_values = "s_values=[-1e-200,-1e-199,-1e-198,1e-198,1e-199,1e-200]"
+        assert_truncated_at(tmp_path, "1e-200", "psi3_interval", s_values, "model.k=5")
+
+    @pytest.mark.parametrize(
+        "s_values", ["[-1e-100,-1e-99,-1e-98,1e-98,1e-99,1e-100]", "[-1e-200,-1e-199,-1e-198,1e-198,1e-199,1e-200]"]
+    )
+    def test_unresolvable_amplitudes_exit_one(self, tmp_path, capsys, s_values):
+        # |mu_s| |s| = 6.8e-101 (or 6.8e-201) at the smallest |s| is far
+        # below the ulp of lambda0 ~ 1: lambda(s) would equal lambda0 to the
+        # last bit, and the fit would read a = b = 0
+        path = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
         args = ["--config", str(path), "--out-dir", str(tmp_path), "--override", f"s_values={s_values}"]
-        assert main(["trace", *args]) == EXIT_SOLVER
-        branch = json.loads((tmp_path / "report.json").read_text())["branch"]
-        assert branch["n_points"] == 0
-        assert [t.split(":")[0] for t in branch["truncations"]] == [
-            f"branch truncated at s=-{innermost}",
-            f"branch truncated at s={innermost}",
-        ]
+        assert main(["trace", *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "ulps of lambda0" in err
+        assert not (tmp_path / "branch.csv").exists()
 
     def test_out_of_memory_grid_exit_one(self, tmp_path, capsys):
         # 10^15 nodes on one axis ask for petabytes, beyond the address

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from coexist import (
     jacobian_apply,
     residual,
     run_analysis,
-    Tolerances,
     solve_at_amplitude,
     trace_branch,
 )
@@ -23,7 +21,6 @@ from coexist.nonlinearity import derivative_at_zero
 from conftest import FullGrid, weighted_norm as norm
 
 PI = math.pi
-NEWTON_TOL = 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +102,6 @@ class TestSolveAtAmplitude:
             quartic.operator,
             quartic.eigenpair.vector,
             expansion_guess(quartic, 0.1),
-            NEWTON_TOL,
         )
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
@@ -114,8 +110,8 @@ class TestSolveAtAmplitude:
 
     def test_quartic_parity(self, quartic):
         args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
-        plus = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1), NEWTON_TOL)
-        minus = solve_at_amplitude(-0.1, *args, expansion_guess(quartic, -0.1), NEWTON_TOL)
+        plus = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
+        minus = solve_at_amplitude(-0.1, *args, expansion_guess(quartic, -0.1))
         assert abs(plus.lam - minus.lam) <= 1e-8
         assert np.max(np.abs(plus.U + minus.U)) <= 1e-8
 
@@ -123,13 +119,13 @@ class TestSolveAtAmplitude:
     def test_linear_model_stays_on_eigenline(self, spec400, s):
         res = run_analysis(spec400, NonlinearityModel.linear(-0.5))
         args = (res.model, res.operator, res.eigenpair.vector)
-        pt = solve_at_amplitude(s, *args, expansion_guess(res, s), NEWTON_TOL)
+        pt = solve_at_amplitude(s, *args, expansion_guess(res, s))
         assert pt.lam == pytest.approx(res.cr_report.lambda0, abs=1e-8)
 
     def test_warm_start_at_solution_takes_no_step(self, quartic):
         args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
-        pt = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1), NEWTON_TOL)
-        again = solve_at_amplitude(0.1, *args, (pt.U, pt.lam), NEWTON_TOL)
+        pt = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
+        again = solve_at_amplitude(0.1, *args, (pt.U, pt.lam))
         assert again.newton_iters == 0
         assert again.lam == pt.lam
 
@@ -151,7 +147,7 @@ class TestSolveAtAmplitude:
         u0 = quartic.eigenpair.vector
         s = 0.1
         guess = (2 * s * u0, expansion_guess(quartic, s)[1])
-        pt = solve_at_amplitude(s, quartic.model, quartic.operator, u0, guess, NEWTON_TOL)
+        pt = solve_at_amplitude(s, quartic.model, quartic.operator, u0, guess)
         assert pt.residual <= 1e-10
         unfold = quartic.operator.unfold
         assert abs(grid400.dot(unfold(pt.U), unfold(u0)) - s) <= 1e-14
@@ -164,20 +160,15 @@ class TestSolveAtAmplitude:
                 quartic.operator,
                 quartic.eigenpair.vector,
                 expansion_guess(quartic, 0.0),
-                NEWTON_TOL,
             )
 
-    def test_divergence_carries_history(self, quartic):
-        with pytest.raises(ConvergenceError) as err:
-            solve_at_amplitude(
-                0.1,
-                quartic.model,
-                quartic.operator,
-                quartic.eigenpair.vector,
-                expansion_guess(quartic, 0.1),
-                newton_tol=1e-15,
-                max_iters=1,
-            )
+    def test_divergence_carries_history(self, quartic, monkeypatch):
+        # lambda guessed at lambda0, off by mu_ss s^2/2: Newton needs two
+        # steps to reach the rounding floor, and is allowed one
+        monkeypatch.setattr(continuation, "_MAX_NEWTON_STEPS", 1)
+        u0 = quartic.eigenpair.vector
+        with pytest.raises(ConvergenceError, match="did not converge") as err:
+            solve_at_amplitude(0.1, quartic.model, quartic.operator, u0, (0.1 * u0, quartic.cr_report.lambda0))
         assert err.value.iterations == 1
         assert err.value.residual > 0
 
@@ -237,11 +228,11 @@ class TestTraceBranch:
         with pytest.raises(ValueError, match="increasing"):
             trace_branch(quartic, [0.1, 0.05])
 
-    def test_truncation_recorded_not_raised(self, quartic):
-        # starve Newton so every point diverges: both legs truncate and
-        # the events are recorded on the branch
-        starved = dataclasses.replace(quartic, tolerances=Tolerances(newton_tol=1e-15))
-        branch = trace_branch(starved, [-0.04, -0.02, 0.02, 0.04], max_iters=0)
+    def test_truncation_recorded_not_raised(self, quartic, monkeypatch):
+        # starve Newton of steps so every point diverges: both legs
+        # truncate and the events are recorded on the branch
+        monkeypatch.setattr(continuation, "_MAX_NEWTON_STEPS", 0)
+        branch = trace_branch(quartic, [-0.04, -0.02, 0.02, 0.04])
         assert len(branch.points) == 0
         assert len(branch.truncations) == 2
         assert all("truncated" in t for t in branch.truncations)
@@ -258,7 +249,7 @@ def full_grid_trace(analysis, grid: FullGrid, s_values):
         w, c = derivative_at_zero(analysis.model, 2) * z_hat, 0.5 * d.mu_ss
         for s in leg:
             guess = (s * u0 + s * s * w, lambda0 + d.mu_s * s + c * s * s)
-            pt = solve_at_amplitude(s, analysis.model, grid, u0, guess, analysis.tolerances.newton_tol)
+            pt = solve_at_amplitude(s, analysis.model, grid, u0, guess)
             points[s] = pt
             w, c = (pt.U - s * u0) / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
     return points
@@ -303,19 +294,22 @@ class TestFoldedTrace:
         L, y0 = quartic.operator, quartic.eigenpair.vector
         u0 = L.unfold(y0)
         with pytest.raises(ValueError, match="u0 has shape"):
-            solve_at_amplitude(0.1, quartic.model, L, u0, (0.1 * y0, 1.0), NEWTON_TOL)
+            solve_at_amplitude(0.1, quartic.model, L, u0, (0.1 * y0, 1.0))
         with pytest.raises(ValueError, match="guess has shape"):
-            solve_at_amplitude(0.1, quartic.model, L, y0, (0.1 * u0, 1.0), NEWTON_TOL)
+            solve_at_amplitude(0.1, quartic.model, L, y0, (0.1 * u0, 1.0))
 
     def test_stalled_linear_solve_truncates_the_branch(self, quartic, monkeypatch):
         # CG on the folded grid given no iterations: the bordered solve's
-        # stall check raises, and Newton reports the failed step
+        # stall check raises, and Newton reports the failed step with the
+        # CG's own message and numbers
         cg = operators._cg
         monkeypatch.setattr(operators, "_cg", lambda *args, **kwargs: cg(*args, **{**kwargs, "max_iter": 0}))
         branch = trace_branch(quartic, [-0.02, 0.02])
         assert not branch.points
         assert len(branch.truncations) == 2
-        assert all("failed in the linear solve" in t for t in branch.truncations)
+        for t in branch.truncations:
+            assert "failed in the linear solve: conjugate gradients stopped short of their target" in t
+            assert "after 0 iterations); Newton stopped (residual=" in t
 
 
 class TestFit:

@@ -292,7 +292,7 @@ def test_corrector_applies_the_stencil_once_per_cg_step(spec, applications, monk
 def test_tolerances_is_the_one_tolerance_policy():
     # every threshold resolves in Tolerances: no function in the package
     # gives a tolerance parameter a default of its own
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eigen_tol", "newton_tol"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eigen_tol"]
     offenders = []
     for path in sorted(Path(coexist.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

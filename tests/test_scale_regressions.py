@@ -88,6 +88,41 @@ def test_long_rectangle_verifies(tmp_path, capsys):
     assert json.loads((tmp_path / "report.json").read_text())["cr_report"]["kernel_dim_ok"]
 
 
+# Newton stopped at an absolute 1e-10 on ||F||, below F's rounding floor
+# eps * (sum 4/h^2) * ||U|| on these fine or short grids, so each of them
+# truncated: (0, pi) at 10 000 nodes exited 3 with 4 points, 16 x 128 kept
+# 7 points, and the other three exited 3 with 2, 0 and 0 points. Newton
+# now stops at that floor. eigen_tol = 1e-5 clears the eigen certificate
+# (ROADMAP.md item 16, eigen half).
+@pytest.mark.parametrize(
+    "bounds, resolution, k, eta",
+    [
+        pytest.param([[0.0, PI]], [10000], 3, 1.0, id="interval-10000-psi3"),
+        pytest.param([[0.0, 1.0], [0.0, 0.05]], [16, 128], 3, 1.0, id="rect-16x128-psi3"),
+        pytest.param([[0.0, 3.63], [0.0, 0.0209]], [128, 64], 4, -1.0, id="rect-128x64-psi4"),
+        pytest.param([[0.0, 2.0], [0.0, 0.03]], [200, 400], 3, -1.0, id="rect-200x400-psi3"),
+        pytest.param([[0.0, 0.08]], [946], 3, 1.0, id="short-interval-946-psi3"),
+    ],
+)
+def test_fine_or_short_grid_traces_every_point(tmp_path, bounds, resolution, k, eta):
+    cfg = RunConfig.from_dict(
+        {
+            "domain": {
+                "kind": "interval" if len(bounds) == 1 else "rectangle",
+                "bounds": bounds,
+                "resolution": resolution,
+            },
+            "model": {"kind": "psi_k", "k": k, "eta": eta},
+            "tolerances": {"eigen_tol": 1e-5},
+        }
+    )
+    report, code = cmd_trace(cfg, out_dir=str(tmp_path))
+    assert code == EXIT_OK
+    branch = report["branch"]
+    assert branch["n_points"] == 10 and not branch["truncations"]
+    assert branch["consistency"]["a_ok"] and branch["consistency"]["twob_ok"]
+
+
 # (0, 100) exits 0 with all ten points converged, yet reports a branch
 # that disagrees with the diagnostics: |mu_s|*0.1 is four times the
 # spectral gap, so the default amplitudes are not local, and even the

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from coexist import CoexistenceType, DomainSpec, NonlinearityModel, Tolerances, eigendata, run_analysis, trace_branch
+from coexist import CoexistenceType, DomainSpec, NonlinearityModel, eigendata, run_analysis, trace_branch
 from coexist.continuation import DEFAULT_S_VALUES
 
 PI = math.pi
@@ -42,13 +42,12 @@ def spec(request):
 def test_witness_classifies_and_traces(spec, c2, cancel):
     # u -> c2 u maps the model to c2 = 1: the branch at amplitude s is the
     # c2 = 1 branch at c2 s, its residual over c2, and a and b carry c2 and
-    # c2^2. Amplitudes, Newton's stop and the bounds scaled so keep the
-    # trace of |c2| > 1 as local and as tight as at c2 = 1
+    # c2^2. Amplitudes and the bounds scaled so keep the trace of |c2| > 1
+    # as local and as tight as at c2 = 1; Newton's stop scales with ||U||
     scale = max(1.0, abs(c2))
     eig = eigendata(spec)
     c3 = -4.0 * c2 * c2 * eig.M_hat / eig.I4 if cancel else -0.1
-    tol = Tolerances(newton_tol=Tolerances().newton_tol / scale)
-    analysis = run_analysis(spec, NonlinearityModel.polynomial((0.0, c2, c3)), tol)
+    analysis = run_analysis(spec, NonlinearityModel.polynomial((0.0, c2, c3)))
     d = analysis.diagnostics
     assert d.ctype is WITNESSES[(c2, cancel)]
 
