@@ -15,7 +15,7 @@ grid and no eigenvector.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
@@ -63,7 +63,8 @@ class CRReport:
     transversality_value: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"lambda0": self.lambda0, "lambda1": self.lambda1, "gap": self.gap,
+                "kernel_dim_ok": self.kernel_dim_ok, "transversality_value": self.transversality_value}
 
 
 def principal_eigenpair(L: Laplacian, tol: float) -> Eigenpair:

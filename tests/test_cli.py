@@ -1,12 +1,15 @@
 import ast
+import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coexist.cli import (
@@ -236,6 +239,17 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, base_config()))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_echo_sections_list_every_field_in_order(self, tmp_path):
+        # to_dict builds its dicts by hand: a field added to a dataclass
+        # must reach the echo, keys in field order, as dataclasses.asdict has it
+        cfg = load_config(write_config(tmp_path, base_config()), ["outputs.table_csv_path=t.csv"])
+        echo = cfg.to_dict()
+        for key in ("tolerances", "outputs"):
+            assert list(echo[key].items()) == list(dataclasses.asdict(getattr(cfg, key)).items())
+        cr = cmd_verify(cfg, out_dir=str(tmp_path))[0]["cr_report"]
+        _, _, report = diagnostics.bifurcation_point(cfg.domain, cfg.tolerances)
+        assert list(cr.items()) == list(dataclasses.asdict(report).items())
+
 
 class TestAnalyze:
     def test_quartic_report(self, tmp_path):
@@ -274,6 +288,18 @@ class TestAnalyze:
         assert "lambda_equals_m_plus_V_L" not in report
         assert "lambda0" not in report["diagnostics"] and "moments" not in report["diagnostics"]
 
+    def test_report_records_environment(self, tmp_path, monkeypatch):
+        # outputs are byte-identical only at a fixed BLAS thread count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        cmd_analyze(load_config(write_config(tmp_path, base_config())), out_dir=str(tmp_path))
+        env = json.loads((tmp_path / "report.json").read_text())["environment"]
+        assert list(env) == ["numpy", "blas", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+        assert (env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"], env["MKL_NUM_THREADS"]) == ("1", None, "2")
+
     def test_rerun_from_echoed_config_reproduces(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0)))
         first = cmd_analyze(cfg, out_dir=str(tmp_path))
@@ -304,6 +330,21 @@ class TestTrace:
         cmd_trace(load_config(cfg_path), out_dir=str(out1))
         cmd_trace(load_config(cfg_path), out_dir=str(out2))
         assert (out1 / "branch.csv").read_bytes() == (out2 / "branch.csv").read_bytes()
+
+    def test_shorter_rewrite_in_one_dir_equals_fresh_run(self, tmp_path):
+        # files are rewritten in place and cut to length: no stale rows
+        # of the 10-point branch, and the shorter report still parses
+        cfg_path = write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0))
+        short = "s_values=[-0.1,-0.05,-0.02,0.02,0.05,0.1]"
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        cmd_trace(load_config(cfg_path), out_dir=str(same))
+        long_report = (same / "report.json").stat().st_size
+        report, _ = cmd_trace(load_config(cfg_path, [short]), out_dir=str(same))
+        cmd_trace(load_config(cfg_path, [short]), out_dir=str(fresh))
+        assert (same / "branch.csv").read_bytes() == (fresh / "branch.csv").read_bytes()
+        assert len((same / "branch.csv").read_text().splitlines()) == 7
+        assert (same / "report.json").stat().st_size < long_report
+        assert json.loads((same / "report.json").read_text()) == report
 
     def test_free_model_eigenline(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(kind="free")))
@@ -348,6 +389,15 @@ class TestTable:
         cmd_table(load_config(cfg_path), out_dir=str(tmp_path / "t1"))
         cmd_table(load_config(cfg_path), out_dir=str(tmp_path / "t2"))
         assert (tmp_path / "t1/table.csv").read_bytes() == (tmp_path / "t2/table.csv").read_bytes()
+
+    def test_shorter_rewrite_in_one_dir_equals_fresh_run(self, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0))
+        same, fresh = tmp_path / "same", tmp_path / "fresh"
+        cmd_table(load_config(cfg_path, ["k_list=[3,4,5,6,7,8]"]), out_dir=str(same))
+        cmd_table(load_config(cfg_path, ["k_list=[3]"]), out_dir=str(same))
+        cmd_table(load_config(cfg_path, ["k_list=[3]"]), out_dir=str(fresh))
+        assert (same / "table.csv").read_bytes() == (fresh / "table.csv").read_bytes()
+        assert len((same / "table.csv").read_text().splitlines()) == 2
 
 
 class TestTableSharesEigenStage:
@@ -541,6 +591,40 @@ class TestMain:
              f'outputs.report_path="{blocker}/report.json"']
         )
         assert code == EXIT_CONFIG
+
+    def test_symlinked_output_is_written_through(self, tmp_path):
+        target = tmp_path / "elsewhere" / "report.json"
+        target.parent.mkdir()
+        target.write_text("x" * 100_000)
+        (tmp_path / "out").mkdir()
+        link = tmp_path / "out" / "report.json"
+        link.symlink_to(target)
+        path = write_config(tmp_path, base_config())
+        assert main(["analyze", "--config", path, "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert json.loads(target.read_text())["diagnostics"]["type"] == "I"
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs POSIX file-size limits")
+    def test_failed_write_leaves_an_empty_file(self, tmp_path):
+        # a file-size limit makes the rewrite fail part-way for real (the
+        # first write stops at the limit, the next raises EFBIG): the report
+        # is left empty, not holding the old report's tail, and the exit is 1
+        path = write_config(tmp_path, base_config())
+        assert main(["analyze", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "report.json").stat().st_size > 256
+        script = f"""
+import resource, signal, sys
+from coexist.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (256, 256))
+sys.exit(main(["analyze", "--config", {path!r}, "--out-dir", {str(tmp_path)!r}]))
+"""
+        src = str(Path(coexist.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert out.returncode == EXIT_CONFIG
+        assert out.stderr.startswith("I/O error: [Errno 27]")
+        assert (tmp_path / "report.json").read_bytes() == b""
 
     def test_trace_and_table_commands(self, tmp_path):
         path = write_config(tmp_path, base_config())
