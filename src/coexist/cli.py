@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 configuration, I/O or out-of-memory error,
 the branch included). Reports are JSON with full-precision floats;
 branch and table data are RFC-4180 CSV with 17 significant digits so
 identical configs reproduce byte-identical files at a fixed BLAS thread count
-(1 against 2 moves a 512^2 table.csv mu_ss by 5.4e-15), which the report's
-`environment` records. Reruns rewrite in place, sparing ext4 a flush per file.
+(1 against 2 moves a 512^2 table.csv mu_ss by 5.4e-15); the report's
+`environment` records the thread variables as set, not the count BLAS used.
+Reruns rewrite each file in place, sparing ext4 a flush per file.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ class RunConfig:
             },
             "model": self.model.to_dict(),
             "s_values": list(self.s_values),
-            "tolerances": {"eigen_tol": self.tolerances.eigen_tol},
-            "outputs": {"report_path": self.outputs.report_path, "branch_csv_path": self.outputs.branch_csv_path,
-                        "table_csv_path": self.outputs.table_csv_path},
+            "tolerances": {f.name: getattr(self.tolerances, f.name) for f in fields(Tolerances)},
+            "outputs": {f.name: getattr(self.outputs, f.name) for f in fields(Outputs)},
             "k_list": list(self.k_list),
         }
         if self.eta_list is not None:
@@ -221,18 +221,19 @@ def _resolve(out_dir: str | None, path: str) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Rewrite path in place, then cut it to length: truncating to zero on
-    open, as open("w") does, makes ext4 (auto_da_alloc) start writeback at
-    close(), about 100 us a file. A write that raises leaves it empty."""
+    """Rewrite path in place, cut only where the old file was longer: open("w")
+    truncates to zero, and ext4 (auto_da_alloc) then starts writeback at
+    close(), about 100 us a file."""
     data, written = text.encode(), 0
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb", buffering=0) as fh:
+        old_size = os.fstat(fh.fileno()).st_size  # 0 for /dev/null, a FIFO or a tty
         try:
             while written < len(data):
                 written += fh.write(data[written:])
-            fh.truncate(written)
-        except BaseException:
-            fh.truncate(0)
-            raise
+        finally:  # a rewrite that raises leaves the file empty, not the old tail
+            size = written if written == len(data) else 0
+            if old_size > size:
+                fh.truncate(size)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -15,7 +15,7 @@ grid and no eigenvector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.typing as npt
@@ -63,8 +63,7 @@ class CRReport:
     transversality_value: float
 
     def to_dict(self) -> dict:
-        return {"lambda0": self.lambda0, "lambda1": self.lambda1, "gap": self.gap,
-                "kernel_dim_ok": self.kernel_dim_ok, "transversality_value": self.transversality_value}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def principal_eigenpair(L: Laplacian, tol: float) -> Eigenpair:

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import math
 import os
@@ -239,17 +238,6 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, base_config()))
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_echo_sections_list_every_field_in_order(self, tmp_path):
-        # to_dict builds its dicts by hand: a field added to a dataclass
-        # must reach the echo, keys in field order, as dataclasses.asdict has it
-        cfg = load_config(write_config(tmp_path, base_config()), ["outputs.table_csv_path=t.csv"])
-        echo = cfg.to_dict()
-        for key in ("tolerances", "outputs"):
-            assert list(echo[key].items()) == list(dataclasses.asdict(getattr(cfg, key)).items())
-        cr = cmd_verify(cfg, out_dir=str(tmp_path))[0]["cr_report"]
-        _, _, report = diagnostics.bifurcation_point(cfg.domain, cfg.tolerances)
-        assert list(cr.items()) == list(dataclasses.asdict(report).items())
-
 
 class TestAnalyze:
     def test_quartic_report(self, tmp_path):
@@ -398,6 +386,10 @@ class TestTable:
         cmd_table(load_config(cfg_path, ["k_list=[3]"]), out_dir=str(fresh))
         assert (same / "table.csv").read_bytes() == (fresh / "table.csv").read_bytes()
         assert len((same / "table.csv").read_text().splitlines()) == 2
+        # a longer rewrite over the short file needs no cut
+        cmd_table(load_config(cfg_path, ["k_list=[3,4,5,6,7,8]"]), out_dir=str(same))
+        cmd_table(load_config(cfg_path, ["k_list=[3,4,5,6,7,8]"]), out_dir=str(fresh))
+        assert (same / "table.csv").read_bytes() == (fresh / "table.csv").read_bytes()
 
 
 class TestTableSharesEigenStage:
@@ -591,6 +583,14 @@ class TestMain:
              f'outputs.report_path="{blocker}/report.json"']
         )
         assert code == EXIT_CONFIG
+
+    @pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
+    def test_device_output_is_written_not_cut(self, tmp_path):
+        # a device has no length to cut: the report goes to /dev/null, exit 0
+        path = write_config(tmp_path, base_config())
+        argv = ["analyze", "--config", path, "--out-dir", str(tmp_path), "--override", "outputs.report_path=/dev/null"]
+        assert main(argv) == EXIT_OK
+        assert not (tmp_path / "report.json").exists()
 
     def test_symlinked_output_is_written_through(self, tmp_path):
         target = tmp_path / "elsewhere" / "report.json"
