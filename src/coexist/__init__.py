@@ -13,7 +13,6 @@ from .continuation import (
     BranchFit,
     BranchPoint,
     fit_local_expansion,
-    jacobian_apply,
     residual,
     solve_at_amplitude,
     trace_branch,
@@ -65,7 +64,6 @@ __all__ = [
     "BranchFit",
     "Branch",
     "residual",
-    "jacobian_apply",
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",

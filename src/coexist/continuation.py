@@ -9,9 +9,10 @@ Newton correction solves the bordered system [J, -U; u0^T, 0] for a
 correction orthogonal to u0, so the amplitude holds by construction and
 Newton converges on ||F|| alone. Near a simple bifurcation this
 parametrization cannot fold back, so no arclength machinery is needed.
-The bordered solve runs CG on the complement of u0, preconditioned with
-the exact DST inverse of L - lambda there: the Jacobian J differs from it
-by the small diagonal g'(0) - g'(U), so the iterations do not grow with N.
+The bordered solve runs CG in L's sine coefficients off the principal
+one, where L - lambda is diagonal and preconditions exactly: the Jacobian
+J differs from it by the small diagonal g'(0) - g'(U), so the iterations
+do not grow with N.
 
 Each point starts from a second-order predictor U = s*u0 + s^2*w,
 lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
@@ -48,14 +49,13 @@ from .diagnostics import AnalysisResult
 from .errors import ConfigError, ConvergenceError
 from .mesh import stencil_bound
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
-from .operators import Laplacian, MatVec, solve_bordered_system
+from .operators import Laplacian, solve_bordered_system
 
 __all__ = [
     "BranchPoint",
     "BranchFit",
     "Branch",
     "residual",
-    "jacobian_apply",
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",
@@ -114,17 +114,6 @@ def residual(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> Ar
     return L.apply(U) + (model.V_L - lam) * U - r * apply(model, U / r)
 
 
-def jacobian_apply(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> MatVec:
-    """The action of dF/dU at (U, lambda): d -> (L - lambda + V_L - g'(U)) d,
-    with the diagonal evaluated once so g'(U) is not recomputed per call.
-
-    At U = 0 this reduces to L - lambda since g'(0) = V_L. The diagonal
-    g'(U/sqrt(m)) is the same in L's coordinates.
-    """
-    diag = (model.V_L - lam) - apply_derivative(model, U / L.sqrt_multiplicity)
-    return lambda d: L.apply(d) + diag * d
-
-
 def solve_at_amplitude(
     s: float, model: NonlinearityModel, L: Laplacian, u0: Array, guess: tuple[Array, float]
 ) -> BranchPoint:
@@ -135,12 +124,13 @@ def solve_at_amplitude(
     full grid's, so the pairing is L.weight times the dot product.
     Precondition: u0 is normalized, (u0, u0) = 1. The guess is pinned
     once to the amplitude, U + (s - (U, u0))*u0; every Newton correction
-    then solves the bordered system with its correction orthogonal to u0,
-    so the amplitude holds by construction and Newton stops on ||F||
-    alone, at its rounding floor (h from L.h). Raises ConvergenceError,
-    carrying the final residual and the number of iterations taken, after
-    _MAX_NEWTON_STEPS steps, when a step's linear solve fails (its own
-    message kept), and when a value overflows or turns NaN.
+    then solves the bordered system in L's sine coefficients with no
+    principal coefficient, so the amplitude holds by construction and
+    Newton stops on ||F|| alone, at its rounding floor (h from L.h).
+    Raises ConvergenceError, carrying the final residual and the number of
+    iterations taken, after _MAX_NEWTON_STEPS steps, when a step's linear
+    solve fails (its own message kept), and when a value overflows or
+    turns NaN.
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
@@ -164,14 +154,16 @@ def solve_at_amplitude(
                     raise ConvergenceError(
                         f"Newton iteration at s={s:g} did not converge", residual=res, iterations=iters
                     )
+                # dF/dU = L - lambda + diag(V_L - g'(U)), g' read at the nodal values
+                diag = model.V_L - apply_derivative(model, U / L.sqrt_multiplicity)
                 try:  # CG's target is Euclidean, F's norm weighted
                     dU, dlam = solve_bordered_system(
-                        jacobian_apply(U, lam, model, L), u0, -U, -F, L, lam, rtol=0.0, atol=0.5 * floor / math.sqrt(w)
+                        L, lam, L.transform(-F), L.transform(-U), diag, rtol=0.0, atol=0.5 * floor / math.sqrt(w)
                     )
                 except ConvergenceError as exc:
                     msg = f"Newton step at s={s:g} failed in the linear solve: {exc}; Newton stopped"
                     raise ConvergenceError(msg, residual=res, iterations=iters) from exc
-                U = U + dU
+                U = U + L.inverse_transform(dU)
                 lam = lam + dlam
     except FloatingPointError as exc:
         raise ConvergenceError(
@@ -192,6 +184,10 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
     on `analysis.operator`'s half grid, which u0 and z_hat are already on.
     Each converged U is unfolded once, so every BranchPoint.U is a
     full-grid vector. Newton stops at F's rounding floor.
+
+    For odd g (no even power) F(-U, lambda) = -F(U, lambda) bit for bit:
+    on symmetric s_values the s < 0 leg is the s > 0 leg mirrored, -s and
+    -U, and is solved only where the s > 0 leg truncates.
 
     Raises ConfigError when |mu_s| |s| + |mu_ss| s^2/2 at the smallest |s|
     is within _AMPLITUDE_ULPS ulps of lambda0 (unless mu_s = mu_ss = 0):
@@ -215,13 +211,12 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
             f"{_AMPLITUDE_ULPS:g} ulps of lambda0 ({bound:.3e}): lambda(s) - lambda0 is not resolved"
         )
 
-    points: list[BranchPoint] = []
-    truncations: list[str] = []
     negatives, positives = [s for s in s_values[::-1] if s < 0], [s for s in s_values if s > 0]
     z_s = derivative_at_zero(model, 2) * analysis.z_hat
-    for leg in (negatives, positives):
-        w, c = z_s, 0.5 * d.mu_ss
-        for s in leg:
+
+    def leg(amplitudes: list[float]) -> tuple[list[BranchPoint], list[str]]:
+        points, w, c = [], z_s, 0.5 * d.mu_ss
+        for s in amplitudes:
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
                     predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
@@ -229,9 +224,16 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
                     w = (pt.U - s * u0) / (s * s)
                     c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
             except (ConvergenceError, FloatingPointError) as exc:
-                truncations.append(f"branch truncated at s={s:g}: {exc}")
-                break
+                return points, [f"branch truncated at s={s:g}: {exc}"]
             points.append(dataclasses.replace(pt, U=L.unfold(pt.U)))
+        return points, []
+
+    points, truncations = leg(positives)
+    if not any(model.coeffs[1::2]) and negatives == [-s for s in positives] and not truncations:
+        points += [dataclasses.replace(p, s=-p.s, U=-p.U) for p in points]  # odd g: the mirror image
+    else:
+        negative, cut = leg(negatives)
+        points, truncations = negative + points, cut + truncations
 
     points.sort(key=lambda p: p.s)
     branch = Branch(points=tuple(points), lambda0=lambda0, truncations=tuple(truncations))

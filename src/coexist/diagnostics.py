@@ -21,15 +21,16 @@ identically for constant V_L, so they never appear in these closed
 forms; the raw forms including them are exercised in the test suite as
 an independent cross-check.
 
-Every command runs the same two steps: `eigendata` (the stencil L, the
-closed-form principal pair, lambda1 and the bifurcation-point checks of
-`bifurcation_point`, then z_hat and I3, I4 and M_hat, all from u0^2
-formed once) once per domain, then `diagnose` (mu_s, mu_ss, the type)
-once per model, as scalar arithmetic on g''(0), g'''(0) and those three
-per-mesh numbers. The per-mesh stage runs on L's half grid, as u0 and A
-are mirror-symmetric: u0 is built and certified per axis, lambda0 and
-lambda1 are per-axis sums, and z_hat and the moments never leave the
-half grid.
+Every command runs the same two steps: `eigendata` once per domain, then
+`diagnose` (mu_s, mu_ss, the type) once per model, as scalar arithmetic
+on g''(0), g'''(0) and the three per-mesh numbers. `eigendata` takes L,
+the closed-form principal pair, lambda1 and the bifurcation-point checks
+from `bifurcation_point`, then the moments with no grid transform: u0 is
+a product of per-axis sine vectors, so I3 and I4 are products of
+per-axis sums, and u0^2's sine coefficients are the outer product of one
+1-D transform per axis. A is diagonal in those coefficients, where z_hat
+is solved and M_hat is one dot product; z_hat's node vector costs one
+inverse transform, taken when first read (by the trace).
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -). On a
@@ -54,6 +55,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
@@ -203,18 +205,24 @@ def _coexistence_side(s_s: int, s_ss: int) -> CoexistenceSide:
 class EigenData:
     """The per-mesh stage: the matrix-free stencil L, which carries the
     grid, the principal pair (lambda0, u0), the bifurcation-point checks,
-    which carry lambda1, the unit corrector z_hat, and the three moments
-    I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0) that
-    mu_s and mu_ss are computed from. u0 and z_hat are in L's half-grid
-    coordinates; `operator.unfold` gives their full-grid vectors."""
+    which carry lambda1, the unit corrector z_hat by its sine coefficients,
+    and the three moments I3 = (u0^2, u0), I4 = (u0^3, u0) and
+    M_hat = (u0*z_hat, u0) that mu_s and mu_ss are computed from. u0 and
+    z_hat are in L's half-grid coordinates; `operator.unfold` gives their
+    full-grid vectors."""
 
     operator: Laplacian
     eigenpair: Eigenpair
     cr_report: CRReport
-    z_hat: Array
+    z_hat_coefficients: Array
     I3: float
     I4: float
     M_hat: float
+
+    @cached_property
+    def z_hat(self) -> Array:
+        """z_hat's node vector: one inverse transform, taken when first read."""
+        return self.operator.inverse_transform(self.z_hat_coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,24 +257,26 @@ def bifurcation_point(spec: DomainSpec, tolerances: Tolerances) -> tuple[Laplaci
 
 
 def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenData:
-    """`bifurcation_point`, then the unit corrector z_hat, which solves
-    A z_hat = 1/2 (u0^2 - I3 u0) with (z_hat, u0) = 0 (the one corrector
-    solve per domain), and its moments, all on L's half grid. A coordinate
-    y stands for m nodes of value y/sqrt(m), so u0^2 is sq = y0^2/sqrt(m)
-    there and the moments are I3 = w sq.u0, I4 = w sq.sq and
-    M_hat = w sq.z_hat, w = L.weight. Raises ConfigError before the solve
+    """`bifurcation_point`, then the moments and the unit corrector z_hat
+    (the one corrector solve per domain) in L's sine coefficients: over
+    u0's per-axis factors v_a, I3 = prod_a h_a sum v_a^3 and I4 likewise,
+    u0^2 has the coefficients s = outer_a T_a v_a^2, z_hat is half the
+    solution of A z = s off the principal coefficient (I3 u0's only one),
+    and M_hat = w s.z_hat, w = L.weight. Raises ConfigError before the solve
     when lambda1 and lambda0 round together, where `verify` exits 2."""
     L, pair, cr = bifurcation_point(spec, tolerances or Tolerances())
     if not cr.kernel_dim_ok:
         raise ConfigError(
             f"lambda1 - lambda0 = {cr.gap:.3e} is rounding at lambda0 = {cr.lambda0:.6g}: the kernel is not certified"
         )
-    u0, w = pair.vector, L.weight
-    sq = u0 * u0 / L.sqrt_multiplicity
-    I3 = w * float(sq @ u0)
-    z_hat = bordered_solve(L, u0, 0.5 * (sq - I3 * u0), pair.eigenvalue)
-    I4, M_hat = w * float(sq @ sq), w * float(sq @ z_hat)
-    return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat=z_hat, I3=I3, I4=I4, M_hat=M_hat)
+    squares = [v * v for v in pair.factors]
+    I3 = math.prod(h * float(v2 @ v) for h, v, v2 in zip(L.h, pair.factors, squares))
+    I4 = math.prod(h * float(v2 @ v2) for h, v2 in zip(L.h, squares))
+    sq = L.outer_transform(squares)
+    z_hat = bordered_solve(L, sq, pair.eigenvalue)
+    z_hat *= 0.5
+    M_hat = L.weight * float(sq @ z_hat)
+    return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat_coefficients=z_hat, I3=I3, I4=I4, M_hat=M_hat)
 
 
 def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics:

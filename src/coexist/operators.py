@@ -18,19 +18,19 @@ Along an axis of at most 512 nodes T is one BLAS product with a cached
 dense matrix; longer axes take the DST-I from numpy's real FFT. L also
 keeps each axis's full-grid 3-point stencil and eigenvalues, from which
 the principal pair and lambda1 are built and certified per axis with no
-grid vector; `unfold` gives the full-grid vector of a result.
+grid vector, and `outer_transform` takes the coefficients of a product of
+per-axis vectors with one 1-D transform per axis; `unfold` gives the
+full-grid vector of a result.
 
-Two solvers live here: preconditioned conjugate gradients for SPD
-systems, and one bordered form [A col; q^T 0][x; y] = [f; 0] for
-operators A = L - sigma + (small diagonal) whose near-kernel is the
-principal sine mode u0, q = u0/||u0||. Its solution x lies on the
-orthogonal complement of u0, where the spectral inverse of L - sigma with
-the principal mode zeroed is exact, so the bordered solve runs CG with
-the projected operator P A, P = I - q q^T, and reads y off the q
-component of the first block row. The corrector's `bordered_solve` takes
-col = u0, which needs no y, and returns the unique solution orthogonal to
-u0 of the projected equation at a fixed CG target; each Newton step takes
-col = -U.
+Two solvers live here: preconditioned conjugate gradients, and one
+bordered form [A col; e0^T 0][x; y] = [f; 0] in L's odd sine
+coefficients, for A = L - sigma plus a small diagonal d on the node
+values. There L - sigma is the diagonal L.eigenvalues - sigma, and u0,
+A's near-kernel, is coefficient 0: the projection off u0 drops it, CG's
+preconditioner is the diagonal's exact inverse, and d adds T(d * T^T c).
+The corrector's `bordered_solve` has no d and needs no y, so its one CG
+step is exact to rounding and runs no transform; each Newton step
+transforms F and U in and its correction out.
 """
 
 from __future__ import annotations
@@ -47,11 +47,7 @@ import numpy.typing as npt
 from .errors import ConvergenceError
 from .mesh import DomainSpec
 
-__all__ = [
-    "Laplacian",
-    "spectral_inverse",
-    "bordered_solve",
-]
+__all__ = ["Laplacian", "bordered_solve"]
 
 Array = npt.NDArray[np.float64]
 MatVec = Callable[[Array], Array]
@@ -151,6 +147,14 @@ class Laplacian:
         prod_a factors[a][i_a] of one mirror-symmetric full-axis vector per
         axis, with no full-grid vector formed."""
         return reduce(np.multiply.outer, [_fold_axis(f, 0, n) for f, n in zip(factors, self.shape)]).ravel()
+
+    def outer_transform(self, factors: list[Array]) -> Array:
+        """transform(outer(factors)) with no grid vector transformed: the
+        coefficients of a product are the outer product of its factors'
+        coefficients, one 1-D transform per axis."""
+        return reduce(
+            np.multiply.outer, [_axis_transform(_fold_axis(f, 0, n), 0, n, False) for f, n in zip(factors, self.shape)]
+        ).ravel()
 
     def transform(self, v: Array) -> Array:
         """Node vector to odd sine-mode coefficients: T along every axis."""
@@ -258,19 +262,24 @@ def _unfold_axis(y: Array, axis: int, n: int) -> Array:
 
 
 def _sine_transform(L: Laplacian, v: Array, inverse: bool) -> Array:
-    """L.transform, or L.inverse_transform when inverse. Each axis of at
-    most _SINE_MATRIX_MAX_N nodes takes one product with its cached T,
-    forward, or T^T back: x @ T^T (x @ T) on the last axis and T @ x
-    (T^T @ x) on the first axis of a 2-D grid. Longer axes take the FFT."""
+    """L.transform, or L.inverse_transform when inverse: `_axis_transform`
+    along every axis."""
     x = np.asarray(v).reshape(L.grid)
     for axis, n in enumerate(L.shape):
-        if n > _SINE_MATRIX_MAX_N:
-            x = _fft_sine_transform(x, axis, n, inverse)
-            continue
-        T = _half_dst_matrix(n)
-        left, right = (T.T, T) if inverse else (T, T.T)
-        x = x @ right if axis == x.ndim - 1 else left @ x
+        x = _axis_transform(x, axis, n, inverse)
     return x.ravel()
+
+
+def _axis_transform(x: Array, axis: int, n: int, inverse: bool) -> Array:
+    """T, or T^T when inverse, along one folded n-node axis of x (its last
+    or, in 2-D, its first). An axis of at most _SINE_MATRIX_MAX_N nodes
+    takes one product with its cached T: x @ T^T (x @ T) on the last axis
+    and T @ x (T^T @ x) on the first. Longer axes take the FFT."""
+    if n > _SINE_MATRIX_MAX_N:
+        return _fft_sine_transform(x, axis, n, inverse)
+    T = _half_dst_matrix(n)
+    left, right = (T.T, T) if inverse else (T, T.T)
+    return x @ right if axis == x.ndim - 1 else left @ x
 
 
 def _fft_sine_transform(x: Array, axis: int, n: int, inverse: bool) -> Array:
@@ -296,27 +305,14 @@ def _dst1(a: Array, axis: int) -> Array:
     return np.fft.rfft(extension, axis=axis)[bins].imag * -math.sqrt(0.5 / (n + 1))
 
 
-def spectral_inverse(L: Laplacian, sigma: float) -> MatVec:
-    """Exact inverse of L - sigma on the orthogonal complement of the
-    principal sine mode q, and zero along q: transform, scale by the
-    diagonal 1/(lambda_j - sigma) with the (1, ..., 1) mode zeroed, and
-    transform back."""
-    inv = L.eigenvalues - sigma
-    inv[0] = np.inf  # 1/inf = 0 zeroes q without a divide-by-zero warning
-    np.divide(1.0, inv, out=inv)
-    return lambda r: L.inverse_transform(inv * L.transform(r))
-
-
 def _cg(
-    matvec: MatVec,
-    b: Array,
-    precondition: MatVec,
-    rtol: float,
-    atol: float,
-    max_iter: int,
+    matvec: MatVec, b: Array, precondition: Array, rtol: float, atol: float, max_iter: int
 ) -> tuple[Array, float, int]:
-    """Conjugate gradients for SPD matvec, preconditioned by an SPD
-    approximate inverse; stops at ||r|| <= max(rtol*||b||, atol).
+    """Conjugate gradients for SPD matvec, preconditioned by the SPD
+    diagonal approximate inverse `precondition` (entrywise); stops at
+    ||r|| <= max(rtol*||b||, atol). x, r and p are updated in place, and
+    matvec's fresh result is the step's work vector, so a step allocates
+    nothing else.
 
     Returns (x, achieved absolute residual, iterations). Raises
     ConvergenceError, with the best residual seen and the iterations spent,
@@ -330,78 +326,75 @@ def _cg(
     if np.sqrt(rr) <= target:
         return x, float(np.sqrt(rr)), 0
     stall_window = max(200, b.size)
-    z = precondition(r)
-    rz = float(r @ z)
-    p = z
+    p = precondition * r
+    rz = float(r @ p)
     best_rr, best_k, k = rr, 0, 0
     while k < max_iter and k - best_k <= stall_window:
         k += 1
         Ap = matvec(p)
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            raise ConvergenceError(
-                "conjugate gradients hit non-positive curvature; operator is not SPD",
-                residual=float(np.sqrt(rr)),
-                iterations=k,
-            )
+            msg = "conjugate gradients hit non-positive curvature; operator is not SPD"
+            raise ConvergenceError(msg, residual=float(np.sqrt(rr)), iterations=k)
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        r -= np.multiply(Ap, alpha, out=Ap)
+        x += np.multiply(p, alpha, out=Ap)
         rr = float(r @ r)
         if np.sqrt(rr) <= target:
             return x, float(np.sqrt(rr)), k
         if rr < best_rr:
             best_rr, best_k = rr, k
-        z = precondition(r)
+        z = np.multiply(precondition, r, out=Ap)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise ConvergenceError("conjugate gradients stopped short of their target", float(np.sqrt(best_rr)), k)
 
 
 def solve_bordered_system(
-    apply_op: MatVec,
-    near_kernel: Array,
-    col: Array,
-    f: Array,
-    L: Laplacian,
-    sigma: float,
-    rtol: float,
-    atol: float,
+    L: Laplacian, sigma: float, f: Array, col: Array | None, diag: Array | None, rtol: float, atol: float
 ) -> tuple[Array, float | None]:
-    """Solve the bordered system  [ A    col ] [x]   [f]
-                                  [ q^T   0  ] [y] = [0]
-    for x orthogonal to q = near_kernel/||near_kernel||, where A (given as
-    a matvec) is symmetric, may be singular along the near-kernel
-    direction, the principal sine mode, and differs from L - sigma by at
-    most a small diagonal.
+    """Solve the bordered system  [ A     col ] [x]   [f]
+                                  [ e0^T   0  ] [y] = [0]
+    in L's odd sine coefficients (f, col and x), for x with no principal
+    coefficient, where A = diag(L.eigenvalues - sigma) + T diag(diag) T^T
+    is L - sigma plus a diagonal on the node values (None for none). f and
+    col are projected in place: their coefficient 0 is zeroed.
 
-    With P = I - q q^T, CG on P A, preconditioned by the exact inverse of
-    L - sigma on the complement of q, solves P A v1 = P f and, unless col
-    is the near-kernel object itself, P A v2 = P col; P A is SPD on that
-    complement whenever A is positive there. The q component of the first
-    block row gives y, using (q, A v) = (A q, v), and x = v1 - y v2. When
-    col is the near-kernel object, x = v1 whatever y is, so neither A q nor
-    y is formed and y comes back as None. Each CG solve targets
-    ||r|| <= max(rtol*||b||, atol) within max(2000, 4n) iterations, and
-    one that stops short raises ConvergenceError.
+    CG on P A, P dropping coefficient 0, preconditioned by the exact
+    inverse of the diagonal on the other coefficients, solves P A v1 = P f
+    and, unless col is None, P A v2 = P col; P A is SPD there whenever A
+    is positive off the principal mode. y comes from coefficient 0 of the
+    first block row, (e0, A v) = (A e0, v), and x = v1 - y v2. col None
+    stands for the principal mode itself: x = v1 whatever y is, and y
+    comes back as None. Each CG solve targets ||r|| <= max(rtol*||b||, atol)
+    within max(2000, 4n) iterations, and one that stops short raises
+    ConvergenceError.
     """
-    q = near_kernel / np.sqrt(near_kernel @ near_kernel)
-    precondition = spectral_inverse(L, sigma)
+    inv = L.eigenvalues - sigma
+    inv[0] = np.inf  # 1/inf = 0 drops the principal mode without a divide-by-zero warning
+    np.divide(1.0, inv, out=inv)
     max_iter = max(2000, 4 * L.n)
 
-    def project(v: Array) -> Array:
-        return v - (q @ v) * q
+    def matvec(v: Array) -> Array:
+        out = L.eigenvalues - sigma
+        out *= v
+        if diag is not None:
+            out += L.transform(diag * L.inverse_transform(v))
+            out[0] = 0.0
+        return out
 
-    def solve(b: Array) -> Array:
-        return _cg(lambda v: project(apply_op(v)), b, precondition, rtol=rtol, atol=atol, max_iter=max_iter)[0]
+    def solve(b: Array) -> tuple[Array, float]:
+        b0, b[0] = b[0], 0.0  # P b, in place
+        return _cg(matvec, b, inv, rtol=rtol, atol=atol, max_iter=max_iter)[0], b0
 
-    v1 = solve(project(f))
-    if col is near_kernel:
+    v1, f0 = solve(f)
+    if col is None:
         return v1, None
-    aq = apply_op(q)
-    v2 = solve(project(col))
-    y = (q @ f - aq @ v1) / (q @ col - aq @ v2)
+    v2, col0 = solve(col)
+    aq = matvec(np.eye(1, f.size)[0])  # A e0 but for coefficient 0, which v1 and v2 lack
+    y = (f0 - aq @ v1) / (col0 - aq @ v2)
     return v1 - y * v2, float(y)
 
 
@@ -410,16 +403,11 @@ def solve_bordered_system(
 _CORRECTOR_TOL = 0.1 * 1e-10
 
 
-def bordered_solve(L: Laplacian, u0: Array, rhs: Array, lambda0: float) -> Array:
-    """The node vector z with (z, u0) = 0 and (L - lambda0) z = P rhs, P the
-    projection off u0, the principal sine mode of L. u0 and rhs are node
-    vectors of L; a full-grid vector is a ValueError. One CG solve on the
-    complement of u0, where its DST preconditioner is the exact inverse of
-    L - lambda0, takes one step."""
-
-    def apply_a(v: Array) -> Array:
-        return L.apply(v) - lambda0 * v
-
-    if np.shape(u0) != (L.n,) or np.shape(rhs) != (L.n,):
-        raise ValueError(f"u0 and rhs need L.n = {L.n} entries each, got {np.shape(u0)} and {np.shape(rhs)}")
-    return solve_bordered_system(apply_a, u0, u0, rhs, L, lambda0, _CORRECTOR_TOL, _CORRECTOR_TOL)[0]
+def bordered_solve(L: Laplacian, rhs: Array, lambda0: float) -> Array:
+    """The sine coefficients of z with (L - lambda0) z = P rhs and no
+    principal component, P the projection off it, for rhs's coefficients
+    (L.n of them, or a ValueError), which it projects in place: one CG
+    step, exact to rounding."""
+    if np.shape(rhs) != (L.n,):
+        raise ValueError(f"rhs needs L.n = {L.n} coefficients, got {np.shape(rhs)}")
+    return solve_bordered_system(L, lambda0, rhs, None, None, _CORRECTOR_TOL, _CORRECTOR_TOL)[0]

@@ -39,11 +39,13 @@ _GAP_MARGIN = 16.0
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """Eigenvalue, normalized eigenvector, and eigen-residual norm."""
+    """Eigenvalue, normalized eigenvector, eigen-residual norm, and factors:
+    one vector per axis over its n nodes, whose product is u's nodal values."""
 
     eigenvalue: float
     vector: Array
     residual: float
+    factors: tuple[Array, ...]
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ def principal_eigenpair(L: Laplacian, tol: float) -> Eigenpair:
     res = math.sqrt(sum(rr) + (sum(rv) * sum(rv) - sum(d * d for d in rv)))
     if res > tol:
         raise ConvergenceError(f"principal sine mode misses eigen tolerance {tol:.1e} against L", res, 0)
-    return Eigenpair(eigenvalue=L.mode_eigenvalue((1,) * len(vs)), vector=L.outer(vs), residual=res)
+    return Eigenpair(L.mode_eigenvalue((1,) * len(vs)), L.outer(vs), res, tuple(vs))
 
 
 def verify_crandall_rabinowitz(lambda0: float, lambda1: float, u0: Array, L: Laplacian) -> CRReport:

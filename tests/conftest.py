@@ -6,7 +6,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, Tolerances, principal_eigenpair
+from coexist import DomainSpec, Laplacian, Tolerances, continuation, principal_eigenpair, solve_at_amplitude
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
@@ -193,6 +193,29 @@ def vector_moments(grid: FullGrid, u0, z_hat) -> dict[str, float]:
         "I4": grid.dot(u0 * u0 * u0, u0),
         "M_hat": grid.dot(u0 * z_hat, u0),
     }
+
+
+class _NewtonStepCaptured(Exception):
+    pass
+
+
+def newton_diagonal(model, L, u0, U, lam) -> np.ndarray:
+    """The node diagonal d that solve_at_amplitude's first Newton step at
+    (U, lam) passes to its bordered solve, which makes its Jacobian
+    L - lam + diag(d). U keeps its amplitude s = (U, u0), so Newton's pin
+    leaves it unchanged."""
+    captured = {}
+
+    def capture(L_, sigma, f, col, diag, **kwargs):
+        captured.update(sigma=sigma, diag=diag)
+        raise _NewtonStepCaptured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(continuation, "solve_bordered_system", capture)
+        with pytest.raises(_NewtonStepCaptured):
+            solve_at_amplitude(L.weight * float(U @ u0), model, L, u0, (U, lam))
+    assert captured["sigma"] == lam
+    return captured["diag"]
 
 
 def interval(n: int) -> DomainSpec:

@@ -19,7 +19,7 @@ from coexist import (
     derivative_at_zero,
     diagnose,
     eigendata,
-    jacobian_apply,
+    principal_eigenpair,
     residual,
     run_analysis,
     trace_branch,
@@ -27,7 +27,7 @@ from coexist import (
 from coexist.cli import cmd_trace, load_config
 from coexist.continuation import DEFAULT_S_VALUES
 
-from conftest import ACCEPTANCE_RESULTS, psi3_sigma_form
+from conftest import ACCEPTANCE_RESULTS, newton_diagonal, psi3_sigma_form
 
 PI = math.pi
 MU_S_PSI3 = (2 / PI) ** 1.5 * (4 / 3)  # 0.677265...
@@ -206,8 +206,10 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
         if np.max(np.abs(plus.U + minus.U)) > 1e-8:
             failures.append(f"parity: U(+{s}) != -U(-{s}) above 1e-8")
 
-    # Jacobian vs central differences over 100 random states
+    # Newton's Jacobian, L - lambda + diag(d) with the diagonal d that its
+    # bordered solve is given, vs central differences over 100 random states
     Lap100 = Laplacian.of(spec100)
+    u0_100 = principal_eigenpair(Lap100, tol=1e-10).vector
     model_cycle = zoo + [NonlinearityModel.psi_k(6, 2.0)]
     rng = np.random.default_rng(2024)
     eps = 1e-5
@@ -222,7 +224,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
             residual(U + eps * dirn, lam, model, Lap100)
             - residual(U - eps * dirn, lam, model, Lap100)
         ) / (2 * eps)
-        jd = jacobian_apply(U, lam, model, Lap100)(dirn)
+        jd = Lap100.apply(dirn) + (newton_diagonal(model, Lap100, u0_100, U, lam) - lam) * dirn
         worst = max(worst, float(np.max(np.abs(jd - fd))))
     if worst > 1e-6:
         failures.append(f"jacobian vs central differences: worst deviation {worst:.2e} above 1e-6")

@@ -8,7 +8,6 @@ from coexist import (
     DomainSpec,
     NonlinearityModel,
     fit_local_expansion,
-    jacobian_apply,
     residual,
     run_analysis,
     solve_at_amplitude,
@@ -18,7 +17,7 @@ from coexist import continuation, operators
 from coexist.continuation import DEFAULT_S_VALUES, Branch, BranchPoint
 from coexist.nonlinearity import derivative_at_zero
 
-from conftest import FullGrid, weighted_norm as norm
+from conftest import FullGrid, newton_diagonal, weighted_norm as norm
 
 PI = math.pi
 
@@ -58,19 +57,22 @@ class TestResidual:
 
 
 class TestJacobian:
+    # Newton's Jacobian is L - lambda + diag(d), d the node diagonal its
+    # bordered solve is given (conftest.newton_diagonal)
+
     def test_kernel_at_origin(self, quartic):
+        # d = V_L - g'(U) vanishes at U = 0 (3e-12 at U = 1e-6 u0), leaving
+        # L - lambda0, whose kernel is u0
         L, u0 = quartic.operator, quartic.eigenpair.vector
-        out = jacobian_apply(np.zeros(L.n), quartic.eigenpair.eigenvalue, quartic.model, L)(u0)
-        assert norm(L, out) <= 1e-8
+        lam0 = quartic.eigenpair.eigenvalue
+        d = newton_diagonal(quartic.model, L, u0, 1e-6 * u0, lam0 + 0.5)
+        assert norm(L, L.apply(u0) + (d - lam0) * u0) <= 1e-8
 
     def test_free_model_is_shifted_operator(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.free())
         L = res.operator
-        rng = np.random.default_rng(5)
-        d = rng.standard_normal(L.n)
-        lam = 1.3
-        out = jacobian_apply(rng.standard_normal(L.n), lam, res.model, L)(d)
-        np.testing.assert_allclose(out, L.apply(d) - lam * d, rtol=1e-13, atol=1e-13)
+        U = np.random.default_rng(5).standard_normal(L.n)
+        assert np.all(newton_diagonal(res.model, L, res.eigenpair.vector, U, 1.3) == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, cubic100, seed):
@@ -84,7 +86,8 @@ class TestJacobian:
         fd = (
             residual(U + eps * d, lam, cubic100.model, L) - residual(U - eps * d, lam, cubic100.model, L)
         ) / (2 * eps)
-        jd = jacobian_apply(U, lam, cubic100.model, L)(d)
+        diag = newton_diagonal(cubic100.model, L, cubic100.eigenpair.vector, U, lam)
+        jd = L.apply(d) + (diag - lam) * d
         assert np.max(np.abs(jd - fd)) < 1e-6
 
 
@@ -310,6 +313,47 @@ class TestFoldedTrace:
         for t in branch.truncations:
             assert "failed in the linear solve: conjugate gradients stopped short of their target" in t
             assert "after 0 iterations); Newton stopped (residual=" in t
+
+
+class TestOddTrace:
+    # an odd g makes F(-U, lambda) = -F(U, lambda) bit for bit, so on
+    # symmetric amplitudes the s < 0 leg is the s > 0 leg mirrored
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        calls = []
+        solve = continuation.solve_at_amplitude
+        monkeypatch.setattr(continuation, "solve_at_amplitude", lambda s, *args: calls.append(s) or solve(s, *args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "bounds, resolution, model",
+        [
+            pytest.param(((0.0, PI),), (400,), NonlinearityModel.psi_k(4, 1.0), id="psi4-interval-400"),
+            pytest.param(((0.0, PI),), (401,), NonlinearityModel.psi_k(6, -1.0), id="psi6-interval-401"),
+            pytest.param(RECT, (96, 192), NonlinearityModel.psi_k(4, -1.0), id="psi4-rect-96x192"),
+            pytest.param(RECT, (25, 47), NonlinearityModel.polynomial([0.3, 0.0, -1.0, 0.0, 0.2]), id="odd-poly-25x47"),
+        ],
+    )
+    def test_mirrored_leg_equals_a_solved_one(self, bounds, resolution, model, solved):
+        kind = "interval" if len(bounds) == 1 else "rectangle"
+        analysis = run_analysis(DomainSpec(kind, bounds, resolution), model)
+        positives = [s for s in DEFAULT_S_VALUES if s > 0]
+        negatives = [s for s in DEFAULT_S_VALUES if s < 0]
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
+        assert solved == positives and not branch.truncations
+        # amplitudes of one sign are not symmetric: that leg is solved
+        leg = trace_branch(analysis, negatives)
+        assert solved == positives + negatives[::-1]
+        assert [p.s for p in branch.points] == list(DEFAULT_S_VALUES)
+        for got, want in zip(branch.points[: len(negatives)], leg.points, strict=True):
+            assert (got.s, got.lam, got.residual, got.newton_iters) == (want.s, want.lam, want.residual, want.newton_iters)
+            assert np.array_equal(got.U, want.U)
+        assert branch.fit is not None
+
+    def test_even_g_solves_both_legs(self, cubic100, solved):
+        trace_branch(cubic100, DEFAULT_S_VALUES)
+        assert sorted(solved) == sorted(DEFAULT_S_VALUES)
 
 
 class TestFit:

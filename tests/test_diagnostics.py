@@ -24,6 +24,7 @@ from coexist import (
     run_analysis,
 )
 import coexist
+from coexist import operators
 from coexist.cli import RunConfig, cmd_verify
 from coexist.diagnostics import Tolerances
 
@@ -100,8 +101,8 @@ class TestMuS:
 def test_diagnose_does_no_vector_work(eig):
     # every model's diagnostics are arithmetic on the per-mesh moments:
     # eigendata without its vectors serves, and the result holds no mesh vector
-    pair = dataclasses.replace(eig.eigenpair, vector=None)
-    eig = dataclasses.replace(eig, operator=None, eigenpair=pair, z_hat=None)
+    pair = dataclasses.replace(eig.eigenpair, vector=None, factors=None)
+    eig = dataclasses.replace(eig, operator=None, eigenpair=pair, z_hat_coefficients=None)
     for model in (
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -1.0),
@@ -176,13 +177,14 @@ FOLDED_CORRECTOR_SPECS = {
 
 
 def full_grid_eigendata(eig, grid: FullGrid):
-    """eig on the full grid: u0 unfolded, z_hat from the exact DST solve on
-    the full-grid stencil and the moments taken over every node."""
+    """eig on the full grid, and its z_hat: u0 unfolded, z_hat from the
+    exact DST solve on the full-grid stencil and the moments taken over
+    every node."""
     u0 = eig.operator.unfold(eig.eigenpair.vector)
     rhs = 0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0)
     z = grid.spectral_solve(rhs, eig.eigenpair.eigenvalue)
     pair = dataclasses.replace(eig.eigenpair, vector=u0)
-    return dataclasses.replace(eig, eigenpair=pair, z_hat=z, **vector_moments(grid, u0, z))
+    return dataclasses.replace(eig, eigenpair=pair, **vector_moments(grid, u0, z)), z
 
 
 @pytest.mark.parametrize("name", list(FOLDED_CORRECTOR_SPECS))
@@ -190,11 +192,13 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     spec = FOLDED_CORRECTOR_SPECS[name]
     grid = FullGrid(spec)
     eig = eigendata(spec)
-    oracle = full_grid_eigendata(eig, grid)
+    oracle, z_oracle = full_grid_eigendata(eig, grid)
     assert eig.z_hat.shape == eig.eigenpair.vector.shape == (eig.operator.n,)
     assert eig.operator.n == math.prod((n + 1) // 2 for n in spec.resolution)
     z = eig.operator.unfold(eig.z_hat)
-    assert np.linalg.norm(z - oracle.z_hat) <= 1e-13 * np.linalg.norm(oracle.z_hat)
+    # the corrector is exact in the sine coefficients, so z_hat and M_hat
+    # carry only the rounding of the transforms and the sums
+    assert np.linalg.norm(z - z_oracle) <= 4e-15 * np.linalg.norm(z_oracle)
     assert grid.is_symmetric(z)
 
     # the eigen stage against the full grid's closed-form sine mode and eigenvalue
@@ -202,14 +206,9 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     sine = grid.sine_mode()
     assert np.linalg.norm(oracle.eigenpair.vector - sine) <= 1e-15 * np.linalg.norm(sine)
     # I3 and I4 are half-grid sums, the oracle's are over every node
-    assert eig.I3 == pytest.approx(oracle.I3, rel=4e-15)
-    assert eig.I4 == pytest.approx(oracle.I4, rel=4e-15)
-    # z_hat is one CG step, so M_hat = (u0 z_hat, u0) carries the rounding
-    # of its step length, exactly 1 without rounding. That rounding grows
-    # with lambda_max / (lambda - lambda0): on 6 x 600..760 (lambda_max ~ 5e4)
-    # it reaches 1.1e-13 on the half grid
-    m_rtol = 1e-13 if name in ("rect-6x700", "rect-700x6") else 1e-14
-    assert eig.M_hat == pytest.approx(oracle.M_hat, rel=m_rtol)
+    assert eig.I3 == pytest.approx(oracle.I3, rel=4e-15, abs=0)
+    assert eig.I4 == pytest.approx(oracle.I4, rel=4e-15, abs=0)
+    assert eig.M_hat == pytest.approx(oracle.M_hat, rel=4e-15, abs=0)
     # (z_hat, u0) = 0 is the solve's constraint, so mu_ss carries no term of it
     assert abs(eig.operator.weight * float(eig.z_hat @ eig.eigenpair.vector)) <= 1e-17
 
@@ -265,28 +264,35 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec, applications",
+    "spec",
     [
-        (FOLDED_CORRECTOR_SPECS["interval-400"], 1),
-        (DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (256, 256)), 1),
-        (FOLDED_CORRECTOR_SPECS["rect-6x700"], 1),
-        (DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (512, 512)), 2),
+        FOLDED_CORRECTOR_SPECS["interval-400"],
+        DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (256, 256)),
+        FOLDED_CORRECTOR_SPECS["rect-6x700"],
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (512, 512)),
     ],
     ids=["interval-400", "square-256", "rect-6x700", "rect-512x512"],
 )
-def test_corrector_applies_the_stencil_once_per_cg_step(spec, applications, monkeypatch):
-    # the corrector's bordered solve forms neither A q nor the multiplier it
-    # would not read; its CG takes one step, two at 512^2
+def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
+    # the corrector is solved in the sine coefficients, with u0^2's taken one
+    # axis at a time; z_hat's node vector costs one inverse transform, paid
+    # when first read (the trace reads it) and then kept
     calls = []
-    apply = Laplacian.apply
+    for name in ("apply", "transform", "inverse_transform"):
+        method = getattr(Laplacian, name)
 
-    def counting(self, v):
-        calls.append(1)
-        return apply(self, v)
+        def counting(self, v, _name=name, _method=method):
+            calls.append(_name)
+            return _method(self, v)
 
-    monkeypatch.setattr(Laplacian, "apply", counting)
-    eigendata(spec)
-    assert len(calls) == applications
+        monkeypatch.setattr(Laplacian, name, counting)
+    transform = operators._sine_transform
+    monkeypatch.setattr(operators, "_sine_transform", lambda *a, **kw: calls.append("grid") or transform(*a, **kw))
+    eig = eigendata(spec)
+    assert calls == []
+    z = eig.z_hat
+    assert eig.z_hat is z
+    assert calls == ["inverse_transform", "grid"]
 
 
 def test_tolerances_is_the_one_tolerance_policy():
@@ -397,14 +403,14 @@ class TestScalingCovariance:
 
         mu_s_1, mu_ss_1 = diag(1.0)
         mu_s_2, mu_ss_2 = diag(2.0)
-        assert mu_s_2 == pytest.approx(2 * mu_s_1, rel=1e-13)
+        assert mu_s_2 == pytest.approx(2 * mu_s_1, rel=1e-13, abs=0)
         assert mu_ss_2 == pytest.approx(4 * mu_ss_1, rel=1e-9)
 
     def test_quartic_scaling(self, eig):
         # g''(0) = 0: the corrector's moment drops out
         m1 = diagnose(eig, NonlinearityModel.psi_k(4, 1.0)).mu_ss
         m2 = diagnose(eig, NonlinearityModel.psi_k(4, 2.0)).mu_ss
-        assert m2 == pytest.approx(2 * m1, rel=1e-13)
+        assert m2 == pytest.approx(2 * m1, rel=1e-13, abs=0)
 
 
 class TestPipeline:
@@ -559,7 +565,8 @@ class TestInteractionTable:
         u0 = lap400.unfold(pair.vector)
         mu_s = -0.5 * g2 * grid400.dot(u0**2, u0)
         rhs = mu_s * u0 + 0.5 * g2 * u0**2
-        z = lap400.unfold(bordered_solve(lap400, pair.vector, grid400.fold(rhs), pair.eigenvalue))
+        rhs = lap400.transform(grid400.fold(rhs))
+        z = lap400.unfold(lap400.inverse_transform(bordered_solve(lap400, rhs, pair.eigenvalue)))
         expected = -12.0 * grid400.dot(u0 * z, u0)
         assert -3 * table[0].mu_ss == pytest.approx(expected, rel=1e-8)
 

@@ -33,7 +33,7 @@ def test_rectangle_3x3_nodes_and_weights():
 def test_weight_sum_interval_399():
     # closed form: h*n = pi*399/400
     L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (399,)))
-    assert L.weight * n_nodes(L) == pytest.approx(PI * 399 / 400, rel=1e-13)
+    assert L.weight * n_nodes(L) == pytest.approx(PI * 399 / 400, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -102,7 +102,7 @@ def test_inner_product_sin_squared(lap400):
 def test_l2_norm_constant_one():
     L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (399,)))
     ones = folded(399, np.ones(399))
-    assert weighted_norm(L, ones) == pytest.approx(math.sqrt(PI * 399 / 400), rel=1e-13)
+    assert weighted_norm(L, ones) == pytest.approx(math.sqrt(PI * 399 / 400), rel=1e-13, abs=0)
     assert weighted_norm(L, np.zeros(L.n)) == 0.0
 
 

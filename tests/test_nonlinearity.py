@@ -73,7 +73,7 @@ class TestApply:
     def test_quartic_pointwise(self):
         m = NonlinearityModel.psi_k(4, 2.0)
         out = apply(m, np.array([0.5]))
-        assert out[0] == pytest.approx(-0.25, rel=1e-15)
+        assert out[0] == pytest.approx(-0.25, rel=1e-15, abs=0)
 
     def test_linear_pointwise(self):
         m = NonlinearityModel.linear(3.0)

@@ -69,7 +69,7 @@ def test_short_interval_verify_reads_lambda1_from_closed_form(tmp_path, capsys):
     capsys.readouterr()
     cr = json.loads((tmp_path / "report.json").read_text())["cr_report"]
     h = 0.1 / 51
-    assert cr["lambda1"] == pytest.approx(4 / h**2 * math.sin(2 * PI / 102) ** 2, rel=1e-14)
+    assert cr["lambda1"] == pytest.approx(4 / h**2 * math.sin(2 * PI / 102) ** 2, rel=1e-14, abs=0)
     assert cr["kernel_dim_ok"]
 
 

@@ -9,7 +9,6 @@ import pytest
 from coexist import DomainSpec, Laplacian, NonlinearityModel, principal_eigenpair, run_analysis, trace_branch
 from coexist import operators
 from coexist.continuation import DEFAULT_S_VALUES
-from coexist.operators import spectral_inverse
 
 from conftest import FullGrid, dense, sine_matrix
 
@@ -81,7 +80,7 @@ def test_sine_modes_diagonalise_assembled_laplacian(name):
 def test_eigenvalue_grid_is_cached_and_read_only():
     L = Laplacian.of(MESHES["rect-40x80"])
     ev = L.eigenvalues
-    spectral_inverse(L, float(ev[0]))
+    operators.bordered_solve(L, L.transform(np.ones(L.n)), float(ev[0]))
     assert L.eigenvalues is ev and not ev.flags.writeable
     assert ev[0] == ev.min()
 
@@ -89,21 +88,30 @@ def test_eigenvalue_grid_is_cached_and_read_only():
 @pytest.mark.parametrize("name", list(MESHES))
 @pytest.mark.parametrize("offset", [0.0, 0.3])
 def test_spectral_inverse_is_exact(name, offset):
-    # sigma = lambda0 is the corrector's singular shift, lambda0 + 0.3 a
-    # Newton-step shift on the branch. On the complement of q the operator
-    # inverts L - sigma; the float64 rounding of (L - sigma) v alone bounds
-    # the error by about eps * ||L|| / (lambda1 - sigma) ~ 1e-11 relative
-    # at n = 400; typical errors sit an order of magnitude below that.
+    # the coefficient solve with no diagonal: sigma = lambda0 is the
+    # corrector's singular shift, lambda0 + 0.3 a Newton-step shift on the
+    # branch. On the complement of q it inverts L - sigma, (L - sigma) x = P f;
+    # the float64 rounding of (L - sigma) v alone bounds the error by about
+    # eps * ||L|| / (lambda1 - sigma) ~ 1e-11 relative at n = 400; typical
+    # errors sit an order of magnitude below that.
     grid, L = FullGrid(MESHES[name]), Laplacian.of(MESHES[name])
     q = grid.fold(grid.sine_mode())
     q = q / np.linalg.norm(q)
     lambda0 = sum(4.0 / h**2 * np.sin(PI / (2 * (n + 1))) ** 2 for n, h in zip(grid.shape, grid.h))
     sigma = lambda0 + offset
-    precondition = spectral_inverse(L, sigma)
     v = np.random.default_rng(2).standard_normal(L.n)
     v -= (q @ v) * q
-    assert np.linalg.norm(precondition(L.apply(v) - sigma * v) - v) <= 1e-12 * np.linalg.norm(v)
-    assert np.linalg.norm(precondition(q)) <= 1e-12
+    x = L.inverse_transform(coefficient_solve(L, sigma, L.apply(v) - sigma * v))
+    assert np.linalg.norm(x - v) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(coefficient_solve(L, sigma, q)) <= 1e-12
+
+
+def coefficient_solve(L, sigma: float, rhs):
+    """The coefficients of x with (L - sigma) x = P rhs and no principal
+    coefficient, P the projection off the principal mode, for a node vector
+    rhs: the bordered solve with no diagonal, at the corrector's CG target."""
+    tol = operators._CORRECTOR_TOL
+    return operators.solve_bordered_system(L, sigma, L.transform(rhs), None, None, rtol=tol, atol=tol)[0]
 
 
 @pytest.mark.parametrize(
@@ -126,16 +134,9 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     f = grid.symmetric_vector(5)
     d_half = grid.fold(d) / L.sqrt_multiplicity  # a diagonal acts on nodal values
     x, y = operators.solve_bordered_system(
-        lambda v: L.apply(v) + (d_half - lam) * v,
-        eig.vector,
-        grid.fold(col),
-        grid.fold(f),
-        L,
-        lam,
-        rtol=1e-13,
-        atol=1e-14,
+        L, lam, L.transform(grid.fold(f)), L.transform(grid.fold(col)), d_half, rtol=1e-13, atol=1e-14
     )
-    x = L.unfold(x)
+    x = L.unfold(L.inverse_transform(x))
     K = np.block(
         [
             [grid.matrix().toarray() + np.diag(d - lam), col[:, None]],
@@ -269,8 +270,8 @@ def test_fold_unfold_and_dot_products(name):
     assert grid.is_symmetric(back)
     y = grid.fold(u)
     np.testing.assert_allclose(grid.fold(L.unfold(y)), y, rtol=1e-15, atol=0)
-    assert grid.fold(u) @ grid.fold(v) == pytest.approx(u @ v, rel=1e-14)
-    assert grid.fold(u) @ grid.fold(u) == pytest.approx(u @ u, rel=1e-14)
+    assert grid.fold(u) @ grid.fold(v) == pytest.approx(u @ v, rel=1e-14, abs=0)
+    assert grid.fold(u) @ grid.fold(u) == pytest.approx(u @ u, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("name", ["interval-7", "interval-8", "rect-5x8", "square-9", "rect-6x700"])
@@ -279,8 +280,8 @@ def test_folded_spectral_inverse_is_exact(name):
     q = principal_eigenpair(L, tol=1e-10).vector
     q = q / np.linalg.norm(q)
     sigma = float(L.eigenvalues[0]) + 0.3
-    precondition = spectral_inverse(L, sigma)
     v = np.random.default_rng(9).standard_normal(L.n)
     v -= (q @ v) * q
-    assert np.linalg.norm(precondition(L.apply(v) - sigma * v) - v) <= 1e-12 * np.linalg.norm(v)
-    assert np.linalg.norm(precondition(q)) <= 1e-12
+    x = L.inverse_transform(coefficient_solve(L, sigma, L.apply(v) - sigma * v))
+    assert np.linalg.norm(x - v) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(coefficient_solve(L, sigma, q)) <= 1e-12

@@ -73,8 +73,8 @@ def test_second_eigenvalue_square_128(spec2d_128):
 def test_lambda1_matches_dense_eigvalsh(spec):
     _, _, cr = bifurcation_point(spec, Tolerances())
     want = np.linalg.eigvalsh(FullGrid(spec).matrix().toarray())
-    assert cr.lambda1 == pytest.approx(want[1], rel=1e-12)
-    assert cr.gap == pytest.approx(want[1] - want[0], rel=1e-12)
+    assert cr.lambda1 == pytest.approx(want[1], rel=1e-12, abs=0)
+    assert cr.gap == pytest.approx(want[1] - want[0], rel=1e-12, abs=0)
 
 
 def test_minimal_mesh_eigensolve():
@@ -82,7 +82,7 @@ def test_minimal_mesh_eigensolve():
     L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (3,)))
     pair = principal_eigenpair(L, tol=1e-12)
     h = PI / 4
-    assert pair.eigenvalue == pytest.approx(2 / h**2 * (1 - math.cos(h)), rel=1e-12)
+    assert pair.eigenvalue == pytest.approx(2 / h**2 * (1 - math.cos(h)), rel=1e-12, abs=0)
 
 
 def test_anisotropic_rectangle():
