@@ -24,7 +24,6 @@ from .diagnostics import (
     CoexistenceType,
     TableRow,
     Tolerances,
-    classify,
     diagnose,
     eigendata,
     psi_k_table,
@@ -55,7 +54,6 @@ __all__ = [
     "Tolerances",
     "AnalysisResult",
     "TableRow",
-    "classify",
     "eigendata",
     "diagnose",
     "run_analysis",

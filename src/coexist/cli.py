@@ -90,7 +90,6 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown tolerance fields: {sorted(bad)}")
         tolerances = Tolerances(**tol_raw)
-        tolerances.validate()
         out_raw = _section(raw, "outputs")
         bad = set(out_raw) - {f.name for f in fields(Outputs)}
         if bad:
@@ -277,7 +276,7 @@ def _analysis_report(cfg: RunConfig, analysis: AnalysisResult) -> dict:
 
 def cmd_analyze(cfg: RunConfig, out_dir: str | None = None) -> dict:
     """Spectrum -> bifurcation checks -> diagnostics; writes the JSON report."""
-    analysis = run_analysis(cfg.domain, cfg.model, cfg.tolerances)
+    analysis = run_analysis(cfg.domain, cfg.model)
     report = _analysis_report(cfg, analysis)
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
     return report
@@ -289,7 +288,7 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     Returns (report, exit_code); a truncated branch still exits 0 when
     the converged points still carry the fit, EXIT_SOLVER otherwise.
     """
-    analysis = run_analysis(cfg.domain, cfg.model, cfg.tolerances)
+    analysis = run_analysis(cfg.domain, cfg.model)
     branch = trace_branch(analysis, sorted(cfg.s_values))
     csv_path = _resolve(out_dir, cfg.outputs.branch_csv_path)
     write_branch_csv(csv_path, branch, analysis.operator)
@@ -321,7 +320,7 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
 
 def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
     """Interaction-family sweep over k_list x eta_list; writes the CSV."""
-    rows = psi_k_table(cfg.domain, list(cfg.k_list), list(cfg.resolved_eta_list()), cfg.tolerances)
+    rows = psi_k_table(cfg.domain, list(cfg.k_list), list(cfg.resolved_eta_list()))
     write_table_csv(_resolve(out_dir, cfg.outputs.table_csv_path), rows)
     return rows
 
@@ -330,7 +329,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """The bifurcation-point checks only; no corrector solve. Exits on
     kernel_dim_ok, the one certificate: the transversality value is an
     identity."""
-    _, _, cr = bifurcation_point(cfg.domain, cfg.tolerances)
+    _, _, cr = bifurcation_point(cfg.domain)
     report = _base_report(cfg)
     report["cr_report"] = cr.to_dict()
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)

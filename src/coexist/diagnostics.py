@@ -24,13 +24,14 @@ an independent cross-check.
 Every command runs the same two steps: `eigendata` once per domain, then
 `diagnose` (mu_s, mu_ss, the type) once per model, as scalar arithmetic
 on g''(0), g'''(0) and the three per-mesh numbers. `eigendata` takes L,
-the closed-form principal pair, lambda1 and the bifurcation-point checks
-from `bifurcation_point`, then the moments with no grid transform: u0 is
-a product of per-axis sine vectors, so I3 and I4 are products of
-per-axis sums, and u0^2's sine coefficients are the outer product of one
-1-D transform per axis. A is diagonal in those coefficients, where z_hat
-is solved and M_hat is one dot product; z_hat's node vector costs one
-inverse transform, taken when first read (by the trace).
+lambda0, lambda1 and the bifurcation-point checks from
+`bifurcation_point`, then the moments in closed form, with no node
+vector and no transform: u0 is a product of per-axis sine vectors, so I3
+and I4 are products of per-axis sine sums, and u0^2's sine coefficients
+are the outer product of per-axis closed forms. A is diagonal in those
+coefficients, where z_hat is solved and M_hat is one dot product. u0's
+node vector and z_hat's, one inverse transform, are formed when first
+read, by the trace alone.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -). On a
@@ -42,20 +43,18 @@ g'''(0) < 0 do the two terms of mu_ss compete; there |mu_ss| within
 _SIGN_MARGIN eps of the terms' magnitudes is rounding and reads as zero,
 and a warning names both candidate types.
 
-`Tolerances` is the one tolerance policy: every threshold that decides
-"certified" or "consistent" resolves there, and no other function gives a
-tolerance a default.
+`Tolerances` is the one tolerance policy: the trace's "consistent"
+bounds resolve there, and no other function gives a tolerance a default.
 The transversality value -(u0, u0) is -1 for the normalized u0, an
 identity that is reported and not tested; the gap is the certificate.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import numpy.typing as npt
@@ -73,7 +72,6 @@ __all__ = [
     "Tolerances",
     "EigenData",
     "AnalysisResult",
-    "classify",
     "sign_with_tolerance",
     "bifurcation_point",
     "eigendata",
@@ -151,20 +149,12 @@ class BifurcationDiagnostics:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Every threshold the pipeline judges by: the eigen certificate, and the
-    trace's fit bounds (methods, not fields). The sign pair, the kernel gap
-    and Newton's stop take none: they follow from the box's structure and
-    are judged only against rounding. Solver-internal targets, such as CG's
+    """Every threshold the pipeline judges by: the trace's fit bounds
+    (methods, not fields). The eigenpair, the sign pair, the kernel gap and
+    Newton's stop take none: they follow from the box's structure and are
+    judged only against rounding. Solver-internal targets, such as CG's
     stall window or the corrector's CG target, stay next to their
     solvers."""
-
-    eigen_tol: float = 1e-10
-
-    def validate(self) -> None:
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-                raise ConfigError(f"tolerance {f.name} must be a finite number > 0, got {v!r}")
 
     def resolved_a_tol(self, mu_s: float) -> float:
         """Bound on |a - mu_s|, the traced fit's slope against mu_s(0)."""
@@ -182,13 +172,6 @@ def sign_with_tolerance(x: float, zero_tol: float) -> int:
     if abs(x) <= zero_tol:
         return 0
     return 1 if x > 0 else -1
-
-
-def classify(mu_s: float, mu_ss: float, zero_tol: float) -> CoexistenceType:
-    """Map the sign pair (mu_s, mu_ss) to one of the nine types."""
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
-    return _TYPE_TABLE[(sign_with_tolerance(mu_s, zero_tol), sign_with_tolerance(mu_ss, zero_tol))]
 
 
 def _coexistence_side(s_s: int, s_ss: int) -> CoexistenceSide:
@@ -238,41 +221,53 @@ class AnalysisResult(EigenData):
         return self.cr_report.lambda0 - self.model.V_L
 
 
-def bifurcation_point(spec: DomainSpec, tolerances: Tolerances) -> tuple[Laplacian, Eigenpair, CRReport]:
-    """Build the stencil L of spec's grid, take the closed-form principal
-    eigenpair certified per axis, in L's coordinates, read lambda1 as the
-    smallest full-grid eigenvalue with mode 2 on one axis, and check the
-    bifurcation point."""
+def bifurcation_point(spec: DomainSpec) -> tuple[Laplacian, Eigenpair, CRReport]:
+    """Build the stencil L of spec's grid, take its closed-form principal
+    eigenpair, read lambda1 as the smallest full-grid eigenvalue with mode
+    2 on one axis, and check the bifurcation point."""
     L = Laplacian.of(spec)
-    tolerances.validate()
-    pair = principal_eigenpair(L, tolerances.eigen_tol)
+    pair = principal_eigenpair(L)
     d = len(L.shape)
-    cr = verify_crandall_rabinowitz(
-        pair.eigenvalue,
-        min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d)),
-        pair.vector,
-        L,
-    )
-    return L, pair, cr
+    lambda1 = min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d))
+    return L, pair, verify_crandall_rabinowitz(pair.eigenvalue, lambda1)
 
 
-def eigendata(spec: DomainSpec, tolerances: Tolerances | None = None) -> EigenData:
+def _square_coefficients(n: int, length: float) -> Array:
+    """The odd sine coefficients (`Laplacian.transform`'s order along one
+    n-node axis of the given length) of v^2, v = sqrt(2/length)
+    sin(pi i/(n+1)) being u0's normalized factor on that axis: with
+    a_j = pi j/(2(n+1)) over odd j and D = pi/(n+1), the coefficient is
+    -(2/length) sqrt(1/(2(n+1))) sin^2 D cos a_j / (sin a_j (sin^2 a_j - sin^2 D)),
+    the DST-I of (1 - cos 2 D i)/length summed as cotangents over one
+    denominator, so nothing cancels."""
+    a = np.pi * np.arange(1, n + 1, 2) / (2 * (n + 1))
+    sin_a, sin2_d = np.sin(a), math.sin(np.pi / (n + 1)) ** 2
+    return (-2.0 / length * math.sqrt(0.5 / (n + 1)) * sin2_d) * np.cos(a) / (sin_a * (sin_a * sin_a - sin2_d))
+
+
+def eigendata(spec: DomainSpec) -> EigenData:
     """`bifurcation_point`, then the moments and the unit corrector z_hat
-    (the one corrector solve per domain) in L's sine coefficients: over
-    u0's per-axis factors v_a, I3 = prod_a h_a sum v_a^3 and I4 likewise,
-    u0^2 has the coefficients s = outer_a T_a v_a^2, z_hat is half the
-    solution of A z = s off the principal coefficient (I3 u0's only one),
-    and M_hat = w s.z_hat, w = L.weight. Raises ConfigError before the solve
+    (the one corrector solve per domain) in L's sine coefficients, with no
+    node vector: per axis of length len and n nodes, theta = pi/(n+1),
+    I3 = prod h (2/len)^(3/2) (3 cot(theta/2) - cot(3 theta/2))/4 and
+    I4 = prod 3/(2 len) are u0's sine sums, u0^2 has the coefficients
+    s = outer_a `_square_coefficients`, z_hat is half the solution of
+    A z = s off the principal coefficient (I3 u0's only one), and
+    M_hat = w s.z_hat, w = L.weight. Raises ConfigError before the solve
     when lambda1 and lambda0 round together, where `verify` exits 2."""
-    L, pair, cr = bifurcation_point(spec, tolerances or Tolerances())
+    L, pair, cr = bifurcation_point(spec)
     if not cr.kernel_dim_ok:
         raise ConfigError(
             f"lambda1 - lambda0 = {cr.gap:.3e} is rounding at lambda0 = {cr.lambda0:.6g}: the kernel is not certified"
         )
-    squares = [v * v for v in pair.factors]
-    I3 = math.prod(h * float(v2 @ v) for h, v, v2 in zip(L.h, pair.factors, squares))
-    I4 = math.prod(h * float(v2 @ v2) for h, v2 in zip(L.h, squares))
-    sq = L.outer_transform(squares)
+    I3 = I4 = 1.0
+    squares = []
+    for n, (lo, hi), h in zip(L.shape, spec.bounds, L.h):
+        theta = np.pi / (n + 1)
+        I3 *= h * (2.0 / (hi - lo)) ** 1.5 * (3.0 / math.tan(theta / 2) - 1.0 / math.tan(1.5 * theta)) / 4.0
+        I4 *= 3.0 / (2.0 * (hi - lo))
+        squares.append(_square_coefficients(n, hi - lo))
+    sq = reduce(np.multiply.outer, squares).ravel()
     z_hat = bordered_solve(L, sq, pair.eigenvalue)
     z_hat *= 0.5
     M_hat = L.weight * float(sq @ z_hat)
@@ -324,9 +319,9 @@ def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics
     )
 
 
-def run_analysis(spec: DomainSpec, model: NonlinearityModel, tolerances: Tolerances | None = None) -> AnalysisResult:
+def run_analysis(spec: DomainSpec, model: NonlinearityModel) -> AnalysisResult:
     """Full pipeline: eigendata, then diagnose."""
-    eig = eigendata(spec, tolerances)
+    eig = eigendata(spec)
     return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model))
 
 
@@ -342,12 +337,7 @@ class TableRow:
     ctype: CoexistenceType
 
 
-def psi_k_table(
-    spec: DomainSpec,
-    k_list: list[int],
-    eta_list: list[float],
-    tolerances: Tolerances | None = None,
-) -> list[TableRow]:
+def psi_k_table(spec: DomainSpec, k_list: list[int], eta_list: list[float]) -> list[TableRow]:
     """Diagnostics across the power-interaction family g = -eta*u^(k-1),
     one row per (eta, k), etas outermost.
 
@@ -360,7 +350,7 @@ def psi_k_table(
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
     # built before the eigen stage, so a non-integer k fails first
     models = [NonlinearityModel.psi_k(k, eta) for eta in eta_list for k in k_list]
-    eig = eigendata(spec, tolerances)
+    eig = eigendata(spec)
 
     rows = []
     for model in models:

@@ -64,13 +64,14 @@ class DomainSpec:
         for ax, n in enumerate(self.resolution):
             if n < 3:
                 raise ConfigError(f"resolution[{ax}] must be >= 3, got {n}")
-        # the residual norms square L v, which is at most stencil_bound times
-        # the normalized sine mode's peak, whose square is prod 2/len
+        # Newton's ||F|| in `continuation` squares L U, which for U = s u0,
+        # |s| <= 1, is at most stencil_bound times the normalized sine
+        # mode's peak, whose square is prod 2/len
         hs = self.h
         lam_max = stencil_bound(hs)
         squared = lam_max * lam_max * math.prod(2.0 / (hi - lo) for lo, hi in self.bounds)
         if not math.isfinite(squared):
             raise ConfigError(
-                f"grid spacing h = {list(hs)} is too small: the residual norms square "
-                f"(sum 4/h^2)^2 * prod 2/len = {squared:.3g}, which overflows"
+                f"grid spacing h = {list(hs)} is too small: Newton's residual norm squares L U, "
+                f"up to (sum 4/h^2)^2 * prod 2/len = {squared:.3g}, which overflows"
             )

@@ -16,11 +16,10 @@ diagonalises the full-grid stencil exactly (Buzbee, Golub and Nielson
 does, and L carries the odd-mode eigenvalues in T's coefficient order.
 Along an axis of at most 512 nodes T is one BLAS product with a cached
 dense matrix; longer axes take the DST-I from numpy's real FFT. L also
-keeps each axis's full-grid 3-point stencil and eigenvalues, from which
-the principal pair and lambda1 are built and certified per axis with no
-grid vector, and `outer_transform` takes the coefficients of a product of
-per-axis vectors with one 1-D transform per axis; `unfold` gives the
-full-grid vector of a result.
+keeps each axis's full-grid stencil eigenvalues, whose sums are lambda0
+and lambda1, with no grid vector; `outer` folds a product of per-axis
+vectors into a node vector, and `unfold` gives the full-grid vector of a
+result.
 
 Two solvers live here: preconditioned conjugate gradients, and one
 bordered form [A col; e0^T 0][x; y] = [f; 0] in L's odd sine
@@ -113,17 +112,6 @@ class Laplacian:
         """Each axis's full-grid 3-point stencil eigenvalues, j = 1..n."""
         return tuple(_stencil_eigenvalues(n, c) for n, c in zip(self.shape, self.inv_h2))
 
-    def axis_apply(self, axis: int, v: Array) -> Array:
-        """One axis's full-grid 3-point stencil applied to a vector of its n
-        nodes, (2 v_i - v_(i-1) - v_(i+1))/h^2. The full-grid stencil is the
-        Kronecker sum of these."""
-        c = self.inv_h2[axis]
-        out = v * (2.0 * c)
-        scaled = c * v
-        out[1:] -= scaled[:-1]
-        out[:-1] -= scaled[1:]
-        return out
-
     def mode_eigenvalue(self, modes: tuple[int, ...]) -> float:
         """The eigenvalue of the full-grid sine mode (j_1, ..., j_d), j from
         1: the axes' eigenvalues summed in axis order."""
@@ -147,14 +135,6 @@ class Laplacian:
         prod_a factors[a][i_a] of one mirror-symmetric full-axis vector per
         axis, with no full-grid vector formed."""
         return reduce(np.multiply.outer, [_fold_axis(f, 0, n) for f, n in zip(factors, self.shape)]).ravel()
-
-    def outer_transform(self, factors: list[Array]) -> Array:
-        """transform(outer(factors)) with no grid vector transformed: the
-        coefficients of a product are the outer product of its factors'
-        coefficients, one 1-D transform per axis."""
-        return reduce(
-            np.multiply.outer, [_axis_transform(_fold_axis(f, 0, n), 0, n, False) for f, n in zip(factors, self.shape)]
-        ).ravel()
 
     def transform(self, v: Array) -> Array:
         """Node vector to odd sine-mode coefficients: T along every axis."""

@@ -1,26 +1,27 @@
-"""The principal eigenpair of the discrete Laplacian, and the checks
-that certify the bifurcation point.
+"""The principal eigenpair of the discrete Laplacian, and the
+bifurcation-point checks.
 
 On a uniform product grid the Dirichlet Laplacian's eigenvectors are
 products of sines, sin(j pi i / (n+1)) per axis, with eigenvalues
 sum_axes 4/h^2 sin^2(j pi / (2(n+1))). The principal pair is the
-closed-form (1, ..., 1) mode, built and certified per axis against each
-axis's full-grid 3-point stencil (`Laplacian.axis_apply`), so no
-full-grid vector is formed and the pair comes in L's half-grid
-coordinates. lambda0 and lambda1, the gap's other end, are sums of
-per-axis eigenvalues (`Laplacian.mode_eigenvalue`), with no eigenvalue
-grid and no eigenvector.
+closed-form (1, ..., 1) mode: the full-grid stencil's exact eigenvector
+at every n (LeVeque 2007, chapters 2 and 3), so there is nothing to
+certify and no residual is taken. Its eigenvalue is a sum of per-axis
+eigenvalues, and its per-axis sine vectors and node vector in L's
+half-grid coordinates are formed on first read. lambda1, the gap's other
+end, is a sum of per-axis eigenvalues too (`Laplacian.mode_eigenvalue`),
+with no eigenvalue grid and no eigenvector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConvergenceError
 from .operators import Laplacian
 
 __all__ = [
@@ -39,13 +40,29 @@ _GAP_MARGIN = 16.0
 
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
-    """Eigenvalue, normalized eigenvector, eigen-residual norm, and factors:
-    one vector per axis over its n nodes, whose product is u's nodal values."""
+    """The principal eigenvalue of operator, and its normalized
+    eigenvector, formed on first read: `factors` holds one vector per axis
+    over its n nodes, whose product is u0's nodal values, and `vector` is
+    u0 as a node vector of operator."""
 
     eigenvalue: float
-    vector: Array
-    residual: float
-    factors: tuple[Array, ...]
+    operator: Laplacian
+
+    @cached_property
+    def factors(self) -> tuple[Array, ...]:
+        """The sine vectors sin(pi (x_a - lo_a) / len_a) over each axis's
+        nodes x_a, each normalized with its own h_a."""
+        L, vs = self.operator, []
+        for n, (lo, hi), h in zip(L.shape, L.spec.bounds, L.h):
+            x = lo + h * np.arange(1, n + 1)
+            v = np.sin(np.pi * (x - lo) / (hi - lo))
+            vs.append(v / math.sqrt(h * float(v @ v)))
+        return tuple(vs)
+
+    @cached_property
+    def vector(self) -> Array:
+        """u0's node vector of operator, the product of `factors`."""
+        return self.operator.outer(list(self.factors))
 
 
 @dataclass(frozen=True)
@@ -68,37 +85,14 @@ class CRReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def principal_eigenpair(L: Laplacian, tol: float) -> Eigenpair:
-    """Smallest eigenvalue of L and its positive, normalized eigenfunction:
-    the sine mode prod_a sin(pi (x_a - lo_a) / len_a), a node vector of L.
-    Raises ConvergenceError when its residual against the stencil exceeds
-    tol (rounding in L v alone exceeds tol).
-
-    Everything is per axis: the eigenvalue sums the axes' principal
-    eigenvalues lambda_a, and the mode is the product of sine vectors v_a
-    over the axis's n nodes x_a, each normalized with its own h_a. The
-    residual of the product is sum_a r_a x v_(b != a) with
-    r_a = L_a v_a - lambda_a v_a against the axis's full-grid 3-point
-    stencil L_a, so its squared norm is
-    sum_a ||r_a||^2 + sum_(a != b) (r_a, v_a)(r_b, v_b): in 1-D exactly
-    the residual against the full-grid stencil, and never taken on the
-    half grid, whose rounding is smaller."""
-    vs, rr, rv = [], [], []
-    for axis, (n, (lo, hi), h) in enumerate(zip(L.shape, L.spec.bounds, L.h)):
-        x = lo + h * np.arange(1, n + 1)
-        v = np.sin(np.pi * (x - lo) / (hi - lo))
-        v = v / math.sqrt(h * float(v @ v))
-        r = L.axis_apply(axis, v) - L.axis_eigenvalues[axis][0] * v
-        vs.append(v)
-        rr.append(h * float(r @ r))
-        rv.append(h * float(r @ v))
-    res = math.sqrt(sum(rr) + (sum(rv) * sum(rv) - sum(d * d for d in rv)))
-    if res > tol:
-        raise ConvergenceError(f"principal sine mode misses eigen tolerance {tol:.1e} against L", res, 0)
-    return Eigenpair(L.mode_eigenvalue((1,) * len(vs)), L.outer(vs), res, tuple(vs))
+def principal_eigenpair(L: Laplacian) -> Eigenpair:
+    """Smallest eigenvalue of L, the sum of the axes' principal
+    eigenvalues, with its positive, normalized eigenfunction, the sine mode
+    prod_a sin(pi (x_a - lo_a) / len_a), formed on first read."""
+    return Eigenpair(L.mode_eigenvalue((1,) * len(L.shape)), L)
 
 
-def verify_crandall_rabinowitz(lambda0: float, lambda1: float, u0: Array, L: Laplacian) -> CRReport:
+def verify_crandall_rabinowitz(lambda0: float, lambda1: float) -> CRReport:
     """Check the bifurcation-point conditions at (lambda0, 0).
 
     On a box lambda0 = lambda_(1,...,1) lies strictly below every other
@@ -106,15 +100,14 @@ def verify_crandall_rabinowitz(lambda0: float, lambda1: float, u0: Array, L: Lap
     floating-point gap lambda1 - lambda0 shows it, exceeding
     _GAP_MARGIN * eps * lambda0; it fails only where lambda1 and lambda0
     round to one number. The transversality value, the kernel projection
-    of the mixed derivative applied to u0, is -(u0, u0): -1 for the
-    normalized u0, a node vector of L, so it is reported and never tested.
+    of the mixed derivative applied to u0, is -(u0, u0) = -1 for the
+    normalized u0: reported and never tested.
     """
     gap = lambda1 - lambda0
-    u0 = np.asarray(u0, dtype=float)
     return CRReport(
         lambda0=lambda0,
         lambda1=lambda1,
         gap=gap,
         kernel_dim_ok=bool(gap > _GAP_MARGIN * np.finfo(float).eps * lambda0),
-        transversality_value=-L.weight * float(u0 @ u0),
+        transversality_value=-1.0,
     )

@@ -6,7 +6,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, Tolerances, continuation, principal_eigenpair, solve_at_amplitude
+from coexist import DomainSpec, Laplacian, continuation, principal_eigenpair, solve_at_amplitude
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
@@ -245,16 +245,16 @@ def lap400(spec400):
 @pytest.fixture(scope="session")
 def eig400(lap400):
     t0 = time.perf_counter()
-    pair = principal_eigenpair(lap400, tol=1e-11)
+    pair = principal_eigenpair(lap400)
     return pair, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
 def cr400(spec400):
-    """The bifurcation-point checks at default tolerances, which carry
+    """The bifurcation-point checks, which carry
     lambda1 and the gap, and the time they took."""
     t0 = time.perf_counter()
-    _, _, cr = bifurcation_point(spec400, Tolerances())
+    _, _, cr = bifurcation_point(spec400)
     return cr, time.perf_counter() - t0
 
 
@@ -267,5 +267,5 @@ def spec2d_128():
 def eig2d_128(spec2d_128):
     L = Laplacian.of(spec2d_128)
     t0 = time.perf_counter()
-    pair = principal_eigenpair(L, tol=1e-10)
+    pair = principal_eigenpair(L)
     return pair, time.perf_counter() - t0

@@ -15,7 +15,6 @@ from coexist import (
     DomainSpec,
     Laplacian,
     NonlinearityModel,
-    Tolerances,
     derivative_at_zero,
     diagnose,
     eigendata,
@@ -73,8 +72,7 @@ def test_criterion_1_eigenpair_oracle(eig400, cr400, eig2d_128):
 
 def test_criterion_2_interaction_table_numbers(spec400, grid400):
     failures = []
-    tol = Tolerances(eigen_tol=1e-11)
-    eig = eigendata(spec400, tol)
+    eig = eigendata(spec400)
     u0 = eig.operator.unfold(eig.eigenpair.vector)
 
     # cubic interaction
@@ -170,7 +168,7 @@ def test_criterion_5_coexistence_side(branches):
 
 def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_path):
     failures = []
-    eig = eigendata(spec400, Tolerances(eigen_tol=1e-11))
+    eig = eigendata(spec400)
     u0 = eig.operator.unfold(eig.eigenpair.vector)
 
     # solvability of the unit corrector: its right-hand side 1/2 (u0^2 - I3 u0),
@@ -209,7 +207,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
     # Newton's Jacobian, L - lambda + diag(d) with the diagonal d that its
     # bordered solve is given, vs central differences over 100 random states
     Lap100 = Laplacian.of(spec100)
-    u0_100 = principal_eigenpair(Lap100, tol=1e-10).vector
+    u0_100 = principal_eigenpair(Lap100).vector
     model_cycle = zoo + [NonlinearityModel.psi_k(6, 2.0)]
     rng = np.random.default_rng(2024)
     eps = 1e-5
@@ -250,7 +248,7 @@ def test_criterion_7_convergence_orders():
     failures = []
     errors = {"lambda0": [], "mu_s_psi3": [], "mu_ss_psi4": []}
     for n in (100, 200, 400):
-        eig = eigendata(DomainSpec("interval", ((0.0, PI),), (n,)), Tolerances(eigen_tol=1e-11))
+        eig = eigendata(DomainSpec("interval", ((0.0, PI),), (n,)))
         errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
         mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0)).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))

@@ -94,16 +94,17 @@ class TestConfig:
     def test_bad_tolerance_rejected(self, tmp_path):
         raw = base_config()
         raw["tolerances"] = {"eigen_tol": -1.0}
-        with pytest.raises(ConfigError, match="eigen_tol"):
+        with pytest.raises(ConfigError, match=r"unknown tolerance fields: \['eigen_tol'\]"):
             load_config(write_config(tmp_path, raw))
 
     def test_removed_solvability_tol_rejected(self, tmp_path):
         # the corrector has no multiplier to check and keeps its own CG
         # target, the sign pair and the gap follow from the box's structure,
-        # and Newton stops at F's rounding floor, so these knobs are gone,
-        # not ignored
+        # Newton stops at F's rounding floor, and the principal sine mode is
+        # the stencil's exact eigenvector, so these knobs are gone, not ignored
         path = write_config(tmp_path, base_config())
         removed = (
+            ("eigen_tol", "1e-10"),
             ("solvability_tol", "1e-8"),
             ("linear_tol", "1e-10"),
             ("zero_tol", "1e-6"),
@@ -116,10 +117,9 @@ class TestConfig:
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, base_config())
-        cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]", "tolerances.eigen_tol=1e-9"])
+        cfg = load_config(path, ["model.eta=-1.0", "domain.resolution=[50]"])
         assert cfg.model.eta == -1.0
         assert cfg.domain.resolution == (50,)
-        assert cfg.tolerances.eigen_tol == 1e-9
 
     def test_override_requires_equals(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -147,6 +147,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "override",
         [
+            # a removed tolerance is an unknown field, whatever its value
             "tolerances.eigen_tol=abc",
             "tolerances.eigen_tol=NaN",
             "tolerances.eigen_tol=Infinity",
@@ -271,7 +272,7 @@ class TestAnalyze:
         cfg = load_config(write_config(tmp_path, base_config(kind="psi_k", k=3, eta=1.0)))
         cmd_analyze(cfg, out_dir=str(tmp_path))
         report = json.loads((tmp_path / "report.json").read_text())
-        eig = eigendata(cfg.domain, cfg.tolerances)
+        eig = eigendata(cfg.domain)
         assert report["moments"] == {"I3": eig.I3, "I4": eig.I4, "M_hat": eig.M_hat}
         assert "lambda_equals_m_plus_V_L" not in report
         assert "lambda0" not in report["diagnostics"] and "moments" not in report["diagnostics"]
@@ -457,12 +458,10 @@ class TestVerify:
         assert calls == []
 
 
-def test_analyze_and_verify_agree_below_default_eigen_tol(tmp_path):
-    # eigen_tol = 1e-11 tightens only the principal pair's certificate;
-    # both commands read lambda1 off the same eigenvalue grid
+def test_analyze_and_verify_agree(tmp_path):
+    # both commands read lambda0 and lambda1 off the same per-axis sums
     raw = base_config()
     raw["domain"]["resolution"] = [400]
-    raw["tolerances"] = {"eigen_tol": 1e-11}
     cfg = load_config(write_config(tmp_path, raw))
     analyzed = cmd_analyze(cfg, out_dir=str(tmp_path / "a"))["cr_report"]
     verified, code = cmd_verify(cfg, out_dir=str(tmp_path / "v"))
@@ -523,14 +522,6 @@ class TestMain:
                 assert main([command, "--config", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
         assert calls == []
         assert capsys.readouterr().err.count("lambda1 - lambda0 = 0.000e+00 is rounding") == 3
-
-    def test_solver_failure_exit_three(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_config())
-        code = main(
-            ["analyze", "--config", path, "--out-dir", str(tmp_path), "--override", "tolerances.eigen_tol=1e-30"]
-        )
-        assert code == EXIT_SOLVER
-        assert "solver error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "config, s_values, innermost",
@@ -651,8 +642,6 @@ for domain in {domains!r}:
     cfg = cli.RunConfig.from_dict({{
         "domain": domain,
         "model": {{"kind": "psi_k", "k": 3, "eta": 1.0}},
-        # the 2000-node interval's certificate rounds above the default (ROADMAP.md item 4)
-        "tolerances": {{"eigen_tol": 1e-7}},
     }})
     cli.cmd_analyze(cfg, {str(tmp_path)!r})
     assert cli.cmd_trace(cfg, {str(tmp_path)!r})[1] == cli.EXIT_OK

@@ -16,17 +16,18 @@ from coexist import (
     NonlinearityModel,
     ConfigError,
     bordered_solve,
-    classify,
     derivative_at_zero,
     diagnose,
     eigendata,
     psi_k_table,
     run_analysis,
+    trace_branch,
 )
 import coexist
-from coexist import operators
+from coexist import diagnostics, operators
 from coexist.cli import RunConfig, cmd_verify
-from coexist.diagnostics import Tolerances
+from coexist.continuation import DEFAULT_S_VALUES
+from coexist.diagnostics import Tolerances, sign_with_tolerance
 
 from conftest import BENCHMARK_POLY, FullGrid, psi3_sigma_form, vector_moments
 
@@ -37,11 +38,16 @@ I4_EXACT = 3 / (2 * PI)  # (u0^3, u0) on (0, pi)
 
 @pytest.fixture(scope="module")
 def eig(spec400):
-    return eigendata(spec400, Tolerances(eigen_tol=1e-11))
+    return eigendata(spec400)
 
 
 def _is_plus_zero(x: float) -> bool:
     return x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
+def table_type(mu_s: float, mu_ss: float, zero_tol: float) -> CoexistenceType:
+    """The nine-cell table that `diagnose` indexes, read at the sign pair."""
+    return diagnostics._TYPE_TABLE[(sign_with_tolerance(mu_s, zero_tol), sign_with_tolerance(mu_ss, zero_tol))]
 
 
 class TestClassify:
@@ -60,29 +66,25 @@ class TestClassify:
         ],
     )
     def test_all_nine_sign_pairs(self, mu_s, mu_ss, expected):
-        assert classify(mu_s, mu_ss, zero_tol=1e-6) is expected
+        assert table_type(mu_s, mu_ss, zero_tol=1e-6) is expected
 
     def test_quartic_positive_coupling_case(self):
-        assert classify(0.0, 0.95, 1e-6) is CoexistenceType.I
+        assert table_type(0.0, 0.95, 1e-6) is CoexistenceType.I
 
     def test_degenerate_case(self):
-        assert classify(0.0, 0.0, 1e-6) is CoexistenceType.II
+        assert table_type(0.0, 0.0, 1e-6) is CoexistenceType.II
 
     def test_table_lookup_case(self):
-        assert classify(-0.7, -0.3, 1e-6) is CoexistenceType.IX
+        assert table_type(-0.7, -0.3, 1e-6) is CoexistenceType.IX
 
     def test_zero_tolerance_band(self):
-        assert classify(5e-7, 1.0, 1e-6) is CoexistenceType.I
-        assert classify(5e-6, 1.0, 1e-6) is CoexistenceType.IV
-
-    def test_zero_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            classify(0.0, 0.0, 0.0)
+        assert table_type(5e-7, 1.0, 1e-6) is CoexistenceType.I
+        assert table_type(5e-6, 1.0, 1e-6) is CoexistenceType.IV
 
     @pytest.mark.parametrize("mu_s, mu_ss", [(float("nan"), 1.0), (0.0, float("nan"))])
     def test_nan_has_no_sign(self, mu_s, mu_ss):
         with pytest.raises(ValueError, match="NaN"):
-            classify(mu_s, mu_ss, 1e-6)
+            table_type(mu_s, mu_ss, 1e-6)
 
 
 class TestMuS:
@@ -98,11 +100,21 @@ class TestMuS:
         assert _is_plus_zero(diagnose(eig, NonlinearityModel.linear(v_l)).mu_s)
 
 
-def test_diagnose_does_no_vector_work(eig):
+def test_diagnose_does_no_vector_work(eig, spec400, monkeypatch):
     # every model's diagnostics are arithmetic on the per-mesh moments:
     # eigendata without its vectors serves, and the result holds no mesh vector
-    pair = dataclasses.replace(eig.eigenpair, vector=None, factors=None)
-    eig = dataclasses.replace(eig, operator=None, eigenpair=pair, z_hat_coefficients=None)
+    analysis = run_analysis(spec400, NonlinearityModel.psi_k(3, 1.0))
+    tables = []
+    real = diagnostics.eigendata
+    monkeypatch.setattr(diagnostics, "eigendata", lambda spec: tables.append(real(spec)) or tables[-1])
+    psi_k_table(spec400, [3, 4], [1.0, -1.0])
+    # u0's factors and node vector are formed on first read, by the trace alone
+    for pair in (analysis.eigenpair, tables[0].eigenpair):
+        assert not {"vector", "factors"} & set(vars(pair))
+    trace_branch(analysis, DEFAULT_S_VALUES)
+    assert {"vector", "factors"} <= set(vars(analysis.eigenpair))
+
+    eig = dataclasses.replace(eig, operator=None, eigenpair=None, z_hat_coefficients=None)
     for model in (
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -1.0),
@@ -145,8 +157,7 @@ class TestCorrector:
             DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (12, 16)),
         ):
             grid = FullGrid(spec)
-            tol = Tolerances(eigen_tol=1e-12)
-            eig = eigendata(spec, tol)
+            eig = eigendata(spec)
             d = diagnose(eig, model)
             u0, n = grid.sine_mode(), grid.n
 
@@ -177,14 +188,13 @@ FOLDED_CORRECTOR_SPECS = {
 
 
 def full_grid_eigendata(eig, grid: FullGrid):
-    """eig on the full grid, and its z_hat: u0 unfolded, z_hat from the
-    exact DST solve on the full-grid stencil and the moments taken over
-    every node."""
+    """eig's moments on the full grid, and its z_hat: u0 unfolded, z_hat
+    from the exact DST solve on the full-grid stencil and the moments taken
+    over every node."""
     u0 = eig.operator.unfold(eig.eigenpair.vector)
     rhs = 0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0)
     z = grid.spectral_solve(rhs, eig.eigenpair.eigenvalue)
-    pair = dataclasses.replace(eig.eigenpair, vector=u0)
-    return dataclasses.replace(eig, eigenpair=pair, **vector_moments(grid, u0, z)), z
+    return dataclasses.replace(eig, **vector_moments(grid, u0, z)), z
 
 
 @pytest.mark.parametrize("name", list(FOLDED_CORRECTOR_SPECS))
@@ -204,7 +214,7 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     # the eigen stage against the full grid's closed-form sine mode and eigenvalue
     assert eig.eigenpair.eigenvalue == grid.eigenvalues[0]
     sine = grid.sine_mode()
-    assert np.linalg.norm(oracle.eigenpair.vector - sine) <= 1e-15 * np.linalg.norm(sine)
+    assert np.linalg.norm(eig.operator.unfold(eig.eigenpair.vector) - sine) <= 1e-15 * np.linalg.norm(sine)
     # I3 and I4 are half-grid sums, the oracle's are over every node
     assert eig.I3 == pytest.approx(oracle.I3, rel=4e-15, abs=0)
     assert eig.I4 == pytest.approx(oracle.I4, rel=4e-15, abs=0)
@@ -263,6 +273,19 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
         assert full_grid_arrays(run, math.prod(spec.resolution)) == []
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 8, 400, 511, 512, 513, 701, 1024, 2000, 10000])
+def test_square_coefficients_match_the_transform(n):
+    # u0^2's closed-form sine coefficients per axis against the half-grid
+    # transform of the folded v^2, on the dense (n <= 512) and FFT branches
+    length = 2.5
+    h = length / (n + 1)
+    v = np.sin(PI * h * np.arange(1, n + 1) / length)
+    v /= math.sqrt(h * float(v @ v))
+    want = operators._axis_transform(operators._fold_axis(v * v, 0, n), 0, n, False)
+    got = diagnostics._square_coefficients(n, length)
+    assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -274,9 +297,9 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
     ids=["interval-400", "square-256", "rect-6x700", "rect-512x512"],
 )
 def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
-    # the corrector is solved in the sine coefficients, with u0^2's taken one
-    # axis at a time; z_hat's node vector costs one inverse transform, paid
-    # when first read (the trace reads it) and then kept
+    # the corrector is solved in the sine coefficients, with u0^2's in closed
+    # form; z_hat's node vector costs one inverse transform, paid when first
+    # read (the trace reads it) and then kept
     calls = []
     for name in ("apply", "transform", "inverse_transform"):
         method = getattr(Laplacian, name)
@@ -286,19 +309,20 @@ def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
             return _method(self, v)
 
         monkeypatch.setattr(Laplacian, name, counting)
-    transform = operators._sine_transform
+    transform, axis_transform = operators._sine_transform, operators._axis_transform
     monkeypatch.setattr(operators, "_sine_transform", lambda *a, **kw: calls.append("grid") or transform(*a, **kw))
+    monkeypatch.setattr(operators, "_axis_transform", lambda *a: calls.append("axis") or axis_transform(*a))
     eig = eigendata(spec)
     assert calls == []
     z = eig.z_hat
     assert eig.z_hat is z
-    assert calls == ["inverse_transform", "grid"]
+    assert calls == ["inverse_transform", "grid"] + ["axis"] * len(spec.resolution)
 
 
 def test_tolerances_is_the_one_tolerance_policy():
     # every threshold resolves in Tolerances: no function in the package
     # gives a tolerance parameter a default of its own
-    assert [f.name for f in dataclasses.fields(Tolerances)] == ["eigen_tol"]
+    assert [f.name for f in dataclasses.fields(Tolerances)] == []
     offenders = []
     for path in sorted(Path(coexist.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -520,7 +544,7 @@ class TestPipeline:
         errs = []
         for n in (50, 100, 200):
             spec = DomainSpec("interval", ((0.0, PI),), (n,))
-            d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0), Tolerances(eigen_tol=1e-11)).diagnostics
+            d = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0)).diagnostics
             errs.append(abs(d.mu_s - I3_EXACT))
         for e_coarse, e_fine in zip(errs, errs[1:]):
             assert e_fine <= max(e_coarse / 2**1.9, 1e-10)

@@ -31,7 +31,7 @@ def test_smallest_eigenvalue_matches_sine_mode_formula():
     dense_min = np.linalg.eigvalsh(FullGrid(L.spec).matrix().toarray())[0]
     assert dense_min == pytest.approx(formula, rel=1e-12, abs=0)
     assert np.linalg.eigvalsh(dense(L))[0] == pytest.approx(formula, rel=1e-12, abs=0)
-    pair = principal_eigenpair(L, tol=1e-10)
+    pair = principal_eigenpair(L)
     assert pair.eigenvalue == pytest.approx(formula, rel=1e-10)
 
 
@@ -39,7 +39,7 @@ def test_2d_smallest_eigenvalue_tends_to_2():
     errs = []
     for n in (8, 16, 32):
         L = Laplacian.of(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (n, n)))
-        pair = principal_eigenpair(L, tol=1e-10)
+        pair = principal_eigenpair(L)
         errs.append(abs(pair.eigenvalue - 2.0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-3
@@ -190,7 +190,7 @@ def test_bordered_against_dense_saddle_oracle():
     n = 100
     spec = DomainSpec("interval", ((0.0, PI),), (n,))
     grid, L = FullGrid(spec), Laplacian.of(spec)
-    pair = principal_eigenpair(L, tol=1e-12)
+    pair = principal_eigenpair(L)
     u0 = grid.sine_mode()
     eta = 1.0
     mu_s = eta * grid.dot(u0 * u0, u0)
@@ -226,7 +226,7 @@ def test_folded_bordered_solve_matches_full_grid(spec):
     # rhs = u0^2 is mirror-symmetric with kernel component (u0^2, u0), which
     # the projection drops; the oracle is the exact DST solve on the full grid
     grid, L = FullGrid(spec), Laplacian.of(spec)
-    pair = principal_eigenpair(L, tol=1e-10)
+    pair = principal_eigenpair(L)
     y0 = pair.vector
     u0 = L.unfold(y0)
     z_oracle = grid.spectral_solve(u0 * u0, pair.eigenvalue)

@@ -1,4 +1,4 @@
-"""Default-tolerance runs off the (0, pi) fixtures: domains whose length
+"""Runs at the package defaults off the (0, pi) fixtures: domains whose length
 or resolution moves lambda0 and 1/h^2 far from those of the rest of the
 suite."""
 
@@ -7,20 +7,10 @@ import math
 
 import pytest
 
-from coexist import ConvergenceError, CoexistenceType, DomainSpec, NonlinearityModel, run_analysis
+from coexist import CoexistenceType, DomainSpec, NonlinearityModel, run_analysis
 from coexist.cli import EXIT_OK, RunConfig, cmd_trace, main
 
 PI = math.pi
-
-# The absolute default eigen_tol = 1e-10 lies below the rounding floor of
-# the residual ||L v - lambda v|| once 1/h^2 reaches ~4e5; reporting the
-# residual as the identity it is, with no eigen_tol, is the eigen half of
-# ROADMAP.md item 16.
-ROUNDING_FLOOR = pytest.mark.xfail(
-    strict=True,
-    raises=ConvergenceError,
-    reason="absolute eigen_tol is below the eigen-residual rounding floor (ROADMAP.md item 16, eigen half)",
-)
 
 SHORT_INTERVAL = ((0.0, 0.1),)
 
@@ -41,7 +31,9 @@ def test_unit_domains_classify(spec, model, expected):
     assert run_analysis(spec, model).diagnostics.ctype is expected
 
 
-@ROUNDING_FLOOR
+# An absolute eigen_tol = 1e-10 lay below the rounding of the residual
+# ||L v - lambda v|| here (1.75e-10 and 3.95e-9) and raised; the sine mode
+# is the stencil's exact eigenvector, so nothing is certified now
 @pytest.mark.parametrize("n", [2000, 10000])
 def test_fine_interval_classifies(n):
     result = run_analysis(DomainSpec("interval", ((0.0, PI),), (n,)), NonlinearityModel.psi_k(3, 1.0))
@@ -92,8 +84,7 @@ def test_long_rectangle_verifies(tmp_path, capsys):
 # eps * (sum 4/h^2) * ||U|| on these fine or short grids, so each of them
 # truncated: (0, pi) at 10 000 nodes exited 3 with 4 points, 16 x 128 kept
 # 7 points, and the other three exited 3 with 2, 0 and 0 points. Newton
-# now stops at that floor. eigen_tol = 1e-5 clears the eigen certificate
-# (ROADMAP.md item 16, eigen half).
+# now stops at that floor.
 @pytest.mark.parametrize(
     "bounds, resolution, k, eta",
     [
@@ -113,7 +104,6 @@ def test_fine_or_short_grid_traces_every_point(tmp_path, bounds, resolution, k, 
                 "resolution": resolution,
             },
             "model": {"kind": "psi_k", "k": k, "eta": eta},
-            "tolerances": {"eigen_tol": 1e-5},
         }
     )
     report, code = cmd_trace(cfg, out_dir=str(tmp_path))

@@ -126,7 +126,7 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     # not u0; the solution keeps the amplitude, (x, u0) = 0. The oracle is
     # the dense full-grid system with mirror-symmetric d, col and f.
     grid, L = FullGrid(spec), Laplacian.of(spec)
-    eig = principal_eigenpair(L, tol=1e-10)
+    eig = principal_eigenpair(L)
     u0, lam = grid.sine_mode(), eig.eigenvalue + 0.2
     d = 0.1 * grid.symmetric_vector(3) / np.abs(grid.symmetric_vector(3)).max()
     col = -(0.1 * u0 + 0.025 * grid.symmetric_vector(4))
@@ -277,7 +277,7 @@ def test_fold_unfold_and_dot_products(name):
 @pytest.mark.parametrize("name", ["interval-7", "interval-8", "rect-5x8", "square-9", "rect-6x700"])
 def test_folded_spectral_inverse_is_exact(name):
     L = Laplacian.of(FOLD_SPECS[name])
-    q = principal_eigenpair(L, tol=1e-10).vector
+    q = principal_eigenpair(L).vector
     q = q / np.linalg.norm(q)
     sigma = float(L.eigenvalues[0]) + 0.3
     v = np.random.default_rng(9).standard_normal(L.n)
