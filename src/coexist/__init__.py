@@ -13,7 +13,6 @@ from .continuation import (
     BranchFit,
     BranchPoint,
     fit_local_expansion,
-    residual,
     solve_at_amplitude,
     trace_branch,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "BranchPoint",
     "BranchFit",
     "Branch",
-    "residual",
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",

@@ -9,10 +9,15 @@ Newton correction solves the bordered system [J, -U; u0^T, 0] for a
 correction orthogonal to u0, so the amplitude holds by construction and
 Newton converges on ||F|| alone. Near a simple bifurcation this
 parametrization cannot fold back, so no arclength machinery is needed.
-The bordered solve runs CG in L's sine coefficients off the principal
-one, where L - lambda is diagonal and preconditions exactly: the Jacobian
-J differs from it by the small diagonal g'(0) - g'(U), so the iterations
-do not grow with N.
+Newton holds U by its sine coefficients c, U = T^T c, from the predictor
+to the converged point. There L is the diagonal L.eigenvalues and u0 is
+coefficient 0, so the amplitude pin sets one coefficient and
+F's coefficients are (L.eigenvalues + V_L - lambda) c - T(g(U)): only
+the nonlinearity is evaluated at the nodes, the usual pseudo-spectral
+split (Boyd 2001). The bordered solve runs CG in the same coefficients
+off the principal one, where L - lambda preconditions exactly: the
+Jacobian J differs from it by the small diagonal g'(0) - g'(U), so the
+iterations do not grow with N.
 
 Each point starts from a second-order predictor U = s*u0 + s^2*w,
 lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
@@ -23,6 +28,7 @@ about one Newton step reaches the stop.
 
 Newton stops at F's rounding floor, ||F|| <= _NEWTON_MARGIN eps (sum 4/h^2)
 ||U||: L U is formed to eps times ||L|| ||U||, and sum 4/h^2 bounds ||L||.
+T is orthogonal, so the norms of the coefficients are those of the nodes.
 Each step's bordered solve targets half that floor, so the linear error
 never keeps Newton from it (Dembo, Eisenstat and Steihaug 1982).
 
@@ -30,10 +36,10 @@ The problem commutes with the reflection of each axis and u0 is
 invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
 (Golubitsky, Stewart and Schaeffer 1988) the branch is mirror-symmetric.
 Every Newton step therefore runs on the Laplacian's half grid, ceil(n/2)
-nodes per axis, where the analysis already holds u0 and z_hat, and
-trace_branch unfolds each converged U once. The half-grid coordinates
-sqrt(m) u keep the full grid's dot products, so only the nonlinearity
-reads nodal values.
+nodes per axis, whose sine coefficients the analysis already holds z_hat
+in, and trace_branch unfolds each converged U once. The half-grid
+coordinates sqrt(m) u keep the full grid's dot products, so only the
+nonlinearity reads nodal values.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ __all__ = [
     "BranchPoint",
     "BranchFit",
     "Branch",
-    "residual",
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",
@@ -82,6 +87,8 @@ class BranchPoint:
     U: Array
     residual: float
     newton_iters: int
+    # U's sine coefficients in the operator's transform, while Newton holds them
+    coefficients: Array | None = None
 
 
 @dataclass(frozen=True)
@@ -106,27 +113,21 @@ class Branch:
     truncations: tuple[str, ...] = ()
 
 
-def residual(U: Array, lam: float, model: NonlinearityModel, L: Laplacian) -> Array:
-    """F(U, lambda) = L U - lambda U + V_L U - g(U); identically zero on
-    the trivial branch U = 0. U and F are in L's coordinates sqrt(m) u,
-    and g acts on the nodal values U/sqrt(m)."""
-    r = L.sqrt_multiplicity
-    return L.apply(U) + (model.V_L - lam) * U - r * apply(model, U / r)
+def solve_at_amplitude(s: float, model: NonlinearityModel, L: Laplacian, guess: tuple[Array, float]) -> BranchPoint:
+    """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess =
+    (coefficients, lambda), such as trace_branch's predictor.
 
-
-def solve_at_amplitude(
-    s: float, model: NonlinearityModel, L: Laplacian, u0: Array, guess: tuple[Array, float]
-) -> BranchPoint:
-    """Newton-solve F(U, lambda) = 0 with (U, u0) = s from guess = (U, lambda),
-    such as trace_branch's predictor.
-
-    U and u0 are node vectors of L, whose Euclidean dot products are the
-    full grid's, so the pairing is L.weight times the dot product.
-    Precondition: u0 is normalized, (u0, u0) = 1. The guess is pinned
-    once to the amplitude, U + (s - (U, u0))*u0; every Newton correction
-    then solves the bordered system in L's sine coefficients with no
-    principal coefficient, so the amplitude holds by construction and
-    Newton stops on ||F|| alone, at its rounding floor (h from L.h).
+    U is held by its sine coefficients c in L's transform, U = T^T c, and
+    u0 is coefficient 0 over sqrt(L.weight), so the amplitude is
+    sqrt(L.weight) c[0]: the guess is pinned once by c[0] = s/sqrt(L.weight).
+    Each evaluation forms U once and reads g at its nodal values
+    U/sqrt(m): F's coefficients are
+    (L.eigenvalues + V_L - lambda) c - T(sqrt(m) g(U/sqrt(m))). Every
+    Newton correction then solves the bordered system in those
+    coefficients with no principal coefficient, so the amplitude holds by
+    construction and Newton stops on ||F|| alone, at its rounding floor (h
+    from L.h). The point's U is the node vector of its coefficients, which
+    it carries too.
     Raises ConvergenceError, carrying the final residual and the number of
     iterations taken, after _MAX_NEWTON_STEPS steps, when a step's linear
     solve fails (its own message kept), and when a value overflows or
@@ -134,20 +135,21 @@ def solve_at_amplitude(
     """
     if s == 0.0:
         raise ValueError("s must be nonzero; s = 0 is the trivial branch")
-    U, u0 = np.asarray(guess[0], dtype=float), np.asarray(u0, dtype=float)
-    for name, v in (("guess", U), ("u0", u0)):
-        if v.shape != (L.n,):
-            raise ValueError(f"{name} has shape {v.shape}, expected ({L.n},), one entry per node of L")
-    w = L.weight
+    c = np.array(guess[0], dtype=float)
+    if c.shape != (L.n,):
+        raise ValueError(f"guess has shape {c.shape}, expected ({L.n},), one coefficient per node of L")
+    w, r = L.weight, L.sqrt_multiplicity
     floor_per_norm = _NEWTON_MARGIN * np.finfo(float).eps * stencil_bound(L.h)
     res, iters = math.nan, 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            U, lam = U + (s - w * float(U @ u0)) * u0, float(guess[1])
+            c[0], lam = s / math.sqrt(w), float(guess[1])
             for iters in range(_MAX_NEWTON_STEPS + 1):
-                F = residual(U, lam, model, L)
+                U = L.inverse_transform(c)
+                nodal = U / r
+                F = (L.eigenvalues + (model.V_L - lam)) * c - L.transform(r * apply(model, nodal))
                 res = math.sqrt(w * float(F @ F))
-                floor = floor_per_norm * math.sqrt(w * float(U @ U))
+                floor = floor_per_norm * math.sqrt(w * float(c @ c))
                 if res <= floor:
                     break
                 if iters == _MAX_NEWTON_STEPS:
@@ -155,21 +157,19 @@ def solve_at_amplitude(
                         f"Newton iteration at s={s:g} did not converge", residual=res, iterations=iters
                     )
                 # dF/dU = L - lambda + diag(V_L - g'(U)), g' read at the nodal values
-                diag = model.V_L - apply_derivative(model, U / L.sqrt_multiplicity)
+                diag = model.V_L - apply_derivative(model, nodal)
                 try:  # CG's target is Euclidean, F's norm weighted
-                    dU, dlam = solve_bordered_system(
-                        L, lam, L.transform(-F), L.transform(-U), diag, rtol=0.0, atol=0.5 * floor / math.sqrt(w)
-                    )
+                    dc, dlam = solve_bordered_system(L, lam, -F, -c, diag, rtol=0.0, atol=0.5 * floor / math.sqrt(w))
                 except ConvergenceError as exc:
                     msg = f"Newton step at s={s:g} failed in the linear solve: {exc}; Newton stopped"
                     raise ConvergenceError(msg, residual=res, iterations=iters) from exc
-                U = U + L.inverse_transform(dU)
+                c = c + dc
                 lam = lam + dlam
     except FloatingPointError as exc:
         raise ConvergenceError(
             f"Newton iteration at s={s:g} met a non-finite value ({exc})", residual=res, iterations=iters
         ) from exc
-    return BranchPoint(s=float(s), lam=lam, U=U, residual=res, newton_iters=iters)
+    return BranchPoint(s=float(s), lam=lam, U=U, residual=res, newton_iters=iters, coefficients=c)
 
 
 def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
@@ -180,10 +180,12 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
     coefficients of the local expansion; after each converged point
     w = (U - s*u0)/s^2 and c = (lambda - lambda0 - mu_s*s)/s^2.
 
-    Newton runs on the mirror-symmetric subspace, where the branch lies:
-    on `analysis.operator`'s half grid, which u0 and z_hat are already on.
-    Each converged U is unfolded once, so every BranchPoint.U is a
-    full-grid vector. Newton stops at F's rounding floor.
+    Newton runs on the mirror-symmetric subspace, where the branch lies,
+    in the sine coefficients of `analysis.operator`'s half grid, which
+    z_hat is already in: the predictor is s^2 times w's coefficients, whose
+    coefficient 0 the amplitude pin replaces by s*u0's. Each converged U is
+    unfolded once, so every BranchPoint.U is a full-grid vector, and its
+    coefficients are dropped. Newton stops at F's rounding floor.
 
     For odd g (no even power) F(-U, lambda) = -F(U, lambda) bit for bit:
     on symmetric s_values the s < 0 leg is the s > 0 leg mirrored, -s and
@@ -202,7 +204,7 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
         raise ValueError("s_values must be strictly increasing")
 
     model, d, L = analysis.model, analysis.diagnostics, analysis.operator
-    lambda0, u0 = analysis.eigenpair.eigenvalue, analysis.eigenpair.vector
+    lambda0 = analysis.eigenpair.eigenvalue
     s_min = min((abs(s) for s in s_values), default=math.inf)
     shift, bound = abs(d.mu_s) * s_min + abs(d.mu_ss) * s_min * s_min / 2, _AMPLITUDE_ULPS * math.ulp(lambda0)
     if (d.mu_s or d.mu_ss) and shift <= bound:
@@ -212,20 +214,19 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
         )
 
     negatives, positives = [s for s in s_values[::-1] if s < 0], [s for s in s_values if s > 0]
-    z_s = derivative_at_zero(model, 2) * analysis.z_hat
+    z_s = derivative_at_zero(model, 2) * analysis.z_hat_coefficients
 
     def leg(amplitudes: list[float]) -> tuple[list[BranchPoint], list[str]]:
         points, w, c = [], z_s, 0.5 * d.mu_ss
         for s in amplitudes:
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    predicted = (s * u0 + (s * s) * w, lambda0 + d.mu_s * s + c * s * s)
-                    pt = solve_at_amplitude(s, model, L, u0, predicted)
-                    w = (pt.U - s * u0) / (s * s)
+                    pt = solve_at_amplitude(s, model, L, ((s * s) * w, lambda0 + d.mu_s * s + c * s * s))
+                    w = pt.coefficients / (s * s)  # coefficient 0 is the pin's
                     c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
             except (ConvergenceError, FloatingPointError) as exc:
                 return points, [f"branch truncated at s={s:g}: {exc}"]
-            points.append(dataclasses.replace(pt, U=L.unfold(pt.U)))
+            points.append(dataclasses.replace(pt, U=L.unfold(pt.U), coefficients=None))
         return points, []
 
     points, truncations = leg(positives)

@@ -30,8 +30,9 @@ vector and no transform: u0 is a product of per-axis sine vectors, so I3
 and I4 are products of per-axis sine sums, and u0^2's sine coefficients
 are the outer product of per-axis closed forms. A is diagonal in those
 coefficients, where z_hat is solved and M_hat is one dot product. u0's
-node vector and z_hat's, one inverse transform, are formed when first
-read, by the trace alone.
+node vector and z_hat's, one inverse transform each, are formed when
+first read; no command reads them, as the trace holds the branch by its
+sine coefficients.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -). On a
@@ -186,7 +187,7 @@ def _coexistence_side(s_s: int, s_ss: int) -> CoexistenceSide:
 
 @dataclass(frozen=True, eq=False)
 class EigenData:
-    """The per-mesh stage: the matrix-free stencil L, which carries the
+    """The per-mesh stage: the Laplacian L, which carries the
     grid, the principal pair (lambda0, u0), the bifurcation-point checks,
     which carry lambda1, the unit corrector z_hat by its sine coefficients,
     and the three moments I3 = (u0^2, u0), I4 = (u0^3, u0) and

@@ -64,9 +64,11 @@ class DomainSpec:
         for ax, n in enumerate(self.resolution):
             if n < 3:
                 raise ConfigError(f"resolution[{ax}] must be >= 3, got {n}")
-        # Newton's ||F|| in `continuation` squares L U, which for U = s u0,
-        # |s| <= 1, is at most stencil_bound times the normalized sine
-        # mode's peak, whose square is prod 2/len
+        # Newton's ||F|| in `continuation` squares L U, formed as
+        # L.eigenvalues times U's sine coefficients, whose squares sum to
+        # those of L U's nodal values; for U = s u0, |s| <= 1, a nodal value
+        # is at most stencil_bound times the normalized sine mode's peak,
+        # whose square is prod 2/len
         hs = self.h
         lam_max = stencil_bound(hs)
         squared = lam_max * lam_max * math.prod(2.0 / (hi - lo) for lo, hi in self.bounds)

@@ -1,25 +1,23 @@
-"""Discrete Dirichlet Laplacian on the mirror-symmetric half grid, its
-exact spectral core, and the linear solvers built on them.
+"""Discrete Dirichlet Laplacian on the mirror-symmetric half grid, held
+by its exact spectral core, and the linear solvers built on it.
 
 The stencil, the principal sine mode and every branch of the problem are
 invariant under the reflection of each axis, so the package works on
-mirror-symmetric vectors alone. `Laplacian`, the one grid object, is the
-matrix-free 3- or 5-point stencil on them: ceil(n/2) nodes per axis in the
+mirror-symmetric vectors alone: ceil(n/2) nodes per axis in the
 orthonormal coordinates y = sqrt(m) u, m a node's mirror multiplicity, so
 Euclidean dot products, and with them CG, every projection below and the
-pairing weight * (f . g), are those of the full grid. Its stencil is
-symmetric: an even axis's last node is its own mirror neighbour, and an
-odd axis's centre node couples to its neighbour by sqrt(2)/h^2 both ways.
-Nothing is assembled. The type-I discrete sine transform (DST-I)
+pairing weight * (f . g), are those of the full grid. `Laplacian`, the one
+grid object, is the 3- or 5-point Dirichlet stencil on them, and it is
+never applied as a stencil: the type-I discrete sine transform (DST-I)
 diagonalises the full-grid stencil exactly (Buzbee, Golub and Nielson
 1970; Swarztrauber 1977); on the half grid its odd-mode half T per axis
-does, and L carries the odd-mode eigenvalues in T's coefficient order.
-Along an axis of at most 512 nodes T is one BLAS product with a cached
-dense matrix; longer axes take the DST-I from numpy's real FFT. L also
-keeps each axis's full-grid stencil eigenvalues, whose sums are lambda0
-and lambda1, with no grid vector; `outer` folds a product of per-axis
-vectors into a node vector, and `unfold` gives the full-grid vector of a
-result.
+does, and L carries the odd-mode eigenvalues in T's coefficient order, so
+L is the diagonal L.eigenvalues on the sine coefficients. Along an axis
+of at most 512 nodes T is one BLAS product with a cached dense matrix;
+longer axes take the DST-I from numpy's real FFT. L also keeps each
+axis's full-grid stencil eigenvalues, whose sums are lambda0 and lambda1,
+with no grid vector, the node vector of the principal coefficient, formed
+on first read, and `unfold`, the full-grid vector of a result.
 
 Two solvers live here: preconditioned conjugate gradients, and one
 bordered form [A col; e0^T 0][x; y] = [f; 0] in L's odd sine
@@ -28,8 +26,9 @@ values. There L - sigma is the diagonal L.eigenvalues - sigma, and u0,
 A's near-kernel, is coefficient 0: the projection off u0 drops it, CG's
 preconditioner is the diagonal's exact inverse, and d adds T(d * T^T c).
 The corrector's `bordered_solve` has no d and needs no y, so its one CG
-step is exact to rounding and runs no transform; each Newton step
-transforms F and U in and its correction out.
+step is exact to rounding and runs no transform; a Newton step's CG
+takes two transforms per iteration, and A e0 one more, from the cached
+principal node vector.
 """
 
 from __future__ import annotations
@@ -54,11 +53,12 @@ MatVec = Callable[[Array], Array]
 
 @dataclass(frozen=True, eq=False)
 class Laplacian:
-    """Matrix-free Dirichlet Laplacian of spec's grid, the 3-point
-    (interval) or 5-point (rectangle) stencil with 1/h^2 per axis, acting
-    on mirror-symmetric vectors in the coordinates y = sqrt(m) u of the
-    first ceil(n/2) nodes per axis. It carries the grid: the spacing h,
-    1/h^2 and the one quadrature weight prod(h) of every node."""
+    """Dirichlet Laplacian of spec's grid, the 3-point (interval) or
+    5-point (rectangle) stencil with 1/h^2 per axis, on mirror-symmetric
+    vectors in the coordinates y = sqrt(m) u of the first ceil(n/2) nodes
+    per axis, held as its eigenvalues on the odd sine coefficients. It
+    carries the grid: the spacing h, 1/h^2 and the one quadrature weight
+    prod(h) of every node."""
 
     spec: DomainSpec
 
@@ -130,12 +130,6 @@ class Laplacian:
             x = _unfold_axis(x, axis, n)
         return x.ravel()
 
-    def outer(self, factors: list[Array]) -> Array:
-        """The node vector whose nodal values are the products
-        prod_a factors[a][i_a] of one mirror-symmetric full-axis vector per
-        axis, with no full-grid vector formed."""
-        return reduce(np.multiply.outer, [_fold_axis(f, 0, n) for f, n in zip(factors, self.shape)]).ravel()
-
     def transform(self, v: Array) -> Array:
         """Node vector to odd sine-mode coefficients: T along every axis."""
         return _sine_transform(self, v, inverse=False)
@@ -145,41 +139,12 @@ class Laplacian:
         return _sine_transform(self, c, inverse=True)
 
     @cached_property
-    def diagonal(self) -> Array | float:
-        """2 sum 1/h^2, less 1/h^2 on an even axis's last node, its own mirror neighbour."""
-        if not any(n % 2 == 0 for n in self.shape):
-            return 2.0 * sum(self.inv_h2)
-        ends = [(np.arange(k) == k - 1) * (n % 2 == 0) for n, k in zip(self.shape, self.grid)]
-        return reduce(np.add.outer, [c * (2.0 - end) for c, end in zip(self.inv_h2, ends)])
-
-    def apply(self, v: Array) -> Array:
-        """L v as a fresh array (callers hold earlier results), with one
-        temporary per axis: the neighbours' values scaled by 1/h^2."""
-        x = np.asarray(v).reshape(self.grid)
-        out = x * self.diagonal
-        for c in self.inv_h2[:-1]:  # first axis of a rectangle
-            scaled = c * x
-            out[1:] -= scaled[:-1]
-            out[:-1] -= scaled[1:]
-        # the last axis on the flat, contiguous view; zeroing each row's end
-        # entry in turn stops the shift coupling one row to the next
-        c = self.inv_h2[-1]
-        scaled = c * x
-        scaled[..., -1] = 0.0
-        flat, flat_scaled = out.reshape(-1), scaled.reshape(-1)
-        flat[1:] -= flat_scaled[:-1]
-        scaled[..., -1] = c * x[..., -1]
-        scaled[..., 0] = 0.0
-        flat[:-1] -= flat_scaled[1:]
-        # an axis's last node neighbours its mirror image: itself on an even
-        # axis (`diagonal`); on an odd axis the centre's neighbour, by sqrt(2)/h^2 both ways
-        for axis, (n, c) in enumerate(zip(self.shape, self.inv_h2)):
-            if n % 2:
-                last, prev = (slice(None),) * axis + (-1,), (slice(None),) * axis + (-2,)
-                extra = (math.sqrt(2.0) - 1.0) * c
-                out[last] -= extra * x[prev]
-                out[prev] -= extra * x[last]
-        return flat
+    def principal_nodes(self) -> Array:
+        """T^T e0, the node vector of the principal coefficient: the
+        normalized sine mode u0 times sqrt(weight). Read-only."""
+        v = self.inverse_transform(np.eye(1, self.n)[0])
+        v.flags.writeable = False
+        return v
 
 
 def _stencil_eigenvalues(n: int, c: float) -> Array:
@@ -190,8 +155,10 @@ def _stencil_eigenvalues(n: int, c: float) -> Array:
 
 # Axes up to this many nodes apply T as a dense matrix product (one BLAS
 # GEMM or GEMV); longer axes use the FFT. With one BLAS thread the dense T
-# is faster up to about 800 nodes, but at 800 the 6 x 700 corrector would
-# move to it, and from 2e-14 to 1e-13 away from the full-grid solve.
+# is faster up to about 800 nodes. Accuracy does not set the limit: the
+# corrector, solved in the coefficients, is within 4e-15 of the full-grid
+# oracle on either branch. It stays at 512 until the crossover is measured
+# again, with the matrix cache bounded by bytes (ROADMAP.md item 22).
 _SINE_MATRIX_MAX_N = 512
 
 
@@ -373,7 +340,9 @@ def solve_bordered_system(
     if col is None:
         return v1, None
     v2, col0 = solve(col)
-    aq = matvec(np.eye(1, f.size)[0])  # A e0 but for coefficient 0, which v1 and v2 lack
+    # A e0 off coefficient 0, which v1 and v2 lack: L - sigma is diagonal
+    # there, so only the node diagonal contributes, T(diag * T^T e0)
+    aq = np.zeros_like(f) if diag is None else L.transform(diag * L.principal_nodes)
     y = (f0 - aq @ v1) / (col0 - aq @ v2)
     return v1 - y * v2, float(y)
 

@@ -7,10 +7,11 @@ sum_axes 4/h^2 sin^2(j pi / (2(n+1))). The principal pair is the
 closed-form (1, ..., 1) mode: the full-grid stencil's exact eigenvector
 at every n (LeVeque 2007, chapters 2 and 3), so there is nothing to
 certify and no residual is taken. Its eigenvalue is a sum of per-axis
-eigenvalues, and its per-axis sine vectors and node vector in L's
-half-grid coordinates are formed on first read. lambda1, the gap's other
-end, is a sum of per-axis eigenvalues too (`Laplacian.mode_eigenvalue`),
-with no eigenvalue grid and no eigenvector.
+eigenvalues. Its node vector in L's half-grid coordinates is L's
+principal coefficient scaled to unit norm, formed on first read. lambda1,
+the gap's other end, is a sum of per-axis eigenvalues too
+(`Laplacian.mode_eigenvalue`), with no eigenvalue grid and no
+eigenvector.
 """
 
 from __future__ import annotations
@@ -41,28 +42,15 @@ _GAP_MARGIN = 16.0
 @dataclass(frozen=True, eq=False)
 class Eigenpair:
     """The principal eigenvalue of operator, and its normalized
-    eigenvector, formed on first read: `factors` holds one vector per axis
-    over its n nodes, whose product is u0's nodal values, and `vector` is
-    u0 as a node vector of operator."""
+    eigenvector u0 as a node vector of operator, formed on first read."""
 
     eigenvalue: float
     operator: Laplacian
 
     @cached_property
-    def factors(self) -> tuple[Array, ...]:
-        """The sine vectors sin(pi (x_a - lo_a) / len_a) over each axis's
-        nodes x_a, each normalized with its own h_a."""
-        L, vs = self.operator, []
-        for n, (lo, hi), h in zip(L.shape, L.spec.bounds, L.h):
-            x = lo + h * np.arange(1, n + 1)
-            v = np.sin(np.pi * (x - lo) / (hi - lo))
-            vs.append(v / math.sqrt(h * float(v @ v)))
-        return tuple(vs)
-
-    @cached_property
     def vector(self) -> Array:
-        """u0's node vector of operator, the product of `factors`."""
-        return self.operator.outer(list(self.factors))
+        """u0's node vector: the principal coefficient's, over sqrt(weight)."""
+        return self.operator.principal_nodes / math.sqrt(self.operator.weight)
 
 
 @dataclass(frozen=True)

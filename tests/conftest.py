@@ -6,7 +6,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, continuation, principal_eigenpair, solve_at_amplitude
+from coexist import DomainSpec, Laplacian, apply, continuation, principal_eigenpair, solve_at_amplitude
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
@@ -25,9 +25,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num} ({label}): {'PASS' if ok else 'FAIL'}")
 
 
+def stencil(L, v) -> np.ndarray:
+    """The full grid's stencil on a node vector v of the half-grid L:
+    E^T K E v, v unfolded, `FullGrid.apply`, and folded back."""
+    grid = FullGrid(L.spec)
+    return grid.fold(grid.apply(L.unfold(v)))
+
+
 def dense(L) -> np.ndarray:
-    """The stencil as a dense matrix, column j = L.apply(e_j)."""
-    return np.column_stack([L.apply(e) for e in np.eye(L.n)])
+    """The half-grid stencil E^T K E as a dense matrix, column j = stencil(L, e_j)."""
+    return np.column_stack([stencil(L, e) for e in np.eye(L.n)])
+
+
+def residual(U, lam, model, L) -> np.ndarray:
+    """F(U, lambda) = K U - lambda U + V_L U - g(U) for a node vector U of
+    the half-grid L, with the full grid's stencil K; identically zero on the
+    trivial branch U = 0. g acts on the nodal values U/sqrt(m)."""
+    r = L.sqrt_multiplicity
+    return stencil(L, U) + (model.V_L - lam) * U - r * apply(model, U / r)
 
 
 @lru_cache(maxsize=8)
@@ -114,6 +129,12 @@ class FullGrid:
 
     inverse_transform = transform
 
+    @cached_property
+    def principal_nodes(self) -> np.ndarray:
+        """The node vector of coefficient 0, the principal sine mode of unit
+        Euclidean norm: what solve_at_amplitude reads of a `Laplacian`."""
+        return self.inverse_transform(np.eye(1, self.n)[0])
+
     def sine_mode(self) -> np.ndarray:
         """The normalized principal sine mode prod_a sin(pi (x_a - lo_a) / len_a)."""
         v = reduce(np.multiply.outer, [np.sin(PI * np.arange(1, n + 1) / (n + 1)) for n in self.shape])
@@ -199,23 +220,30 @@ class _NewtonStepCaptured(Exception):
     pass
 
 
-def newton_diagonal(model, L, u0, U, lam) -> np.ndarray:
-    """The node diagonal d that solve_at_amplitude's first Newton step at
-    (U, lam) passes to its bordered solve, which makes its Jacobian
-    L - lam + diag(d). U keeps its amplitude s = (U, u0), so Newton's pin
-    leaves it unchanged."""
+def newton_system(model, L, U, lam) -> dict:
+    """What solve_at_amplitude's first Newton step at (U, lam) passes to its
+    bordered solve: sigma, f = -F and col = -U by their sine coefficients,
+    and the node diagonal d, which makes the Jacobian L - lam + diag(d).
+    The guess is U's coefficients, whose amplitude the pin keeps to
+    rounding."""
+    c = L.transform(U)
     captured = {}
 
     def capture(L_, sigma, f, col, diag, **kwargs):
-        captured.update(sigma=sigma, diag=diag)
+        captured.update(sigma=sigma, f=f, col=col, diag=diag)
         raise _NewtonStepCaptured
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(continuation, "solve_bordered_system", capture)
         with pytest.raises(_NewtonStepCaptured):
-            solve_at_amplitude(L.weight * float(U @ u0), model, L, u0, (U, lam))
+            solve_at_amplitude(math.sqrt(L.weight) * float(c[0]), model, L, (c, lam))
     assert captured["sigma"] == lam
-    return captured["diag"]
+    return captured
+
+
+def newton_diagonal(model, L, U, lam) -> np.ndarray:
+    """The node diagonal d of solve_at_amplitude's first Newton step at (U, lam)."""
+    return newton_system(model, L, U, lam)["diag"]
 
 
 def interval(n: int) -> DomainSpec:

@@ -8,7 +8,6 @@ from coexist import (
     DomainSpec,
     NonlinearityModel,
     fit_local_expansion,
-    residual,
     run_analysis,
     solve_at_amplitude,
     trace_branch,
@@ -17,7 +16,7 @@ from coexist import continuation, operators
 from coexist.continuation import DEFAULT_S_VALUES, Branch, BranchPoint
 from coexist.nonlinearity import derivative_at_zero
 
-from conftest import FullGrid, newton_diagonal, weighted_norm as norm
+from conftest import FullGrid, newton_diagonal, newton_system, residual, stencil, weighted_norm as norm
 
 PI = math.pi
 
@@ -33,6 +32,8 @@ def cubic100(spec100):
 
 
 class TestResidual:
+    # the full-grid residual of conftest, the oracle of Newton's F
+
     def test_trivial_branch_identically_zero(self, quartic):
         L = quartic.operator
         U = np.zeros(L.n)
@@ -55,6 +56,22 @@ class TestResidual:
         expected = 1e-3 * L.unfold(u0) ** 3
         assert grid400.norm(F - expected) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "bounds, resolution",
+        [(((0.0, PI),), (101,)), (((0.0, PI), (0.0, 2 * PI)), (12, 17)), (((0.0, PI), (0.0, 2 * PI)), (6, 700))],
+    )
+    def test_newton_residual_matches_full_grid(self, bounds, resolution):
+        # Newton forms F in sine coefficients, (L.eigenvalues + V_L - lam) c
+        # - T(sqrt(m) g(U/sqrt(m))); at the nodes it is the stencil's F
+        kind = "interval" if len(bounds) == 1 else "rectangle"
+        L = run_analysis(DomainSpec(kind, bounds, resolution), NonlinearityModel.psi_k(3, 1.0)).operator
+        model = NonlinearityModel.polynomial([0.3, -0.7, 1.1, 0.4])
+        U = np.random.default_rng(11).uniform(-1, 1, L.n)
+        lam = 2.5
+        F = -L.inverse_transform(newton_system(model, L, U, lam)["f"])
+        want = residual(U, lam, model, L)
+        assert np.linalg.norm(F - want) <= 1e-13 * np.linalg.norm(want)
+
 
 class TestJacobian:
     # Newton's Jacobian is L - lambda + diag(d), d the node diagonal its
@@ -65,14 +82,14 @@ class TestJacobian:
         # L - lambda0, whose kernel is u0
         L, u0 = quartic.operator, quartic.eigenpair.vector
         lam0 = quartic.eigenpair.eigenvalue
-        d = newton_diagonal(quartic.model, L, u0, 1e-6 * u0, lam0 + 0.5)
-        assert norm(L, L.apply(u0) + (d - lam0) * u0) <= 1e-8
+        d = newton_diagonal(quartic.model, L, 1e-6 * u0, lam0 + 0.5)
+        assert norm(L, stencil(L, u0) + (d - lam0) * u0) <= 1e-8
 
     def test_free_model_is_shifted_operator(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.free())
         L = res.operator
         U = np.random.default_rng(5).standard_normal(L.n)
-        assert np.all(newton_diagonal(res.model, L, res.eigenpair.vector, U, 1.3) == 0.0)
+        assert np.all(newton_diagonal(res.model, L, U, 1.3) == 0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_central_differences(self, cubic100, seed):
@@ -86,33 +103,34 @@ class TestJacobian:
         fd = (
             residual(U + eps * d, lam, cubic100.model, L) - residual(U - eps * d, lam, cubic100.model, L)
         ) / (2 * eps)
-        diag = newton_diagonal(cubic100.model, L, cubic100.eigenpair.vector, U, lam)
-        jd = L.apply(d) + (diag - lam) * d
+        diag = newton_diagonal(cubic100.model, L, U, lam)
+        jd = stencil(L, d) + (diag - lam) * d
         assert np.max(np.abs(jd - fd)) < 1e-6
 
 
+def amplitude_coefficients(L, s):
+    """The sine coefficients of s*u0: s/sqrt(w) at coefficient 0."""
+    return np.eye(1, L.n)[0] * (s / math.sqrt(L.weight))
+
+
 def expansion_guess(analysis, s):
-    """U = s*u0 with lambda from the second-order local expansion."""
+    """U = s*u0 by its coefficients, with lambda from the second-order
+    local expansion."""
     d = analysis.diagnostics
-    return s * analysis.eigenpair.vector, analysis.cr_report.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
+    c = amplitude_coefficients(analysis.operator, s)
+    return c, analysis.cr_report.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
 
 
 class TestSolveAtAmplitude:
     def test_quartic_lambda_matches_expansion(self, quartic, grid400):
-        pt = solve_at_amplitude(
-            0.1,
-            quartic.model,
-            quartic.operator,
-            quartic.eigenpair.vector,
-            expansion_guess(quartic, 0.1),
-        )
+        pt = solve_at_amplitude(0.1, quartic.model, quartic.operator, expansion_guess(quartic, 0.1))
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
         unfold = quartic.operator.unfold
         assert abs(grid400.dot(unfold(pt.U), unfold(quartic.eigenpair.vector)) - 0.1) <= 1e-10
 
     def test_quartic_parity(self, quartic):
-        args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
+        args = (quartic.model, quartic.operator)
         plus = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
         minus = solve_at_amplitude(-0.1, *args, expansion_guess(quartic, -0.1))
         assert abs(plus.lam - minus.lam) <= 1e-8
@@ -121,57 +139,58 @@ class TestSolveAtAmplitude:
     @pytest.mark.parametrize("s", [-0.5, -0.1, 0.25, 0.5])
     def test_linear_model_stays_on_eigenline(self, spec400, s):
         res = run_analysis(spec400, NonlinearityModel.linear(-0.5))
-        args = (res.model, res.operator, res.eigenpair.vector)
+        args = (res.model, res.operator)
         pt = solve_at_amplitude(s, *args, expansion_guess(res, s))
         assert pt.lam == pytest.approx(res.cr_report.lambda0, abs=1e-8)
 
     def test_warm_start_at_solution_takes_no_step(self, quartic):
-        args = (quartic.model, quartic.operator, quartic.eigenpair.vector)
+        args = (quartic.model, quartic.operator)
         pt = solve_at_amplitude(0.1, *args, expansion_guess(quartic, 0.1))
-        again = solve_at_amplitude(0.1, *args, (pt.U, pt.lam))
+        again = solve_at_amplitude(0.1, *args, (pt.coefficients, pt.lam))
         assert again.newton_iters == 0
         assert again.lam == pt.lam
 
     def test_one_step_point_evaluates_the_residual_twice(self, quartic, monkeypatch):
-        # at the guess and at the corrected point; the amplitude needs no
-        # re-pinning, so no evaluation follows the loop
-        calls = []
+        # at the guess and at the corrected point, g once each; the amplitude
+        # needs no re-pinning, so no evaluation follows the loop. Each
+        # evaluation takes two transforms, each CG iteration two, and A e0
+        # one, from the principal node vector cached on L
+        _ = quartic.operator.principal_nodes
+        calls, transforms, cg_iters = [], [], []
+        g, transform, cg = continuation.apply, operators._sine_transform, operators._cg
+        monkeypatch.setattr(continuation, "apply", lambda *args: calls.append(1) or g(*args))
+        monkeypatch.setattr(operators, "_sine_transform", lambda *a, **k: transforms.append(1) or transform(*a, **k))
 
-        def counting_residual(*args):
-            calls.append(1)
-            return residual(*args)
+        def counting_cg(*args, **kwargs):
+            out = cg(*args, **kwargs)
+            cg_iters.append(out[2])
+            return out
 
-        monkeypatch.setattr(continuation, "residual", counting_residual)
+        monkeypatch.setattr(operators, "_cg", counting_cg)
         branch = trace_branch(quartic, [0.02])
         assert [p.newton_iters for p in branch.points] == [1]
         assert len(calls) == 2
+        assert len(cg_iters) == 2 and len(transforms) == 2 + 2 * sum(cg_iters) + 1 + 2
 
     def test_guess_off_the_amplitude_is_pinned(self, quartic, grid400):
-        u0 = quartic.eigenpair.vector
+        L, u0 = quartic.operator, quartic.eigenpair.vector
         s = 0.1
-        guess = (2 * s * u0, expansion_guess(quartic, s)[1])
-        pt = solve_at_amplitude(s, quartic.model, quartic.operator, u0, guess)
+        guess = (L.transform(2 * s * u0), expansion_guess(quartic, s)[1])
+        pt = solve_at_amplitude(s, quartic.model, L, guess)
         assert pt.residual <= 1e-10
-        unfold = quartic.operator.unfold
-        assert abs(grid400.dot(unfold(pt.U), unfold(u0)) - s) <= 1e-14
+        assert abs(grid400.dot(L.unfold(pt.U), L.unfold(u0)) - s) <= 1e-14
 
     def test_zero_amplitude_rejected(self, quartic):
         with pytest.raises(ValueError, match="trivial"):
-            solve_at_amplitude(
-                0.0,
-                quartic.model,
-                quartic.operator,
-                quartic.eigenpair.vector,
-                expansion_guess(quartic, 0.0),
-            )
+            solve_at_amplitude(0.0, quartic.model, quartic.operator, expansion_guess(quartic, 0.0))
 
     def test_divergence_carries_history(self, quartic, monkeypatch):
         # lambda guessed at lambda0, off by mu_ss s^2/2: Newton needs two
         # steps to reach the rounding floor, and is allowed one
         monkeypatch.setattr(continuation, "_MAX_NEWTON_STEPS", 1)
-        u0 = quartic.eigenpair.vector
+        L = quartic.operator
         with pytest.raises(ConvergenceError, match="did not converge") as err:
-            solve_at_amplitude(0.1, quartic.model, quartic.operator, u0, (0.1 * u0, quartic.cr_report.lambda0))
+            solve_at_amplitude(0.1, quartic.model, L, (amplitude_coefficients(L, 0.1), quartic.cr_report.lambda0))
         assert err.value.iterations == 1
         assert err.value.residual > 0
 
@@ -244,15 +263,16 @@ class TestTraceBranch:
 
 def full_grid_trace(analysis, grid: FullGrid, s_values):
     """The oracle: trace_branch's legs and predictor, with u0 and z_hat of
-    the full grid, each point solved by solve_at_amplitude on the full grid."""
+    the full grid, each point solved by solve_at_amplitude on the full
+    grid's sine coefficients, from the predictor's node vector."""
     u0, lambda0, d = grid.sine_mode(), analysis.eigenpair.eigenvalue, analysis.diagnostics
     z_hat = grid.spectral_solve(0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0), lambda0)
     points = {}
     for leg in (sorted((s for s in s_values if s < 0), reverse=True), [s for s in s_values if s > 0]):
         w, c = derivative_at_zero(analysis.model, 2) * z_hat, 0.5 * d.mu_ss
         for s in leg:
-            guess = (s * u0 + s * s * w, lambda0 + d.mu_s * s + c * s * s)
-            pt = solve_at_amplitude(s, analysis.model, grid, u0, guess)
+            guess = (grid.transform(s * u0 + s * s * w), lambda0 + d.mu_s * s + c * s * s)
+            pt = solve_at_amplitude(s, analysis.model, grid, guess)
             points[s] = pt
             w, c = (pt.U - s * u0) / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
     return points
@@ -294,12 +314,10 @@ class TestFoldedTrace:
             assert grid.is_symmetric(p.U)
 
     def test_node_lengths_are_checked_against_the_operator(self, quartic):
-        L, y0 = quartic.operator, quartic.eigenpair.vector
-        u0 = L.unfold(y0)
-        with pytest.raises(ValueError, match="u0 has shape"):
-            solve_at_amplitude(0.1, quartic.model, L, u0, (0.1 * y0, 1.0))
+        # the guess has L.n coefficients, ceil(n/2), not the full grid's n
+        L = quartic.operator
         with pytest.raises(ValueError, match="guess has shape"):
-            solve_at_amplitude(0.1, quartic.model, L, y0, (0.1 * u0, 1.0))
+            solve_at_amplitude(0.1, quartic.model, L, (L.unfold(L.principal_nodes), 1.0))
 
     def test_stalled_linear_solve_truncates_the_branch(self, quartic, monkeypatch):
         # CG on the folded grid given no iterations: the bordered solve's

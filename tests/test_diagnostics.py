@@ -108,11 +108,14 @@ def test_diagnose_does_no_vector_work(eig, spec400, monkeypatch):
     real = diagnostics.eigendata
     monkeypatch.setattr(diagnostics, "eigendata", lambda spec: tables.append(real(spec)) or tables[-1])
     psi_k_table(spec400, [3, 4], [1.0, -1.0])
-    # u0's factors and node vector are formed on first read, by the trace alone
-    for pair in (analysis.eigenpair, tables[0].eigenpair):
-        assert not {"vector", "factors"} & set(vars(pair))
+    # the principal node vector is formed on first read, by the trace alone;
+    # the trace holds U by its coefficients and reads no node vector of u0
+    # or z_hat
+    for eig_data in (analysis, tables[0]):
+        assert "vector" not in vars(eig_data.eigenpair) and "principal_nodes" not in vars(eig_data.operator)
     trace_branch(analysis, DEFAULT_S_VALUES)
-    assert {"vector", "factors"} <= set(vars(analysis.eigenpair))
+    assert "principal_nodes" in vars(analysis.operator)
+    assert "vector" not in vars(analysis.eigenpair) and "z_hat" not in vars(analysis)
 
     eig = dataclasses.replace(eig, operator=None, eigenpair=None, z_hat_coefficients=None)
     for model in (
@@ -299,9 +302,9 @@ def test_square_coefficients_match_the_transform(n):
 def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
     # the corrector is solved in the sine coefficients, with u0^2's in closed
     # form; z_hat's node vector costs one inverse transform, paid when first
-    # read (the trace reads it) and then kept
+    # read and then kept. L has no stencil to apply
     calls = []
-    for name in ("apply", "transform", "inverse_transform"):
+    for name in ("transform", "inverse_transform"):
         method = getattr(Laplacian, name)
 
         def counting(self, v, _name=name, _method=method):

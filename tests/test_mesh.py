@@ -64,7 +64,9 @@ def test_node_ordering_lexicographic():
     # the unfolded product of per-axis factors is their lexicographic outer product
     L = Laplacian.of(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (3, 4)))
     f0, f1 = np.array([1.0, 2.0, 1.0]), np.array([3.0, 5.0, 5.0, 3.0])
-    u = L.unfold(L.outer([f0, f1]))
+    # folded per axis: the first ceil(n/2) nodes, times sqrt(m)
+    y = np.multiply.outer(f0[:2] * [math.sqrt(2.0), 1.0], f1[:2] * math.sqrt(2.0)).ravel()
+    u = L.unfold(y)
     assert u.shape == (12,)
     np.testing.assert_allclose(u, np.multiply.outer(f0, f1).ravel(), rtol=1e-15)
 
@@ -75,7 +77,7 @@ def test_mesh_holds_no_node_sized_array():
     L = Laplacian.of(DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (30, 40)))
     assert n_nodes(L) == 1200
     assert L.weight == L.h[0] * L.h[1]
-    _ = (L.eigenvalues, L.axis_eigenvalues, L.sqrt_multiplicity, L.diagonal, L.grid, L.inv_h2)
+    _ = (L.eigenvalues, L.axis_eigenvalues, L.sqrt_multiplicity, L.principal_nodes, L.grid, L.inv_h2)
     for value in vars(L).values():
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, np.ndarray):

@@ -10,7 +10,7 @@ from coexist import DomainSpec, Laplacian, NonlinearityModel, principal_eigenpai
 from coexist import operators
 from coexist.continuation import DEFAULT_S_VALUES
 
-from conftest import FullGrid, dense, sine_matrix
+from conftest import FullGrid, dense, sine_matrix, stencil
 
 PI = math.pi
 
@@ -101,7 +101,7 @@ def test_spectral_inverse_is_exact(name, offset):
     sigma = lambda0 + offset
     v = np.random.default_rng(2).standard_normal(L.n)
     v -= (q @ v) * q
-    x = L.inverse_transform(coefficient_solve(L, sigma, L.apply(v) - sigma * v))
+    x = L.inverse_transform(coefficient_solve(L, sigma, stencil(L, v) - sigma * v))
     assert np.linalg.norm(x - v) <= 1e-12 * np.linalg.norm(v)
     assert np.linalg.norm(coefficient_solve(L, sigma, q)) <= 1e-12
 
@@ -251,7 +251,10 @@ def test_fold_commutes_with_stencil_and_transform(name):
     y = grid.fold(u)
     assert y.shape == (L.n,)
     scale = np.abs(grid.apply(u)).max()
-    np.testing.assert_allclose(L.apply(y), grid.fold(grid.apply(u)), rtol=0, atol=1e-14 * scale)
+    # L is the diagonal L.eigenvalues on T's coefficients: T^T diag T y is
+    # the full grid's stencil, folded (within 1e-15 * scale measured)
+    Ly = L.inverse_transform(L.eigenvalues * L.transform(y))
+    np.testing.assert_allclose(Ly, grid.fold(grid.apply(u)), rtol=0, atol=1e-14 * scale)
     # a symmetric vector has no even sine modes; its odd ones are T y
     c = grid.transform(u).reshape(grid.shape)
     odd = tuple(slice(None, None, 2) for _ in grid.shape)
@@ -282,6 +285,6 @@ def test_folded_spectral_inverse_is_exact(name):
     sigma = float(L.eigenvalues[0]) + 0.3
     v = np.random.default_rng(9).standard_normal(L.n)
     v -= (q @ v) * q
-    x = L.inverse_transform(coefficient_solve(L, sigma, L.apply(v) - sigma * v))
+    x = L.inverse_transform(coefficient_solve(L, sigma, stencil(L, v) - sigma * v))
     assert np.linalg.norm(x - v) <= 1e-12 * np.linalg.norm(v)
     assert np.linalg.norm(coefficient_solve(L, sigma, q)) <= 1e-12
