@@ -606,6 +606,37 @@ class TestInteractionTable:
             d = run_analysis(spec400, NonlinearityModel.psi_k(row.k, row.eta)).diagnostics
             assert (row.mu_s, row.mu_ss, row.ctype) == (d.mu_s, d.mu_ss, d.ctype)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DomainSpec("interval", ((0.0, PI),), (400,)),
+            DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (25, 47)),
+        ],
+        ids=["interval-400", "rect-25x47"],
+    )
+    def test_rows_equal_diagnose_bit_for_bit(self, spec):
+        # every row is the per-model diagnose on the shared eigendata, to
+        # the bit and the sign of zero, across vanishing, tiny and large eta
+        etas = [0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 4.0, -4.0, 1e150]
+        ks = [3, 4, 5, 6, 7, 8]
+        eig = eigendata(spec)
+        rows = psi_k_table(spec, ks, etas)
+        assert len(rows) == len(etas) * len(ks)
+        for row, (eta, k) in zip(rows, [(eta, k) for eta in etas for k in ks]):
+            d = diagnose(eig, NonlinearityModel.psi_k(k, eta))
+            assert (row.k, row.eta) == (k, eta) and math.copysign(1.0, row.eta) == math.copysign(1.0, eta)
+            for got, want in ((row.mu_s, d.mu_s), (row.mu_ss, d.mu_ss)):
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (k, eta)
+            assert row.ctype is d.ctype, (k, eta)
+
+        # psi_3's mu_ss overflows at eta = 1e200: the same message on both paths
+        with pytest.raises(ConfigError) as table_error:
+            psi_k_table(spec, [4, 5, 3, 6], [1.0, 1e200])
+        with pytest.raises(ConfigError) as diagnose_error:
+            diagnose(eig, NonlinearityModel.psi_k(3, 1e200))
+        assert "not finite" in str(table_error.value)
+        assert str(table_error.value) == str(diagnose_error.value)
+
     def test_negative_eta_flips_quartic(self, spec400):
         rows = psi_k_table(spec400, [4], [-1.0])
         assert rows[0].ctype is CoexistenceType.III
