@@ -22,8 +22,9 @@ forms; the raw forms including them are exercised in the test suite as
 an independent cross-check.
 
 Every command runs the same two steps: `eigendata` once per domain, then
-`diagnose` (mu_s, mu_ss, the type) once per model, as scalar arithmetic
-on g''(0), g'''(0) and the three per-mesh numbers. `eigendata` takes L,
+mu_s, mu_ss and the type once per model, as scalar arithmetic on g''(0),
+g'''(0) and the three per-mesh numbers (`diagnose` adds the warnings; the
+table scales psi_k(k, 1)'s g''(0) and g'''(0) by eta). `eigendata` takes L,
 lambda0, lambda1 and the bifurcation-point checks from
 `bifurcation_point`, then the moments in closed form, with no node
 vector and no transform: u0 is a product of per-axis sine vectors, so I3
@@ -60,7 +61,7 @@ from functools import cached_property, reduce
 import numpy as np
 import numpy.typing as npt
 
-from .errors import ConfigError
+from .errors import ConfigError, as_number
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, derivative_at_zero
 from .operators import Laplacian, bordered_solve
@@ -275,31 +276,36 @@ def eigendata(spec: DomainSpec) -> EigenData:
     return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat_coefficients=z_hat, I3=I3, I4=I4, M_hat=M_hat)
 
 
-def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics:
-    """mu_s and mu_ss, then the type, for one model on eigendata shared
-    across models: scalar arithmetic on g''(0), g'''(0) and eig's I3, I4
-    and M_hat, with no solve and no vector. Raises ConfigError when mu_s
-    or mu_ss is not finite: the model's coefficients are too large for the
-    arithmetic."""
-    g2, g3 = derivative_at_zero(model, 2), derivative_at_zero(model, 3)
+def _mu_and_signs(eig: EigenData, g2: float, g3: float, describe) -> tuple:
+    """mu_s, mu_ss, the sign pair and the competing terms' rounding bound
+    (None where they do not compete): the scalar core of `diagnose` and
+    `psi_k_table`. A non-finite mu_s or mu_ss is a ConfigError naming describe()."""
     # + 0.0 keeps a vanishing g''(0) at +0.0, whatever the moment's sign;
     # g2 * M_hat is (u0*z_s, u0) for the corrector z_s = g''(0) z_hat
     mu_s = -0.5 * g2 * eig.I3 + 0.0
     mu_ss = -g3 * eig.I4 / 3.0 - 2.0 * g2 * (g2 * eig.M_hat + 0.0) + 0.0
     for name, value in (("mu_s", mu_s), ("mu_ss", mu_ss)):
         if not math.isfinite(value):
-            raise ConfigError(
-                f"{name} = {value} is not finite: the coefficients of {model.describe()} overflow it"
-            )
+            raise ConfigError(f"{name} = {value} is not finite: the coefficients of {describe()} overflow it")
 
     # I3, I4, M_hat > 0: the signs follow from g2 and g3, unless g2 != 0
     # and g3 < 0, where -g3 I4/3 > 0 competes with -2 g2^2 M_hat < 0
     s_s = -sign_with_tolerance(g2, 0.0)
-    s_ss = -sign_with_tolerance(g3, 0.0) if g2 == 0.0 else -1
-    warnings = []
     if g2 != 0.0 and g3 < 0.0:
         bound = _SIGN_MARGIN * np.finfo(float).eps * (-g3 * eig.I4 / 3.0 + 2.0 * g2 * g2 * eig.M_hat)
-        s_ss = sign_with_tolerance(mu_ss, bound)
+        return mu_s, mu_ss, (s_s, sign_with_tolerance(mu_ss, bound)), bound
+    return mu_s, mu_ss, (s_s, -sign_with_tolerance(g3, 0.0) if g2 == 0.0 else -1), None
+
+
+def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics:
+    """mu_s, mu_ss, the type and the warnings for one model on eigendata
+    shared across models: `_mu_and_signs` on g''(0), g'''(0) and eig's I3,
+    I4 and M_hat, with no solve and no vector. Raises ConfigError when mu_s
+    or mu_ss is not finite: the model's coefficients overflow the arithmetic."""
+    g2, g3 = derivative_at_zero(model, 2), derivative_at_zero(model, 3)
+    mu_s, mu_ss, (s_s, s_ss), bound = _mu_and_signs(eig, g2, g3, model.describe)
+    warnings = []
+    if bound is not None:
         warnings.append(
             f"mu_ss = {mu_ss:.3e} is the difference of two competing terms, zero within their rounding "
             f"bound {bound:.3e}: candidate types {_TYPE_TABLE[(s_s, 0)]} and "
@@ -310,14 +316,8 @@ def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics
             "two solutions co-exist on one side of lambda0 near the bifurcation point; "
             "the branch geometry for this type is inferred from the sign pair"
         )
-
-    return BifurcationDiagnostics(
-        mu_s=mu_s,
-        mu_ss=mu_ss,
-        ctype=_TYPE_TABLE[(s_s, s_ss)],
-        m_coexistence_side=_coexistence_side(s_s, s_ss),
-        warnings=tuple(warnings),
-    )
+    ctype, side = _TYPE_TABLE[(s_s, s_ss)], _coexistence_side(s_s, s_ss)
+    return BifurcationDiagnostics(mu_s, mu_ss, ctype, side, tuple(warnings))
 
 
 def run_analysis(spec: DomainSpec, model: NonlinearityModel) -> AnalysisResult:
@@ -342,19 +342,24 @@ def psi_k_table(spec: DomainSpec, k_list: list[int], eta_list: list[float]) -> l
     """Diagnostics across the power-interaction family g = -eta*u^(k-1),
     one row per (eta, k), etas outermost.
 
-    The eigen stage and the unit corrector run once and are shared by
-    every row; k must be an integer in 3..8 (k = 2 is the linear
-    interaction, handled by the linear kind).
+    One eigen stage and unit corrector serve every row; k must be an
+    integer in 3..8 (k = 2 is the linear kind). psi_k(k, 1) gives g''(0)
+    and g'''(0), which eta scales exactly (factors -2, -6 or 0); each row
+    is `diagnose`'s scalar core on them, with no warning strings.
     """
     for k in k_list:
         if not 3 <= k <= 8:
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
-    # built before the eigen stage, so a non-integer k fails first
-    models = [NonlinearityModel.psi_k(k, eta) for eta in eta_list for k in k_list]
+    # before the eigen stage, so a bad k or eta fails first: a non-finite eta by its model's error
+    units = [NonlinearityModel.psi_k(k, 1.0) for k in k_list]
+    units = [(m.k, derivative_at_zero(m, 2), derivative_at_zero(m, 3)) for m in units]
+    etas = [as_number(eta, "model.eta") for eta in eta_list] if units else []
+    etas = [eta if math.isfinite(eta) else NonlinearityModel.psi_k(k_list[0], eta).eta for eta in etas]
     eig = eigendata(spec)
 
-    rows = []
-    for model in models:
-        d = diagnose(eig, model)
-        rows.append(TableRow(k=model.k, eta=model.eta, mu_s=d.mu_s, mu_ss=d.mu_ss, ctype=d.ctype))
-    return rows
+    def row(k: int, eta: float, g2: float, g3: float) -> TableRow:
+        # an overflowing row builds its model only to name it
+        mu_s, mu_ss, signs, _ = _mu_and_signs(eig, g2, g3, lambda: NonlinearityModel.psi_k(k, eta).describe())
+        return TableRow(k=k, eta=eta, mu_s=mu_s, mu_ss=mu_ss, ctype=_TYPE_TABLE[signs])
+
+    return [row(k, eta, g2 * eta, g3 * eta) for eta in etas for k, g2, g3 in units]

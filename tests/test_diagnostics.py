@@ -130,6 +130,20 @@ def test_diagnose_does_no_vector_work(eig, spec400, monkeypatch):
         assert not any(isinstance(v, np.ndarray) for v in vars(d).values()), model
 
 
+def test_psi_k_table_builds_one_model_per_k_and_eta(spec400, monkeypatch):
+    # the rows scale one model per k by eta: no model per row, and no
+    # diagnose with its warning strings
+    built, diagnosed = [], []
+    post_init = NonlinearityModel.__post_init__
+    monkeypatch.setattr(NonlinearityModel, "__post_init__", lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(diagnostics, "diagnose", lambda *args: diagnosed.append(args))
+    k_list, eta_list = [3, 4, 5, 6, 7, 8], [1.0, -1.0, 0.0, 2.5]
+    rows = psi_k_table(spec400, k_list, eta_list)
+    assert len(rows) == len(k_list) * len(eta_list)
+    assert 0 < len(built) <= len(k_list) + len(eta_list)
+    assert diagnosed == []
+
+
 class TestCorrector:
     def test_quartic_zero_rhs_gives_zero(self, eig):
         # g''(0) = 0 (-0.0 for the cubic at eta = 0): the corrector
@@ -644,6 +658,16 @@ class TestInteractionTable:
     def test_zero_eta_everything_degenerate(self, spec400):
         for row in psi_k_table(spec400, [3, 4, 5], [0.0]):
             assert row.ctype is CoexistenceType.II
+
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan, "1.0", True])
+    def test_bad_eta_fails_as_its_model_does(self, spec400, eta, monkeypatch):
+        # each eta is checked once, before the eigen stage, with the model's message
+        with pytest.raises(ConfigError) as model_error:
+            NonlinearityModel.psi_k(5, eta)
+        monkeypatch.setattr(diagnostics, "eigendata", lambda spec: pytest.fail("eigen stage ran"))
+        with pytest.raises(ConfigError) as table_error:
+            psi_k_table(spec400, [5, 3], [1.0, eta])
+        assert str(table_error.value) == str(model_error.value)
 
     def test_k_range_validated(self, spec400):
         for k_list in ([2], [True]):
