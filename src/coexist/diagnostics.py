@@ -351,8 +351,8 @@ def psi_k_table(spec: DomainSpec, k_list: list[int], eta_list: list[float]) -> l
         if not 3 <= k <= 8:
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
     # before the eigen stage, so a bad k or eta fails first: a non-finite eta by its model's error
-    units = [NonlinearityModel.psi_k(k, 1.0) for k in k_list]
-    units = [(m.k, derivative_at_zero(m, 2), derivative_at_zero(m, 3)) for m in units]
+    models = [NonlinearityModel.psi_k(k, 1.0) for k in k_list]
+    units = [(m.k, derivative_at_zero(m, 2), derivative_at_zero(m, 3)) for m in models]
     etas = [as_number(eta, "model.eta") for eta in eta_list] if units else []
     etas = [eta if math.isfinite(eta) else NonlinearityModel.psi_k(k_list[0], eta).eta for eta in etas]
     eig = eigendata(spec)
