@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from coexist import DomainSpec, Laplacian, apply, continuation, principal_eigenpair, solve_at_amplitude
 from coexist.diagnostics import bifurcation_point
@@ -21,8 +20,13 @@ BENCHMARK_POLY = (0.0, -1.0, 0.5, 0.2, -0.1, 0.05)
 # test, which the strict-xfail trace sweep is, and its caches) goes to the
 # system temp directory, not into the checkout, unless
 # HYPOTHESIS_STORAGE_DIRECTORY names a place
-if not os.getenv("HYPOTHESIS_STORAGE_DIRECTORY"):
-    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "coexist-hypothesis")
+try:
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # only the property tests use hypothesis, and they then fail to collect
+    pass
+else:
+    if not os.getenv("HYPOTHESIS_STORAGE_DIRECTORY"):
+        set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "coexist-hypothesis")
 
 # (criterion number, label, passed) tuples registered by test_acceptance
 ACCEPTANCE_RESULTS: list[tuple[int, str, bool]] = []
