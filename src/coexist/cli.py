@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 configuration, I/O or out-of-memory error,
 the branch included). Reports are JSON with full-precision floats;
 branch and table data are RFC-4180 CSV with 17 significant digits so
 identical configs reproduce byte-identical files at a fixed BLAS thread count
-(1 against 2 moves a 512^2 table.csv mu_ss by 5.4e-15); the report's
+(1 against 2 moves the last digits of a 512^2 branch.csv's l2_norm_U and
+residual; table.csv, and branch.csv at 128^2, stay identical); the report's
 `environment` records the thread variables as set, not the count BLAS used.
 Reruns rewrite each file in place, sparing ext4 a flush per file.
 """
@@ -248,7 +249,7 @@ def _fmt(x: float) -> str:
 
 
 def write_branch_csv(path: Path, branch: Branch, L: Laplacian) -> None:
-    """One row per point; l2_norm_U is the weighted norm of the full-grid U."""
+    """One row per point; l2_norm_U is U's weighted norm, the full grid's."""
     w = csv.writer(buf := io.StringIO())
     w.writerow(["s", "lambda", "l2_norm_U", "residual", "newton_iters"])
     for p in branch.points:

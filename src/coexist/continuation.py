@@ -19,27 +19,27 @@ off the principal one, where L - lambda preconditions exactly: the
 Jacobian J differs from it by the small diagonal g'(0) - g'(U), so the
 iterations do not grow with N.
 
-Each point starts from a second-order predictor U = s*u0 + s^2*w,
-lambda = lambda0 + mu_s*s + s^2*c. A leg's first point takes w = z_s =
-g''(0)*z_hat, the corrector the analysis already solved, and c =
-1/2*mu_ss; every later point takes w and c from its converged inward
-neighbour. The guess is then accurate to the branch's own order, and
-about one Newton step reaches the stop.
+Each point starts from a third-order predictor U = s*u0 + s^2*w,
+lambda = lambda0 + mu_s*s + s^2*c, (w, c) extrapolated linearly in s
+through the two converged anchors nearest inward (Allgower and Georg
+1990): s = 0's are z_s = g''(0)*z_hat, the corrector the analysis
+already solved, and 1/2*mu_ss, and a converged point's (U - s*u0)/s^2
+and (lambda - lambda0 - mu_s*s)/s^2. One Newton step, or none, suffices.
 
 Newton stops at F's rounding floor, ||F|| <= _NEWTON_MARGIN eps (sum 4/h^2)
 ||U||: L U is formed to eps times ||L|| ||U||, and sum 4/h^2 bounds ||L||.
 T is orthogonal, so the norms of the coefficients are those of the nodes.
-Each step's bordered solve targets half that floor, so the linear error
-never keeps Newton from it (Dembo, Eisenstat and Steihaug 1982).
+Each step's bordered solve targets a tenth of that floor, so the linear
+error never keeps Newton from it (Dembo, Eisenstat and Steihaug 1982).
 
 The problem commutes with the reflection of each axis and u0 is
 invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
 (Golubitsky, Stewart and Schaeffer 1988) the branch is mirror-symmetric.
 Every Newton step therefore runs on the Laplacian's half grid, ceil(n/2)
 nodes per axis, whose sine coefficients the analysis already holds z_hat
-in, and trace_branch unfolds each converged U once. The half-grid
-coordinates sqrt(m) u keep the full grid's dot products, so only the
-nonlinearity reads nodal values.
+in, and every BranchPoint keeps U there (L.unfold gives the full grid's).
+The half-grid coordinates sqrt(m) u keep the full grid's dot products,
+so only the nonlinearity reads nodal values.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class BranchPoint:
     U: Array
     residual: float
     newton_iters: int
-    # U's sine coefficients in the operator's transform, while Newton holds them
+    # U's sine coefficients in the operator's transform; U is its half-grid vector
     coefficients: Array | None = None
 
 
@@ -159,7 +159,7 @@ def solve_at_amplitude(s: float, model: NonlinearityModel, L: Laplacian, guess: 
                 # dF/dU = L - lambda + diag(V_L - g'(U)), g' read at the nodal values
                 diag = model.V_L - apply_derivative(model, nodal)
                 try:  # CG's target is Euclidean, F's norm weighted
-                    dc, dlam = solve_bordered_system(L, lam, -F, -c, diag, rtol=0.0, atol=0.5 * floor / math.sqrt(w))
+                    dc, dlam = solve_bordered_system(L, lam, -F, -c, diag, rtol=0.0, atol=0.1 * floor / math.sqrt(w))
                 except ConvergenceError as exc:
                     msg = f"Newton step at s={s:g} failed in the linear solve: {exc}; Newton stopped"
                     raise ConvergenceError(msg, residual=res, iterations=iters) from exc
@@ -174,22 +174,22 @@ def solve_at_amplitude(s: float, model: NonlinearityModel, L: Laplacian, guess: 
 
 def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
     """Solve along the given amplitudes for the analysis's model and domain,
-    outward from s = 0 on each side, each point from the second-order
-    predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c. Each
-    leg starts at w = g''(0)*analysis.z_hat and c = 1/2*mu_ss, the s^2
-    coefficients of the local expansion; after each converged point
-    w = (U - s*u0)/s^2 and c = (lambda - lambda0 - mu_s*s)/s^2.
+    outward from s = 0 on each side, each point from the third-order
+    predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c, with
+    (w, c) extrapolated linearly through the two anchors nearest inward:
+    s = 0's (g''(0)*analysis.z_hat, 1/2*mu_ss), the local expansion's, and
+    each converged point's ((U - s*u0)/s^2, (lambda - lambda0 - mu_s*s)/s^2).
 
     Newton runs on the mirror-symmetric subspace, where the branch lies,
     in the sine coefficients of `analysis.operator`'s half grid, which
     z_hat is already in: the predictor is s^2 times w's coefficients, whose
-    coefficient 0 the amplitude pin replaces by s*u0's. Each converged U is
-    unfolded once, so every BranchPoint.U is a full-grid vector, and its
-    coefficients are dropped. Newton stops at F's rounding floor.
+    coefficient 0 the amplitude pin replaces by s*u0's. Each BranchPoint
+    is kept as solve_at_amplitude returns it: U is the half-grid vector,
+    and `analysis.operator.unfold(p.U)` the full-grid one.
 
     For odd g (no even power) F(-U, lambda) = -F(U, lambda) bit for bit:
-    on symmetric s_values the s < 0 leg is the s > 0 leg mirrored, -s and
-    -U, and is solved only where the s > 0 leg truncates.
+    on symmetric s_values the s < 0 leg is the s > 0 leg mirrored, -s, -U
+    and -coefficients, and is solved only where the s > 0 leg truncates.
 
     Raises ConfigError when |mu_s| |s| + |mu_ss| s^2/2 at the smallest |s|
     is within _AMPLITUDE_ULPS ulps of lambda0 (unless mu_s = mu_ss = 0):
@@ -217,21 +217,23 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
     z_s = derivative_at_zero(model, 2) * analysis.z_hat_coefficients
 
     def leg(amplitudes: list[float]) -> tuple[list[BranchPoint], list[str]]:
-        points, w, c = [], z_s, 0.5 * d.mu_ss
+        # (w, c) at the anchor a nearest inward, and their slopes from the one before
+        points, a, w, c, dw, dc = [], 0.0, z_s, 0.5 * d.mu_ss, 0.0, 0.0
         for s in amplitudes:
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    pt = solve_at_amplitude(s, model, L, ((s * s) * w, lambda0 + d.mu_s * s + c * s * s))
-                    w = pt.coefficients / (s * s)  # coefficient 0 is the pin's
-                    c = (pt.lam - lambda0 - d.mu_s * s) / (s * s)
+                    guess = ((s * s) * (w + (s - a) * dw), lambda0 + d.mu_s * s + (c + (s - a) * dc) * s * s)
+                    pt = solve_at_amplitude(s, model, L, guess)
+                    w_s, c_s = pt.coefficients / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
+                    a, w, c, dw, dc = s, w_s, c_s, (w_s - w) / (s - a), (c_s - c) / (s - a)
             except (ConvergenceError, FloatingPointError) as exc:
                 return points, [f"branch truncated at s={s:g}: {exc}"]
-            points.append(dataclasses.replace(pt, U=L.unfold(pt.U), coefficients=None))
+            points.append(pt)
         return points, []
 
     points, truncations = leg(positives)
     if not any(model.coeffs[1::2]) and negatives == [-s for s in positives] and not truncations:
-        points += [dataclasses.replace(p, s=-p.s, U=-p.U) for p in points]  # odd g: the mirror image
+        points += [dataclasses.replace(p, s=-p.s, U=-p.U, coefficients=-p.coefficients) for p in points]
     else:
         negative, cut = leg(negatives)
         points, truncations = negative + points, cut + truncations

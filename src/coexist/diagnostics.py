@@ -306,10 +306,11 @@ def diagnose(eig: EigenData, model: NonlinearityModel) -> BifurcationDiagnostics
     mu_s, mu_ss, (s_s, s_ss), bound = _mu_and_signs(eig, g2, g3, model.describe)
     warnings = []
     if bound is not None:
+        zero = s_ss == 0
         warnings.append(
-            f"mu_ss = {mu_ss:.3e} is the difference of two competing terms, zero within their rounding "
-            f"bound {bound:.3e}: candidate types {_TYPE_TABLE[(s_s, 0)]} and "
-            f"{_TYPE_TABLE[(s_s, 1 if mu_ss > 0 else -1)]}"
+            f"mu_ss = {mu_ss:.3e} is the difference of two competing terms, {'zero within' if zero else 'beyond'} "
+            f"their rounding bound {bound:.3e}: {'' if zero else 'its sign is decided at the discrete level, between '}"
+            f"candidate types {_TYPE_TABLE[(s_s, 0)]} and {_TYPE_TABLE[(s_s, 1 if mu_ss > 0 else -1)]}"
         )
     if s_s != 0:
         warnings.append(

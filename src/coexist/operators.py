@@ -17,7 +17,7 @@ of at most 512 nodes T is one BLAS product with a cached dense matrix;
 longer axes take the DST-I from numpy's real FFT. L also keeps each
 axis's full-grid stencil eigenvalues, whose sums are lambda0 and lambda1,
 with no grid vector, the node vector of the principal coefficient, formed
-on first read, and `unfold`, the full-grid vector of a result.
+on first read, and `unfold`, the full-grid vector of a half-grid one.
 
 Two solvers live here: preconditioned conjugate gradients, and one
 bordered form [A col; e0^T 0][x; y] = [f; 0] in L's odd sine
@@ -28,7 +28,7 @@ preconditioner is the diagonal's exact inverse, and d adds T(d * T^T c).
 The corrector's `bordered_solve` has no d and needs no y, so its one CG
 step is exact to rounding and runs no transform; a Newton step's CG
 takes two transforms per iteration, and A e0 one more, from the cached
-principal node vector.
+principal node vector, and the border column's CG stops where y allows.
 """
 
 from __future__ import annotations
@@ -317,7 +317,9 @@ def solve_bordered_system(
     stands for the principal mode itself: x = v1 whatever y is, and y
     comes back as None. Each CG solve targets ||r|| <= max(rtol*||b||, atol)
     within max(2000, 4n) iterations, and one that stops short raises
-    ConvergenceError.
+    ConvergenceError. v2 enters x only as y v2, so its atol is
+    max(atol, atol/(2 y_hat)), y_hat = |(f0 - (A e0, v1))/col0| being y
+    without v2's term: the full atol where y_hat >= 1/2.
     """
     inv = L.eigenvalues - sigma
     inv[0] = np.inf  # 1/inf = 0 drops the principal mode without a divide-by-zero warning
@@ -332,18 +334,20 @@ def solve_bordered_system(
             out[0] = 0.0
         return out
 
-    def solve(b: Array) -> tuple[Array, float]:
+    def solve(b: Array, target: float) -> tuple[Array, float]:
         b0, b[0] = b[0], 0.0  # P b, in place
-        return _cg(matvec, b, inv, rtol=rtol, atol=atol, max_iter=max_iter)[0], b0
+        return _cg(matvec, b, inv, rtol=rtol, atol=target, max_iter=max_iter)[0], b0
 
-    v1, f0 = solve(f)
+    v1, f0 = solve(f, atol)
     if col is None:
         return v1, None
-    v2, col0 = solve(col)
     # A e0 off coefficient 0, which v1 and v2 lack: L - sigma is diagonal
     # there, so only the node diagonal contributes, T(diag * T^T e0)
     aq = np.zeros_like(f) if diag is None else L.transform(diag * L.principal_nodes)
-    y = (f0 - aq @ v1) / (col0 - aq @ v2)
+    top = f0 - aq @ v1
+    ratio = abs(float(col[0]) / float(top)) if top else math.inf  # 1/y_hat
+    v2, col0 = solve(col, atol * max(1.0, 0.5 * ratio))
+    y = top / (col0 - aq @ v2)
     return v1 - y * v2, float(y)
 
 

@@ -216,9 +216,10 @@ class TestTraceBranch:
 
     def test_amplitude_constraint_everywhere(self, quartic, grid400):
         branch = trace_branch(quartic, DEFAULT_S_VALUES)
-        u0 = quartic.operator.unfold(quartic.eigenpair.vector)
+        unfold = quartic.operator.unfold
+        u0 = unfold(quartic.eigenpair.vector)
         for p in branch.points:
-            assert abs(grid400.dot(p.U, u0) - p.s) <= 1e-10
+            assert abs(grid400.dot(unfold(p.U), u0) - p.s) <= 1e-10
             assert p.residual <= 1e-10
 
     def test_square_domain_branch(self):
@@ -244,6 +245,32 @@ class TestTraceBranch:
         assert all(p.newton_iters == 1 for p in branch.points)
         assert all(p.residual <= 1e-10 for p in branch.points)
 
+    @pytest.mark.parametrize(
+        "resolution, most_cg_iters",
+        [pytest.param((400,), 16, id="interval-400"), pytest.param((128, 128), 18, id="square-128")],
+    )
+    def test_work_per_trace(self, resolution, most_cg_iters, monkeypatch):
+        # one Newton step per point from the extrapolating predictor, no more
+        # CG iterations in the whole trace than measured, and every point
+        # kept on the half grid, none unfolded
+        bounds = ((0.0, PI),) * len(resolution)
+        spec = DomainSpec("interval" if len(resolution) == 1 else "rectangle", bounds, resolution)
+        analysis = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0))
+        cg_iters, unfolds = [], []
+        cg = operators._cg
+
+        def counting_cg(*args, **kwargs):
+            out = cg(*args, **kwargs)
+            cg_iters.append(out[2])
+            return out
+
+        monkeypatch.setattr(operators, "_cg", counting_cg)
+        monkeypatch.setattr(operators.Laplacian, "unfold", lambda *args: unfolds.append(1))
+        branch = trace_branch(analysis, DEFAULT_S_VALUES)
+        assert [p.newton_iters for p in branch.points] == [1] * len(DEFAULT_S_VALUES)
+        assert sum(cg_iters) <= most_cg_iters
+        assert not unfolds
+
     def test_input_validation(self, quartic):
         with pytest.raises(ValueError, match="0"):
             trace_branch(quartic, [-0.1, 0.0, 0.1])
@@ -262,19 +289,25 @@ class TestTraceBranch:
 
 
 def full_grid_trace(analysis, grid: FullGrid, s_values):
-    """The oracle: trace_branch's legs and predictor, with u0 and z_hat of
-    the full grid, each point solved by solve_at_amplitude on the full
-    grid's sine coefficients, from the predictor's node vector."""
+    """The oracle: trace_branch's legs and extrapolating predictor, with u0
+    and z_hat of the full grid, each point solved by solve_at_amplitude on
+    the full grid's sine coefficients, from the predictor's node vector.
+    The s^2 coefficients (w, c) are extrapolated linearly through the two
+    anchors nearest inward, s = 0's (z_s, mu_ss/2) the first."""
     u0, lambda0, d = grid.sine_mode(), analysis.eigenpair.eigenvalue, analysis.diagnostics
     z_hat = grid.spectral_solve(0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0), lambda0)
     points = {}
     for leg in (sorted((s for s in s_values if s < 0), reverse=True), [s for s in s_values if s > 0]):
-        w, c = derivative_at_zero(analysis.model, 2) * z_hat, 0.5 * d.mu_ss
+        anchor, slope = (0.0, derivative_at_zero(analysis.model, 2) * z_hat, 0.5 * d.mu_ss), (0.0, 0.0)
         for s in leg:
+            a, w, c = anchor
+            w, c = w + (s - a) * slope[0], c + (s - a) * slope[1]
             guess = (grid.transform(s * u0 + s * s * w), lambda0 + d.mu_s * s + c * s * s)
             pt = solve_at_amplitude(s, analysis.model, grid, guess)
             points[s] = pt
             w, c = (pt.U - s * u0) / (s * s), (pt.lam - lambda0 - d.mu_s * s) / (s * s)
+            slope = ((w - anchor[1]) / (s - a), (c - anchor[2]) / (s - a))
+            anchor = (s, w, c)
     return points
 
 
@@ -305,13 +338,16 @@ class TestFoldedTrace:
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         oracle = full_grid_trace(analysis, grid, DEFAULT_S_VALUES)
         assert [p.s for p in branch.points] == list(DEFAULT_S_VALUES)
+        L = analysis.operator
         for p in branch.points:
             want = oracle[p.s]
             assert p.newton_iters == want.newton_iters == 1
             assert abs(p.lam - want.lam) <= 1e-12
-            assert np.linalg.norm(p.U - want.U) <= 1e-12 * np.linalg.norm(want.U)
-            # a full-grid vector equal to its mirror image bit for bit
-            assert grid.is_symmetric(p.U)
+            # U is the half-grid vector; unfolded, it equals its mirror image bit for bit
+            assert p.U.shape == (L.n,)
+            U = L.unfold(p.U)
+            assert np.linalg.norm(U - want.U) <= 1e-12 * np.linalg.norm(want.U)
+            assert grid.is_symmetric(U)
 
     def test_node_lengths_are_checked_against_the_operator(self, quartic):
         # the guess has L.n coefficients, ceil(n/2), not the full grid's n

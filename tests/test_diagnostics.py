@@ -524,6 +524,21 @@ class TestPipeline:
         [warning] = [w for w in d.warnings if "competing" in w]
         assert "rounding bound" in warning
         assert any(f"candidate types V and {t}" in warning for t in other)
+        # "zero within" only where mu_ss is: otherwise the sign is the discrete one
+        assert ("zero within" in warning) is cancel
+        assert ("decided at the discrete level" in warning) is not cancel
+
+    def test_competing_terms_decided_beyond_their_bound(self, spec400):
+        # g = u^2 + c3 u^3 with c3 = -4 M_hat / I4 of the continuum, where
+        # mu_ss = 0 (type VIII); the discrete M_hat exceeds it, so mu_ss is
+        # -4.8e-7 at 400 nodes, far beyond its rounding bound 1.6e-17
+        d = run_analysis(spec400, NonlinearityModel.polynomial([0.0, 1.0, -9.6763e-3])).diagnostics
+        assert d.ctype is CoexistenceType.IX
+        [warning] = [w for w in d.warnings if "competing" in w]
+        assert f"mu_ss = {d.mu_ss:.3e}" in warning and "-4.815e-07" in warning
+        assert "beyond their rounding bound 1.641e-17" in warning
+        assert "zero within" not in warning
+        assert "decided at the discrete level, between candidate types VIII and IX" in warning
 
     def test_square_domain_cubic_interaction(self):
         # the full pipeline on a 2D domain: u0 = (2/pi) sin(x) sin(y),

@@ -149,6 +149,36 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     assert abs(row @ x) <= 1e-13 * np.linalg.norm(row) * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("f0", [1e-4, 1.0])
+def test_border_column_is_solved_as_far_as_y_needs(f0, monkeypatch):
+    # x takes the column's solve v2 only as y v2, so v2's CG stops at
+    # atol/(2|y|), y estimated as (f0 - (A e0, v1))/col0, and never below
+    # atol; x stays within atol of a tight solve either way
+    L = Laplacian.of(MESHES["interval-400"])
+    rng = np.random.default_rng(7)
+    sigma, atol = principal_eigenpair(L).eigenvalue + 0.2, 1e-6
+    diag = rng.uniform(-1, 1, L.n)  # A stays positive off u0: lambda1 - sigma = 2.8
+    f, col = 1e-3 * rng.standard_normal(L.n), rng.standard_normal(L.n)
+    f[0], col[0] = f0, 1.0
+    targets = []
+    cg = operators._cg
+
+    def recording_cg(*args, **kwargs):
+        targets.append(kwargs["atol"])
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "_cg", recording_cg)
+    x, y = operators.solve_bordered_system(L, sigma, f.copy(), col.copy(), diag, rtol=0.0, atol=atol)
+    tight, _ = operators.solve_bordered_system(L, sigma, f.copy(), col.copy(), diag, rtol=0.0, atol=1e-3 * atol)
+    assert np.linalg.norm(x - tight) <= atol
+    assert targets[0] == atol
+    if f0 < 0.5:  # |y| small: the column's target is loosened by 1/(2|y|)
+        assert abs(y) < 0.5 and targets[1] > atol
+        assert targets[1] >= 0.5 * atol / abs(y) / 1.01
+    else:  # |y| >= 1/2: the column gets the full target
+        assert abs(y) >= 0.5 and targets[1] == atol
+
+
 @pytest.fixture
 def cg_log(monkeypatch):
     """Iteration counts of every operators._cg call, in call order."""
