@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, apply, continuation, principal_eigenpair, solve_at_amplitude
+from coexist import DomainSpec, Laplacian, apply, continuation, operators, principal_eigenpair, solve_at_amplitude
 from coexist.diagnostics import bifurcation_point
 
 PI = math.pi
@@ -312,3 +312,18 @@ def eig2d_128(spec2d_128):
     t0 = time.perf_counter()
     pair = principal_eigenpair(L)
     return pair, time.perf_counter() - t0
+
+
+@pytest.fixture
+def cg_log(monkeypatch):
+    """Iteration counts of every operators._cg call, in call order."""
+    log = []
+    cg = operators._cg
+
+    def counting_cg(*args, **kwargs):
+        out = cg(*args, **kwargs)
+        log.append(out[2])
+        return out
+
+    monkeypatch.setattr(operators, "_cg", counting_cg)
+    return log

@@ -249,26 +249,19 @@ class TestTraceBranch:
         "resolution, most_cg_iters",
         [pytest.param((400,), 16, id="interval-400"), pytest.param((128, 128), 18, id="square-128")],
     )
-    def test_work_per_trace(self, resolution, most_cg_iters, monkeypatch):
+    def test_work_per_trace(self, resolution, most_cg_iters, cg_log, monkeypatch):
         # one Newton step per point from the extrapolating predictor, no more
         # CG iterations in the whole trace than measured, and every point
         # kept on the half grid, none unfolded
         bounds = ((0.0, PI),) * len(resolution)
         spec = DomainSpec("interval" if len(resolution) == 1 else "rectangle", bounds, resolution)
         analysis = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0))
-        cg_iters, unfolds = [], []
-        cg = operators._cg
-
-        def counting_cg(*args, **kwargs):
-            out = cg(*args, **kwargs)
-            cg_iters.append(out[2])
-            return out
-
-        monkeypatch.setattr(operators, "_cg", counting_cg)
+        cg_log.clear()
+        unfolds = []
         monkeypatch.setattr(operators.Laplacian, "unfold", lambda *args: unfolds.append(1))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert [p.newton_iters for p in branch.points] == [1] * len(DEFAULT_S_VALUES)
-        assert sum(cg_iters) <= most_cg_iters
+        assert sum(cg_log) <= most_cg_iters
         assert not unfolds
 
     def test_input_validation(self, quartic):

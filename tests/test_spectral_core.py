@@ -179,21 +179,6 @@ def test_border_column_is_solved_as_far_as_y_needs(f0, monkeypatch):
         assert abs(y) >= 0.5 and targets[1] == atol
 
 
-@pytest.fixture
-def cg_log(monkeypatch):
-    """Iteration counts of every operators._cg call, in call order."""
-    log = []
-    cg = operators._cg
-
-    def counting_cg(*args, **kwargs):
-        out = cg(*args, **kwargs)
-        log.append(out[2])
-        return out
-
-    monkeypatch.setattr(operators, "_cg", counting_cg)
-    return log
-
-
 @pytest.mark.parametrize(
     "spec",
     [MESHES["interval-400"], DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (64, 64)), MESHES["rect-40x80"]],
