@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 import math
 import os
@@ -23,9 +25,12 @@ from coexist.cli import (
     cmd_verify,
     load_config,
     main,
+    write_branch_csv,
+    write_table_csv,
 )
 import coexist
-from coexist import diagnostics, eigendata
+from coexist import CoexistenceType, DomainSpec, Laplacian, TableRow, diagnostics, eigendata
+from coexist.continuation import Branch, BranchPoint
 from coexist.errors import ConfigError
 
 PI = math.pi
@@ -411,6 +416,56 @@ class TestTableSharesEigenStage:
         rows = cmd_table(load_config(write_config(tmp_path, raw)), out_dir=str(tmp_path))
         assert len(rows) == 6 * n_etas
         assert calls == {"principal_eigenpair": 1, "bordered_solve": 1}
+
+
+def _csv_oracle(header, rows) -> bytes:
+    """RFC-4180 rows as csv.writer renders them, floats as 17 significant
+    digits with -0.0 written 0: the CSV format the writers promise."""
+
+    def fmt(x):
+        x = float(x)
+        return format(0.0 if x == 0.0 else x, ".17g")
+
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([c if isinstance(c, (int, str)) else fmt(c) for c in row])
+    return buf.getvalue().encode()
+
+
+class TestCsvBytes:
+    def test_table_csv_bytes(self, tmp_path):
+        etas = [0.0, -0.0, 1e-300, -2.5, 0.1, 1e150]
+        types = list(CoexistenceType)
+        rows = []
+        for i, (eta, k) in enumerate((eta, k) for eta in etas for k in range(3, 9)):
+            mu_s = -0.0 if i % 5 == 0 else eta * k / 3.0 - 1e-17 * i
+            mu_ss = -0.0 if i % 7 == 1 else (i - 17.5) * math.pi * 10.0 ** (i % 11 - 5)
+            rows.append(TableRow(k=k, eta=eta, mu_s=mu_s, mu_ss=mu_ss, ctype=types[i % len(types)]))
+        assert {r.ctype for r in rows} == set(types)
+        write_table_csv(tmp_path / "table.csv", rows)
+        want = _csv_oracle(
+            ["k", "eta", "mu_s", "mu_ss", "type"], [(r.k, r.eta, r.mu_s, r.mu_ss, str(r.ctype)) for r in rows]
+        )
+        got = (tmp_path / "table.csv").read_bytes()
+        assert got == want
+        assert b"-0," not in got and b"-0\r" not in got and got.count(b"\r\n") == len(rows) + 1
+
+    def test_branch_csv_bytes(self, tmp_path):
+        L = Laplacian.of(DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (5, 8)))
+        rng = np.random.default_rng(7)
+        points = tuple(
+            BranchPoint(s=s, lam=2.0 + s / 3.0, U=rng.standard_normal(L.n) * abs(s), residual=res, newton_iters=it)
+            for s, res, it in ((-0.1, 3.5e-16, 1), (-1e-300, -0.0, 0), (0.05, 0.0, 2), (1e150, 1.25e-13, 12))
+        )
+        branch = Branch(points=points, lambda0=2.0)
+        write_branch_csv(tmp_path / "branch.csv", branch, L)
+        want = _csv_oracle(
+            ["s", "lambda", "l2_norm_U", "residual", "newton_iters"],
+            [(p.s, p.lam, math.sqrt(L.weight * float(p.U @ p.U)), p.residual, p.newton_iters) for p in points],
+        )
+        assert (tmp_path / "branch.csv").read_bytes() == want
 
 
 class TestVerify:
