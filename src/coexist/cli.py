@@ -7,10 +7,11 @@ emission.
 Exit codes: 0 success, 1 configuration, I/O or out-of-memory error,
 2 verification failure, 3 solver non-convergence (a non-finite value on
 the branch included). Reports are JSON with full-precision floats;
-branch and table data are RFC-4180 CSV with 17 significant digits so
-identical configs reproduce byte-identical files at a fixed BLAS thread count
-(1 against 2 moves the last digits of a 512^2 branch.csv's l2_norm_U and
-residual; table.csv, and branch.csv at 128^2, stay identical); the report's
+branch and table data are RFC-4180 CSV, floats as %.17g with -0.0 written
+0, so identical configs reproduce byte-identical files at a fixed BLAS
+thread count (1 against 2 moves the last digits of a 512^2 branch.csv's
+l2_norm_U and residual; table.csv, and branch.csv at 128^2, stay
+identical); the report's
 `environment` records the thread variables as set, not the count BLAS used.
 Reruns rewrite each file in place, sparing ext4 a flush per file.
 """
@@ -18,9 +19,7 @@ Reruns rewrite each file in place, sparing ext4 a flush per file.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
-import io
 import json
 import math
 import os
@@ -216,7 +215,8 @@ def _resolve(out_dir: str | None, path: str) -> Path:
     p = Path(path)
     if out_dir is not None and not p.is_absolute():
         p = Path(out_dir) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
+    if not os.path.isdir(p.parent):  # spares a failing mkdir syscall
+        p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -241,29 +241,22 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload) + "\n")
 
 
-def _fmt(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return format(x, ".17g")
-
-
 def write_branch_csv(path: Path, branch: Branch, L: Laplacian) -> None:
     """One row per point; l2_norm_U is U's weighted norm, the full grid's."""
-    w = csv.writer(buf := io.StringIO())
-    w.writerow(["s", "lambda", "l2_norm_U", "residual", "newton_iters"])
-    for p in branch.points:
-        norm = math.sqrt(L.weight * float(p.U @ p.U))
-        w.writerow([_fmt(p.s), _fmt(p.lam), _fmt(norm), _fmt(p.residual), p.newton_iters])
-    _write_text(path, buf.getvalue())
+    rows = "".join(
+        "%.17g,%.17g,%.17g,%.17g,%d\r\n"
+        % (p.s + 0.0, p.lam + 0.0, math.sqrt(L.weight * float(p.U @ p.U)) + 0.0, p.residual + 0.0, p.newton_iters)
+        for p in branch.points
+    )
+    _write_text(path, "s,lambda,l2_norm_U,residual,newton_iters\r\n" + rows)
 
 
 def write_table_csv(path: Path, rows) -> None:
-    w = csv.writer(buf := io.StringIO())
-    w.writerow(["k", "eta", "mu_s", "mu_ss", "type"])
-    for r in rows:
-        w.writerow([r.k, _fmt(r.eta), _fmt(r.mu_s), _fmt(r.mu_ss), str(r.ctype)])
-    _write_text(path, buf.getvalue())
+    text = "".join(
+        "%d,%.17g,%.17g,%.17g,%s\r\n" % (k, eta + 0.0, mu_s + 0.0, mu_ss + 0.0, ctype)
+        for k, eta, mu_s, mu_ss, ctype in rows
+    )
+    _write_text(path, "k,eta,mu_s,mu_ss,type\r\n" + text)
 
 
 def _analysis_report(cfg: RunConfig, analysis: AnalysisResult) -> dict:

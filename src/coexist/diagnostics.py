@@ -55,8 +55,10 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -327,8 +329,7 @@ def run_analysis(spec: DomainSpec, model: NonlinearityModel) -> AnalysisResult:
     return AnalysisResult(**vars(eig), model=model, diagnostics=diagnose(eig, model))
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One interaction-family row: the two branch derivatives and the
     resulting type."""
 
@@ -349,7 +350,7 @@ def psi_k_table(spec: DomainSpec, k_list: list[int], eta_list: list[float]) -> l
     is `diagnose`'s scalar core on them, with no warning strings.
     """
     for k in k_list:
-        if not 3 <= k <= 8:
+        if isinstance(k, numbers.Real) and not 3 <= k <= 8:
             raise ValueError(f"k_list entries must lie in 3..8, got {k}")
     # before the eigen stage, so a bad k or eta fails first: a non-finite eta by its model's error
     models = [NonlinearityModel.psi_k(k, 1.0) for k in k_list]
@@ -361,6 +362,6 @@ def psi_k_table(spec: DomainSpec, k_list: list[int], eta_list: list[float]) -> l
     def row(k: int, eta: float, g2: float, g3: float) -> TableRow:
         # an overflowing row builds its model only to name it
         mu_s, mu_ss, signs, _ = _mu_and_signs(eig, g2, g3, lambda: NonlinearityModel.psi_k(k, eta).describe())
-        return TableRow(k=k, eta=eta, mu_s=mu_s, mu_ss=mu_ss, ctype=_TYPE_TABLE[signs])
+        return TableRow(k, eta, mu_s, mu_ss, _TYPE_TABLE[signs])
 
     return [row(k, eta, g2 * eta, g3 * eta) for eta in etas for k, g2, g3 in units]

@@ -30,6 +30,8 @@ class ConvergenceError(CoexistError):
 def as_number(x, field: str, integer: bool = False) -> float | int:
     """x as a float, or as an int for an integer field. A bool, a string, or
     a float in an integer field (even 3.0) is a ConfigError, not a cast."""
+    if type(x) is (int if integer else float):
+        return x
     if isinstance(x, bool) or not isinstance(x, numbers.Integral if integer else numbers.Real):
         raise ConfigError(f"{field} must be {'an integer' if integer else 'a number'}, got {x!r}")
     return int(x) if integer else float(x)

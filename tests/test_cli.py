@@ -31,7 +31,7 @@ from coexist.cli import (
 import coexist
 from coexist import CoexistenceType, DomainSpec, Laplacian, TableRow, diagnostics, eigendata
 from coexist.continuation import Branch, BranchPoint
-from coexist.errors import ConfigError
+from coexist.errors import ConfigError, as_number
 
 PI = math.pi
 
@@ -71,6 +71,28 @@ def assert_truncated_at(tmp_path, innermost, config, *overrides):
         f"branch truncated at s=-{innermost}",
         f"branch truncated at s={innermost}",
     ]
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_as_number_values_and_messages(integer):
+    # exact floats (ints in an integer field) return at once; other types
+    # take the checked path, with the same values and messages as before
+    field = "model.k" if integer else "model.eta"
+    kind = "an integer" if integer else "a number"
+    for bad in (True, "1.0"):
+        with pytest.raises(ConfigError) as err:
+            as_number(bad, field, integer)
+        assert str(err.value) == f"{field} must be {kind}, got {bad!r}"
+    got = as_number(np.int64(3), field, integer)
+    assert got == 3 and type(got) is (int if integer else float)
+    if integer:
+        with pytest.raises(ConfigError, match=r"must be an integer, got np\.float64\(2\.5\)"):
+            as_number(np.float64(2.5), field, integer)
+    else:
+        got = as_number(np.float64(2.5), field, integer)
+        assert got == 2.5 and type(got) is float
+    x = 7 if integer else 7.25
+    assert as_number(x, field, integer) is x
 
 
 class TestConfig:
@@ -629,6 +651,25 @@ class TestMain:
              f'outputs.report_path="{blocker}/report.json"']
         )
         assert code == EXIT_CONFIG
+
+    def test_existing_out_dir_makes_no_mkdir_call(self, tmp_path, monkeypatch):
+        calls = []
+        mkdir = Path.mkdir
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting)
+        path = write_config(tmp_path, base_config())
+        out = tmp_path / "missing" / "nested"
+        assert main(["trace", "--config", path, "--out-dir", str(out)]) == EXIT_OK
+        assert (out / "branch.csv").is_file() and (out / "report.json").is_file()
+        assert out in calls
+        calls.clear()
+        for command in ("analyze", "trace", "table", "verify"):
+            assert main([command, "--config", path, "--out-dir", str(out)]) == EXIT_OK
+        assert calls == [] and (out / "table.csv").is_file()
 
     @pytest.mark.skipif(os.devnull != "/dev/null", reason="needs /dev/null")
     def test_device_output_is_written_not_cut(self, tmp_path):

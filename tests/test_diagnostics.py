@@ -684,9 +684,12 @@ class TestInteractionTable:
             psi_k_table(spec400, [5, 3], [1.0, eta])
         assert str(table_error.value) == str(model_error.value)
 
-    def test_k_range_validated(self, spec400):
+    def test_k_range_validated(self, spec400, monkeypatch):
         for k_list in ([2], [True]):
             with pytest.raises(ValueError, match="3..8"):
                 psi_k_table(spec400, k_list, [1.0])
-        with pytest.raises(ConfigError, match="integer"):
-            psi_k_table(spec400, [3.9], [1.0])
+        # a k that is not an integer fails as its model does, before the eigen stage
+        monkeypatch.setattr(diagnostics, "eigendata", lambda spec: pytest.fail("eigen stage ran"))
+        for k in (3.9, "3", None):
+            with pytest.raises(ConfigError, match=r"^model\.k must be an integer, got "):
+                psi_k_table(spec400, [4, k], [1.0])
