@@ -11,8 +11,8 @@ branch and table data are RFC-4180 CSV, floats as %.17g with -0.0 written
 0, so identical configs reproduce byte-identical files at a fixed BLAS
 thread count (1 against 2 moves the last digits of a 512^2 branch.csv's
 l2_norm_U and residual; table.csv, and branch.csv at 128^2, stay
-identical); the report's
-`environment` records the thread variables as set, not the count BLAS used.
+identical); the report's `environment` records the thread variables as
+set, not the count BLAS used.
 Reruns rewrite each file in place, sparing ext4 a flush per file.
 """
 
