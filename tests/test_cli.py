@@ -547,6 +547,28 @@ def test_analyze_and_verify_agree(tmp_path):
         assert verified["cr_report"][key] == analyzed[key]
 
 
+@pytest.mark.parametrize(
+    "config, overrides",
+    [("psi3_interval", []), ("psi3_rectangle", ["domain.resolution=[25,47]"])],
+    ids=["interval", "rectangle-25x47"],
+)
+def test_cr_report_block_is_one_contract(tmp_path, config, overrides):
+    # analyze, trace and verify write one cr_report block, byte for byte,
+    # with its five keys in order and the transversality identity as -1
+    cfg = load_config(Path(__file__).parents[1] / "demos" / "configs" / f"{config}.json", overrides)
+    cmd_analyze(cfg, out_dir=str(tmp_path / "analyze"))
+    cmd_trace(cfg, out_dir=str(tmp_path / "trace"))
+    cmd_verify(cfg, out_dir=str(tmp_path / "verify"))
+    reports = {c: json.loads((tmp_path / c / "report.json").read_text()) for c in ("analyze", "trace", "verify")}
+    blocks = {json.dumps(r["cr_report"]) for r in reports.values()}
+    assert len(blocks) == 1
+    cr = reports["verify"]["cr_report"]
+    assert list(cr) == ["lambda0", "lambda1", "gap", "kernel_dim_ok", "transversality_value"]
+    assert cr["transversality_value"] == -1.0 and cr["kernel_dim_ok"] is True
+    for command in ("analyze", "trace"):
+        assert reports[command]["m_at_bifurcation"] == cr["lambda0"] - cfg.model.V_L
+
+
 class TestMain:
     def test_analyze_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
