@@ -39,7 +39,7 @@ for k, eta in [(4, 1.0), (4, -1.0), (3, 1.0)]:
     print(f"{'s':>6s} {'lambda - lambda0':>18s} {'||U||':>10s} {'newton':>6s}")
     for p in branch.points:
         norm = math.sqrt(L.weight * float(p.U @ p.U))
-        print(f"{p.s:+6.2f} {p.lam - analysis.eigenpair.eigenvalue:+18.10f} {norm:10.6f} {p.newton_iters:6d}")
+        print(f"{p.s:+6.2f} {p.lam - analysis.lambda0:+18.10f} {norm:10.6f} {p.newton_iters:6d}")
 
     csv_path = out_dir / f"branch_psi{k}_eta{eta:+g}.csv"
     write_branch_csv(csv_path, branch, L)

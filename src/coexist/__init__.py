@@ -32,17 +32,12 @@ from .errors import CoexistError, ConfigError, ConvergenceError
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, apply, apply_derivative, derivative_at_zero
 from .operators import Laplacian, bordered_solve
-from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
     "__version__",
     "DomainSpec",
     "Laplacian",
     "bordered_solve",
-    "Eigenpair",
-    "CRReport",
-    "principal_eigenpair",
-    "verify_crandall_rabinowitz",
     "NonlinearityModel",
     "derivative_at_zero",
     "apply",

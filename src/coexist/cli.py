@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
-from .diagnostics import AnalysisResult, Tolerances, bifurcation_point, psi_k_table, run_analysis
+from .diagnostics import AnalysisResult, Tolerances, bifurcation_point, cr_report, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, as_number
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel
@@ -261,7 +261,7 @@ def write_table_csv(path: Path, rows) -> None:
 
 def _analysis_report(cfg: RunConfig, analysis: AnalysisResult) -> dict:
     report = _base_report(cfg)
-    report["cr_report"] = analysis.cr_report.to_dict()
+    report["cr_report"] = cr_report(analysis.lambda0, analysis.lambda1)
     report["m_at_bifurcation"] = analysis.m_at_bifurcation
     report["moments"] = {"I3": analysis.I3, "I4": analysis.I4, "M_hat": analysis.M_hat}
     report["diagnostics"] = analysis.diagnostics.to_dict()
@@ -323,11 +323,11 @@ def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     """The bifurcation-point checks only; no corrector solve. Exits on
     kernel_dim_ok, the one certificate: the transversality value is an
     identity."""
-    _, _, cr = bifurcation_point(cfg.domain)
+    _, lambda0, lambda1 = bifurcation_point(cfg.domain)
     report = _base_report(cfg)
-    report["cr_report"] = cr.to_dict()
+    report["cr_report"] = cr = cr_report(lambda0, lambda1)
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
-    return report, EXIT_OK if cr.kernel_dim_ok else EXIT_VERIFY
+    return report, EXIT_OK if cr["kernel_dim_ok"] else EXIT_VERIFY
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -70,6 +70,7 @@ __all__ = [
 Array = npt.NDArray[np.float64]
 
 DEFAULT_S_VALUES = (-0.10, -0.08, -0.06, -0.04, -0.02, 0.02, 0.04, 0.06, 0.08, 0.10)
+_EPS = np.finfo(float).eps
 # Newton stops at ||F|| <= this many eps * (sum 4/h^2) * ||U||, F's rounding floor
 _NEWTON_MARGIN = 64.0
 # Newton steps a point may take before it counts as diverged
@@ -139,7 +140,7 @@ def solve_at_amplitude(s: float, model: NonlinearityModel, L: Laplacian, guess: 
     if c.shape != (L.n,):
         raise ValueError(f"guess has shape {c.shape}, expected ({L.n},), one coefficient per node of L")
     w, r = L.weight, L.sqrt_multiplicity
-    floor_per_norm = _NEWTON_MARGIN * np.finfo(float).eps * stencil_bound(L.h)
+    floor_per_norm = _NEWTON_MARGIN * _EPS * stencil_bound(L.h)
     res, iters = math.nan, 0
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -204,7 +205,7 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
         raise ValueError("s_values must be strictly increasing")
 
     model, d, L = analysis.model, analysis.diagnostics, analysis.operator
-    lambda0 = analysis.eigenpair.eigenvalue
+    lambda0 = analysis.lambda0
     s_min = min((abs(s) for s in s_values), default=math.inf)
     shift, bound = abs(d.mu_s) * s_min + abs(d.mu_ss) * s_min * s_min / 2, _AMPLITUDE_ULPS * math.ulp(lambda0)
     if (d.mu_s or d.mu_ss) and shift <= bound:

@@ -25,9 +25,8 @@ Every command runs the same two steps: `eigendata` once per domain, then
 mu_s, mu_ss and the type once per model, as scalar arithmetic on g''(0),
 g'''(0) and the three per-mesh numbers (`diagnose` adds the warnings; the
 table scales psi_k(k, 1)'s g''(0) and g'''(0) by eta). `eigendata` takes L,
-lambda0, lambda1 and the bifurcation-point checks from
-`bifurcation_point`, then the moments in closed form, with no node
-vector and no transform: u0 is a product of per-axis sine vectors, so I3
+lambda0 and lambda1 from `bifurcation_point`, then the moments in
+closed form, with no node vector and no transform: u0 is a product of per-axis sine vectors, so I3
 and I4 are products of per-axis sine sums, and u0^2's sine coefficients
 are the outer product of per-axis closed forms. A is diagonal in those
 coefficients, where z_hat is solved and M_hat is one dot product. u0's
@@ -45,10 +44,15 @@ g'''(0) < 0 do the two terms of mu_ss compete; there |mu_ss| within
 _SIGN_MARGIN eps of the terms' magnitudes is rounding and reads as zero,
 and a warning names both candidate types.
 
+The bifurcation point (lambda0, 0) is simple when the kernel is
+one-dimensional (Crandall and Rabinowitz 1971), which holds on every box:
+lambda0 = lambda_(1,...,1) lies below every other per-axis sum. The
+certificate kernel_dim_ok says the floating-point gap lambda1 - lambda0
+shows it. The transversality value -(u0, u0) is -1 for the normalized
+u0, an identity that is reported and not tested.
+
 `Tolerances` is the one tolerance policy: the trace's "consistent"
 bounds resolve there, and no other function gives a tolerance a default.
-The transversality value -(u0, u0) is -1 for the normalized u0, an
-identity that is reported and not tested; the gap is the certificate.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ from .errors import ConfigError, as_number
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel, derivative_at_zero
 from .operators import Laplacian, bordered_solve
-from .spectrum import CRReport, Eigenpair, principal_eigenpair, verify_crandall_rabinowitz
 
 __all__ = [
     "CoexistenceType",
@@ -78,6 +81,7 @@ __all__ = [
     "AnalysisResult",
     "sign_with_tolerance",
     "bifurcation_point",
+    "cr_report",
     "eigendata",
     "diagnose",
     "run_analysis",
@@ -87,9 +91,13 @@ __all__ = [
 
 Array = npt.NDArray[np.float64]
 
+_EPS = np.finfo(float).eps
 # |mu_ss| at most this many eps times the magnitudes of its two competing
 # terms is their rounding, and reads as zero
 _SIGN_MARGIN = 4.0
+# a gap over this many eps * lambda0 tells lambda1 from lambda0 in floating
+# point; only rounding merges them, as lambda0 < lambda1 on every box
+_GAP_MARGIN = 16.0
 
 
 class CoexistenceType(enum.Enum):
@@ -154,7 +162,7 @@ class BifurcationDiagnostics:
 @dataclass(frozen=True)
 class Tolerances:
     """Every threshold the pipeline judges by: the trace's fit bounds
-    (methods, not fields). The eigenpair, the sign pair, the kernel gap and
+    (methods, not fields). The eigenvalues, the sign pair, the kernel gap and
     Newton's stop take none: they follow from the box's structure and are
     judged only against rounding. Solver-internal targets, such as CG's
     stall window or the corrector's CG target, stay next to their
@@ -190,21 +198,34 @@ def _coexistence_side(s_s: int, s_ss: int) -> CoexistenceSide:
 
 @dataclass(frozen=True, eq=False)
 class EigenData:
-    """The per-mesh stage: the Laplacian L, which carries the
-    grid, the principal pair (lambda0, u0), the bifurcation-point checks,
-    which carry lambda1, the unit corrector z_hat by its sine coefficients,
-    and the three moments I3 = (u0^2, u0), I4 = (u0^3, u0) and
-    M_hat = (u0*z_hat, u0) that mu_s and mu_ss are computed from. u0 and
-    z_hat are in L's half-grid coordinates; `operator.unfold` gives their
+    """The per-mesh stage: the Laplacian L, which carries the grid, the
+    principal eigenvalue lambda0 and the next one, lambda1, the unit
+    corrector z_hat by its sine coefficients, and the three moments
+    I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0) that mu_s
+    and mu_ss are computed from. u0 and z_hat are in L's half-grid
+    coordinates, formed when first read; `operator.unfold` gives their
     full-grid vectors."""
 
     operator: Laplacian
-    eigenpair: Eigenpair
-    cr_report: CRReport
+    lambda0: float
+    lambda1: float
     z_hat_coefficients: Array
     I3: float
     I4: float
     M_hat: float
+
+    @property
+    def gap(self) -> float:
+        return self.lambda1 - self.lambda0
+
+    @property
+    def kernel_dim_ok(self) -> bool:
+        return cr_report(self.lambda0, self.lambda1)["kernel_dim_ok"]
+
+    @cached_property
+    def u0(self) -> Array:
+        """The normalized principal sine mode: the principal coefficient's node vector over sqrt(weight)."""
+        return self.operator.principal_nodes / math.sqrt(self.operator.weight)
 
     @cached_property
     def z_hat(self) -> Array:
@@ -222,18 +243,31 @@ class AnalysisResult(EigenData):
     @property
     def m_at_bifurcation(self) -> float:
         """Mass parameter at the bifurcation point: m = lambda0 - V_L."""
-        return self.cr_report.lambda0 - self.model.V_L
+        return self.lambda0 - self.model.V_L
 
 
-def bifurcation_point(spec: DomainSpec) -> tuple[Laplacian, Eigenpair, CRReport]:
-    """Build the stencil L of spec's grid, take its closed-form principal
-    eigenpair, read lambda1 as the smallest full-grid eigenvalue with mode
-    2 on one axis, and check the bifurcation point."""
+def cr_report(lambda0: float, lambda1: float) -> dict:
+    """The report's bifurcation-point block: lambda0, lambda1, the gap, the
+    certificate kernel_dim_ok (gap > _GAP_MARGIN eps lambda0, false only where
+    the two round to one number) and the transversality value, the identity -1."""
+    gap = lambda1 - lambda0
+    return {
+        "lambda0": lambda0,
+        "lambda1": lambda1,
+        "gap": gap,
+        "kernel_dim_ok": bool(gap > _GAP_MARGIN * _EPS * lambda0),
+        "transversality_value": -1.0,
+    }
+
+
+def bifurcation_point(spec: DomainSpec) -> tuple[Laplacian, float, float]:
+    """The stencil L of spec's grid, lambda0, the sum of the axes'
+    principal eigenvalues, and lambda1, the smallest full-grid eigenvalue
+    with mode 2 on one axis: per-axis sums, with no eigenvalue grid."""
     L = Laplacian.of(spec)
-    pair = principal_eigenpair(L)
     d = len(L.shape)
     lambda1 = min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d))
-    return L, pair, verify_crandall_rabinowitz(pair.eigenvalue, lambda1)
+    return L, L.mode_eigenvalue((1,) * d), lambda1
 
 
 def _square_coefficients(n: int, length: float) -> Array:
@@ -259,10 +293,11 @@ def eigendata(spec: DomainSpec) -> EigenData:
     A z = s off the principal coefficient (I3 u0's only one), and
     M_hat = w s.z_hat, w = L.weight. Raises ConfigError before the solve
     when lambda1 and lambda0 round together, where `verify` exits 2."""
-    L, pair, cr = bifurcation_point(spec)
-    if not cr.kernel_dim_ok:
+    L, lambda0, lambda1 = bifurcation_point(spec)
+    cr = cr_report(lambda0, lambda1)
+    if not cr["kernel_dim_ok"]:
         raise ConfigError(
-            f"lambda1 - lambda0 = {cr.gap:.3e} is rounding at lambda0 = {cr.lambda0:.6g}: the kernel is not certified"
+            f"lambda1 - lambda0 = {cr['gap']:.3e} is rounding at lambda0 = {lambda0:.6g}: the kernel is not certified"
         )
     I3 = I4 = 1.0
     squares = []
@@ -272,10 +307,10 @@ def eigendata(spec: DomainSpec) -> EigenData:
         I4 *= 3.0 / (2.0 * (hi - lo))
         squares.append(_square_coefficients(n, hi - lo))
     sq = reduce(np.multiply.outer, squares).ravel()
-    z_hat = bordered_solve(L, sq, pair.eigenvalue)
+    z_hat = bordered_solve(L, sq, lambda0)
     z_hat *= 0.5
     M_hat = L.weight * float(sq @ z_hat)
-    return EigenData(operator=L, eigenpair=pair, cr_report=cr, z_hat_coefficients=z_hat, I3=I3, I4=I4, M_hat=M_hat)
+    return EigenData(operator=L, lambda0=lambda0, lambda1=lambda1, z_hat_coefficients=z_hat, I3=I3, I4=I4, M_hat=M_hat)
 
 
 def _mu_and_signs(eig: EigenData, g2: float, g3: float, describe) -> tuple:
@@ -294,7 +329,7 @@ def _mu_and_signs(eig: EigenData, g2: float, g3: float, describe) -> tuple:
     # and g3 < 0, where -g3 I4/3 > 0 competes with -2 g2^2 M_hat < 0
     s_s = -sign_with_tolerance(g2, 0.0)
     if g2 != 0.0 and g3 < 0.0:
-        bound = _SIGN_MARGIN * np.finfo(float).eps * (-g3 * eig.I4 / 3.0 + 2.0 * g2 * g2 * eig.M_hat)
+        bound = _SIGN_MARGIN * _EPS * (-g3 * eig.I4 / 3.0 + 2.0 * g2 * g2 * eig.M_hat)
         return mu_s, mu_ss, (s_s, sign_with_tolerance(mu_ss, bound)), bound
     return mu_s, mu_ss, (s_s, -sign_with_tolerance(g3, 0.0) if g2 == 0.0 else -1), None
 

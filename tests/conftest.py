@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, apply, continuation, operators, principal_eigenpair, solve_at_amplitude
-from coexist.diagnostics import bifurcation_point
+from coexist import DomainSpec, Laplacian, apply, continuation, eigendata, operators, solve_at_amplitude
 
 PI = math.pi
 # the nonlinearity the benchmark's polynomial cases run
@@ -286,19 +285,12 @@ def lap400(spec400):
 
 
 @pytest.fixture(scope="session")
-def eig400(lap400):
+def eig400(spec400):
+    """The per-mesh record, which holds lambda0, lambda1 and u0, and the
+    time it took."""
     t0 = time.perf_counter()
-    pair = principal_eigenpair(lap400)
-    return pair, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="session")
-def cr400(spec400):
-    """The bifurcation-point checks, which carry
-    lambda1 and the gap, and the time they took."""
-    t0 = time.perf_counter()
-    _, _, cr = bifurcation_point(spec400)
-    return cr, time.perf_counter() - t0
+    eig = eigendata(spec400)
+    return eig, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -308,10 +300,9 @@ def spec2d_128():
 
 @pytest.fixture(scope="session")
 def eig2d_128(spec2d_128):
-    L = Laplacian.of(spec2d_128)
     t0 = time.perf_counter()
-    pair = principal_eigenpair(L)
-    return pair, time.perf_counter() - t0
+    eig = eigendata(spec2d_128)
+    return eig, time.perf_counter() - t0
 
 
 @pytest.fixture

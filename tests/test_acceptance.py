@@ -18,7 +18,6 @@ from coexist import (
     derivative_at_zero,
     diagnose,
     eigendata,
-    principal_eigenpair,
     run_analysis,
     trace_branch,
 )
@@ -52,18 +51,17 @@ def branches(spec400):
     return out
 
 
-def test_criterion_1_eigenpair_oracle(eig400, cr400, eig2d_128):
+def test_criterion_1_eigenpair_oracle(eig400, eig2d_128):
     failures = []
-    pair, t_pair = eig400
-    if abs(pair.eigenvalue - 1.0) > 1e-4:
-        failures.append(f"lambda0 1D = {pair.eigenvalue} not within 1e-4 of 1")
-    cr, t_cr = cr400
-    if abs(cr.lambda1 - 4.0) > 1e-3:
-        failures.append(f"lambda1 1D = {cr.lambda1} not within 1e-3 of 4")
-    pair2d, t_2d = eig2d_128
-    if abs(pair2d.eigenvalue - 2.0) > 1e-3:
-        failures.append(f"lambda0 2D = {pair2d.eigenvalue} not within 1e-3 of 2")
-    for name, t in [("1D principal", t_pair), ("1D bifurcation point", t_cr), ("2D principal", t_2d)]:
+    eig, t_1d = eig400
+    if abs(eig.lambda0 - 1.0) > 1e-4:
+        failures.append(f"lambda0 1D = {eig.lambda0} not within 1e-4 of 1")
+    if abs(eig.lambda1 - 4.0) > 1e-3:
+        failures.append(f"lambda1 1D = {eig.lambda1} not within 1e-3 of 4")
+    eig2d, t_2d = eig2d_128
+    if abs(eig2d.lambda0 - 2.0) > 1e-3:
+        failures.append(f"lambda0 2D = {eig2d.lambda0} not within 1e-3 of 2")
+    for name, t in [("1D per-mesh stage", t_1d), ("2D per-mesh stage", t_2d)]:
         if t >= 5.0:
             failures.append(f"{name} took {t:.1f}s (target < 5s)")
     record(1, "eigenpair oracle", failures)
@@ -72,7 +70,7 @@ def test_criterion_1_eigenpair_oracle(eig400, cr400, eig2d_128):
 def test_criterion_2_interaction_table_numbers(spec400, grid400):
     failures = []
     eig = eigendata(spec400)
-    u0 = eig.operator.unfold(eig.eigenpair.vector)
+    u0 = eig.operator.unfold(eig.u0)
 
     # cubic interaction
     m3 = NonlinearityModel.psi_k(3, 1.0)
@@ -127,9 +125,9 @@ def test_criterion_3_degenerate_models(spec400):
             failures.append(f"{model.describe()}: mu_s={d.mu_s}, mu_ss={d.mu_ss} not within 1e-9")
         if str(d.ctype) != "II":
             failures.append(f"{model.describe()}: type {d.ctype}, expected II")
-        if res.m_at_bifurcation != res.cr_report.lambda0 - model.V_L:
+        if res.m_at_bifurcation != res.lambda0 - model.V_L:
             failures.append(f"{model.describe()}: m != lambda0 - V_L exactly")
-        lambda0_seen.add(res.cr_report.lambda0)
+        lambda0_seen.add(res.lambda0)
     if len(lambda0_seen) != 1:
         failures.append(f"lambda0 varied across V_L values: {lambda0_seen}")
     record(3, "degenerate interactions", failures)
@@ -157,10 +155,10 @@ def test_criterion_4_diagnostics_branch_consistency(branches):
 def test_criterion_5_coexistence_side(branches):
     failures = []
     analysis, branch, _ = branches[(4, 1.0)]
-    if not all(p.lam > analysis.cr_report.lambda0 for p in branch.points):
+    if not all(p.lam > analysis.lambda0 for p in branch.points):
         failures.append("psi4 eta=+1: found branch points with lambda <= lambda0")
     analysis, branch, _ = branches[(4, -1.0)]
-    if not all(p.lam < analysis.cr_report.lambda0 for p in branch.points):
+    if not all(p.lam < analysis.lambda0 for p in branch.points):
         failures.append("psi4 eta=-1: found branch points with lambda >= lambda0")
     record(5, "co-existence side", failures)
 
@@ -168,7 +166,7 @@ def test_criterion_5_coexistence_side(branches):
 def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_path):
     failures = []
     eig = eigendata(spec400)
-    u0 = eig.operator.unfold(eig.eigenpair.vector)
+    u0 = eig.operator.unfold(eig.u0)
 
     # solvability of the unit corrector: its right-hand side 1/2 (u0^2 - I3 u0),
     # with the pipeline's I3, has no u0 component beyond rounding, and z_hat
@@ -177,7 +175,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
     kernel, rounding = abs(grid400.dot(rhs, u0)), 16 * EPS * grid400.dot(np.abs(rhs), np.abs(u0))
     if kernel > rounding:
         failures.append(f"unit corrector: solvability multiplier {kernel:.2e} above rounding {rounding:.2e}")
-    z_exact = grid400.spectral_solve(rhs, eig.eigenpair.eigenvalue)
+    z_exact = grid400.spectral_solve(rhs, eig.lambda0)
     z_err = np.linalg.norm(eig.operator.unfold(eig.z_hat) - z_exact) / np.linalg.norm(z_exact)
     if z_err > 1e-13:
         failures.append(f"unit corrector: relative error {z_err:.2e} against the exact DST solve above 1e-13")
@@ -247,7 +245,7 @@ def test_criterion_7_convergence_orders():
     errors = {"lambda0": [], "mu_s_psi3": [], "mu_ss_psi4": []}
     for n in (100, 200, 400):
         eig = eigendata(DomainSpec("interval", ((0.0, PI),), (n,)))
-        errors["lambda0"].append(abs(eig.eigenpair.eigenvalue - 1.0))
+        errors["lambda0"].append(abs(eig.lambda0 - 1.0))
         mu_s = diagnose(eig, NonlinearityModel.psi_k(3, 1.0)).mu_s
         errors["mu_s_psi3"].append(abs(mu_s - MU_S_PSI3))
         mu_ss = diagnose(eig, NonlinearityModel.psi_k(4, 1.0)).mu_ss

@@ -423,8 +423,8 @@ class TestTable:
 class TestTableSharesEigenStage:
     @pytest.mark.parametrize("n_etas", [1, 8])
     def test_one_principal_eigensolve_per_mesh(self, tmp_path, monkeypatch, n_etas):
-        # one principal eigensolve and one corrector solve per mesh
-        calls = {"principal_eigenpair": 0, "bordered_solve": 0}
+        # one bifurcation point and one corrector solve per mesh
+        calls = {"bifurcation_point": 0, "bordered_solve": 0}
         for name in calls:
             original = getattr(diagnostics, name)
 
@@ -437,7 +437,7 @@ class TestTableSharesEigenStage:
         raw["eta_list"] = [0.5 * (i + 1) * (-1) ** i for i in range(n_etas)]
         rows = cmd_table(load_config(write_config(tmp_path, raw)), out_dir=str(tmp_path))
         assert len(rows) == 6 * n_etas
-        assert calls == {"principal_eigenpair": 1, "bordered_solve": 1}
+        assert calls == {"bifurcation_point": 1, "bordered_solve": 1}
 
 
 def _csv_oracle(header, rows) -> bytes:

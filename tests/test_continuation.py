@@ -37,20 +37,20 @@ class TestResidual:
     def test_trivial_branch_identically_zero(self, quartic):
         L = quartic.operator
         U = np.zeros(L.n)
-        for lam in np.linspace(quartic.cr_report.lambda0 - 1, quartic.cr_report.lambda0 + 1, 7):
+        for lam in np.linspace(quartic.lambda0 - 1, quartic.lambda0 + 1, 7):
             F = residual(U, lam, quartic.model, L)
             assert np.all(F == 0.0)
 
     def test_linear_model_kernel_direction(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.linear(1.5))
-        L, u0 = res.operator, res.eigenpair.vector
-        F = residual(0.7 * u0, res.eigenpair.eigenvalue, res.model, L)
+        L, u0 = res.operator, res.u0
+        F = residual(0.7 * u0, res.lambda0, res.model, L)
         # kernel direction of the shifted operator: residual at eigen accuracy
         assert norm(L, F) <= 1e-8
 
     def test_quartic_small_amplitude_direct_evaluation(self, quartic, grid400):
-        L, u0 = quartic.operator, quartic.eigenpair.vector
-        lam0 = quartic.eigenpair.eigenvalue
+        L, u0 = quartic.operator, quartic.u0
+        lam0 = quartic.lambda0
         F = L.unfold(residual(0.1 * u0, lam0, quartic.model, L))
         # F = (L - lam0)(0.1 u0) + eta (0.1 u0)^3: dominated by the cubic term
         expected = 1e-3 * L.unfold(u0) ** 3
@@ -80,8 +80,8 @@ class TestJacobian:
     def test_kernel_at_origin(self, quartic):
         # d = V_L - g'(U) vanishes at U = 0 (3e-12 at U = 1e-6 u0), leaving
         # L - lambda0, whose kernel is u0
-        L, u0 = quartic.operator, quartic.eigenpair.vector
-        lam0 = quartic.eigenpair.eigenvalue
+        L, u0 = quartic.operator, quartic.u0
+        lam0 = quartic.lambda0
         d = newton_diagonal(quartic.model, L, 1e-6 * u0, lam0 + 0.5)
         assert norm(L, stencil(L, u0) + (d - lam0) * u0) <= 1e-8
 
@@ -96,7 +96,7 @@ class TestJacobian:
         L = cubic100.operator
         rng = np.random.default_rng(seed)
         U = rng.uniform(-1, 1, L.n)
-        lam = cubic100.eigenpair.eigenvalue + rng.uniform(-1, 1)
+        lam = cubic100.lambda0 + rng.uniform(-1, 1)
         d = rng.standard_normal(L.n)
         d /= np.linalg.norm(d)
         eps = 1e-5
@@ -118,7 +118,7 @@ def expansion_guess(analysis, s):
     local expansion."""
     d = analysis.diagnostics
     c = amplitude_coefficients(analysis.operator, s)
-    return c, analysis.cr_report.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
+    return c, analysis.lambda0 + d.mu_s * s + 0.5 * d.mu_ss * s * s
 
 
 class TestSolveAtAmplitude:
@@ -127,7 +127,7 @@ class TestSolveAtAmplitude:
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
         unfold = quartic.operator.unfold
-        assert abs(grid400.dot(unfold(pt.U), unfold(quartic.eigenpair.vector)) - 0.1) <= 1e-10
+        assert abs(grid400.dot(unfold(pt.U), unfold(quartic.u0)) - 0.1) <= 1e-10
 
     def test_quartic_parity(self, quartic):
         args = (quartic.model, quartic.operator)
@@ -141,7 +141,7 @@ class TestSolveAtAmplitude:
         res = run_analysis(spec400, NonlinearityModel.linear(-0.5))
         args = (res.model, res.operator)
         pt = solve_at_amplitude(s, *args, expansion_guess(res, s))
-        assert pt.lam == pytest.approx(res.cr_report.lambda0, abs=1e-8)
+        assert pt.lam == pytest.approx(res.lambda0, abs=1e-8)
 
     def test_warm_start_at_solution_takes_no_step(self, quartic):
         args = (quartic.model, quartic.operator)
@@ -173,7 +173,7 @@ class TestSolveAtAmplitude:
         assert len(cg_iters) == 2 and len(transforms) == 2 + 2 * sum(cg_iters) + 1 + 2
 
     def test_guess_off_the_amplitude_is_pinned(self, quartic, grid400):
-        L, u0 = quartic.operator, quartic.eigenpair.vector
+        L, u0 = quartic.operator, quartic.u0
         s = 0.1
         guess = (L.transform(2 * s * u0), expansion_guess(quartic, s)[1])
         pt = solve_at_amplitude(s, quartic.model, L, guess)
@@ -190,7 +190,7 @@ class TestSolveAtAmplitude:
         monkeypatch.setattr(continuation, "_MAX_NEWTON_STEPS", 1)
         L = quartic.operator
         with pytest.raises(ConvergenceError, match="did not converge") as err:
-            solve_at_amplitude(0.1, quartic.model, L, (amplitude_coefficients(L, 0.1), quartic.cr_report.lambda0))
+            solve_at_amplitude(0.1, quartic.model, L, (amplitude_coefficients(L, 0.1), quartic.lambda0))
         assert err.value.iterations == 1
         assert err.value.residual > 0
 
@@ -217,7 +217,7 @@ class TestTraceBranch:
     def test_amplitude_constraint_everywhere(self, quartic, grid400):
         branch = trace_branch(quartic, DEFAULT_S_VALUES)
         unfold = quartic.operator.unfold
-        u0 = unfold(quartic.eigenpair.vector)
+        u0 = unfold(quartic.u0)
         for p in branch.points:
             assert abs(grid400.dot(unfold(p.U), u0) - p.s) <= 1e-10
             assert p.residual <= 1e-10
@@ -287,7 +287,7 @@ def full_grid_trace(analysis, grid: FullGrid, s_values):
     the full grid's sine coefficients, from the predictor's node vector.
     The s^2 coefficients (w, c) are extrapolated linearly through the two
     anchors nearest inward, s = 0's (z_s, mu_ss/2) the first."""
-    u0, lambda0, d = grid.sine_mode(), analysis.eigenpair.eigenvalue, analysis.diagnostics
+    u0, lambda0, d = grid.sine_mode(), analysis.lambda0, analysis.diagnostics
     z_hat = grid.spectral_solve(0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0), lambda0)
     points = {}
     for leg in (sorted((s for s in s_values if s < 0), reverse=True), [s for s in s_values if s > 0]):

@@ -112,12 +112,12 @@ def test_diagnose_does_no_vector_work(eig, spec400, monkeypatch):
     # the trace holds U by its coefficients and reads no node vector of u0
     # or z_hat
     for eig_data in (analysis, tables[0]):
-        assert "vector" not in vars(eig_data.eigenpair) and "principal_nodes" not in vars(eig_data.operator)
+        assert "u0" not in vars(eig_data) and "principal_nodes" not in vars(eig_data.operator)
     trace_branch(analysis, DEFAULT_S_VALUES)
     assert "principal_nodes" in vars(analysis.operator)
-    assert "vector" not in vars(analysis.eigenpair) and "z_hat" not in vars(analysis)
+    assert "u0" not in vars(analysis) and "z_hat" not in vars(analysis)
 
-    eig = dataclasses.replace(eig, operator=None, eigenpair=None, z_hat_coefficients=None)
+    eig = dataclasses.replace(eig, operator=None, z_hat_coefficients=None)
     for model in (
         NonlinearityModel.psi_k(3, 1.0),
         NonlinearityModel.psi_k(3, -1.0),
@@ -161,7 +161,7 @@ class TestCorrector:
 
     def test_cubic_corrector_orthogonal(self, eig, grid400):
         L = eig.operator
-        z, u0 = L.unfold(eig.z_hat), L.unfold(eig.eigenpair.vector)
+        z, u0 = L.unfold(eig.z_hat), L.unfold(eig.u0)
         assert abs(grid400.dot(z, u0)) <= 1e-10
         assert grid400.norm(z) > 1e-3  # genuinely nonzero
 
@@ -179,7 +179,7 @@ class TestCorrector:
             u0, n = grid.sine_mode(), grid.n
 
             K = np.zeros((n + 1, n + 1))
-            K[:n, :n] = grid.matrix().toarray() - eig.eigenpair.eigenvalue * np.eye(n)
+            K[:n, :n] = grid.matrix().toarray() - eig.lambda0 * np.eye(n)
             K[:n, n] = u0
             K[n, :n] = grid.weight * u0
             g2 = derivative_at_zero(model, 2)
@@ -208,9 +208,9 @@ def full_grid_eigendata(eig, grid: FullGrid):
     """eig's moments on the full grid, and its z_hat: u0 unfolded, z_hat
     from the exact DST solve on the full-grid stencil and the moments taken
     over every node."""
-    u0 = eig.operator.unfold(eig.eigenpair.vector)
+    u0 = eig.operator.unfold(eig.u0)
     rhs = 0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0)
-    z = grid.spectral_solve(rhs, eig.eigenpair.eigenvalue)
+    z = grid.spectral_solve(rhs, eig.lambda0)
     return dataclasses.replace(eig, **vector_moments(grid, u0, z)), z
 
 
@@ -220,7 +220,7 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     grid = FullGrid(spec)
     eig = eigendata(spec)
     oracle, z_oracle = full_grid_eigendata(eig, grid)
-    assert eig.z_hat.shape == eig.eigenpair.vector.shape == (eig.operator.n,)
+    assert eig.z_hat.shape == eig.u0.shape == (eig.operator.n,)
     assert eig.operator.n == math.prod((n + 1) // 2 for n in spec.resolution)
     z = eig.operator.unfold(eig.z_hat)
     # the corrector is exact in the sine coefficients, so z_hat and M_hat
@@ -229,15 +229,15 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     assert grid.is_symmetric(z)
 
     # the eigen stage against the full grid's closed-form sine mode and eigenvalue
-    assert eig.eigenpair.eigenvalue == grid.eigenvalues[0]
+    assert eig.lambda0 == grid.eigenvalues[0]
     sine = grid.sine_mode()
-    assert np.linalg.norm(eig.operator.unfold(eig.eigenpair.vector) - sine) <= 1e-15 * np.linalg.norm(sine)
+    assert np.linalg.norm(eig.operator.unfold(eig.u0) - sine) <= 1e-15 * np.linalg.norm(sine)
     # I3 and I4 are half-grid sums, the oracle's are over every node
     assert eig.I3 == pytest.approx(oracle.I3, rel=4e-15, abs=0)
     assert eig.I4 == pytest.approx(oracle.I4, rel=4e-15, abs=0)
     assert eig.M_hat == pytest.approx(oracle.M_hat, rel=4e-15, abs=0)
     # (z_hat, u0) = 0 is the solve's constraint, so mu_ss carries no term of it
-    assert abs(eig.operator.weight * float(eig.z_hat @ eig.eigenpair.vector)) <= 1e-17
+    assert abs(eig.operator.weight * float(eig.z_hat @ eig.u0)) <= 1e-17
 
     models = [NonlinearityModel.psi_k(k, eta) for k in (3, 4, 5, 6) for eta in (1.0, -1.0)]
     for model in models + [NonlinearityModel.polynomial(list(BENCHMARK_POLY))]:
@@ -367,7 +367,7 @@ class TestMuSS:
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
         mu_ss = diagnose(eig, model).mu_ss
-        u0 = eig.operator.unfold(eig.eigenpair.vector)
+        u0 = eig.operator.unfold(eig.u0)
         z = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
         sigma = psi3_sigma_form(grid400, u0, z, eta)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
@@ -426,7 +426,7 @@ class TestRawFormOracle:
         # multiplier is the rhs's kernel component
         rhs_zss = mu_ss * u0 + 2.0 * mu_s * z_s + (g3 / 3.0) * u0**3 + 2.0 * g2 * u0 * z_s
         assert abs(grid400.dot(rhs_zss, u0)) <= 1e-8  # solvable by the choice of mu_ss
-        z_ss = grid400.spectral_solve(rhs_zss, eig.eigenpair.eigenvalue)
+        z_ss = grid400.spectral_solve(rhs_zss, eig.lambda0)
 
         # raw second-order relation keeps the V_L z_ss terms
         d3g = g3 * u0**3 + 6.0 * g2 * u0 * z_s + 3.0 * v_l * z_ss
@@ -496,11 +496,11 @@ class TestPipeline:
             # the model's corrector z_s = g''(0) z_hat, against u0
             res = run_analysis(spec400, model)
             z_s = derivative_at_zero(model, 2) * res.z_hat
-            assert abs(res.operator.weight * float(z_s @ res.eigenpair.vector)) <= 1e-10
+            assert abs(res.operator.weight * float(z_s @ res.u0)) <= 1e-10
 
     def test_m_at_bifurcation(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.linear(2.0))
-        assert res.m_at_bifurcation == res.cr_report.lambda0 - 2.0
+        assert res.m_at_bifurcation == res.lambda0 - 2.0
 
     def test_tiny_quadratic_classifies_by_its_sign(self, spec400):
         # I3 and M_hat are positive, so g = c2 u^2 has mu_s = -c2 I3 > 0 and
@@ -548,10 +548,10 @@ class TestPipeline:
         res = run_analysis(spec, model)
         d = res.diagnostics
         expected_i3 = (2 / PI) ** 3 * (4 / 3) ** 2
-        assert res.cr_report.lambda0 == pytest.approx(2.0, abs=2e-3)
+        assert res.lambda0 == pytest.approx(2.0, abs=2e-3)
         assert d.mu_s == pytest.approx(expected_i3, rel=1e-2)
         z_s = derivative_at_zero(model, 2) * res.z_hat
-        assert abs(res.operator.weight * float(z_s @ res.eigenpair.vector)) <= 1e-10
+        assert abs(res.operator.weight * float(z_s @ res.u0)) <= 1e-10
         assert d.m_coexistence_side is CoexistenceSide.TWO_SIDED
 
     def test_square_domain_quartic_interaction(self):
@@ -567,7 +567,7 @@ class TestPipeline:
         # translation invariance: same spectrum and diagnostics on (1, 1+pi)
         spec = DomainSpec("interval", ((1.0, 1.0 + PI),), (200,))
         res = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0))
-        assert res.cr_report.lambda0 == pytest.approx(1.0, abs=1e-3)
+        assert res.lambda0 == pytest.approx(1.0, abs=1e-3)
         assert res.diagnostics.mu_s == pytest.approx(I3_EXACT, abs=1e-3)
 
     def test_refinement_order_mu_quantities(self):
@@ -614,15 +614,15 @@ class TestInteractionTable:
         assert row.ctype is CoexistenceType.II
 
     def test_cubic_proj3_consistent_with_corrector(self, table, grid400, lap400, eig400):
-        pair, _ = eig400
+        eig, _ = eig400
         # the cubic model's own corrector equation, solved directly
         model = NonlinearityModel.psi_k(3, 1.0)
         g2 = derivative_at_zero(model, 2)
-        u0 = lap400.unfold(pair.vector)
+        u0 = lap400.unfold(eig.u0)
         mu_s = -0.5 * g2 * grid400.dot(u0**2, u0)
         rhs = mu_s * u0 + 0.5 * g2 * u0**2
         rhs = lap400.transform(grid400.fold(rhs))
-        z = lap400.unfold(lap400.inverse_transform(bordered_solve(lap400, rhs, pair.eigenvalue)))
+        z = lap400.unfold(lap400.inverse_transform(bordered_solve(lap400, rhs, eig.lambda0)))
         expected = -12.0 * grid400.dot(u0 * z, u0)
         assert -3 * table[0].mu_ss == pytest.approx(expected, rel=1e-8)
 

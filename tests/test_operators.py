@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coexist import ConvergenceError, DomainSpec, Laplacian, bordered_solve, principal_eigenpair
+from coexist import ConvergenceError, DomainSpec, Laplacian, bordered_solve, eigendata
+from coexist.diagnostics import bifurcation_point
 from coexist.operators import _cg
 
 from conftest import FullGrid, dense, weighted_norm as norm
@@ -31,16 +32,14 @@ def test_smallest_eigenvalue_matches_sine_mode_formula():
     dense_min = np.linalg.eigvalsh(FullGrid(L.spec).matrix().toarray())[0]
     assert dense_min == pytest.approx(formula, rel=1e-12, abs=0)
     assert np.linalg.eigvalsh(dense(L))[0] == pytest.approx(formula, rel=1e-12, abs=0)
-    pair = principal_eigenpair(L)
-    assert pair.eigenvalue == pytest.approx(formula, rel=1e-10)
+    assert bifurcation_point(L.spec)[1] == pytest.approx(formula, rel=1e-10)
 
 
 def test_2d_smallest_eigenvalue_tends_to_2():
     errs = []
     for n in (8, 16, 32):
-        L = Laplacian.of(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (n, n)))
-        pair = principal_eigenpair(L)
-        errs.append(abs(pair.eigenvalue - 2.0))
+        _, lambda0, _ = bifurcation_point(DomainSpec("rectangle", ((0.0, PI), (0.0, PI)), (n, n)))
+        errs.append(abs(lambda0 - 2.0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-3
 
@@ -115,8 +114,8 @@ def test_solve_spd_stall_error(lap400):
 
 @pytest.fixture(scope="module")
 def kernel_setup(lap400, eig400):
-    pair, _ = eig400
-    return lap400, pair.vector, pair.eigenvalue
+    eig, _ = eig400
+    return lap400, eig.u0, eig.lambda0
 
 
 def test_bordered_zero_rhs(kernel_setup):
@@ -151,28 +150,28 @@ def test_bordered_against_dense_saddle_oracle():
     # independent oracle: LAPACK solve of the dense augmented system on the full grid
     n = 100
     spec = DomainSpec("interval", ((0.0, PI),), (n,))
-    grid, L = FullGrid(spec), Laplacian.of(spec)
-    pair = principal_eigenpair(L)
+    grid = FullGrid(spec)
+    L, lambda0, _ = bifurcation_point(spec)
     u0 = grid.sine_mode()
     eta = 1.0
     mu_s = eta * grid.dot(u0 * u0, u0)
     rhs = mu_s * u0 - eta * u0 * u0
 
     K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = grid.matrix().toarray() - pair.eigenvalue * np.eye(n)
+    K[:n, :n] = grid.matrix().toarray() - lambda0 * np.eye(n)
     K[:n, n] = u0
     K[n, :n] = grid.weight * u0
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-    z = L.inverse_transform(bordered_solve(L, L.transform(grid.fold(rhs)), pair.eigenvalue))
+    z = L.inverse_transform(bordered_solve(L, L.transform(grid.fold(rhs)), lambda0))
     assert grid.norm(L.unfold(z) - direct[:n]) < 1e-8
 
 
 def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400):
     # L.n = ceil(n/2) coefficients, not the full grid's n
-    pair, _ = eig400
-    for rhs in (lap400.unfold(pair.vector), np.zeros(lap400.n + 1), np.zeros((lap400.n, 1))):
+    eig, _ = eig400
+    for rhs in (lap400.unfold(eig.u0), np.zeros(lap400.n + 1), np.zeros((lap400.n, 1))):
         with pytest.raises(ValueError, match=rf"rhs needs L\.n = {lap400.n} coefficients"):
-            bordered_solve(lap400, rhs, pair.eigenvalue)
+            bordered_solve(lap400, rhs, eig.lambda0)
 
 
 @pytest.mark.parametrize(
@@ -187,12 +186,11 @@ def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400):
 def test_folded_bordered_solve_matches_full_grid(spec):
     # rhs = u0^2 is mirror-symmetric with kernel component (u0^2, u0), which
     # the projection drops; the oracle is the exact DST solve on the full grid
-    grid, L = FullGrid(spec), Laplacian.of(spec)
-    pair = principal_eigenpair(L)
-    y0 = pair.vector
+    grid, eig = FullGrid(spec), eigendata(spec)
+    L, y0 = eig.operator, eig.u0
     u0 = L.unfold(y0)
-    z_oracle = grid.spectral_solve(u0 * u0, pair.eigenvalue)
-    z = bordered_solve(L, L.transform(y0 * y0 / L.sqrt_multiplicity), pair.eigenvalue)
+    z_oracle = grid.spectral_solve(u0 * u0, eig.lambda0)
+    z = bordered_solve(L, L.transform(y0 * y0 / L.sqrt_multiplicity), eig.lambda0)
     assert z.shape == (L.n,)
     z = L.unfold(L.inverse_transform(z))
     assert np.linalg.norm(z - z_oracle) <= 1e-13 * np.linalg.norm(z_oracle)

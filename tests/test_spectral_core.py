@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from coexist import DomainSpec, Laplacian, NonlinearityModel, principal_eigenpair, run_analysis, trace_branch
+from coexist import DomainSpec, Laplacian, NonlinearityModel, run_analysis, trace_branch
+from coexist.diagnostics import bifurcation_point
 from coexist import operators
 from coexist.continuation import DEFAULT_S_VALUES
 
@@ -125,9 +126,8 @@ def test_newton_bordered_solve_matches_dense_oracle(spec):
     # the Newton form: A = L - lam + diag(d) and a border column that is
     # not u0; the solution keeps the amplitude, (x, u0) = 0. The oracle is
     # the dense full-grid system with mirror-symmetric d, col and f.
-    grid, L = FullGrid(spec), Laplacian.of(spec)
-    eig = principal_eigenpair(L)
-    u0, lam = grid.sine_mode(), eig.eigenvalue + 0.2
+    grid, (L, lambda0, _) = FullGrid(spec), bifurcation_point(spec)
+    u0, lam = grid.sine_mode(), lambda0 + 0.2
     d = 0.1 * grid.symmetric_vector(3) / np.abs(grid.symmetric_vector(3)).max()
     col = -(0.1 * u0 + 0.025 * grid.symmetric_vector(4))
     row = grid.weight * u0
@@ -154,9 +154,9 @@ def test_border_column_is_solved_as_far_as_y_needs(f0, monkeypatch):
     # x takes the column's solve v2 only as y v2, so v2's CG stops at
     # atol/(2|y|), y estimated as (f0 - (A e0, v1))/col0, and never below
     # atol; x stays within atol of a tight solve either way
-    L = Laplacian.of(MESHES["interval-400"])
+    L, lambda0, _ = bifurcation_point(MESHES["interval-400"])
     rng = np.random.default_rng(7)
-    sigma, atol = principal_eigenpair(L).eigenvalue + 0.2, 1e-6
+    sigma, atol = lambda0 + 0.2, 1e-6
     diag = rng.uniform(-1, 1, L.n)  # A stays positive off u0: lambda1 - sigma = 2.8
     f, col = 1e-3 * rng.standard_normal(L.n), rng.standard_normal(L.n)
     f[0], col[0] = f0, 1.0
@@ -239,6 +239,13 @@ def test_folded_sine_matrix_is_orthogonal(n):
     if n % 2:
         root_m[-1] = 1.0  # the centre node is its own mirror
     np.testing.assert_allclose(T, sine_matrix(n)[::2, :k] * root_m, rtol=0, atol=1e-14)
+    # a last axis's forward product takes T^T's read-only C-contiguous copy;
+    # a first axis, the only one of an interval, takes T itself
+    T_t = operators._half_dst_matrix_transposed(n)
+    assert np.array_equal(T_t, T.T) and T_t.flags.c_contiguous and not T_t.flags.writeable
+    x = np.random.default_rng(n).standard_normal(k)
+    assert np.array_equal(operators._axis_transform(x, 0, n, False), T @ x)
+    assert np.array_equal(operators._axis_transform(np.stack([x, -x]), 1, n, False), np.stack([x, -x]) @ T_t)
 
 
 @pytest.mark.parametrize("name", list(FOLD_SPECS))
@@ -295,8 +302,7 @@ def test_fold_unfold_and_dot_products(name):
 @pytest.mark.parametrize("name", ["interval-7", "interval-8", "rect-5x8", "square-9", "rect-6x700"])
 def test_folded_spectral_inverse_is_exact(name):
     L = Laplacian.of(FOLD_SPECS[name])
-    q = principal_eigenpair(L).vector
-    q = q / np.linalg.norm(q)
+    q = L.principal_nodes / np.linalg.norm(L.principal_nodes)
     sigma = float(L.eigenvalues[0]) + 0.3
     v = np.random.default_rng(9).standard_normal(L.n)
     v -= (q @ v) * q
