@@ -362,6 +362,32 @@ class TestTrace:
         assert (same / "report.json").stat().st_size < long_report
         assert json.loads((same / "report.json").read_text()) == report
 
+    @pytest.mark.parametrize(
+        "config, overrides",
+        [("psi3_interval", []), ("psi4_interval", []), ("psi3_rectangle", ["domain.resolution=[25,47]"])],
+        ids=["psi3-interval", "psi4-interval", "psi3-rectangle-25x47"],
+    )
+    def test_consistency_block_is_the_literal_bounds(self, tmp_path, config, overrides):
+        # the fit's verdict: six keys in order, each bit for bit the formula
+        cfg = load_config(Path(__file__).parents[1] / "demos" / "configs" / f"{config}.json", overrides)
+        report, code = cmd_trace(cfg, out_dir=str(tmp_path))
+        assert code == EXIT_OK
+        mu_s, mu_ss = report["diagnostics"]["mu_s"], report["diagnostics"]["mu_ss"]
+        a, b = report["branch"]["fit"]["a"], report["branch"]["fit"]["b"]
+        a_tol, twob_tol = max(1e-3, 0.01 * abs(mu_s)), max(5e-3, 0.02 * abs(mu_ss))
+        want = {
+            "a_minus_mu_s": a - mu_s,
+            "a_tol": a_tol,
+            "a_ok": abs(a - mu_s) <= a_tol,
+            "twob_minus_mu_ss": 2 * b - mu_ss,
+            "twob_tol": twob_tol,
+            "twob_ok": abs(2 * b - mu_ss) <= twob_tol,
+        }
+        cons = report["branch"]["consistency"]
+        assert list(cons) == list(want)
+        assert json.dumps(cons) == json.dumps(want)
+        assert json.loads((tmp_path / "report.json").read_text())["branch"]["consistency"] == want
+
     def test_free_model_eigenline(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_config(kind="free")))
         report, code = cmd_trace(cfg, out_dir=str(tmp_path))
