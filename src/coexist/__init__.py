@@ -12,6 +12,7 @@ from .continuation import (
     Branch,
     BranchFit,
     BranchPoint,
+    fit_consistency,
     fit_local_expansion,
     solve_at_amplitude,
     trace_branch,
@@ -22,7 +23,6 @@ from .diagnostics import (
     CoexistenceSide,
     CoexistenceType,
     TableRow,
-    Tolerances,
     diagnose,
     eigendata,
     psi_k_table,
@@ -45,7 +45,6 @@ __all__ = [
     "CoexistenceType",
     "CoexistenceSide",
     "BifurcationDiagnostics",
-    "Tolerances",
     "AnalysisResult",
     "TableRow",
     "eigendata",
@@ -58,6 +57,7 @@ __all__ = [
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",
+    "fit_consistency",
     "CoexistError",
     "ConfigError",
     "ConvergenceError",

@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .continuation import DEFAULT_S_VALUES, Branch, fit_supported, trace_branch
-from .diagnostics import AnalysisResult, Tolerances, bifurcation_point, cr_report, psi_k_table, run_analysis
+from .continuation import DEFAULT_S_VALUES, Branch, fit_consistency, fit_supported, trace_branch
+from .diagnostics import AnalysisResult, bifurcation_point, cr_report, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, as_number
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel
@@ -43,6 +43,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_SOLVER = 3
+
+DEFAULT_K_LIST = (3, 4, 5, 6, 7, 8)
+
 
 @dataclass(frozen=True)
 class Outputs:
@@ -56,40 +59,29 @@ class RunConfig:
     domain: DomainSpec
     model: NonlinearityModel
     s_values: tuple[float, ...] = DEFAULT_S_VALUES
-    tolerances: Tolerances = field(default_factory=Tolerances)
     outputs: Outputs = field(default_factory=Outputs)
-    k_list: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
+    k_list: tuple[int, ...] = DEFAULT_K_LIST
     eta_list: tuple[float, ...] | None = None
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        unknown = set(raw) - {"domain", "model", "s_values", "tolerances", "outputs", "k_list", "eta_list"}
+        unknown = set(raw) - {"domain", "model", "s_values", "outputs", "k_list", "eta_list"}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             dom = raw["domain"]
-            spec = DomainSpec(
-                kind=dom["kind"],
-                bounds=tuple(tuple(b) for b in dom["bounds"]),
-                resolution=tuple(dom["resolution"]),
-            )
+            domain = (dom["kind"], tuple(tuple(b) for b in dom["bounds"]), tuple(dom["resolution"]))
+            unknown = set(dom) - {"kind", "bounds", "resolution"}
+            if unknown:  # before the spec checks itself
+                raise ConfigError(f"unknown domain fields: {sorted(unknown)}")
+            spec = DomainSpec(*domain)
         except KeyError as exc:
             raise ConfigError(f"domain is missing field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed domain section: {exc}") from None
-        unknown = set(dom) - {"kind", "bounds", "resolution"}
-        if unknown:
-            raise ConfigError(f"unknown domain fields: {sorted(unknown)}")
-        spec.validate()
         model = NonlinearityModel.from_dict(raw.get("model", {"kind": "free"}))
-        tol_raw = _section(raw, "tolerances")
-        known_tols = {f.name for f in fields(Tolerances)}
-        bad = set(tol_raw) - known_tols
-        if bad:
-            raise ConfigError(f"unknown tolerance fields: {sorted(bad)}")
-        tolerances = Tolerances(**tol_raw)
         out_raw = _section(raw, "outputs")
         bad = set(out_raw) - {f.name for f in fields(Outputs)}
         if bad:
@@ -104,14 +96,13 @@ class RunConfig:
             raise ConfigError("s_values must not contain duplicates")
         if not fit_supported(s_values):
             raise ConfigError(f"s_values must hold >= 5 values spanning both signs of s, got {list(s_values)}")
-        k_list = _numbers(raw, "k_list", (3, 4, 5, 6, 7, 8), integer=True)
+        k_list = _numbers(raw, "k_list", DEFAULT_K_LIST, integer=True)
         if any(not 3 <= k <= 8 for k in k_list):
             raise ConfigError(f"k_list entries must lie in 3..8, got {list(k_list)}")
         return RunConfig(
             domain=spec,
             model=model,
             s_values=s_values,
-            tolerances=tolerances,
             outputs=Outputs(**out_raw),
             k_list=k_list,
             eta_list=_numbers(raw, "eta_list", None) if "eta_list" in raw else None,
@@ -126,7 +117,6 @@ class RunConfig:
             },
             "model": self.model.to_dict(),
             "s_values": list(self.s_values),
-            "tolerances": {f.name: getattr(self.tolerances, f.name) for f in fields(Tolerances)},
             "outputs": {f.name: getattr(self.outputs, f.name) for f in fields(Outputs)},
             "k_list": list(self.k_list),
         }
@@ -288,24 +278,14 @@ def cmd_trace(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
     write_branch_csv(csv_path, branch, analysis.operator)
 
     report = _analysis_report(cfg, analysis)
-    d = analysis.diagnostics
     branch_block: dict = {
         "csv_path": str(csv_path),
         "n_points": len(branch.points),
         "truncations": list(branch.truncations),
     }
     if branch.fit is not None:
-        a, b = branch.fit.a, branch.fit.b
-        a_tol, twob_tol = cfg.tolerances.resolved_a_tol(d.mu_s), cfg.tolerances.resolved_twob_tol(d.mu_ss)
         branch_block["fit"] = branch.fit.to_dict()
-        branch_block["consistency"] = {
-            "a_minus_mu_s": a - d.mu_s,
-            "a_tol": a_tol,
-            "a_ok": abs(a - d.mu_s) <= a_tol,
-            "twob_minus_mu_ss": 2 * b - d.mu_ss,
-            "twob_tol": twob_tol,
-            "twob_ok": abs(2 * b - d.mu_ss) <= twob_tol,
-        }
+        branch_block["consistency"] = fit_consistency(branch.fit, analysis.diagnostics.mu_s, analysis.diagnostics.mu_ss)
     report["branch"] = branch_block
     _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
     code = EXIT_OK if branch.fit is not None else EXIT_SOLVER

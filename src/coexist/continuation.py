@@ -64,6 +64,7 @@ __all__ = [
     "solve_at_amplitude",
     "trace_branch",
     "fit_local_expansion",
+    "fit_consistency",
     "fit_supported",
 ]
 
@@ -273,3 +274,18 @@ def fit_local_expansion(branch: Branch) -> BranchFit:
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
     return BranchFit(a=float(coef[0]) / scale, b=float(coef[1]) / scale**2, rms=rms)
+
+
+def fit_consistency(fit: BranchFit, mu_s: float, mu_ss: float) -> dict:
+    """The report's verdict on the traced fit: a against mu_s(0) within
+    max(1e-3, 0.01|mu_s|), and 2b against mu_ss(0) within
+    max(5e-3, 0.02|mu_ss|)."""
+    a_tol, twob_tol = max(1e-3, 0.01 * abs(mu_s)), max(5e-3, 0.02 * abs(mu_ss))
+    return {
+        "a_minus_mu_s": fit.a - mu_s,
+        "a_tol": a_tol,
+        "a_ok": abs(fit.a - mu_s) <= a_tol,
+        "twob_minus_mu_ss": 2 * fit.b - mu_ss,
+        "twob_tol": twob_tol,
+        "twob_ok": abs(2 * fit.b - mu_ss) <= twob_tol,
+    }

@@ -50,9 +50,6 @@ lambda0 = lambda_(1,...,1) lies below every other per-axis sum. The
 certificate kernel_dim_ok says the floating-point gap lambda1 - lambda0
 shows it. The transversality value -(u0, u0) is -1 for the normalized
 u0, an identity that is reported and not tested.
-
-`Tolerances` is the one tolerance policy: the trace's "consistent"
-bounds resolve there, and no other function gives a tolerance a default.
 """
 
 from __future__ import annotations
@@ -76,7 +73,6 @@ __all__ = [
     "CoexistenceType",
     "CoexistenceSide",
     "BifurcationDiagnostics",
-    "Tolerances",
     "EigenData",
     "AnalysisResult",
     "sign_with_tolerance",
@@ -157,24 +153,6 @@ class BifurcationDiagnostics:
             "m_coexistence_side": str(self.m_coexistence_side),
             "warnings": list(self.warnings),
         }
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Every threshold the pipeline judges by: the trace's fit bounds
-    (methods, not fields). The eigenvalues, the sign pair, the kernel gap and
-    Newton's stop take none: they follow from the box's structure and are
-    judged only against rounding. Solver-internal targets, such as CG's
-    stall window or the corrector's CG target, stay next to their
-    solvers."""
-
-    def resolved_a_tol(self, mu_s: float) -> float:
-        """Bound on |a - mu_s|, the traced fit's slope against mu_s(0)."""
-        return max(1e-3, 0.01 * abs(mu_s))
-
-    def resolved_twob_tol(self, mu_ss: float) -> float:
-        """Bound on |2b - mu_ss|, the traced fit's curvature against mu_ss(0)."""
-        return max(5e-3, 0.02 * abs(mu_ss))
 
 
 def sign_with_tolerance(x: float, zero_tol: float) -> int:
@@ -264,7 +242,7 @@ def bifurcation_point(spec: DomainSpec) -> tuple[Laplacian, float, float]:
     """The stencil L of spec's grid, lambda0, the sum of the axes'
     principal eigenvalues, and lambda1, the smallest full-grid eigenvalue
     with mode 2 on one axis: per-axis sums, with no eigenvalue grid."""
-    L = Laplacian.of(spec)
+    L = Laplacian(spec)
     d = len(L.shape)
     lambda1 = min(L.mode_eigenvalue(tuple(2 if b == a else 1 for b in range(d))) for a in range(d))
     return L, L.mode_eigenvalue((1,) * d), lambda1

@@ -2,8 +2,9 @@
 grid of interior nodes.
 
 Boundary values are homogeneous Dirichlet, so only interior nodes carry
-unknowns, and the spacing is h = length/(resolution+1) per axis. The grid
-itself is `operators.Laplacian.of(spec)`, the package's one grid object.
+unknowns, and the spacing is h = length/(resolution+1) per axis. A spec
+checks itself when built, so an invalid one cannot exist. The grid itself
+is `operators.Laplacian(spec)`, the package's one grid object.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ class DomainSpec:
     """Axis-aligned product domain: an interval or a rectangle.
 
     bounds holds one (lo, hi) pair per axis; resolution the number of
-    interior nodes per axis.
+    interior nodes per axis. Raises ConfigError naming the offending field
+    when the spec is invalid.
     """
 
     kind: str
@@ -40,13 +42,6 @@ class DomainSpec:
         object.__setattr__(self, "bounds", bounds)
         resolution = tuple(as_number(n, "domain.resolution", integer=True) for n in self.resolution)
         object.__setattr__(self, "resolution", resolution)
-
-    @property
-    def h(self) -> tuple[float, ...]:
-        """The grid spacing length/(resolution+1) per axis."""
-        return tuple((hi - lo) / (n + 1) for (lo, hi), n in zip(self.bounds, self.resolution))
-
-    def validate(self) -> None:
         if self.kind not in _AXES_FOR_KIND:
             raise ConfigError(f"kind must be 'interval' or 'rectangle', got {self.kind!r}")
         d = _AXES_FOR_KIND[self.kind]
@@ -77,3 +72,8 @@ class DomainSpec:
                 f"grid spacing h = {list(hs)} is too small: Newton's residual norm squares L U, "
                 f"up to (sum 4/h^2)^2 * prod 2/len = {squared:.3g}, which overflows"
             )
+
+    @property
+    def h(self) -> tuple[float, ...]:
+        """The grid spacing length/(resolution+1) per axis."""
+        return tuple((hi - lo) / (n + 1) for (lo, hi), n in zip(self.bounds, self.resolution))

@@ -62,13 +62,6 @@ class Laplacian:
 
     spec: DomainSpec
 
-    @staticmethod
-    def of(spec: DomainSpec) -> "Laplacian":
-        """The Laplacian of spec's grid. Raises ConfigError naming the
-        offending field when spec is invalid."""
-        spec.validate()
-        return Laplacian(spec)
-
     @property
     def shape(self) -> tuple[int, ...]:
         """The full grid's interior nodes per axis."""

@@ -281,7 +281,7 @@ def grid400(spec400):
 
 @pytest.fixture(scope="session")
 def lap400(spec400):
-    return Laplacian.of(spec400)
+    return Laplacian(spec400)
 
 
 @pytest.fixture(scope="session")

@@ -203,7 +203,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
 
     # Newton's Jacobian, L - lambda + diag(d) with the diagonal d that its
     # bordered solve is given, vs central differences over 100 random states
-    Lap100 = Laplacian.of(spec100)
+    Lap100 = Laplacian(spec100)
     model_cycle = zoo + [NonlinearityModel.psi_k(6, 2.0)]
     rng = np.random.default_rng(2024)
     eps = 1e-5

@@ -25,9 +25,9 @@ from coexist import (
     ConfigError,
     DomainSpec,
     NonlinearityModel,
-    Tolerances,
     apply,
     continuation,
+    fit_consistency,
     run_analysis,
     trace_branch,
 )
@@ -125,7 +125,8 @@ def test_trace_agrees_with_the_analysis_or_a_typed_error(spec, k, sign):
     if result is None:
         return
     analysis, branch = result
-    d, tol = analysis.diagnostics, Tolerances()
+    d = analysis.diagnostics
     assert branch.fit is not None, (spec, k, sign, branch.truncations)
-    assert abs(branch.fit.a - d.mu_s) <= tol.resolved_a_tol(d.mu_s), (spec, k, sign)
-    assert abs(2 * branch.fit.b - d.mu_ss) <= tol.resolved_twob_tol(d.mu_ss), (spec, k, sign)
+    consistency = fit_consistency(branch.fit, d.mu_s, d.mu_ss)
+    assert consistency["a_ok"], (spec, k, sign, consistency)
+    assert consistency["twob_ok"], (spec, k, sign, consistency)

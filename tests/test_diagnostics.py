@@ -27,7 +27,7 @@ import coexist
 from coexist import diagnostics, operators
 from coexist.cli import RunConfig, cmd_verify
 from coexist.continuation import DEFAULT_S_VALUES
-from coexist.diagnostics import Tolerances, sign_with_tolerance
+from coexist.diagnostics import sign_with_tolerance
 
 from conftest import BENCHMARK_POLY, FullGrid, psi3_sigma_form, vector_moments
 
@@ -336,10 +336,9 @@ def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
     assert calls == ["inverse_transform", "grid"] + ["axis"] * len(spec.resolution)
 
 
-def test_tolerances_is_the_one_tolerance_policy():
-    # every threshold resolves in Tolerances: no function in the package
-    # gives a tolerance parameter a default of its own
-    assert [f.name for f in dataclasses.fields(Tolerances)] == []
+def test_no_function_gives_a_tolerance_a_default():
+    # no function in the package gives a tolerance parameter a default of
+    # its own: each bound lives beside the one check that uses it
     offenders = []
     for path in sorted(Path(coexist.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

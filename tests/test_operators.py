@@ -15,7 +15,7 @@ PI = math.pi
 def test_stencil_interval_resolution_3():
     # the half grid of 3 nodes: the end node (standing for both ends) and
     # the centre, coupled by sqrt(2)/h^2 both ways
-    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (3,)))
+    L = Laplacian(DomainSpec("interval", ((0.0, PI),), (3,)))
     D = dense(L)
     np.testing.assert_allclose(np.diag(D), 32 / PI**2, rtol=1e-14)
     np.testing.assert_allclose(np.diag(D, 1), -math.sqrt(2.0) * 16 / PI**2, rtol=1e-14)
@@ -26,7 +26,7 @@ def test_stencil_interval_resolution_3():
 def test_smallest_eigenvalue_matches_sine_mode_formula():
     # discrete identity: lambda_min = (2/h^2)(1 - cos(pi h / L)) on (0, L)
     n = 50
-    L = Laplacian.of(DomainSpec("interval", ((0.0, PI),), (n,)))
+    L = Laplacian(DomainSpec("interval", ((0.0, PI),), (n,)))
     h = L.h[0]
     formula = 2.0 / h**2 * (1.0 - math.cos(PI * h / PI))
     dense_min = np.linalg.eigvalsh(FullGrid(L.spec).matrix().toarray())[0]
@@ -54,7 +54,7 @@ def test_stencil_matches_kronecker_sum():
         DomainSpec("rectangle", ((0.0, 1.0), (0.0, 3.0)), (3, 4)),
     ):
         grid = FullGrid(spec)
-        L = Laplacian.of(spec)
+        L = Laplacian(spec)
         E = grid.embedding()
         want = grid.half_grid_matrix()
         assert L.n == E.shape[1]

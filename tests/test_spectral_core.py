@@ -36,7 +36,7 @@ MESHES = {
 )
 def test_dst_matches_dense_sine_matrix_1d(spec):
     # a mirror-symmetric vector has no even sine modes; T gives its odd ones
-    grid, L = FullGrid(spec), Laplacian.of(spec)
+    grid, L = FullGrid(spec), Laplacian(spec)
     S = sine_matrix(grid.n)
     np.testing.assert_allclose(S @ S, np.eye(grid.n), atol=1e-14)
     u = grid.symmetric_vector(0)
@@ -47,7 +47,7 @@ def test_dst_matches_dense_sine_matrix_1d(spec):
 
 def test_dst_matches_dense_sine_matrix_2d():
     spec = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), (5, 7))
-    grid, L = FullGrid(spec), Laplacian.of(spec)
+    grid, L = FullGrid(spec), Laplacian(spec)
     S = np.kron(sine_matrix(5), sine_matrix(7))  # lexicographic, first axis slowest
     np.testing.assert_allclose(S @ S, np.eye(grid.n), atol=1e-14)
     u = grid.symmetric_vector(1)
@@ -62,7 +62,7 @@ def test_dst_matches_dense_sine_matrix_long_axis_2d(shape):
     # the FFT on one axis (first or last, even or odd), the cached matrix
     # on the other; the oracle applies the dense sine matrix per axis
     spec = DomainSpec("rectangle", ((0.0, 1.0), (0.0, 2.0)), shape)
-    grid, L = FullGrid(spec), Laplacian.of(spec)
+    grid, L = FullGrid(spec), Laplacian(spec)
     u = grid.symmetric_vector(2)
     y = grid.fold(u)
     odd = grid.transform(u).reshape(shape)[::2, ::2].ravel()
@@ -72,14 +72,14 @@ def test_dst_matches_dense_sine_matrix_long_axis_2d(shape):
 
 @pytest.mark.parametrize("name", ["interval-3", "square-48", "rect-40x80"])
 def test_sine_modes_diagonalise_assembled_laplacian(name):
-    L = Laplacian.of(MESHES[name])
+    L = Laplacian(MESHES[name])
     A = FullGrid(MESHES[name]).half_grid_matrix()
     T = np.column_stack([L.transform(e) for e in np.eye(L.n)])
     np.testing.assert_allclose(T @ A @ T.T, np.diag(L.eigenvalues), atol=1e-12 * np.abs(A).max())
 
 
 def test_eigenvalue_grid_is_cached_and_read_only():
-    L = Laplacian.of(MESHES["rect-40x80"])
+    L = Laplacian(MESHES["rect-40x80"])
     ev = L.eigenvalues
     operators.bordered_solve(L, L.transform(np.ones(L.n)), float(ev[0]))
     assert L.eigenvalues is ev and not ev.flags.writeable
@@ -95,7 +95,7 @@ def test_spectral_inverse_is_exact(name, offset):
     # the float64 rounding of (L - sigma) v alone bounds the error by about
     # eps * ||L|| / (lambda1 - sigma) ~ 1e-11 relative at n = 400; typical
     # errors sit an order of magnitude below that.
-    grid, L = FullGrid(MESHES[name]), Laplacian.of(MESHES[name])
+    grid, L = FullGrid(MESHES[name]), Laplacian(MESHES[name])
     q = grid.fold(grid.sine_mode())
     q = q / np.linalg.norm(q)
     lambda0 = sum(4.0 / h**2 * np.sin(PI / (2 * (n + 1))) ** 2 for n, h in zip(grid.shape, grid.h))
@@ -250,7 +250,7 @@ def test_folded_sine_matrix_is_orthogonal(n):
 
 @pytest.mark.parametrize("name", list(FOLD_SPECS))
 def test_folded_transform_diagonalises_folded_stencil(name):
-    L = Laplacian.of(FOLD_SPECS[name])
+    L = Laplacian(FOLD_SPECS[name])
     assert L.grid == tuple((n + 1) // 2 for n in L.shape)
     A = dense(L)
     np.testing.assert_allclose(A, A.T, rtol=0, atol=1e-14 * np.abs(A).max())
@@ -268,7 +268,7 @@ def test_folded_transform_diagonalises_folded_stencil(name):
 
 @pytest.mark.parametrize("name", list(FOLD_SPECS))
 def test_fold_commutes_with_stencil_and_transform(name):
-    grid, L = FullGrid(FOLD_SPECS[name]), Laplacian.of(FOLD_SPECS[name])
+    grid, L = FullGrid(FOLD_SPECS[name]), Laplacian(FOLD_SPECS[name])
     u = grid.symmetric_vector(6)
     y = grid.fold(u)
     assert y.shape == (L.n,)
@@ -287,7 +287,7 @@ def test_fold_commutes_with_stencil_and_transform(name):
 
 @pytest.mark.parametrize("name", list(FOLD_SPECS))
 def test_fold_unfold_and_dot_products(name):
-    grid, L = FullGrid(FOLD_SPECS[name]), Laplacian.of(FOLD_SPECS[name])
+    grid, L = FullGrid(FOLD_SPECS[name]), Laplacian(FOLD_SPECS[name])
     u, v = grid.symmetric_vector(7), grid.symmetric_vector(8)
     back = L.unfold(grid.fold(u))
     assert back.shape == u.shape
@@ -301,7 +301,7 @@ def test_fold_unfold_and_dot_products(name):
 
 @pytest.mark.parametrize("name", ["interval-7", "interval-8", "rect-5x8", "square-9", "rect-6x700"])
 def test_folded_spectral_inverse_is_exact(name):
-    L = Laplacian.of(FOLD_SPECS[name])
+    L = Laplacian(FOLD_SPECS[name])
     q = L.principal_nodes / np.linalg.norm(L.principal_nodes)
     sigma = float(L.eigenvalues[0]) + 0.3
     v = np.random.default_rng(9).standard_normal(L.n)
