@@ -10,10 +10,12 @@
 # -(u0, u0), is the identity -1 for the normalized u0: shown, not tested.
 
 import math
+from functools import reduce
 
 import numpy as np
 
 from coexist import DomainSpec, eigendata
+from coexist.diagnostics import cr_report
 
 PI = math.pi
 
@@ -25,14 +27,15 @@ for label, spec, exact in [
     eig = eigendata(spec)
     print(f"lambda0 = {eig.lambda0:.8f}   (continuum {exact[0]})")
     print(f"lambda1 = {eig.lambda1:.8f}   (continuum {exact[1]})")
-    # u0 lives on the mirror-symmetric half grid; unfold it for nodal values.
-    # The sine mode is the stencil's exact eigenvector at every resolution,
-    # so there is no eigen residual to certify; u0 is normalized.
-    u0 = eig.operator.unfold(eig.u0)
-    norm = math.sqrt(eig.operator.weight * float(eig.u0 @ eig.u0))
-    print(f"||u0|| = {norm:.15f}, eigenfunction min = {np.min(u0):.2e} (positive)")
+    # u0 is the sine mode prod_a sin(pi i_a/(n_a+1)) at the nodes, normalized:
+    # the stencil's exact eigenvector at every resolution, so there is no
+    # eigen residual to certify.
+    u0 = reduce(np.multiply.outer, [np.sin(PI * np.arange(1, n + 1) / (n + 1)) for n in spec.resolution]).ravel()
+    u0 /= math.sqrt(eig.operator.weight * float(u0 @ u0))
+    print(f"eigenfunction min = {np.min(u0):.2e} (positive)")
 
-    print(f"spectral gap          = {eig.gap:.6f}  -> kernel is one-dimensional: {eig.kernel_dim_ok}")
-    print(f"transversality value  = {-norm * norm:+.6f}  (identity: -(u0, u0) = -1)")
-    print(f"bifurcation point certified at (lambda0, 0): {eig.kernel_dim_ok}")
+    cr = cr_report(eig.lambda0, eig.lambda1)
+    print(f"spectral gap          = {cr['gap']:.6f}  -> kernel is one-dimensional: {cr['kernel_dim_ok']}")
+    print(f"transversality value  = {cr['transversality_value']:+.6f}  (identity: -(u0, u0) = -1)")
+    print(f"bifurcation point certified at (lambda0, 0): {cr['kernel_dim_ok']}")
     print()

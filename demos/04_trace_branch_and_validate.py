@@ -33,8 +33,9 @@ for k, eta in [(4, 1.0), (4, -1.0), (3, 1.0)]:
     print(f"fitted:    a    = {fit.a:+.6f}, 2b    = {2 * fit.b:+.6f}  (rms {fit.rms:.1e})")
     print(f"agreement: |a - mu_s| = {abs(fit.a - d.mu_s):.2e}, |2b - mu_ss| = {abs(2 * fit.b - d.mu_ss):.2e}")
 
-    # U is the half-grid vector (L.unfold(p.U) is the full-grid one); its
-    # coordinates keep dot products, so sqrt(weight U.U) is the full grid's norm
+    # U is the half-grid vector, whose mirror image along each axis is the
+    # full grid's; its coordinates keep dot products, so sqrt(weight U.U)
+    # is the full grid's norm
     L = analysis.operator
     print(f"{'s':>6s} {'lambda - lambda0':>18s} {'||U||':>10s} {'newton':>6s}")
     for p in branch.points:

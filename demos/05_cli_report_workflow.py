@@ -2,13 +2,12 @@
 # The same pipeline through the command-line surface.
 #
 # Everything the library computes is reachable from the `coexist` CLI with
-# a JSON config; this script drives the four subcommands in-process and
+# a JSON config; this script drives the three subcommands in-process and
 # shows where the artifacts land. Equivalent shell usage:
 #
 #   coexist analyze --config demos/configs/psi4_interval.json --out-dir out
 #   coexist trace   --config demos/configs/psi4_interval.json --out-dir out
 #   coexist table   --config demos/configs/psi4_interval.json --out-dir out
-#   coexist verify  --config demos/configs/psi4_interval.json --out-dir out
 #   coexist analyze --config ... --override model.eta=-1.0
 
 import json
@@ -24,7 +23,6 @@ for argv in (
     ["analyze", "--config", str(config), "--out-dir", str(out_dir)],
     ["trace", "--config", str(config), "--out-dir", str(out_dir)],
     ["table", "--config", str(config), "--out-dir", str(out_dir), "--override", "k_list=[3,4,5,6]"],
-    ["verify", "--config", str(config), "--out-dir", str(out_dir)],
     # flipping the coupling sign from the command line flips type I -> III
     ["analyze", "--config", str(config), "--out-dir", str(out_dir), "--override", "model.eta=-1.0"],
 ):

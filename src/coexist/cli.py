@@ -1,18 +1,19 @@
 """Configuration ingestion, pipeline orchestration, and report/CSV
 emission.
 
-    coexist <analyze|trace|table|verify> --config cfg.json
+    coexist <analyze|trace|table> --config cfg.json
             [--out-dir DIR] [--override key=value ...]
 
-Exit codes: 0 success, 1 configuration, I/O or out-of-memory error,
-2 verification failure, 3 solver non-convergence (a non-finite value on
-the branch included). Reports are JSON with full-precision floats;
-branch and table data are RFC-4180 CSV, floats as %.17g with -0.0 written
-0, so identical configs reproduce byte-identical files at a fixed BLAS
-thread count (1 against 2 moves the last digits of a 512^2 branch.csv's
-l2_norm_U and residual; table.csv, and branch.csv at 128^2, stay
-identical); the report's `environment` records the thread variables as
-set, not the count BLAS used.
+Exit codes: 0 success, 1 configuration, I/O or out-of-memory error (a
+lambda1 that rounds to lambda0 included), 3 solver non-convergence (a
+non-finite value on the branch included), and argparse's 2 for a usage
+error. Reports are JSON with full-precision floats; branch and table
+data are RFC-4180 CSV, floats as %.17g with -0.0 written 0, so identical
+configs reproduce byte-identical files at a fixed BLAS thread count (1
+against 2 moves the last digits of a 512^2 branch.csv's l2_norm_U and
+residual; table.csv, and branch.csv at 128^2, stay identical); the
+report's `environment` records the thread variables as set, not the
+count BLAS used.
 Reruns rewrite each file in place, sparing ext4 a flush per file.
 """
 
@@ -31,17 +32,16 @@ import numpy as np
 
 from . import __version__
 from .continuation import DEFAULT_S_VALUES, Branch, fit_consistency, fit_supported, trace_branch
-from .diagnostics import AnalysisResult, bifurcation_point, cr_report, psi_k_table, run_analysis
+from .diagnostics import AnalysisResult, cr_report, psi_k_table, run_analysis
 from .errors import ConfigError, ConvergenceError, as_number
 from .mesh import DomainSpec
 from .nonlinearity import NonlinearityModel
 from .operators import Laplacian
 
-__all__ = ["RunConfig", "Outputs", "cmd_analyze", "cmd_trace", "cmd_table", "cmd_verify", "main"]
+__all__ = ["RunConfig", "Outputs", "cmd_analyze", "cmd_trace", "cmd_table", "main"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_VERIFY = 2
 EXIT_SOLVER = 3
 
 DEFAULT_K_LIST = (3, 4, 5, 6, 7, 8)
@@ -87,8 +87,8 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown output fields: {sorted(bad)}")
         for key, path in out_raw.items():
-            if not isinstance(path, str):
-                raise ConfigError(f"outputs.{key} must be a path string, got {path!r}")
+            if not isinstance(path, str) or not path:  # "" would name the out-dir itself
+                raise ConfigError(f"outputs.{key} must be a non-empty path string, got {path!r}")
         s_values = _numbers(raw, "s_values", DEFAULT_S_VALUES)
         if any(s == 0.0 for s in s_values):
             raise ConfigError("s_values must not contain 0 (the trivial branch)")
@@ -299,17 +299,6 @@ def cmd_table(cfg: RunConfig, out_dir: str | None = None) -> list:
     return rows
 
 
-def cmd_verify(cfg: RunConfig, out_dir: str | None = None) -> tuple[dict, int]:
-    """The bifurcation-point checks only; no corrector solve. Exits on
-    kernel_dim_ok, the one certificate: the transversality value is an
-    identity."""
-    _, lambda0, lambda1 = bifurcation_point(cfg.domain)
-    report = _base_report(cfg)
-    report["cr_report"] = cr = cr_report(lambda0, lambda1)
-    _write_json(_resolve(out_dir, cfg.outputs.report_path), report)
-    return report, EXIT_OK if cr["kernel_dim_ok"] else EXIT_VERIFY
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coexist",
@@ -320,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ("analyze", "run the diagnostics pipeline and write the JSON report"),
         ("trace", "analyze, then trace the nontrivial branch and write CSV"),
         ("table", "sweep the power-interaction family and write CSV"),
-        ("verify", "check the bifurcation-point conditions only"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
@@ -347,17 +335,9 @@ def main(argv: list[str] | None = None) -> int:
             report, code = cmd_trace(cfg, args.out_dir)
             print(json.dumps({"n_points": report["branch"]["n_points"], "fit": report["branch"].get("fit")}))
             return code
-        if args.command == "table":
-            rows = cmd_table(cfg, args.out_dir)
-            print(f"wrote {len(rows)} table rows")
-            return EXIT_OK
-        report, code = cmd_verify(cfg, args.out_dir)
-        cr = report["cr_report"]
-        print(f"lambda0          = {cr['lambda0']:.12g}")
-        print(f"lambda1          = {cr['lambda1']:.12g}")
-        print(f"gap              = {cr['gap']:.12g}  (kernel_dim_ok={cr['kernel_dim_ok']})")
-        print(f"transversality   = {cr['transversality_value']:.12g}  (identity: -(u0, u0) = -1)")
-        return code
+        rows = cmd_table(cfg, args.out_dir)
+        print(f"wrote {len(rows)} table rows")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -37,7 +37,8 @@ invariant, so by the local uniqueness of the Crandall-Rabinowitz branch
 (Golubitsky, Stewart and Schaeffer 1988) the branch is mirror-symmetric.
 Every Newton step therefore runs on the Laplacian's half grid, ceil(n/2)
 nodes per axis, whose sine coefficients the analysis already holds z_hat
-in, and every BranchPoint keeps U there (L.unfold gives the full grid's).
+in, and every BranchPoint keeps U there: its mirror image along each
+axis is the full grid's.
 The half-grid coordinates sqrt(m) u keep the full grid's dot products,
 so only the nonlinearity reads nodal values.
 """
@@ -179,15 +180,14 @@ def trace_branch(analysis: AnalysisResult, s_values) -> Branch:
     outward from s = 0 on each side, each point from the third-order
     predictor U = s*u0 + s^2*w, lambda = lambda0 + mu_s*s + s^2*c, with
     (w, c) extrapolated linearly through the two anchors nearest inward:
-    s = 0's (g''(0)*analysis.z_hat, 1/2*mu_ss), the local expansion's, and
+    s = 0's (g''(0)*z_hat, 1/2*mu_ss), the local expansion's, and
     each converged point's ((U - s*u0)/s^2, (lambda - lambda0 - mu_s*s)/s^2).
 
     Newton runs on the mirror-symmetric subspace, where the branch lies,
     in the sine coefficients of `analysis.operator`'s half grid, which
     z_hat is already in: the predictor is s^2 times w's coefficients, whose
     coefficient 0 the amplitude pin replaces by s*u0's. Each BranchPoint
-    is kept as solve_at_amplitude returns it: U is the half-grid vector,
-    and `analysis.operator.unfold(p.U)` the full-grid one.
+    is kept as solve_at_amplitude returns it: U is the half-grid vector.
 
     For odd g (no even power) F(-U, lambda) = -F(U, lambda) bit for bit:
     on symmetric s_values the s < 0 leg is the s > 0 leg mirrored, -s, -U

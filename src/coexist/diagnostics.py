@@ -29,10 +29,7 @@ lambda0 and lambda1 from `bifurcation_point`, then the moments in
 closed form, with no node vector and no transform: u0 is a product of per-axis sine vectors, so I3
 and I4 are products of per-axis sine sums, and u0^2's sine coefficients
 are the outer product of per-axis closed forms. A is diagonal in those
-coefficients, where z_hat is solved and M_hat is one dot product. u0's
-node vector and z_hat's, one inverse transform each, are formed when
-first read; no command reads them, as the trace holds the branch by its
-sine coefficients.
+coefficients, where z_hat is solved and M_hat is one dot product.
 
 The sign pair (sign mu_s, sign mu_ss) indexes the nine co-existence
 types: rows in the order (0, +, -), columns in the order (+, 0, -). On a
@@ -47,8 +44,9 @@ and a warning names both candidate types.
 The bifurcation point (lambda0, 0) is simple when the kernel is
 one-dimensional (Crandall and Rabinowitz 1971), which holds on every box:
 lambda0 = lambda_(1,...,1) lies below every other per-axis sum. The
-certificate kernel_dim_ok says the floating-point gap lambda1 - lambda0
-shows it. The transversality value -(u0, u0) is -1 for the normalized
+report's certificate kernel_dim_ok says the floating-point gap
+lambda1 - lambda0 shows it, and every command refuses a domain where it
+does not. The transversality value -(u0, u0) is -1 for the normalized
 u0, an identity that is reported and not tested.
 """
 
@@ -58,7 +56,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -180,9 +178,9 @@ class EigenData:
     principal eigenvalue lambda0 and the next one, lambda1, the unit
     corrector z_hat by its sine coefficients, and the three moments
     I3 = (u0^2, u0), I4 = (u0^3, u0) and M_hat = (u0*z_hat, u0) that mu_s
-    and mu_ss are computed from. u0 and z_hat are in L's half-grid
-    coordinates, formed when first read; `operator.unfold` gives their
-    full-grid vectors."""
+    and mu_ss are computed from. u0's node vector is
+    operator.principal_nodes / sqrt(operator.weight), and z_hat's is
+    operator.inverse_transform(z_hat_coefficients)."""
 
     operator: Laplacian
     lambda0: float
@@ -191,24 +189,6 @@ class EigenData:
     I3: float
     I4: float
     M_hat: float
-
-    @property
-    def gap(self) -> float:
-        return self.lambda1 - self.lambda0
-
-    @property
-    def kernel_dim_ok(self) -> bool:
-        return cr_report(self.lambda0, self.lambda1)["kernel_dim_ok"]
-
-    @cached_property
-    def u0(self) -> Array:
-        """The normalized principal sine mode: the principal coefficient's node vector over sqrt(weight)."""
-        return self.operator.principal_nodes / math.sqrt(self.operator.weight)
-
-    @cached_property
-    def z_hat(self) -> Array:
-        """z_hat's node vector: one inverse transform, taken when first read."""
-        return self.operator.inverse_transform(self.z_hat_coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,7 +250,7 @@ def eigendata(spec: DomainSpec) -> EigenData:
     s = outer_a `_square_coefficients`, z_hat is half the solution of
     A z = s off the principal coefficient (I3 u0's only one), and
     M_hat = w s.z_hat, w = L.weight. Raises ConfigError before the solve
-    when lambda1 and lambda0 round together, where `verify` exits 2."""
+    when lambda1 and lambda0 round together."""
     L, lambda0, lambda1 = bifurcation_point(spec)
     cr = cr_report(lambda0, lambda1)
     if not cr["kernel_dim_ok"]:

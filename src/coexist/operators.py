@@ -16,8 +16,8 @@ L is the diagonal L.eigenvalues on the sine coefficients. Along an axis
 of at most 512 nodes T is one BLAS product with a cached dense matrix;
 longer axes take the DST-I from numpy's real FFT. L also keeps each
 axis's full-grid stencil eigenvalues, whose sums are lambda0 and lambda1,
-with no grid vector, the node vector of the principal coefficient, formed
-on first read, and `unfold`, the full-grid vector of a half-grid one.
+with no grid vector, and the node vector of the principal coefficient,
+formed on first read.
 
 Two solvers live here: preconditioned conjugate gradients, and one
 bordered form [A col; e0^T 0][x; y] = [f; 0] in L's odd sine
@@ -114,14 +114,6 @@ class Laplacian:
     def sqrt_multiplicity(self) -> Array:
         """sqrt(m) per node, the factor from nodal values to coordinates."""
         return reduce(np.multiply.outer, [_sqrt_multiplicity(n) for n in self.shape]).ravel()
-
-    def unfold(self, y: Array) -> Array:
-        """The full-grid vector of coordinates y: the nodal values
-        y/sqrt(m), mirrored, so it equals its mirror image bit for bit."""
-        x = np.asarray(y).reshape(self.grid)
-        for axis, n in enumerate(self.shape):
-            x = _unfold_axis(x, axis, n)
-        return x.ravel()
 
     def transform(self, v: Array) -> Array:
         """Node vector to odd sine-mode coefficients: T along every axis."""

@@ -43,7 +43,42 @@ def stencil(L, v) -> np.ndarray:
     """The full grid's stencil on a node vector v of the half-grid L:
     E^T K E v, v unfolded, `FullGrid.apply`, and folded back."""
     grid = FullGrid(L.spec)
-    return grid.fold(grid.apply(L.unfold(v)))
+    return grid.fold(grid.apply(unfold(L, v)))
+
+
+def unfold(L, y) -> np.ndarray:
+    """The full-grid vector of half-grid coordinates y of L: the nodal
+    values y/sqrt(m), mirrored along each axis, so it equals its mirror
+    image bit for bit. `FullGrid.fold` inverts it."""
+    x = np.asarray(y, dtype=float).reshape([(n + 1) // 2 for n in L.shape])
+    for axis, n in enumerate(L.shape):
+        x = x / _sqrt_multiplicity(n, x.ndim - axis - 1)
+        mirror = np.flip(np.take(x, np.arange(n // 2), axis=axis), axis)
+        x = np.concatenate([x, mirror], axis=axis)
+    return x.ravel()
+
+
+def principal_mode(L) -> np.ndarray:
+    """u0, the normalized principal sine mode, in L's half-grid coordinates:
+    the principal coefficient's node vector over sqrt(weight)."""
+    return L.principal_nodes / math.sqrt(L.weight)
+
+
+def z_hat_nodes(eig) -> np.ndarray:
+    """The unit corrector z_hat's node vector in eig.operator's half-grid
+    coordinates: one inverse transform of its sine coefficients."""
+    return eig.operator.inverse_transform(eig.z_hat_coefficients)
+
+
+def _sqrt_multiplicity(n: int, trailing: int) -> np.ndarray:
+    """sqrt(m) over the first ceil(n/2) nodes of an n-node axis, m = 2
+    except at an odd axis's centre node, its own mirror, shaped to
+    broadcast over `trailing` later axes."""
+    k = (n + 1) // 2
+    m = np.full(k, 2.0)
+    if n % 2:
+        m[-1] = 1.0
+    return np.sqrt(m).reshape((k,) + (1,) * trailing)
 
 
 def dense(L) -> np.ndarray:
@@ -169,11 +204,7 @@ class FullGrid:
         axis's centre node, its own mirror."""
         x = np.asarray(u, dtype=float).reshape(self.shape)
         for axis, n in enumerate(self.shape):
-            k = (n + 1) // 2
-            m = np.full(k, 2.0)
-            if n % 2:
-                m[-1] = 1.0
-            x = np.take(x, np.arange(k), axis=axis) * np.sqrt(m).reshape((k,) + (1,) * (x.ndim - axis - 1))
+            x = np.take(x, np.arange((n + 1) // 2), axis=axis) * _sqrt_multiplicity(n, x.ndim - axis - 1)
         return x.ravel()
 
     def embedding(self) -> np.ndarray:
@@ -286,8 +317,8 @@ def lap400(spec400):
 
 @pytest.fixture(scope="session")
 def eig400(spec400):
-    """The per-mesh record, which holds lambda0, lambda1 and u0, and the
-    time it took."""
+    """The per-mesh record, which holds lambda0, lambda1 and the moments,
+    and the time it took."""
     t0 = time.perf_counter()
     eig = eigendata(spec400)
     return eig, time.perf_counter() - t0

@@ -24,7 +24,16 @@ from coexist import (
 from coexist.cli import cmd_trace, load_config
 from coexist.continuation import DEFAULT_S_VALUES
 
-from conftest import ACCEPTANCE_RESULTS, newton_diagonal, psi3_sigma_form, residual, stencil
+from conftest import (
+    ACCEPTANCE_RESULTS,
+    newton_diagonal,
+    principal_mode,
+    psi3_sigma_form,
+    residual,
+    stencil,
+    unfold,
+    z_hat_nodes,
+)
 
 PI = math.pi
 MU_S_PSI3 = (2 / PI) ** 1.5 * (4 / 3)  # 0.677265...
@@ -70,7 +79,7 @@ def test_criterion_1_eigenpair_oracle(eig400, eig2d_128):
 def test_criterion_2_interaction_table_numbers(spec400, grid400):
     failures = []
     eig = eigendata(spec400)
-    u0 = eig.operator.unfold(eig.u0)
+    u0 = unfold(eig.operator, principal_mode(eig.operator))
 
     # cubic interaction
     m3 = NonlinearityModel.psi_k(3, 1.0)
@@ -79,7 +88,7 @@ def test_criterion_2_interaction_table_numbers(spec400, grid400):
     if abs(mu_s3 - MU_S_PSI3) > 1e-3:
         failures.append(f"psi3 mu_s = {mu_s3} not within 1e-3 of {MU_S_PSI3}")
     # independent oracle: the sigma form on the corrector vector g''(0) z_hat
-    z3 = derivative_at_zero(m3, 2) * eig.operator.unfold(eig.z_hat)
+    z3 = derivative_at_zero(m3, 2) * unfold(eig.operator, z_hat_nodes(eig))
     sigma = psi3_sigma_form(grid400, u0, z3, 1.0)
     if abs(mu_ss3 - sigma) > 1e-8:
         failures.append(f"psi3 mu_ss = {mu_ss3} differs from sigma form {sigma}")
@@ -166,7 +175,7 @@ def test_criterion_5_coexistence_side(branches):
 def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_path):
     failures = []
     eig = eigendata(spec400)
-    u0 = eig.operator.unfold(eig.u0)
+    u0 = unfold(eig.operator, principal_mode(eig.operator))
 
     # solvability of the unit corrector: its right-hand side 1/2 (u0^2 - I3 u0),
     # with the pipeline's I3, has no u0 component beyond rounding, and z_hat
@@ -176,7 +185,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
     if kernel > rounding:
         failures.append(f"unit corrector: solvability multiplier {kernel:.2e} above rounding {rounding:.2e}")
     z_exact = grid400.spectral_solve(rhs, eig.lambda0)
-    z_err = np.linalg.norm(eig.operator.unfold(eig.z_hat) - z_exact) / np.linalg.norm(z_exact)
+    z_err = np.linalg.norm(unfold(eig.operator, z_hat_nodes(eig)) - z_exact) / np.linalg.norm(z_exact)
     if z_err > 1e-13:
         failures.append(f"unit corrector: relative error {z_err:.2e} against the exact DST solve above 1e-13")
     zoo = [
@@ -187,7 +196,7 @@ def test_criterion_6_invariant_suite(branches, spec400, spec100, grid400, tmp_pa
         NonlinearityModel.polynomial([0.5, 1.0, -0.5]),
     ]
     for model in zoo:
-        z_s = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
+        z_s = derivative_at_zero(model, 2) * unfold(eig.operator, z_hat_nodes(eig))
         if abs(grid400.dot(z_s, u0)) > 1e-10:
             failures.append(f"{model.describe()}: corrector orthogonality above 1e-10")
 

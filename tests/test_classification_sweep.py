@@ -34,7 +34,7 @@ from coexist import (
 from coexist.continuation import DEFAULT_S_VALUES
 from coexist.mesh import stencil_bound
 
-from conftest import FullGrid
+from conftest import FullGrid, unfold
 
 REFERENCE = {
     (3, 1): CoexistenceType.VI,
@@ -100,7 +100,7 @@ def test_traced_points_hold_their_amplitude_at_the_rounding_floor(spec, k, sign)
     u0 = grid.sine_mode()
     floor_per_norm = continuation._NEWTON_MARGIN * np.finfo(float).eps * stencil_bound(grid.h)
     for p in branch.points:
-        U = analysis.operator.unfold(p.U)
+        U = unfold(analysis.operator, p.U)
         assert math.isclose(grid.dot(U, u0), p.s, rel_tol=1e-12, abs_tol=0.0), (spec, k, sign, p.s)
         F = grid.apply(U) + (model.V_L - p.lam) * U - apply(model, U)
         assert grid.norm(F) <= 2.0 * floor_per_norm * grid.norm(U), (spec, k, sign, p.s)

@@ -17,12 +17,10 @@ from coexist.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SOLVER,
-    EXIT_VERIFY,
     RunConfig,
     cmd_analyze,
     cmd_table,
     cmd_trace,
-    cmd_verify,
     load_config,
     main,
     write_branch_csv,
@@ -239,13 +237,19 @@ class TestConfig:
             ("analyze", "outputs.report_path=5"),
             ("analyze", "outputs.report_path=null"),
             ("trace", "outputs.branch_csv_path=[1]"),
+            # "" would name the out-dir itself, which does not exist yet
+            ("analyze", 'outputs.report_path=""'),
+            ("trace", 'outputs.branch_csv_path=""'),
+            ("table", 'outputs.table_csv_path=""'),
         ],
     )
     def test_non_string_output_path_is_config_error(self, tmp_path, capsys, command, override):
         path = write_config(tmp_path, base_config())
-        code = main([command, "--config", path, "--out-dir", str(tmp_path), "--override", override])
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", path, "--out-dir", str(out_dir), "--override", override])
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("configuration error: outputs.")
+        assert capsys.readouterr().err.startswith(f"configuration error: {override.split('=')[0]} must be")
+        assert not out_dir.exists()
 
     def test_override_on_non_object_root_is_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, [1, 2])
@@ -327,6 +331,16 @@ class TestAnalyze:
         assert second["diagnostics"]["mu_s"] == first["diagnostics"]["mu_s"]
         assert second["diagnostics"]["mu_ss"] == first["diagnostics"]["mu_ss"]
         assert second["cr_report"] == first["cr_report"]
+
+    def test_square_domain_cr_report(self, tmp_path):
+        raw = {
+            "domain": {"kind": "rectangle", "bounds": [[0.0, PI], [0.0, PI]], "resolution": [32, 32]},
+            "model": {"kind": "psi_k", "k": 4, "eta": 1.0},
+        }
+        cr = cmd_analyze(load_config(write_config(tmp_path, raw)), out_dir=str(tmp_path))["cr_report"]
+        assert cr["kernel_dim_ok"] is True
+        assert cr["lambda0"] == pytest.approx(2.0, abs=5e-3)
+        assert cr["gap"] == pytest.approx(3.0, abs=2e-2)
 
 
 class TestTrace:
@@ -519,79 +533,21 @@ class TestCsvBytes:
         assert (tmp_path / "branch.csv").read_bytes() == want
 
 
-class TestVerify:
-    def test_certifies_interval(self, tmp_path, capsys):
-        # main prints the checks; cmd_verify itself only writes the report
-        path = write_config(tmp_path, base_config())
-        report, code = cmd_verify(load_config(path), out_dir=str(tmp_path))
-        assert code == EXIT_OK and report["cr_report"]["kernel_dim_ok"]
-        assert capsys.readouterr().out == ""
-        assert main(["verify", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[0] for line in lines] == ["lambda0", "lambda1", "gap", "transversality"]
-        assert lines[2].endswith("(kernel_dim_ok=True)") and lines[3].endswith("(identity: -(u0, u0) = -1)")
-        assert "transversality_ok" not in report["cr_report"]
-
-    def test_synthetic_gap_tol_fails(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, rounded_gap_config()))
-        report, code = cmd_verify(cfg, out_dir=str(tmp_path))
-        assert code == EXIT_VERIFY
-        assert report["cr_report"]["gap"] == 0.0
-        assert not report["cr_report"]["kernel_dim_ok"]
-
-    def test_square_domain(self, tmp_path):
-        raw = {
-            "domain": {"kind": "rectangle", "bounds": [[0.0, PI], [0.0, PI]], "resolution": [32, 32]},
-            "model": {"kind": "psi_k", "k": 4, "eta": 1.0},
-        }
-        report, code = cmd_verify(load_config(write_config(tmp_path, raw)), out_dir=str(tmp_path))
-        assert code == EXIT_OK
-        assert report["cr_report"]["lambda0"] == pytest.approx(2.0, abs=5e-3)
-        assert report["cr_report"]["gap"] == pytest.approx(3.0, abs=2e-2)
-
-    def test_solves_no_corrector(self, tmp_path, monkeypatch):
-        calls = []
-        original = diagnostics.bordered_solve
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(diagnostics, "bordered_solve", counting)
-        config = Path(__file__).parents[1] / "demos" / "configs" / "psi3_interval.json"
-        report, code = cmd_verify(load_config(config), out_dir=str(tmp_path))
-        assert code == EXIT_OK and report["cr_report"]["kernel_dim_ok"]
-        assert calls == []
-
-
-def test_analyze_and_verify_agree(tmp_path):
-    # both commands read lambda0 and lambda1 off the same per-axis sums
-    raw = base_config()
-    raw["domain"]["resolution"] = [400]
-    cfg = load_config(write_config(tmp_path, raw))
-    analyzed = cmd_analyze(cfg, out_dir=str(tmp_path / "a"))["cr_report"]
-    verified, code = cmd_verify(cfg, out_dir=str(tmp_path / "v"))
-    assert code == EXIT_OK
-    for key in ("lambda0", "lambda1", "gap"):
-        assert verified["cr_report"][key] == analyzed[key]
-
-
 @pytest.mark.parametrize(
     "config, overrides",
     [("psi3_interval", []), ("psi3_rectangle", ["domain.resolution=[25,47]"])],
     ids=["interval", "rectangle-25x47"],
 )
 def test_cr_report_block_is_one_contract(tmp_path, config, overrides):
-    # analyze, trace and verify write one cr_report block, byte for byte,
-    # with its five keys in order and the transversality identity as -1
+    # analyze and trace write one cr_report block, byte for byte, with its
+    # five keys in order and the transversality identity as -1
     cfg = load_config(Path(__file__).parents[1] / "demos" / "configs" / f"{config}.json", overrides)
     cmd_analyze(cfg, out_dir=str(tmp_path / "analyze"))
     cmd_trace(cfg, out_dir=str(tmp_path / "trace"))
-    cmd_verify(cfg, out_dir=str(tmp_path / "verify"))
-    reports = {c: json.loads((tmp_path / c / "report.json").read_text()) for c in ("analyze", "trace", "verify")}
+    reports = {c: json.loads((tmp_path / c / "report.json").read_text()) for c in ("analyze", "trace")}
     blocks = {json.dumps(r["cr_report"]) for r in reports.values()}
     assert len(blocks) == 1
-    cr = reports["verify"]["cr_report"]
+    cr = reports["analyze"]["cr_report"]
     assert list(cr) == ["lambda0", "lambda1", "gap", "kernel_dim_ok", "transversality_value"]
     assert cr["transversality_value"] == -1.0 and cr["kernel_dim_ok"] is True
     for command in ("analyze", "trace"):
@@ -634,12 +590,8 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and "unknown config fields: ['tolerances']" in captured.err
 
-    def test_verify_failure_exit_two(self, tmp_path):
-        path = write_config(tmp_path, rounded_gap_config())
-        assert main(["verify", "--config", path, "--out-dir", str(tmp_path)]) == EXIT_VERIFY
-
     def test_rounded_gap_is_config_error_before_any_solve(self, tmp_path, capsys, monkeypatch):
-        # what verify flags (exit 2) the other commands refuse (exit 1),
+        # every command refuses a lambda1 that rounds to lambda0 (exit 1),
         # with no corrector solve and so no warning from one
         calls = []
         monkeypatch.setattr(diagnostics, "bordered_solve", lambda *args: calls.append(args))
@@ -718,7 +670,7 @@ class TestMain:
         assert (out / "branch.csv").is_file() and (out / "report.json").is_file()
         assert out in calls
         calls.clear()
-        for command in ("analyze", "trace", "table", "verify"):
+        for command in ("analyze", "trace", "table"):
             assert main([command, "--config", path, "--out-dir", str(out)]) == EXIT_OK
         assert calls == [] and (out / "table.csv").is_file()
 
@@ -763,6 +715,14 @@ sys.exit(main(["analyze", "--config", {path!r}, "--out-dir", {str(tmp_path)!r}])
         assert out.returncode == EXIT_CONFIG
         assert out.stderr.startswith("I/O error: [Errno 27]")
         assert (tmp_path / "report.json").read_bytes() == b""
+
+    def test_verify_is_not_a_command(self, tmp_path, capsys):
+        # the cr_report block is analyze's; argparse rejects the old command
+        path = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit):
+            main(["verify", "--config", path, "--out-dir", str(tmp_path)])
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_trace_and_table_commands(self, tmp_path):
         path = write_config(tmp_path, base_config())

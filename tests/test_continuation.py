@@ -16,7 +16,16 @@ from coexist import continuation, operators
 from coexist.continuation import DEFAULT_S_VALUES, Branch, BranchPoint
 from coexist.nonlinearity import derivative_at_zero
 
-from conftest import FullGrid, newton_diagonal, newton_system, residual, stencil, weighted_norm as norm
+from conftest import (
+    FullGrid,
+    newton_diagonal,
+    newton_system,
+    principal_mode,
+    residual,
+    stencil,
+    unfold,
+    weighted_norm as norm,
+)
 
 PI = math.pi
 
@@ -43,17 +52,17 @@ class TestResidual:
 
     def test_linear_model_kernel_direction(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.linear(1.5))
-        L, u0 = res.operator, res.u0
+        L, u0 = res.operator, principal_mode(res.operator)
         F = residual(0.7 * u0, res.lambda0, res.model, L)
         # kernel direction of the shifted operator: residual at eigen accuracy
         assert norm(L, F) <= 1e-8
 
     def test_quartic_small_amplitude_direct_evaluation(self, quartic, grid400):
-        L, u0 = quartic.operator, quartic.u0
+        L, u0 = quartic.operator, principal_mode(quartic.operator)
         lam0 = quartic.lambda0
-        F = L.unfold(residual(0.1 * u0, lam0, quartic.model, L))
+        F = unfold(L, residual(0.1 * u0, lam0, quartic.model, L))
         # F = (L - lam0)(0.1 u0) + eta (0.1 u0)^3: dominated by the cubic term
-        expected = 1e-3 * L.unfold(u0) ** 3
+        expected = 1e-3 * unfold(L, u0) ** 3
         assert grid400.norm(F - expected) <= 1e-8
 
     @pytest.mark.parametrize(
@@ -80,7 +89,7 @@ class TestJacobian:
     def test_kernel_at_origin(self, quartic):
         # d = V_L - g'(U) vanishes at U = 0 (3e-12 at U = 1e-6 u0), leaving
         # L - lambda0, whose kernel is u0
-        L, u0 = quartic.operator, quartic.u0
+        L, u0 = quartic.operator, principal_mode(quartic.operator)
         lam0 = quartic.lambda0
         d = newton_diagonal(quartic.model, L, 1e-6 * u0, lam0 + 0.5)
         assert norm(L, stencil(L, u0) + (d - lam0) * u0) <= 1e-8
@@ -126,8 +135,8 @@ class TestSolveAtAmplitude:
         pt = solve_at_amplitude(0.1, quartic.model, quartic.operator, expansion_guess(quartic, 0.1))
         assert pt.lam == pytest.approx(1.0 + 0.5 * (3 / PI) * 0.01, abs=5e-4)
         assert pt.residual <= 1e-10
-        unfold = quartic.operator.unfold
-        assert abs(grid400.dot(unfold(pt.U), unfold(quartic.u0)) - 0.1) <= 1e-10
+        L = quartic.operator
+        assert abs(grid400.dot(unfold(L, pt.U), unfold(L, principal_mode(L))) - 0.1) <= 1e-10
 
     def test_quartic_parity(self, quartic):
         args = (quartic.model, quartic.operator)
@@ -173,12 +182,12 @@ class TestSolveAtAmplitude:
         assert len(cg_iters) == 2 and len(transforms) == 2 + 2 * sum(cg_iters) + 1 + 2
 
     def test_guess_off_the_amplitude_is_pinned(self, quartic, grid400):
-        L, u0 = quartic.operator, quartic.u0
+        L, u0 = quartic.operator, principal_mode(quartic.operator)
         s = 0.1
         guess = (L.transform(2 * s * u0), expansion_guess(quartic, s)[1])
         pt = solve_at_amplitude(s, quartic.model, L, guess)
         assert pt.residual <= 1e-10
-        assert abs(grid400.dot(L.unfold(pt.U), L.unfold(u0)) - s) <= 1e-14
+        assert abs(grid400.dot(unfold(L, pt.U), unfold(L, u0)) - s) <= 1e-14
 
     def test_zero_amplitude_rejected(self, quartic):
         with pytest.raises(ValueError, match="trivial"):
@@ -216,10 +225,10 @@ class TestTraceBranch:
 
     def test_amplitude_constraint_everywhere(self, quartic, grid400):
         branch = trace_branch(quartic, DEFAULT_S_VALUES)
-        unfold = quartic.operator.unfold
-        u0 = unfold(quartic.u0)
+        L = quartic.operator
+        u0 = unfold(L, principal_mode(L))
         for p in branch.points:
-            assert abs(grid400.dot(unfold(p.U), u0) - p.s) <= 1e-10
+            assert abs(grid400.dot(unfold(L, p.U), u0) - p.s) <= 1e-10
             assert p.residual <= 1e-10
 
     def test_square_domain_branch(self):
@@ -249,20 +258,18 @@ class TestTraceBranch:
         "resolution, most_cg_iters",
         [pytest.param((400,), 16, id="interval-400"), pytest.param((128, 128), 18, id="square-128")],
     )
-    def test_work_per_trace(self, resolution, most_cg_iters, cg_log, monkeypatch):
+    def test_work_per_trace(self, resolution, most_cg_iters, cg_log):
         # one Newton step per point from the extrapolating predictor, no more
         # CG iterations in the whole trace than measured, and every point
-        # kept on the half grid, none unfolded
+        # kept on the half grid
         bounds = ((0.0, PI),) * len(resolution)
         spec = DomainSpec("interval" if len(resolution) == 1 else "rectangle", bounds, resolution)
         analysis = run_analysis(spec, NonlinearityModel.psi_k(3, 1.0))
         cg_log.clear()
-        unfolds = []
-        monkeypatch.setattr(operators.Laplacian, "unfold", lambda *args: unfolds.append(1))
         branch = trace_branch(analysis, DEFAULT_S_VALUES)
         assert [p.newton_iters for p in branch.points] == [1] * len(DEFAULT_S_VALUES)
         assert sum(cg_log) <= most_cg_iters
-        assert not unfolds
+        assert all(p.U.shape == p.coefficients.shape == (analysis.operator.n,) for p in branch.points)
 
     def test_input_validation(self, quartic):
         with pytest.raises(ValueError, match="0"):
@@ -280,6 +287,46 @@ class TestTraceBranch:
         assert all("truncated" in t for t in branch.truncations)
         assert branch.fit is None
 
+
+# Type II (g''(0) = g'''(0) = 0): for psi_k, g = -eta u^m with m = k - 1,
+# the branch leaves lambda0 as lambda_p s^p, p = m - 1, with lambda_p =
+# -c_m (u0^m, u0) = eta prod_axes h sum_i v_i^(m+1), v the axis's
+# normalised discrete sine. The predictor is flat, lambda = lambda0, and
+# where its residual is below Newton's floor the point keeps lambda0
+# exactly after 0 steps: psi_5 at s = +-0.001 and all six psi_7 points
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a type-II point can keep lambda = lambda0 after 0 Newton steps (ROADMAP.md item 27)",
+)
+@pytest.mark.parametrize(
+    "spec, k, eta, s_values, lambda_p",
+    [
+        pytest.param(
+            DomainSpec("interval", ((0.0, PI),), (400,)), 5, 1.0, [-0.003, -0.002, -0.001, 0.001, 0.002, 0.003],
+            0.34493, id="interval-400-psi5",
+        ),
+        pytest.param(
+            DomainSpec("rectangle", ((0.0, 1.0), (0.0, 0.0256)), (162, 200)), 7, -1.0,
+            [-0.004, -0.003, -0.002, 0.002, 0.003, 0.004], -1.0339e5, id="rect-162x200-psi7",
+        ),
+    ],
+)
+def test_type_ii_branch_leaves_lambda0_at_its_order(spec, k, eta, s_values, lambda_p):
+    m = k - 1
+    closed_form = eta
+    for n, (lo, hi) in zip(spec.resolution, spec.bounds):
+        h = (hi - lo) / (n + 1)
+        v = np.sin(PI * np.arange(1, n + 1) / (n + 1))
+        v /= math.sqrt(h * float(v @ v))
+        closed_form *= h * float(np.sum(v ** (m + 1)))
+    assert closed_form == pytest.approx(lambda_p, rel=1e-4)
+    analysis = run_analysis(spec, NonlinearityModel.psi_k(k, eta))
+    branch = trace_branch(analysis, s_values)
+    assert [p.s for p in branch.points] == s_values
+    for p in branch.points:
+        want = closed_form * p.s ** (m - 1)
+        assert abs(p.lam - analysis.lambda0 - want) <= 0.01 * abs(want), (p.s, p.newton_iters)
 
 def full_grid_trace(analysis, grid: FullGrid, s_values):
     """The oracle: trace_branch's legs and extrapolating predictor, with u0
@@ -338,7 +385,7 @@ class TestFoldedTrace:
             assert abs(p.lam - want.lam) <= 1e-12
             # U is the half-grid vector; unfolded, it equals its mirror image bit for bit
             assert p.U.shape == (L.n,)
-            U = L.unfold(p.U)
+            U = unfold(L, p.U)
             assert np.linalg.norm(U - want.U) <= 1e-12 * np.linalg.norm(want.U)
             assert grid.is_symmetric(U)
 
@@ -346,7 +393,7 @@ class TestFoldedTrace:
         # the guess has L.n coefficients, ceil(n/2), not the full grid's n
         L = quartic.operator
         with pytest.raises(ValueError, match="guess has shape"):
-            solve_at_amplitude(0.1, quartic.model, L, (L.unfold(L.principal_nodes), 1.0))
+            solve_at_amplitude(0.1, quartic.model, L, (unfold(L, L.principal_nodes), 1.0))
 
     def test_stalled_linear_solve_truncates_the_branch(self, quartic, monkeypatch):
         # CG on the folded grid given no iterations: the bordered solve's

@@ -25,11 +25,11 @@ from coexist import (
 )
 import coexist
 from coexist import diagnostics, operators
-from coexist.cli import RunConfig, cmd_verify
+from coexist.cli import RunConfig, cmd_analyze
 from coexist.continuation import DEFAULT_S_VALUES
 from coexist.diagnostics import sign_with_tolerance
 
-from conftest import BENCHMARK_POLY, FullGrid, psi3_sigma_form, vector_moments
+from conftest import BENCHMARK_POLY, FullGrid, principal_mode, psi3_sigma_form, unfold, vector_moments, z_hat_nodes
 
 PI = math.pi
 I3_EXACT = (2 / PI) ** 1.5 * (4 / 3)  # (u0^2, u0) on (0, pi)
@@ -150,18 +150,18 @@ class TestCorrector:
         # vanishes, mu_s is exactly +0.0 and M_hat drops out of mu_ss
         for model in (NonlinearityModel.psi_k(4, 1.0), NonlinearityModel.psi_k(3, 0.0)):
             d = diagnose(eig, model)
-            assert np.all(derivative_at_zero(model, 2) * eig.z_hat == 0.0)
+            assert np.all(derivative_at_zero(model, 2) * z_hat_nodes(eig) == 0.0)
             assert _is_plus_zero(d.mu_s), model
             assert d.mu_ss == -derivative_at_zero(model, 3) * eig.I4 / 3.0 + 0.0, model
 
     def test_free_model_gives_zero(self, eig):
         d = diagnose(eig, NonlinearityModel.free())
-        assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * eig.z_hat == 0.0)
+        assert np.all(derivative_at_zero(NonlinearityModel.free(), 2) * z_hat_nodes(eig) == 0.0)
         assert all(_is_plus_zero(x) for x in (d.mu_s, d.mu_ss))
 
     def test_cubic_corrector_orthogonal(self, eig, grid400):
         L = eig.operator
-        z, u0 = L.unfold(eig.z_hat), L.unfold(eig.u0)
+        z, u0 = unfold(L, z_hat_nodes(eig)), unfold(L, principal_mode(L))
         assert abs(grid400.dot(z, u0)) <= 1e-10
         assert grid400.norm(z) > 1e-3  # genuinely nonzero
 
@@ -185,7 +185,7 @@ class TestCorrector:
             g2 = derivative_at_zero(model, 2)
             rhs = d.mu_s * u0 + 0.5 * g2 * u0**2
             direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
-            assert grid.norm(g2 * eig.operator.unfold(eig.z_hat) - direct[:n]) < 1e-8, spec
+            assert grid.norm(g2 * unfold(eig.operator, z_hat_nodes(eig)) - direct[:n]) < 1e-8, spec
 
 
 # The corrector runs on the mirror-symmetric half grid; the exact DST solve
@@ -208,7 +208,7 @@ def full_grid_eigendata(eig, grid: FullGrid):
     """eig's moments on the full grid, and its z_hat: u0 unfolded, z_hat
     from the exact DST solve on the full-grid stencil and the moments taken
     over every node."""
-    u0 = eig.operator.unfold(eig.u0)
+    u0 = unfold(eig.operator, principal_mode(eig.operator))
     rhs = 0.5 * (u0 * u0 - grid.dot(u0 * u0, u0) * u0)
     z = grid.spectral_solve(rhs, eig.lambda0)
     return dataclasses.replace(eig, **vector_moments(grid, u0, z)), z
@@ -220,9 +220,9 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     grid = FullGrid(spec)
     eig = eigendata(spec)
     oracle, z_oracle = full_grid_eigendata(eig, grid)
-    assert eig.z_hat.shape == eig.u0.shape == (eig.operator.n,)
+    assert z_hat_nodes(eig).shape == principal_mode(eig.operator).shape == (eig.operator.n,)
     assert eig.operator.n == math.prod((n + 1) // 2 for n in spec.resolution)
-    z = eig.operator.unfold(eig.z_hat)
+    z = unfold(eig.operator, z_hat_nodes(eig))
     # the corrector is exact in the sine coefficients, so z_hat and M_hat
     # carry only the rounding of the transforms and the sums
     assert np.linalg.norm(z - z_oracle) <= 4e-15 * np.linalg.norm(z_oracle)
@@ -231,13 +231,13 @@ def test_folded_corrector_matches_full_grid_oracle(name):
     # the eigen stage against the full grid's closed-form sine mode and eigenvalue
     assert eig.lambda0 == grid.eigenvalues[0]
     sine = grid.sine_mode()
-    assert np.linalg.norm(eig.operator.unfold(eig.u0) - sine) <= 1e-15 * np.linalg.norm(sine)
+    assert np.linalg.norm(unfold(eig.operator, principal_mode(eig.operator)) - sine) <= 1e-15 * np.linalg.norm(sine)
     # I3 and I4 are half-grid sums, the oracle's are over every node
     assert eig.I3 == pytest.approx(oracle.I3, rel=4e-15, abs=0)
     assert eig.I4 == pytest.approx(oracle.I4, rel=4e-15, abs=0)
     assert eig.M_hat == pytest.approx(oracle.M_hat, rel=4e-15, abs=0)
     # (z_hat, u0) = 0 is the solve's constraint, so mu_ss carries no term of it
-    assert abs(eig.operator.weight * float(eig.z_hat @ eig.u0)) <= 1e-17
+    assert abs(eig.operator.weight * float(z_hat_nodes(eig) @ principal_mode(eig.operator))) <= 1e-17
 
     models = [NonlinearityModel.psi_k(k, eta) for k in (3, 4, 5, 6) for eta in (1.0, -1.0)]
     for model in models + [NonlinearityModel.polynomial(list(BENCHMARK_POLY))]:
@@ -285,7 +285,7 @@ def test_per_mesh_stage_forms_no_full_grid_array(name, tmp_path):
     for run in (
         lambda: eigendata(spec),
         lambda: psi_k_table(spec, [3, 4, 5, 6, 7, 8], [1.0, -1.0]),
-        lambda: cmd_verify(cfg, out_dir=str(tmp_path)),
+        lambda: cmd_analyze(cfg, out_dir=str(tmp_path)),
     ):
         assert full_grid_arrays(run, math.prod(spec.resolution)) == []
 
@@ -315,8 +315,8 @@ def test_square_coefficients_match_the_transform(n):
 )
 def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
     # the corrector is solved in the sine coefficients, with u0^2's in closed
-    # form; z_hat's node vector costs one inverse transform, paid when first
-    # read and then kept. L has no stencil to apply
+    # form; z_hat's node vector costs one inverse transform, which no command
+    # pays. L has no stencil to apply
     calls = []
     for name in ("transform", "inverse_transform"):
         method = getattr(Laplacian, name)
@@ -331,8 +331,7 @@ def test_eigendata_runs_no_grid_transform_and_no_stencil(spec, monkeypatch):
     monkeypatch.setattr(operators, "_axis_transform", lambda *a: calls.append("axis") or axis_transform(*a))
     eig = eigendata(spec)
     assert calls == []
-    z = eig.z_hat
-    assert eig.z_hat is z
+    z_hat_nodes(eig)
     assert calls == ["inverse_transform", "grid"] + ["axis"] * len(spec.resolution)
 
 
@@ -366,8 +365,8 @@ class TestMuSS:
         eta = 1.0
         model = NonlinearityModel.psi_k(3, eta)
         mu_ss = diagnose(eig, model).mu_ss
-        u0 = eig.operator.unfold(eig.u0)
-        z = derivative_at_zero(model, 2) * eig.operator.unfold(eig.z_hat)
+        u0 = unfold(eig.operator, principal_mode(eig.operator))
+        z = derivative_at_zero(model, 2) * unfold(eig.operator, z_hat_nodes(eig))
         sigma = psi3_sigma_form(grid400, u0, z, eta)
         assert mu_ss == pytest.approx(sigma, abs=1e-8)
         # the constrained term of sigma is itself numerically zero
@@ -413,7 +412,7 @@ class TestRawFormOracle:
         # shift by lambda0 of the *linearized* operator: the closed forms
         # are invariant to V_L because lambda = m + V_L absorbs it
         d = diagnose(eig, model)
-        mu_s, z_s, mu_ss = d.mu_s, g2 * eig.operator.unfold(eig.z_hat), d.mu_ss
+        mu_s, z_s, mu_ss = d.mu_s, g2 * unfold(eig.operator, z_hat_nodes(eig)), d.mu_ss
 
         # raw first-order relation: 2 mu_s = -(d2g, u0) + 2 (V_L z_s, u0)
         d2g = g2 * u0 * u0 + 2.0 * v_l * z_s
@@ -494,8 +493,8 @@ class TestPipeline:
         ):
             # the model's corrector z_s = g''(0) z_hat, against u0
             res = run_analysis(spec400, model)
-            z_s = derivative_at_zero(model, 2) * res.z_hat
-            assert abs(res.operator.weight * float(z_s @ res.u0)) <= 1e-10
+            z_s = derivative_at_zero(model, 2) * z_hat_nodes(res)
+            assert abs(res.operator.weight * float(z_s @ principal_mode(res.operator))) <= 1e-10
 
     def test_m_at_bifurcation(self, spec400):
         res = run_analysis(spec400, NonlinearityModel.linear(2.0))
@@ -549,8 +548,8 @@ class TestPipeline:
         expected_i3 = (2 / PI) ** 3 * (4 / 3) ** 2
         assert res.lambda0 == pytest.approx(2.0, abs=2e-3)
         assert d.mu_s == pytest.approx(expected_i3, rel=1e-2)
-        z_s = derivative_at_zero(model, 2) * res.z_hat
-        assert abs(res.operator.weight * float(z_s @ res.u0)) <= 1e-10
+        z_s = derivative_at_zero(model, 2) * z_hat_nodes(res)
+        assert abs(res.operator.weight * float(z_s @ principal_mode(res.operator))) <= 1e-10
         assert d.m_coexistence_side is CoexistenceSide.TWO_SIDED
 
     def test_square_domain_quartic_interaction(self):
@@ -617,11 +616,11 @@ class TestInteractionTable:
         # the cubic model's own corrector equation, solved directly
         model = NonlinearityModel.psi_k(3, 1.0)
         g2 = derivative_at_zero(model, 2)
-        u0 = lap400.unfold(eig.u0)
+        u0 = unfold(lap400, principal_mode(lap400))
         mu_s = -0.5 * g2 * grid400.dot(u0**2, u0)
         rhs = mu_s * u0 + 0.5 * g2 * u0**2
         rhs = lap400.transform(grid400.fold(rhs))
-        z = lap400.unfold(lap400.inverse_transform(bordered_solve(lap400, rhs, eig.lambda0)))
+        z = unfold(lap400, lap400.inverse_transform(bordered_solve(lap400, rhs, eig.lambda0)))
         expected = -12.0 * grid400.dot(u0 * z, u0)
         assert -3 * table[0].mu_ss == pytest.approx(expected, rel=1e-8)
 

@@ -6,7 +6,7 @@ import pytest
 
 from coexist import ConfigError, DomainSpec, Laplacian
 
-from conftest import FullGrid, weighted_norm
+from conftest import FullGrid, unfold, weighted_norm
 
 PI = math.pi
 
@@ -74,7 +74,7 @@ def test_node_ordering_lexicographic():
     f0, f1 = np.array([1.0, 2.0, 1.0]), np.array([3.0, 5.0, 5.0, 3.0])
     # folded per axis: the first ceil(n/2) nodes, times sqrt(m)
     y = np.multiply.outer(f0[:2] * [math.sqrt(2.0), 1.0], f1[:2] * math.sqrt(2.0)).ravel()
-    u = L.unfold(y)
+    u = unfold(L, y)
     assert u.shape == (12,)
     np.testing.assert_allclose(u, np.multiply.outer(f0, f1).ravel(), rtol=1e-15)
 

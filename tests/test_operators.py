@@ -7,7 +7,7 @@ from coexist import ConvergenceError, DomainSpec, Laplacian, bordered_solve, eig
 from coexist.diagnostics import bifurcation_point
 from coexist.operators import _cg
 
-from conftest import FullGrid, dense, weighted_norm as norm
+from conftest import FullGrid, dense, principal_mode, unfold, weighted_norm as norm
 
 PI = math.pi
 
@@ -115,7 +115,7 @@ def test_solve_spd_stall_error(lap400):
 @pytest.fixture(scope="module")
 def kernel_setup(lap400, eig400):
     eig, _ = eig400
-    return lap400, eig.u0, eig.lambda0
+    return lap400, principal_mode(lap400), eig.lambda0
 
 
 def test_bordered_zero_rhs(kernel_setup):
@@ -136,13 +136,13 @@ def test_bordered_solvable_rhs_cubic_interaction(kernel_setup, grid400):
     # kernel-orthogonal by construction of mu_s
     L, u0, lam0 = kernel_setup
     eta = 1.0
-    u = L.unfold(u0)
+    u = unfold(L, u0)
     mu_s = eta * grid400.dot(u * u, u)
     rhs = mu_s * u - eta * u * u
     assert abs(grid400.dot(rhs, u)) < 1e-12  # quadrature oracle
     z = L.inverse_transform(bordered_solve(L, L.transform(grid400.fold(rhs)), lam0))
     assert abs(L.weight * float(z @ u0)) <= 1e-10
-    z = L.unfold(z)
+    z = unfold(L, z)
     assert grid400.norm(grid400.apply(z) - lam0 * z - rhs) <= 1e-10 * max(1.0, grid400.norm(rhs))
 
 
@@ -163,13 +163,13 @@ def test_bordered_against_dense_saddle_oracle():
     K[n, :n] = grid.weight * u0
     direct = np.linalg.solve(K, np.concatenate([rhs, [0.0]]))
     z = L.inverse_transform(bordered_solve(L, L.transform(grid.fold(rhs)), lambda0))
-    assert grid.norm(L.unfold(z) - direct[:n]) < 1e-8
+    assert grid.norm(unfold(L, z) - direct[:n]) < 1e-8
 
 
 def test_bordered_solve_checks_lengths_against_the_operator(lap400, eig400):
     # L.n = ceil(n/2) coefficients, not the full grid's n
     eig, _ = eig400
-    for rhs in (lap400.unfold(eig.u0), np.zeros(lap400.n + 1), np.zeros((lap400.n, 1))):
+    for rhs in (unfold(lap400, principal_mode(lap400)), np.zeros(lap400.n + 1), np.zeros((lap400.n, 1))):
         with pytest.raises(ValueError, match=rf"rhs needs L\.n = {lap400.n} coefficients"):
             bordered_solve(lap400, rhs, eig.lambda0)
 
@@ -187,10 +187,11 @@ def test_folded_bordered_solve_matches_full_grid(spec):
     # rhs = u0^2 is mirror-symmetric with kernel component (u0^2, u0), which
     # the projection drops; the oracle is the exact DST solve on the full grid
     grid, eig = FullGrid(spec), eigendata(spec)
-    L, y0 = eig.operator, eig.u0
-    u0 = L.unfold(y0)
+    L = eig.operator
+    y0 = principal_mode(L)
+    u0 = unfold(L, y0)
     z_oracle = grid.spectral_solve(u0 * u0, eig.lambda0)
     z = bordered_solve(L, L.transform(y0 * y0 / L.sqrt_multiplicity), eig.lambda0)
     assert z.shape == (L.n,)
-    z = L.unfold(L.inverse_transform(z))
+    z = unfold(L, L.inverse_transform(z))
     assert np.linalg.norm(z - z_oracle) <= 1e-13 * np.linalg.norm(z_oracle)

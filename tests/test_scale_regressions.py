@@ -5,10 +5,12 @@ suite."""
 import json
 import math
 
+import numpy as np
 import pytest
 
-from coexist import CoexistenceType, DomainSpec, NonlinearityModel, run_analysis
+from coexist import CoexistenceType, DomainSpec, NonlinearityModel, run_analysis, trace_branch
 from coexist.cli import EXIT_OK, RunConfig, cmd_trace, main
+from coexist.continuation import DEFAULT_S_VALUES
 
 PI = math.pi
 
@@ -50,14 +52,14 @@ def test_short_interval_classifies(n, eta, expected):
     assert run_analysis(spec, NonlinearityModel.psi_k(3, eta)).diagnostics.ctype is expected
 
 
-def test_short_interval_verify_reads_lambda1_from_closed_form(tmp_path, capsys):
+def test_short_interval_analyze_reads_lambda1_from_closed_form(tmp_path, capsys):
     config = {
         "domain": {"kind": "interval", "bounds": [list(SHORT_INTERVAL[0])], "resolution": [50]},
         "model": {"kind": "psi_k", "k": 3, "eta": 1.0},
     }
     path = tmp_path / "short.json"
     path.write_text(json.dumps(config))
-    assert main(["verify", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["analyze", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
     cr = json.loads((tmp_path / "report.json").read_text())["cr_report"]
     h = 0.1 / 51
@@ -67,15 +69,14 @@ def test_short_interval_verify_reads_lambda1_from_closed_form(tmp_path, capsys):
 
 def test_long_rectangle_verifies(tmp_path, capsys):
     # gap / lambda0 ~ 3 (1/3000)^2 = 3.3e-7 on (0,1) x (0,3000): tiny, yet
-    # 1.5e9 times eps * lambda0, so verify certifies what analyze runs on
+    # 1.5e9 times eps * lambda0, so analyze certifies the kernel and runs on
     config = {
         "domain": {"kind": "rectangle", "bounds": [[0.0, 1.0], [0.0, 3000.0]], "resolution": [15, 255]},
         "model": {"kind": "psi_k", "k": 3, "eta": 1.0},
     }
     path = tmp_path / "long.json"
     path.write_text(json.dumps(config))
-    for command in ("verify", "analyze"):
-        assert main([command, "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["analyze", "--config", str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()
     assert json.loads((tmp_path / "report.json").read_text())["cr_report"]["kernel_dim_ok"]
 
@@ -149,3 +150,54 @@ def test_trace_consistent_with_diagnostics(tmp_path, length, k, eta):
     assert code == EXIT_OK
     consistency = report["branch"]["consistency"]
     assert consistency["a_ok"] and consistency["twob_ok"]
+
+
+# Scaling a box by c = 2^j keeps each axis's n and multiplies h by c
+# exactly in binary floating point, so it maps the problem onto itself
+# (ROADMAP.md item 24): lambda -> lambda/c^2, u0 -> c^(-d/2) u0, the
+# moments and mu with them, and a branch point at s -> s c^(d/2) u_scale,
+# U -> u_scale U, with u_scale = c^-2 for psi_3 and c^-1 for psi_4
+SIMILAR_BOXES = {
+    "interval-400-c4": (
+        DomainSpec("interval", ((0.0, PI),), (400,)),
+        DomainSpec("interval", ((0.0, 4 * PI),), (400,)),
+        4.0,
+    ),
+    "rect-25x47-c2": (
+        DomainSpec("rectangle", ((0.0, PI), (0.0, 2 * PI)), (25, 47)),
+        DomainSpec("rectangle", ((0.0, 2 * PI), (0.0, 4 * PI)), (25, 47)),
+        2.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("k, eta", [(3, 1.0), (4, -1.0)], ids=["psi3", "psi4"])
+@pytest.mark.parametrize("name", list(SIMILAR_BOXES))
+def test_similarity_law_holds_bit_for_bit(name, k, eta):
+    spec, scaled_spec, c = SIMILAR_BOXES[name]
+    d = len(spec.resolution)
+    model = NonlinearityModel.psi_k(k, eta)
+    base, scaled = run_analysis(spec, model), run_analysis(scaled_spec, model)
+    assert scaled.lambda0 == base.lambda0 / c**2 and scaled.lambda1 == base.lambda1 / c**2
+    assert scaled.I4 == c**-d * base.I4 and scaled.M_hat == c ** (2 - d) * base.M_hat
+    # mu_ss is -2 g''(0)^2 M_hat for psi_3 and -g'''(0) I4/3 for psi_4
+    assert scaled.diagnostics.mu_ss == (c ** (2 - d) if k == 3 else c**-d) * base.diagnostics.mu_ss
+    # the named exceptions: I3 takes (2/len)^(3/2) per axis, so it and
+    # psi_3's mu_s are bit-equal in 1-D and within 1 ulp in 2-D
+    ulps = d - 1
+    assert abs(scaled.I3 - c ** (-d / 2) * base.I3) <= ulps * math.ulp(scaled.I3)
+    mu_s = c ** (-d / 2) * base.diagnostics.mu_s
+    assert abs(scaled.diagnostics.mu_s - mu_s) <= ulps * math.ulp(mu_s)
+
+    u_scale = c**-2 if k == 3 else 1 / c
+    s_scale = c ** (d / 2) * u_scale
+    branch = trace_branch(base, DEFAULT_S_VALUES)
+    scaled_branch = trace_branch(scaled, [s * s_scale for s in DEFAULT_S_VALUES])
+    assert len(branch.points) == len(scaled_branch.points) == len(DEFAULT_S_VALUES)
+    # psi_3's predictor in 2-D starts from that mu_s, and one entry of U
+    # at s = -0.1 lands 1 ulp off; lambda and the steps stay bit-equal
+    u_ulps = 1 if (d, k) == (2, 3) else 0
+    for p, q in zip(branch.points, scaled_branch.points):
+        assert q.s == p.s * s_scale and q.newton_iters == p.newton_iters
+        assert q.lam == p.lam / c**2
+        assert np.all(np.abs(q.U - u_scale * p.U) <= u_ulps * np.spacing(np.abs(q.U))), p.s
